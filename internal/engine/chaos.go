@@ -1,9 +1,11 @@
 // The chaos layer: replica failure/recovery windows, an SLO-driven
 // autoscaling controller, and priority tiers with admission control and
-// preemption. Engines expose a small chaosFleet surface (kill / revive /
-// scale); the controller here owns the shared policy — when to fail whom,
-// when the attainment window demands another replica, which tier a tenant
-// belongs to — so all four engines exercise identical chaos semantics.
+// preemption. The controller here owns the shared policy — when to fail
+// whom, when the attainment window demands another replica, which tier a
+// tenant belongs to — and drives it through the chaosFleet surface (kill /
+// revive / scale). Its single implementation is replicaSet (fleet.go),
+// which every engine runs on, so all four engines exercise identical chaos
+// semantics from one copy of the mechanics.
 //
 // The layer is strictly additive: a nil (or inert) ChaosConfig leaves every
 // engine on its exact legacy code path, which the differential no-op test

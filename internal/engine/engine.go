@@ -68,9 +68,6 @@ type Config struct {
 	MemHeadroom float64
 	// SampleEvery is the trace-sampling period in seconds (0 disables).
 	SampleEvery float64
-	// Seed drives any randomized tie-breaking (none today; kept for
-	// forward compatibility).
-	Seed int64
 
 	// Sink receives every finished request's metrics.RequestRecord as the
 	// run emits it. Nil (the default) stores records exactly in a fresh
@@ -583,18 +580,6 @@ func moduleLatency(perStage []float64) float64 {
 		}
 	}
 	return max * float64(len(perStage))
-}
-
-// pickLeastLoaded returns the index of the instance with the fewest
-// outstanding requests; ties break to the lowest index.
-func pickLeastLoaded(loads []int) int {
-	best := 0
-	for i, l := range loads {
-		if l < loads[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // sortedKeys returns a map's int keys in ascending order, for

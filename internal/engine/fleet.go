@@ -1,9 +1,10 @@
-// staticFleet replicates the static-pipeline runtime (HexGen / vLLM) for
-// the chaos layer: every replica runs the same continuous-batching loop
-// over the shared pipeline shape, and the fleet owns routing, failure
-// handling, KV hauling, and scale operations. A healthy run is a fleet of
-// one with a nil controller — every fleet path then degenerates to the
-// legacy single-runtime behaviour that the golden traces pin.
+// replicaSet is every engine's chaos fleet: a run serves through N replicas
+// of one engine runtime (a static pipeline, a phase-split pair, or a Hetis
+// instance), and the set owns routing, failure handling, KV hauling, and
+// scale operations for all of them, so a chaos behaviour is written once
+// and holds for every engine. A healthy run is a set of the engine's base
+// width with a nil controller — every path then degenerates to the legacy
+// single-runtime behaviour that the golden traces pin.
 
 package engine
 
@@ -26,10 +27,10 @@ const (
 	replicaParked // provisioned but not serving (autoscale headroom)
 )
 
-// fleetCore is the replica-type-independent fleet bookkeeping shared by
-// the static, splitwise, and hetis fleets: global arrival sequencing, the
-// conservation ledger, the parked backlog, and the serialized KV-haul
-// link.
+// fleetCore is the replica-type-independent bookkeeping of a run: global
+// arrival sequencing, the conservation ledger, the parked backlog, and the
+// serialized KV-haul link. Runtimes hold a pointer to it for the ledger
+// and the chaos controller.
 type fleetCore struct {
 	cfg  Config
 	res  *Result
@@ -45,32 +46,12 @@ type fleetCore struct {
 	inSystem int
 	// parked holds admitted requests with no active replica to run on.
 	parked queue
-	// inHaul counts requests whose KV is mid-transfer between replicas;
 	// haulFree is when the haul link next frees up (transfers serialize).
-	inHaul   int
 	haulFree float64
 	// recBatch buffers one iteration's completion records: afterDecode
 	// loops fill it through finishDeferred and flush it with one batched
 	// sink append before the event callback returns.
 	recBatch []metrics.RequestRecord
-}
-
-func newFleetCore(cfg Config, res *Result, ctl *chaosCtl, sink metrics.Sink) fleetCore {
-	return fleetCore{cfg: cfg, res: res, ctl: ctl, sink: sink}
-}
-
-// admitArrival runs the shared arrival bookkeeping: sequence number,
-// arrival trace, tier admission. A false return means the request was
-// dropped at admission.
-func (c *fleetCore) admitArrival(s *sim.Simulator, r *request) bool {
-	r.seq = c.nextSeq
-	c.nextSeq++
-	c.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindArrival, Request: r.wl.ID})
-	if !c.ctl.admit(s, r) {
-		return false
-	}
-	c.inSystem++
-	return true
 }
 
 // dropAdmitted records the drop of an already-admitted request (the
@@ -107,27 +88,6 @@ func (c *fleetCore) flushFinishes() {
 	c.recBatch = c.recBatch[:0]
 }
 
-// haulTo ships a victim's KV cache toward a surviving replica over the
-// cluster interconnect; transfers serialize on the link, and deliver runs
-// when the transfer lands.
-func (c *fleetCore) haulTo(s *sim.Simulator, r *request, deliver func(*sim.Simulator, *request)) {
-	bytes := int64(r.restartCtx) * c.cfg.Model.KVBytesPerToken()
-	dt := perf.P2PTime(c.cfg.Cluster.InterLink, bytes)
-	now := s.Now()
-	if c.haulFree < now {
-		c.haulFree = now
-	}
-	c.haulFree += dt
-	c.res.Migrations++
-	c.res.MigratedBytes += bytes
-	c.res.Trace.Add(trace.Event{At: now, Kind: trace.KindMigration, Request: r.wl.ID, Value: float64(bytes)})
-	c.inHaul++
-	s.Schedule(c.haulFree, "kv-haul", func(s *sim.Simulator) {
-		c.inHaul--
-		deliver(s, r)
-	})
-}
-
 // loseVictim applies lost-KV failure semantics: the request re-prefills
 // its full accumulated context on whichever replica it lands on.
 func (c *fleetCore) loseVictim(s *sim.Simulator, r *request) {
@@ -136,44 +96,39 @@ func (c *fleetCore) loseVictim(s *sim.Simulator, r *request) {
 	c.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindEviction, Request: r.wl.ID})
 }
 
-type staticFleet struct {
+// replica is the surface an engine runtime exposes to its replicaSet.
+type replica interface {
+	// load is the routing key: the replica's in-system request count.
+	load() int
+	// intake is the queue routed work enters, and the queue a newly
+	// activated replica steals from.
+	intake() *waitQueue
+	// kick starts the intake loop if it is idle.
+	kick(s *sim.Simulator)
+	// evacuate tears the replica down for deactivation: it cancels its
+	// pending events, clears engine-local state, and returns every request
+	// it held outside the intake queue (in any order) plus the IDs whose KV
+	// cache is resident and can therefore be hauled.
+	evacuate(s *sim.Simulator) (victims []*request, resident map[int64]bool)
+}
+
+// replicaSet is the one chaosFleet. Replica indices are stable across
+// kill/revive; state[i] is replica i's lifecycle position.
+type replicaSet[R replica] struct {
 	fleetCore
-	est      *perf.Estimator
-	replicas []*staticRuntime
+	replicas []R
+	state    []replicaState
+	// land, when set, places a hauled request on the survivor the set
+	// picked; nil re-enters it through the survivor's intake like any
+	// routed request.
+	land func(R, *sim.Simulator, *request)
 }
 
-func newStaticFleet(cfg Config, est *perf.Estimator, pipe *staticPipeline, res *Result, ctl *chaosCtl, sink metrics.Sink, chaos *ChaosConfig) *staticFleet {
-	width, total := 1, 1
-	if chaos != nil {
-		width = chaos.initialReplicas()
-		total = chaos.maxReplicas()
-	}
-	f := &staticFleet{fleetCore: newFleetCore(cfg, res, ctl, sink), est: est}
-	for i := 0; i < total; i++ {
-		rt := &staticRuntime{
-			cfg:     cfg,
-			est:     est,
-			pipe:    pipe,
-			res:     res,
-			fleet:   f,
-			idx:     i,
-			state:   replicaParked,
-			waiting: newWaitQueue(ctl.tiered()),
-			byID:    map[int64]*request{},
-		}
-		if i < width {
-			rt.state = replicaActive
-		}
-		rt.stepFn = rt.step
-		rt.prefillDoneFn = rt.prefillDone
-		rt.decodeDoneFn = rt.decodeDone
-		f.replicas = append(f.replicas, rt)
-	}
-	return f
-}
-
-// runStatic is the shared Run body of the two static-pipeline engines.
-func runStatic(name string, cfg Config, est *perf.Estimator, pipe *staticPipeline, capBytes int64, reqs []workload.Request, horizon float64) (*Result, error) {
+// newReplicaSet opens a run the same way for every engine: it clamps the
+// trace to the context window, builds the Result, and under active chaos
+// interposes the controller on the run's sink. The engine then provisions
+// its replicas and calls run.
+func newReplicaSet[R replica](name string, cfg Config, capBytes int64, reqs []workload.Request) (*replicaSet[R], []workload.Request) {
 	reqs = workload.Truncate(reqs, cfg.Model.MaxSeqLen) // clamp to the context window
 	sink, rec := cfg.newRunSink(len(reqs))
 	res := &Result{
@@ -186,159 +141,229 @@ func runStatic(name string, cfg Config, est *perf.Estimator, pipe *staticPipelin
 	iters := moduleSeriesCap(reqs)
 	res.DenseTimes = make([]float64, 0, iters)
 	res.AttnTimes = make([]float64, 0, iters)
-	chaos := cfg.Chaos.normalize()
-	var ctl *chaosCtl
-	runSink := sink
-	if chaos != nil {
-		ctl = newChaosCtl(chaos, res, res.Trace, sink)
-		runSink = ctl
+	f := &replicaSet[R]{fleetCore: fleetCore{cfg: cfg, res: res, sink: sink}}
+	if chaos := cfg.Chaos.normalize(); chaos != nil {
+		f.ctl = newChaosCtl(chaos, res, res.Trace, sink)
+		f.ctl.bind(f)
+		f.sink = f.ctl
 	}
-	f := newStaticFleet(cfg, est, pipe, res, ctl, runSink, chaos)
-	if ctl != nil {
-		ctl.bind(f)
+	return f, reqs
+}
+
+// provision builds the set's replicas for an engine whose healthy
+// deployment has base of them. Chaos may start wider and pre-provisions
+// every replica the autoscaler or a failure window can name; replicas past
+// the initial width start parked.
+func (f *replicaSet[R]) provision(base int, build func(i int) (R, error)) error {
+	width, total := base, base
+	if f.ctl != nil {
+		width = max(base, f.ctl.cfg.initialReplicas())
+		total = max(width, f.ctl.cfg.maxReplicas())
 	}
-	s := sim.New()
-	s.MaxEvents = cfg.MaxSimEvents(len(reqs))
-	ctl.start(s)
-	scheduleArrivals(s, reqs, func(s *sim.Simulator, r *request) {
-		if !f.admitArrival(s, r) {
-			return
+	for i := 0; i < total; i++ {
+		rt, err := build(i)
+		if err != nil {
+			return err
 		}
-		f.route(s, r)
-	})
+		st := replicaParked
+		if i < width {
+			st = replicaActive
+		}
+		f.replicas = append(f.replicas, rt)
+		f.state = append(f.state, st)
+	}
+	return nil
+}
+
+// run serves the trace to the horizon and returns the run's Result.
+// Failure and autoscale events are scheduled first, then the arrivals,
+// then the engine's own timers (nil for none), which fixes the event
+// sequence numbers the goldens pin.
+func (f *replicaSet[R]) run(reqs []workload.Request, horizon float64, timers func(*sim.Simulator)) (*Result, error) {
+	s := sim.New()
+	s.MaxEvents = f.cfg.MaxSimEvents(len(reqs))
+	f.ctl.start(s)
+	scheduleArrivals(s, reqs, f.arrive)
+	if timers != nil {
+		timers(s)
+	}
 	if err := s.Run(horizon); err != nil {
 		return nil, err
 	}
-	res.Horizon = s.Now()
-	res.Events = s.Executed
-	res.Queued = f.inSystem
-	return res, nil
+	f.res.Horizon = s.Now()
+	f.res.Events = s.Executed
+	f.res.Queued = f.inSystem
+	return f.res, nil
+}
+
+// arrive runs the arrival bookkeeping — sequence number, arrival trace,
+// tier admission — and routes the request unless admission dropped it.
+func (f *replicaSet[R]) arrive(s *sim.Simulator, r *request) {
+	r.seq = f.nextSeq
+	f.nextSeq++
+	f.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindArrival, Request: r.wl.ID})
+	if !f.ctl.admit(s, r) {
+		return
+	}
+	f.inSystem++
+	f.route(s, r)
+}
+
+// pick returns the least-loaded active replica (ties to the lowest index),
+// or -1 when none is serving.
+func (f *replicaSet[R]) pick() int {
+	best, bestLoad := -1, 0
+	for i, rt := range f.replicas {
+		if f.state[i] != replicaActive {
+			continue
+		}
+		if l := rt.load(); best < 0 || l < bestLoad {
+			best, bestLoad = i, l
+		}
+	}
+	return best
+}
+
+// route sends a request to the least-loaded active replica's intake, or
+// parks it when no replica is serving (a reviving replica drains the park).
+func (f *replicaSet[R]) route(s *sim.Simulator, r *request) {
+	i := f.pick()
+	if i < 0 {
+		f.park(s, r)
+		return
+	}
+	rt := f.replicas[i]
+	rt.intake().push(r)
+	rt.kick(s)
+}
+
+// park holds a request until a replica activates. A hauled request's KV
+// has no replica left to live on, so it is lost: the request re-prefills
+// its full context wherever it lands.
+func (f *replicaSet[R]) park(s *sim.Simulator, r *request) {
+	if r.hauled {
+		f.loseVictim(s, r)
+	}
+	f.parked.push(r)
+}
+
+// haul ships a victim's KV cache toward a survivor over the cluster
+// interconnect; transfers serialize on the link, and the request lands
+// when its transfer completes.
+func (f *replicaSet[R]) haul(s *sim.Simulator, r *request) {
+	r.hauled = true
+	bytes := int64(r.restartCtx) * f.cfg.Model.KVBytesPerToken()
+	dt := perf.P2PTime(f.cfg.Cluster.InterLink, bytes)
+	now := s.Now()
+	if f.haulFree < now {
+		f.haulFree = now
+	}
+	f.haulFree += dt
+	f.res.Migrations++
+	f.res.MigratedBytes += bytes
+	f.res.Trace.Add(trace.Event{At: now, Kind: trace.KindMigration, Request: r.wl.ID, Value: float64(bytes)})
+	s.Schedule(f.haulFree, "kv-haul", func(s *sim.Simulator) { f.landHauled(s, r) })
+}
+
+// landHauled delivers a hauled request whose transfer completed: through
+// the engine's landing function on the least-loaded survivor, or — with
+// no replica serving — to the park, where its KV is lost.
+func (f *replicaSet[R]) landHauled(s *sim.Simulator, r *request) {
+	if f.land == nil {
+		f.route(s, r)
+		return
+	}
+	i := f.pick()
+	if i < 0 {
+		f.park(s, r)
+		return
+	}
+	f.land(f.replicas[i], s, r)
+}
+
+// deactivate takes replica i out of service and re-dispatches everything
+// it held, oldest first: resident requests haul their KV to survivors in
+// haul mode, every other victim loses its KV and re-prefills, and the
+// intake queue requeues as-is.
+func (f *replicaSet[R]) deactivate(s *sim.Simulator, i int, haul bool, to replicaState) {
+	f.state[i] = to
+	rt := f.replicas[i]
+	victims, resident := rt.evacuate(s)
+	sort.Slice(victims, func(a, b int) bool { return victims[a].seq < victims[b].seq })
+	for _, r := range victims {
+		r.evicted = true
+		r.restartCtx = r.contextLen()
+		if haul && resident[r.wl.ID] {
+			f.haul(s, r)
+			continue
+		}
+		f.loseVictim(s, r)
+		f.route(s, r)
+	}
+	for q := rt.intake(); q.len() > 0; {
+		f.route(s, q.pop())
+	}
+}
+
+// activate brings replica i into service and hands it the parked backlog,
+// then steals intake work from the fullest active replica until that donor
+// holds at most one more than the newcomer, so the newcomer helps drain
+// the backlog instead of waiting on fresh arrivals.
+func (f *replicaSet[R]) activate(s *sim.Simulator, i int) {
+	f.state[i] = replicaActive
+	rt := f.replicas[i]
+	q := rt.intake()
+	for f.parked.len() > 0 {
+		q.push(f.parked.pop())
+	}
+	for {
+		var donor *waitQueue
+		for j, o := range f.replicas {
+			if j == i || f.state[j] != replicaActive {
+				continue
+			}
+			if oq := o.intake(); donor == nil || oq.len() > donor.len() {
+				donor = oq
+			}
+		}
+		if donor == nil || donor.len() <= q.len()+1 {
+			break
+		}
+		q.push(donor.pop())
+	}
+	rt.kick(s)
 }
 
 // activeCount implements chaosFleet.
-func (f *staticFleet) activeCount() int {
+func (f *replicaSet[R]) activeCount() int {
 	n := 0
-	for _, rt := range f.replicas {
-		if rt.state == replicaActive {
+	for _, st := range f.state {
+		if st == replicaActive {
 			n++
 		}
 	}
 	return n
 }
 
-// route sends a request to the least-loaded active replica, or parks it
-// when no replica is serving (a reviving replica drains the park).
-func (f *staticFleet) route(s *sim.Simulator, r *request) {
-	var best *staticRuntime
-	for _, rt := range f.replicas {
-		if rt.state != replicaActive {
-			continue
-		}
-		if best == nil || rt.load() < best.load() {
-			best = rt
-		}
-	}
-	if best == nil {
-		f.parked.push(r)
-		return
-	}
-	best.waiting.push(r)
-	best.kick(s)
-}
-
-// deactivate takes a replica out of service, re-dispatching everything it
-// held: running requests haul their KV to survivors (haul mode) or lose it
-// and re-prefill; mid-prefill and waiting requests requeue as-is.
-func (f *staticFleet) deactivate(s *sim.Simulator, rt *staticRuntime, haul bool, to replicaState) {
-	rt.state = to
-	if rt.busy {
-		s.Cancel(rt.pending)
-		rt.busy = false
-	}
-	resident := map[int64]bool{}
-	for _, r := range rt.running {
-		resident[r.wl.ID] = true
-	}
-	victims := make([]*request, 0, len(rt.byID))
-	for _, r := range rt.byID {
-		victims = append(victims, r)
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, r := range victims {
-		id := r.wl.ID
-		delete(rt.byID, id)
-		r.evicted = true
-		r.restartCtx = r.contextLen()
-		if haul && resident[id] {
-			r.hauled = true
-			f.haulTo(s, r, f.route)
-			continue
-		}
-		f.loseVictim(s, r)
-		f.route(s, r)
-	}
-	rt.running = rt.running[:0]
-	rt.used = 0
-	for rt.waiting.len() > 0 {
-		f.route(s, rt.waiting.pop())
-	}
-}
-
 // kill implements chaosFleet.
-func (f *staticFleet) kill(s *sim.Simulator, replica int, haul bool) {
-	if replica >= len(f.replicas) {
-		return
+func (f *replicaSet[R]) kill(s *sim.Simulator, replica int, haul bool) {
+	if replica < len(f.replicas) && f.state[replica] == replicaActive {
+		f.deactivate(s, replica, haul, replicaFailed)
 	}
-	rt := f.replicas[replica]
-	if rt.state != replicaActive {
-		return
-	}
-	f.deactivate(s, rt, haul, replicaFailed)
 }
 
 // revive implements chaosFleet.
-func (f *staticFleet) revive(s *sim.Simulator, replica int) {
-	if replica >= len(f.replicas) {
-		return
+func (f *replicaSet[R]) revive(s *sim.Simulator, replica int) {
+	if replica < len(f.replicas) && f.state[replica] == replicaFailed {
+		f.activate(s, replica)
 	}
-	rt := f.replicas[replica]
-	if rt.state != replicaFailed {
-		return
-	}
-	f.activate(s, rt)
-}
-
-// activate brings a replica into service and hands it the parked backlog,
-// then steals queued (not yet admitted) work from busier replicas so the
-// newcomer helps drain the backlog instead of waiting on fresh arrivals.
-func (f *staticFleet) activate(s *sim.Simulator, rt *staticRuntime) {
-	rt.state = replicaActive
-	for f.parked.len() > 0 {
-		rt.waiting.push(f.parked.pop())
-	}
-	for {
-		var donor *staticRuntime
-		for _, o := range f.replicas {
-			if o == rt || o.state != replicaActive {
-				continue
-			}
-			if donor == nil || o.waiting.len() > donor.waiting.len() {
-				donor = o
-			}
-		}
-		if donor == nil || donor.waiting.len() <= rt.waiting.len()+1 {
-			break
-		}
-		rt.waiting.push(donor.waiting.pop())
-	}
-	rt.kick(s)
 }
 
 // scaleUp implements chaosFleet: activate the first parked replica.
-func (f *staticFleet) scaleUp(s *sim.Simulator) bool {
-	for _, rt := range f.replicas {
-		if rt.state == replicaParked {
-			f.activate(s, rt)
+func (f *replicaSet[R]) scaleUp(s *sim.Simulator) bool {
+	for i, st := range f.state {
+		if st == replicaParked {
+			f.activate(s, i)
 			return true
 		}
 	}
@@ -347,13 +372,13 @@ func (f *staticFleet) scaleUp(s *sim.Simulator) bool {
 
 // scaleDown implements chaosFleet: drain the highest-index active replica
 // (its KV hauls to survivors — a graceful drain, not a crash).
-func (f *staticFleet) scaleDown(s *sim.Simulator) bool {
+func (f *replicaSet[R]) scaleDown(s *sim.Simulator) bool {
 	if f.activeCount() <= 1 {
 		return false
 	}
-	for i := len(f.replicas) - 1; i >= 0; i-- {
-		if f.replicas[i].state == replicaActive {
-			f.deactivate(s, f.replicas[i], true, replicaParked)
+	for i := len(f.state) - 1; i >= 0; i-- {
+		if f.state[i] == replicaActive {
+			f.deactivate(s, i, true, replicaParked)
 			return true
 		}
 	}

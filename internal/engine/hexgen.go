@@ -48,20 +48,42 @@ func (h *HexGen) Run(reqs []workload.Request, horizon float64) (*Result, error) 
 	return runStatic(h.Name(), h.cfg, h.est, h.pipe, h.CacheCapacity(), reqs, horizon)
 }
 
+// runStatic is the shared Run body of the two static-pipeline engines: a
+// replica set of one staticRuntime, widened by chaos.
+func runStatic(name string, cfg Config, est *perf.Estimator, pipe *staticPipeline, capBytes int64, reqs []workload.Request, horizon float64) (*Result, error) {
+	f, reqs := newReplicaSet[*staticRuntime](name, cfg, capBytes, reqs)
+	err := f.provision(1, func(int) (*staticRuntime, error) {
+		rt := &staticRuntime{
+			cfg:     cfg,
+			est:     est,
+			pipe:    pipe,
+			res:     f.res,
+			fleet:   &f.fleetCore,
+			waiting: newWaitQueue(f.ctl.tiered()),
+			byID:    map[int64]*request{},
+		}
+		rt.stepFn = rt.step
+		rt.prefillDoneFn = rt.prefillDone
+		rt.decodeDoneFn = rt.decodeDone
+		return rt, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f.run(reqs, horizon, nil)
+}
+
 // staticRuntime is the colocated continuous-batching loop shared shape
 // with Hetis' instance, but with token-count cache accounting and no
-// dynamic dispatch. Under chaos it is one replica of a staticFleet; a
-// healthy run is a fleet of one, which behaves exactly like the original
-// single runtime.
+// dynamic dispatch. It is one replica of a replicaSet; a healthy run is a
+// set of one, which behaves exactly like the original single runtime.
 type staticRuntime struct {
 	cfg  Config
 	est  *perf.Estimator
 	pipe *staticPipeline
 	res  *Result
 
-	fleet *staticFleet
-	idx   int
-	state replicaState
+	fleet *fleetCore
 	// used is this replica's cache occupancy in tokens (the pipeline shape
 	// is shared; occupancy is per replica).
 	used int64
@@ -86,8 +108,33 @@ type staticRuntime struct {
 	promptBuf     []int
 }
 
-// load is the replica's in-system request count, the routing key.
+// load implements replica: admitted plus waiting requests.
 func (rt *staticRuntime) load() int { return len(rt.byID) + rt.waiting.len() }
+
+// intake implements replica.
+func (rt *staticRuntime) intake() *waitQueue { return rt.waiting }
+
+// evacuate implements replica: the running batch is resident; requests
+// admitted to an in-flight prefill hold no KV yet.
+func (rt *staticRuntime) evacuate(s *sim.Simulator) ([]*request, map[int64]bool) {
+	if rt.busy {
+		s.Cancel(rt.pending)
+		rt.busy = false
+	}
+	resident := make(map[int64]bool, len(rt.running))
+	for _, r := range rt.running {
+		resident[r.wl.ID] = true
+	}
+	victims := make([]*request, 0, len(rt.byID))
+	//hetis:ordered the replica set sorts victims by seq before acting on them
+	for _, r := range rt.byID {
+		victims = append(victims, r)
+	}
+	clear(rt.byID)
+	rt.running = rt.running[:0]
+	rt.used = 0
+	return victims, resident
+}
 
 func (rt *staticRuntime) kick(s *sim.Simulator) {
 	if rt.busy {

@@ -20,7 +20,7 @@ func TestDecodeCostMemoBitEqual(t *testing.T) {
 	reqs := shortTrace(workload.ShareGPT, 2, 10, 3)
 	h := buildHetis(t, model.Llama13B, reqs)
 	res := &Result{}
-	inst, err := h.newInstance(0, h.plan.Instances[0], res)
+	inst, err := h.newInstance(h.plan.Instances[0], res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"hetis/internal/hardware"
-	"hetis/internal/metrics"
 	"hetis/internal/parallelizer"
 	"hetis/internal/perf"
 	"hetis/internal/sim"
@@ -75,272 +73,32 @@ func (sw *Splitwise) PrefillStages() []parallelizer.Stage { return sw.prefill.st
 // DecodeStages exposes the decode pipeline layout.
 func (sw *Splitwise) DecodeStages() []parallelizer.Stage { return sw.decode.stages }
 
-// Run implements Engine.
+// Run implements Engine. A replica is one whole phase-split deployment,
+// so a failure takes down both sides and a scale-up adds another pair.
 func (sw *Splitwise) Run(reqs []workload.Request, horizon float64) (*Result, error) {
-	reqs = workload.Truncate(reqs, sw.cfg.Model.MaxSeqLen) // clamp to the context window
-	sink, rec := sw.cfg.newRunSink(len(reqs))
-	res := &Result{
-		Engine:        sw.Name(),
-		Sink:          sink,
-		Recorder:      rec,
-		Trace:         sw.cfg.newTraceLog(),
-		CacheCapacity: sw.CacheCapacity(),
-	}
-	iters := moduleSeriesCap(reqs)
-	res.DenseTimes = make([]float64, 0, iters)
-	res.AttnTimes = make([]float64, 0, iters)
-	chaos := sw.cfg.Chaos.normalize()
-	var ctl *chaosCtl
-	runSink := sink
-	if chaos != nil {
-		ctl = newChaosCtl(chaos, res, res.Trace, sink)
-		runSink = ctl
-	}
-	f := newSplitwiseFleet(sw, res, ctl, runSink, chaos)
-	if ctl != nil {
-		ctl.bind(f)
-	}
-	s := sim.New()
-	s.MaxEvents = sw.cfg.MaxSimEvents(len(reqs))
-	ctl.start(s)
-	scheduleArrivals(s, reqs, func(s *sim.Simulator, r *request) {
-		if !f.admitArrival(s, r) {
-			return
-		}
-		f.route(s, r)
+	f, reqs := newReplicaSet[*splitwiseRuntime](sw.Name(), sw.cfg, sw.CacheCapacity(), reqs)
+	f.land = (*splitwiseRuntime).landHauled
+	err := f.provision(1, func(int) (*splitwiseRuntime, error) {
+		return &splitwiseRuntime{
+			sw:       sw,
+			res:      f.res,
+			fleet:    &f.fleetCore,
+			prefillQ: newWaitQueue(f.ctl.tiered()),
+			decodeQ:  newWaitQueue(f.ctl.tiered()),
+			handoffs: map[int64]*request{},
+		}, nil
 	})
-	if err := s.Run(horizon); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	res.Horizon = s.Now()
-	res.Events = s.Executed
-	res.Queued = f.inSystem
-	return res, nil
-}
-
-// splitwiseFleet replicates the prefill/decode pair: a replica is one
-// whole phase-split deployment, so a failure takes down both sides and a
-// scale-up adds another pair.
-type splitwiseFleet struct {
-	fleetCore
-	sw       *Splitwise
-	replicas []*splitwiseRuntime
-}
-
-func newSplitwiseFleet(sw *Splitwise, res *Result, ctl *chaosCtl, sink metrics.Sink, chaos *ChaosConfig) *splitwiseFleet {
-	width, total := 1, 1
-	if chaos != nil {
-		width = chaos.initialReplicas()
-		total = chaos.maxReplicas()
-	}
-	f := &splitwiseFleet{fleetCore: newFleetCore(sw.cfg, res, ctl, sink), sw: sw}
-	for i := 0; i < total; i++ {
-		rt := &splitwiseRuntime{
-			sw:       sw,
-			res:      res,
-			fleet:    f,
-			idx:      i,
-			state:    replicaParked,
-			prefillQ: newWaitQueue(ctl.tiered()),
-			decodeQ:  newWaitQueue(ctl.tiered()),
-			handoffs: map[int64]*request{},
-		}
-		if i < width {
-			rt.state = replicaActive
-		}
-		f.replicas = append(f.replicas, rt)
-	}
-	return f
-}
-
-// activeCount implements chaosFleet.
-func (f *splitwiseFleet) activeCount() int {
-	n := 0
-	for _, rt := range f.replicas {
-		if rt.state == replicaActive {
-			n++
-		}
-	}
-	return n
-}
-
-// route sends a request to the least-loaded active replica's prefill
-// queue, or parks it when no replica is serving.
-func (f *splitwiseFleet) route(s *sim.Simulator, r *request) {
-	var best *splitwiseRuntime
-	for _, rt := range f.replicas {
-		if rt.state != replicaActive {
-			continue
-		}
-		if best == nil || rt.load() < best.load() {
-			best = rt
-		}
-	}
-	if best == nil {
-		f.parked.push(r)
-		return
-	}
-	best.prefillQ.push(r)
-	best.kickPrefill(s)
-}
-
-// deactivate takes a replica pair out of service. Requests holding KV on
-// the decode side (running or transferred) haul it to survivors under
-// haul mode; everything else — waiting, mid-prefill, mid-handoff — loses
-// its progress and re-prefills.
-func (f *splitwiseFleet) deactivate(s *sim.Simulator, rt *splitwiseRuntime, haul bool, to replicaState) {
-	rt.state = to
-	if rt.prefillBusy {
-		s.Cancel(rt.prefillPending)
-		rt.prefillBusy = false
-	}
-	if rt.decodeBusy {
-		s.Cancel(rt.decodePending)
-		rt.decodeBusy = false
-	}
-	rt.handoffGroup.CancelAll(s)
-
-	resident := map[int64]bool{}
-	var victims []*request
-	for _, r := range rt.running {
-		resident[r.wl.ID] = true
-		victims = append(victims, r)
-	}
-	for rt.decodeQ.len() > 0 {
-		r := rt.decodeQ.pop()
-		resident[r.wl.ID] = true
-		victims = append(victims, r)
-	}
-	for _, r := range rt.handoffs {
-		victims = append(victims, r)
-	}
-	victims = append(victims, rt.prefillBatch...)
-	for rt.prefillQ.len() > 0 {
-		victims = append(victims, rt.prefillQ.pop())
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, r := range victims {
-		r.evicted = true
-		r.restartCtx = r.contextLen()
-		if haul && resident[r.wl.ID] {
-			r.hauled = true
-			f.haulTo(s, r, f.routeHauled)
-			continue
-		}
-		f.loseVictim(s, r)
-		f.route(s, r)
-	}
-	rt.running = rt.running[:0]
-	rt.prefillBatch = nil
-	rt.handoffs = map[int64]*request{}
-	rt.usedDecode = 0
-	rt.inPrefill = 0
-}
-
-// routeHauled lands a hauled request straight on a survivor's decode
-// queue: its KV moved with it, so it skips the prefill phase.
-func (f *splitwiseFleet) routeHauled(s *sim.Simulator, r *request) {
-	var best *splitwiseRuntime
-	for _, rt := range f.replicas {
-		if rt.state != replicaActive {
-			continue
-		}
-		if best == nil || rt.load() < best.load() {
-			best = rt
-		}
-	}
-	if best == nil {
-		r.hauled = false // park loses the staged KV
-		f.parked.push(r)
-		return
-	}
-	r.hauled = false // KV is resident again once the transfer lands
-	best.decodeQ.push(r)
-	best.kickDecode(s)
-}
-
-// kill implements chaosFleet.
-func (f *splitwiseFleet) kill(s *sim.Simulator, replica int, haul bool) {
-	if replica >= len(f.replicas) {
-		return
-	}
-	rt := f.replicas[replica]
-	if rt.state != replicaActive {
-		return
-	}
-	f.deactivate(s, rt, haul, replicaFailed)
-}
-
-// revive implements chaosFleet.
-func (f *splitwiseFleet) revive(s *sim.Simulator, replica int) {
-	if replica >= len(f.replicas) {
-		return
-	}
-	rt := f.replicas[replica]
-	if rt.state != replicaFailed {
-		return
-	}
-	f.activate(s, rt)
-}
-
-// activate brings a replica into service, hands it the parked backlog,
-// and steals queued prefill work from busier replicas (decode queues stay
-// put — their KV is resident where it is).
-func (f *splitwiseFleet) activate(s *sim.Simulator, rt *splitwiseRuntime) {
-	rt.state = replicaActive
-	for f.parked.len() > 0 {
-		rt.prefillQ.push(f.parked.pop())
-	}
-	for {
-		var donor *splitwiseRuntime
-		for _, o := range f.replicas {
-			if o == rt || o.state != replicaActive {
-				continue
-			}
-			if donor == nil || o.prefillQ.len() > donor.prefillQ.len() {
-				donor = o
-			}
-		}
-		if donor == nil || donor.prefillQ.len() <= rt.prefillQ.len()+1 {
-			break
-		}
-		rt.prefillQ.push(donor.prefillQ.pop())
-	}
-	rt.kickPrefill(s)
-}
-
-// scaleUp implements chaosFleet.
-func (f *splitwiseFleet) scaleUp(s *sim.Simulator) bool {
-	for _, rt := range f.replicas {
-		if rt.state == replicaParked {
-			f.activate(s, rt)
-			return true
-		}
-	}
-	return false
-}
-
-// scaleDown implements chaosFleet.
-func (f *splitwiseFleet) scaleDown(s *sim.Simulator) bool {
-	if f.activeCount() <= 1 {
-		return false
-	}
-	for i := len(f.replicas) - 1; i >= 0; i-- {
-		if f.replicas[i].state == replicaActive {
-			f.deactivate(s, f.replicas[i], true, replicaParked)
-			return true
-		}
-	}
-	return false
+	return f.run(reqs, horizon, nil)
 }
 
 type splitwiseRuntime struct {
 	sw  *Splitwise
 	res *Result
 
-	fleet *splitwiseFleet
-	idx   int
-	state replicaState
+	fleet *fleetCore
 
 	prefillQ    *waitQueue
 	prefillBusy bool
@@ -367,12 +125,67 @@ type splitwiseRuntime struct {
 	decodePending sim.Handle
 }
 
-// load is the replica's in-system request count, the routing key.
+// load implements replica: every request on either side or in between.
 func (rt *splitwiseRuntime) load() int {
 	return rt.prefillQ.len() + len(rt.prefillBatch) + len(rt.handoffs) + rt.decodeQ.len() + len(rt.running)
 }
 
-func (rt *splitwiseRuntime) kickPrefill(s *sim.Simulator) {
+// intake implements replica: routed work enters the prefill side; decode
+// queues stay put, since their KV is resident where it is.
+func (rt *splitwiseRuntime) intake() *waitQueue { return rt.prefillQ }
+
+// evacuate implements replica. Requests holding KV on the decode side
+// (running or transferred) are resident; everything else — waiting,
+// mid-prefill, mid-handoff — loses its progress and re-prefills, so the
+// prefill queue drains into the victims too.
+func (rt *splitwiseRuntime) evacuate(s *sim.Simulator) ([]*request, map[int64]bool) {
+	if rt.prefillBusy {
+		s.Cancel(rt.prefillPending)
+		rt.prefillBusy = false
+	}
+	if rt.decodeBusy {
+		s.Cancel(rt.decodePending)
+		rt.decodeBusy = false
+	}
+	rt.handoffGroup.CancelAll(s)
+
+	resident := map[int64]bool{}
+	var victims []*request
+	for _, r := range rt.running {
+		resident[r.wl.ID] = true
+		victims = append(victims, r)
+	}
+	for rt.decodeQ.len() > 0 {
+		r := rt.decodeQ.pop()
+		resident[r.wl.ID] = true
+		victims = append(victims, r)
+	}
+	//hetis:ordered the replica set sorts victims by seq before acting on them
+	for _, r := range rt.handoffs {
+		victims = append(victims, r)
+	}
+	victims = append(victims, rt.prefillBatch...)
+	for rt.prefillQ.len() > 0 {
+		victims = append(victims, rt.prefillQ.pop())
+	}
+	rt.running = rt.running[:0]
+	rt.prefillBatch = nil
+	rt.handoffs = map[int64]*request{}
+	rt.usedDecode = 0
+	rt.inPrefill = 0
+	return victims, resident
+}
+
+// landHauled places a hauled request straight on the decode queue: its KV
+// moved with it, so it skips the prefill phase.
+func (rt *splitwiseRuntime) landHauled(s *sim.Simulator, r *request) {
+	r.hauled = false // KV is resident again once the transfer lands
+	rt.decodeQ.push(r)
+	rt.kickDecode(s)
+}
+
+// kick implements replica: it starts the prefill loop if it is idle.
+func (rt *splitwiseRuntime) kick(s *sim.Simulator) {
 	if rt.prefillBusy {
 		return
 	}
@@ -464,7 +277,7 @@ func (rt *splitwiseRuntime) scheduleHandoff(s *sim.Simulator, r *request) {
 		rt.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindMigration, Request: r.wl.ID, Value: float64(bytes)})
 		rt.decodeQ.push(r)
 		rt.kickDecode(s)
-		rt.kickPrefill(s)
+		rt.kick(s)
 	}))
 }
 
@@ -548,7 +361,7 @@ func (rt *splitwiseRuntime) preemptFor(s *sim.Simulator, r *request, ctx int64) 
 		v.hauled = false
 		rt.prefillQ.push(v)
 		f.ctl.notePreempt(s, v)
-		rt.kickPrefill(s)
+		rt.kick(s)
 	}
 }
 
@@ -608,7 +421,7 @@ func (rt *splitwiseRuntime) afterDecode(s *sim.Simulator) {
 		rt.prefillQ.pushFront(v)
 		rt.res.Evictions++
 		rt.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindEviction, Request: v.wl.ID})
-		rt.kickPrefill(s)
+		rt.kick(s)
 	}
 	if rt.usedDecode < 0 {
 		rt.usedDecode = 0

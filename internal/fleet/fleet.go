@@ -5,11 +5,9 @@
 //
 // The package deliberately contains no execution machinery: it decides,
 // deterministically and entirely at admission time, which shard serves
-// each request (Router), and how each shard derives its private random
-// seed from the run seed (SplitSeed). The scenario layer owns the rest —
-// building one engine per shard, executing the shards concurrently on the
-// sweep worker pool, and merging per-shard results/windows/traces in shard
-// order. Because every routing decision is a pure function of the request
+// each request (Router). The scenario layer owns the rest — building one
+// engine per shard, executing the shards concurrently on the sweep worker
+// pool, and merging per-shard results/windows/traces in shard order. Because every routing decision is a pure function of the request
 // sequence (never of completion-order feedback), the merged output is
 // byte-identical at any shard-worker count and any GOMAXPROCS.
 package fleet

@@ -212,25 +212,6 @@ func TestPartitionConservation(t *testing.T) {
 	}
 }
 
-func TestSplitSeed(t *testing.T) {
-	seen := map[int64]bool{}
-	for run := int64(0); run < 8; run++ {
-		for shard := 0; shard < 16; shard++ {
-			s := SplitSeed(run, shard)
-			if seen[s] {
-				t.Fatalf("SplitSeed(%d, %d) = %d collides", run, shard, s)
-			}
-			seen[s] = true
-			if s2 := SplitSeed(run, shard); s2 != s {
-				t.Fatalf("SplitSeed(%d, %d) not stable: %d vs %d", run, shard, s, s2)
-			}
-		}
-	}
-	if SplitSeed(1, 0) == 1 {
-		t.Error("SplitSeed(1, 0) left the run seed unmixed")
-	}
-}
-
 // FuzzRouterConservation checks the two routing invariants the fleet merge
 // relies on, for every policy on arbitrary traces: each request lands on
 // exactly one in-range shard, and the per-shard token sums conserve the

@@ -1,8 +1,8 @@
 // The fleet run path: a sharded scenario routes its trace through a
 // front-door router at admission time, serves each shard's slice on an
-// independent engine (own calendar queue, trace arena, sink, and a seed
-// split from the run seed), executes the shards concurrently on the sweep
-// worker pool, and merges everything back in shard-index order. Every
+// independent engine (own calendar queue, trace arena, and sink), executes
+// the shards concurrently on the sweep worker pool, and merges everything
+// back in shard-index order. Every
 // decision that could differ between executions is made before the shards
 // start or after they all finish, so the merged output is byte-identical
 // at any shard-worker count and any GOMAXPROCS.
@@ -105,10 +105,6 @@ func prepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 		sh := &fleetShard{reqs: part}
 		f.shards[i] = sh
 		cfg := engine.DefaultConfig(m, cluster)
-		// The splittable seed mix gives every shard an independent stream
-		// derived only from (run seed, shard index) — never from routing
-		// outcomes or sibling shards.
-		cfg.Seed = fleet.SplitSeed(spec.Seed, i)
 		if opts.Stream {
 			sh.pipeline = newStreamPipeline(spec.SLO, opts.Window, tenants, nil, true)
 			cfg.Sink = sh.pipeline.sink

@@ -15,7 +15,6 @@
 //	hetisbench -bench                         # perf trajectory -> BENCH.json
 //	hetisbench -bench -quick -repeat 3        # CI smoke: reduced scale, best-of-3
 //	hetisbench -bench -bench-baseline old.json -bench-out BENCH.json
-//	hetisbench -bench -bench-nowarm           # LP warm starts off (baseline mode)
 //	hetisbench -list                          # show experiment ids and scenarios
 //
 // Grid dimensions are key=v1,v2,... pairs: engine, dataset, rate, model,
@@ -91,7 +90,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	benchBase := fs.String("bench-baseline", "", "existing BENCH.json whose suite becomes the -bench baseline")
 	repeat := fs.Int("repeat", 1, "repetitions per -bench measurement (best wall-clock kept)")
 	benchMicro := fs.Bool("bench-micro", true, "include micro-benchmarks in -bench (adds a few seconds)")
-	benchNoWarm := fs.Bool("bench-nowarm", false, "run -bench with the LP warm-start layer disabled (records the pre-warm-start baseline; decisions are identical)")
 	benchSinks := fs.Bool("bench-sinks", true, "include the exact-vs-streaming sink comparison in -bench (runs megascale twice; adds ~15s full-scale)")
 	benchFleet := fs.Bool("bench-fleet", true, "include the fleet shard-scaling section in -bench (runs gigascale at several worker counts)")
 	benchFleetScen := fs.String("bench-fleet-scenario", "", "sharded scenario the -bench fleet section measures (default gigascale)")
@@ -173,7 +171,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return usageError("-bench-fleet-workers: %v", err)
 		}
-		if err := runPerfBench(stdout, stderr, *scen, *quick, *repeat, *stream, *benchNoWarm, *benchOut, *benchBase,
+		if err := runPerfBench(stdout, stderr, *scen, *quick, *repeat, *stream, *benchOut, *benchBase,
 			*benchMicro, *benchSinks, *benchFleet, *benchFleetScen, fleetWorkers); err != nil {
 			return err
 		}
@@ -241,9 +239,9 @@ func run(argv []string, stdout, stderr io.Writer) error {
 
 // runPerfBench executes the perf-trajectory harness and writes BENCH.json. A
 // summary table goes to stdout so humans see the numbers the file records.
-func runPerfBench(stdout, stderr io.Writer, scen string, quick bool, repeat int, stream, noWarm bool, outPath, basePath string, micro, sinks, fleet bool, fleetScen string, fleetWorkers []int) error {
+func runPerfBench(stdout, stderr io.Writer, scen string, quick bool, repeat int, stream bool, outPath, basePath string, micro, sinks, fleet bool, fleetScen string, fleetWorkers []int) error {
 	opts := hetis.BenchOptions{
-		Quick: quick, Repeat: repeat, Stream: stream, NoWarm: noWarm,
+		Quick: quick, Repeat: repeat, Stream: stream,
 		SkipMicro: !micro, SkipSinks: !sinks,
 		SkipFleet: !fleet, FleetScenario: fleetScen, FleetWorkers: fleetWorkers,
 	}
@@ -288,9 +286,8 @@ func runPerfBench(stdout, stderr io.Writer, scen string, quick bool, repeat int,
 	fmt.Fprintf(stdout, "suite: %.3fs wall, %d events (%.0f events/s), %d LP solves (%d avoided)\n",
 		rep.Suite.WallSeconds, rep.Suite.Events, rep.Suite.EventsPerSec,
 		rep.Suite.LPSolves, rep.Suite.LPSolvesAvoided)
-	fmt.Fprintf(stdout, "lp: %d solves / %d avoided / %d warm-started (%.0f%% of %d ideal) / %d phase1-skipped, %d rows patched, %.3fs in solver (%.1f%% of wall)\n",
-		rep.Suite.LP.Solves, rep.Suite.LP.SolvesAvoided, rep.Suite.LP.WarmStarts,
-		100*rep.Suite.LP.IdealWarmRate, rep.Suite.LP.IdealSolves, rep.Suite.LP.Phase1Skips,
+	fmt.Fprintf(stdout, "lp: %d placement solves / %d avoided / %d ideal relaxations, %d rows patched, %.3fs in solver (%.1f%% of wall)\n",
+		rep.Suite.LP.Solves, rep.Suite.LP.SolvesAvoided, rep.Suite.LP.IdealSolves,
 		rep.Suite.LP.PatchedRows, rep.Suite.LP.SolveSeconds, 100*rep.Suite.LP.WallShare)
 	for _, mb := range rep.Micro {
 		fmt.Fprintf(stdout, "micro: %-28s %12.0f ns/op  %6d B/op  %4d allocs/op\n",

@@ -101,8 +101,8 @@ func TestBenchModeWritesReport(t *testing.T) {
 	if !strings.Contains(stdout, "suite:") || !strings.Contains(stdout, "steady") {
 		t.Errorf("bench summary missing suite line:\n%s", stdout)
 	}
-	if !strings.Contains(stdout, "lp: ") || !strings.Contains(stdout, "warm-started") ||
-		!strings.Contains(stdout, "phase1-skipped") || !strings.Contains(stdout, "in solver") {
+	if !strings.Contains(stdout, "lp: ") || !strings.Contains(stdout, "ideal relaxations") ||
+		!strings.Contains(stdout, "rows patched") || !strings.Contains(stdout, "in solver") {
 		t.Errorf("bench summary missing lp solver line:\n%s", stdout)
 	}
 	data, err := os.ReadFile(out)
@@ -112,7 +112,7 @@ func TestBenchModeWritesReport(t *testing.T) {
 	if !strings.Contains(string(data), `"schema": "hetis-bench/4"`) {
 		t.Errorf("report missing schema:\n%s", data)
 	}
-	if !strings.Contains(string(data), `"warm_start_rate"`) {
+	if !strings.Contains(string(data), `"patched_rows"`) {
 		t.Errorf("report missing lp section:\n%s", data)
 	}
 	if !strings.Contains(string(data), `"gomaxprocs"`) {
@@ -128,37 +128,6 @@ func TestBenchModeWritesReport(t *testing.T) {
 	}
 	if !strings.Contains(stdout2, "speedup vs baseline:") {
 		t.Errorf("baseline run missing speedup line:\n%s", stdout2)
-	}
-}
-
-// TestBenchNoWarmRecordsBaselineMode pins the baseline flag: -bench-nowarm
-// runs report no warm starts and mark the document, and a warm run may use
-// a nowarm document as its baseline (the whole point of the mode).
-func TestBenchNoWarmRecordsBaselineMode(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH-nowarm.json")
-	stdout, err := runBench(t, "-bench", "-scenario", "steady", "-quick", "-bench-micro=false",
-		"-bench-sinks=false", "-bench-fleet=false", "-bench-nowarm", "-bench-out", out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout, "0 warm-started") {
-		t.Errorf("-bench-nowarm still warm-started solves:\n%s", stdout)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"no_warm": true`) {
-		t.Errorf("report not marked no_warm:\n%s", data)
-	}
-	out2 := filepath.Join(t.TempDir(), "BENCH-warm.json")
-	stdout2, err := runBench(t, "-bench", "-scenario", "steady", "-quick", "-bench-micro=false",
-		"-bench-sinks=false", "-bench-fleet=false", "-bench-baseline", out, "-bench-out", out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout2, "speedup vs baseline:") {
-		t.Errorf("warm-vs-nowarm baseline comparison missing:\n%s", stdout2)
 	}
 }
 

@@ -43,11 +43,6 @@ type Options struct {
 	// cheap. Suites measured with different sinks are not comparable as
 	// baselines.
 	Stream bool
-	// NoWarm disables the dispatchers' LP warm-start layer for the suite
-	// runs — the pre-warm-start solver behavior. Decisions and event
-	// counts are identical either way, so a NoWarm report is the natural
-	// baseline for measuring the warm-start optimization.
-	NoWarm bool
 	// SkipMicro omits the micro-benchmarks (they add a few seconds).
 	SkipMicro bool
 	// SkipSinks omits the exact-vs-streaming sink comparison.
@@ -87,7 +82,6 @@ func Run(opts Options) (*Report, error) {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Quick:      opts.Quick,
 		Stream:     opts.Stream,
-		NoWarm:     opts.NoWarm,
 	}
 
 	cache := sweep.NewCache()
@@ -104,7 +98,7 @@ func Run(opts Options) (*Report, error) {
 		if spec.Sharded() {
 			results, err = measureShardedScenario(spec, repeat, opts.Stream)
 		} else {
-			results, err = measureScenario(spec, repeat, opts.Stream, opts.NoWarm, cache)
+			results, err = measureScenario(spec, repeat, opts.Stream, cache)
 		}
 		if err != nil {
 			return nil, err
@@ -119,20 +113,12 @@ func Run(opts Options) (*Report, error) {
 		rep.Suite.LP.Solves += sb.LPSolves
 		rep.Suite.LP.SolvesAvoided += sb.LPSolvesAvoided
 		rep.Suite.LP.IdealSolves += sb.LPIdealSolves
-		rep.Suite.LP.WarmStarts += sb.LPWarmStarts
-		rep.Suite.LP.Phase1Skips += sb.LPPhase1Skips
 		rep.Suite.LP.PatchedRows += sb.LPPatchedRows
 		rep.Suite.LP.SolveSeconds += sb.LPSolveSeconds
 	}
 	if rep.Suite.WallSeconds > 0 {
 		rep.Suite.EventsPerSec = float64(rep.Suite.Events) / rep.Suite.WallSeconds
 		rep.Suite.LP.WallShare = rep.Suite.LP.SolveSeconds / rep.Suite.WallSeconds
-	}
-	if rep.Suite.LP.Solves > 0 {
-		rep.Suite.LP.WarmStartRate = float64(rep.Suite.LP.WarmStarts) / float64(rep.Suite.LP.Solves)
-	}
-	if rep.Suite.LP.IdealSolves > 0 {
-		rep.Suite.LP.IdealWarmRate = float64(rep.Suite.LP.WarmStarts) / float64(rep.Suite.LP.IdealSolves)
 	}
 	rep.Suite.CacheHits, rep.Suite.CacheMisses = cache.Stats()
 
@@ -178,7 +164,7 @@ func Run(opts Options) (*Report, error) {
 
 // measureScenario times every engine the spec names on the spec's trace,
 // through the exact recorder or (stream) a fresh streaming sink per run.
-func measureScenario(spec scenario.Spec, repeat int, stream, noWarm bool, cache *sweep.Cache) ([]ScenarioBench, error) {
+func measureScenario(spec scenario.Spec, repeat int, stream bool, cache *sweep.Cache) ([]ScenarioBench, error) {
 	key := sweep.TraceKey{Scenario: spec.Name, Duration: spec.Duration, Seed: spec.Seed}
 	reqs, err := cache.Trace(key)
 	if err != nil {
@@ -209,7 +195,6 @@ func measureScenario(spec scenario.Spec, repeat int, stream, noWarm bool, cache 
 			// fresh one (and therefore a fresh engine; construction stays
 			// outside the measured window and the cache keeps it cheap).
 			runCfg := cfg
-			runCfg.DisableLPWarmStart = noWarm
 			if stream {
 				runCfg.Sink = metrics.NewStreamingSink(spec.SLO)
 				runCfg.NoTrace = true
@@ -234,8 +219,6 @@ func measureScenario(spec scenario.Spec, repeat int, stream, noWarm bool, cache 
 				sb.LPSolves = res.LPSolves
 				sb.LPSolvesAvoided = res.LPSolvesAvoided
 				sb.LPIdealSolves = res.LPIdealSolves
-				sb.LPWarmStarts = res.LPWarmStarts
-				sb.LPPhase1Skips = res.LPPhase1Skips
 				sb.LPPatchedRows = res.LPPatchedRows
 				if res.Events > 0 {
 					sb.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(res.Events)

@@ -140,7 +140,6 @@ func TestRunMicro(t *testing.T) {
 		"dispatch/admission-lp",
 		"dispatch/ideal-attn-lp-128",
 		"lp/solve-cold-20x12",
-		"lp/solve-warm-20x12",
 		"kvcache/alloc-extend-free",
 		"metrics/summarize-3x-10k",
 		"metrics/summaries-bulk-10k",
@@ -159,53 +158,6 @@ func TestRunMicro(t *testing.T) {
 		if mb.NsPerOp <= 0 {
 			t.Errorf("%s: NsPerOp = %g", mb.Name, mb.NsPerOp)
 		}
-	}
-}
-
-// TestWarmStartDecisionEquivalence pins the optimization contract at the
-// harness level: a NoWarm (pre-warm-start baseline) suite and a default
-// suite must execute identical event sequences and completions — only
-// solver-side telemetry may differ. Full scale, because the quick suite
-// never reaches the imbalanced states that solve the ideal relaxation.
-func TestWarmStartDecisionEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale scenario run takes a few seconds")
-	}
-	base, err := Run(Options{Scenarios: []string{"steady"}, NoWarm: true, SkipMicro: true, SkipSinks: true, SkipFleet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Run(Options{Scenarios: []string{"steady"}, SkipMicro: true, SkipSinks: true, SkipFleet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SamePairs(&base.Suite, &warm.Suite) {
-		t.Fatal("suites measured different pairs")
-	}
-	for i := range base.Suite.Scenarios {
-		b, w := base.Suite.Scenarios[i], warm.Suite.Scenarios[i]
-		if b.Events != w.Events || b.Completed != w.Completed {
-			t.Errorf("%s/%s: warm starts changed the simulation: events %d vs %d, completed %d vs %d",
-				b.Scenario, b.Engine, b.Events, w.Events, b.Completed, w.Completed)
-		}
-		// The warm mode may avoid MORE solves (its upper-bound skip is
-		// part of the optimization), but the logical total is invariant.
-		if b.LPSolves+b.LPSolvesAvoided != w.LPSolves+w.LPSolvesAvoided {
-			t.Errorf("%s/%s: solve accounting diverged: %d+%d vs %d+%d",
-				b.Scenario, b.Engine, b.LPSolves, b.LPSolvesAvoided, w.LPSolves, w.LPSolvesAvoided)
-		}
-	}
-	if base.Suite.LP.WarmStarts != 0 || base.Suite.LP.PatchedRows != 0 {
-		t.Errorf("NoWarm suite reports warm-layer activity: %+v", base.Suite.LP)
-	}
-	if warm.Suite.LP.PatchedRows == 0 {
-		t.Error("default suite never patched a cached problem")
-	}
-	if warm.Suite.LP.WarmStarts > warm.Suite.LP.Phase1Skips {
-		t.Errorf("warm starts %d exceed phase-1 skips %d", warm.Suite.LP.WarmStarts, warm.Suite.LP.Phase1Skips)
-	}
-	if warm.Suite.LP.IdealSolves > 0 && warm.Suite.LP.WarmStarts == 0 {
-		t.Error("ideal relaxations solved but none warm-started")
 	}
 }
 

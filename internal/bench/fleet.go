@@ -112,8 +112,7 @@ func measureFleet(spec scenario.Spec, workersList []int, repeat int) (*FleetScal
 // served through the fleet runner at the default worker count (one per
 // CPU, clamped to the shard count), best of repeat runs. The sweep cache
 // is not consulted — it keys engines by (scenario, duration, seed), which
-// cannot tell shards of one run apart. NoWarm is not plumbed here: the
-// fleet path builds shard engines from the default config.
+// cannot tell shards of one run apart.
 func measureShardedScenario(spec scenario.Spec, repeat int, stream bool) ([]ScenarioBench, error) {
 	workers := runtime.NumCPU()
 	if workers > spec.Fleet.Shards {
@@ -151,8 +150,6 @@ func measureShardedScenario(spec scenario.Spec, repeat int, stream bool) ([]Scen
 				sb.LPSolves = res.LPSolves
 				sb.LPSolvesAvoided = res.LPSolvesAvoided
 				sb.LPIdealSolves = res.LPIdealSolves
-				sb.LPWarmStarts = res.LPWarmStarts
-				sb.LPPhase1Skips = res.LPPhase1Skips
 				sb.LPPatchedRows = res.LPPatchedRows
 				if res.Events > 0 {
 					sb.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(res.Events)

@@ -33,7 +33,6 @@ func RunMicro() []MicroBench {
 		microResult("dispatch/admission-lp", benchDispatchLP),
 		microResult("dispatch/ideal-attn-lp-128", benchIdealAttn),
 		microResult("lp/solve-cold-20x12", benchLPSolveCold),
-		microResult("lp/solve-warm-20x12", benchLPSolveWarm),
 		microResult("kvcache/alloc-extend-free", benchKVCache),
 		microResult("metrics/summarize-3x-10k", benchSummarizeSeparate),
 		microResult("metrics/summaries-bulk-10k", benchSummariesBulk),
@@ -288,8 +287,8 @@ func benchDispatchLP(b *testing.B) {
 	}
 }
 
-// benchIdealAttn is one §5.3.1 relaxation solve over a 128-request batch
-// per op.
+// benchIdealAttn is one exact §5.3.1 relaxation solve over a 128-request
+// batch per op.
 func benchIdealAttn(b *testing.B) {
 	d, err := dispatch.New(model.Llama13B, microWorkers())
 	if err != nil {
@@ -312,7 +311,7 @@ func benchIdealAttn(b *testing.B) {
 }
 
 // lpMicroProblem builds the deterministic 20-variable, 12-constraint
-// mixed LP (GE/EQ rows force a real phase 1) the solver micros share,
+// mixed LP (GE/EQ rows force a real phase 1) the solver micro solves,
 // returning the first constraint's row for per-op rhs patching.
 // All-positive costs keep it bounded; moderate right-hand sides keep it
 // feasible.
@@ -346,8 +345,8 @@ func lpMicroProblem() (*lp.Problem, []float64) {
 }
 
 // benchLPSolveCold measures the from-scratch two-phase solve of the
-// shared micro LP, with the same per-op rhs patch the warm micro
-// applies (cycling values model the dispatch re-pose pattern).
+// micro LP, re-posed each op by an rhs patch (cycling values model the
+// dispatch re-pose pattern).
 func benchLPSolveCold(b *testing.B) {
 	p, row0 := lpMicroProblem()
 	if _, err := p.Solve(); err != nil {
@@ -360,30 +359,6 @@ func benchLPSolveCold(b *testing.B) {
 		if _, err := p.Solve(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchLPSolveWarm measures the same patched re-solves through SolveFrom
-// with the previous optimal basis: phase 1 skipped on every op.
-func benchLPSolveWarm(b *testing.B) {
-	p, row0 := lpMicroProblem()
-	first, err := p.Solve()
-	if err != nil {
-		b.Fatal(err)
-	}
-	basis := first.Basis
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.SetConstraint(0, row0, lp.GE, 1.2+0.01*float64(i%8))
-		res, stats, err := p.SolveFrom(basis)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !stats.WarmStarted {
-			b.Fatal("warm micro fell back to the cold path")
-		}
-		basis = res.Basis
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 // SchemaVersion identifies the BENCH.json layout. Consumers (CI trend
 // jobs, plots) must check it before reading fields. Version 2 added the
 // sink-comparison section and the suite's sink mode; version 3 the `lp`
-// solver section (warm starts, phase-1 skips, patched rows, solve time)
-// and the report's no_warm flag; version 4 the `fleet` shard-scaling
-// section, the header's gomaxprocs, and per-row shard counts. Older
-// documents remain readable (the added fields are absent).
+// solver section (patched rows, solve time); version 4 the `fleet`
+// shard-scaling section, the header's gomaxprocs, and per-row shard
+// counts. Older documents remain readable (the added fields are absent;
+// the warm-start counters and no_warm flag older documents carry are
+// ignored).
 const SchemaVersion = "hetis-bench/4"
 
 // legacySchemas are older layouts ReadFile still accepts.
@@ -45,7 +46,8 @@ type ScenarioBench struct {
 	AllocsPerEvent     float64 `json:"allocs_per_event"`
 	AllocBytesPerEvent float64 `json:"alloc_bytes_per_event"`
 	// LPSolves / LPSolvesAvoided expose the dispatch-layer solver work: how
-	// many simplex solves ran, and how many the caching layer skipped.
+	// many placement simplex solves ran, and how many placements and
+	// §5.3.1 relaxations the caching layer skipped.
 	LPSolves        int `json:"lp_solves"`
 	LPSolvesAvoided int `json:"lp_solves_avoided"`
 	// Shards and ShardWorkers mark a fleet measurement (schema v4): the
@@ -54,15 +56,11 @@ type ScenarioBench struct {
 	// single-cluster run.
 	Shards       int `json:"shards,omitempty"`
 	ShardWorkers int `json:"shard_workers,omitempty"`
-	// LPIdealSolves / LPWarmStarts / LPPhase1Skips / LPPatchedRows /
-	// LPSolveSeconds are the warm-start layer's telemetry (schema v3):
-	// ideal-relaxation solves (the warm-startable class), solves answered
-	// from a cached basis, solver-level phase-1 skips (≥ warm starts; the
-	// excess is gray-zone warm solves re-solved cold), constraint rows
-	// patched in place, and wall-clock spent inside simplex solves.
+	// LPIdealSolves / LPPatchedRows / LPSolveSeconds are the solver
+	// telemetry of schema v3: §5.3.1 relaxation evaluations (solved
+	// exactly, not by the simplex), placement-LP rows patched in place,
+	// and wall-clock spent posing and solving placement LPs.
 	LPIdealSolves  int     `json:"lp_ideal_solves"`
-	LPWarmStarts   int     `json:"lp_warm_starts"`
-	LPPhase1Skips  int     `json:"lp_phase1_skips"`
 	LPPatchedRows  int     `json:"lp_patched_rows"`
 	LPSolveSeconds float64 `json:"lp_solve_seconds"`
 }
@@ -72,25 +70,14 @@ type ScenarioBench struct {
 type LPStats struct {
 	Solves        int `json:"solves"`
 	SolvesAvoided int `json:"solves_avoided"`
-	// IdealSolves is the subset of Solves that were §5.3.1 relaxation
-	// solves — the warm-startable class (placement solves stay cold by
-	// design, see doc/PERFORMANCE.md) and the dominant per-solve cost.
+	// IdealSolves counts §5.3.1 relaxation evaluations. They are solved
+	// exactly, not by the simplex, so they are not part of Solves.
 	IdealSolves int `json:"ideal_solves"`
-	// WarmStarts are solves answered from a cached optimal basis;
-	// WarmStartRate is WarmStarts/Solves and IdealWarmRate is
-	// WarmStarts/IdealSolves (the rate over the warm-startable class).
-	WarmStarts    int     `json:"warm_starts"`
-	WarmStartRate float64 `json:"warm_start_rate"`
-	IdealWarmRate float64 `json:"ideal_warm_rate"`
-	// Phase1Skips counts solver-level phase-1 skips (warm attempts,
-	// including ones a decision guard then re-solved cold).
-	Phase1Skips int `json:"phase1_skips"`
-	// PatchedRows counts constraint rows mutated in place when recurring
-	// LPs were re-posed as patches against their cached problems.
+	// PatchedRows counts constraint rows mutated in place when the
+	// recurring placement LP was re-posed as a patch.
 	PatchedRows int `json:"patched_rows"`
-	// SolveSeconds is wall-clock inside simplex solves across the suite;
-	// WallShare is SolveSeconds divided by the suite wall-clock — the "LP
-	// time share" the warm-start optimization targets.
+	// SolveSeconds is wall-clock inside placement LP solves across the
+	// suite; WallShare is SolveSeconds divided by the suite wall-clock.
 	SolveSeconds float64 `json:"solve_seconds"`
 	WallShare    float64 `json:"wall_share"`
 }
@@ -115,8 +102,8 @@ type Suite struct {
 	LPSolves        int `json:"lp_solves"`
 	LPSolvesAvoided int `json:"lp_solves_avoided"`
 
-	// LP is the schema-v3 solver section: warm-start and phase-1-skip
-	// rates, patched rows, and the LP share of suite wall-clock.
+	// LP is the schema-v3 solver section: relaxation evaluations, patched
+	// rows, and the LP share of suite wall-clock.
 	LP LPStats `json:"lp"`
 
 	// CacheHits/CacheMisses report the sweep memo cache (shared traces,
@@ -147,11 +134,6 @@ type Report struct {
 	// Stream records whether the suite measured through streaming sinks;
 	// exact and streaming suites are not comparable either.
 	Stream bool `json:"stream,omitempty"`
-	// NoWarm records that the suite ran with the LP warm-start layer
-	// disabled. Unlike Quick/Stream this does NOT break baseline
-	// comparability — decisions and event counts are identical either way
-	// — it is precisely how the pre-warm-start baseline is recorded.
-	NoWarm bool `json:"no_warm,omitempty"`
 
 	Suite Suite        `json:"suite"`
 	Micro []MicroBench `json:"micro,omitempty"`

@@ -64,66 +64,47 @@ type Dispatcher struct {
 	// Dispatches and Redispatches count solver invocations.
 	Dispatches, Redispatches int
 
-	// LPSolves counts simplex solves (placement and ideal-relaxation LPs);
-	// LPSolvesAvoided counts solves skipped by the caching layer (exact
-	// input memos and the ideal lower-bound test) that a cache-free
-	// dispatcher would have run. Together they are the perf trajectory's
-	// "LP solves avoided" metric.
+	// LPSolves counts placement simplex solves; LPSolvesAvoided counts
+	// work the caching layer skipped that a cache-free dispatcher would
+	// have done: placements answered by the exact-input memo, and §5.3.1
+	// relaxations skipped by the lower-bound test.
 	LPSolves, LPSolvesAvoided int
 
-	// LPIdealSolves counts the subset of LPSolves that were §5.3.1
-	// ideal-relaxation solves — the only solves eligible for basis warm
-	// starting (see solvePlacement for why placements always solve cold),
-	// and by far the most expensive per solve (≈50x an admission LP).
+	// LPIdealSolves counts §5.3.1 relaxation evaluations: the exact
+	// combinatorial solve (see relaxation), or the simplex fallback when a
+	// fitted slope is negative. Neither counts in LPSolves.
 	LPIdealSolves int
-	// LPWarmStarts counts solves answered from a cached optimal basis
-	// (phase 1 skipped and the result accepted by the decision guards).
-	// LPPhase1Skips counts solver-level phase-1 skips, including warm
-	// solves whose objective landed inside the rebalance-threshold gray
-	// zone and were re-solved cold; it is always >= LPWarmStarts.
-	// LPPatchedRows counts constraint rows mutated in place when a
-	// recurring LP shape was re-posed as a patch against the cached
-	// problem instead of being rebuilt.
-	LPWarmStarts, LPPhase1Skips, LPPatchedRows int
-	// LPSolveSeconds accumulates wall-clock spent posing and solving the
-	// dispatch LPs (fresh builds and patches, warm and cold solves, and
-	// guard-triggered re-solves alike), so the perf trajectory can report
-	// the LP layer's share of engine time directly.
+	// LPPatchedRows counts constraint rows mutated in place when the
+	// single-request placement LP was re-posed as a patch against the
+	// cached problem instead of being rebuilt.
+	LPPatchedRows int
+	// LPSolveSeconds accumulates wall-clock spent posing and solving
+	// placement LPs, so the perf trajectory can report the LP layer's
+	// share of engine time directly.
 	LPSolveSeconds float64
 
 	// nocache disables the solver caching layer (SetCaching); the
 	// decision-equivalence property test runs a cache-free twin through
 	// identical operation sequences.
 	nocache bool
-	// nowarm disables only the warm-start/patching layer (SetWarmStart),
-	// keeping the PR3-era exact-input memo and lower-bound skip: the
-	// baseline mode BENCH.json speedups are measured against.
-	nowarm bool
 
 	// placeMemos is a small LRU of single-request placement solves keyed
 	// on their exact inputs (most recent first); see solvePlacement.
 	placeMemos []placementMemo
 
-	// placeCache holds the re-posable single-request placement LP (its
-	// basis slot stays nil — placements always solve cold); idealCaches
-	// hold the re-posable §5.3.1 relaxations and their warm-start bases,
-	// keyed by bucket count (the relaxation's shape).
-	placeCache  lpCache
-	idealCaches map[int]*lpCache
+	// placeCache holds the re-posable single-request placement LP.
+	placeCache lpCache
+
+	// relax is the §5.3.1 relaxation's per-worker cost table in sweep
+	// order, fixed at construction (it depends only on the workers).
+	relax relaxation
 }
 
 // lpCache is one re-posable LP: the problem instance successive solves
-// patch in place, and (for the ideal relaxation) the optimal basis of
-// the previous solve that warm starts the next one, plus that solve's
-// optimal point and bucket counts — the certificate material of the
-// act-side upper-bound skip (see idealUpperBound).
+// patch in place, and its row-building scratch.
 type lpCache struct {
-	prob  *lp.Problem
-	basis *lp.Basis
-	row   []float64 // row-building scratch, nVars wide
-
-	prevX      []float64 // bucket×worker optimum of the last ideal solve
-	prevCounts []int     // bucket counts that optimum conserved heads for
+	prob *lp.Problem
+	row  []float64 // row-building scratch, nVars wide
 }
 
 // placementMemo holds one solved single-request placement LP keyed by the
@@ -178,7 +159,7 @@ func New(cfg model.Config, workers []Worker) (*Dispatcher, error) {
 		return nil, fmt.Errorf("dispatch: at least one worker must be primary")
 	}
 	r := float64(cfg.GroupRatio())
-	return &Dispatcher{
+	d := &Dispatcher{
 		cfg:                 cfg,
 		workers:             workers,
 		h:                   make([]float64, len(workers)),
@@ -187,7 +168,9 @@ func New(cfg model.Config, workers []Worker) (*Dispatcher, error) {
 		ctxLen:              make(map[RequestID]int),
 		perHeadTokenBytes:   float64(cfg.KVBytesPerTokenHeadGroup()) / r,
 		scatterBytesPerHead: (2 + 2/r) * float64(cfg.QHeadBytes()),
-	}, nil
+	}
+	d.relax = newRelaxation(workers, d.scatterBytesPerHead, d.perHeadTokenBytes)
+	return d, nil
 }
 
 // NumWorkers returns the worker count.
@@ -310,26 +293,14 @@ func (d *Dispatcher) CanFit(reqs []NewRequest) bool {
 	return need <= free
 }
 
-// SetCaching toggles the entire solver caching layer (the placement memo
-// LRU, the ideal-LP lower-bound test, and the warm-start/patching layer).
-// It is on by default; the cache-equivalence property test disables it on
-// a twin dispatcher to assert cached and recomputed decisions are
-// bit-equal.
+// SetCaching toggles the entire solver caching layer: the placement memo
+// LRU, placement-row patching, and the relaxation's lower-bound skip. It
+// is on by default; the cache-equivalence tests disable it on a twin
+// dispatcher to assert cached and recomputed decisions are bit-equal.
 func (d *Dispatcher) SetCaching(enabled bool) {
 	d.nocache = !enabled
 	d.placeMemos = nil
 	d.placeCache = lpCache{}
-	d.idealCaches = nil
-}
-
-// SetWarmStart toggles only the warm-start/patching layer, leaving the
-// exact-input memo and the lower-bound skip on. It is on by default;
-// turning it off reproduces the pre-warm-start solver behavior, which is
-// how BENCH.json baselines for this optimization are recorded.
-func (d *Dispatcher) SetWarmStart(enabled bool) {
-	d.nowarm = !enabled
-	d.placeCache = lpCache{}
-	d.idealCaches = nil
 }
 
 // memoLookup returns a copy of the placement groups solved earlier under
@@ -399,20 +370,16 @@ func (d *Dispatcher) solvePlacement(reqs []NewRequest, exclude map[int]bool) ([]
 	// The recurring single-request shape is re-posed as a patch against
 	// the cached problem (allocation-free once warm); anything else
 	// (batches, failure injection, caching off) builds a fresh problem.
-	// Either way the solve itself is ALWAYS the cold two-phase simplex:
+	// Either way the solve itself is the two-phase simplex from scratch:
 	// the min-max placement LP is massively degenerate — any head
 	// distribution that keeps every worker under the binding worker's
-	// time is optimal — so a basis-warm-started solve routinely lands on
-	// a different optimal vertex than the legacy path, and no cheap
-	// numerical certificate can tell the unique-optimum cases apart
-	// reliably. Placements feed the goldens directly; bit-equality wins.
-	// (The ideal relaxation, which only needs the optimal objective, IS
-	// warm-started — see idealAttn.)
-	reposable := memoable && !d.nowarm
+	// time is optimal — and only a solve that retraces the same pivots is
+	// sure to land on the same optimal vertex. Placements feed the goldens
+	// directly; bit-equality wins.
 	d.LPSolves++
 	//hetis:entropy wall-clock self-profiling; LPSolveSeconds is reporting-only and never feeds placement decisions
 	start := time.Now() // the LP layer's cost is posing + solving
-	prob := d.posePlacement(reqs, exclude, nVars, reposable)
+	prob := d.posePlacement(reqs, exclude, nVars, memoable)
 	res, err := prob.Solve()
 	d.LPSolveSeconds += time.Since(start).Seconds()
 	if err != nil {
@@ -452,9 +419,8 @@ func (d *Dispatcher) solvePlacement(reqs []NewRequest, exclude map[int]bool) ([]
 // through emit), creating and remembering it on first use; with nil it
 // returns a fresh problem. Callers write each row's data into the
 // returned scratch before calling emit. Patched and rebuilt problems
-// hold bit-identical data, so they solve identically. noBasis marks
-// problems whose optimal basis nobody will ever warm-start from.
-func (d *Dispatcher) poseInto(cache *lpCache, nVars int, noBasis bool) (prob *lp.Problem, row []float64, emit func(op lp.Op, rhs float64)) {
+// hold bit-identical data, so they solve identically.
+func (d *Dispatcher) poseInto(cache *lpCache, nVars int) (prob *lp.Problem, row []float64, emit func(op lp.Op, rhs float64)) {
 	patch := false
 	if cache != nil {
 		if len(cache.row) != nVars {
@@ -472,7 +438,6 @@ func (d *Dispatcher) poseInto(cache *lpCache, nVars int, noBasis bool) (prob *lp
 		obj := make([]float64, nVars)
 		obj[nVars-1] = 1 // min z
 		prob = lp.New(nVars, obj)
-		prob.NoBasis = noBasis
 		if cache != nil {
 			cache.prob = prob
 		}
@@ -502,9 +467,7 @@ func (d *Dispatcher) posePlacement(reqs []NewRequest, exclude map[int]bool, nVar
 	if reposable {
 		cache = &d.placeCache
 	}
-	// Placements never warm-start (see solvePlacement), so their solves
-	// skip basis capture.
-	prob, row, emit := d.poseInto(cache, nVars, true)
+	prob, row, emit := d.poseInto(cache, nVars)
 
 	// (7a) epigraph: f_i(x) − z ≤ 0 for every worker.
 	for i := range d.workers {
@@ -549,15 +512,6 @@ func (d *Dispatcher) posePlacement(reqs []NewRequest, exclude map[int]bool, nVar
 	}
 	return prob
 }
-
-// warmIdealMargin is the relative width of the gray zone around the
-// §5.3.1 rebalance threshold inside which a warm-started relaxation
-// objective cannot decide and the relaxation is re-solved cold. The
-// optimal objective is unique (unlike the placement LP's solution), so a
-// warm solve agrees with a cold solve up to solver rounding; the margin
-// sits orders of magnitude above that noise, and decisions almost never
-// land inside it, so the escape hatch is essentially free.
-const warmIdealMargin = 1e-6
 
 func (d *Dispatcher) capacities(exclude map[int]bool) []float64 {
 	caps := make([]float64, len(d.workers))
@@ -716,176 +670,60 @@ func (d *Dispatcher) ExtendContext(id RequestID, n int) ([]int, error) {
 	return overflow, nil
 }
 
-// idealBuckets bounds the LP size of IdealAttnTime: requests are grouped
-// into this many context-length buckets. Requests of equal context length
-// merge exactly (the LP is scale-invariant in the head-conservation
-// constraint), so bucketing only rounds lengths within a bucket.
+// idealBuckets bounds the size of IdealAttnTime's relaxation: requests are
+// grouped into this many context-length buckets. Requests of equal context
+// length merge exactly (the relaxation is scale-invariant in the
+// head-conservation constraint), so bucketing only rounds lengths within a
+// bucket.
 const idealBuckets = 24
 
 // IdealAttnTime solves the §5.3.1 relaxation: the best achievable max f_i
 // if ALL current requests could be re-placed freely, subject to the
-// aggregate capacity constraint. Returns 0 when idle. The value of a
-// warm-started solve can differ from a cold solve's in last-ulp noise;
-// RebalanceCompute guards its threshold decision against that,
-// re-solving cold near the boundary.
+// aggregate capacity constraint. Returns 0 when idle. The value is exact
+// to 1e-12 relative (see relaxation) and a function of the tracked loads
+// alone, so cached and cache-free dispatchers see the same number.
 func (d *Dispatcher) IdealAttnTime() (float64, error) {
 	if len(d.place) == 0 {
 		return 0, nil
 	}
-	// Warm solves through this public probe are deliberately NOT counted
-	// in LPWarmStarts: that counter means "accepted by the decision
-	// guards", and only RebalanceCompute applies them.
-	z, _, err := d.idealAttn(bucketByContext(d.Requests(), d.ctxLen, idealBuckets))
-	return z, err
+	return d.idealAttn(bucketByContext(d.ctxLen, idealBuckets))
 }
 
-// warmIdealFloor: a warm ideal objective at or below this absolute value
-// (it is measured in seconds; real values sit far above) is re-solved
-// cold before the ≤0 idle test, so sign-edge decisions stay bit-exact.
-const warmIdealFloor = 1e-12
-
-// idealCacheFor returns (creating on demand) the re-posable relaxation
-// cache for a bucket count, or nil when the caching layer is off.
-func (d *Dispatcher) idealCacheFor(nBuckets int) *lpCache {
-	if d.nocache || d.nowarm {
-		return nil
+// idealAttn evaluates the relaxation over the given (non-empty) buckets:
+// exactly when every fitted slope is nonnegative, and with the simplex
+// otherwise (the exact solver's exchange argument needs s, b ≥ 0).
+func (d *Dispatcher) idealAttn(buckets []bucket) (float64, error) {
+	d.LPIdealSolves++
+	if d.relax.negative {
+		res, err := d.poseIdeal(buckets).Solve()
+		if err != nil {
+			return 0, fmt.Errorf("dispatch: ideal LP: %w", err)
+		}
+		return res.X[len(res.X)-1], nil
 	}
-	if d.idealCaches == nil {
-		d.idealCaches = make(map[int]*lpCache)
+	// Under head conservation the aggregate capacity row's load is a
+	// constant — every bucket's heads land somewhere — so it is one test.
+	heads := float64(d.cfg.Heads)
+	var demand, capacity float64
+	for _, b := range buckets {
+		demand += d.perHeadTokenBytes * b.ctx * heads * float64(b.count)
 	}
-	cache := d.idealCaches[nBuckets]
-	if cache == nil {
-		cache = &lpCache{}
-		d.idealCaches[nBuckets] = cache
+	for _, w := range d.workers {
+		capacity += w.CapacityBytes
 	}
-	return cache
+	if demand > capacity {
+		return 0, fmt.Errorf("dispatch: ideal relaxation: KV demand %.0f bytes exceeds total capacity %.0f", demand, capacity)
+	}
+	return d.relax.solve(buckets, heads), nil
 }
 
-// idealAttn poses and solves the relaxation over the given (non-empty)
-// buckets, warm-starting from the cached basis for this bucket count
-// when the caching layer allows. A non-nil exact closure reports that z
-// came from a warm-started solve and re-solves the identical problem
-// cold on demand (the gray-zone escape hatch).
-func (d *Dispatcher) idealAttn(buckets []bucket) (z float64, exact func() (float64, error), err error) {
+// poseIdeal states the §5.3.1 relaxation as an LP over the context
+// buckets: the negative-slope fallback, and the exact solver's
+// differential-test oracle.
+func (d *Dispatcher) poseIdeal(buckets []bucket) *lp.Problem {
 	nW := len(d.workers)
 	nVars := len(buckets)*nW + 1
-
-	cache := d.idealCacheFor(len(buckets))
-	d.LPSolves++
-	d.LPIdealSolves++
-	//hetis:entropy wall-clock self-profiling; LPSolveSeconds is reporting-only and never feeds placement decisions
-	start := time.Now() // the LP layer's cost is posing + solving
-	prob := d.poseIdeal(buckets, nVars, cache)
-	var res lp.Result
-	warm := false
-	if cache != nil {
-		var stats lp.SolveStats
-		res, stats, err = prob.SolveFrom(cache.basis)
-		if stats.WarmStarted {
-			d.LPPhase1Skips++
-			warm = true
-		}
-		if err == nil {
-			cache.basis = res.Basis
-		} else {
-			cache.basis = nil
-		}
-	} else {
-		res, err = prob.Solve()
-	}
-	d.LPSolveSeconds += time.Since(start).Seconds()
-	if err != nil {
-		return 0, nil, fmt.Errorf("dispatch: ideal LP: %w", err)
-	}
-	storeIdealPoint(cache, buckets, res.X, nW)
-	if warm {
-		exact = func() (float64, error) {
-			//hetis:entropy wall-clock self-profiling; LPSolveSeconds is reporting-only and never feeds placement decisions
-			start := time.Now()
-			res, err := prob.Solve()
-			d.LPSolveSeconds += time.Since(start).Seconds()
-			if err != nil {
-				cache.basis = nil
-				return 0, fmt.Errorf("dispatch: ideal LP: %w", err)
-			}
-			cache.basis = res.Basis
-			storeIdealPoint(cache, buckets, res.X, nW)
-			return res.X[nVars-1], nil
-		}
-	}
-	return res.X[nVars-1], exact, nil
-}
-
-// storeIdealPoint records a solved relaxation's optimal bucket×worker
-// point and the bucket counts it conserved heads for — the certificate
-// material of idealUpperBound.
-func storeIdealPoint(cache *lpCache, buckets []bucket, x []float64, nW int) {
-	if cache == nil {
-		return
-	}
-	cache.prevX = append(cache.prevX[:0], x[:len(buckets)*nW]...)
-	cache.prevCounts = cache.prevCounts[:0]
-	for _, b := range buckets {
-		cache.prevCounts = append(cache.prevCounts, b.count)
-	}
-}
-
-// ubSafety inflates the certified upper bound, absorbing the solver
-// tolerance slop in the stored point's feasibility the same way lbSafety
-// shaves the lower bound.
-const ubSafety = 1 + 1e-6
-
-// idealUpperBound is a certified O(buckets×workers) upper bound on the
-// relaxation's optimum: the previous solve's optimal point, rescaled
-// per-bucket to the current head totals, is a feasible point of the
-// current relaxation whenever it still fits the aggregate capacity, and
-// any feasible point's max-f value bounds z* from above. Returns +Inf
-// when no certificate is available (no stored point, bucket mismatch,
-// or the rescaled point no longer fits).
-func (d *Dispatcher) idealUpperBound(buckets []bucket, cache *lpCache) float64 {
-	nW := len(d.workers)
-	if cache == nil || len(cache.prevX) != len(buckets)*nW || len(cache.prevCounts) != len(buckets) {
-		return math.Inf(1)
-	}
-	var totalCap, totalLoad float64
-	for i := range d.workers {
-		totalCap += d.workers[i].CapacityBytes
-	}
-	u := 0.0
-	for i := 0; i < nW; i++ {
-		w := d.workers[i]
-		slope := w.Attn.A
-		fixed := w.Attn.C
-		if !w.Primary {
-			slope += w.Net.Gamma * d.scatterBytesPerHead
-			fixed += w.Net.Beta
-		}
-		var hHat, gHat float64
-		for j, b := range buckets {
-			x := cache.prevX[j*nW+i] * (float64(b.count) / float64(cache.prevCounts[j]))
-			if x < 0 {
-				x = 0 // solver tolerance residue
-			}
-			hHat += x
-			gHat += x * d.perHeadTokenBytes * b.ctx
-		}
-		totalLoad += gHat
-		if f := slope*hHat + w.Attn.B*gHat + fixed; f > u {
-			u = f
-		}
-	}
-	if totalLoad > totalCap {
-		return math.Inf(1) // rescaled point no longer feasible: no certificate
-	}
-	return u * ubSafety
-}
-
-// poseIdeal states the §5.3.1 relaxation over the context buckets,
-// patching the cached problem when one is supplied (counting mutated
-// rows) or building a fresh one.
-func (d *Dispatcher) poseIdeal(buckets []bucket, nVars int, cache *lpCache) *lp.Problem {
-	nW := len(d.workers)
-	prob, row, emit := d.poseInto(cache, nVars, false)
+	prob, row, emit := d.poseInto(nil, nVars)
 	for i := range d.workers {
 		w := d.workers[i]
 		clear(row)
@@ -924,10 +762,10 @@ func (d *Dispatcher) poseIdeal(buckets []bucket, nVars int, cache *lpCache) *lp.
 }
 
 // lbSafety shaves the certified lower bound by a relative margin so
-// floating-point slack in either the bound's accumulation or the simplex
-// solve can never push the bound above the LP's computed optimum. The
-// bound is coarse (typically well below the optimum), so the shave costs
-// nothing; it only guards the degenerate near-tight case.
+// floating-point slack in either the bound's accumulation or the
+// relaxation's solve can never push the bound above the computed optimum.
+// The bound is coarse (typically well below the optimum), so the shave
+// costs nothing; it only guards the degenerate near-tight case.
 const lbSafety = 1 - 1e-9
 
 // idealLowerBound is a certified O(workers) lower bound on IdealAttnTime's
@@ -1011,12 +849,12 @@ type bucket struct {
 	count int
 }
 
-// bucketByContext groups requests into at most n buckets of similar
-// context length.
-func bucketByContext(ids []RequestID, ctxLen map[RequestID]int, n int) []bucket {
-	lens := make([]int, len(ids))
-	for k, id := range ids {
-		lens[k] = ctxLen[id]
+// bucketByContext groups the tracked requests into at most n buckets of
+// similar context length, in ascending context order.
+func bucketByContext(ctxLen map[RequestID]int, n int) []bucket {
+	lens := make([]int, 0, len(ctxLen))
+	for _, l := range ctxLen {
+		lens = append(lens, l)
 	}
 	sort.Ints(lens)
 	if n > len(lens) {
@@ -1058,61 +896,25 @@ func (d *Dispatcher) RebalanceCompute(theta float64, frozen map[RequestID]bool) 
 		return nil, nil
 	}
 	current := d.AttnStepTime()
-	// Cheap pre-tests that sandwich the relaxation's optimum without
-	// solving it. Lower bound: if current is already within 1+theta of a
-	// certified lower bound, the true ideal cannot justify a redispatch
-	// either — skip the LP (the common balanced-steady-state outcome;
-	// lb ≤ ideal and current ≤ lb·(1+θ) ⇒ current ≤ ideal·(1+θ), exactly
-	// the no-action branch below).
-	lb := 0.0
+	// Cheap pre-test: if current is already within 1+theta of a certified
+	// lower bound on the relaxation's optimum, the true ideal cannot
+	// justify a redispatch either — skip the solve (the common
+	// balanced-steady-state outcome; lb ≤ ideal and current ≤ lb·(1+θ) ⇒
+	// current ≤ ideal·(1+θ), exactly the no-action branch below).
 	if !d.nocache && theta >= 0 {
-		if lb = d.idealLowerBound(); lb > 0 && current <= lb*(1+theta) {
+		if lb := d.idealLowerBound(); lb > 0 && current <= lb*(1+theta) {
 			d.LPSolvesAvoided++
 			return nil, nil
 		}
 	}
-	buckets := bucketByContext(d.Requests(), d.ctxLen, idealBuckets)
-	// Upper bound: re-evaluating the previous relaxation optimum on the
-	// current buckets certifies ideal ≤ U, so current > U·(1+θ) proves
-	// the redispatch is warranted without solving — the flagrant-
-	// imbalance mirror of the lower-bound skip (lb > 0 certifies
-	// ideal > 0, the other half of the act condition).
-	if !d.nocache && !d.nowarm && theta >= 0 && lb > 0 {
-		cache := d.idealCaches[len(buckets)]
-		if u := d.idealUpperBound(buckets, cache); current > u*(1+theta) {
-			d.LPSolvesAvoided++
-			return d.redispatchBottleneck(frozen)
-		}
-	}
-	ideal, exact, err := d.idealAttn(buckets)
+	ideal, err := d.IdealAttnTime()
 	if err != nil {
 		return nil, err
 	}
-	act := ideal > 0 && current > ideal*(1+theta)
-	if exact != nil {
-		// The warm-started objective differs from the cold one only in
-		// last-ulp noise; decide directly when `current` sits comfortably
-		// outside the noise band around the threshold, and re-solve cold
-		// inside it (or for a degenerate near-zero objective, or an
-		// out-of-contract negative theta) so the decision stays bit-equal
-		// to the cache-free path.
-		lo := ideal * (1 - warmIdealMargin) * (1 + theta)
-		hi := ideal * (1 + warmIdealMargin) * (1 + theta)
-		if theta < 0 || ideal <= warmIdealFloor || (current > lo && current <= hi) {
-			ideal, err = exact()
-			if err != nil {
-				return nil, err
-			}
-			act = ideal > 0 && current > ideal*(1+theta)
-		} else {
-			d.LPWarmStarts++
-			act = current > hi
-		}
+	if ideal > 0 && current > ideal*(1+theta) {
+		return d.redispatchBottleneck(frozen)
 	}
-	if !act {
-		return nil, nil
-	}
-	return d.redispatchBottleneck(frozen)
+	return nil, nil
 }
 
 // redispatchBottleneck performs the §5.3.1 action: re-dispatch the

@@ -33,16 +33,15 @@ type Config struct {
 	// instead of overlapping it on low-priority streams (ablation).
 	BlockingMigration bool
 	// RebalanceEvery is the number of decode iterations between §5.3.1
-	// imbalance checks (each check solves the ideal-placement LP).
+	// imbalance checks (each check may solve the ideal relaxation).
 	RebalanceEvery int
 	// GreedyDispatch replaces the Eq. 7 LP with the greedy
 	// longest-processing-time heuristic (ablation).
 	GreedyDispatch bool
-	// DisableLPWarmStart turns off the dispatcher's warm-start/patching
-	// layer, keeping the exact-input memo and lower-bound skip — the
-	// pre-warm-start solver behavior BENCH.json baselines are recorded
-	// with. Decisions are identical either way; only solver work changes.
-	DisableLPWarmStart bool
+	// noLPCaching turns off every Hetis dispatcher's solver caching layer
+	// (dispatch.Dispatcher.SetCaching). Only tests set it, to run the
+	// cache-free twin of a scenario; decisions must not change.
+	noLPCaching bool
 
 	// MaxPrefillTokens bounds the tokens prefilled per iteration.
 	MaxPrefillTokens int
@@ -240,23 +239,23 @@ type Result struct {
 	// denominator-free measure of simulation work that the perf trajectory
 	// (internal/bench) divides by wall-clock for events/sec.
 	Events uint64
-	// LPSolves counts dispatch/ideal-placement LP solves across the run's
-	// dispatchers; LPSolvesAvoided counts solves the caching layer skipped.
-	// Both are zero for engines without dynamic dispatch.
+	// LPSolves counts placement LP solves across the run's dispatchers;
+	// LPSolvesAvoided counts placement solves and §5.3.1 relaxations the
+	// caching layer skipped. Both are zero for engines without dynamic
+	// dispatch.
 	LPSolves, LPSolvesAvoided int
-	// LPIdealSolves is the subset of LPSolves that were §5.3.1
-	// ideal-relaxation solves — the warm-startable (and most expensive)
-	// class.
+	// LPIdealSolves counts §5.3.1 relaxation evaluations (solved exactly,
+	// not by the simplex; see internal/dispatch).
 	LPIdealSolves int
-	// LPWarmStarts counts solves answered from a cached optimal basis
-	// (phase 1 skipped, decision-equivalence certified); LPPhase1Skips
-	// counts solver-level phase-1 skips including warm attempts whose
-	// result a guard then re-solved cold; LPPatchedRows counts constraint
-	// rows mutated in place when recurring LPs were re-posed as patches
-	// instead of rebuilt. See internal/dispatch.
-	LPWarmStarts, LPPhase1Skips, LPPatchedRows int
-	// LPSolveSeconds is wall-clock spent inside simplex solves, the
-	// numerator of the perf trajectory's "LP share of engine time".
+	// LPWarmStarts is always zero: the dispatcher no longer warm-starts
+	// any solve. The field stays for readers of older reports.
+	LPWarmStarts int
+	// LPPatchedRows counts constraint rows mutated in place when the
+	// recurring placement LP was re-posed as a patch instead of rebuilt.
+	LPPatchedRows int
+	// LPSolveSeconds is wall-clock spent posing and solving placement
+	// LPs, the numerator of the perf trajectory's "LP share of engine
+	// time".
 	LPSolveSeconds float64
 }
 

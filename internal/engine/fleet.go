@@ -284,7 +284,8 @@ func (f *replicaSet[R]) landHauled(s *sim.Simulator, r *request) {
 // deactivate takes replica i out of service and re-dispatches everything
 // it held, oldest first: resident requests haul their KV to survivors in
 // haul mode, every other victim loses its KV and re-prefills, and the
-// intake queue requeues as-is.
+// intake queue requeues in order — a hauled request that already landed
+// there loses the KV it brought, which died with the replica.
 func (f *replicaSet[R]) deactivate(s *sim.Simulator, i int, haul bool, to replicaState) {
 	f.state[i] = to
 	rt := f.replicas[i]
@@ -301,7 +302,11 @@ func (f *replicaSet[R]) deactivate(s *sim.Simulator, i int, haul bool, to replic
 		f.route(s, r)
 	}
 	for q := rt.intake(); q.len() > 0; {
-		f.route(s, q.pop())
+		r := q.pop()
+		if r.hauled {
+			f.loseVictim(s, r)
+		}
+		f.route(s, r)
 	}
 }
 

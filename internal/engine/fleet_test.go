@@ -150,3 +150,28 @@ func TestReplicaSetRules(t *testing.T) {
 		}
 	})
 }
+
+// TestKillLosesHauledIntake pins the intake drain of a killed replica: a
+// hauled request that already landed in the intake (where static engines
+// queue their landings) lost its KV with the replica, so it re-routes as
+// a lost victim — eviction counted, hauled cleared — instead of keeping a
+// one-token re-prefill it can no longer claim.
+func TestKillLosesHauledIntake(t *testing.T) {
+	s := sim.New()
+	f := fakeSet(0, 0)
+	hauled := queued(7)
+	hauled.hauled = true
+	f.replicas[0].q.push(hauled)
+	f.replicas[0].q.push(queued(8))
+	f.kill(s, 0, true)
+	q := f.replicas[1].q
+	if q.len() != 2 {
+		t.Fatalf("survivor intake holds %d requests, want 2", q.len())
+	}
+	if r := q.pop(); r != hauled || r.hauled {
+		t.Errorf("first re-routed request is %d (hauled=%v), want 7 with hauled cleared", r.wl.ID, r.hauled)
+	}
+	if f.res.Evictions != 1 {
+		t.Errorf("Evictions = %d, want 1 (the hauled request's lost KV)", f.res.Evictions)
+	}
+}

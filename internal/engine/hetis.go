@@ -256,8 +256,8 @@ func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstan
 	if cfg.GreedyDispatch {
 		d.SetPolicy(dispatch.PolicyGreedy)
 	}
-	if cfg.DisableLPWarmStart {
-		d.SetWarmStart(false)
+	if cfg.noLPCaching {
+		d.SetCaching(false)
 	}
 	inst.disp = d
 	return inst, nil
@@ -308,8 +308,6 @@ func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
 		res.LPSolves += inst.disp.LPSolves
 		res.LPSolvesAvoided += inst.disp.LPSolvesAvoided
 		res.LPIdealSolves += inst.disp.LPIdealSolves
-		res.LPWarmStarts += inst.disp.LPWarmStarts
-		res.LPPhase1Skips += inst.disp.LPPhase1Skips
 		res.LPPatchedRows += inst.disp.LPPatchedRows
 		res.LPSolveSeconds += inst.disp.LPSolveSeconds
 	}

@@ -10,12 +10,11 @@
 //	subject to  aᵢ·x (≤ | = | ≥) bᵢ   for each constraint i
 //	            x ≥ 0
 //
-// Solve runs the classic two-phase method from scratch. Successive solves
-// of the same problem shape can skip phase 1 entirely: Solve returns the
-// optimal Basis, constraints can be patched in place with SetConstraint,
-// and SolveFrom refactors the tableau directly to the supplied basis and
-// resumes phase 2 from there (see warm.go). A frozen copy of the original
-// solver lives in reference.go as the differential-test oracle.
+// Solve runs the classic two-phase method from scratch. A recurring
+// problem shape can be re-posed in place with SetConstraint and
+// SetObjective, and successive solves of one Problem reuse its tableau
+// scratch. A frozen copy of the original solver lives in reference.go as
+// the differential-test oracle.
 package lp
 
 import (
@@ -80,14 +79,6 @@ type constraint struct {
 
 // Problem accumulates an LP. The zero value is unusable; create with New.
 type Problem struct {
-	// NoBasis skips capturing Result.Basis on Optimal cold solves.
-	// Callers that never warm-start from this problem (the dispatch
-	// placement path solves ~30x more often than it could ever reuse a
-	// basis) set it to keep the hot solve path free of the capture
-	// allocations. SolveFrom's warm path captures regardless — a warm
-	// start implies the basis is wanted.
-	NoBasis bool
-
 	n    int // number of decision variables
 	obj  []float64
 	cons []constraint
@@ -95,19 +86,16 @@ type Problem struct {
 	// Scratch reused across solves of this problem, so re-posing a
 	// patched problem allocates nothing once warm. Every buffer is fully
 	// overwritten (or zeroed) before use, so reuse is arithmetically
-	// invisible; only Result data (X, Basis) is freshly allocated because
-	// it escapes to the caller.
+	// invisible; only Result.X is freshly allocated because it escapes
+	// to the caller.
 	tab        [][]float64  // tableau rows
 	normBuf    []constraint // normalized-row view
 	flipBuf    []float64    // backing store for sign-flipped rows
 	basisBuf   []int        // row -> basic column
-	objBuf     []float64    // phase-1 / warm objective
+	objBuf     []float64    // phase-1 objective
 	obj2Buf    []float64    // phase-2 objective
 	blockedBuf []bool       // simplex blocked-column scratch
 	hotBuf     []int        // simplex hot-row scratch
-	basicBuf   []bool       // reduced-cost scans' basic-column marks
-	ownerBuf   []int        // warm refactorization slack owners
-	assignBuf  []bool       // warm refactorization row assignment
 }
 
 // floatScratch returns a zeroed length-n view of *buf, growing it as
@@ -224,40 +212,20 @@ func (p *Problem) SetConstraint(i int, coeffs []float64, op Op, rhs float64) boo
 	return changed
 }
 
-// Basis is the row→basic-column assignment at an optimum, together with
-// the shape fingerprint (variable count and normalized relations) it is
-// valid for. Solve and SolveFrom return the final basis; SolveFrom
-// accepts one to warm-start a later solve of the same shape.
-type Basis struct {
-	n    int   // structural variable count of the producing problem
-	cols []int // basic column per tableau row, solver column numbering
-	ops  []Op  // per-row relations after rhs-sign normalization
-}
-
-// NumRows returns the constraint-row count the basis was produced for.
-func (b *Basis) NumRows() int { return len(b.cols) }
-
 // Result is the outcome of Solve.
 type Result struct {
 	Status    Status
 	X         []float64 // optimal point (valid when Status == Optimal)
 	Objective float64   // c·x at the optimum
-	// Basis is the final basis of an Optimal solve (nil otherwise), for
-	// warm-starting a subsequent SolveFrom of the same problem shape.
-	Basis *Basis
-
-	// gap carries the warm path's uniqueness certificate from solveWarm
-	// to SolveFrom, which surfaces it as SolveStats.Gap.
-	gap float64
 }
 
 const eps = 1e-9
 
 // normalizeRows returns the constraints with rhs sign-normalized to be
 // non-negative (flipping coefficients and relation where needed) — the
-// canonical form both Solve and SolveFrom build tableaux from.
-// The returned slice (and the flipped rows backing it) is scratch owned
-// by the Problem, valid until the next solve-family call.
+// canonical form Solve builds its tableau from. The returned slice (and
+// the flipped rows backing it) is scratch owned by the Problem, valid
+// until the next solve.
 func (p *Problem) normalizeRows() []constraint {
 	n := p.n
 	m := len(p.cons)
@@ -327,16 +295,6 @@ func (p *Problem) tableauRows(m, width int) [][]float64 {
 		clear(p.tab[i])
 	}
 	return p.tab
-}
-
-// captureBasis snapshots the final row→column assignment plus the shape
-// fingerprint SolveFrom validates against.
-func captureBasis(n int, basis []int, rows []constraint) *Basis {
-	b := &Basis{n: n, cols: append([]int(nil), basis...), ops: make([]Op, len(rows))}
-	for i, c := range rows {
-		b.ops[i] = c.op
-	}
-	return b
 }
 
 // Solve runs two-phase simplex and returns the optimum.
@@ -442,11 +400,7 @@ func (p *Problem) Solve() (Result, error) {
 	for j := 0; j < n; j++ {
 		obj += p.obj[j] * x[j]
 	}
-	res := Result{Status: Optimal, X: x, Objective: obj}
-	if !p.NoBasis {
-		res.Basis = captureBasis(n, basis, rows)
-	}
-	return res, nil
+	return Result{Status: Optimal, X: x, Objective: obj}, nil
 }
 
 // simplex optimizes the tableau in place for objective c (length = number
@@ -554,4 +508,39 @@ func pivot(tab [][]float64, basis []int, i, j int) {
 		other[j] = 0
 	}
 	basis[i] = j
+}
+
+// Violation returns the largest relative constraint violation of x
+// (including x ≥ 0), each scaled by the constraint's own magnitude. Zero
+// means feasible; the differential tests use it as their feasibility
+// oracle.
+func (p *Problem) Violation(x []float64) float64 {
+	worst := 0.0
+	for _, xi := range x {
+		if -xi > worst {
+			worst = -xi
+		}
+	}
+	for _, c := range p.cons {
+		var dot, scale float64
+		scale = 1 + math.Abs(c.rhs)
+		for j, a := range c.coeffs {
+			t := a * x[j]
+			dot += t
+			scale += math.Abs(t)
+		}
+		var v float64
+		switch c.op {
+		case LE:
+			v = dot - c.rhs
+		case GE:
+			v = c.rhs - dot
+		case EQ:
+			v = math.Abs(dot - c.rhs)
+		}
+		if v /= scale; v > worst {
+			worst = v
+		}
+	}
+	return worst
 }

@@ -6,11 +6,11 @@ import (
 )
 
 // This file is a frozen copy of the dense two-phase simplex as it stood
-// before the warm-start machinery landed. It exists purely as the oracle
-// for differential tests (TestSolveMatchesReference and
-// FuzzSimplexEquivalence): the production Solve/SolveFrom paths may be
-// optimized further, but they must keep agreeing with this implementation
-// on status, objective, and feasibility. Do not optimize this file.
+// before its scratch-reuse and hot-row optimizations. It exists purely as
+// the oracle for differential tests (TestSolveMatchesReference and
+// FuzzSimplexEquivalence): the production Solve may be optimized further,
+// but it must keep agreeing with this implementation on status,
+// objective, and feasibility. Do not optimize this file.
 
 // referenceSolve runs the frozen two-phase simplex and returns the
 // optimum.

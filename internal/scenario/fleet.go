@@ -196,8 +196,6 @@ func (f *FleetRun) mergeResults() *engine.Result {
 		out.LPSolves += r.LPSolves
 		out.LPSolvesAvoided += r.LPSolvesAvoided
 		out.LPIdealSolves += r.LPIdealSolves
-		out.LPWarmStarts += r.LPWarmStarts
-		out.LPPhase1Skips += r.LPPhase1Skips
 		out.LPPatchedRows += r.LPPatchedRows
 		out.LPSolveSeconds += r.LPSolveSeconds
 		if r.Horizon > out.Horizon {

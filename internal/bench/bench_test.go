@@ -141,6 +141,7 @@ func TestRunMicro(t *testing.T) {
 		"dispatch/ideal-attn-lp-128",
 		"lp/solve-cold-20x12",
 		"kvcache/alloc-extend-free",
+		"kvcache/extend-handle",
 		"metrics/summarize-3x-10k",
 		"metrics/summaries-bulk-10k",
 		"metrics/streaming-observe",

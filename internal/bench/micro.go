@@ -34,6 +34,7 @@ func RunMicro() []MicroBench {
 		microResult("dispatch/ideal-attn-lp-128", benchIdealAttn),
 		microResult("lp/solve-cold-20x12", benchLPSolveCold),
 		microResult("kvcache/alloc-extend-free", benchKVCache),
+		microResult("kvcache/extend-handle", benchKVCacheHandle),
 		microResult("metrics/summarize-3x-10k", benchSummarizeSeparate),
 		microResult("metrics/summaries-bulk-10k", benchSummariesBulk),
 		microResult("metrics/streaming-observe", benchStreamingObserve),
@@ -362,8 +363,8 @@ func benchLPSolveCold(b *testing.B) {
 	}
 }
 
-// benchKVCache allocates, extends, and frees 64 requests per op.
-func benchKVCache(b *testing.B) {
+// microKVManager is the block manager both kvcache micros run on.
+func microKVManager(b *testing.B) *kvcache.Manager {
 	mgr, err := kvcache.NewManager(kvcache.Config{
 		BlockTokens:        16,
 		BytesPerGroupToken: 1 << 14,
@@ -372,6 +373,12 @@ func benchKVCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return mgr
+}
+
+// benchKVCache allocates, extends, and frees 64 requests per op.
+func benchKVCache(b *testing.B) {
+	mgr := microKVManager(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -382,6 +389,34 @@ func benchKVCache(b *testing.B) {
 			}
 			for k := 0; k < 16; k++ {
 				if err := mgr.Extend(id, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for r := 0; r < 64; r++ {
+			mgr.Free(kvcache.RequestID(r))
+		}
+	}
+}
+
+// benchKVCacheHandle is benchKVCache with every extension made the way the
+// Hetis decode step makes it: through the request's cached entry handle,
+// resolved before each use, so tokens inside a block cost a decrement and
+// no hash lookup.
+func benchKVCacheHandle(b *testing.B) {
+	mgr := microKVManager(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < 64; r++ {
+			id := kvcache.RequestID(r)
+			if err := mgr.Alloc(id, 4, 512); err != nil {
+				b.Fatal(err)
+			}
+			var e *kvcache.Entry
+			for k := 0; k < 16; k++ {
+				e = mgr.Resolve(e, id)
+				if err := mgr.ExtendEntry(e, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

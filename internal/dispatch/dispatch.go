@@ -47,8 +47,18 @@ type Dispatcher struct {
 	h []float64 // heads per worker (per layer)
 	g []float64 // cache bytes per worker (per layer)
 
-	place  map[RequestID][]int // heads per worker index (multiples of r)
-	ctxLen map[RequestID]int
+	// recs is the per-request record table, dense in no particular order
+	// (release swap-removes), so whole-population walks read a slice;
+	// byID indexes it for the id-keyed API.
+	recs []*Slot
+	byID map[RequestID]*Slot
+	// slab and shareSlab are the unused tails of the chunks new records
+	// and their shares are carved from.
+	slab      []Slot
+	shareSlab []Share
+	// overLimit is each worker's overflow threshold, CapacityBytes + 1e-6,
+	// read by the per-token update.
+	overLimit []float64
 
 	// perHeadTokenBytes converts (heads × tokens) to per-layer bytes:
 	// KVBytesPerTokenHeadGroup / r.
@@ -98,6 +108,40 @@ type Dispatcher struct {
 	// relax is the §5.3.1 relaxation's per-worker cost table in sweep
 	// order, fixed at construction (it depends only on the workers).
 	relax relaxation
+}
+
+// Slot is one tracked request's record — its context length and
+// per-worker head placement — and a stable handle to it. A caller that
+// holds the *Slot (the engine caches it on the running request) extends the
+// request's context with ExtendSlot and walks its Shares without a hash
+// lookup. The handle goes stale once the record is released: Remove, Clear,
+// and every re-placement (a redispatch commits a fresh record). Released
+// records are never reused, so a stale handle can only be detected, never
+// alias another request; Resolve refreshes one by id.
+type Slot struct {
+	id    RequestID
+	ctx   int
+	place []int // heads per worker index (multiples of r)
+	// shares lists the workers holding heads, ascending, with the bytes one
+	// token adds on each: the per-token update touches only those.
+	shares []Share
+	// idx is the record's position in its dispatcher's table, -1 once
+	// released.
+	idx   int
+	owner *Dispatcher
+}
+
+// Shares lists the workers holding the slot's heads, in ascending worker
+// order (the owner's table; read-only).
+func (s *Slot) Shares() []Share { return s.shares }
+
+// Share is one worker's part of a slot's placement: the worker index and
+// the per-layer bytes one token adds there, heads × perHeadTokenBytes. That
+// is the left operand of the product the per-token update has always
+// formed, so g's increments stay bit-identical.
+type Share struct {
+	Worker int
+	bytes  float64
 }
 
 // lpCache is one re-posable LP: the problem instance successive solves
@@ -164,12 +208,15 @@ func New(cfg model.Config, workers []Worker) (*Dispatcher, error) {
 		workers:             workers,
 		h:                   make([]float64, len(workers)),
 		g:                   make([]float64, len(workers)),
-		place:               make(map[RequestID][]int),
-		ctxLen:              make(map[RequestID]int),
+		byID:                make(map[RequestID]*Slot),
 		perHeadTokenBytes:   float64(cfg.KVBytesPerTokenHeadGroup()) / r,
 		scatterBytesPerHead: (2 + 2/r) * float64(cfg.QHeadBytes()),
 	}
 	d.relax = newRelaxation(workers, d.scatterBytesPerHead, d.perHeadTokenBytes)
+	d.overLimit = make([]float64, len(workers))
+	for i, w := range workers {
+		d.overLimit[i] = w.CapacityBytes + 1e-6
+	}
 	return d, nil
 }
 
@@ -181,9 +228,9 @@ func (d *Dispatcher) Workers() []Worker { return d.workers }
 
 // Requests returns the tracked request IDs in ascending order.
 func (d *Dispatcher) Requests() []RequestID {
-	ids := make([]RequestID, 0, len(d.place))
-	for id := range d.place {
-		ids = append(ids, id)
+	ids := make([]RequestID, 0, len(d.recs))
+	for _, s := range d.recs {
+		ids = append(ids, s.id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -197,11 +244,11 @@ func (d *Dispatcher) CacheBytes(i int) float64 { return d.g[i] }
 
 // Placement returns a copy of request id's per-worker head counts, or nil.
 func (d *Dispatcher) Placement(id RequestID) []int {
-	p, ok := d.place[id]
+	s, ok := d.byID[id]
 	if !ok {
 		return nil
 	}
-	return append([]int(nil), p...)
+	return append([]int(nil), s.place...)
 }
 
 // PlacementView returns request id's per-worker head counts without
@@ -209,10 +256,31 @@ func (d *Dispatcher) Placement(id RequestID) []int {
 // the request is re-placed or removed; callers must treat it as
 // read-only. It exists for the engine's per-iteration bookkeeping loops,
 // where Placement's defensive copy was a measurable allocation source.
-func (d *Dispatcher) PlacementView(id RequestID) []int { return d.place[id] }
+func (d *Dispatcher) PlacementView(id RequestID) []int {
+	if s, ok := d.byID[id]; ok {
+		return s.place
+	}
+	return nil
+}
 
 // ContextLen returns the tracked context length of a request.
-func (d *Dispatcher) ContextLen(id RequestID) int { return d.ctxLen[id] }
+func (d *Dispatcher) ContextLen(id RequestID) int {
+	if s, ok := d.byID[id]; ok {
+		return s.ctx
+	}
+	return 0
+}
+
+// Resolve returns s when it is still request id's live record in this
+// dispatcher, and otherwise looks id up afresh (nil when id is untracked).
+// The check is a few compares, so callers resolve a cached handle before
+// every use and pay the lookup only after the handle went stale.
+func (d *Dispatcher) Resolve(s *Slot, id RequestID) *Slot {
+	if s != nil && s.owner == d && s.idx >= 0 && s.id == id {
+		return s
+	}
+	return d.byID[id]
+}
 
 // NewRequest describes a request to place.
 type NewRequest struct {
@@ -256,7 +324,7 @@ func (d *Dispatcher) Dispatch(reqs []NewRequest) (map[RequestID][]int, error) {
 		return nil, nil
 	}
 	for _, r := range reqs {
-		if _, dup := d.place[r.ID]; dup {
+		if _, dup := d.byID[r.ID]; dup {
 			return nil, fmt.Errorf("dispatch: request %d already placed", r.ID)
 		}
 		if r.ContextLen < 0 {
@@ -596,14 +664,35 @@ func repairCapacity(groups []int, used, caps []float64, perGroupBytes float64) e
 	return nil
 }
 
-// commit applies a placement and updates h, g (Eq. 8).
+// slotSlabChunk is the number of records carved per allocation. Records
+// are never reused, so the chunking only amortizes the allocator.
+const slotSlabChunk = 64
+
+// commit applies a placement in a fresh record and updates h, g (Eq. 8).
 func (d *Dispatcher) commit(id RequestID, ctxLen int, x []int) {
-	d.place[id] = x
-	d.ctxLen[id] = ctxLen
+	if len(d.slab) == 0 {
+		d.slab = make([]Slot, slotSlabChunk)
+	}
+	s := &d.slab[0]
+	d.slab = d.slab[1:]
+	nz := 0
+	for _, heads := range x {
+		if heads != 0 {
+			nz++
+		}
+	}
+	if len(d.shareSlab) < nz {
+		d.shareSlab = make([]Share, max(nz, slotSlabChunk*len(d.workers)/2))
+	}
+	*s = Slot{id: id, ctx: ctxLen, place: x, shares: d.shareSlab[:0:nz], idx: len(d.recs), owner: d}
+	d.shareSlab = d.shareSlab[nz:]
+	d.recs = append(d.recs, s)
+	d.byID[id] = s
 	for i, heads := range x {
 		if heads == 0 {
 			continue
 		}
+		s.shares = append(s.shares, Share{Worker: i, bytes: float64(heads) * d.perHeadTokenBytes})
 		d.h[i] += float64(heads)
 		d.g[i] += float64(heads) * d.perHeadTokenBytes * float64(ctxLen)
 	}
@@ -612,12 +701,12 @@ func (d *Dispatcher) commit(id RequestID, ctxLen int, x []int) {
 // release removes a request's load without forgetting which devices to
 // subtract from.
 func (d *Dispatcher) release(id RequestID) {
-	x, ok := d.place[id]
+	s, ok := d.byID[id]
 	if !ok {
 		return
 	}
-	l := float64(d.ctxLen[id])
-	for i, heads := range x {
+	l := float64(s.ctx)
+	for i, heads := range s.place {
 		if heads == 0 {
 			continue
 		}
@@ -630,15 +719,22 @@ func (d *Dispatcher) release(id RequestID) {
 			d.g[i] = 0
 		}
 	}
-	delete(d.place, id)
-	delete(d.ctxLen, id)
+	last := d.recs[len(d.recs)-1]
+	last.idx = s.idx
+	d.recs[s.idx] = last
+	d.recs[len(d.recs)-1] = nil
+	d.recs = d.recs[:len(d.recs)-1]
+	s.idx = -1
+	delete(d.byID, id)
 }
 
 // Remove drops a finished (or evicted) request.
 func (d *Dispatcher) Remove(id RequestID) { d.release(id) }
 
 // Clear drops every tracked request, returning the dispatcher to its
-// empty state — the whole-instance teardown a replica failure needs.
+// empty state — the whole-instance teardown a replica failure needs. It
+// releases in ID order: the order of g's float subtractions decides the
+// residuals the release clamps.
 func (d *Dispatcher) Clear() {
 	for _, id := range d.Requests() {
 		d.release(id)
@@ -649,22 +745,30 @@ func (d *Dispatcher) Clear() {
 // g on every device holding its heads. It reports the devices whose
 // capacity the growth overflows (empty when all fits).
 func (d *Dispatcher) ExtendContext(id RequestID, n int) ([]int, error) {
-	x, ok := d.place[id]
+	s, ok := d.byID[id]
 	if !ok {
 		return nil, fmt.Errorf("dispatch: unknown request %d", id)
+	}
+	return d.ExtendSlot(s, n)
+}
+
+// ExtendSlot is ExtendContext through a record handle: no hash lookup, and
+// the same per-request float updates of g in the same order. A stale handle
+// is an error (see Resolve).
+func (d *Dispatcher) ExtendSlot(s *Slot, n int) ([]int, error) {
+	if s == nil || s.owner != d || s.idx < 0 {
+		return nil, fmt.Errorf("dispatch: stale request handle")
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("dispatch: negative extension %d", n)
 	}
-	d.ctxLen[id] += n
+	s.ctx += n
+	tokens := float64(n)
 	var overflow []int
-	for i, heads := range x {
-		if heads == 0 {
-			continue
-		}
-		d.g[i] += float64(heads) * d.perHeadTokenBytes * float64(n)
-		if d.g[i] > d.workers[i].CapacityBytes+1e-6 {
-			overflow = append(overflow, i)
+	for _, sh := range s.shares {
+		d.g[sh.Worker] += sh.bytes * tokens
+		if d.g[sh.Worker] > d.overLimit[sh.Worker] {
+			overflow = append(overflow, sh.Worker)
 		}
 	}
 	return overflow, nil
@@ -683,10 +787,10 @@ const idealBuckets = 24
 // to 1e-12 relative (see relaxation) and a function of the tracked loads
 // alone, so cached and cache-free dispatchers see the same number.
 func (d *Dispatcher) IdealAttnTime() (float64, error) {
-	if len(d.place) == 0 {
+	if len(d.recs) == 0 {
 		return 0, nil
 	}
-	return d.idealAttn(bucketByContext(d.ctxLen, idealBuckets))
+	return d.idealAttn(bucketByContext(d.recs, idealBuckets))
 }
 
 // idealAttn evaluates the relaxation over the given (non-empty) buckets:
@@ -781,15 +885,14 @@ const lbSafety = 1 - 1e-9
 // could absorb load free, so the average certifies nothing). Returns 0
 // when no bound applies.
 func (d *Dispatcher) idealLowerBound() float64 {
-	n := len(d.place)
+	n := len(d.recs)
 	if n == 0 {
 		return 0
 	}
 	headTot := float64(d.cfg.Heads) * float64(n)
 	var ctxTot int64
-	//hetis:ordered integer sum; int64 addition is commutative, so map order cannot change the total
-	for _, l := range d.ctxLen {
-		ctxTot += int64(l)
+	for _, s := range d.recs {
+		ctxTot += int64(s.ctx)
 	}
 	byteTot := float64(ctxTot) * d.perHeadTokenBytes * float64(d.cfg.Heads)
 
@@ -851,10 +954,10 @@ type bucket struct {
 
 // bucketByContext groups the tracked requests into at most n buckets of
 // similar context length, in ascending context order.
-func bucketByContext(ctxLen map[RequestID]int, n int) []bucket {
-	lens := make([]int, 0, len(ctxLen))
-	for _, l := range ctxLen {
-		lens = append(lens, l)
+func bucketByContext(recs []*Slot, n int) []bucket {
+	lens := make([]int, 0, len(recs))
+	for _, s := range recs {
+		lens = append(lens, s.ctx)
 	}
 	sort.Ints(lens)
 	if n > len(lens) {
@@ -892,7 +995,7 @@ type Redispatch struct {
 // damp ping-pong, the role of the paper's Θ stop condition). Returns nil
 // when no action is needed.
 func (d *Dispatcher) RebalanceCompute(theta float64, frozen map[RequestID]bool) (*Redispatch, error) {
-	if len(d.place) == 0 {
+	if len(d.recs) == 0 {
 		return nil, nil
 	}
 	current := d.AttnStepTime()
@@ -929,37 +1032,34 @@ func (d *Dispatcher) redispatchBottleneck(frozen map[RequestID]bool) (*Redispatc
 			bott = i
 		}
 	}
-	// Request with the largest contribution to the bottleneck: heads ×
-	// per-head cost + bytes × per-byte cost. Iterate in ID order so ties
-	// resolve deterministically.
-	var victim RequestID = -1
+	// Request with the largest positive contribution to the bottleneck:
+	// heads × per-head cost + bytes × per-byte cost, ties to the smallest
+	// ID — the request a walk in ID order keeping the first strict maximum
+	// would pick, found without sorting the table.
+	w := d.workers[bott]
+	var victim *Slot
 	var maxContrib float64
-	for _, id := range d.Requests() {
-		if frozen[id] {
+	for _, s := range d.recs {
+		heads := float64(s.place[bott])
+		if heads == 0 || frozen[s.id] {
 			continue
 		}
-		x := d.place[id]
-		heads := float64(x[bott])
-		if heads == 0 {
-			continue
-		}
-		w := d.workers[bott]
-		contrib := w.Attn.A*heads + w.Attn.B*heads*d.perHeadTokenBytes*float64(d.ctxLen[id])
-		if contrib > maxContrib {
+		contrib := w.Attn.A*heads + w.Attn.B*heads*d.perHeadTokenBytes*float64(s.ctx)
+		if contrib > maxContrib || (victim != nil && contrib == maxContrib && s.id < victim.id) {
 			maxContrib = contrib
-			victim = id
+			victim = s
 		}
 	}
-	if victim < 0 {
+	if victim == nil {
 		return nil, nil
 	}
-	return d.redispatchRequest(victim)
+	return d.redispatchRequest(victim.id)
 }
 
 // redispatchRequest removes the request's load and re-places it via Eq. 7.
 func (d *Dispatcher) redispatchRequest(id RequestID) (*Redispatch, error) {
 	old := d.Placement(id)
-	ctx := d.ctxLen[id]
+	ctx := d.ContextLen(id)
 	d.release(id)
 	x, err := d.solvePlacement([]NewRequest{{ID: id, ContextLen: ctx}}, nil)
 	if err != nil {
@@ -998,8 +1098,8 @@ func (d *Dispatcher) RebalanceMemory(idx int, newestFirst []RequestID) (*Redispa
 		return nil, nil // nothing to gain; caller must evict
 	}
 	for _, id := range newestFirst {
-		x, ok := d.place[id]
-		if !ok || x[idx] == 0 {
+		s, ok := d.byID[id]
+		if !ok || s.place[idx] == 0 {
 			continue
 		}
 		rd, err := d.redispatchRequest(id)
@@ -1022,14 +1122,23 @@ func (d *Dispatcher) Utilization() []float64 {
 	return out
 }
 
-// CheckInvariants validates internal accounting against the per-request
-// placements.
+// CheckInvariants validates the record table and the internal accounting
+// against the per-request placements.
 func (d *Dispatcher) CheckInvariants() error {
+	if len(d.byID) != len(d.recs) {
+		return fmt.Errorf("dispatch: %d records but %d indexed", len(d.recs), len(d.byID))
+	}
+	for k, s := range d.recs {
+		if s.idx != k || s.owner != d || d.byID[s.id] != s {
+			return fmt.Errorf("dispatch: record of request %d at %d is misindexed (idx %d)", s.id, k, s.idx)
+		}
+	}
 	h := make([]float64, len(d.workers))
 	g := make([]float64, len(d.workers))
 	r := d.cfg.GroupRatio()
 	for _, id := range d.Requests() {
-		x := d.place[id]
+		s := d.byID[id]
+		x := s.place
 		total := 0
 		for i, heads := range x {
 			if heads%r != 0 {
@@ -1037,7 +1146,7 @@ func (d *Dispatcher) CheckInvariants() error {
 			}
 			total += heads
 			h[i] += float64(heads)
-			g[i] += float64(heads) * d.perHeadTokenBytes * float64(d.ctxLen[id])
+			g[i] += float64(heads) * d.perHeadTokenBytes * float64(s.ctx)
 		}
 		if total != d.cfg.Heads {
 			return fmt.Errorf("dispatch: request %d has %d heads placed, want %d", id, total, d.cfg.Heads)

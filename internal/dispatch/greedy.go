@@ -99,7 +99,7 @@ func (d *Dispatcher) DispatchExcluding(reqs []NewRequest, excluded []int) (map[R
 		return nil, nil
 	}
 	for _, r := range reqs {
-		if _, dup := d.place[r.ID]; dup {
+		if _, dup := d.byID[r.ID]; dup {
 			return nil, fmt.Errorf("dispatch: request %d already placed", r.ID)
 		}
 	}

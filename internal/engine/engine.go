@@ -289,13 +289,14 @@ type request struct {
 	generated int // tokens produced so far
 	firstTok  float64
 	evicted   bool
-	// restartCtx is the context length to re-prefill after an eviction.
-	restartCtx int
 	// hauled marks a request whose KV cache survived a replica failure by
 	// being hauled to a survivor: its next "prefill" only re-establishes
 	// attention state (one token of prefill work) while cache accounting
-	// still charges the full hauled context.
+	// still charges the full hauled context. It sits beside evicted so the
+	// two flags share one word.
 	hauled bool
+	// restartCtx is the context length to re-prefill after an eviction.
+	restartCtx int
 	// prio is the request's tier priority under chaos (higher preempts
 	// lower); 0 outside tiered runs.
 	prio int
@@ -304,6 +305,10 @@ type request struct {
 	// fleet-level map[int64]int64 so the selection loops read a field
 	// instead of hashing.
 	seq int64
+	// hx caches the Hetis engine's handles to the request's dispatcher
+	// record and KV entries (nil on the other engines, and until the first
+	// decode token).
+	hx *hetisHandles
 }
 
 func (r *request) contextLen() int { return r.wl.PromptLen + r.generated }
@@ -423,7 +428,7 @@ func QueueStorm(fill, storm int) int {
 // requestSlabChunk is the number of request structs carved per slab chunk.
 // Big enough to amortize allocator and GC bookkeeping to noise, small
 // enough that a chunk stays in the small-object allocator (256 × 104B ≈
-// 26KB < 32KB), where freed chunks recycle through size-class spans
+// 26KB ≤ 32KB, pinned by TestRequestSlabChunkIsSmallObject), where freed chunks recycle through size-class spans
 // instead of demanding fresh zeroed pages — the large-object path is
 // dramatically slower on scavenger-happy hosts.
 const requestSlabChunk = 256
@@ -589,21 +594,5 @@ func sortedKeys(m map[int]bool) []int {
 		out = append(out, k)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// newestFirst sorts request IDs by arrival sequence descending, reading
-// each request's seq through the instance's byID index. IDs without a
-// live request sort oldest, mirroring the zero-value reads the old
-// fleet-level sequence map gave them.
-func newestFirst(ids []int64, byID map[int64]*request) []int64 {
-	out := append([]int64(nil), ids...)
-	seqOf := func(id int64) int64 {
-		if r, ok := byID[id]; ok {
-			return r.seq
-		}
-		return 0
-	}
-	sort.Slice(out, func(i, j int) bool { return seqOf(out[i]) > seqOf(out[j]) })
 	return out
 }

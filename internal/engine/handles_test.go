@@ -1,0 +1,170 @@
+package engine
+
+import (
+	"testing"
+	"unsafe"
+
+	"hetis/internal/dispatch"
+	"hetis/internal/kvcache"
+	"hetis/internal/model"
+	"hetis/internal/sim"
+	"hetis/internal/workload"
+)
+
+// TestRequestSlabChunkIsSmallObject pins the slab sizing: a chunk of
+// request structs must stay within the runtime's largest small-object
+// size class (32 KiB), or every chunk takes the much slower large-object
+// path. A field added to request fails here instead of silently.
+func TestRequestSlabChunkIsSmallObject(t *testing.T) {
+	if size := unsafe.Sizeof(request{}) * requestSlabChunk; size > 32768 {
+		t.Fatalf("request is %d B, so a %d-request slab chunk is %d B > 32768 B",
+			unsafe.Sizeof(request{}), requestSlabChunk, size)
+	}
+}
+
+// newHandleInstance builds one Hetis instance with two admitted requests
+// (IDs 1 and 2) placed and allocated, ready for white-box decode steps.
+func newHandleInstance(t *testing.T) (*hetisInstance, []*request) {
+	t.Helper()
+	reqs := shortTrace(workload.ShareGPT, 2, 10, 3)
+	h := buildHetis(t, model.Llama13B, reqs)
+	inst, err := h.newInstance(h.plan.Instances[0], &Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.waiting = newWaitQueue(false)
+	var rs []*request
+	for _, id := range []int64{1, 2} {
+		r := &request{wl: workload.Request{ID: id, PromptLen: 900, OutputLen: 100}, restartCtx: 900, seq: id}
+		if _, err := inst.disp.Dispatch([]dispatch.NewRequest{{ID: id, ContextLen: 900}}); err != nil {
+			t.Fatal(err)
+		}
+		if !inst.kvAlloc(nil, id, 900) {
+			t.Fatalf("kvAlloc(%d) failed", id)
+		}
+		inst.byID[id] = r
+		inst.running = append(inst.running, r)
+		rs = append(rs, r)
+	}
+	return inst, rs
+}
+
+// TestKVExtendWithoutBlocksEvictsNobody pins kvExtend's retry rule: only
+// block exhaustion justifies evicting other requests. A request whose
+// placement names a worker it holds no blocks on (a redispatch that could
+// not grow its allocation there) must not evict anyone — the old loop
+// evicted every other request on that worker one by one.
+func TestKVExtendWithoutBlocksEvictsNobody(t *testing.T) {
+	inst, rs := newHandleInstance(t)
+	a := rs[0]
+	w := -1
+	for i, heads := range inst.disp.PlacementView(a.wl.ID) {
+		if heads > 0 {
+			w = i
+			break
+		}
+	}
+	if w < 0 {
+		t.Fatal("request 1 holds heads nowhere")
+	}
+	// Request 2 must sit on worker w too, so the old loop had a victim.
+	if !inst.kv[w].Has(2) {
+		if err := inst.kv[w].Alloc(2, 1, 900); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst.kv[w].Free(1)
+
+	before := map[int]int{}
+	for i, m := range inst.kv {
+		before[i] = m.Tokens(1)
+	}
+	s := sim.New()
+	inst.extendToken(s, a)
+	if inst.res.Evictions != 0 || inst.byID[2] == nil || !inst.kv[w].Has(2) {
+		t.Fatalf("extending a request without blocks on worker %d evicted: %d evictions, request 2 tracked %v",
+			w, inst.res.Evictions, inst.byID[2] != nil)
+	}
+	for i, heads := range inst.disp.PlacementView(a.wl.ID) {
+		if heads > 0 && i != w && inst.kv[i].Tokens(1) != before[i]+1 {
+			t.Fatalf("worker %d: request 1 holds %d tokens, want %d", i, inst.kv[i].Tokens(1), before[i]+1)
+		}
+	}
+	for i, m := range inst.kv {
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+}
+
+// TestDecodeHandlesSurviveReplacement drives the cached handles through a
+// redispatch and an evict/re-admit cycle: the per-token path must resolve
+// the fresh records, keeping dispatcher and block managers in lockstep.
+func TestDecodeHandlesSurviveReplacement(t *testing.T) {
+	inst, rs := newHandleInstance(t)
+	s := sim.New()
+	a := rs[0]
+	inst.extendToken(s, a)
+	slot := a.hx.slot
+	if slot == nil || inst.disp.Resolve(slot, 1) != slot {
+		t.Fatal("first token did not cache a live dispatcher handle")
+	}
+	entries := append([]*kvcache.Entry(nil), a.hx.kv...)
+
+	// A redispatch commits a fresh record: the cached one goes stale and
+	// the next token re-resolves it.
+	w := slot.Shares()[0].Worker
+	rd, err := inst.disp.RebalanceMemory(w, []int64{1})
+	if err != nil || rd == nil {
+		t.Fatalf("RebalanceMemory(%d) did not redispatch request 1: %+v, %v", w, rd, err)
+	}
+	inst.applyRedispatch(s, rd)
+	if inst.disp.Resolve(slot, 1) == slot {
+		t.Fatal("handle survived a re-placement")
+	}
+	ctx := inst.disp.ContextLen(1)
+	inst.extendToken(s, a)
+	if a.hx.slot == slot || inst.disp.ContextLen(1) != ctx+1 {
+		t.Fatalf("token after re-placement: handle refreshed %v, context %d want %d",
+			a.hx.slot != slot, inst.disp.ContextLen(1), ctx+1)
+	}
+	for i, heads := range inst.disp.PlacementView(1) {
+		if heads > 0 && inst.kv[i].Tokens(1) != ctx+1 {
+			t.Fatalf("worker %d holds %d tokens after re-placement, want %d", i, inst.kv[i].Tokens(1), ctx+1)
+		}
+	}
+
+	// Evict and re-admit: every KV entry handle taken before must be stale.
+	if !inst.evict(s, 1) {
+		t.Fatal("evict(1) failed")
+	}
+	for i, e := range entries {
+		if e != nil && inst.kv[i].Resolve(e, 1) == e {
+			t.Fatalf("worker %d: entry handle survived eviction", i)
+		}
+	}
+	if _, err := inst.disp.Dispatch([]dispatch.NewRequest{{ID: 1, ContextLen: 950}}); err != nil {
+		t.Fatal(err)
+	}
+	if !inst.kvAlloc(s, 1, 950) {
+		t.Fatal("re-admission kvAlloc failed")
+	}
+	inst.byID[1] = a
+	inst.extendToken(s, a)
+	if got := inst.disp.ContextLen(1); got != 951 {
+		t.Fatalf("context after re-admission token %d, want 951", got)
+	}
+	for i, heads := range inst.disp.PlacementView(1) {
+		if heads > 0 && inst.kv[i].Tokens(1) != 951 {
+			t.Fatalf("worker %d holds %d tokens, want 951", i, inst.kv[i].Tokens(1))
+		}
+	}
+	if err := inst.disp.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range inst.kv {
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"hetis/internal/dispatch"
@@ -178,6 +180,13 @@ type hetisInstance struct {
 	attnScratch []float64
 	stillBuf    []*request
 	overflowHit []bool
+	// idScratch collects a worker's resident request IDs for memory
+	// pressure's newest-first candidate list.
+	idScratch []kvcache.RequestID
+	// hxSlab and kvSlab are the unused tails of the chunks request handle
+	// sets are carved from (see handles).
+	hxSlab []hetisHandles
+	kvSlab []*kvcache.Entry
 
 	res *Result
 	cfg *Config
@@ -452,12 +461,9 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 				continue
 			}
 			// Account the first generated token's KV.
-			if over, err := inst.disp.ExtendContext(r.wl.ID, 1); err == nil {
-				for _, w := range over {
-					overflown[w] = true
-				}
+			for _, w := range inst.extendToken(s, r) {
+				overflown[w] = true
 			}
-			inst.kvExtend(s, r.wl.ID)
 			inst.running = append(inst.running, r)
 		}
 		inst.fleet.flushFinishes()
@@ -591,14 +597,10 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 			inst.finishDeferred(s, r)
 			continue
 		}
-		over, err := inst.disp.ExtendContext(r.wl.ID, 1)
-		if err == nil {
-			for _, w := range over {
-				inst.overflowHit[w] = true
-				anyOverflow = true
-			}
+		for _, w := range inst.extendToken(s, r) {
+			inst.overflowHit[w] = true
+			anyOverflow = true
 		}
-		inst.kvExtend(s, r.wl.ID)
 		still = append(still, r)
 	}
 	inst.fleet.flushFinishes()
@@ -675,18 +677,74 @@ func (inst *hetisInstance) kvAlloc(s *sim.Simulator, id int64, ctx int) bool {
 	return true
 }
 
-// kvExtend grows the block allocation by one token on every worker holding
-// the request, force-evicting on block exhaustion.
-func (inst *hetisInstance) kvExtend(s *sim.Simulator, id int64) {
-	x := inst.disp.PlacementView(id)
-	if x == nil {
-		return
+// hetisHandles is a request's cached handles into one instance's
+// dispatcher and block managers, so the per-token path reaches its records
+// without hashing. Every use resolves them first: a handle gone stale (the
+// request was redispatched, evicted or finished) is detected by the owner
+// and id checks and refreshed by one lookup. A request moved to another
+// replica gets a fresh set from that replica.
+type hetisHandles struct {
+	owner *hetisInstance
+	slot  *dispatch.Slot
+	kv    []*kvcache.Entry // by dispatcher worker index
+}
+
+// handleSlabChunk is the number of handle sets an instance carves per
+// allocation (with their per-worker entry arrays), so caching handles
+// costs no allocation per request. Sets are never reused.
+const handleSlabChunk = 64
+
+// handles returns r's handle set for this instance, carving a fresh one
+// from the instance's slab on r's first token here.
+func (inst *hetisInstance) handles(r *request) *hetisHandles {
+	if r.hx != nil && r.hx.owner == inst {
+		return r.hx
 	}
-	for i, heads := range x {
-		if heads == 0 {
-			continue
-		}
-		for inst.kv[i].Extend(kvcache.RequestID(id), 1) != nil {
+	n := len(inst.kv)
+	if len(inst.hxSlab) == 0 {
+		inst.hxSlab = make([]hetisHandles, handleSlabChunk)
+		inst.kvSlab = make([]*kvcache.Entry, handleSlabChunk*n)
+	}
+	hx := &inst.hxSlab[0]
+	inst.hxSlab = inst.hxSlab[1:]
+	hx.owner = inst
+	hx.kv = inst.kvSlab[:n:n]
+	inst.kvSlab = inst.kvSlab[n:]
+	r.hx = hx
+	return hx
+}
+
+// extendToken accounts one freshly generated token of r: the dispatcher's
+// per-worker cache load first, then the block managers (kvExtend). It
+// reports the workers whose dispatch capacity the growth overflows; a
+// request the dispatcher does not track is left alone.
+func (inst *hetisInstance) extendToken(s *sim.Simulator, r *request) []int {
+	hx := inst.handles(r)
+	hx.slot = inst.disp.Resolve(hx.slot, r.wl.ID)
+	if hx.slot == nil {
+		return nil
+	}
+	over, _ := inst.disp.ExtendSlot(hx.slot, 1)
+	inst.kvExtend(s, hx, r.wl.ID)
+	return over
+}
+
+// kvExtend grows the block allocation by one token on every worker holding
+// the request (per hx's resolved dispatcher record), force-evicting other
+// requests on block exhaustion. A worker where the request holds no blocks
+// — its allocation there failed during a redispatch — is skipped:
+// evicting others cannot create an allocation that does not exist.
+func (inst *hetisInstance) kvExtend(s *sim.Simulator, hx *hetisHandles, id int64) {
+	for _, sh := range hx.slot.Shares() {
+		i := sh.Worker
+		m := inst.kv[i]
+		e := m.Resolve(hx.kv[i], kvcache.RequestID(id))
+		hx.kv[i] = e
+		for {
+			err := m.ExtendEntry(e, 1)
+			if err == nil || !errors.Is(err, kvcache.ErrNoSpace) {
+				break
+			}
 			if !inst.evictOn(s, i, id) {
 				return // nothing left to evict; accounting stays best-effort
 			}
@@ -724,15 +782,12 @@ func (inst *hetisInstance) frozenRequests(window int) map[int64]bool {
 func (inst *hetisInstance) handleMemoryPressure(s *sim.Simulator, w int) {
 	cfg := inst.cfg
 	if !cfg.DisableRedispatch {
-		ids := make([]int64, 0)
-		for _, rid := range inst.kv[w].Requests() {
-			ids = append(ids, int64(rid))
-		}
-		for _, id := range newestFirst(ids, inst.byID) {
+		inst.idScratch = inst.kv[w].AppendRequests(inst.idScratch[:0])
+		for _, id := range newestFirst(inst.idScratch, inst.byID) {
 			if inst.disp.CacheBytes(w) <= inst.disp.Workers()[w].CapacityBytes {
 				return
 			}
-			rd, err := inst.disp.RebalanceMemory(w, []int64{id})
+			rd, err := inst.disp.RebalanceMemory(w, []int64{int64(id)})
 			if err != nil || rd == nil {
 				break
 			}
@@ -766,18 +821,27 @@ func (inst *hetisInstance) handleMemoryPressure(s *sim.Simulator, w int) {
 	}
 }
 
+// newestFirst sorts request IDs in place by arrival sequence, newest
+// first, reading each request's seq through the instance's byID index
+// (sequences are unique, so the input order cannot matter). IDs without a
+// live request sort oldest, mirroring the zero-value reads the old
+// fleet-level sequence map gave them.
+func newestFirst(ids []kvcache.RequestID, byID map[int64]*request) []kvcache.RequestID {
+	seqOf := func(id kvcache.RequestID) int64 {
+		if r, ok := byID[int64(id)]; ok {
+			return r.seq
+		}
+		return 0
+	}
+	slices.SortFunc(ids, func(a, b kvcache.RequestID) int { return cmp.Compare(seqOf(b), seqOf(a)) })
+	return ids
+}
+
 // evictOn evicts the LIFO victim holding blocks on worker w, preferring a
 // request other than protect.
 func (inst *hetisInstance) evictOn(s *sim.Simulator, w int, protect int64) bool {
-	reqs := inst.kv[w].Requests()
-	for k := len(reqs) - 1; k >= 0; k-- {
-		id := int64(reqs[k])
-		if id == protect {
-			continue
-		}
-		return inst.evict(s, id)
-	}
-	return false
+	id, ok := inst.kv[w].VictimLIFOExcept(kvcache.RequestID(protect))
+	return ok && inst.evict(s, int64(id))
 }
 
 // evict removes a request from the batch and recycles it to the waiting

@@ -25,6 +25,31 @@ func BenchmarkAllocExtendFree(b *testing.B) {
 	}
 }
 
+// BenchmarkExtendHandle is BenchmarkAllocExtendFree with the decode
+// extends made through a cached entry handle, the Hetis decode-step path.
+func BenchmarkExtendHandle(b *testing.B) {
+	cfg := Config{BlockTokens: 16, BytesPerGroupToken: 20480, CapacityBytes: 8 << 30}
+	m, err := NewManager(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := RequestID(i)
+		if err := m.Alloc(id, 8, 512); err != nil {
+			b.Fatal(err)
+		}
+		var e *Entry
+		for k := 0; k < 256; k++ {
+			e = m.Resolve(e, id)
+			if err := m.ExtendEntry(e, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.Free(id)
+	}
+}
+
 // BenchmarkPlanMigration measures the Hauler's overlap-aware planning.
 func BenchmarkPlanMigration(b *testing.B) {
 	old := map[int]int{0: 12, 1: 4, 2: 0, 3: 8}

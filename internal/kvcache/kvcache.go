@@ -11,7 +11,6 @@ package kvcache
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // RequestID identifies a serving request.
@@ -36,12 +35,28 @@ func (c Config) BlockBytes() int64 {
 	return int64(c.BlockTokens) * c.BytesPerGroupToken
 }
 
-// entry is the per-request state on one device.
-type entry struct {
-	groups  int
-	tokens  int
-	blocks  int   // groups * ceil(tokens/blockTokens)
+// Entry is one request's allocation on one device, and a stable handle to
+// it: a caller holding the *Entry (the Hetis engine caches one per worker
+// on the running request) extends it with ExtendEntry without a hash
+// lookup. The handle goes stale when the allocation is freed — Free,
+// ShrinkGroups to zero, or the request leaving the device in a redispatch,
+// eviction or failover. Freed entries are never reused, so a stale handle
+// can only be detected, never alias another request; Resolve refreshes
+// one by id.
+type Entry struct {
+	id     RequestID
+	m      *Manager
+	groups int
+	tokens int
+	blocks int // groups * ceil(tokens/blockTokens)
+	// room is the number of tokens each group's last block still has free
+	// (blocks/groups*BlockTokens - tokens), so a token that stays inside
+	// the current block costs one decrement, and one that crosses into the
+	// next block one block per group — neither needs blocksFor's division.
+	room    int
 	arrival int64 // allocation sequence, drives modified-LIFO eviction
+	// idx is the entry's position in its manager's table, -1 once freed.
+	idx int
 }
 
 // Manager allocates head-group cache blocks on one device.
@@ -49,7 +64,10 @@ type Manager struct {
 	cfg         Config
 	totalBlocks int
 	freeBlocks  int
-	reqs        map[RequestID]*entry
+	// ents holds the live entries, dense in no particular order (Free
+	// swap-removes), for the whole-device walks; reqs indexes them by id.
+	ents        []*Entry
+	reqs        map[RequestID]*Entry
 	nextArrival int64
 	// Ops counters, used by the management-overhead experiment (Fig. 15b).
 	storeOps int64
@@ -71,7 +89,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg:         cfg,
 		totalBlocks: int(cfg.CapacityBytes / cfg.BlockBytes()),
 		freeBlocks:  int(cfg.CapacityBytes / cfg.BlockBytes()),
-		reqs:        make(map[RequestID]*entry),
+		reqs:        make(map[RequestID]*Entry),
 	}, nil
 }
 
@@ -106,8 +124,12 @@ func (m *Manager) Utilization() float64 {
 
 // blocksFor computes the blocks needed by groups × tokens.
 func (m *Manager) blocksFor(groups, tokens int) int {
-	perGroup := (tokens + m.cfg.BlockTokens - 1) / m.cfg.BlockTokens
-	return groups * perGroup
+	return groups * m.perGroup(tokens)
+}
+
+// perGroup is the number of blocks one group needs for tokens of context.
+func (m *Manager) perGroup(tokens int) int {
+	return (tokens + m.cfg.BlockTokens - 1) / m.cfg.BlockTokens
 }
 
 // CanAlloc reports whether groups head groups with tokens of context fit.
@@ -130,7 +152,13 @@ func (m *Manager) Alloc(id RequestID, groups, tokens int) error {
 		return fmt.Errorf("%w: need %d blocks, %d free", ErrNoSpace, need, m.freeBlocks)
 	}
 	m.freeBlocks -= need
-	m.reqs[id] = &entry{groups: groups, tokens: tokens, blocks: need, arrival: m.nextArrival}
+	e := &Entry{
+		id: id, m: m, groups: groups, tokens: tokens, blocks: need,
+		room:    m.perGroup(tokens)*m.cfg.BlockTokens - tokens,
+		arrival: m.nextArrival, idx: len(m.ents),
+	}
+	m.ents = append(m.ents, e)
+	m.reqs[id] = e
 	m.nextArrival++
 	m.storeOps += int64(groups) // one block-table insert per head group
 	return nil
@@ -143,19 +171,53 @@ func (m *Manager) Extend(id RequestID, n int) error {
 	if !ok {
 		return fmt.Errorf("kvcache: request %d not on device", id)
 	}
+	return m.ExtendEntry(e, n)
+}
+
+// ExtendEntry is Extend through an entry handle. Tokens that fit in the
+// room left in each group's last block cost one decrement; an extension
+// spilling into at most one more block per group (every decode token)
+// adds that block without division; only a longer one recomputes the
+// allocation. A nil or stale handle is an error (see Resolve); ErrNoSpace
+// leaves the entry unchanged.
+func (m *Manager) ExtendEntry(e *Entry, n int) error {
+	if e == nil || e.m != m || e.idx < 0 {
+		return fmt.Errorf("kvcache: stale or missing entry handle")
+	}
 	if n < 0 {
 		return fmt.Errorf("kvcache: negative extension %d", n)
 	}
-	newBlocks := m.blocksFor(e.groups, e.tokens+n)
-	delta := newBlocks - e.blocks
-	if delta > m.freeBlocks {
-		return fmt.Errorf("%w: extension needs %d blocks, %d free", ErrNoSpace, delta, m.freeBlocks)
+	newBlocks, room := e.blocks, e.room-n
+	if spill := n - e.room; spill > 0 {
+		if spill <= m.cfg.BlockTokens {
+			newBlocks += e.groups
+			room = m.cfg.BlockTokens - spill
+		} else {
+			perGroup := m.perGroup(e.tokens + n)
+			newBlocks = e.groups * perGroup
+			room = perGroup*m.cfg.BlockTokens - e.tokens - n
+		}
+		if delta := newBlocks - e.blocks; delta > m.freeBlocks {
+			return fmt.Errorf("%w: extension needs %d blocks, %d free", ErrNoSpace, delta, m.freeBlocks)
+		}
 	}
-	m.freeBlocks -= delta
+	m.freeBlocks -= newBlocks - e.blocks
 	e.tokens += n
 	e.blocks = newBlocks
+	e.room = room
 	m.storeOps += int64(e.groups) // per-group append
 	return nil
+}
+
+// Resolve returns e when it is still request id's live entry on this
+// device, and otherwise looks id up afresh (nil when id holds nothing
+// here). The check is a few compares, so callers resolve a cached handle
+// before every use and pay the lookup only after it went stale.
+func (m *Manager) Resolve(e *Entry, id RequestID) *Entry {
+	if e != nil && e.m == m && e.idx >= 0 && e.id == id {
+		return e
+	}
+	return m.reqs[id]
 }
 
 // GrowGroups adds extra head groups at the request's current context
@@ -209,6 +271,12 @@ func (m *Manager) Free(id RequestID) {
 		return
 	}
 	m.freeBlocks += e.blocks
+	last := m.ents[len(m.ents)-1]
+	last.idx = e.idx
+	m.ents[e.idx] = last
+	m.ents[len(m.ents)-1] = nil
+	m.ents = m.ents[:len(m.ents)-1]
+	e.idx = -1
 	delete(m.reqs, id)
 }
 
@@ -257,44 +325,70 @@ func (m *Manager) StoreOps() int64 { return m.storeOps }
 // FetchOps reports accumulated fetch (block-indexing) operations.
 func (m *Manager) FetchOps() int64 { return m.fetchOps }
 
-// Requests lists request IDs with blocks on this device, oldest first.
-func (m *Manager) Requests() []RequestID {
-	ids := make([]RequestID, 0, len(m.reqs))
-	for id := range m.reqs {
-		ids = append(ids, id)
+// AppendRequests appends the IDs of the requests with blocks on this
+// device to dst, in no particular order, and returns the extended slice;
+// callers order the IDs by a key of their own.
+func (m *Manager) AppendRequests(dst []RequestID) []RequestID {
+	for _, e := range m.ents {
+		dst = append(dst, e.id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		return m.reqs[ids[i]].arrival < m.reqs[ids[j]].arrival
-	})
-	return ids
+	return dst
 }
 
 // VictimLIFO implements the paper's modified LIFO policy (§5.3.2): among
 // requests that actually hold memory on THIS device, pick the one that
 // arrived last. Returns false when the device is empty.
 func (m *Manager) VictimLIFO() (RequestID, bool) {
-	var best RequestID
-	var bestArrival int64 = -1
-	for id, e := range m.reqs {
-		if e.arrival > bestArrival {
-			bestArrival = e.arrival
-			best = id
+	return m.newest(0, false)
+}
+
+// VictimLIFOExcept is VictimLIFO skipping request protect: the newest
+// allocation on this device that is not protect's. Returns false when no
+// other request holds memory here.
+func (m *Manager) VictimLIFOExcept(protect RequestID) (RequestID, bool) {
+	return m.newest(protect, true)
+}
+
+// newest finds the latest allocation in one walk, skipping protect when
+// except is set. Arrival sequences are unique, so the walk order cannot
+// matter.
+func (m *Manager) newest(protect RequestID, except bool) (RequestID, bool) {
+	var best *Entry
+	for _, e := range m.ents {
+		if except && e.id == protect {
+			continue
+		}
+		if best == nil || e.arrival > best.arrival {
+			best = e
 		}
 	}
-	return best, bestArrival >= 0
+	if best == nil {
+		return 0, false
+	}
+	return best.id, true
 }
 
 // CheckInvariants verifies internal accounting; tests call it after every
 // mutation sequence.
 func (m *Manager) CheckInvariants() error {
+	if len(m.reqs) != len(m.ents) {
+		return fmt.Errorf("kvcache: %d entries but %d indexed", len(m.ents), len(m.reqs))
+	}
 	used := 0
-	for id, e := range m.reqs {
+	for k, e := range m.ents {
+		id := e.id
+		if e.idx != k || e.m != m || m.reqs[id] != e {
+			return fmt.Errorf("kvcache: entry of request %d at %d is misindexed (idx %d)", id, k, e.idx)
+		}
 		if e.groups <= 0 {
 			return fmt.Errorf("kvcache: request %d with %d groups", id, e.groups)
 		}
 		want := m.blocksFor(e.groups, e.tokens)
 		if e.blocks != want {
 			return fmt.Errorf("kvcache: request %d holds %d blocks, want %d", id, e.blocks, want)
+		}
+		if room := want/e.groups*m.cfg.BlockTokens - e.tokens; e.room != room {
+			return fmt.Errorf("kvcache: request %d has room %d in its last blocks, want %d", id, e.room, room)
 		}
 		used += e.blocks
 	}

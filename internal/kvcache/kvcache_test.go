@@ -132,33 +132,32 @@ func TestVictimLIFOPicksLatestArrival(t *testing.T) {
 	mustOK(t, m.Alloc(10, 1, 16))
 	mustOK(t, m.Alloc(20, 1, 16))
 	mustOK(t, m.Alloc(30, 1, 16))
+	mustOK(t, m.CheckInvariants())
 	v, ok := m.VictimLIFO()
 	if !ok || v != 30 {
 		t.Fatalf("victim=%v ok=%v want 30", v, ok)
 	}
+	if v, ok := m.VictimLIFOExcept(30); !ok || v != 20 {
+		t.Fatalf("victim except 30=%v ok=%v want 20", v, ok)
+	}
+	if v, ok := m.VictimLIFOExcept(10); !ok || v != 30 {
+		t.Fatalf("victim except 10=%v ok=%v want 30", v, ok)
+	}
 	m.Free(30)
+	mustOK(t, m.CheckInvariants())
 	v, ok = m.VictimLIFO()
 	if !ok || v != 20 {
 		t.Fatalf("victim=%v ok=%v want 20", v, ok)
 	}
 	m.Free(20)
+	mustOK(t, m.CheckInvariants())
+	if _, ok := m.VictimLIFOExcept(10); ok {
+		t.Fatal("a device holding only the protected request should have no victim")
+	}
 	m.Free(10)
+	mustOK(t, m.CheckInvariants())
 	if _, ok := m.VictimLIFO(); ok {
 		t.Fatal("empty device should have no victim")
-	}
-}
-
-func TestRequestsOrderedByArrival(t *testing.T) {
-	m := newTestManager(t, 100)
-	for _, id := range []RequestID{5, 3, 9, 1} {
-		mustOK(t, m.Alloc(id, 1, 16))
-	}
-	got := m.Requests()
-	want := []RequestID{5, 3, 9, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Requests()=%v want %v", got, want)
-		}
 	}
 }
 

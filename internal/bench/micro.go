@@ -400,9 +400,9 @@ func benchKVCache(b *testing.B) {
 }
 
 // benchKVCacheHandle is benchKVCache with every extension made the way the
-// Hetis decode step makes it: through the request's cached entry handle,
-// resolved before each use, so tokens inside a block cost a decrement and
-// no hash lookup.
+// Hetis decode step's per-request path makes it: through the request's
+// cached entry handle, resolved before each use, so a token costs no hash
+// lookup.
 func benchKVCacheHandle(b *testing.B) {
 	mgr := microKVManager(b)
 	b.ReportAllocs()

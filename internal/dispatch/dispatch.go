@@ -7,11 +7,19 @@
 //
 // Units: head counts are query heads per layer (placement is uniform
 // across layers); cache loads g and capacities M are bytes per layer.
+//
+// Loads are exact integers: a share of a request's heads adds its whole
+// head groups' bytes, groups × KVBytesPerTokenHeadGroup, per token, so h
+// and g are int64 and convert to float only where the Eq. 3/4/7 times and
+// CacheBytes are formed. Float sums of integers below 2^53 are exact, so
+// every time formed from them is the one a float-held load gave.
 package dispatch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -44,8 +52,16 @@ type Dispatcher struct {
 	cfg     model.Config
 	workers []Worker
 
-	h []float64 // heads per worker (per layer)
-	g []float64 // cache bytes per worker (per layer)
+	h []int64 // heads per worker (per layer)
+	g []int64 // cache bytes per worker (per layer)
+	// rate is each worker's decode rate: the bytes one token of every
+	// tracked request adds there, the sum of the live shares' bytes.
+	rate []int64
+	// clock counts Advance steps. A record's context is its base plus the
+	// clock, so a step moves every context without touching a record;
+	// baseSum sums the live records' bases.
+	clock   int
+	baseSum int64
 
 	// recs is the per-request record table, dense in no particular order
 	// (release swap-removes), so whole-population walks read a slice;
@@ -56,9 +72,11 @@ type Dispatcher struct {
 	// and their shares are carved from.
 	slab      []Slot
 	shareSlab []Share
-	// overLimit is each worker's overflow threshold, CapacityBytes + 1e-6,
-	// read by the per-token update.
-	overLimit []float64
+	// overLimit is each worker's overflow threshold: a load g overflows
+	// when g > overLimit, the integer form of g > CapacityBytes + 1e-6.
+	overLimit []int64
+	// stepE and stepF are StepOverflow's per-worker scratch.
+	stepE, stepF []int64
 
 	// perHeadTokenBytes converts (heads × tokens) to per-layer bytes:
 	// KVBytesPerTokenHeadGroup / r.
@@ -108,6 +126,11 @@ type Dispatcher struct {
 	// relax is the §5.3.1 relaxation's per-worker cost table in sweep
 	// order, fixed at construction (it depends only on the workers).
 	relax relaxation
+	// lens is IdealAttnTime's context-length scratch; scratch and rems are
+	// solvePlacement's rounding scratch.
+	lens    []int
+	scratch []float64
+	rems    []remainder
 }
 
 // Slot is one tracked request's record — its context length and
@@ -120,7 +143,7 @@ type Dispatcher struct {
 // alias another request; Resolve refreshes one by id.
 type Slot struct {
 	id    RequestID
-	ctx   int
+	base  int   // context length minus the owner's clock
 	place []int // heads per worker index (multiples of r)
 	// shares lists the workers holding heads, ascending, with the bytes one
 	// token adds on each: the per-token update touches only those.
@@ -135,13 +158,15 @@ type Slot struct {
 // order (the owner's table; read-only).
 func (s *Slot) Shares() []Share { return s.shares }
 
+// ctx is the slot's context length.
+func (s *Slot) ctx() int { return s.base + s.owner.clock }
+
 // Share is one worker's part of a slot's placement: the worker index and
-// the per-layer bytes one token adds there, heads × perHeadTokenBytes. That
-// is the left operand of the product the per-token update has always
-// formed, so g's increments stay bit-identical.
+// the per-layer bytes one token adds there, groups ×
+// KVBytesPerTokenHeadGroup.
 type Share struct {
 	Worker int
-	bytes  float64
+	bytes  int64
 }
 
 // lpCache is one re-posable LP: the problem instance successive solves
@@ -158,11 +183,11 @@ type lpCache struct {
 type placementMemo struct {
 	valid  bool
 	ctx    int
-	h, g   []float64
+	h, g   []int64
 	groups []int
 }
 
-func (m *placementMemo) matches(ctx int, h, g []float64) bool {
+func (m *placementMemo) matches(ctx int, h, g []int64) bool {
 	if !m.valid || m.ctx != ctx || len(m.h) != len(h) {
 		return false
 	}
@@ -174,7 +199,7 @@ func (m *placementMemo) matches(ctx int, h, g []float64) bool {
 	return true
 }
 
-func (m *placementMemo) store(ctx int, h, g []float64, groups []int) {
+func (m *placementMemo) store(ctx int, h, g []int64, groups []int) {
 	m.valid = true
 	m.ctx = ctx
 	m.h = append(m.h[:0], h...)
@@ -203,19 +228,24 @@ func New(cfg model.Config, workers []Worker) (*Dispatcher, error) {
 		return nil, fmt.Errorf("dispatch: at least one worker must be primary")
 	}
 	r := float64(cfg.GroupRatio())
+	n := len(workers)
 	d := &Dispatcher{
 		cfg:                 cfg,
 		workers:             workers,
-		h:                   make([]float64, len(workers)),
-		g:                   make([]float64, len(workers)),
+		h:                   make([]int64, n),
+		g:                   make([]int64, n),
+		rate:                make([]int64, n),
+		overLimit:           make([]int64, n),
+		stepE:               make([]int64, n),
+		stepF:               make([]int64, n),
 		byID:                make(map[RequestID]*Slot),
 		perHeadTokenBytes:   float64(cfg.KVBytesPerTokenHeadGroup()) / r,
 		scatterBytesPerHead: (2 + 2/r) * float64(cfg.QHeadBytes()),
 	}
 	d.relax = newRelaxation(workers, d.scatterBytesPerHead, d.perHeadTokenBytes)
-	d.overLimit = make([]float64, len(workers))
 	for i, w := range workers {
-		d.overLimit[i] = w.CapacityBytes + 1e-6
+		// For an integer g, g > x ⇔ g > ⌊x⌋.
+		d.overLimit[i] = int64(math.Floor(w.CapacityBytes + 1e-6))
 	}
 	return d, nil
 }
@@ -236,11 +266,14 @@ func (d *Dispatcher) Requests() []RequestID {
 	return ids
 }
 
+// Len is the number of tracked requests.
+func (d *Dispatcher) Len() int { return len(d.recs) }
+
 // Heads returns h_i for worker index i.
-func (d *Dispatcher) Heads(i int) float64 { return d.h[i] }
+func (d *Dispatcher) Heads(i int) float64 { return float64(d.h[i]) }
 
 // CacheBytes returns g_i for worker index i.
-func (d *Dispatcher) CacheBytes(i int) float64 { return d.g[i] }
+func (d *Dispatcher) CacheBytes(i int) float64 { return float64(d.g[i]) }
 
 // Placement returns a copy of request id's per-worker head counts, or nil.
 func (d *Dispatcher) Placement(id RequestID) []int {
@@ -266,7 +299,7 @@ func (d *Dispatcher) PlacementView(id RequestID) []int {
 // ContextLen returns the tracked context length of a request.
 func (d *Dispatcher) ContextLen(id RequestID) int {
 	if s, ok := d.byID[id]; ok {
-		return s.ctx
+		return s.ctx()
 	}
 	return 0
 }
@@ -290,9 +323,9 @@ type NewRequest struct {
 
 // fWorker evaluates f_i of Eq. 7 for worker i given extra heads and bytes.
 func (d *Dispatcher) fWorker(i int, extraHeads, extraBytes float64) float64 {
-	w := d.workers[i]
-	heads := d.h[i] + extraHeads
-	bytes := d.g[i] + extraBytes
+	w := &d.workers[i]
+	heads := float64(d.h[i]) + extraHeads
+	bytes := float64(d.g[i]) + extraBytes
 	if heads <= 0 {
 		return 0
 	}
@@ -353,7 +386,7 @@ func (d *Dispatcher) CanFit(reqs []NewRequest) bool {
 	}
 	var free float64
 	for i, w := range d.workers {
-		f := w.CapacityBytes - d.g[i]
+		f := w.CapacityBytes - float64(d.g[i])
 		if f > 0 {
 			free += f
 		}
@@ -458,19 +491,25 @@ func (d *Dispatcher) solvePlacement(reqs []NewRequest, exclude map[int]bool) ([]
 	// remainder, then repair any capacity violation by shifting groups to
 	// workers with slack.
 	out := make([][]int, nR)
-	used := append([]float64(nil), d.g...)
+	used, frac, caps := d.roundScratch(nW)
+	for i, w := range d.workers {
+		used[i] = float64(d.g[i])
+		caps[i] = w.CapacityBytes
+		if exclude[i] {
+			caps[i] = 0
+		}
+	}
 	for j, rq := range reqs {
-		frac := make([]float64, nW)
 		for i := 0; i < nW; i++ {
 			frac[i] = res.X[j*nW+i] / float64(r)
 		}
-		groups := roundLargestRemainder(frac, d.cfg.KVHeads)
+		x := make([]int, nW)
+		d.rems = roundLargestRemainder(frac, d.cfg.KVHeads, x, d.rems)
 		perGroupBytes := d.perHeadTokenBytes * float64(rq.ContextLen) * float64(r)
-		if err := repairCapacity(groups, used, d.capacities(exclude), perGroupBytes); err != nil {
+		if err := repairCapacity(x, used, caps, perGroupBytes); err != nil {
 			return nil, fmt.Errorf("dispatch: request %d: %w", rq.ID, err)
 		}
-		x := make([]int, nW)
-		for i, gc := range groups {
+		for i, gc := range x {
 			x[i] = gc * r
 			used[i] += float64(gc) * perGroupBytes
 		}
@@ -482,46 +521,58 @@ func (d *Dispatcher) solvePlacement(reqs []NewRequest, exclude map[int]bool) ([]
 	return out, nil
 }
 
+// poser states one min-z LP row by row into a fresh or a cached problem
+// (see poseInto).
+type poser struct {
+	d     *Dispatcher
+	prob  *lp.Problem
+	row   []float64 // the next row's coefficients, nVars wide
+	patch bool
+	idx   int
+}
+
+// emit adds row as the next constraint, or with a cached problem patches
+// it in place, counting mutated rows.
+func (p *poser) emit(op lp.Op, rhs float64) {
+	if p.patch {
+		if p.prob.SetConstraint(p.idx, p.row, op, rhs) {
+			p.d.LPPatchedRows++
+		}
+	} else {
+		p.prob.AddConstraint(p.row, op, rhs)
+	}
+	p.idx++
+}
+
 // poseInto prepares one min-z LP re-pose: with a non-nil cache it
-// returns the cached problem to patch in place (counting mutated rows
-// through emit), creating and remembering it on first use; with nil it
-// returns a fresh problem. Callers write each row's data into the
-// returned scratch before calling emit. Patched and rebuilt problems
-// hold bit-identical data, so they solve identically.
-func (d *Dispatcher) poseInto(cache *lpCache, nVars int) (prob *lp.Problem, row []float64, emit func(op lp.Op, rhs float64)) {
-	patch := false
+// patches the cached problem in place (counting mutated rows through
+// emit), creating and remembering it on first use; with nil it builds a
+// fresh problem. Callers write each row's data into the poser's row
+// before calling emit. Patched and rebuilt problems hold bit-identical
+// data, so they solve identically.
+func (d *Dispatcher) poseInto(cache *lpCache, nVars int) poser {
+	p := poser{d: d}
 	if cache != nil {
 		if len(cache.row) != nVars {
 			cache.row = make([]float64, nVars)
 		}
-		row = cache.row
+		p.row = cache.row
 		if cache.prob != nil {
-			prob = cache.prob
-			patch = true
+			p.prob = cache.prob
+			p.patch = true
 		}
 	} else {
-		row = make([]float64, nVars)
+		p.row = make([]float64, nVars)
 	}
-	if prob == nil {
+	if p.prob == nil {
 		obj := make([]float64, nVars)
 		obj[nVars-1] = 1 // min z
-		prob = lp.New(nVars, obj)
+		p.prob = lp.New(nVars, obj)
 		if cache != nil {
-			cache.prob = prob
+			cache.prob = p.prob
 		}
 	}
-	idx := 0
-	emit = func(op lp.Op, rhs float64) {
-		if patch {
-			if prob.SetConstraint(idx, row, op, rhs) {
-				d.LPPatchedRows++
-			}
-		} else {
-			prob.AddConstraint(row, op, rhs)
-		}
-		idx++
-	}
-	return prob, row, emit
+	return p
 }
 
 // posePlacement states the Eq. 7 LP for the given requests. When
@@ -535,11 +586,12 @@ func (d *Dispatcher) posePlacement(reqs []NewRequest, exclude map[int]bool, nVar
 	if reposable {
 		cache = &d.placeCache
 	}
-	prob, row, emit := d.poseInto(cache, nVars)
+	ps := d.poseInto(cache, nVars)
+	row := ps.row
 
 	// (7a) epigraph: f_i(x) − z ≤ 0 for every worker.
 	for i := range d.workers {
-		w := d.workers[i]
+		w := &d.workers[i]
 		clear(row)
 		slopeHeads := w.Attn.A
 		if !w.Primary {
@@ -550,11 +602,12 @@ func (d *Dispatcher) posePlacement(reqs []NewRequest, exclude map[int]bool, nVar
 			row[j*nW+i] = perHead
 		}
 		row[nVars-1] = -1
-		fixed := w.Attn.A*d.h[i] + w.Attn.B*d.g[i] + w.Attn.C
+		h, g := float64(d.h[i]), float64(d.g[i])
+		fixed := w.Attn.A*h + w.Attn.B*g + w.Attn.C
 		if !w.Primary {
-			fixed += w.Net.Gamma*d.scatterBytesPerHead*d.h[i] + w.Net.Beta
+			fixed += w.Net.Gamma*d.scatterBytesPerHead*h + w.Net.Beta
 		}
-		emit(lp.LE, -fixed)
+		ps.emit(lp.LE, -fixed)
 	}
 
 	// (7b) capacity: g_i + Σ_j bytes(x_{j,i}) ≤ M_i.
@@ -563,11 +616,11 @@ func (d *Dispatcher) posePlacement(reqs []NewRequest, exclude map[int]bool, nVar
 		for j, rq := range reqs {
 			row[j*nW+i] = d.perHeadTokenBytes * float64(rq.ContextLen)
 		}
-		cap := d.workers[i].CapacityBytes - d.g[i]
+		cap := d.workers[i].CapacityBytes - float64(d.g[i])
 		if exclude[i] {
 			cap = 0
 		}
-		emit(lp.LE, cap)
+		ps.emit(lp.LE, cap)
 	}
 
 	// (7c) head conservation: Σ_i x_{j,i} = H.
@@ -576,46 +629,47 @@ func (d *Dispatcher) posePlacement(reqs []NewRequest, exclude map[int]bool, nVar
 		for i := 0; i < nW; i++ {
 			row[j*nW+i] = 1
 		}
-		emit(lp.EQ, H)
+		ps.emit(lp.EQ, H)
 	}
-	return prob
+	return ps.prob
 }
 
-func (d *Dispatcher) capacities(exclude map[int]bool) []float64 {
-	caps := make([]float64, len(d.workers))
-	for i, w := range d.workers {
-		caps[i] = w.CapacityBytes
-		if exclude[i] {
-			caps[i] = 0
-		}
+// roundScratch returns solvePlacement's per-worker scratch: loads, group
+// fractions and capacities, nW long each.
+func (d *Dispatcher) roundScratch(nW int) (used, frac, caps []float64) {
+	if len(d.scratch) != 3*nW {
+		d.scratch = make([]float64, 3*nW)
 	}
-	return caps
+	return d.scratch[:nW], d.scratch[nW : 2*nW], d.scratch[2*nW:]
+}
+
+// remainder is one worker's fractional group share left after flooring.
+type remainder struct {
+	idx int
+	f   float64
 }
 
 // roundLargestRemainder converts fractional group shares to integers
-// summing to total.
-func roundLargestRemainder(frac []float64, total int) []int {
-	n := len(frac)
-	out := make([]int, n)
-	type rem struct {
-		idx int
-		f   float64
-	}
+// summing to total, written to out (len(frac) long). rems is sorting
+// scratch, returned for reuse.
+func roundLargestRemainder(frac []float64, total int, out []int, rems []remainder) []remainder {
 	sum := 0
-	rems := make([]rem, 0, n)
+	rems = rems[:0]
 	for i, f := range frac {
 		if f < 0 {
 			f = 0
 		}
 		out[i] = int(f)
 		sum += out[i]
-		rems = append(rems, rem{i, f - float64(out[i])})
+		rems = append(rems, remainder{i, f - float64(out[i])})
 	}
-	sort.Slice(rems, func(a, b int) bool {
-		if rems[a].f != rems[b].f {
-			return rems[a].f > rems[b].f
+	// Largest remainder first, ties to the smaller index: a total order,
+	// so any sort gives the same result.
+	slices.SortFunc(rems, func(a, b remainder) int {
+		if c := cmp.Compare(b.f, a.f); c != 0 {
+			return c
 		}
-		return rems[a].idx < rems[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	for k := 0; sum < total && k < len(rems); k++ {
 		out[rems[k].idx]++
@@ -630,7 +684,7 @@ func roundLargestRemainder(frac []float64, total int) []int {
 			sum--
 		}
 	}
-	return out
+	return rems
 }
 
 // repairCapacity shifts groups away from workers whose usage would exceed
@@ -668,7 +722,8 @@ func repairCapacity(groups []int, used, caps []float64, perGroupBytes float64) e
 // are never reused, so the chunking only amortizes the allocator.
 const slotSlabChunk = 64
 
-// commit applies a placement in a fresh record and updates h, g (Eq. 8).
+// commit applies a placement in a fresh record and updates h, g (Eq. 8)
+// and the decode rates.
 func (d *Dispatcher) commit(id RequestID, ctxLen int, x []int) {
 	if len(d.slab) == 0 {
 		d.slab = make([]Slot, slotSlabChunk)
@@ -684,17 +739,22 @@ func (d *Dispatcher) commit(id RequestID, ctxLen int, x []int) {
 	if len(d.shareSlab) < nz {
 		d.shareSlab = make([]Share, max(nz, slotSlabChunk*len(d.workers)/2))
 	}
-	*s = Slot{id: id, ctx: ctxLen, place: x, shares: d.shareSlab[:0:nz], idx: len(d.recs), owner: d}
+	*s = Slot{id: id, base: ctxLen - d.clock, place: x, shares: d.shareSlab[:0:nz], idx: len(d.recs), owner: d}
 	d.shareSlab = d.shareSlab[nz:]
 	d.recs = append(d.recs, s)
 	d.byID[id] = s
+	d.baseSum += int64(s.base)
+	groupBytes := d.cfg.KVBytesPerTokenHeadGroup()
+	r := int64(d.cfg.GroupRatio())
 	for i, heads := range x {
 		if heads == 0 {
 			continue
 		}
-		s.shares = append(s.shares, Share{Worker: i, bytes: float64(heads) * d.perHeadTokenBytes})
-		d.h[i] += float64(heads)
-		d.g[i] += float64(heads) * d.perHeadTokenBytes * float64(ctxLen)
+		bytes := int64(heads) * groupBytes / r
+		s.shares = append(s.shares, Share{Worker: i, bytes: bytes})
+		d.h[i] += int64(heads)
+		d.g[i] += bytes * int64(ctxLen)
+		d.rate[i] += bytes
 	}
 }
 
@@ -705,20 +765,13 @@ func (d *Dispatcher) release(id RequestID) {
 	if !ok {
 		return
 	}
-	l := float64(s.ctx)
-	for i, heads := range s.place {
-		if heads == 0 {
-			continue
-		}
-		d.h[i] -= float64(heads)
-		d.g[i] -= float64(heads) * d.perHeadTokenBytes * l
-		if d.h[i] < 1e-9 {
-			d.h[i] = 0
-		}
-		if d.g[i] < 1e-6 {
-			d.g[i] = 0
-		}
+	ctx := int64(s.ctx())
+	for _, sh := range s.shares {
+		d.h[sh.Worker] -= int64(s.place[sh.Worker])
+		d.g[sh.Worker] -= sh.bytes * ctx
+		d.rate[sh.Worker] -= sh.bytes
 	}
+	d.baseSum -= int64(s.base)
 	last := d.recs[len(d.recs)-1]
 	last.idx = s.idx
 	d.recs[s.idx] = last
@@ -732,13 +785,18 @@ func (d *Dispatcher) release(id RequestID) {
 func (d *Dispatcher) Remove(id RequestID) { d.release(id) }
 
 // Clear drops every tracked request, returning the dispatcher to its
-// empty state — the whole-instance teardown a replica failure needs. It
-// releases in ID order: the order of g's float subtractions decides the
-// residuals the release clamps.
+// empty state — the whole-instance teardown a replica failure needs.
 func (d *Dispatcher) Clear() {
-	for _, id := range d.Requests() {
-		d.release(id)
+	for _, s := range d.recs {
+		s.idx = -1
 	}
+	clear(d.recs)
+	d.recs = d.recs[:0]
+	clear(d.byID)
+	clear(d.h)
+	clear(d.g)
+	clear(d.rate)
+	d.baseSum = 0
 }
 
 // ExtendContext grows a request by n freshly generated tokens, increasing
@@ -749,29 +807,86 @@ func (d *Dispatcher) ExtendContext(id RequestID, n int) ([]int, error) {
 	if !ok {
 		return nil, fmt.Errorf("dispatch: unknown request %d", id)
 	}
-	return d.ExtendSlot(s, n)
-}
-
-// ExtendSlot is ExtendContext through a record handle: no hash lookup, and
-// the same per-request float updates of g in the same order. A stale handle
-// is an error (see Resolve).
-func (d *Dispatcher) ExtendSlot(s *Slot, n int) ([]int, error) {
-	if s == nil || s.owner != d || s.idx < 0 {
-		return nil, fmt.Errorf("dispatch: stale request handle")
+	over := make([]bool, len(d.workers))
+	if err := d.ExtendSlot(s, n, over); err != nil {
+		return nil, err
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("dispatch: negative extension %d", n)
-	}
-	s.ctx += n
-	tokens := float64(n)
-	var overflow []int
-	for _, sh := range s.shares {
-		d.g[sh.Worker] += sh.bytes * tokens
-		if d.g[sh.Worker] > d.overLimit[sh.Worker] {
-			overflow = append(overflow, sh.Worker)
+	var out []int
+	for i, o := range over {
+		if o {
+			out = append(out, i)
 		}
 	}
-	return overflow, nil
+	return out, nil
+}
+
+// ExtendSlot is ExtendContext for one request through a record handle, with
+// no hash lookup: it sets over[i] for every worker i whose capacity the
+// growth overflows and leaves the other flags alone. A stale handle is an
+// error (see Resolve).
+func (d *Dispatcher) ExtendSlot(s *Slot, n int, over []bool) error {
+	if s == nil || s.owner != d || s.idx < 0 {
+		return fmt.Errorf("dispatch: stale request handle")
+	}
+	if n < 0 {
+		return fmt.Errorf("dispatch: negative extension %d", n)
+	}
+	s.base += n
+	d.baseSum += int64(n)
+	for _, sh := range s.shares {
+		d.g[sh.Worker] += sh.bytes * int64(n)
+		if d.g[sh.Worker] > d.overLimit[sh.Worker] {
+			over[sh.Worker] = true
+		}
+	}
+	return nil
+}
+
+// Advance grows every tracked request by one token in O(workers): each
+// worker's load gains its decode rate, and the clock moves every context.
+// It is ExtendSlot(s, 1) on every record, in any order.
+func (d *Dispatcher) Advance() {
+	for i, r := range d.rate {
+		d.g[i] += r
+	}
+	d.clock++
+}
+
+// StepOverflow decides, before a decode step, which workers the step's
+// per-request loop would find over capacity, without walking the batch.
+// In that loop every finishing request is released and every other
+// tracked request extended by one token, in batch order, and worker i is
+// flagged when its load exceeds the limit right after an extension there.
+// finishing lists the records of the requests that finish (each once);
+// every other tracked request counts as extended.
+//
+// Each worker's loads over the loop lie between its final load lo (all
+// releases, all extensions) and hi (the extensions alone). When lo is over
+// the limit the last extension there is too; when hi is not, nothing is.
+// A worker no extension touches is never flagged; only finishers hold
+// load there, so its lo is 0. Otherwise the answer depends on the batch
+// order: StepOverflow returns false, leaving over alone, and the caller
+// must run the per-request loop. On true, over[i] holds worker i's flag.
+func (d *Dispatcher) StepOverflow(finishing []*Slot, over []bool) bool {
+	e, f := d.stepE, d.stepF
+	copy(e, d.rate)
+	clear(f)
+	for _, s := range finishing {
+		ctx := int64(s.ctx())
+		for _, sh := range s.shares {
+			e[sh.Worker] -= sh.bytes
+			f[sh.Worker] += sh.bytes * ctx
+		}
+	}
+	for i, lim := range d.overLimit {
+		if hi := d.g[i] + e[i]; e[i] != 0 && hi > lim && hi-f[i] <= lim {
+			return false
+		}
+	}
+	for i, lim := range d.overLimit {
+		over[i] = d.g[i]+e[i]-f[i] > lim
+	}
+	return true
 }
 
 // idealBuckets bounds the size of IdealAttnTime's relaxation: requests are
@@ -790,7 +905,11 @@ func (d *Dispatcher) IdealAttnTime() (float64, error) {
 	if len(d.recs) == 0 {
 		return 0, nil
 	}
-	return d.idealAttn(bucketByContext(d.recs, idealBuckets))
+	d.lens = d.lens[:0]
+	for _, s := range d.recs {
+		d.lens = append(d.lens, s.ctx())
+	}
+	return d.idealAttn(bucketByContext(d.lens, idealBuckets))
 }
 
 // idealAttn evaluates the relaxation over the given (non-empty) buckets:
@@ -827,9 +946,10 @@ func (d *Dispatcher) idealAttn(buckets []bucket) (float64, error) {
 func (d *Dispatcher) poseIdeal(buckets []bucket) *lp.Problem {
 	nW := len(d.workers)
 	nVars := len(buckets)*nW + 1
-	prob, row, emit := d.poseInto(nil, nVars)
+	ps := d.poseInto(nil, nVars)
+	row := ps.row
 	for i := range d.workers {
-		w := d.workers[i]
+		w := &d.workers[i]
 		clear(row)
 		slopeHeads := w.Attn.A
 		if !w.Primary {
@@ -843,7 +963,7 @@ func (d *Dispatcher) poseIdeal(buckets []bucket) *lp.Problem {
 		if !w.Primary {
 			fixed += w.Net.Beta
 		}
-		emit(lp.LE, -fixed)
+		ps.emit(lp.LE, -fixed)
 	}
 	// §5.3.1 uses one aggregate capacity constraint (Σ_i loads ≤ Σ_i M_i).
 	clear(row)
@@ -854,15 +974,15 @@ func (d *Dispatcher) poseIdeal(buckets []bucket) *lp.Problem {
 			row[j*nW+i] += d.perHeadTokenBytes * b.ctx
 		}
 	}
-	emit(lp.LE, totalCap)
+	ps.emit(lp.LE, totalCap)
 	for j, b := range buckets {
 		clear(row)
 		for i := 0; i < nW; i++ {
 			row[j*nW+i] = 1
 		}
-		emit(lp.EQ, float64(d.cfg.Heads)*float64(b.count))
+		ps.emit(lp.EQ, float64(d.cfg.Heads)*float64(b.count))
 	}
-	return prob
+	return ps.prob
 }
 
 // lbSafety shaves the certified lower bound by a relative margin so
@@ -890,10 +1010,7 @@ func (d *Dispatcher) idealLowerBound() float64 {
 		return 0
 	}
 	headTot := float64(d.cfg.Heads) * float64(n)
-	var ctxTot int64
-	for _, s := range d.recs {
-		ctxTot += int64(s.ctx)
-	}
+	ctxTot := d.baseSum + int64(n)*int64(d.clock)
 	byteTot := float64(ctxTot) * d.perHeadTokenBytes * float64(d.cfg.Heads)
 
 	var maxFixed float64
@@ -952,14 +1069,10 @@ type bucket struct {
 	count int
 }
 
-// bucketByContext groups the tracked requests into at most n buckets of
-// similar context length, in ascending context order.
-func bucketByContext(recs []*Slot, n int) []bucket {
-	lens := make([]int, 0, len(recs))
-	for _, s := range recs {
-		lens = append(lens, s.ctx)
-	}
-	sort.Ints(lens)
+// bucketByContext groups context lengths (sorted in place) into at most n
+// buckets of similar length, in ascending context order.
+func bucketByContext(lens []int, n int) []bucket {
+	slices.Sort(lens)
 	if n > len(lens) {
 		n = len(lens)
 	}
@@ -1044,7 +1157,7 @@ func (d *Dispatcher) redispatchBottleneck(frozen map[RequestID]bool) (*Redispatc
 		if heads == 0 || frozen[s.id] {
 			continue
 		}
-		contrib := w.Attn.A*heads + w.Attn.B*heads*d.perHeadTokenBytes*float64(s.ctx)
+		contrib := w.Attn.A*heads + w.Attn.B*heads*d.perHeadTokenBytes*float64(s.ctx())
 		if contrib > maxContrib || (victim != nil && contrib == maxContrib && s.id < victim.id) {
 			maxContrib = contrib
 			victim = s
@@ -1091,7 +1204,7 @@ func (d *Dispatcher) RebalanceMemory(idx int, newestFirst []RequestID) (*Redispa
 	}
 	var sumG, sumM float64
 	for i := range d.workers {
-		sumG += d.g[i]
+		sumG += float64(d.g[i])
 		sumM += d.workers[i].CapacityBytes
 	}
 	if sumG >= sumM {
@@ -1116,7 +1229,7 @@ func (d *Dispatcher) Utilization() []float64 {
 	out := make([]float64, len(d.workers))
 	for i, w := range d.workers {
 		if w.CapacityBytes > 0 {
-			out[i] = d.g[i] / w.CapacityBytes
+			out[i] = float64(d.g[i]) / w.CapacityBytes
 		}
 	}
 	return out
@@ -1133,31 +1246,49 @@ func (d *Dispatcher) CheckInvariants() error {
 			return fmt.Errorf("dispatch: record of request %d at %d is misindexed (idx %d)", s.id, k, s.idx)
 		}
 	}
-	h := make([]float64, len(d.workers))
-	g := make([]float64, len(d.workers))
+	h := make([]int64, len(d.workers))
+	g := make([]int64, len(d.workers))
+	rate := make([]int64, len(d.workers))
+	var baseSum int64
 	r := d.cfg.GroupRatio()
-	for _, id := range d.Requests() {
-		s := d.byID[id]
-		x := s.place
-		total := 0
-		for i, heads := range x {
+	groupBytes := d.cfg.KVBytesPerTokenHeadGroup()
+	for _, s := range d.recs {
+		baseSum += int64(s.base)
+		total, k := 0, 0
+		for i, heads := range s.place {
 			if heads%r != 0 {
-				return fmt.Errorf("dispatch: request %d places %d heads on worker %d (not a multiple of r=%d)", id, heads, i, r)
+				return fmt.Errorf("dispatch: request %d places %d heads on worker %d (not a multiple of r=%d)", s.id, heads, i, r)
 			}
 			total += heads
-			h[i] += float64(heads)
-			g[i] += float64(heads) * d.perHeadTokenBytes * float64(s.ctx)
+			if heads == 0 {
+				continue
+			}
+			bytes := int64(heads) * groupBytes / int64(r)
+			if k >= len(s.shares) || s.shares[k] != (Share{Worker: i, bytes: bytes}) {
+				return fmt.Errorf("dispatch: request %d's shares %v disagree with its placement %v", s.id, s.shares, s.place)
+			}
+			k++
+			h[i] += int64(heads)
+			g[i] += bytes * int64(s.ctx())
+			rate[i] += bytes
+		}
+		if k != len(s.shares) {
+			return fmt.Errorf("dispatch: request %d's shares %v disagree with its placement %v", s.id, s.shares, s.place)
 		}
 		if total != d.cfg.Heads {
-			return fmt.Errorf("dispatch: request %d has %d heads placed, want %d", id, total, d.cfg.Heads)
+			return fmt.Errorf("dispatch: request %d has %d heads placed, want %d", s.id, total, d.cfg.Heads)
+		}
+		if s.ctx() < 0 {
+			return fmt.Errorf("dispatch: request %d has context %d", s.id, s.ctx())
 		}
 	}
+	if baseSum != d.baseSum {
+		return fmt.Errorf("dispatch: context bases sum to %d, tracked %d", baseSum, d.baseSum)
+	}
 	for i := range d.workers {
-		if math.Abs(h[i]-d.h[i]) > 1e-6 {
-			return fmt.Errorf("dispatch: worker %d heads drift: tracked %g, actual %g", i, d.h[i], h[i])
-		}
-		if math.Abs(g[i]-d.g[i]) > 1 {
-			return fmt.Errorf("dispatch: worker %d cache drift: tracked %g, actual %g", i, d.g[i], g[i])
+		if h[i] != d.h[i] || g[i] != d.g[i] || rate[i] != d.rate[i] {
+			return fmt.Errorf("dispatch: worker %d load drift: tracked h %d g %d rate %d, actual %d %d %d",
+				i, d.h[i], d.g[i], d.rate[i], h[i], g[i], rate[i])
 		}
 	}
 	return nil

@@ -43,8 +43,11 @@ func (d *Dispatcher) greedyPlacement(reqs []NewRequest, exclude map[int]bool) ([
 	groupsPerReq := d.cfg.KVHeads
 
 	// Simulated incremental state.
-	h := append([]float64(nil), d.h...)
-	g := append([]float64(nil), d.g...)
+	h := make([]float64, nW)
+	g := make([]float64, nW)
+	for i := range h {
+		h[i], g[i] = float64(d.h[i]), float64(d.g[i])
+	}
 
 	out := make([][]int, len(reqs))
 	for j, rq := range reqs {

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,9 +12,10 @@ import (
 )
 
 // refRecords is the map-keyed bookkeeping the record table replaced, kept
-// as the differential oracle: place/ctxLen maps, the same per-request
-// float updates of h and g, and the ID-ordered first-strict-maximum
-// victim scan of §5.3.1.
+// as the differential oracle: place/ctxLen maps, per-request float updates
+// of h and g with the old release clamps, and the ID-ordered
+// first-strict-maximum victim scan of §5.3.1. Its float loads must equal
+// the dispatcher's integer ones exactly.
 type refRecords struct {
 	d      *Dispatcher // worker table and cost constants only
 	h, g   []float64
@@ -146,8 +148,13 @@ type recordsHarness struct {
 	stale   []staleHandle
 	retired []RequestID // removed IDs, re-admitted now and then like an evicted request
 	nextID  RequestID
-	// staleChecks counts stale-handle assertions, for coverage.
-	staleChecks int
+	// staleChecks counts stale-handle assertions, and batchedSteps and
+	// perRequestSteps the decode steps StepOverflow admitted and declined,
+	// for coverage.
+	staleChecks                   int
+	batchedSteps, perRequestSteps int
+	// batchedFlags counts batched steps that flagged a worker.
+	batchedFlags int
 }
 
 // retire moves id's held handle to the stale list.
@@ -251,16 +258,19 @@ func (x *recordsHarness) step(op int) {
 		if want := ref.extend(id, n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("ExtendContext(%d) overflow %v, reference %v", id, got, want)
 		}
-	case 4, 5, 6: // extend every live request by one token through its handle
+	case 4, 5: // extend every live request by one token through its handle
+		over := make([]bool, d.NumWorkers())
 		for _, id := range ref.ids() {
-			got, err := d.ExtendSlot(x.handle(id), 1)
-			if err != nil {
+			clear(over)
+			if err := d.ExtendSlot(x.handle(id), 1, over); err != nil {
 				t.Fatalf("ExtendSlot(%d): %v", id, err)
 			}
-			if want := ref.extend(id, 1); !reflect.DeepEqual(got, want) {
+			if got, want := flagged(over), ref.extend(id, 1); !reflect.DeepEqual(got, want) {
 				t.Fatalf("ExtendSlot(%d) overflow %v, reference %v", id, got, want)
 			}
 		}
+	case 6, 11: // one decode step: some requests finish, the rest advance
+		x.decodeStep()
 	case 7: // §5.3.1 compute rebalance
 		frozen := map[RequestID]bool{}
 		for _, id := range ref.ids() {
@@ -332,12 +342,86 @@ func (x *recordsHarness) step(op int) {
 	}
 }
 
+// flagged lists the set flags' worker indices, ascending (nil for none).
+func flagged(over []bool) []int {
+	var out []int
+	for i, o := range over {
+		if o {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// decodeStep runs one engine decode step over the live requests in a
+// random batch order, a random subset finishing. The reference walks the
+// batch per request — releasing a finisher, extending the rest by one
+// token — and flags every worker an extension overflowed. The dispatcher
+// takes the batched step StepOverflow admits (releases, then one Advance)
+// or, when StepOverflow declines, the same per-request walk; either way
+// loads, contexts and the flagged workers must match exactly.
+func (x *recordsHarness) decodeStep() {
+	t, rng, d, ref := x.t, x.rng, x.d, x.ref
+	batch := ref.ids()
+	rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	finish := map[RequestID]bool{}
+	var finishing []*Slot
+	for _, id := range batch {
+		if rng.Intn(3) == 0 {
+			finish[id] = true
+			finishing = append(finishing, x.handle(id))
+		}
+	}
+	var want []int
+	for _, id := range batch {
+		if finish[id] {
+			ref.release(id)
+			continue
+		}
+		for _, w := range ref.extend(id, 1) {
+			if !slices.Contains(want, w) {
+				want = append(want, w)
+			}
+		}
+	}
+	slices.Sort(want)
+	over := make([]bool, d.NumWorkers())
+	if d.StepOverflow(finishing, over) {
+		x.batchedSteps++
+		if len(want) > 0 {
+			x.batchedFlags++
+		}
+		for _, s := range finishing {
+			d.Remove(s.id)
+		}
+		d.Advance()
+	} else {
+		x.perRequestSteps++
+		for _, id := range batch {
+			if finish[id] {
+				d.Remove(id)
+			} else if err := d.ExtendSlot(x.handle(id), 1, over); err != nil {
+				t.Fatalf("ExtendSlot(%d): %v", id, err)
+			}
+		}
+	}
+	if got := flagged(over); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decode step flagged %v, reference %v", got, want)
+	}
+	for _, id := range batch {
+		if finish[id] {
+			x.retire(id)
+			x.retired = append(x.retired, id)
+		}
+	}
+}
+
 // check asserts the dispatcher and the reference agree bit for bit, and
 // that every stale handle is detected and inert.
 func (x *recordsHarness) check(step int) {
 	t, d, ref := x.t, x.d, x.ref
 	for i := range d.workers {
-		if d.h[i] != ref.h[i] || d.g[i] != ref.g[i] {
+		if float64(d.h[i]) != ref.h[i] || float64(d.g[i]) != ref.g[i] {
 			t.Fatalf("step %d: worker %d load h %v/%v g %v/%v (dispatcher/reference)", step, i, d.h[i], ref.h[i], d.g[i], ref.g[i])
 		}
 	}
@@ -359,7 +443,7 @@ func (x *recordsHarness) check(step int) {
 		if d.Resolve(sh.s, sh.id) == sh.s {
 			t.Fatalf("step %d: released handle of request %d still resolves as live", step, sh.id)
 		}
-		if _, err := d.ExtendSlot(sh.s, 1); err == nil {
+		if err := d.ExtendSlot(sh.s, 1, make([]bool, d.NumWorkers())); err == nil {
 			t.Fatalf("step %d: stale handle of request %d extended", step, sh.id)
 		}
 		for _, id := range ids {
@@ -390,7 +474,7 @@ func runRecords(t *testing.T, seed int64) (*Dispatcher, *recordsHarness) {
 	}
 	x := &recordsHarness{t: t, rng: rng, d: d, ref: newRefRecords(d), handles: map[RequestID]*Slot{}, nextID: 1}
 	for step := 0; step < 150; step++ {
-		x.step(rng.Intn(11))
+		x.step(rng.Intn(12))
 		x.check(step)
 	}
 	return d, x
@@ -398,10 +482,11 @@ func runRecords(t *testing.T, seed int64) (*Dispatcher, *recordsHarness) {
 
 // FuzzDispatcherRecords drives the record table and the map-keyed
 // reference it replaced through the same random Dispatch / ExtendContext
-// (by id and by handle) / RebalanceCompute / RebalanceMemory / Remove /
-// Clear sequences, asserting bit-identical h and g, identical placements
-// and redispatch victims, and that handles taken before a release are
-// reported stale and never reused.
+// (by id and by handle) / decode step (batched or per request) /
+// RebalanceCompute / RebalanceMemory / Remove / Clear sequences, asserting
+// bit-identical h and g, identical contexts, placements, overflow sets and
+// redispatch victims, and that handles taken before a release are reported
+// stale and never reused.
 func FuzzDispatcherRecords(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1234} {
 		f.Add(seed)
@@ -411,17 +496,22 @@ func FuzzDispatcherRecords(f *testing.F) {
 
 // TestDispatcherRecordsSeeds runs the differential sequence over a fixed
 // seed range in the ordinary test pass, and checks the sequences reached
-// redispatches and stale handles.
+// redispatches, stale handles, and decode steps on both paths.
 func TestDispatcherRecordsSeeds(t *testing.T) {
-	var redispatches, staleChecks int
+	var redispatches, staleChecks, batched, flags, perRequest int
 	for seed := int64(0); seed < 40; seed++ {
 		d, x := runRecords(t, seed)
 		redispatches += d.Redispatches
 		staleChecks += x.staleChecks
+		batched += x.batchedSteps
+		flags += x.batchedFlags
+		perRequest += x.perRequestSteps
 	}
-	t.Logf("%d redispatches, %d stale-handle checks", redispatches, staleChecks)
-	if redispatches == 0 || staleChecks == 0 {
-		t.Fatalf("sequences exercised %d redispatches and %d stale-handle checks; both must be nonzero", redispatches, staleChecks)
+	t.Logf("%d redispatches, %d stale-handle checks, %d batched decode steps (%d flagging a worker), %d per-request ones",
+		redispatches, staleChecks, batched, flags, perRequest)
+	if redispatches == 0 || staleChecks == 0 || flags == 0 || perRequest == 0 {
+		t.Fatalf("sequences exercised %d redispatches, %d stale-handle checks, %d flagging batched and %d per-request decode steps; all must be nonzero",
+			redispatches, staleChecks, flags, perRequest)
 	}
 }
 

@@ -9,7 +9,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
@@ -42,6 +41,14 @@ type Config struct {
 	// (dispatch.Dispatcher.SetCaching). Only tests set it, to run the
 	// cache-free twin of a scenario; decisions must not change.
 	noLPCaching bool
+	// perRequestSteps makes every Hetis decode step take the per-request
+	// loop instead of the batched advance. Only tests set it, to run the
+	// twin the batched step must match byte for byte.
+	perRequestSteps bool
+	// checkStep, when set, runs on every batched Hetis decode step after
+	// the batch's finishers left and before the advance, with the requests
+	// about to advance. Only tests set it.
+	checkStep func(inst *hetisInstance, advancing []*request)
 
 	// MaxPrefillTokens bounds the tokens prefilled per iteration.
 	MaxPrefillTokens int
@@ -196,8 +203,7 @@ type Result struct {
 
 	// DenseTimes and AttnTimes are per-decode-iteration module latencies
 	// (max across stages × stage count, as §7.3 defines), for Fig. 13.
-	DenseTimes []float64
-	AttnTimes  []float64
+	DenseTimes, AttnTimes ModuleSeries
 
 	// HeadSeries and CacheSeries sample per-device head counts and cache
 	// utilization over time (Fig. 14), keyed by device ID.
@@ -257,6 +263,49 @@ type Result struct {
 	// LPs, the numerator of the perf trajectory's "LP share of engine
 	// time".
 	LPSolveSeconds float64
+	// DecodeSteps counts Hetis decode iterations, and PerRequestSteps the
+	// ones that walked the batch request by request instead of taking the
+	// batched advance (see hetisInstance.afterDecode). Both are zero for
+	// the other engines.
+	DecodeSteps, PerRequestSteps int
+}
+
+// seriesPage is the length of one ModuleSeries page: 4096 float64s are
+// 32 KiB, the largest size class the small-object allocator serves.
+const seriesPage = 4096
+
+// ModuleSeries is an append-only series of per-iteration module latencies
+// kept in fixed pages: a run reserves nothing up front, and growing the
+// series never copies what it holds. Values flattens it for readers that
+// need one slice.
+type ModuleSeries struct {
+	pages []*[seriesPage]float64
+	n     int
+}
+
+// Append adds one iteration's latency.
+func (m *ModuleSeries) Append(v float64) {
+	if m.n%seriesPage == 0 {
+		m.pages = append(m.pages, new([seriesPage]float64))
+	}
+	m.pages[m.n/seriesPage][m.n%seriesPage] = v
+	m.n++
+}
+
+// Len is the number of latencies held.
+func (m *ModuleSeries) Len() int { return m.n }
+
+// Values returns the latencies in append order, in a fresh slice (nil
+// when empty).
+func (m *ModuleSeries) Values() []float64 {
+	if m.n == 0 {
+		return nil
+	}
+	out := make([]float64, 0, m.n)
+	for _, p := range m.pages {
+		out = append(out, p[:min(seriesPage, m.n-len(out))]...)
+	}
+	return out
 }
 
 // Throughput is completed requests per simulated second.
@@ -554,23 +603,6 @@ func recordDrop(sink metrics.Sink, r *request, now float64) {
 	})
 }
 
-// moduleSeriesCap estimates the decode-iteration count of a trace for
-// preallocating the §7.3 DenseTimes/AttnTimes series: iterations are
-// bounded by total output tokens (every iteration emits at least one),
-// capped so huge traces don't over-reserve — beyond the cap, growth
-// amortizes as usual.
-func moduleSeriesCap(reqs []workload.Request) int {
-	const maxCap = 1 << 20
-	total := 0
-	for _, r := range reqs {
-		total += r.OutputLen
-		if total >= maxCap {
-			return maxCap
-		}
-	}
-	return total
-}
-
 // moduleLatency implements §7.3's metric: the maximum per-stage execution
 // time multiplied by the number of stages, reflecting pipeline bubbles.
 func moduleLatency(perStage []float64) float64 {
@@ -584,15 +616,4 @@ func moduleLatency(perStage []float64) float64 {
 		}
 	}
 	return max * float64(len(perStage))
-}
-
-// sortedKeys returns a map's int keys in ascending order, for
-// deterministic iteration.
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -327,12 +327,34 @@ func TestModuleTimesRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.DenseTimes) == 0 || len(res.AttnTimes) == 0 {
+	if res.DenseTimes.Len() == 0 || res.AttnTimes.Len() == 0 {
 		t.Fatal("module times missing")
 	}
-	for _, v := range res.DenseTimes {
+	for _, v := range res.DenseTimes.Values() {
 		if v <= 0 {
 			t.Fatal("non-positive dense module time")
+		}
+	}
+}
+
+// TestModuleSeriesPages appends across page boundaries and reads the
+// series back flat, in order.
+func TestModuleSeriesPages(t *testing.T) {
+	var m ModuleSeries
+	if m.Values() != nil || m.Len() != 0 {
+		t.Fatal("an empty series must read back nil")
+	}
+	const n = 2*4096 + 3
+	for i := 0; i < n; i++ {
+		m.Append(float64(i))
+	}
+	vals := m.Values()
+	if m.Len() != n || len(vals) != n {
+		t.Fatalf("%d values held, %d read back, want %d", m.Len(), len(vals), n)
+	}
+	for i, v := range vals {
+		if v != float64(i) {
+			t.Fatalf("value %d reads %g", i, v)
 		}
 	}
 }

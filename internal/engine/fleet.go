@@ -138,9 +138,6 @@ func newReplicaSet[R replica](name string, cfg Config, capBytes int64, reqs []wo
 		Trace:         cfg.newTraceLog(),
 		CacheCapacity: capBytes,
 	}
-	iters := moduleSeriesCap(reqs)
-	res.DenseTimes = make([]float64, 0, iters)
-	res.AttnTimes = make([]float64, 0, iters)
 	f := &replicaSet[R]{fleetCore: fleetCore{cfg: cfg, res: res, sink: sink}}
 	if chaos := cfg.Chaos.normalize(); chaos != nil {
 		f.ctl = newChaosCtl(chaos, res, res.Trace, sink)

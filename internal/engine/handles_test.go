@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -33,6 +35,7 @@ func newHandleInstance(t *testing.T) (*hetisInstance, []*request) {
 		t.Fatal(err)
 	}
 	inst.waiting = newWaitQueue(false)
+	inst.fleet = &fleetCore{res: inst.res}
 	var rs []*request
 	for _, id := range []int64{1, 2} {
 		r := &request{wl: workload.Request{ID: id, PromptLen: 900, OutputLen: 100}, restartCtx: 900, seq: id}
@@ -167,4 +170,77 @@ func TestDecodeHandlesSurviveReplacement(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
+}
+
+// TestBatchedStepFallsBack drives decode steps the batched advance must
+// not take, on twin instances: one takes whichever path batchedStep picks,
+// the other is forced onto the per-request loop. The first must decline
+// the batched step and both must end in the same state.
+func TestBatchedStepFallsBack(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, inst *hetisInstance, rs []*request)
+	}{
+		{"block shortage", func(t *testing.T, inst *hetisInstance, rs []*request) {
+			// Bring request 1 to a block boundary, then leave one of its
+			// workers without a free block for the crossing.
+			s := sim.New()
+			for inst.disp.ContextLen(1)%16 != 0 {
+				inst.extendToken(s, rs[0])
+				inst.extendToken(s, rs[1])
+			}
+			w := rs[0].hx.slot.Shares()[0].Worker
+			m := inst.kv[w]
+			if err := m.Alloc(99, 1, m.FreeBlocks()*16); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"repeated request", func(t *testing.T, inst *hetisInstance, rs []*request) {
+			inst.running = append(inst.running, rs[1])
+		}},
+		{"running request not tracked", func(t *testing.T, inst *hetisInstance, rs []*request) {
+			inst.disp.Remove(2)
+			inst.kvFree(2)
+		}},
+		{"tracked request not running", func(t *testing.T, inst *hetisInstance, rs []*request) {
+			inst.running = inst.running[:1]
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var states [2]string
+			for k, perRequest := range []bool{false, true} {
+				inst, rs := newHandleInstance(t)
+				inst.cfg.perRequestSteps = perRequest
+				c.setup(t, inst, rs)
+				inst.afterDecode(sim.New())
+				if !perRequest && inst.res.PerRequestSteps != 1 {
+					t.Fatalf("the batched step ran (%d per-request steps)", inst.res.PerRequestSteps)
+				}
+				states[k] = stepState(inst, rs)
+			}
+			if states[0] != states[1] {
+				t.Fatalf("state after the step:\n%s\nper-request twin:\n%s", states[0], states[1])
+			}
+		})
+	}
+}
+
+// stepState renders what a decode step can change: the batch, each
+// request's tokens, the dispatcher's loads and contexts, and every block
+// manager's blocks, store operations and per-request tokens.
+func stepState(inst *hetisInstance, rs []*request) string {
+	var b strings.Builder
+	for _, r := range inst.running {
+		fmt.Fprintf(&b, "running %d ", r.wl.ID)
+	}
+	for _, r := range rs {
+		fmt.Fprintf(&b, "\nrequest %d generated %d ctx %d", r.wl.ID, r.generated, inst.disp.ContextLen(r.wl.ID))
+	}
+	for i, m := range inst.kv {
+		fmt.Fprintf(&b, "\nworker %d g %g free %d store %d tokens %d/%d/%d",
+			i, inst.disp.CacheBytes(i), m.FreeBlocks(), m.StoreOps(), m.Tokens(1), m.Tokens(2), m.Tokens(99))
+	}
+	fmt.Fprintf(&b, "\nevictions %d", inst.res.Evictions)
+	return b.String()
 }

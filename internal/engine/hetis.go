@@ -174,12 +174,16 @@ type hetisInstance struct {
 	// invalidation; attention costs depend on the live head assignment and
 	// are recomputed every iteration.
 	decodeMemo map[int]*decodeCost
-	// attnScratch and stillBuf are per-iteration scratch reused across
-	// decode steps; overflowHit is the worker-indexed overflow marker that
-	// replaces a per-step map.
+	// attnScratch, stillBuf and finishing are per-iteration scratch reused
+	// across decode steps; overflowHit flags, by worker index, the workers
+	// a prefill or decode step left over their dispatch capacity.
 	attnScratch []float64
 	stillBuf    []*request
+	finishing   []*dispatch.Slot
 	overflowHit []bool
+	// decodeDone is the cached decode-completion callback, so scheduling a
+	// step allocates no closure.
+	decodeDone func(*sim.Simulator)
 	// idScratch collects a worker's resident request IDs for memory
 	// pressure's newest-first candidate list.
 	idScratch []kvcache.RequestID
@@ -269,6 +273,8 @@ func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstan
 		d.SetCaching(false)
 	}
 	inst.disp = d
+	inst.overflowHit = make([]bool, len(workers))
+	inst.decodeDone = inst.onDecodeDone
 	return inst, nil
 }
 
@@ -443,7 +449,6 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 	dt := inst.prefillTime(prompts, admitted) + inst.pendingDelay
 	inst.pendingDelay = 0
 	inst.pending = s.After(dt, "prefill-done", func(s *sim.Simulator) {
-		overflown := map[int]bool{}
 		for _, r := range admitted {
 			if inst.byID[r.wl.ID] != r {
 				continue // evicted while the batch completed
@@ -461,15 +466,11 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 				continue
 			}
 			// Account the first generated token's KV.
-			for _, w := range inst.extendToken(s, r) {
-				overflown[w] = true
-			}
+			inst.extendToken(s, r)
 			inst.running = append(inst.running, r)
 		}
 		inst.fleet.flushFinishes()
-		for _, w := range sortedKeys(overflown) {
-			inst.handleMemoryPressure(s, w)
-		}
+		inst.relieveOverflow(s)
 		inst.step(s)
 	})
 	return true
@@ -559,26 +560,35 @@ func (inst *hetisInstance) tryDecode(s *sim.Simulator) bool {
 	attn := float64(cfg.Model.Layers) * attnPerLayer
 
 	// §7.3 module metrics.
-	inst.res.DenseTimes = append(inst.res.DenseTimes, cost.denseModule)
+	inst.res.DenseTimes.Append(cost.denseModule)
 	if inst.attnScratch == nil {
 		inst.attnScratch = make([]float64, len(inst.stages))
 	}
 	for k, st := range inst.stages {
 		inst.attnScratch[k] = float64(st.Layers) * attnPerLayer
 	}
-	inst.res.AttnTimes = append(inst.res.AttnTimes, moduleLatency(inst.attnScratch))
+	inst.res.AttnTimes.Append(moduleLatency(inst.attnScratch))
 
 	dt := cost.dense + attn + inst.pendingDelay
 	inst.pendingDelay = 0
-	inst.pending = s.After(dt, "decode-done", func(s *sim.Simulator) {
-		inst.afterDecode(s)
-		inst.step(s)
-	})
+	inst.pending = s.After(dt, "decode-done", inst.decodeDone)
 	return true
+}
+
+// onDecodeDone is the decode-completion callback.
+func (inst *hetisInstance) onDecodeDone(s *sim.Simulator) {
+	inst.afterDecode(s)
+	inst.step(s)
 }
 
 // afterDecode advances every running request by one token and runs the
 // §5.3 maintenance: memory-pressure handling and compute re-balancing.
+//
+// The step is batched whenever batchedStep allows: the finishers leave,
+// then the dispatcher and every block manager advance all remaining
+// requests at once, in O(workers). Otherwise it walks the batch request by
+// request, extending each in turn — the one order that reproduces a block
+// shortage's mid-batch evictions, and the one other path the step keeps.
 func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 	cfg := inst.cfg
 	// still reuses a second buffer double-swapped with running, so the
@@ -587,21 +597,36 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 	// semantics: evictions triggered mid-loop splice inst.running (the old
 	// array) and never touch still.
 	still := inst.stillBuf[:0]
-	if inst.overflowHit == nil {
-		inst.overflowHit = make([]bool, inst.disp.NumWorkers())
-	}
-	anyOverflow := false
-	for _, r := range inst.running {
-		r.generated++
-		if r.done() {
-			inst.finishDeferred(s, r)
-			continue
+	inst.res.DecodeSteps++
+	if inst.batchedStep() {
+		for _, r := range inst.running {
+			r.generated++
+			if r.done() {
+				inst.finishDeferred(s, r)
+				continue
+			}
+			still = append(still, r)
 		}
-		for _, w := range inst.extendToken(s, r) {
-			inst.overflowHit[w] = true
-			anyOverflow = true
+		if cfg.checkStep != nil {
+			cfg.checkStep(inst, still)
 		}
-		still = append(still, r)
+		inst.disp.Advance()
+		for _, m := range inst.kv {
+			// Cannot fail: batchedStep saw every manager's demand fit
+			// before the finishers freed blocks.
+			_ = m.Advance()
+		}
+	} else {
+		inst.res.PerRequestSteps++
+		for _, r := range inst.running {
+			r.generated++
+			if r.done() {
+				inst.finishDeferred(s, r)
+				continue
+			}
+			inst.extendToken(s, r)
+			still = append(still, r)
+		}
 	}
 	inst.fleet.flushFinishes()
 	prev := inst.running
@@ -613,15 +638,7 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 	inst.stillBuf = prev[:0]
 	inst.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindDecode, Value: float64(len(still))})
 
-	if anyOverflow {
-		// Ascending worker order, like the sorted map keys it replaces.
-		for w := range inst.overflowHit {
-			if inst.overflowHit[w] {
-				inst.overflowHit[w] = false
-				inst.handleMemoryPressure(s, w)
-			}
-		}
-	}
+	inst.relieveOverflow(s)
 	inst.decodeSteps++
 	every := cfg.RebalanceEvery
 	if every <= 0 {
@@ -633,6 +650,54 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 		}
 	}
 	inst.trackPeak()
+}
+
+// batchedStep reports whether this decode step may advance the batch at
+// once, and if so sets overflowHit to the workers the per-request loop
+// would flag. Three conditions make the batched step indistinguishable
+// from that loop:
+//   - the batch is exactly the tracked requests, each once: every tracked
+//     request is running (the tests' checkStep asserts it), so equal
+//     counts leave no room for an untracked or repeated entry;
+//   - no block manager can run short: each one's demand for all its
+//     entries, the finishers' too, fits its free blocks, so no extension
+//     fails whatever finishes first;
+//   - the flags do not depend on the batch order (dispatch.StepOverflow).
+func (inst *hetisInstance) batchedStep() bool {
+	if inst.cfg.perRequestSteps || len(inst.running) != inst.disp.Len() {
+		return false
+	}
+	for _, m := range inst.kv {
+		if m.StepDemand() > m.FreeBlocks() {
+			return false
+		}
+	}
+	fin := inst.finishing[:0]
+	for _, r := range inst.running {
+		if r.generated+1 < r.wl.OutputLen {
+			continue // r.done() stays false after this step's token
+		}
+		hx := inst.handles(r)
+		if hx.slot = inst.disp.Resolve(hx.slot, r.wl.ID); hx.slot == nil {
+			return false
+		}
+		fin = append(fin, hx.slot)
+	}
+	ok := inst.disp.StepOverflow(fin, inst.overflowHit)
+	clear(fin)
+	inst.finishing = fin[:0]
+	return ok
+}
+
+// relieveOverflow runs §5.3.2 on every worker overflowHit flags, in
+// ascending worker order, clearing the flags.
+func (inst *hetisInstance) relieveOverflow(s *sim.Simulator) {
+	for w, hit := range inst.overflowHit {
+		if hit {
+			inst.overflowHit[w] = false
+			inst.handleMemoryPressure(s, w)
+		}
+	}
 }
 
 // underWatermark reports whether admitting ctx more tokens of full-head
@@ -714,19 +779,19 @@ func (inst *hetisInstance) handles(r *request) *hetisHandles {
 	return hx
 }
 
-// extendToken accounts one freshly generated token of r: the dispatcher's
-// per-worker cache load first, then the block managers (kvExtend). It
-// reports the workers whose dispatch capacity the growth overflows; a
-// request the dispatcher does not track is left alone.
-func (inst *hetisInstance) extendToken(s *sim.Simulator, r *request) []int {
+// extendToken accounts one freshly generated token of r alone: the
+// dispatcher's per-worker cache load first, flagging in overflowHit the
+// workers whose dispatch capacity the growth overflows, then the block
+// managers (kvExtend). A request the dispatcher does not track is left
+// alone.
+func (inst *hetisInstance) extendToken(s *sim.Simulator, r *request) {
 	hx := inst.handles(r)
 	hx.slot = inst.disp.Resolve(hx.slot, r.wl.ID)
 	if hx.slot == nil {
-		return nil
+		return
 	}
-	over, _ := inst.disp.ExtendSlot(hx.slot, 1)
+	_ = inst.disp.ExtendSlot(hx.slot, 1, inst.overflowHit) // the handle was just resolved
 	inst.kvExtend(s, hx, r.wl.ID)
-	return over
 }
 
 // kvExtend grows the block allocation by one token on every worker holding

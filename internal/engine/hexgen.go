@@ -265,8 +265,8 @@ func (rt *staticRuntime) tryDecode(s *sim.Simulator) bool {
 		ctxTokens += int64(r.contextLen())
 	}
 	dt, dense, attn := rt.pipe.decodeTime(rt.est, rt.cfg, len(rt.running), ctxTokens)
-	rt.res.DenseTimes = append(rt.res.DenseTimes, dense)
-	rt.res.AttnTimes = append(rt.res.AttnTimes, attn)
+	rt.res.DenseTimes.Append(dense)
+	rt.res.AttnTimes.Append(attn)
 	rt.pending = s.After(dt, "hexgen-decode", rt.decodeDoneFn)
 	return true
 }

@@ -321,8 +321,8 @@ func (rt *splitwiseRuntime) decodeStep(s *sim.Simulator) {
 		ctxTokens += int64(r.contextLen())
 	}
 	dt, dense, attn := dec.decodeTime(rt.sw.est, cfg, len(rt.running), ctxTokens)
-	rt.res.DenseTimes = append(rt.res.DenseTimes, dense)
-	rt.res.AttnTimes = append(rt.res.AttnTimes, attn)
+	rt.res.DenseTimes.Append(dense)
+	rt.res.AttnTimes.Append(attn)
 	rt.decodePending = s.After(dt, "sw-decode-done", func(s *sim.Simulator) {
 		rt.afterDecode(s)
 		rt.decodeStep(s)

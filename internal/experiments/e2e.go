@@ -157,8 +157,8 @@ func Fig12(opts Options) (*metrics.Table, error) {
 // Hetis.
 func Fig13(opts Options) (*metrics.Table, error) {
 	tab := &metrics.Table{Header: []string{"Module", "Dataset", "Hetis", "Hexgen", "Splitwise"}}
-	p95 := func(vals []float64) float64 {
-		return metrics.SummarizeValues(vals).P95
+	p95 := func(s engine.ModuleSeries) float64 {
+		return metrics.SummarizeValues(s.Values()).P95
 	}
 	for _, ds := range []string{"SG", "HE", "LB"} {
 		het, hex, sw, err := runFig12Setting(ds, opts)

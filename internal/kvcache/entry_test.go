@@ -14,11 +14,13 @@ type refAlloc struct {
 }
 
 // runManagerExtend drives a Manager and a division-only reference through
-// one seeded Alloc / Extend (by id and by handle) / GrowGroups /
-// ShrinkGroups / Free sequence, checking after every step that the room
-// fast path allocated exactly the blocks blocksFor recomputes, that
-// VictimLIFOExcept matches the reference's newest allocation, and that
-// handles to freed entries are stale and inert.
+// one seeded Alloc / Extend (by id and by handle) / Advance / GrowGroups /
+// ShrinkGroups / Free sequence, checking after every step that the
+// phase-counted representation holds exactly the blocks, tokens and store
+// operations the reference recomputes — Advance as one token on every
+// entry, all or nothing — that VictimLIFOExcept matches the reference's
+// newest allocation, and that handles to freed entries are stale and
+// inert.
 func runManagerExtend(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := Config{
@@ -38,6 +40,7 @@ func runManagerExtend(t *testing.T, seed int64) {
 	}
 	var dead []stale
 	arrival := 0
+	var storeOps int64
 	blocks := func(a *refAlloc) int {
 		return a.groups * ((a.tokens + cfg.BlockTokens - 1) / cfg.BlockTokens)
 	}
@@ -63,7 +66,7 @@ func runManagerExtend(t *testing.T, seed int64) {
 		delete(ref, id)
 	}
 	for step := 0; step < 300; step++ {
-		switch op := rng.Intn(8); op {
+		switch op := rng.Intn(10); op {
 		case 0, 1: // alloc, sometimes re-using a freed ID
 			id := RequestID(rng.Intn(40))
 			groups, tokens := 1+rng.Intn(4), rng.Intn(80)
@@ -83,6 +86,7 @@ func runManagerExtend(t *testing.T, seed int64) {
 			default:
 				ref[id] = want
 				arrival++
+				storeOps += int64(groups)
 			}
 		case 2, 3, 4: // extend by id or through the handle
 			id, ok := pick()
@@ -114,6 +118,29 @@ func runManagerExtend(t *testing.T, seed int64) {
 				t.Fatalf("step %d: extend: %v", step, err)
 			} else {
 				a.tokens += n
+				storeOps += int64(a.groups)
+			}
+		case 8, 9: // one decode step of every entry at once
+			need := 0
+			for _, a := range ref {
+				need += blocks(&refAlloc{groups: a.groups, tokens: a.tokens + 1}) - blocks(a)
+			}
+			if got := m.StepDemand(); got != need {
+				t.Fatalf("step %d: step demand %d, reference %d", step, got, need)
+			}
+			err := m.Advance()
+			if need > m.TotalBlocks()-used() {
+				if !errors.Is(err, ErrNoSpace) {
+					t.Fatalf("step %d: advance beyond capacity: %v", step, err)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("step %d: advance: %v", step, err)
+			}
+			for _, a := range ref {
+				a.tokens++
+				storeOps += int64(a.groups)
 			}
 		case 5: // grow groups
 			id, ok := pick()
@@ -132,6 +159,7 @@ func runManagerExtend(t *testing.T, seed int64) {
 				t.Fatalf("step %d: grow: %v", step, err)
 			} else {
 				a.groups += extra
+				storeOps += int64(extra)
 			}
 		case 6: // shrink groups, possibly to zero
 			id, ok := pick()
@@ -160,6 +188,9 @@ func runManagerExtend(t *testing.T, seed int64) {
 		}
 		if got, want := m.UsedBlocks(), used(); got != want {
 			t.Fatalf("step %d: %d blocks used, reference %d", step, got, want)
+		}
+		if got := m.StoreOps(); got != storeOps {
+			t.Fatalf("step %d: %d store ops, reference %d", step, got, storeOps)
 		}
 		var newest, second RequestID = -1, -1
 		for id, a := range ref {
@@ -216,23 +247,34 @@ func TestManagerExtendSeeds(t *testing.T) {
 	}
 }
 
+// room is the number of tokens each of the entry's groups still has free
+// in its last block.
+func (e *Entry) room() int {
+	return e.m.perGroup(e.tokens())*e.m.cfg.BlockTokens - e.tokens()
+}
+
 // TestExtendEntryRoomCounter walks one entry across block boundaries token
-// by token and in a multi-block jump, pinning blocks and room at each step.
+// by token, by Advance, and in a multi-block jump, pinning tokens, blocks
+// and room at each step.
 func TestExtendEntryRoomCounter(t *testing.T) {
 	m := newTestManager(t, 100)
 	mustOK(t, m.Alloc(1, 2, 15))
 	e := m.Resolve(nil, 1)
-	if e.room != 1 || e.blocks != 2 {
-		t.Fatalf("after alloc: room %d blocks %d, want 1 and 2", e.room, e.blocks)
+	if e.room() != 1 || e.blocks() != 2 {
+		t.Fatalf("after alloc: room %d blocks %d, want 1 and 2", e.room(), e.blocks())
 	}
 	mustOK(t, m.ExtendEntry(e, 1)) // fills the last block
-	mustOK(t, m.ExtendEntry(e, 1)) // crosses into a new block per group
-	if e.tokens != 17 || e.room != 15 || e.blocks != 4 {
-		t.Fatalf("after crossing: tokens %d room %d blocks %d, want 17, 15, 4", e.tokens, e.room, e.blocks)
+	if m.StepDemand() != 2 {
+		t.Fatalf("a full last block needs one block per group next step, demand %d", m.StepDemand())
+	}
+	mustOK(t, m.Advance()) // crosses into a new block per group
+	if e.tokens() != 17 || e.room() != 15 || e.blocks() != 4 || m.StepDemand() != 0 {
+		t.Fatalf("after crossing: tokens %d room %d blocks %d demand %d, want 17, 15, 4, 0",
+			e.tokens(), e.room(), e.blocks(), m.StepDemand())
 	}
 	mustOK(t, m.ExtendEntry(e, 40)) // 57 tokens: 4 blocks per group
-	if e.room != 7 || e.blocks != 8 {
-		t.Fatalf("after a multi-block jump: room %d blocks %d, want 7 and 8", e.room, e.blocks)
+	if e.room() != 7 || e.blocks() != 8 {
+		t.Fatalf("after a multi-block jump: room %d blocks %d, want 7 and 8", e.room(), e.blocks())
 	}
 	mustOK(t, m.CheckInvariants())
 	m.Free(1)

@@ -43,21 +43,25 @@ func (c Config) BlockBytes() int64 {
 // eviction or failover. Freed entries are never reused, so a stale handle
 // can only be detected, never alias another request; Resolve refreshes
 // one by id.
+//
+// The context length is base plus the manager's step clock, and the block
+// count groups × ⌈tokens/BlockTokens⌉; both are derived when read, so a
+// batched decode step (Advance) moves every entry without touching it.
 type Entry struct {
-	id     RequestID
-	m      *Manager
-	groups int
-	tokens int
-	blocks int // groups * ceil(tokens/blockTokens)
-	// room is the number of tokens each group's last block still has free
-	// (blocks/groups*BlockTokens - tokens), so a token that stays inside
-	// the current block costs one decrement, and one that crosses into the
-	// next block one block per group — neither needs blocksFor's division.
-	room    int
+	id      RequestID
+	m       *Manager
+	groups  int
+	base    int   // tokens − m.clock
 	arrival int64 // allocation sequence, drives modified-LIFO eviction
 	// idx is the entry's position in its manager's table, -1 once freed.
 	idx int
 }
+
+// tokens is the entry's context length.
+func (e *Entry) tokens() int { return e.base + e.m.clock }
+
+// blocks is the entry's block count.
+func (e *Entry) blocks() int { return e.m.blocksFor(e.groups, e.tokens()) }
 
 // Manager allocates head-group cache blocks on one device.
 type Manager struct {
@@ -66,9 +70,21 @@ type Manager struct {
 	freeBlocks  int
 	// ents holds the live entries, dense in no particular order (Free
 	// swap-removes), for the whole-device walks; reqs indexes them by id.
-	ents        []*Entry
-	reqs        map[RequestID]*Entry
+	ents []*Entry
+	reqs map[RequestID]*Entry
+	// slab is the unused tail of the chunk new entries are carved from.
+	slab        []Entry
 	nextArrival int64
+	// clock counts Advance steps: every live entry's context grew by one
+	// token per step (see Entry). cross is −clock modulo BlockTokens, the
+	// phase whose entries fill their last blocks exactly.
+	clock, cross int
+	// phaseGroups[p] sums the groups of the live entries whose base is p
+	// modulo BlockTokens; groups sums them all. An entry needs a new block
+	// per group exactly when its context is a multiple of BlockTokens, so
+	// one step's block demand is a single phase's sum (see StepDemand).
+	phaseGroups []int
+	groups      int
 	// Ops counters, used by the management-overhead experiment (Fig. 15b).
 	storeOps int64
 	fetchOps int64
@@ -90,6 +106,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		totalBlocks: int(cfg.CapacityBytes / cfg.BlockBytes()),
 		freeBlocks:  int(cfg.CapacityBytes / cfg.BlockBytes()),
 		reqs:        make(map[RequestID]*Entry),
+		phaseGroups: make([]int, cfg.BlockTokens),
 	}, nil
 }
 
@@ -137,6 +154,26 @@ func (m *Manager) CanAlloc(groups, tokens int) bool {
 	return m.blocksFor(groups, tokens) <= m.freeBlocks
 }
 
+// phase is the slot of phaseGroups an entry with the given base counts in.
+func (m *Manager) phase(base int) int {
+	p := base % m.cfg.BlockTokens
+	if p < 0 {
+		p += m.cfg.BlockTokens
+	}
+	return p
+}
+
+// addGroups moves n groups of an entry with the given base into (n > 0)
+// or out of (n < 0) the phase counters.
+func (m *Manager) addGroups(base, n int) {
+	m.phaseGroups[m.phase(base)] += n
+	m.groups += n
+}
+
+// entrySlabChunk is the number of entries carved per allocation. Entries
+// are never reused, so the chunking only amortizes the allocator.
+const entrySlabChunk = 64
+
 // Alloc reserves cache for `groups` KV head groups of request id, each with
 // `tokens` of context. A request may be allocated only once per device;
 // use Extend to grow it or GrowGroups to add head groups.
@@ -152,11 +189,16 @@ func (m *Manager) Alloc(id RequestID, groups, tokens int) error {
 		return fmt.Errorf("%w: need %d blocks, %d free", ErrNoSpace, need, m.freeBlocks)
 	}
 	m.freeBlocks -= need
-	e := &Entry{
-		id: id, m: m, groups: groups, tokens: tokens, blocks: need,
-		room:    m.perGroup(tokens)*m.cfg.BlockTokens - tokens,
+	if len(m.slab) == 0 {
+		m.slab = make([]Entry, entrySlabChunk)
+	}
+	e := &m.slab[0]
+	m.slab = m.slab[1:]
+	*e = Entry{
+		id: id, m: m, groups: groups, base: tokens - m.clock,
 		arrival: m.nextArrival, idx: len(m.ents),
 	}
+	m.addGroups(e.base, groups)
 	m.ents = append(m.ents, e)
 	m.reqs[id] = e
 	m.nextArrival++
@@ -174,12 +216,9 @@ func (m *Manager) Extend(id RequestID, n int) error {
 	return m.ExtendEntry(e, n)
 }
 
-// ExtendEntry is Extend through an entry handle. Tokens that fit in the
-// room left in each group's last block cost one decrement; an extension
-// spilling into at most one more block per group (every decode token)
-// adds that block without division; only a longer one recomputes the
-// allocation. A nil or stale handle is an error (see Resolve); ErrNoSpace
-// leaves the entry unchanged.
+// ExtendEntry is Extend through an entry handle, for one request alone
+// (Advance moves every entry at once). A nil or stale handle is an error
+// (see Resolve); ErrNoSpace leaves the entry unchanged.
 func (m *Manager) ExtendEntry(e *Entry, n int) error {
 	if e == nil || e.m != m || e.idx < 0 {
 		return fmt.Errorf("kvcache: stale or missing entry handle")
@@ -187,25 +226,43 @@ func (m *Manager) ExtendEntry(e *Entry, n int) error {
 	if n < 0 {
 		return fmt.Errorf("kvcache: negative extension %d", n)
 	}
-	newBlocks, room := e.blocks, e.room-n
-	if spill := n - e.room; spill > 0 {
-		if spill <= m.cfg.BlockTokens {
-			newBlocks += e.groups
-			room = m.cfg.BlockTokens - spill
-		} else {
-			perGroup := m.perGroup(e.tokens + n)
-			newBlocks = e.groups * perGroup
-			room = perGroup*m.cfg.BlockTokens - e.tokens - n
-		}
-		if delta := newBlocks - e.blocks; delta > m.freeBlocks {
-			return fmt.Errorf("%w: extension needs %d blocks, %d free", ErrNoSpace, delta, m.freeBlocks)
-		}
+	tokens := e.tokens()
+	delta := e.groups * (m.perGroup(tokens+n) - m.perGroup(tokens))
+	if delta > m.freeBlocks {
+		return fmt.Errorf("%w: extension needs %d blocks, %d free", ErrNoSpace, delta, m.freeBlocks)
 	}
-	m.freeBlocks -= newBlocks - e.blocks
-	e.tokens += n
-	e.blocks = newBlocks
-	e.room = room
+	m.freeBlocks -= delta
+	m.addGroups(e.base, -e.groups)
+	e.base += n
+	m.addGroups(e.base, e.groups)
 	m.storeOps += int64(e.groups) // per-group append
+	return nil
+}
+
+// StepDemand is the number of blocks Advance would allocate: one per
+// group of every entry whose context fills its last blocks exactly.
+func (m *Manager) StepDemand() int {
+	// Context base+clock ≡ 0 (mod BlockTokens) ⇔ base ≡ −clock.
+	return m.phaseGroups[m.cross]
+}
+
+// Advance grows every live entry by one token — one decode step of the
+// whole device — in O(1): the crossing phase's groups take a block each
+// and every group counts one append, exactly what ExtendEntry(e, 1) on
+// each entry would do. When the step's demand exceeds the free blocks it
+// returns ErrNoSpace and changes nothing; per-entry extension is then the
+// only way to decide who gets the blocks.
+func (m *Manager) Advance() error {
+	need := m.StepDemand()
+	if need > m.freeBlocks {
+		return fmt.Errorf("%w: step needs %d blocks, %d free", ErrNoSpace, need, m.freeBlocks)
+	}
+	m.freeBlocks -= need
+	m.storeOps += int64(m.groups)
+	m.clock++
+	if m.cross--; m.cross < 0 {
+		m.cross += m.cfg.BlockTokens
+	}
 	return nil
 }
 
@@ -230,14 +287,13 @@ func (m *Manager) GrowGroups(id RequestID, extra int) error {
 	if extra <= 0 {
 		return fmt.Errorf("kvcache: GrowGroups needs positive extra, got %d", extra)
 	}
-	newBlocks := m.blocksFor(e.groups+extra, e.tokens)
-	delta := newBlocks - e.blocks
+	delta := extra * m.perGroup(e.tokens())
 	if delta > m.freeBlocks {
 		return fmt.Errorf("%w: growth needs %d blocks, %d free", ErrNoSpace, delta, m.freeBlocks)
 	}
 	m.freeBlocks -= delta
 	e.groups += extra
-	e.blocks = newBlocks
+	m.addGroups(e.base, extra)
 	m.storeOps += int64(extra)
 	return nil
 }
@@ -256,10 +312,9 @@ func (m *Manager) ShrinkGroups(id RequestID, removed int) error {
 		m.Free(id)
 		return nil
 	}
-	newBlocks := m.blocksFor(e.groups-removed, e.tokens)
-	m.freeBlocks += e.blocks - newBlocks
+	m.freeBlocks += removed * m.perGroup(e.tokens())
 	e.groups -= removed
-	e.blocks = newBlocks
+	m.addGroups(e.base, -removed)
 	return nil
 }
 
@@ -270,7 +325,8 @@ func (m *Manager) Free(id RequestID) {
 	if !ok {
 		return
 	}
-	m.freeBlocks += e.blocks
+	m.freeBlocks += e.blocks()
+	m.addGroups(e.base, -e.groups)
 	last := m.ents[len(m.ents)-1]
 	last.idx = e.idx
 	m.ents[e.idx] = last
@@ -298,7 +354,7 @@ func (m *Manager) Groups(id RequestID) int {
 // Tokens returns the context length request id holds here (0 if absent).
 func (m *Manager) Tokens(id RequestID) int {
 	if e, ok := m.reqs[id]; ok {
-		return e.tokens
+		return e.tokens()
 	}
 	return 0
 }
@@ -306,7 +362,7 @@ func (m *Manager) Tokens(id RequestID) int {
 // BytesOf is the exact byte footprint of request id on this device.
 func (m *Manager) BytesOf(id RequestID) int64 {
 	if e, ok := m.reqs[id]; ok {
-		return int64(e.blocks) * m.cfg.BlockBytes()
+		return int64(e.blocks()) * m.cfg.BlockBytes()
 	}
 	return 0
 }
@@ -374,7 +430,8 @@ func (m *Manager) CheckInvariants() error {
 	if len(m.reqs) != len(m.ents) {
 		return fmt.Errorf("kvcache: %d entries but %d indexed", len(m.ents), len(m.reqs))
 	}
-	used := 0
+	used, groups := 0, 0
+	phases := make([]int, m.cfg.BlockTokens)
 	for k, e := range m.ents {
 		id := e.id
 		if e.idx != k || e.m != m || m.reqs[id] != e {
@@ -383,17 +440,26 @@ func (m *Manager) CheckInvariants() error {
 		if e.groups <= 0 {
 			return fmt.Errorf("kvcache: request %d with %d groups", id, e.groups)
 		}
-		want := m.blocksFor(e.groups, e.tokens)
-		if e.blocks != want {
-			return fmt.Errorf("kvcache: request %d holds %d blocks, want %d", id, e.blocks, want)
+		if e.tokens() < 0 {
+			return fmt.Errorf("kvcache: request %d with %d tokens", id, e.tokens())
 		}
-		if room := want/e.groups*m.cfg.BlockTokens - e.tokens; e.room != room {
-			return fmt.Errorf("kvcache: request %d has room %d in its last blocks, want %d", id, e.room, room)
-		}
-		used += e.blocks
+		used += e.blocks()
+		groups += e.groups
+		phases[m.phase(e.base)] += e.groups
 	}
 	if used+m.freeBlocks != m.totalBlocks {
 		return fmt.Errorf("kvcache: leak: used %d + free %d != total %d", used, m.freeBlocks, m.totalBlocks)
+	}
+	if m.cross != m.phase(-m.clock) {
+		return fmt.Errorf("kvcache: crossing phase %d at clock %d", m.cross, m.clock)
+	}
+	if groups != m.groups {
+		return fmt.Errorf("kvcache: %d groups live, counted %d", groups, m.groups)
+	}
+	for p, n := range phases {
+		if m.phaseGroups[p] != n {
+			return fmt.Errorf("kvcache: phase %d holds %d groups, counted %d", p, n, m.phaseGroups[p])
+		}
 	}
 	return nil
 }

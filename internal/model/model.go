@@ -236,9 +236,12 @@ var (
 	}
 )
 
+// presets lists every preset ByName resolves.
+var presets = []Config{OPT27B, OPT13B, OPT30B, Llama13B, Llama70B}
+
 // ByName resolves a preset config by case-insensitive name.
 func ByName(name string) (Config, error) {
-	for _, m := range []Config{OPT27B, OPT13B, OPT30B, Llama13B, Llama70B} {
+	for _, m := range presets {
 		if strings.EqualFold(m.Name, name) {
 			return m, nil
 		}

@@ -7,9 +7,22 @@ import (
 )
 
 func TestPresetsValidate(t *testing.T) {
-	for _, m := range []Config{OPT27B, OPT13B, OPT30B, Llama13B, Llama70B} {
+	for _, m := range presets {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", m.Name, err)
+		}
+	}
+}
+
+// TestPresetsPerHeadBytesIntegral pins the property that makes the
+// dispatcher's integer cache loads equal the float ones the Eq. 7 LP was
+// first posed with: one query head's share of a KV head group's per-token
+// bytes, KVBytesPerTokenHeadGroup / GroupRatio, is a whole number of bytes
+// for every preset, so heads × that share × tokens is an exact integer.
+func TestPresetsPerHeadBytesIntegral(t *testing.T) {
+	for _, m := range presets {
+		if b, r := m.KVBytesPerTokenHeadGroup(), int64(m.GroupRatio()); b%r != 0 {
+			t.Errorf("%s: %d KV bytes per token and head group do not divide by r = %d", m.Name, b, r)
 		}
 	}
 }

@@ -198,6 +198,8 @@ func (f *FleetRun) mergeResults() *engine.Result {
 		out.LPIdealSolves += r.LPIdealSolves
 		out.LPPatchedRows += r.LPPatchedRows
 		out.LPSolveSeconds += r.LPSolveSeconds
+		out.DecodeSteps += r.DecodeSteps
+		out.PerRequestSteps += r.PerRequestSteps
 		if r.Horizon > out.Horizon {
 			out.Horizon = r.Horizon
 		}

@@ -73,6 +73,18 @@ func main() {
 
 // run is the testable body of main: it parses args, runs the selected
 // mode, and writes tables to stdout and timings to stderr.
+// printList writes the experiment ids and scenario names -list shows.
+func printList(w io.Writer) {
+	fmt.Fprintln(w, "available experiments:")
+	for _, id := range hetis.ExperimentIDs() {
+		fmt.Fprintf(w, "  %s\n", id)
+	}
+	fmt.Fprintln(w, "available scenarios:")
+	for _, name := range hetis.ScenarioNames() {
+		fmt.Fprintf(w, "  %s%s\n", name, scenarioTag(name))
+	}
+}
+
 func run(argv []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("hetisbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -128,14 +140,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 
 	if *list {
-		fmt.Fprintln(stdout, "available experiments:")
-		for _, id := range hetis.ExperimentIDs() {
-			fmt.Fprintf(stdout, "  %s\n", id)
-		}
-		fmt.Fprintln(stdout, "available scenarios:")
-		for _, name := range hetis.ScenarioNames() {
-			fmt.Fprintf(stdout, "  %s%s\n", name, scenarioTag(name))
-		}
+		printList(stdout)
 		return nil
 	}
 
@@ -146,6 +151,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if on {
 			modes++
 		}
+	}
+	if modes == 0 {
+		// No mode at all: show what can be passed before the usage error.
+		printList(stdout)
 	}
 	if modes != 1 {
 		return usageError("need exactly one of -exp, -grid, -scenario or -bench (see -h; -list shows ids)")
@@ -193,13 +202,14 @@ func run(argv []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			emit(stdout, tab, *csv)
-			// Keep -csv stdout machine-parseable: the per-run banners go to
-			// stderr there, so stdout stays a sequence of pure CSV tables.
+			// Keep -csv stdout machine-parseable: the banners go to stderr
+			// there, so stdout stays a sequence of pure CSV tables.
 			banners := stdout
 			if *csv {
 				banners = stderr
 			}
+			fmt.Fprintln(banners, "=== scenarios, streaming ===")
+			emit(stdout, tab, *csv)
 			for _, w := range wins {
 				fmt.Fprintf(banners, "\n=== windows %s/%s (%gs buckets) ===\n", w.Scenario, w.Engine, *windows)
 				emit(stdout, w.Table, *csv)

@@ -48,6 +48,36 @@ func TestModeExclusivity(t *testing.T) {
 	}
 }
 
+func TestListFirstLine(t *testing.T) {
+	out, err := runBench(t, "-list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, _, _ := strings.Cut(out, "\n"); first != "available experiments:" {
+		t.Errorf("first line = %q", first)
+	}
+	if !strings.Contains(out, "  table1\n") {
+		t.Error("-list output missing table1")
+	}
+}
+
+func TestNoExpIsUsageError(t *testing.T) {
+	out, err := runBench(t)
+	if !errors.Is(err, errUsage) {
+		t.Fatalf("err = %v, want errUsage", err)
+	}
+	// The experiment list still prints, so the user sees what to pass.
+	if !strings.Contains(out, "available experiments:") {
+		t.Error("usage path should list experiments")
+	}
+}
+
+func TestUnknownExperiment(t *testing.T) {
+	if _, err := runBench(t, "-exp", "fig99"); err == nil || !strings.Contains(err.Error(), "fig99") {
+		t.Errorf("err = %v, want unknown-experiment naming fig99", err)
+	}
+}
+
 func TestGridFirstLine(t *testing.T) {
 	out, err := runBench(t, "-grid", "engine=splitwise", "rate=2", "duration=5")
 	if err != nil {
@@ -193,6 +223,31 @@ func TestStreamScenarioWithWindows(t *testing.T) {
 	}
 	if !strings.Contains(out, "Goodput(req/s)") || !strings.Contains(out, "TTFT-p95(s)") {
 		t.Errorf("windows table header missing:\n%s", out)
+	}
+}
+
+func TestScenarioStreamMode(t *testing.T) {
+	out, err := runBench(t, "-scenario", "steady", "-stream", "-windows", "5", "-quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "=== scenarios, streaming") {
+		t.Errorf("missing streaming banner:\n%s", out)
+	}
+	if !strings.Contains(out, "=== windows steady/hetis (5s buckets) ===") {
+		t.Errorf("missing windows table:\n%s", out)
+	}
+}
+
+func TestScenarioFlagValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "fig8", "-scenario", "steady"},
+		{"-exp", "fig8", "-stream"},
+		{"-scenario", "steady", "-windows", "5"},
+	} {
+		if _, err := runBench(t, args...); !errors.Is(err, errUsage) {
+			t.Errorf("run(%v) err = %v, want errUsage", args, err)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hetis/internal/scenario"
@@ -114,6 +116,20 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(badPath); err == nil {
 		t.Error("ReadFile accepted an unknown schema version")
+	}
+}
+
+// TestReadFileRejectsOlderSchemas pins that ReadFile reads only the
+// current layout: a hetis-bench/3 document fails with an error naming its
+// schema.
+func TestReadFileRejectsOlderSchemas(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v3.json")
+	if err := os.WriteFile(path, []byte(`{"schema": "hetis-bench/3"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadFile(path)
+	if err == nil || !strings.Contains(err.Error(), `"hetis-bench/3"`) {
+		t.Errorf("ReadFile(v3) err = %v, want a rejection naming hetis-bench/3", err)
 	}
 }
 

@@ -7,19 +7,10 @@ import (
 )
 
 // SchemaVersion identifies the BENCH.json layout. Consumers (CI trend
-// jobs, plots) must check it before reading fields. Version 2 added the
-// sink-comparison section and the suite's sink mode; version 3 the `lp`
-// solver section (patched rows, solve time); version 4 the `fleet`
-// shard-scaling section, the header's gomaxprocs, and per-row shard
-// counts. Older documents remain readable (the added fields are absent;
-// the warm-start counters and no_warm flag older documents carry are
-// ignored).
+// jobs, plots) must check it before reading fields; ReadFile accepts only
+// this version. Version 4 added the `fleet` shard-scaling section, the
+// header's gomaxprocs, and per-row shard counts.
 const SchemaVersion = "hetis-bench/4"
-
-// legacySchemas are older layouts ReadFile still accepts.
-var legacySchemas = map[string]bool{
-	"hetis-bench/1": true, "hetis-bench/2": true, "hetis-bench/3": true,
-}
 
 // ScenarioBench is one (scenario, engine) measurement of the canonical
 // suite.
@@ -200,7 +191,7 @@ func ReadFile(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
 	}
-	if r.Schema != SchemaVersion && !legacySchemas[r.Schema] {
+	if r.Schema != SchemaVersion {
 		return nil, fmt.Errorf("bench: %s has schema %q, this build reads %q", path, r.Schema, SchemaVersion)
 	}
 	return &r, nil

@@ -67,3 +67,39 @@ func TestStaticEnginePreemption(t *testing.T) {
 		}
 	}
 }
+
+// TestPickVictim pins the one victim rule every engine's eviction and
+// preemption share: plain LIFO untiered, lowest priority then newest
+// under tiers, and a preemption limit that spares the admitting request's
+// priority and above.
+func TestPickVictim(t *testing.T) {
+	run := func(prioSeq ...int) []*request {
+		var out []*request
+		for i := 0; i < len(prioSeq); i += 2 {
+			out = append(out, &request{prio: prioSeq[i], seq: int64(prioSeq[i+1])})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		running []*request // (prio, seq) pairs
+		tiered  bool
+		limit   int
+		want    int
+	}{
+		// A single-priority tier list leaves unmatched tenants at prio 0;
+		// untiered selection must still ignore priority entirely.
+		{"untiered newest among prio 5", run(5, 1, 0, 2, 5, 7, 5, 3), false, anyPrio, 2},
+		{"untiered prio-0 newest wins", run(5, 1, 5, 3, 0, 9), false, anyPrio, 2},
+		{"tiered lowest priority first", run(5, 9, 0, 2, 3, 8, 0, 4), true, anyPrio, 3},
+		{"tiered newest within priority", run(1, 3, 1, 6, 1, 5), true, anyPrio, 1},
+		{"limit excludes equal and higher", run(2, 9, 1, 3, 0, 1, 1, 4), true, 2, 2},
+		{"limit spares the admitter's peers", run(1, 3, 1, 6, 0, 2, 0, 1), true, 1, 2},
+		{"limit with no candidate", run(2, 1, 3, 2), true, 2, -1},
+		{"empty batch", nil, true, anyPrio, -1},
+	} {
+		if got := pickVictim(tc.running, tc.tiered, tc.limit); got != tc.want {
+			t.Errorf("%s: pickVictim = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

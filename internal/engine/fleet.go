@@ -9,6 +9,7 @@
 package engine
 
 import (
+	"math"
 	"sort"
 
 	"hetis/internal/metrics"
@@ -94,6 +95,52 @@ func (c *fleetCore) loseVictim(s *sim.Simulator, r *request) {
 	r.hauled = false
 	c.res.Evictions++
 	c.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindEviction, Request: r.wl.ID})
+}
+
+// evictForRecompute takes a request's KV away mid-flight: its next
+// prefill recomputes the whole context it has accumulated. counted
+// records the loss as an eviction (cache overflow, failure); a priority
+// preemption leaves it to chaosCtl.notePreempt instead.
+func (c *fleetCore) evictForRecompute(s *sim.Simulator, r *request, counted bool) {
+	r.evicted = true
+	r.restartCtx = r.contextLen()
+	r.hauled = false
+	if counted {
+		c.loseVictim(s, r)
+	}
+}
+
+// anyPrio is the victim limit that makes every running request a
+// candidate (cache overflow, as opposed to a priority preemption).
+const anyPrio = math.MaxInt
+
+// pickVictim is every engine's eviction and preemption rule. It returns
+// the index of the running request to evict among those with priority
+// below limit, or -1 when there is none: under multi-tier chaos the
+// lowest priority first and the newest (highest seq) within it, otherwise
+// the newest regardless of priority (plain LIFO).
+func pickVictim(running []*request, tiered bool, limit int) int {
+	idx := -1
+	for i, v := range running {
+		if v.prio >= limit {
+			continue
+		}
+		if idx < 0 {
+			idx = i
+			continue
+		}
+		b := running[idx]
+		if tiered && v.prio != b.prio {
+			if v.prio < b.prio {
+				idx = i
+			}
+			continue
+		}
+		if v.seq > b.seq {
+			idx = i
+		}
+	}
+	return idx
 }
 
 // replica is the surface an engine runtime exposes to its replicaSet.
@@ -289,13 +336,12 @@ func (f *replicaSet[R]) deactivate(s *sim.Simulator, i int, haul bool, to replic
 	victims, resident := rt.evacuate(s)
 	sort.Slice(victims, func(a, b int) bool { return victims[a].seq < victims[b].seq })
 	for _, r := range victims {
-		r.evicted = true
-		r.restartCtx = r.contextLen()
 		if haul && resident[r.wl.ID] {
+			f.evictForRecompute(s, r, false)
 			f.haul(s, r)
 			continue
 		}
-		f.loseVictim(s, r)
+		f.evictForRecompute(s, r, true)
 		f.route(s, r)
 	}
 	for q := rt.intake(); q.len() > 0; {

@@ -863,16 +863,13 @@ func (inst *hetisInstance) handleMemoryPressure(s *sim.Simulator, w int) {
 		}
 	}
 	// Eviction. Plain LIFO (baseline) picks the globally newest running
-	// request; Hetis' modified LIFO picks the newest holding memory on w.
+	// request, tiers or not; Hetis' modified LIFO picks the newest holding
+	// memory on w.
 	for inst.disp.CacheBytes(w) > inst.disp.Workers()[w].CapacityBytes {
 		var victim int64 = -1
 		if cfg.DisableRedispatch {
-			var seq int64 = -1
-			for _, r := range inst.running {
-				if r.seq > seq {
-					seq = r.seq
-					victim = r.wl.ID
-				}
+			if i := pickVictim(inst.running, false, anyPrio); i >= 0 {
+				victim = inst.running[i].wl.ID
 			}
 		} else if v, ok := inst.kv[w].VictimLIFO(); ok {
 			victim = int64(v)
@@ -925,12 +922,8 @@ func (inst *hetisInstance) evict(s *sim.Simulator, id int64) bool {
 		}
 	}
 	delete(inst.byID, id)
-	r.evicted = true
-	r.restartCtx = r.contextLen()
-	r.hauled = false
+	inst.fleet.evictForRecompute(s, r, true)
 	inst.waiting.pushFront(r)
-	inst.res.Evictions++
-	inst.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindEviction, Request: id})
 	return true
 }
 
@@ -939,20 +932,7 @@ func (inst *hetisInstance) evict(s *sim.Simulator, id int64) bool {
 // within a priority. The victim requeues — preemption costs latency, not a
 // completion. Returns false when no lower-priority victim exists.
 func (inst *hetisInstance) preemptFor(s *sim.Simulator, r *request) bool {
-	idx := -1
-	for i, v := range inst.running {
-		if v.prio >= r.prio {
-			continue
-		}
-		if idx == -1 {
-			idx = i
-			continue
-		}
-		b := inst.running[idx]
-		if v.prio < b.prio || (v.prio == b.prio && v.seq > b.seq) {
-			idx = i
-		}
-	}
+	idx := pickVictim(inst.running, inst.fleet.ctl.tiered(), r.prio)
 	if idx < 0 {
 		return false
 	}
@@ -962,11 +942,9 @@ func (inst *hetisInstance) preemptFor(s *sim.Simulator, r *request) bool {
 	inst.kvFree(v.wl.ID)
 	delete(inst.byID, v.wl.ID)
 	delete(inst.lastMig, v.wl.ID)
-	v.evicted = true
-	v.restartCtx = v.contextLen()
-	v.hauled = false
-	inst.waiting.push(v)
+	inst.fleet.evictForRecompute(s, v, false)
 	inst.fleet.ctl.notePreempt(s, v)
+	inst.waiting.push(v)
 	return true
 }
 

@@ -54,14 +54,13 @@ func runStatic(name string, cfg Config, est *perf.Estimator, pipe *staticPipelin
 	f, reqs := newReplicaSet[*staticRuntime](name, cfg, capBytes, reqs)
 	err := f.provision(1, func(int) (*staticRuntime, error) {
 		rt := &staticRuntime{
-			cfg:     cfg,
-			est:     est,
-			pipe:    pipe,
-			res:     f.res,
-			fleet:   &f.fleetCore,
-			waiting: newWaitQueue(f.ctl.tiered()),
-			byID:    map[int64]*request{},
+			tokenPool: tokenPool{cfg: cfg, est: est, pipe: pipe, res: f.res, fleet: &f.fleetCore},
+			waiting:   newWaitQueue(f.ctl.tiered()),
+			byID:      map[int64]*request{},
 		}
+		rt.requeueQ = rt.waiting
+		rt.requeued = rt.unindex
+		rt.finished = rt.retire
 		rt.stepFn = rt.step
 		rt.prefillDoneFn = rt.prefillDone
 		rt.decodeDoneFn = rt.decodeDone
@@ -74,27 +73,22 @@ func runStatic(name string, cfg Config, est *perf.Estimator, pipe *staticPipelin
 }
 
 // staticRuntime is the colocated continuous-batching loop shared shape
-// with Hetis' instance, but with token-count cache accounting and no
-// dynamic dispatch. It is one replica of a replicaSet; a healthy run is a
-// set of one, which behaves exactly like the original single runtime.
+// with Hetis' instance, but with token-count cache accounting (its
+// tokenPool, which also charges prefill admissions) and no dynamic
+// dispatch. It is one replica of a replicaSet; a healthy run is a set of
+// one, which behaves exactly like the original single runtime.
 type staticRuntime struct {
-	cfg  Config
-	est  *perf.Estimator
-	pipe *staticPipeline
-	res  *Result
+	tokenPool
 
-	fleet *fleetCore
-	// used is this replica's cache occupancy in tokens (the pipeline shape
-	// is shared; occupancy is per replica).
-	used int64
 	// pending is the replica's single outstanding loop event (step,
 	// prefill, or decode completion) — what a failure cancels.
 	pending sim.Handle
 
 	waiting *waitQueue
-	running []*request
-	byID    map[int64]*request
-	busy    bool
+	// byID indexes every admitted request: the prefill batch and the
+	// running one.
+	byID map[int64]*request
+	busy bool
 
 	// Cached loop callbacks and per-iteration scratch: the batching loop
 	// schedules one of these every iteration, and caching the method
@@ -145,13 +139,13 @@ func (rt *staticRuntime) kick(s *sim.Simulator) {
 }
 
 func (rt *staticRuntime) step(s *sim.Simulator) {
-	if rt.tryPrefill(s) {
-		return
+	switch {
+	case rt.tryPrefill(s):
+	case len(rt.running) > 0:
+		rt.pending = rt.launchDecode(s, "hexgen-decode", rt.decodeDoneFn)
+	default:
+		rt.busy = false
 	}
-	if rt.tryDecode(s) {
-		return
-	}
-	rt.busy = false
 }
 
 func (rt *staticRuntime) tryPrefill(s *sim.Simulator) bool {
@@ -164,7 +158,7 @@ func (rt *staticRuntime) tryPrefill(s *sim.Simulator) bool {
 		r := rt.waiting.peek()
 		ctx := int64(r.restartCtx)
 		if rt.fleet.ctl.tiered() && rt.used+ctx > rt.pipe.tokenCap && len(admitted) == 0 {
-			rt.preemptFor(s, r, ctx)
+			rt.preemptFor(s, r.prio, ctx)
 		}
 		if rt.used+ctx > rt.pipe.tokenCap {
 			if len(rt.running) == 0 && len(admitted) == 0 && ctx > rt.pipe.tokenCap {
@@ -212,7 +206,8 @@ func (rt *staticRuntime) prefillDone(s *sim.Simulator) {
 		}
 		r.hauled = false
 		if r.done() {
-			rt.finishDeferred(s, r)
+			rt.release(r)
+			rt.retire(s, r)
 		} else {
 			rt.running = append(rt.running, r)
 		}
@@ -221,131 +216,19 @@ func (rt *staticRuntime) prefillDone(s *sim.Simulator) {
 	rt.step(s)
 }
 
-// preemptFor evicts strictly-lower-priority running work until ctx tokens
-// fit (multi-tier chaos only): the victims requeue — preemption costs
-// latency, not a completion.
-func (rt *staticRuntime) preemptFor(s *sim.Simulator, r *request, ctx int64) {
-	f := rt.fleet
-	for rt.used+ctx > rt.pipe.tokenCap {
-		idx := -1
-		for i, v := range rt.running {
-			if v.prio >= r.prio {
-				continue
-			}
-			if idx == -1 {
-				idx = i
-				continue
-			}
-			b := rt.running[idx]
-			if v.prio < b.prio || (v.prio == b.prio && v.seq > b.seq) {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			return
-		}
-		v := rt.running[idx]
-		rt.running = append(rt.running[:idx], rt.running[idx+1:]...)
-		rt.used -= int64(v.contextLen())
-		v.evicted = true
-		v.restartCtx = v.contextLen()
-		v.hauled = false
-		delete(rt.byID, v.wl.ID)
-		rt.waiting.push(v)
-		f.ctl.notePreempt(s, v)
-	}
-}
-
-func (rt *staticRuntime) tryDecode(s *sim.Simulator) bool {
-	if len(rt.running) == 0 {
-		return false
-	}
-	var ctxTokens int64
-	for _, r := range rt.running {
-		ctxTokens += int64(r.contextLen())
-	}
-	dt, dense, attn := rt.pipe.decodeTime(rt.est, rt.cfg, len(rt.running), ctxTokens)
-	rt.res.DenseTimes.Append(dense)
-	rt.res.AttnTimes.Append(attn)
-	rt.pending = s.After(dt, "hexgen-decode", rt.decodeDoneFn)
-	return true
-}
-
 // decodeDone is the decode-completion callback.
 func (rt *staticRuntime) decodeDone(s *sim.Simulator) {
 	rt.afterDecode(s)
 	rt.step(s)
 }
 
-// victimIdx picks the eviction victim among running requests: globally
-// newest (LIFO) normally; under multi-tier chaos, lowest priority first
-// and newest within a priority.
-func (rt *staticRuntime) victimIdx() int {
-	best := 0
-	if rt.fleet.ctl.tiered() {
-		for i, r := range rt.running {
-			b := rt.running[best]
-			if r.prio != b.prio {
-				if r.prio < b.prio {
-					best = i
-				}
-				continue
-			}
-			if r.seq > b.seq {
-				best = i
-			}
-		}
-		return best
-	}
-	for i, r := range rt.running {
-		if r.seq > rt.running[best].seq {
-			best = i
-		}
-	}
-	return best
-}
+// unindex is the pool's requeue hook: a victim is no longer admitted.
+func (rt *staticRuntime) unindex(_ *sim.Simulator, r *request) { delete(rt.byID, r.wl.ID) }
 
-func (rt *staticRuntime) afterDecode(s *sim.Simulator) {
-	still := rt.running[:0]
-	for _, r := range rt.running {
-		r.generated++
-		rt.used++
-		if r.done() {
-			rt.finishDeferred(s, r)
-			continue
-		}
-		still = append(still, r)
-	}
-	rt.running = still
-	rt.fleet.flushFinishes()
-	// Cache overflow → LIFO preemption with recomputation.
-	for rt.used > rt.pipe.tokenCap && len(rt.running) > 0 {
-		victimIdx := rt.victimIdx()
-		v := rt.running[victimIdx]
-		rt.running = append(rt.running[:victimIdx], rt.running[victimIdx+1:]...)
-		rt.used -= int64(v.contextLen())
-		v.evicted = true
-		v.restartCtx = v.contextLen()
-		v.hauled = false
-		rt.waiting.pushFront(v)
-		delete(rt.byID, v.wl.ID)
-		rt.res.Evictions++
-		rt.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindEviction, Request: v.wl.ID})
-	}
-	if used := rt.used * rt.cfg.Model.KVBytesPerToken(); used > rt.res.PeakCacheUsed {
-		rt.res.PeakCacheUsed = used
-	}
-}
-
-// finishDeferred releases the replica's cache accounting and hands the
-// completion to the fleet with the sink append batched (see
-// fleetCore.finishDeferred); the iteration loops use it and flush once
-// per batch.
-func (rt *staticRuntime) finishDeferred(s *sim.Simulator, r *request) {
-	rt.used -= int64(r.contextLen())
-	if rt.used < 0 {
-		rt.used = 0
-	}
+// retire hands a request whose cache is released to the fleet, with the
+// sink append batched (see fleetCore.finishDeferred); the iteration loops
+// flush once per batch.
+func (rt *staticRuntime) retire(s *sim.Simulator, r *request) {
 	delete(rt.byID, r.wl.ID)
 	rt.fleet.finishDeferred(s, r)
 }

@@ -79,14 +79,20 @@ func (sw *Splitwise) Run(reqs []workload.Request, horizon float64) (*Result, err
 	f, reqs := newReplicaSet[*splitwiseRuntime](sw.Name(), sw.cfg, sw.CacheCapacity(), reqs)
 	f.land = (*splitwiseRuntime).landHauled
 	err := f.provision(1, func(int) (*splitwiseRuntime, error) {
-		return &splitwiseRuntime{
-			sw:       sw,
-			res:      f.res,
-			fleet:    &f.fleetCore,
-			prefillQ: newWaitQueue(f.ctl.tiered()),
-			decodeQ:  newWaitQueue(f.ctl.tiered()),
-			handoffs: map[int64]*request{},
-		}, nil
+		rt := &splitwiseRuntime{
+			tokenPool: tokenPool{cfg: sw.cfg, est: sw.est, pipe: sw.decode, res: f.res, fleet: &f.fleetCore},
+			prefill:   sw.prefill,
+			prefillQ:  newWaitQueue(f.ctl.tiered()),
+			decodeQ:   newWaitQueue(f.ctl.tiered()),
+			handoffs:  map[int64]*request{},
+		}
+		rt.requeueQ = rt.prefillQ
+		rt.requeued = rt.requeue
+		rt.finished = f.fleetCore.finishDeferred
+		rt.prefillStepFn = rt.prefillStep
+		rt.decodeStepFn = rt.decodeStep
+		rt.decodeDoneFn = rt.decodeDone
+		return rt, nil
 	})
 	if err != nil {
 		return nil, err
@@ -94,12 +100,13 @@ func (sw *Splitwise) Run(reqs []workload.Request, horizon float64) (*Result, err
 	return f.run(reqs, horizon, nil)
 }
 
+// splitwiseRuntime is one phase-split deployment. Its embedded tokenPool
+// is the decode instance: the running batch on the decode pipeline and
+// that side's cache occupancy.
 type splitwiseRuntime struct {
-	sw  *Splitwise
-	res *Result
+	tokenPool
 
-	fleet *fleetCore
-
+	prefill     *staticPipeline
 	prefillQ    *waitQueue
 	prefillBusy bool
 	// prefillPending is the prefill loop's single outstanding event;
@@ -117,12 +124,15 @@ type splitwiseRuntime struct {
 	handoffGroup sim.Group
 	handoffs     map[int64]*request
 
-	decodeQ *waitQueue
-	running []*request
-	// usedDecode is the decode side's cache occupancy in tokens.
-	usedDecode    int64
+	decodeQ       *waitQueue
 	decodeBusy    bool
 	decodePending sim.Handle
+
+	// The loop callbacks, bound once so scheduling a step allocates no
+	// closure.
+	prefillStepFn func(*sim.Simulator)
+	decodeStepFn  func(*sim.Simulator)
+	decodeDoneFn  func(*sim.Simulator)
 }
 
 // load implements replica: every request on either side or in between.
@@ -171,7 +181,7 @@ func (rt *splitwiseRuntime) evacuate(s *sim.Simulator) ([]*request, map[int64]bo
 	rt.running = rt.running[:0]
 	rt.prefillBatch = nil
 	rt.handoffs = map[int64]*request{}
-	rt.usedDecode = 0
+	rt.used = 0
 	rt.inPrefill = 0
 	return victims, resident
 }
@@ -190,23 +200,27 @@ func (rt *splitwiseRuntime) kick(s *sim.Simulator) {
 		return
 	}
 	rt.prefillBusy = true
-	rt.prefillPending = s.After(0, "sw-prefill-step", rt.prefillStep)
+	rt.prefillPending = s.After(0, "sw-prefill-step", rt.prefillStepFn)
 }
 
+// requeue is the decode pool's requeue hook: a victim restarts from the
+// prefill phase and re-transfers.
+func (rt *splitwiseRuntime) requeue(s *sim.Simulator, _ *request) { rt.kick(s) }
+
 func (rt *splitwiseRuntime) prefillStep(s *sim.Simulator) {
-	cfg := rt.sw.cfg
+	cfg := rt.cfg
 	var admitted []*request
 	tokens := 0
 	for rt.prefillQ.len() > 0 && len(admitted) < cfg.MaxPrefillRequests {
 		r := rt.prefillQ.peek()
 		ctx := int64(r.restartCtx)
-		if ctx > rt.sw.prefill.tokenCap {
+		if ctx > rt.prefill.tokenCap {
 			rt.prefillQ.pop() // cannot ever prefill
 			rt.res.Trace.Addf(s.Now(), trace.KindEviction, r.wl.ID, -1, 0, "dropped: exceeds prefill cache")
 			rt.fleet.dropAdmitted(s, r)
 			continue
 		}
-		if rt.inPrefill+ctx > rt.sw.prefill.tokenCap && len(admitted) > 0 {
+		if rt.inPrefill+ctx > rt.prefill.tokenCap && len(admitted) > 0 {
 			break
 		}
 		if tokens+int(ctx) > cfg.MaxPrefillTokens && len(admitted) > 0 {
@@ -226,7 +240,7 @@ func (rt *splitwiseRuntime) prefillStep(s *sim.Simulator) {
 		prompts[i] = r.restartCtx
 	}
 	rt.prefillBatch = admitted
-	dt := rt.sw.prefill.prefillTime(rt.sw.est, cfg, prompts)
+	dt := rt.prefill.prefillTime(rt.est, cfg, prompts)
 	rt.prefillPending = s.After(dt, "sw-prefill-done", func(s *sim.Simulator) {
 		rt.prefillBatch = nil
 		for _, r := range admitted {
@@ -249,7 +263,7 @@ func (rt *splitwiseRuntime) prefillStep(s *sim.Simulator) {
 		// drain the NIC: the phase split forces a full-context cache
 		// transfer per request, which interferes with prefill (§2.3).
 		if rt.transferFree > s.Now() {
-			rt.prefillPending = s.Schedule(rt.transferFree, "sw-prefill-nic", rt.prefillStep)
+			rt.prefillPending = s.Schedule(rt.transferFree, "sw-prefill-nic", rt.prefillStepFn)
 			return
 		}
 		rt.prefillStep(s)
@@ -259,9 +273,9 @@ func (rt *splitwiseRuntime) prefillStep(s *sim.Simulator) {
 // scheduleHandoff ships the request's KV cache to the decode instance over
 // the cluster interconnect; transfers serialize on the link.
 func (rt *splitwiseRuntime) scheduleHandoff(s *sim.Simulator, r *request) {
-	m := rt.sw.cfg.Model
+	m := rt.cfg.Model
 	bytes := int64(r.contextLen()) * m.KVBytesPerToken()
-	link := rt.sw.cfg.Cluster.InterLink
+	link := rt.cfg.Cluster.InterLink
 	start := s.Now()
 	if rt.transferFree > start {
 		start = rt.transferFree
@@ -286,21 +300,19 @@ func (rt *splitwiseRuntime) kickDecode(s *sim.Simulator) {
 		return
 	}
 	rt.decodeBusy = true
-	rt.decodePending = s.After(0, "sw-decode-step", rt.decodeStep)
+	rt.decodePending = s.After(0, "sw-decode-step", rt.decodeStepFn)
 }
 
 func (rt *splitwiseRuntime) decodeStep(s *sim.Simulator) {
-	cfg := rt.sw.cfg
-	dec := rt.sw.decode
 	// Admit transferred requests while cache allows.
-	for rt.decodeQ.len() > 0 && len(rt.running) < cfg.MaxRunning {
+	for rt.decodeQ.len() > 0 && len(rt.running) < rt.cfg.MaxRunning {
 		r := rt.decodeQ.peek()
 		ctx := int64(r.contextLen())
-		if rt.fleet.ctl.tiered() && rt.usedDecode+ctx > dec.tokenCap && len(rt.running) > 0 {
-			rt.preemptFor(s, r, ctx)
+		if rt.fleet.ctl.tiered() && rt.used+ctx > rt.pipe.tokenCap && len(rt.running) > 0 {
+			rt.preemptFor(s, r.prio, ctx)
 		}
-		if rt.usedDecode+ctx > dec.tokenCap {
-			if len(rt.running) == 0 && ctx > dec.tokenCap {
+		if rt.used+ctx > rt.pipe.tokenCap {
+			if len(rt.running) == 0 && ctx > rt.pipe.tokenCap {
 				rt.decodeQ.pop()
 				rt.res.Trace.Addf(s.Now(), trace.KindEviction, r.wl.ID, -1, 0, "dropped: exceeds decode cache")
 				rt.fleet.dropAdmitted(s, r)
@@ -309,124 +321,18 @@ func (rt *splitwiseRuntime) decodeStep(s *sim.Simulator) {
 			break
 		}
 		rt.decodeQ.pop()
-		rt.usedDecode += ctx
+		rt.used += ctx
 		rt.running = append(rt.running, r)
 	}
 	if len(rt.running) == 0 {
 		rt.decodeBusy = false
 		return
 	}
-	var ctxTokens int64
-	for _, r := range rt.running {
-		ctxTokens += int64(r.contextLen())
-	}
-	dt, dense, attn := dec.decodeTime(rt.sw.est, cfg, len(rt.running), ctxTokens)
-	rt.res.DenseTimes.Append(dense)
-	rt.res.AttnTimes.Append(attn)
-	rt.decodePending = s.After(dt, "sw-decode-done", func(s *sim.Simulator) {
-		rt.afterDecode(s)
-		rt.decodeStep(s)
-	})
+	rt.decodePending = rt.launchDecode(s, "sw-decode-done", rt.decodeDoneFn)
 }
 
-// preemptFor evicts strictly-lower-priority running work until ctx tokens
-// fit on the decode cache (multi-tier chaos only): victims restart from
-// the prefill phase and re-transfer.
-func (rt *splitwiseRuntime) preemptFor(s *sim.Simulator, r *request, ctx int64) {
-	f := rt.fleet
-	dec := rt.sw.decode
-	for rt.usedDecode+ctx > dec.tokenCap {
-		idx := -1
-		for i, v := range rt.running {
-			if v.prio >= r.prio {
-				continue
-			}
-			if idx == -1 {
-				idx = i
-				continue
-			}
-			b := rt.running[idx]
-			if v.prio < b.prio || (v.prio == b.prio && v.seq > b.seq) {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			return
-		}
-		v := rt.running[idx]
-		rt.running = append(rt.running[:idx], rt.running[idx+1:]...)
-		rt.usedDecode -= int64(v.contextLen())
-		v.evicted = true
-		v.restartCtx = v.contextLen()
-		v.hauled = false
-		rt.prefillQ.push(v)
-		f.ctl.notePreempt(s, v)
-		rt.kick(s)
-	}
-}
-
-// victimIdx picks the eviction victim among running requests: globally
-// newest (LIFO) normally; under multi-tier chaos, lowest priority first
-// and newest within a priority.
-func (rt *splitwiseRuntime) victimIdx() int {
-	best := 0
-	if rt.fleet.ctl.tiered() {
-		for i, r := range rt.running {
-			b := rt.running[best]
-			if r.prio != b.prio {
-				if r.prio < b.prio {
-					best = i
-				}
-				continue
-			}
-			if r.seq > b.seq {
-				best = i
-			}
-		}
-		return best
-	}
-	for i, r := range rt.running {
-		if r.seq > rt.running[best].seq {
-			best = i
-		}
-	}
-	return best
-}
-
-func (rt *splitwiseRuntime) afterDecode(s *sim.Simulator) {
-	dec := rt.sw.decode
-	still := rt.running[:0]
-	for _, r := range rt.running {
-		r.generated++
-		rt.usedDecode++
-		if r.done() {
-			rt.usedDecode -= int64(r.contextLen())
-			rt.fleet.finishDeferred(s, r)
-			continue
-		}
-		still = append(still, r)
-	}
-	rt.running = still
-	rt.fleet.flushFinishes()
-	// Cache overflow → LIFO preemption; victims must re-prefill and
-	// re-transfer.
-	for rt.usedDecode > dec.tokenCap && len(rt.running) > 0 {
-		victimIdx := rt.victimIdx()
-		v := rt.running[victimIdx]
-		rt.running = append(rt.running[:victimIdx], rt.running[victimIdx+1:]...)
-		rt.usedDecode -= int64(v.contextLen())
-		v.evicted = true
-		v.restartCtx = v.contextLen()
-		v.hauled = false
-		rt.prefillQ.pushFront(v)
-		rt.res.Evictions++
-		rt.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindEviction, Request: v.wl.ID})
-		rt.kick(s)
-	}
-	if rt.usedDecode < 0 {
-		rt.usedDecode = 0
-	}
-	if used := rt.usedDecode * rt.sw.cfg.Model.KVBytesPerToken(); used > rt.res.PeakCacheUsed {
-		rt.res.PeakCacheUsed = used
-	}
+// decodeDone is the decode-completion callback.
+func (rt *splitwiseRuntime) decodeDone(s *sim.Simulator) {
+	rt.afterDecode(s)
+	rt.decodeStep(s)
 }

@@ -8,6 +8,7 @@ import (
 	"hetis/internal/model"
 	"hetis/internal/parallelizer"
 	"hetis/internal/perf"
+	"hetis/internal/sim"
 )
 
 // staticPipeline is the shared substrate of the two baselines: a fixed
@@ -19,7 +20,7 @@ type staticPipeline struct {
 	links  []hardware.LinkSpec
 	// tokenCap is the number of cacheable tokens, bounded by the tightest
 	// stage: min_s floor(free_s / (kvPerTokenLayer · layers_s)).
-	// Occupancy lives on the runtime replica (staticRuntime.used), not
+	// Occupancy lives on the runtime replica (tokenPool.used), not
 	// here: the pipeline is a pure shared shape that chaos-mode fleets
 	// replicate without copying.
 	tokenCap int64
@@ -215,6 +216,107 @@ func (p *staticPipeline) prefillTime(est *perf.Estimator, cfg Config, prompts []
 	dt += est.LMHeadTime(last.Spec, len(prompts), last.TP)
 	return dt
 }
+
+// tokenPool is the decode side of one static-pipeline replica: the
+// running batch and the replica's KV occupancy, counted in tokens against
+// the pipeline's tokenCap. It prices and advances decode iterations, and
+// keeps occupancy under the cap by evicting for recomputation on overflow
+// and by preempting lower tiers for an admission, both through pickVictim.
+// The colocated staticRuntime and Splitwise's decode side each embed one.
+// What differs between them is where a victim requeues and what a request
+// leaving the pool releases; those are fields bound once at construction,
+// so the decode loop allocates nothing.
+type tokenPool struct {
+	cfg   Config
+	est   *perf.Estimator
+	pipe  *staticPipeline
+	res   *Result
+	fleet *fleetCore
+
+	running []*request
+	// used is the replica's cache occupancy in tokens: the running batch,
+	// plus whatever its runtime admitted ahead of decode (the colocated
+	// runtime charges a prefill batch at admission).
+	used int64
+
+	// requeueQ is where a victim waits to re-prefill: at the head after an
+	// overflow eviction, so it keeps its place in line, and in priority
+	// order after a preemption. requeued then runs the runtime's own
+	// requeue bookkeeping, and finished takes over a completed request
+	// once the pool has released its cache.
+	requeueQ *waitQueue
+	requeued func(*sim.Simulator, *request)
+	finished func(*sim.Simulator, *request)
+}
+
+// launchDecode prices one decode iteration of the running batch, records
+// its §7.3 module latencies, and schedules done at its end.
+func (p *tokenPool) launchDecode(s *sim.Simulator, name string, done func(*sim.Simulator)) sim.Handle {
+	var ctxTokens int64
+	for _, r := range p.running {
+		ctxTokens += int64(r.contextLen())
+	}
+	dt, dense, attn := p.pipe.decodeTime(p.est, p.cfg, len(p.running), ctxTokens)
+	p.res.DenseTimes.Append(dense)
+	p.res.AttnTimes.Append(attn)
+	return s.After(dt, name, done)
+}
+
+// afterDecode advances every running request by one token and finishes
+// the completed ones. While the cache then overflows, it evicts victims
+// for recomputation: LIFO preemption, as vLLM does.
+func (p *tokenPool) afterDecode(s *sim.Simulator) {
+	still := p.running[:0]
+	for _, r := range p.running {
+		r.generated++
+		p.used++
+		if r.done() {
+			p.release(r)
+			p.finished(s, r)
+			continue
+		}
+		still = append(still, r)
+	}
+	p.running = still
+	p.fleet.flushFinishes()
+	for p.used > p.pipe.tokenCap && len(p.running) > 0 {
+		v := p.remove(pickVictim(p.running, p.fleet.ctl.tiered(), anyPrio))
+		p.fleet.evictForRecompute(s, v, true)
+		p.requeueQ.pushFront(v)
+		p.requeued(s, v)
+	}
+	if used := p.used * p.cfg.Model.KVBytesPerToken(); used > p.res.PeakCacheUsed {
+		p.res.PeakCacheUsed = used
+	}
+}
+
+// preemptFor evicts running work of priority below prio until ctx more
+// tokens fit (multi-tier chaos only). The victims requeue: preemption
+// costs latency, not a completion.
+func (p *tokenPool) preemptFor(s *sim.Simulator, prio int, ctx int64) {
+	for p.used+ctx > p.pipe.tokenCap {
+		i := pickVictim(p.running, p.fleet.ctl.tiered(), prio)
+		if i < 0 {
+			return
+		}
+		v := p.remove(i)
+		p.fleet.evictForRecompute(s, v, false)
+		p.fleet.ctl.notePreempt(s, v)
+		p.requeueQ.push(v)
+		p.requeued(s, v)
+	}
+}
+
+// remove takes running[i] out of the batch and releases its cache.
+func (p *tokenPool) remove(i int) *request {
+	v := p.running[i]
+	p.running = append(p.running[:i], p.running[i+1:]...)
+	p.release(v)
+	return v
+}
+
+// release returns a request's cache to the pool.
+func (p *tokenPool) release(r *request) { p.used -= int64(r.contextLen()) }
 
 // apportionLayers is the largest-remainder apportionment used by the
 // baselines (their stages always keep at least one layer when weighted).

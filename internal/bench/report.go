@@ -37,8 +37,9 @@ type ScenarioBench struct {
 	AllocsPerEvent     float64 `json:"allocs_per_event"`
 	AllocBytesPerEvent float64 `json:"alloc_bytes_per_event"`
 	// LPSolves / LPSolvesAvoided expose the dispatch-layer solver work: how
-	// many placement simplex solves ran, and how many placements and
-	// §5.3.1 relaxations the caching layer skipped.
+	// many placement simplex solves ran, and how many §5.3.1 relaxations
+	// the lower-bound test skipped (older reports also count placement
+	// memo hits).
 	LPSolves        int `json:"lp_solves"`
 	LPSolvesAvoided int `json:"lp_solves_avoided"`
 	// Shards and ShardWorkers mark a fleet measurement (schema v4): the

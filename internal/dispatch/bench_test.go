@@ -29,7 +29,8 @@ func testWorkersForBench(primaryCap float64, attnCaps ...float64) []Worker {
 	return ws
 }
 
-// BenchmarkDispatchLP measures one admission solve (Eq. 7).
+// BenchmarkDispatchLP measures two admission solves (Eq. 7) on a fresh
+// dispatcher.
 func BenchmarkDispatchLP(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -37,8 +38,10 @@ func BenchmarkDispatchLP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 1200}, {ID: 2, ContextLen: 600}}); err != nil {
-			b.Fatal(err)
+		for _, r := range []NewRequest{{ID: 1, ContextLen: 1200}, {ID: 2, ContextLen: 600}} {
+			if _, err := d.Dispatch(r); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -52,8 +55,10 @@ func BenchmarkDispatchGreedy(b *testing.B) {
 			b.Fatal(err)
 		}
 		d.SetPolicy(PolicyGreedy)
-		if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 1200}, {ID: 2, ContextLen: 600}}); err != nil {
-			b.Fatal(err)
+		for _, r := range []NewRequest{{ID: 1, ContextLen: 1200}, {ID: 2, ContextLen: 600}} {
+			if _, err := d.Dispatch(r); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -64,12 +69,10 @@ func BenchmarkIdealAttnTime(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var reqs []NewRequest
 	for i := 0; i < 128; i++ {
-		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 400 + 37*(i%19)})
-	}
-	if _, err := d.Dispatch(reqs); err != nil {
-		b.Fatal(err)
+		if _, err := d.Dispatch(NewRequest{ID: int64(i), ContextLen: 400 + 37*(i%19)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

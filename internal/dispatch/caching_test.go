@@ -8,32 +8,62 @@ import (
 	"hetis/internal/model"
 )
 
+// coldTwin rebuilds d from scratch: a New dispatcher over the same
+// workers holding d's records, at their current contexts, except skip's
+// (with none skipped, its loads must equal d's). Its first placement poses
+// the LP from scratch.
+func coldTwin(t *testing.T, d *Dispatcher, skip RequestID) *Dispatcher {
+	t.Helper()
+	twin, err := New(d.cfg, d.workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range d.recs {
+		if s.id != skip {
+			twin.commit(s.id, s.ctx(), append([]int(nil), s.place...))
+		}
+	}
+	for i := range d.workers {
+		if skip < 0 && (twin.h[i] != d.h[i] || twin.g[i] != d.g[i]) {
+			t.Fatalf("cold twin's worker %d load h %d/%d g %d/%d", i, twin.h[i], d.h[i], twin.g[i], d.g[i])
+		}
+	}
+	return twin
+}
+
 // TestCachingDecisionEquivalence is the optimization contract's property
-// test: a dispatcher with the solver caching layer on (placement memo
-// LRU + patched placement LPs + the relaxation's lower-bound skip) must
-// make bit-identical decisions to a cache-disabled twin across
-// randomized admission / context-growth / rebalance / removal sequences.
-// Placements, tracked loads, attention step times, and every
-// RebalanceCompute outcome are compared after each operation. Aggregate
-// assertions at the end confirm every layer actually engaged.
+// test, over randomized admission / context-growth / rebalance / removal
+// sequences:
+//
+//   - every placement — an admission or a §5.3.1 re-placement — equals,
+//     bit for bit, the first placement of a cold twin rebuilt from the
+//     dispatcher's records, so rewriting the placement LP in place never
+//     changes a decision;
+//   - every RebalanceCompute acts exactly when AttnStepTime exceeds
+//     IdealAttnTime·(1+θ), so the lower-bound skip never suppresses an
+//     action the relaxation would take.
 func TestCachingDecisionEquivalence(t *testing.T) {
-	var patchedTotal, idealTotal int
+	var avoided, acted, declined int
 	for seed := int64(1); seed <= 8; seed++ {
-		seed := seed
 		t.Run("", func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			// Tight-ish capacities so growth hits limits and rebalancing has
 			// something to do; theta varies so both skip and solve paths run.
 			caps := []float64{3e8, 2e8, 2e8, 1e8, 1e8, 1e8}
-			cached, err := New(model.Llama13B, testWorkersForBench(caps[0], caps[1:]...))
+			d, err := New(model.Llama13B, testWorkersForBench(caps[0], caps[1:]...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := New(model.Llama13B, testWorkersForBench(caps[0], caps[1:]...))
-			if err != nil {
-				t.Fatal(err)
+			samePlacement := func(step int, twin *Dispatcher, rq NewRequest, got []int, gotErr error) {
+				t.Helper()
+				want, wantErr := twin.Dispatch(rq)
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("step %d: request %d placed with error %v, cold twin %v", step, rq.ID, gotErr, wantErr)
+				}
+				if gotErr == nil && !reflect.DeepEqual(got, want.place) {
+					t.Fatalf("step %d: request %d placed %v, cold twin %v", step, rq.ID, got, want.place)
+				}
 			}
-			plain.SetCaching(false)
 
 			theta := []float64{0, 0.1, 0.5}[rng.Intn(3)]
 			var live []RequestID
@@ -41,132 +71,64 @@ func TestCachingDecisionEquivalence(t *testing.T) {
 			for step := 0; step < 300; step++ {
 				switch op := rng.Intn(10); {
 				case op < 4: // admit
-					ctx := 64 + rng.Intn(2048)
-					nr := []NewRequest{{ID: nextID, ContextLen: ctx}}
-					x1, err1 := cached.Dispatch(nr)
-					x2, err2 := plain.Dispatch(nr)
-					if (err1 == nil) != (err2 == nil) {
-						t.Fatalf("step %d: dispatch divergence: %v vs %v", step, err1, err2)
-					}
-					if err1 == nil {
-						if !reflect.DeepEqual(x1, x2) {
-							t.Fatalf("step %d: placements diverged: %v vs %v", step, x1, x2)
-						}
-						live = append(live, nextID)
-					}
+					rq := NewRequest{ID: nextID, ContextLen: 64 + rng.Intn(2048)}
 					nextID++
+					twin := coldTwin(t, d, -1)
+					s, err := d.Dispatch(rq)
+					var got []int
+					if err == nil {
+						got = s.place
+						live = append(live, rq.ID)
+					}
+					samePlacement(step, twin, rq, got, err)
 				case op < 7: // grow every live request by one token
 					for _, id := range live {
-						o1, e1 := cached.ExtendContext(id, 1)
-						o2, e2 := plain.ExtendContext(id, 1)
-						if (e1 == nil) != (e2 == nil) || !reflect.DeepEqual(o1, o2) {
-							t.Fatalf("step %d: extend diverged for %d: %v/%v vs %v/%v", step, id, o1, e1, o2, e2)
+						if _, err := d.ExtendContext(id, 1); err != nil {
+							t.Fatalf("step %d: extend %d: %v", step, id, err)
 						}
 					}
-				case op < 9: // rebalance check (the cached-path hot spot)
-					r1, e1 := cached.RebalanceCompute(theta, nil)
-					r2, e2 := plain.RebalanceCompute(theta, nil)
-					if (e1 == nil) != (e2 == nil) {
-						t.Fatalf("step %d: rebalance errors diverged: %v vs %v", step, e1, e2)
+				case op < 9: // rebalance check
+					current := d.AttnStepTime()
+					ideal, idealErr := d.IdealAttnTime()
+					snapshot := coldTwin(t, d, -1)
+					rd, err := d.RebalanceCompute(theta, nil)
+					if idealErr != nil {
+						if rd != nil {
+							t.Fatalf("step %d: rebalanced %+v with an infeasible relaxation", step, rd)
+						}
+						continue
 					}
-					if !reflect.DeepEqual(r1, r2) {
-						t.Fatalf("step %d: rebalance decisions diverged: %+v vs %+v", step, r1, r2)
+					want := current > ideal*(1+theta)
+					if got := rd != nil || err != nil; got != want {
+						t.Fatalf("step %d: rebalance acted %v (err %v); current %v, ideal %v, theta %v", step, got, err, current, ideal, theta)
+					}
+					if !want {
+						declined++
+						continue
+					}
+					acted++
+					if rd != nil {
+						twin := coldTwin(t, snapshot, rd.Request)
+						samePlacement(step, twin, NewRequest{ID: rd.Request, ContextLen: d.ContextLen(rd.Request)}, rd.New, nil)
 					}
 				default: // remove a random live request
 					if len(live) == 0 {
 						continue
 					}
 					k := rng.Intn(len(live))
-					cached.Remove(live[k])
-					plain.Remove(live[k])
+					d.Remove(live[k])
 					live = append(live[:k], live[k+1:]...)
 				}
-
-				// Tracked state must agree bit-for-bit after every step.
-				for i := range cached.Workers() {
-					if cached.Heads(i) != plain.Heads(i) || cached.CacheBytes(i) != plain.CacheBytes(i) {
-						t.Fatalf("step %d: worker %d load drift: h %v/%v g %v/%v",
-							step, i, cached.Heads(i), plain.Heads(i), cached.CacheBytes(i), plain.CacheBytes(i))
-					}
-				}
-				if a, b := cached.AttnStepTime(), plain.AttnStepTime(); a != b {
-					t.Fatalf("step %d: AttnStepTime drift: %v vs %v", step, a, b)
-				}
-				for _, id := range live {
-					if !reflect.DeepEqual(cached.Placement(id), plain.Placement(id)) {
-						t.Fatalf("step %d: placement drift for %d", step, id)
-					}
-				}
 			}
-			if err := cached.CheckInvariants(); err != nil {
+			if err := d.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if cached.LPSolvesAvoided == 0 {
-				t.Error("caching layer never fired; the property test exercised nothing")
-			}
-			if plain.LPSolvesAvoided != 0 {
-				t.Errorf("cache-disabled twin avoided %d solves", plain.LPSolvesAvoided)
-			}
-			// Every skipped placement or relaxation is one the twin ran.
-			if got, want := cached.LPSolves+cached.LPIdealSolves+cached.LPSolvesAvoided, plain.LPSolves+plain.LPIdealSolves; got != want {
-				t.Errorf("solve accounting: cached %d+%d+%d avoided != plain %d+%d",
-					cached.LPSolves, cached.LPIdealSolves, cached.LPSolvesAvoided, plain.LPSolves, plain.LPIdealSolves)
-			}
-			if plain.LPPatchedRows != 0 {
-				t.Errorf("cache-disabled twin patched %d rows", plain.LPPatchedRows)
-			}
-			patchedTotal += cached.LPPatchedRows
-			idealTotal += cached.LPIdealSolves
+			avoided += d.LPSolvesAvoided
 		})
 	}
-	if patchedTotal == 0 {
-		t.Error("no sequence ever patched a cached problem; the re-pose layer was not exercised")
-	}
-	if idealTotal == 0 {
-		t.Error("no sequence ever solved the ideal relaxation; rebalance coverage is gone")
-	}
-}
-
-// TestPlacementMemoLRU pins the multi-entry memo: cycling a handful of
-// context lengths through an otherwise-empty dispatcher re-poses LPs the
-// single-slot memo of old would always miss, while the LRU answers every
-// one of them without solving — and bit-equal to the first cycle.
-func TestPlacementMemoLRU(t *testing.T) {
-	d, err := New(model.Llama13B, testWorkersForBench(1e12, 1e12, 1e12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxs := []int{100, 200, 300, 400}
-	first := make(map[int][]int)
-	for i, c := range ctxs {
-		id := RequestID(i)
-		x, err := d.Dispatch([]NewRequest{{ID: id, ContextLen: c}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		first[c] = x[id]
-		d.Remove(id) // release restores (h, g) to the empty state bit-exactly
-	}
-	if d.LPSolvesAvoided != 0 {
-		t.Fatalf("first cycle already hit the memo %d times", d.LPSolvesAvoided)
-	}
-	solves := d.LPSolves
-	for i, c := range ctxs {
-		id := RequestID(10 + i)
-		x, err := d.Dispatch([]NewRequest{{ID: id, ContextLen: c}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(x[id], first[c]) {
-			t.Errorf("ctx %d: memo answer %v != solved answer %v", c, x[id], first[c])
-		}
-		d.Remove(id)
-	}
-	if d.LPSolves != solves {
-		t.Errorf("second cycle solved %d LPs; the LRU should have answered all %d", d.LPSolves-solves, len(ctxs))
-	}
-	if d.LPSolvesAvoided != len(ctxs) {
-		t.Errorf("avoided %d solves, want %d", d.LPSolvesAvoided, len(ctxs))
+	t.Logf("%d lower-bound skips, %d rebalance actions, %d declines", avoided, acted, declined)
+	if avoided == 0 || acted == 0 || declined == 0 {
+		t.Errorf("%d lower-bound skips, %d rebalance actions, %d declines; all must be nonzero", avoided, acted, declined)
 	}
 }
 
@@ -182,7 +144,7 @@ func TestIdealLowerBoundCertified(t *testing.T) {
 		}
 		n := 1 + rng.Intn(60)
 		for i := 0; i < n; i++ {
-			if _, err := d.Dispatch([]NewRequest{{ID: RequestID(i), ContextLen: 32 + rng.Intn(4096)}}); err != nil {
+			if _, err := d.Dispatch(NewRequest{ID: RequestID(i), ContextLen: 32 + rng.Intn(4096)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -207,7 +169,7 @@ func TestPlacementView(t *testing.T) {
 	if d.NumWorkers() != 2 {
 		t.Fatalf("NumWorkers=%d want 2", d.NumWorkers())
 	}
-	if _, err := d.Dispatch([]NewRequest{{ID: 7, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 7, ContextLen: 100}); err != nil {
 		t.Fatal(err)
 	}
 	view := d.PlacementView(7)

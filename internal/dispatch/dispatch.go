@@ -93,35 +93,25 @@ type Dispatcher struct {
 	Dispatches, Redispatches int
 
 	// LPSolves counts placement simplex solves; LPSolvesAvoided counts
-	// work the caching layer skipped that a cache-free dispatcher would
-	// have done: placements answered by the exact-input memo, and §5.3.1
-	// relaxations skipped by the lower-bound test.
+	// §5.3.1 relaxations skipped by the lower-bound test.
 	LPSolves, LPSolvesAvoided int
 
-	// LPIdealSolves counts §5.3.1 relaxation evaluations: the exact
-	// combinatorial solve (see relaxation), or the simplex fallback when a
-	// fitted slope is negative. Neither counts in LPSolves.
+	// LPIdealSolves counts exact §5.3.1 relaxation evaluations (see
+	// relaxation); they do not count in LPSolves.
 	LPIdealSolves int
-	// LPPatchedRows counts constraint rows mutated in place when the
-	// single-request placement LP was re-posed as a patch against the
-	// cached problem instead of being rebuilt.
+	// LPPatchedRows counts placement LP rows whose data changed when a
+	// solve after the first rewrote them in place.
 	LPPatchedRows int
 	// LPSolveSeconds accumulates wall-clock spent posing and solving
 	// placement LPs, so the perf trajectory can report the LP layer's
 	// share of engine time directly.
 	LPSolveSeconds float64
 
-	// nocache disables the solver caching layer (SetCaching); the
-	// decision-equivalence property test runs a cache-free twin through
-	// identical operation sequences.
-	nocache bool
-
-	// placeMemos is a small LRU of single-request placement solves keyed
-	// on their exact inputs (most recent first); see solvePlacement.
-	placeMemos []placementMemo
-
-	// placeCache holds the re-posable single-request placement LP.
-	placeCache lpCache
+	// prob is the Eq. 7 placement LP, posed once at construction and
+	// rewritten in place by every solve (see posePlacement); row is its
+	// row-building scratch.
+	prob *lp.Problem
+	row  []float64
 
 	// relax is the §5.3.1 relaxation's per-worker cost table in sweep
 	// order, fixed at construction (it depends only on the workers).
@@ -169,45 +159,9 @@ type Share struct {
 	bytes  int64
 }
 
-// lpCache is one re-posable LP: the problem instance successive solves
-// patch in place, and its row-building scratch.
-type lpCache struct {
-	prob *lp.Problem
-	row  []float64 // row-building scratch, nVars wide
-}
-
-// placementMemo holds one solved single-request placement LP keyed by the
-// exact dispatcher state it was solved under. Any commit, release, or
-// context extension changes h/g and thus misses; a hit re-poses the
-// identical LP, whose deterministic solution is returned without solving.
-type placementMemo struct {
-	valid  bool
-	ctx    int
-	h, g   []int64
-	groups []int
-}
-
-func (m *placementMemo) matches(ctx int, h, g []int64) bool {
-	if !m.valid || m.ctx != ctx || len(m.h) != len(h) {
-		return false
-	}
-	for i := range h {
-		if m.h[i] != h[i] || m.g[i] != g[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *placementMemo) store(ctx int, h, g []int64, groups []int) {
-	m.valid = true
-	m.ctx = ctx
-	m.h = append(m.h[:0], h...)
-	m.g = append(m.g[:0], g...)
-	m.groups = append(m.groups[:0], groups...)
-}
-
-// New creates a dispatcher for the model over the given workers.
+// New creates a dispatcher for the model over the given workers. Every
+// fitted slope (Attn.A, Attn.B, Net.Gamma) must be nonnegative: the
+// §5.3.1 relaxation's exact solver and its lower bound rely on it.
 func New(cfg model.Config, workers []Worker) (*Dispatcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -222,6 +176,10 @@ func New(cfg model.Config, workers []Worker) (*Dispatcher, error) {
 		}
 		if w.CapacityBytes < 0 {
 			return nil, fmt.Errorf("dispatch: worker %d has negative capacity", w.ID)
+		}
+		if !(w.Attn.A >= 0 && w.Attn.B >= 0 && w.Net.Gamma >= 0) {
+			return nil, fmt.Errorf("dispatch: worker %d has a negative or NaN slope (A %g, B %g, Gamma %g)",
+				w.ID, w.Attn.A, w.Attn.B, w.Net.Gamma)
 		}
 	}
 	if !hasPrimary {
@@ -247,6 +205,15 @@ func New(cfg model.Config, workers []Worker) (*Dispatcher, error) {
 		// For an integer g, g > x ⇔ g > ⌊x⌋.
 		d.overLimit[i] = int64(math.Floor(w.CapacityBytes + 1e-6))
 	}
+	// Variables x₀…x_{n−1} (heads per worker), then z; rows: n epigraph, n
+	// capacity, 1 conservation, stated by posePlacement.
+	obj := make([]float64, n+1)
+	obj[n] = 1 // min z
+	d.prob = lp.New(n+1, obj)
+	for k := 0; k < 2*n+1; k++ {
+		d.prob.AddConstraint(nil, lp.LE, 0)
+	}
+	d.row = make([]float64, n+1)
 	return d, nil
 }
 
@@ -321,11 +288,9 @@ type NewRequest struct {
 	ContextLen int // tokens already cached (prompt length at admission)
 }
 
-// fWorker evaluates f_i of Eq. 7 for worker i given extra heads and bytes.
-func (d *Dispatcher) fWorker(i int, extraHeads, extraBytes float64) float64 {
+// fWorkerAt evaluates f_i of Eq. 7 for worker i at explicit loads.
+func (d *Dispatcher) fWorkerAt(i int, heads, bytes float64) float64 {
 	w := &d.workers[i]
-	heads := float64(d.h[i]) + extraHeads
-	bytes := float64(d.g[i]) + extraBytes
 	if heads <= 0 {
 		return 0
 	}
@@ -341,49 +306,38 @@ func (d *Dispatcher) fWorker(i int, extraHeads, extraBytes float64) float64 {
 func (d *Dispatcher) AttnStepTime() float64 {
 	max := 0.0
 	for i := range d.workers {
-		if t := d.fWorker(i, 0, 0); t > max {
+		if t := d.fWorkerAt(i, float64(d.h[i]), float64(d.g[i])); t > max {
 			max = t
 		}
 	}
 	return max
 }
 
-// Dispatch places a batch of newly admitted requests (Eq. 7): it solves the
-// min–max LP over variables x_{j,i}, rounds head counts to whole head
-// groups, and commits the placement (Eq. 8). Already-dispatched requests
-// are never re-parallelized here.
-func (d *Dispatcher) Dispatch(reqs []NewRequest) (map[RequestID][]int, error) {
-	if len(reqs) == 0 {
-		return nil, nil
+// Dispatch places one newly admitted request (Eq. 7): it solves the
+// min–max LP over the request's heads per worker, rounds head counts to
+// whole head groups, and commits the placement (Eq. 8), returning the
+// request's record handle. Already-dispatched requests are never
+// re-parallelized here.
+func (d *Dispatcher) Dispatch(r NewRequest) (*Slot, error) {
+	if _, dup := d.byID[r.ID]; dup {
+		return nil, fmt.Errorf("dispatch: request %d already placed", r.ID)
 	}
-	for _, r := range reqs {
-		if _, dup := d.byID[r.ID]; dup {
-			return nil, fmt.Errorf("dispatch: request %d already placed", r.ID)
-		}
-		if r.ContextLen < 0 {
-			return nil, fmt.Errorf("dispatch: request %d has negative context", r.ID)
-		}
+	if r.ContextLen < 0 {
+		return nil, fmt.Errorf("dispatch: request %d has negative context", r.ID)
 	}
-	x, err := d.solvePlacement(reqs, nil)
+	x, err := d.solvePlacement(r)
 	if err != nil {
 		return nil, err
 	}
 	d.Dispatches++
-	out := make(map[RequestID][]int, len(reqs))
-	for j, r := range reqs {
-		d.commit(r.ID, r.ContextLen, x[j])
-		out[r.ID] = append([]int(nil), x[j]...)
-	}
-	return out, nil
+	return d.commit(r.ID, r.ContextLen, x), nil
 }
 
-// CanFit reports whether the new requests could possibly fit: total free
-// capacity across workers covers their aggregate cache demand.
-func (d *Dispatcher) CanFit(reqs []NewRequest) bool {
-	var need float64
-	for _, r := range reqs {
-		need += float64(d.cfg.Heads) * float64(r.ContextLen) * d.perHeadTokenBytes
-	}
+// CanFit reports whether the request could possibly fit: total free
+// capacity across workers covers its cache demand. Whole head groups may
+// still fail to place when it does.
+func (d *Dispatcher) CanFit(r NewRequest) bool {
+	need := float64(d.cfg.Heads) * float64(r.ContextLen) * d.perHeadTokenBytes
 	var free float64
 	for i, w := range d.workers {
 		f := w.CapacityBytes - float64(d.g[i])
@@ -394,200 +348,65 @@ func (d *Dispatcher) CanFit(reqs []NewRequest) bool {
 	return need <= free
 }
 
-// SetCaching toggles the entire solver caching layer: the placement memo
-// LRU, placement-row patching, and the relaxation's lower-bound skip. It
-// is on by default; the cache-equivalence tests disable it on a twin
-// dispatcher to assert cached and recomputed decisions are bit-equal.
-func (d *Dispatcher) SetCaching(enabled bool) {
-	d.nocache = !enabled
-	d.placeMemos = nil
-	d.placeCache = lpCache{}
-}
-
-// memoLookup returns a copy of the placement groups solved earlier under
-// an identical (ctx, h, g) key, moving the hit to the LRU front.
-func (d *Dispatcher) memoLookup(ctx int) ([]int, bool) {
-	for k := range d.placeMemos {
-		if !d.placeMemos[k].matches(ctx, d.h, d.g) {
-			continue
-		}
-		if k != 0 {
-			hit := d.placeMemos[k]
-			copy(d.placeMemos[1:k+1], d.placeMemos[:k])
-			d.placeMemos[0] = hit
-		}
-		return append([]int(nil), d.placeMemos[0].groups...), true
-	}
-	return nil, false
-}
-
-// placeMemoCap bounds the placement-memo LRU. One slot covers the
-// single-tenant steady state (re-trying a blocked admission on an
-// unchanged instance); a few more let multi-tenant mixes that interleave
-// a handful of distinct context lengths hit across each other's retries.
-const placeMemoCap = 8
-
-// memoStore records a solved placement at the LRU front, evicting the
-// tail entry (whose slices are recycled) when full.
-func (d *Dispatcher) memoStore(ctx int, groups []int) {
-	if len(d.placeMemos) < placeMemoCap {
-		d.placeMemos = append(d.placeMemos, placementMemo{})
-	}
-	last := len(d.placeMemos) - 1
-	entry := d.placeMemos[last]
-	copy(d.placeMemos[1:], d.placeMemos[:last])
-	entry.store(ctx, d.h, d.g, groups)
-	d.placeMemos[0] = entry
-}
-
-// solvePlacement builds and solves the Eq. 7 LP for the given requests
-// (or runs the greedy heuristic under PolicyGreedy). When `exclude` is
-// non-nil it maps worker index → true for workers the requests must avoid
-// (failure injection).
-func (d *Dispatcher) solvePlacement(reqs []NewRequest, exclude map[int]bool) ([][]int, error) {
+// solvePlacement solves the Eq. 7 LP for one request (or runs the greedy
+// heuristic under PolicyGreedy) and returns its heads per worker.
+//
+// The solve is the two-phase simplex from scratch: the min-max placement
+// LP is massively degenerate — any head distribution that keeps every
+// worker under the binding worker's time is optimal — and only a solve
+// that retraces the same pivots is sure to land on the same optimal
+// vertex. Placements feed the goldens directly; bit-equality wins.
+func (d *Dispatcher) solvePlacement(rq NewRequest) ([]int, error) {
 	if d.policy == PolicyGreedy {
-		return d.greedyPlacement(reqs, exclude)
+		return d.greedyPlacement(rq)
 	}
-	// The single-request solve (the admission/redispatch hot path) is
-	// memoized on its exact inputs: identical (h, g, context) re-poses the
-	// identical LP, so a previous solution is returned bit-equal without
-	// solving. Anything that shifts load invalidates by construction —
-	// the key is the load vector itself.
-	memoable := !d.nocache && len(reqs) == 1 && exclude == nil
-	if memoable {
-		if groups, ok := d.memoLookup(reqs[0].ContextLen); ok {
-			d.LPSolvesAvoided++
-			return [][]int{groups}, nil
-		}
-	}
-	nW := len(d.workers)
-	nR := len(reqs)
-	r := d.cfg.GroupRatio()
-
-	// Variables: x[j][i] for j in reqs, i in workers, then z. Index
-	// helper: v(j,i) = j*nW + i; z = nR*nW.
-	nVars := nR*nW + 1
-
-	// The recurring single-request shape is re-posed as a patch against
-	// the cached problem (allocation-free once warm); anything else
-	// (batches, failure injection, caching off) builds a fresh problem.
-	// Either way the solve itself is the two-phase simplex from scratch:
-	// the min-max placement LP is massively degenerate — any head
-	// distribution that keeps every worker under the binding worker's
-	// time is optimal — and only a solve that retraces the same pivots is
-	// sure to land on the same optimal vertex. Placements feed the goldens
-	// directly; bit-equality wins.
 	d.LPSolves++
 	//hetis:entropy wall-clock self-profiling; LPSolveSeconds is reporting-only and never feeds placement decisions
 	start := time.Now() // the LP layer's cost is posing + solving
-	prob := d.posePlacement(reqs, exclude, nVars, memoable)
-	res, err := prob.Solve()
+	d.posePlacement(rq.ContextLen)
+	res, err := d.prob.Solve()
 	d.LPSolveSeconds += time.Since(start).Seconds()
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: placement LP: %w", err)
 	}
 
-	// Round each request independently to whole head groups by largest
-	// remainder, then repair any capacity violation by shifting groups to
-	// workers with slack.
-	out := make([][]int, nR)
+	// Round to whole head groups by largest remainder, then repair any
+	// capacity violation by shifting groups to workers with slack.
+	nW := len(d.workers)
+	r := d.cfg.GroupRatio()
 	used, frac, caps := d.roundScratch(nW)
 	for i, w := range d.workers {
 		used[i] = float64(d.g[i])
 		caps[i] = w.CapacityBytes
-		if exclude[i] {
-			caps[i] = 0
-		}
+		frac[i] = res.X[i] / float64(r)
 	}
-	for j, rq := range reqs {
-		for i := 0; i < nW; i++ {
-			frac[i] = res.X[j*nW+i] / float64(r)
-		}
-		x := make([]int, nW)
-		d.rems = roundLargestRemainder(frac, d.cfg.KVHeads, x, d.rems)
-		perGroupBytes := d.perHeadTokenBytes * float64(rq.ContextLen) * float64(r)
-		if err := repairCapacity(x, used, caps, perGroupBytes); err != nil {
-			return nil, fmt.Errorf("dispatch: request %d: %w", rq.ID, err)
-		}
-		for i, gc := range x {
-			x[i] = gc * r
-			used[i] += float64(gc) * perGroupBytes
-		}
-		out[j] = x
+	x := make([]int, nW)
+	d.rems = roundLargestRemainder(frac, d.cfg.KVHeads, x, d.rems)
+	perGroupBytes := d.perHeadTokenBytes * float64(rq.ContextLen) * float64(r)
+	if err := repairCapacity(x, used, caps, perGroupBytes); err != nil {
+		return nil, fmt.Errorf("dispatch: request %d: %w", rq.ID, err)
 	}
-	if memoable {
-		d.memoStore(reqs[0].ContextLen, out[0])
+	for i := range x {
+		x[i] *= r
 	}
-	return out, nil
+	return x, nil
 }
 
-// poser states one min-z LP row by row into a fresh or a cached problem
-// (see poseInto).
-type poser struct {
-	d     *Dispatcher
-	prob  *lp.Problem
-	row   []float64 // the next row's coefficients, nVars wide
-	patch bool
-	idx   int
-}
-
-// emit adds row as the next constraint, or with a cached problem patches
-// it in place, counting mutated rows.
-func (p *poser) emit(op lp.Op, rhs float64) {
-	if p.patch {
-		if p.prob.SetConstraint(p.idx, p.row, op, rhs) {
-			p.d.LPPatchedRows++
-		}
-	} else {
-		p.prob.AddConstraint(p.row, op, rhs)
-	}
-	p.idx++
-}
-
-// poseInto prepares one min-z LP re-pose: with a non-nil cache it
-// patches the cached problem in place (counting mutated rows through
-// emit), creating and remembering it on first use; with nil it builds a
-// fresh problem. Callers write each row's data into the poser's row
-// before calling emit. Patched and rebuilt problems hold bit-identical
-// data, so they solve identically.
-func (d *Dispatcher) poseInto(cache *lpCache, nVars int) poser {
-	p := poser{d: d}
-	if cache != nil {
-		if len(cache.row) != nVars {
-			cache.row = make([]float64, nVars)
-		}
-		p.row = cache.row
-		if cache.prob != nil {
-			p.prob = cache.prob
-			p.patch = true
-		}
-	} else {
-		p.row = make([]float64, nVars)
-	}
-	if p.prob == nil {
-		obj := make([]float64, nVars)
-		obj[nVars-1] = 1 // min z
-		p.prob = lp.New(nVars, obj)
-		if cache != nil {
-			cache.prob = p.prob
-		}
-	}
-	return p
-}
-
-// posePlacement states the Eq. 7 LP for the given requests. When
-// reposable it builds into (or patches) the dispatcher's cached problem,
-// counting mutated rows; otherwise it returns a fresh problem.
-func (d *Dispatcher) posePlacement(reqs []NewRequest, exclude map[int]bool, nVars int, reposable bool) *lp.Problem {
+// posePlacement states the Eq. 7 LP for one request of context ctx into
+// the dispatcher's problem, rewriting every row in place and counting the
+// rows whose data changed since the previous solve.
+func (d *Dispatcher) posePlacement(ctx int) {
 	nW := len(d.workers)
-	H := float64(d.cfg.Heads)
-
-	var cache *lpCache
-	if reposable {
-		cache = &d.placeCache
+	row := d.row
+	k := 0
+	emit := func(op lp.Op, rhs float64) {
+		// The first solve states the rows New left empty; only later
+		// solves count as patches.
+		if d.prob.SetConstraint(k, row, op, rhs) && d.LPSolves > 1 {
+			d.LPPatchedRows++
+		}
+		k++
 	}
-	ps := d.poseInto(cache, nVars)
-	row := ps.row
 
 	// (7a) epigraph: f_i(x) − z ≤ 0 for every worker.
 	for i := range d.workers {
@@ -597,41 +416,29 @@ func (d *Dispatcher) posePlacement(reqs []NewRequest, exclude map[int]bool, nVar
 		if !w.Primary {
 			slopeHeads += w.Net.Gamma * d.scatterBytesPerHead
 		}
-		for j, rq := range reqs {
-			perHead := slopeHeads + w.Attn.B*d.perHeadTokenBytes*float64(rq.ContextLen)
-			row[j*nW+i] = perHead
-		}
-		row[nVars-1] = -1
+		row[i] = slopeHeads + w.Attn.B*d.perHeadTokenBytes*float64(ctx)
+		row[nW] = -1
 		h, g := float64(d.h[i]), float64(d.g[i])
 		fixed := w.Attn.A*h + w.Attn.B*g + w.Attn.C
 		if !w.Primary {
 			fixed += w.Net.Gamma*d.scatterBytesPerHead*h + w.Net.Beta
 		}
-		ps.emit(lp.LE, -fixed)
+		emit(lp.LE, -fixed)
 	}
 
-	// (7b) capacity: g_i + Σ_j bytes(x_{j,i}) ≤ M_i.
+	// (7b) capacity: g_i + bytes(x_i) ≤ M_i.
 	for i := range d.workers {
 		clear(row)
-		for j, rq := range reqs {
-			row[j*nW+i] = d.perHeadTokenBytes * float64(rq.ContextLen)
-		}
-		cap := d.workers[i].CapacityBytes - float64(d.g[i])
-		if exclude[i] {
-			cap = 0
-		}
-		ps.emit(lp.LE, cap)
+		row[i] = d.perHeadTokenBytes * float64(ctx)
+		emit(lp.LE, d.workers[i].CapacityBytes-float64(d.g[i]))
 	}
 
-	// (7c) head conservation: Σ_i x_{j,i} = H.
-	for j := range reqs {
-		clear(row)
-		for i := 0; i < nW; i++ {
-			row[j*nW+i] = 1
-		}
-		ps.emit(lp.EQ, H)
+	// (7c) head conservation: Σ_i x_i = H.
+	clear(row)
+	for i := 0; i < nW; i++ {
+		row[i] = 1
 	}
-	return ps.prob
+	emit(lp.EQ, float64(d.cfg.Heads))
 }
 
 // roundScratch returns solvePlacement's per-worker scratch: loads, group
@@ -723,8 +530,8 @@ func repairCapacity(groups []int, used, caps []float64, perGroupBytes float64) e
 const slotSlabChunk = 64
 
 // commit applies a placement in a fresh record and updates h, g (Eq. 8)
-// and the decode rates.
-func (d *Dispatcher) commit(id RequestID, ctxLen int, x []int) {
+// and the decode rates, returning the record.
+func (d *Dispatcher) commit(id RequestID, ctxLen int, x []int) *Slot {
 	if len(d.slab) == 0 {
 		d.slab = make([]Slot, slotSlabChunk)
 	}
@@ -756,6 +563,7 @@ func (d *Dispatcher) commit(id RequestID, ctxLen int, x []int) {
 		d.g[i] += bytes * int64(ctxLen)
 		d.rate[i] += bytes
 	}
+	return s
 }
 
 // release removes a request's load without forgetting which devices to
@@ -900,7 +708,7 @@ const idealBuckets = 24
 // if ALL current requests could be re-placed freely, subject to the
 // aggregate capacity constraint. Returns 0 when idle. The value is exact
 // to 1e-12 relative (see relaxation) and a function of the tracked loads
-// alone, so cached and cache-free dispatchers see the same number.
+// alone.
 func (d *Dispatcher) IdealAttnTime() (float64, error) {
 	if len(d.recs) == 0 {
 		return 0, nil
@@ -912,18 +720,9 @@ func (d *Dispatcher) IdealAttnTime() (float64, error) {
 	return d.idealAttn(bucketByContext(d.lens, idealBuckets))
 }
 
-// idealAttn evaluates the relaxation over the given (non-empty) buckets:
-// exactly when every fitted slope is nonnegative, and with the simplex
-// otherwise (the exact solver's exchange argument needs s, b ≥ 0).
+// idealAttn evaluates the relaxation over the given (non-empty) buckets.
 func (d *Dispatcher) idealAttn(buckets []bucket) (float64, error) {
 	d.LPIdealSolves++
-	if d.relax.negative {
-		res, err := d.poseIdeal(buckets).Solve()
-		if err != nil {
-			return 0, fmt.Errorf("dispatch: ideal LP: %w", err)
-		}
-		return res.X[len(res.X)-1], nil
-	}
 	// Under head conservation the aggregate capacity row's load is a
 	// constant — every bucket's heads land somewhere — so it is one test.
 	heads := float64(d.cfg.Heads)
@@ -938,51 +737,6 @@ func (d *Dispatcher) idealAttn(buckets []bucket) (float64, error) {
 		return 0, fmt.Errorf("dispatch: ideal relaxation: KV demand %.0f bytes exceeds total capacity %.0f", demand, capacity)
 	}
 	return d.relax.solve(buckets, heads), nil
-}
-
-// poseIdeal states the §5.3.1 relaxation as an LP over the context
-// buckets: the negative-slope fallback, and the exact solver's
-// differential-test oracle.
-func (d *Dispatcher) poseIdeal(buckets []bucket) *lp.Problem {
-	nW := len(d.workers)
-	nVars := len(buckets)*nW + 1
-	ps := d.poseInto(nil, nVars)
-	row := ps.row
-	for i := range d.workers {
-		w := &d.workers[i]
-		clear(row)
-		slopeHeads := w.Attn.A
-		if !w.Primary {
-			slopeHeads += w.Net.Gamma * d.scatterBytesPerHead
-		}
-		for j, b := range buckets {
-			row[j*nW+i] = slopeHeads + w.Attn.B*d.perHeadTokenBytes*b.ctx
-		}
-		row[nVars-1] = -1
-		fixed := w.Attn.C
-		if !w.Primary {
-			fixed += w.Net.Beta
-		}
-		ps.emit(lp.LE, -fixed)
-	}
-	// §5.3.1 uses one aggregate capacity constraint (Σ_i loads ≤ Σ_i M_i).
-	clear(row)
-	var totalCap float64
-	for i := range d.workers {
-		totalCap += d.workers[i].CapacityBytes
-		for j, b := range buckets {
-			row[j*nW+i] += d.perHeadTokenBytes * b.ctx
-		}
-	}
-	ps.emit(lp.LE, totalCap)
-	for j, b := range buckets {
-		clear(row)
-		for i := 0; i < nW; i++ {
-			row[j*nW+i] = 1
-		}
-		ps.emit(lp.EQ, float64(d.cfg.Heads)*float64(b.count))
-	}
-	return ps.prob
 }
 
 // lbSafety shaves the certified lower bound by a relative margin so
@@ -1001,9 +755,9 @@ const lbSafety = 1 - 1e-9
 //
 //	z ≥ (ΣH + Σ c_i/a_i) / Σ(1/a_i)    z ≥ (ΣG + Σ c_i/b_i) / Σ(1/b_i)
 //
-// Zero or negative slopes disable the corresponding bound (that worker
-// could absorb load free, so the average certifies nothing). Returns 0
-// when no bound applies.
+// A zero slope disables the corresponding bound (that worker could absorb
+// load free, so the average certifies nothing). Returns 0 when no bound
+// applies.
 func (d *Dispatcher) idealLowerBound() float64 {
 	n := len(d.recs)
 	if n == 0 {
@@ -1023,12 +777,6 @@ func (d *Dispatcher) idealLowerBound() float64 {
 		if !w.Primary {
 			a += w.Net.Gamma * d.scatterBytesPerHead
 			fixed += w.Net.Beta
-		}
-		if a < 0 || w.Attn.B < 0 {
-			// A negative fitted slope breaks every inequality above (the
-			// dropped b_i·G_i / a_i·H_i terms must be nonnegative, and even
-			// z ≥ fixed_i needs them so): certify nothing.
-			return 0
 		}
 		if fixed > maxFixed {
 			maxFixed = fixed
@@ -1117,7 +865,7 @@ func (d *Dispatcher) RebalanceCompute(theta float64, frozen map[RequestID]bool) 
 	// justify a redispatch either — skip the solve (the common
 	// balanced-steady-state outcome; lb ≤ ideal and current ≤ lb·(1+θ) ⇒
 	// current ≤ ideal·(1+θ), exactly the no-action branch below).
-	if !d.nocache && theta >= 0 {
+	if theta >= 0 {
 		if lb := d.idealLowerBound(); lb > 0 && current <= lb*(1+theta) {
 			d.LPSolvesAvoided++
 			return nil, nil
@@ -1140,7 +888,7 @@ func (d *Dispatcher) redispatchBottleneck(frozen map[RequestID]bool) (*Redispatc
 	bott := 0
 	maxT := -1.0
 	for i := range d.workers {
-		if t := d.fWorker(i, 0, 0); t > maxT {
+		if t := d.fWorkerAt(i, float64(d.h[i]), float64(d.g[i])); t > maxT {
 			maxT = t
 			bott = i
 		}
@@ -1174,22 +922,21 @@ func (d *Dispatcher) redispatchRequest(id RequestID) (*Redispatch, error) {
 	old := d.Placement(id)
 	ctx := d.ContextLen(id)
 	d.release(id)
-	x, err := d.solvePlacement([]NewRequest{{ID: id, ContextLen: ctx}}, nil)
+	x, err := d.solvePlacement(NewRequest{ID: id, ContextLen: ctx})
 	if err != nil {
 		// Roll back to the old placement.
 		d.commit(id, ctx, old)
 		return nil, err
 	}
-	d.commit(id, ctx, x[0])
+	d.commit(id, ctx, x)
 	d.Redispatches++
 	moved := 0
-	for i := range x[0] {
-		diff := x[0][i] - old[i]
-		if diff > 0 {
+	for i := range x {
+		if diff := x[i] - old[i]; diff > 0 {
 			moved += diff
 		}
 	}
-	return &Redispatch{Request: id, Old: old, New: x[0], MovedHeads: moved}, nil
+	return &Redispatch{Request: id, Old: old, New: x, MovedHeads: moved}, nil
 }
 
 // RebalanceMemory implements §5.3.2: when worker idx is memory-exhausted,

@@ -39,6 +39,20 @@ func newDispatcher(t *testing.T, cfg model.Config, ws []Worker) *Dispatcher {
 	return d
 }
 
+// dispatchEach places reqs one Dispatch at a time, returning each
+// request's heads per worker; it stops at the first error.
+func dispatchEach(d *Dispatcher, reqs []NewRequest) (map[RequestID][]int, error) {
+	out := make(map[RequestID][]int, len(reqs))
+	for _, r := range reqs {
+		s, err := d.Dispatch(r)
+		if err != nil {
+			return out, err
+		}
+		out[r.ID] = s.place
+	}
+	return out, nil
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(model.OPT30B, nil); err == nil {
 		t.Error("no workers should error")
@@ -62,12 +76,15 @@ func TestNewValidation(t *testing.T) {
 
 func TestSingleWorkerGetsAllHeads(t *testing.T) {
 	d := newDispatcher(t, model.OPT30B, testWorkers(1e12))
-	got, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 500}})
+	got, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1][0] != model.OPT30B.Heads {
-		t.Fatalf("placement %v, want all %d heads on worker 0", got[1], model.OPT30B.Heads)
+	if got.place[0] != model.OPT30B.Heads {
+		t.Fatalf("placement %v, want all %d heads on worker 0", got.place, model.OPT30B.Heads)
+	}
+	if d.Resolve(got, 1) != got {
+		t.Fatal("Dispatch should return the request's live record")
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -78,7 +95,7 @@ func TestHeadConservationAndGroupAlignment(t *testing.T) {
 	for _, cfg := range []model.Config{model.OPT30B, model.Llama70B} {
 		d := newDispatcher(t, cfg, testWorkers(1e12, 1e12, 1e12))
 		reqs := []NewRequest{{ID: 1, ContextLen: 1000}, {ID: 2, ContextLen: 200}, {ID: 3, ContextLen: 4000}}
-		got, err := d.Dispatch(reqs)
+		got, err := dispatchEach(d, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,12 +122,12 @@ func TestLightLoadStaysLocal(t *testing.T) {
 	// Fig. 14 behaviour: under light load the network overhead of remote
 	// attention outweighs the compute gain, so heads stay on the primary.
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12))
-	got, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}})
+	got, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1][1] != 0 {
-		t.Errorf("light load should stay on primary, placement %v", got[1])
+	if got.place[1] != 0 {
+		t.Errorf("light load should stay on primary, placement %v", got.place)
 	}
 }
 
@@ -122,7 +139,7 @@ func TestHeavyLoadSpills(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 4000})
 	}
-	got, err := d.Dispatch(reqs)
+	got, err := dispatchEach(d, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,21 +162,21 @@ func TestCapacityConstraintRespected(t *testing.T) {
 	// Capacity for 4 heads of a 1000-token request on the primary.
 	primCap := 4 * 1000 * perHeadToken
 	d := newDispatcher(t, cfg, testWorkers(primCap, 1e12))
-	got, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 1000}})
+	got, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1][0] > 4 {
-		t.Errorf("primary got %d heads, capacity only allows 4", got[1][0])
+	if got.place[0] > 4 {
+		t.Errorf("primary got %d heads, capacity only allows 4", got.place[0])
 	}
-	if got[1][0]+got[1][1] != cfg.Heads {
-		t.Errorf("heads lost: %v", got[1])
+	if got.place[0]+got.place[1] != cfg.Heads {
+		t.Errorf("heads lost: %v", got.place)
 	}
 }
 
 func TestDispatchFailsWhenNothingFits(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(1000, 1000))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100000}}); err == nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 100000}); err == nil {
 		t.Fatal("oversized request should fail to place")
 	}
 	// Failure must not leave residue.
@@ -175,20 +192,20 @@ func TestCanFit(t *testing.T) {
 	cfg := model.Llama13B
 	perTok := float64(cfg.Heads) * float64(cfg.KVBytesPerTokenHeadGroup())
 	d := newDispatcher(t, cfg, testWorkers(perTok*150, perTok*150))
-	if !d.CanFit([]NewRequest{{ID: 1, ContextLen: 100}}) {
+	if !d.CanFit(NewRequest{ID: 1, ContextLen: 100}) {
 		t.Error("small request should fit")
 	}
-	if d.CanFit([]NewRequest{{ID: 1, ContextLen: 1000}}) {
+	if d.CanFit(NewRequest{ID: 1, ContextLen: 1000}) {
 		t.Error("oversized request should not fit")
 	}
 }
 
 func TestDuplicateDispatchRejected(t *testing.T) {
 	d := newDispatcher(t, model.OPT30B, testWorkers(1e12))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 10}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 10}}); err == nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 10}); err == nil {
 		t.Fatal("duplicate id should be rejected")
 	}
 }
@@ -198,7 +215,7 @@ func TestExtendContextAndOverflow(t *testing.T) {
 	perHeadToken := float64(cfg.KVBytesPerTokenHeadGroup())
 	cap0 := float64(cfg.Heads) * 110 * perHeadToken // fits 110 tokens of all heads
 	d := newDispatcher(t, cfg, testWorkers(cap0))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 100}); err != nil {
 		t.Fatal(err)
 	}
 	over, err := d.ExtendContext(1, 5)
@@ -226,7 +243,7 @@ func TestRemoveReleasesLoad(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 2000})
 	}
-	if _, err := d.Dispatch(reqs); err != nil {
+	if _, err := dispatchEach(d, reqs); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
@@ -246,7 +263,7 @@ func TestIdealVsCurrent(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 1500})
 	}
-	if _, err := d.Dispatch(reqs); err != nil {
+	if _, err := dispatchEach(d, reqs); err != nil {
 		t.Fatal(err)
 	}
 	ideal, err := d.IdealAttnTime()
@@ -266,7 +283,7 @@ func TestRebalanceComputeAfterSkew(t *testing.T) {
 	// Build skew: dispatch one request, then grow its context massively so
 	// its device becomes the bottleneck.
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12, 1e12))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 200}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 200}); err != nil {
 		t.Fatal(err)
 	}
 	// Admit background requests so the pool has load to balance against.
@@ -274,7 +291,7 @@ func TestRebalanceComputeAfterSkew(t *testing.T) {
 	for i := 2; i < 20; i++ {
 		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 500})
 	}
-	if _, err := d.Dispatch(reqs); err != nil {
+	if _, err := dispatchEach(d, reqs); err != nil {
 		t.Fatal(err)
 	}
 	// Request 1 decodes 30000 tokens (unpredictably long context).
@@ -307,7 +324,7 @@ func TestRebalanceComputeNoActionWhenBalanced(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 400})
 	}
-	if _, err := d.Dispatch(reqs); err != nil {
+	if _, err := dispatchEach(d, reqs); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := d.RebalanceCompute(0.5, nil)
@@ -326,10 +343,10 @@ func TestRebalanceMemoryMovesVictim(t *testing.T) {
 	// plenty.
 	primCap := float64(cfg.Heads) * 220 * perHeadToken
 	d := newDispatcher(t, cfg, testWorkers(primCap, 1e12))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Dispatch([]NewRequest{{ID: 2, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 2, ContextLen: 100}); err != nil {
 		t.Fatal(err)
 	}
 	// Decode pushes the primary over; request 2 (newest) should move.
@@ -364,10 +381,10 @@ func TestRebalanceMemoryDeclinesWhenClusterFull(t *testing.T) {
 	perHeadToken := float64(cfg.KVBytesPerTokenHeadGroup())
 	cap0 := float64(cfg.Heads) * 100 * perHeadToken
 	d := newDispatcher(t, cfg, testWorkers(cap0, cap0))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Dispatch([]NewRequest{{ID: 2, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 2, ContextLen: 100}); err != nil {
 		t.Fatal(err)
 	}
 	// Entire cluster is full: Σg == ΣM, so re-dispatching cannot help.
@@ -392,7 +409,7 @@ func TestFasterWorkerGetsMoreHeads(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 2000})
 	}
-	got, err := d.Dispatch(reqs)
+	got, err := dispatchEach(d, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +438,7 @@ func TestPropertyInvariantsUnderRandomChurn(t *testing.T) {
 			case 0:
 				id := next
 				next++
-				if _, err := d.Dispatch([]NewRequest{{ID: id, ContextLen: 100 + rng.Intn(2000)}}); err == nil {
+				if _, err := d.Dispatch(NewRequest{ID: id, ContextLen: 100 + rng.Intn(2000)}); err == nil {
 					live = append(live, id)
 				}
 			case 1:
@@ -454,7 +471,7 @@ func TestUtilization(t *testing.T) {
 	perHeadToken := float64(cfg.KVBytesPerTokenHeadGroup())
 	cap0 := float64(cfg.Heads) * 200 * perHeadToken
 	d := newDispatcher(t, cfg, testWorkers(cap0))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 100}); err != nil {
 		t.Fatal(err)
 	}
 	u := d.Utilization()

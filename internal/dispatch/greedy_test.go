@@ -24,7 +24,7 @@ func TestGreedyConservesHeads(t *testing.T) {
 	for _, cfg := range []model.Config{model.OPT30B, model.Llama70B} {
 		d := newDispatcher(t, cfg, testWorkers(1e12, 1e12, 1e12))
 		d.SetPolicy(PolicyGreedy)
-		got, err := d.Dispatch([]NewRequest{
+		got, err := dispatchEach(d, []NewRequest{
 			{ID: 1, ContextLen: 1000},
 			{ID: 2, ContextLen: 3000},
 		})
@@ -56,19 +56,19 @@ func TestGreedyRespectsCapacity(t *testing.T) {
 	primCap := 4 * 1000 * perHeadToken // room for 4 heads of a 1000-token req
 	d := newDispatcher(t, cfg, testWorkers(primCap, 1e12))
 	d.SetPolicy(PolicyGreedy)
-	got, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 1000}})
+	got, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1][0] > 4 {
-		t.Errorf("greedy put %d heads on a 4-head-capacity primary", got[1][0])
+	if got.place[0] > 4 {
+		t.Errorf("greedy put %d heads on a 4-head-capacity primary", got.place[0])
 	}
 }
 
 func TestGreedyFailsCleanlyWhenFull(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(100, 100))
 	d.SetPolicy(PolicyGreedy)
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 100000}}); err == nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 100000}); err == nil {
 		t.Fatal("oversized request should fail")
 	}
 	if d.AttnStepTime() != 0 {
@@ -86,7 +86,7 @@ func TestGreedyVsLPQuality(t *testing.T) {
 		for i := 0; i < 24; i++ {
 			reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 1000 + 200*(i%5)})
 		}
-		if _, err := d.Dispatch(reqs); err != nil {
+		if _, err := dispatchEach(d, reqs); err != nil {
 			t.Fatal(err)
 		}
 		return d
@@ -104,14 +104,14 @@ func TestGreedyVsLPQuality(t *testing.T) {
 
 func TestRebalanceComputeRespectsFrozen(t *testing.T) {
 	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12, 1e12))
-	if _, err := d.Dispatch([]NewRequest{{ID: 1, ContextLen: 200}}); err != nil {
+	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 200}); err != nil {
 		t.Fatal(err)
 	}
 	var reqs []NewRequest
 	for i := 2; i < 20; i++ {
 		reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 500})
 	}
-	if _, err := d.Dispatch(reqs); err != nil {
+	if _, err := dispatchEach(d, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.ExtendContext(1, 30000); err != nil {
@@ -125,43 +125,6 @@ func TestRebalanceComputeRespectsFrozen(t *testing.T) {
 	}
 	if rd != nil && rd.Request == 1 {
 		t.Fatalf("frozen request was re-dispatched: %+v", rd)
-	}
-}
-
-func TestDispatchExcludingAvoidsFailedWorker(t *testing.T) {
-	for _, policy := range []Policy{PolicyLP, PolicyGreedy} {
-		d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12, 1e12))
-		d.SetPolicy(policy)
-		var reqs []NewRequest
-		for i := 0; i < 24; i++ {
-			reqs = append(reqs, NewRequest{ID: int64(i), ContextLen: 3000})
-		}
-		got, err := d.DispatchExcluding(reqs, []int{1})
-		if err != nil {
-			t.Fatalf("%v: %v", policy, err)
-		}
-		for id, x := range got {
-			if x[1] != 0 {
-				t.Fatalf("%v: request %d placed %d heads on the failed worker", policy, id, x[1])
-			}
-		}
-		if err := d.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestDispatchExcludingValidation(t *testing.T) {
-	d := newDispatcher(t, model.Llama13B, testWorkers(1e12, 1e12))
-	if _, err := d.DispatchExcluding([]NewRequest{{ID: 1, ContextLen: 10}}, []int{7}); err == nil {
-		t.Fatal("out-of-range exclusion should error")
-	}
-	if _, err := d.DispatchExcluding(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Excluding every worker makes placement impossible.
-	if _, err := d.DispatchExcluding([]NewRequest{{ID: 2, ContextLen: 10}}, []int{0, 1}); err == nil {
-		t.Fatal("excluding all workers should fail")
 	}
 }
 

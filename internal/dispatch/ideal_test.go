@@ -1,7 +1,9 @@
 package dispatch
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hetis/internal/hardware"
@@ -60,7 +62,7 @@ func randomRelaxation(t testing.TB, rng *rand.Rand) (d *Dispatcher, buckets []bu
 const oracleUnit = 1e6
 
 // oracleIdeal states the relaxation as an LP in microseconds, for the
-// simplex oracle. In seconds (poseIdeal) the simplex's absolute 1e-9
+// simplex oracle. In seconds the simplex's absolute 1e-9
 // entering tolerance meets reduced costs around 1e-12 and can stop a few
 // tenths of a percent above the optimum on random instances; in
 // microseconds it agrees with the exact solver to about 1e-10. The
@@ -98,8 +100,8 @@ func oracleIdeal(d *Dispatcher, buckets []bucket) *lp.Problem {
 
 // checkIdealAgainstSimplex is the differential contract between the exact
 // relaxation solver and the simplex oracle: the exact solver rejects
-// exactly the over-capacity instances, its point is feasible for the
-// relaxation's LP, and its optimum is never above the oracle's (beyond
+// exactly the over-capacity instances, its point (z in the oracle's
+// microseconds) is feasible for the oracle's LP, and its optimum is never above the oracle's (beyond
 // 1e-12) nor below it by more than 1e-6.
 func checkIdealAgainstSimplex(t *testing.T, d *Dispatcher, buckets []bucket, feasible bool) {
 	t.Helper()
@@ -114,11 +116,12 @@ func checkIdealAgainstSimplex(t *testing.T, d *Dispatcher, buckets []bucket, fea
 	if !d.relax.fits(z, buckets, float64(d.cfg.Heads), x) {
 		t.Fatalf("exact optimum %v fails its own sweep", z)
 	}
-	x[len(x)-1] = z
-	if v := d.poseIdeal(buckets).Violation(x); v > 1e-9 {
+	x[len(x)-1] = z * oracleUnit
+	oracle := oracleIdeal(d, buckets)
+	if v := oracle.Violation(x); v > 1e-9 {
 		t.Fatalf("exact point violates the LP by %g", v)
 	}
-	res, err := oracleIdeal(d, buckets).Solve()
+	res, err := oracle.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,28 +155,22 @@ func FuzzIdealRelaxation(f *testing.F) {
 	})
 }
 
-// TestIdealNegativeSlopeFallsBack pins the fallback: a negative fitted
-// slope voids the exchange argument, so the relaxation's value is the
-// simplex's, bit for bit, and still counts as a relaxation evaluation
-// rather than a placement solve.
-func TestIdealNegativeSlopeFallsBack(t *testing.T) {
-	ws := testWorkers(1e12, 1e12)
-	ws[1].Attn.B = -1e-13
-	d := newDispatcher(t, model.Llama13B, ws)
-	buckets := []bucket{{ctx: 300, count: 4}, {ctx: 2000, count: 2}}
-	got, err := d.idealAttn(buckets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.poseIdeal(buckets).Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := res.X[len(res.X)-1]; got != want {
-		t.Errorf("fallback = %v, simplex = %v", got, want)
-	}
-	if d.LPIdealSolves != 1 || d.LPSolves != 0 {
-		t.Errorf("counters: ideal %d, placement %d; want 1, 0", d.LPIdealSolves, d.LPSolves)
+// TestNewRejectsNegativeSlope pins the slope check the exact relaxation
+// and its lower bound rely on: a negative or NaN Attn.A, Attn.B or
+// Net.Gamma fails New with an error naming the worker.
+func TestNewRejectsNegativeSlope(t *testing.T) {
+	for _, set := range []func(w *Worker){
+		func(w *Worker) { w.Attn.A = -1e-9 },
+		func(w *Worker) { w.Attn.B = -1e-13 },
+		func(w *Worker) { w.Net.Gamma = -1e-12 },
+		func(w *Worker) { w.Attn.B = math.NaN() },
+	} {
+		ws := testWorkers(1e12, 1e12)
+		set(&ws[1])
+		_, err := New(model.Llama13B, ws)
+		if err == nil || !strings.Contains(err.Error(), "worker 1 ") {
+			t.Errorf("%+v: New error %v, want one naming worker 1", ws[1], err)
+		}
 	}
 }
 

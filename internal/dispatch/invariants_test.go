@@ -8,8 +8,9 @@ import (
 )
 
 // TestDispatchPlacementProperties drives the dispatcher with randomized
-// worker pools, capacities, and admission batches, and asserts the
-// placement contract on every successful dispatch:
+// worker pools, capacities, and admission batches (placed one request at
+// a time), and asserts the placement contract on every successful
+// dispatch:
 //
 //   - every request's heads sum to the model's query heads,
 //   - per-worker head counts are whole KV-head groups,
@@ -42,41 +43,39 @@ func TestDispatchPlacementProperties(t *testing.T) {
 				batch[i] = NewRequest{ID: nextID, ContextLen: 16 + rng.Intn(4000)}
 				nextID++
 			}
-			if !d.CanFit(batch) {
-				continue
-			}
-			placements, err := d.Dispatch(batch)
-			if err != nil {
-				// The LP can legitimately fail near capacity even when the
-				// aggregate check passed; that must not corrupt state.
-				if err := d.CheckInvariants(); err != nil {
-					t.Fatalf("round %d: invariants broken after failed dispatch: %v", round, err)
-				}
-				continue
-			}
-			for _, r := range batch {
-				live = append(live, r.ID)
-			}
-
 			r := cfg.GroupRatio()
-			for id, x := range placements {
+			for _, rq := range batch {
+				if !d.CanFit(rq) {
+					continue
+				}
+				slot, err := d.Dispatch(rq)
+				if err != nil {
+					// The LP can legitimately fail near capacity even when
+					// the aggregate check passed; that must not corrupt
+					// state.
+					if err := d.CheckInvariants(); err != nil {
+						t.Fatalf("round %d: invariants broken after failed dispatch: %v", round, err)
+					}
+					continue
+				}
+				live = append(live, rq.ID)
 				total := 0
-				for w, heads := range x {
+				for w, heads := range slot.place {
 					if heads < 0 {
 						t.Fatalf("round %d: negative heads %d on worker %d", round, heads, w)
 					}
 					if heads%r != 0 {
-						t.Fatalf("round %d: request %d places %d heads on worker %d, not a multiple of group ratio %d", round, id, heads, w, r)
+						t.Fatalf("round %d: request %d places %d heads on worker %d, not a multiple of group ratio %d", round, rq.ID, heads, w, r)
 					}
 					total += heads
 				}
 				if total != cfg.Heads {
-					t.Fatalf("round %d: request %d placed %d heads, want the model's %d query heads", round, id, total, cfg.Heads)
+					t.Fatalf("round %d: request %d placed %d heads, want the model's %d query heads", round, rq.ID, total, cfg.Heads)
 				}
-			}
-			for i, w := range d.Workers() {
-				if d.CacheBytes(i) > w.CapacityBytes+1 {
-					t.Fatalf("round %d: worker %d cache %g exceeds capacity %g", round, i, d.CacheBytes(i), w.CapacityBytes)
+				for i, w := range d.Workers() {
+					if d.CacheBytes(i) > w.CapacityBytes+1 {
+						t.Fatalf("round %d: worker %d cache %g exceeds capacity %g", round, i, d.CacheBytes(i), w.CapacityBytes)
+					}
 				}
 			}
 			if err := d.CheckInvariants(); err != nil {

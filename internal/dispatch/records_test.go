@@ -108,7 +108,7 @@ func (r *refRecords) extend(id RequestID, n int) []int {
 func (r *refRecords) victim(frozen map[RequestID]bool) RequestID {
 	bott, maxT := 0, -1.0
 	for i := range r.d.workers {
-		if t := r.d.fWorker(i, 0, 0); t > maxT {
+		if t := r.d.fWorkerAt(i, float64(r.d.h[i]), float64(r.d.g[i])); t > maxT {
 			maxT, bott = t, i
 		}
 	}
@@ -209,8 +209,7 @@ func (x *recordsHarness) applyRedispatch(rolledBack []RequestID, rd *Redispatch)
 func (x *recordsHarness) step(op int) {
 	t, rng, d, ref := x.t, x.rng, x.d, x.ref
 	switch op {
-	case 0, 1: // admit a batch, sometimes re-admitting a removed ID
-		var batch []NewRequest
+	case 0, 1: // admit a few requests, sometimes re-admitting a removed ID
 		seen := map[RequestID]bool{}
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			id := x.nextID
@@ -227,23 +226,13 @@ func (x *recordsHarness) step(op int) {
 			seen[id] = true
 			// Contexts on a coarse grid make equal bottleneck
 			// contributions common, so the victim tie-break is exercised.
-			batch = append(batch, NewRequest{ID: id, ContextLen: 16 + 128*rng.Intn(24)})
-		}
-		var placed map[RequestID][]int
-		var err error
-		if rng.Intn(4) == 0 {
-			placed, err = d.DispatchExcluding(batch, []int{1 + rng.Intn(d.NumWorkers()-1)})
-		} else {
-			placed, err = d.Dispatch(batch)
-		}
-		if err != nil {
-			for _, r := range batch {
-				x.retired = append(x.retired, r.ID)
+			rq := NewRequest{ID: id, ContextLen: 16 + 128*rng.Intn(24)}
+			s, err := d.Dispatch(rq)
+			if err != nil {
+				x.retired = append(x.retired, id)
+				continue
 			}
-			return
-		}
-		for _, r := range batch {
-			ref.commit(r.ID, r.ContextLen, placed[r.ID])
+			ref.commit(id, rq.ContextLen, s.place)
 		}
 	case 2, 3: // extend by id
 		id, ok := x.randomLive()
@@ -468,9 +457,6 @@ func runRecords(t *testing.T, seed int64) (*Dispatcher, *recordsHarness) {
 	d, err := New(model.Llama13B, testWorkersForBench(caps[0], caps[1:]...))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rng.Intn(3) == 0 {
-		d.SetCaching(false)
 	}
 	x := &recordsHarness{t: t, rng: rng, d: d, ref: newRefRecords(d), handles: map[RequestID]*Slot{}, nextID: 1}
 	for step := 0; step < 150; step++ {

@@ -9,7 +9,7 @@ const idealTol = 1e-12
 // context length ctx it holds costs s + b·ctx seconds, on top of a fixed
 // term that binds the makespan whether or not the worker holds any heads.
 type relaxWorker struct {
-	idx         int // position in Dispatcher.workers (the LP's column order)
+	idx         int // position in Dispatcher.workers
 	s, b, fixed float64
 }
 
@@ -22,7 +22,7 @@ type relaxWorker struct {
 // exactly, without a simplex. (The aggregate capacity row is constant
 // under head conservation, so idealAttn checks it once.)
 //
-// Exchange argument: take workers i, k with b_i·s_k ≤ b_k·s_i (i has the
+// Exchange argument (dispatch.New guarantees s, b ≥ 0): take workers i, k with b_i·s_k ≤ b_k·s_i (i has the
 // smaller b/s) and contexts L > S, with c_iL the cost of an L head on i.
 // Moving ε heads of L from k to i and ε·c_iL/c_iS heads of S from i to k
 // leaves i's time unchanged and changes k's by ε·(c_kS·c_iL/c_iS − c_kL),
@@ -38,15 +38,11 @@ type relaxWorker struct {
 // infeasible. solve bisects z.
 type relaxation struct {
 	workers []relaxWorker // ascending b/s: the sweep order
-	// negative marks a negative (or NaN) fitted slope, where the exchange
-	// argument fails and idealAttn falls back to the simplex.
-	negative bool
-	rem      []float64 // sweep scratch: heads left per bucket
+	rem     []float64     // sweep scratch: heads left per bucket
 }
 
 // newRelaxation tabulates the workers' cost lines with the per-head terms
-// of Eq. 3 and Eq. 4, computed exactly as poseIdeal's epigraph rows state
-// them.
+// of Eq. 3 and Eq. 4.
 func newRelaxation(ws []Worker, scatterBytesPerHead, perHeadTokenBytes float64) relaxation {
 	rx := relaxation{workers: make([]relaxWorker, len(ws))}
 	for i, w := range ws {
@@ -54,9 +50,6 @@ func newRelaxation(ws []Worker, scatterBytesPerHead, perHeadTokenBytes float64) 
 		if !w.Primary {
 			rw.s += w.Net.Gamma * scatterBytesPerHead
 			rw.fixed += w.Net.Beta
-		}
-		if !(rw.s >= 0 && rw.b >= 0) {
-			rx.negative = true
 		}
 		rx.workers[i] = rw
 	}
@@ -76,9 +69,8 @@ func newRelaxation(ws []Worker, scatterBytesPerHead, perHeadTokenBytes float64) 
 
 // fits reports whether makespan z is feasible, by the greedy sweep over
 // buckets (ascending context, as bucketByContext returns them) of heads
-// query heads per request. A non-nil zeroed x, laid out like poseIdeal's
-// variables (bucket-major, one entry per worker), receives the sweep's
-// placement.
+// query heads per request. A non-nil zeroed x, bucket-major with one
+// entry per worker (x[j·W+i]), receives the sweep's placement.
 func (rx *relaxation) fits(z float64, buckets []bucket, heads float64, x []float64) bool {
 	if cap(rx.rem) < len(buckets) {
 		rx.rem = make([]float64, len(buckets))

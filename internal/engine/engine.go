@@ -37,10 +37,6 @@ type Config struct {
 	// GreedyDispatch replaces the Eq. 7 LP with the greedy
 	// longest-processing-time heuristic (ablation).
 	GreedyDispatch bool
-	// noLPCaching turns off every Hetis dispatcher's solver caching layer
-	// (dispatch.Dispatcher.SetCaching). Only tests set it, to run the
-	// cache-free twin of a scenario; decisions must not change.
-	noLPCaching bool
 	// perRequestSteps makes every Hetis decode step take the per-request
 	// loop instead of the batched advance. Only tests set it, to run the
 	// twin the batched step must match byte for byte.
@@ -246,9 +242,8 @@ type Result struct {
 	// (internal/bench) divides by wall-clock for events/sec.
 	Events uint64
 	// LPSolves counts placement LP solves across the run's dispatchers;
-	// LPSolvesAvoided counts placement solves and §5.3.1 relaxations the
-	// caching layer skipped. Both are zero for engines without dynamic
-	// dispatch.
+	// LPSolvesAvoided counts §5.3.1 relaxations skipped by the lower-bound
+	// test. Both are zero for engines without dynamic dispatch.
 	LPSolves, LPSolvesAvoided int
 	// LPIdealSolves counts §5.3.1 relaxation evaluations (solved exactly,
 	// not by the simplex; see internal/dispatch).
@@ -256,8 +251,8 @@ type Result struct {
 	// LPWarmStarts is always zero: the dispatcher no longer warm-starts
 	// any solve. The field stays for readers of older reports.
 	LPWarmStarts int
-	// LPPatchedRows counts constraint rows mutated in place when the
-	// recurring placement LP was re-posed as a patch instead of rebuilt.
+	// LPPatchedRows counts placement LP rows whose data changed when a
+	// solve rewrote them in place.
 	LPPatchedRows int
 	// LPSolveSeconds is wall-clock spent posing and solving placement
 	// LPs, the numerator of the perf trajectory's "LP share of engine

@@ -2,13 +2,6 @@ package engine
 
 import "fmt"
 
-// WithoutLPCaching returns cfg with every Hetis dispatcher's solver
-// caching layer switched off, for the cache-free twin tests.
-func WithoutLPCaching(cfg Config) Config {
-	cfg.noLPCaching = true
-	return cfg
-}
-
 // WithPerRequestSteps returns cfg with every Hetis decode step forced onto
 // the per-request loop, for the batched step's twin tests.
 func WithPerRequestSteps(cfg Config) Config {

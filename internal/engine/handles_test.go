@@ -39,7 +39,7 @@ func newHandleInstance(t *testing.T) (*hetisInstance, []*request) {
 	var rs []*request
 	for _, id := range []int64{1, 2} {
 		r := &request{wl: workload.Request{ID: id, PromptLen: 900, OutputLen: 100}, restartCtx: 900, seq: id}
-		if _, err := inst.disp.Dispatch([]dispatch.NewRequest{{ID: id, ContextLen: 900}}); err != nil {
+		if _, err := inst.disp.Dispatch(dispatch.NewRequest{ID: id, ContextLen: 900}); err != nil {
 			t.Fatal(err)
 		}
 		if !inst.kvAlloc(nil, id, 900) {
@@ -146,7 +146,7 @@ func TestDecodeHandlesSurviveReplacement(t *testing.T) {
 			t.Fatalf("worker %d: entry handle survived eviction", i)
 		}
 	}
-	if _, err := inst.disp.Dispatch([]dispatch.NewRequest{{ID: 1, ContextLen: 950}}); err != nil {
+	if _, err := inst.disp.Dispatch(dispatch.NewRequest{ID: 1, ContextLen: 950}); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.kvAlloc(s, 1, 950) {

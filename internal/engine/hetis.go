@@ -269,9 +269,6 @@ func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstan
 	if cfg.GreedyDispatch {
 		d.SetPolicy(dispatch.PolicyGreedy)
 	}
-	if cfg.noLPCaching {
-		d.SetCaching(false)
-	}
 	inst.disp = d
 	inst.overflowHit = make([]bool, len(workers))
 	inst.decodeDone = inst.onDecodeDone
@@ -408,7 +405,7 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 			if len(inst.running) == 0 && len(admitted) == 0 {
 				// Nothing running to free space: admit anyway to make
 				// progress (a single request must always be servable).
-				if inst.disp.CanFit([]dispatch.NewRequest{nr}) {
+				if inst.disp.CanFit(nr) {
 					goto place
 				}
 				inst.waiting.pop()
@@ -419,10 +416,12 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 			break
 		}
 	place:
-		if _, err := inst.disp.Dispatch([]dispatch.NewRequest{nr}); err != nil {
-			// Cannot place: if the instance is otherwise empty the request
-			// can never fit — drop it; else wait for cache to free up.
-			if len(inst.running) == 0 && len(admitted) == 0 && !inst.disp.CanFit([]dispatch.NewRequest{nr}) {
+		slot, err := inst.disp.Dispatch(nr)
+		if err != nil {
+			// Cannot place: an empty dispatcher is the most room the
+			// request will ever get, so there it can never fit — drop it;
+			// else wait for cache to free up.
+			if inst.disp.Len() == 0 {
 				inst.waiting.pop()
 				inst.res.Trace.Addf(s.Now(), trace.KindEviction, r.wl.ID, -1, 0, "dropped: cannot ever fit")
 				inst.fleet.dropAdmitted(s, r)
@@ -434,6 +433,7 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 			inst.disp.Remove(r.wl.ID)
 			break
 		}
+		inst.handles(r).slot = slot
 		inst.waiting.pop()
 		admitted = append(admitted, r)
 		tokens += r.prefillLen()

@@ -13,12 +13,24 @@ import (
 // and a trace heavy enough to exercise §5.3.
 func pressuredSetup(t *testing.T, mutate func(*Config)) *Result {
 	t.Helper()
+	h := pressuredHetis(t, model.Llama13B, mutate)
+	reqs := workload.Poisson(workload.ShareGPT, 6, 60, 99)
+	res, err := h.Run(reqs, 2400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// pressuredHetis is pressuredSetup's engine for model m: one A100 primary
+// and two 3090 attention workers.
+func pressuredHetis(t *testing.T, m model.Config, mutate func(*Config)) *Hetis {
+	t.Helper()
 	cluster := hardware.NewBuilder(hardware.LAN100G).
 		AddHost("a100", hardware.PCIe4x16, hardware.A100, 1).
 		AddHost("3090-a", hardware.PCIe3x16, hardware.RTX3090, 1).
 		AddHost("3090-b", hardware.PCIe3x16, hardware.RTX3090, 1).
 		MustBuild()
-	m := model.Llama13B
 	plan := &parallelizer.Plan{Instances: []parallelizer.Instance{{
 		Stages: []parallelizer.Stage{{
 			Spec: hardware.A100, Devices: []hardware.DeviceID{0},
@@ -34,12 +46,7 @@ func pressuredSetup(t *testing.T, mutate func(*Config)) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := workload.Poisson(workload.ShareGPT, 6, 60, 99)
-	res, err := h.Run(reqs, 2400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return h
 }
 
 func TestGreedyDispatchOptionServes(t *testing.T) {
@@ -174,5 +181,25 @@ func TestImpossibleRequestIsDropped(t *testing.T) {
 	}
 	if res.Completed != 1 {
 		t.Fatalf("completed %d, want 1 (giant dropped, small served)", res.Completed)
+	}
+}
+
+func TestUnplaceableRequestIsDropped(t *testing.T) {
+	// A request whose KV fits the pool's total free capacity but not in
+	// whole head groups fails to place even on an empty instance. It must
+	// be dropped there rather than wedge the requests queued behind it.
+	m := model.Llama13B
+	m.MaxSeqLen = 0 // disable truncation so the long context survives
+	h := pressuredHetis(t, m, nil)
+	reqs := []workload.Request{
+		{ID: 0, ArrivalAt: 0, PromptLen: 97033, OutputLen: 10}, // unplaceable
+		{ID: 1, ArrivalAt: 0, PromptLen: 200, OutputLen: 10},   // fine
+	}
+	res, err := h.Run(reqs, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 1 {
+		t.Fatalf("completed %d, queued %d; want 1 completed (unplaceable dropped, small served)", res.Completed, res.Queued)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzSimplexEquivalence is the solver's differential fuzz target: random
-// small LPs are solved by the frozen legacy solver (reference.go) and by
+// small LPs are solved by the frozen legacy solver (reference_test.go) and by
 // Solve — fresh, and again after patching every row in place, on reused
 // scratch — and both must agree on status, objective (within 1e-9
 // relative), and feasibility of the returned point.

@@ -11,10 +11,10 @@
 //	            x ≥ 0
 //
 // Solve runs the classic two-phase method from scratch. A recurring
-// problem shape can be re-posed in place with SetConstraint and
-// SetObjective, and successive solves of one Problem reuse its tableau
-// scratch. A frozen copy of the original solver lives in reference.go as
-// the differential-test oracle.
+// problem shape can be re-posed in place with SetConstraint, and
+// successive solves of one Problem reuse its tableau scratch. A frozen
+// copy of the original solver lives in reference_test.go as the
+// differential-test oracle.
 package lp
 
 import (
@@ -156,32 +156,6 @@ func (p *Problem) AddConstraint(coeffs []float64, op Op, rhs float64) {
 	row := make([]float64, p.n)
 	copy(row, coeffs)
 	p.cons = append(p.cons, constraint{coeffs: row, op: op, rhs: rhs})
-}
-
-// AddSparseConstraint appends Σ coeffs[k]·x[idx[k]] op rhs.
-func (p *Problem) AddSparseConstraint(idx []int, coeffs []float64, op Op, rhs float64) {
-	if len(idx) != len(coeffs) {
-		panic("lp: idx and coeffs length mismatch")
-	}
-	row := make([]float64, p.n)
-	for k, j := range idx {
-		if j < 0 || j >= p.n {
-			panic(fmt.Sprintf("lp: variable index %d out of range [0,%d)", j, p.n))
-		}
-		row[j] += coeffs[k]
-	}
-	p.cons = append(p.cons, constraint{coeffs: row, op: op, rhs: rhs})
-}
-
-// SetObjective replaces the objective coefficients in place (len(obj)
-// must be the variable count). Together with SetConstraint it lets a
-// caller re-pose a recurring problem shape as a patch against the
-// existing Problem instead of rebuilding it.
-func (p *Problem) SetObjective(obj []float64) {
-	if len(obj) != p.n {
-		panic(fmt.Sprintf("lp: objective has %d coefficients for %d variables", len(obj), p.n))
-	}
-	copy(p.obj, obj)
 }
 
 // SetConstraint overwrites constraint i with coeffs·x op rhs, like

@@ -114,15 +114,6 @@ func TestMinMaxEpigraph(t *testing.T) {
 	}
 }
 
-func TestSparseConstraint(t *testing.T) {
-	p := New(5, []float64{1, 1, 1, 1, 1})
-	p.AddSparseConstraint([]int{0, 4}, []float64{1, 1}, GE, 3)
-	res := solveOK(t, p)
-	if math.Abs(res.Objective-3) > 1e-6 {
-		t.Fatalf("objective = %g want 3", res.Objective)
-	}
-}
-
 func TestRedundantEqualities(t *testing.T) {
 	// Duplicate equality rows create a redundant artificial basis row;
 	// phase 1 must cope.
@@ -358,13 +349,5 @@ func TestPanics(t *testing.T) {
 	assertPanic("too many coeffs", func() {
 		p := New(1, []float64{1})
 		p.AddConstraint([]float64{1, 2}, LE, 1)
-	})
-	assertPanic("sparse idx out of range", func() {
-		p := New(1, []float64{1})
-		p.AddSparseConstraint([]int{3}, []float64{1}, LE, 1)
-	})
-	assertPanic("sparse len mismatch", func() {
-		p := New(1, []float64{1})
-		p.AddSparseConstraint([]int{0}, []float64{1, 2}, LE, 1)
 	})
 }

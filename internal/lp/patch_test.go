@@ -104,20 +104,6 @@ func TestSetConstraintReportsChanges(t *testing.T) {
 	}
 }
 
-// TestSetObjectivePatches re-poses the objective in place.
-func TestSetObjectivePatches(t *testing.T) {
-	p := New(2, []float64{1, 1})
-	p.AddConstraint([]float64{1, 1}, GE, 2)
-	p.SetObjective([]float64{3, 1}) // optimum moves to (0, 2)
-	res, err := p.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Objective-2) > 1e-9 || math.Abs(res.X[1]-2) > 1e-9 {
-		t.Fatalf("objective patch ignored: %+v", res)
-	}
-}
-
 // TestScratchReuseIsInvisible solves the same problem twice (fresh
 // scratch, then reused) and demands bit-identical results.
 func TestScratchReuseIsInvisible(t *testing.T) {

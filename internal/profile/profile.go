@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"hetis/internal/hardware"
 	"hetis/internal/model"
@@ -124,7 +125,7 @@ func fitAttn(est *perf.Estimator, spec hardware.GPUSpec, opts Options) (AttnMode
 			ys = append(ys, y)
 		}
 	}
-	coef := leastSquares3(feats, ys)
+	coef := fitSlopes(feats, ys, 0, 1)
 	m := AttnModel{A: coef[0], B: coef[1], C: coef[2]}
 
 	// Held-out accuracy: mid-grid points not used for fitting.
@@ -160,7 +161,7 @@ func fitNet(est *perf.Estimator, link hardware.LinkSpec, opts Options) (NetModel
 		feats = append(feats, [3]float64{float64(bytes), 1, 0})
 		ys = append(ys, y)
 	}
-	coef := leastSquares3(feats, ys)
+	coef := fitSlopes(feats, ys, 0)
 	m := NetModel{Gamma: coef[0], Beta: coef[1]}
 
 	var relErr float64
@@ -180,6 +181,23 @@ func fitNet(est *perf.Estimator, link hardware.LinkSpec, opts Options) (NetModel
 		acc = 1 - relErr/float64(count)
 	}
 	return m, acc
+}
+
+// fitSlopes is leastSquares3 with the weights of the slope features held
+// at or above zero, as the dispatcher requires: while some slope comes out
+// negative, its feature is zeroed (feats is modified) and the rest refit,
+// leastSquares3 giving a dead column weight zero.
+func fitSlopes(feats [][3]float64, ys []float64, slopes ...int) [3]float64 {
+	for {
+		coef := leastSquares3(feats, ys)
+		neg := slices.IndexFunc(slopes, func(k int) bool { return coef[k] < 0 })
+		if neg < 0 {
+			return coef
+		}
+		for i := range feats {
+			feats[i][slopes[neg]] = 0
+		}
+	}
 }
 
 // leastSquares3 fits y ≈ w₀f₀ + w₁f₁ + w₂f₂ by normal equations. Features

@@ -216,3 +216,34 @@ func TestLeastSquaresDeadColumn(t *testing.T) {
 		t.Fatalf("got %v want [3 7 0]", got)
 	}
 }
+
+func TestFitSlopesClampsNegative(t *testing.T) {
+	// y = 2.5·f₀ − f₁ + 4 on a full grid: least squares recovers the
+	// negative f₁ slope; held at zero, the refit over f₀ and the constant
+	// absorbs f₁'s mean (3) into the intercept.
+	var feats [][3]float64
+	var ys []float64
+	for i := 1; i <= 5; i++ {
+		for j := 1; j <= 5; j++ {
+			f := [3]float64{float64(i), float64(j), 1}
+			feats = append(feats, f)
+			ys = append(ys, 2.5*f[0]-f[1]+4)
+		}
+	}
+	got := fitSlopes(feats, ys, 0, 1)
+	if math.Abs(got[0]-2.5) > 1e-9 || got[1] != 0 || math.Abs(got[2]-1) > 1e-9 {
+		t.Fatalf("got %v want [2.5 0 1]", got)
+	}
+
+	// A falling line fitted like fitNet: the slope goes to zero and the
+	// intercept to the mean.
+	feats, ys = nil, nil
+	for i := 1; i <= 10; i++ {
+		feats = append(feats, [3]float64{float64(i), 1, 0})
+		ys = append(ys, 10-0.5*float64(i))
+	}
+	got = fitSlopes(feats, ys, 0)
+	if got[0] != 0 || math.Abs(got[1]-7.25) > 1e-9 || got[2] != 0 {
+		t.Fatalf("got %v want [0 7.25 0]", got)
+	}
+}

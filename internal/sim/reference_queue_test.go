@@ -2,7 +2,7 @@
 // sim.go replaced. It exists only as a differential-testing oracle (see
 // FuzzQueueEquivalence): random schedule/cancel/pop sequences must produce
 // the same (At, seq) order from both implementations. Mirrors the frozen
-// reference solver in internal/lp/reference.go.
+// reference solver in internal/lp/reference_test.go.
 //
 // Do not optimize this file. Its value is that it stays byte-for-byte the
 // ordering logic the goldens were recorded against.

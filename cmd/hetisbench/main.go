@@ -16,6 +16,7 @@
 //	hetisbench -bench -quick -repeat 3        # CI smoke: reduced scale, best-of-3
 //	hetisbench -bench -bench-baseline old.json -bench-out BENCH.json
 //	hetisbench -list                          # show experiment ids and scenarios
+//	hetisbench -scenario megascale -cpuprofile cpu.out -memprofile mem.out
 //
 // Grid dimensions are key=v1,v2,... pairs: engine, dataset, rate, model,
 // scenario, duration, seed. They may be repeated -grid flags or bare
@@ -32,6 +33,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -85,7 +88,7 @@ func printList(w io.Writer) {
 	}
 }
 
-func run(argv []string, stdout, stderr io.Writer) error {
+func run(argv []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("hetisbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var gridDims multiFlag
@@ -109,6 +112,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	stream := fs.Bool("stream", false, "measure through constant-memory streaming sinks (grid, scenario, bench modes)")
 	windows := fs.Float64("windows", 0, "with -stream -scenario: also print windowed time series with this bucket width in seconds")
 	shardWorkers := fs.Int("shard-workers", 0, "max concurrent shards within a fleet scenario (0 = one per CPU; output is identical at every value)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile, taken after the run, to this file")
 
 	// Parse in rounds so flags and bare key=value grid dimensions can
 	// interleave: the flag package stops at the first non-flag argument,
@@ -165,6 +170,25 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 	if *windows < 0 {
 		return usageError("-windows must be positive")
+	}
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if err == nil {
+				err = writeHeapProfile(*memProfile)
+			}
+		}()
 	}
 
 	start := time.Now()
@@ -244,6 +268,24 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 	fmt.Fprintf(stderr, "hetisbench: done in %.2fs (jobs=%d)\n", time.Since(start).Seconds(), *jobs)
+	return nil
+}
+
+// writeHeapProfile writes the heap profile of everything the run
+// allocated, after a GC so the live-heap view is current.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
 	return nil
 }
 

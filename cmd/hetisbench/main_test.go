@@ -302,3 +302,29 @@ func TestStreamWindowsCSVKeepsStdoutParseable(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileFlags checks that -cpuprofile and -memprofile write
+// non-empty profiles and leave stdout byte-identical.
+func TestProfileFlags(t *testing.T) {
+	plain, err := runBench(t, "-scenario", "steady", "-quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	profiled, err := runBench(t, "-scenario", "steady", "-quick", "-cpuprofile", cpu, "-memprofile", mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profiled != plain {
+		t.Errorf("profiling changed stdout:\n%s\nwant\n%s", profiled, plain)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (stat err %v)", filepath.Base(path), err)
+		}
+	}
+	if _, err := runBench(t, "-scenario", "steady", "-quick", "-cpuprofile", filepath.Join(dir, "missing", "cpu.out")); err == nil {
+		t.Error("an uncreatable -cpuprofile path should fail the run")
+	}
+}

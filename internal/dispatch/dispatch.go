@@ -333,21 +333,6 @@ func (d *Dispatcher) Dispatch(r NewRequest) (*Slot, error) {
 	return d.commit(r.ID, r.ContextLen, x), nil
 }
 
-// CanFit reports whether the request could possibly fit: total free
-// capacity across workers covers its cache demand. Whole head groups may
-// still fail to place when it does.
-func (d *Dispatcher) CanFit(r NewRequest) bool {
-	need := float64(d.cfg.Heads) * float64(r.ContextLen) * d.perHeadTokenBytes
-	var free float64
-	for i, w := range d.workers {
-		f := w.CapacityBytes - float64(d.g[i])
-		if f > 0 {
-			free += f
-		}
-	}
-	return need <= free
-}
-
 // solvePlacement solves the Eq. 7 LP for one request (or runs the greedy
 // heuristic under PolicyGreedy) and returns its heads per worker.
 //

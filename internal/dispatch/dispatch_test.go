@@ -188,18 +188,6 @@ func TestDispatchFailsWhenNothingFits(t *testing.T) {
 	}
 }
 
-func TestCanFit(t *testing.T) {
-	cfg := model.Llama13B
-	perTok := float64(cfg.Heads) * float64(cfg.KVBytesPerTokenHeadGroup())
-	d := newDispatcher(t, cfg, testWorkers(perTok*150, perTok*150))
-	if !d.CanFit(NewRequest{ID: 1, ContextLen: 100}) {
-		t.Error("small request should fit")
-	}
-	if d.CanFit(NewRequest{ID: 1, ContextLen: 1000}) {
-		t.Error("oversized request should not fit")
-	}
-}
-
 func TestDuplicateDispatchRejected(t *testing.T) {
 	d := newDispatcher(t, model.OPT30B, testWorkers(1e12))
 	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 10}); err != nil {

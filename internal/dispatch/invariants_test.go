@@ -45,14 +45,10 @@ func TestDispatchPlacementProperties(t *testing.T) {
 			}
 			r := cfg.GroupRatio()
 			for _, rq := range batch {
-				if !d.CanFit(rq) {
-					continue
-				}
 				slot, err := d.Dispatch(rq)
 				if err != nil {
-					// The LP can legitimately fail near capacity even when
-					// the aggregate check passed; that must not corrupt
-					// state.
+					// The LP legitimately fails near capacity; that must
+					// not corrupt state.
 					if err := d.CheckInvariants(); err != nil {
 						t.Fatalf("round %d: invariants broken after failed dispatch: %v", round, err)
 					}

@@ -401,21 +401,13 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 				continue // retry the head waiter against the freed memory
 			}
 			// Leave growth slack for the running batch; admission resumes
-			// when completions drain utilization below the watermark.
-			if len(inst.running) == 0 && len(admitted) == 0 {
-				// Nothing running to free space: admit anyway to make
-				// progress (a single request must always be servable).
-				if inst.disp.CanFit(nr) {
-					goto place
-				}
-				inst.waiting.pop()
-				inst.res.Trace.Addf(s.Now(), trace.KindEviction, r.wl.ID, -1, 0, "dropped: cannot ever fit")
-				inst.fleet.dropAdmitted(s, r)
-				continue
+			// when completions drain utilization below the watermark. With
+			// nothing running to free space, admit anyway to make progress
+			// (a single request must always be servable).
+			if len(inst.running) > 0 || len(admitted) > 0 {
+				break
 			}
-			break
 		}
-	place:
 		slot, err := inst.disp.Dispatch(nr)
 		if err != nil {
 			// Cannot place: an empty dispatcher is the most room the

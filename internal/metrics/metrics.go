@@ -92,18 +92,6 @@ func NewRecorderCap(n int) *Recorder {
 	return &Recorder{cur: make([]RequestRecord, 0, n)}
 }
 
-// recorderFromRecords wraps an existing record slice (PerTenant's
-// sub-recorders). The recorder takes ownership of recs.
-func recorderFromRecords(recs []RequestRecord) *Recorder {
-	c := &Recorder{cur: recs, n: len(recs)}
-	for i := range recs {
-		if recs[i].Dropped {
-			c.dropped++
-		}
-	}
-	return c
-}
-
 // Add appends one finished request.
 func (c *Recorder) Add(r RequestRecord) {
 	if len(c.cur) == cap(c.cur) {
@@ -204,33 +192,13 @@ func (c *Recorder) NormLatencySummary() Summary {
 	return c.Summarize(RequestRecord.NormLatency)
 }
 
-// Summaries computes the three standard summaries in one pass over the
-// records. Unlike three separate *Summary calls — which each walk the
-// records, copy the values, and copy again inside SummarizeValues — the
-// bulk path fills one backing array and sorts each metric's slice in place,
-// so a summary costs one record walk and one allocation instead of three of
-// each. The results are float-for-float identical to the per-metric calls:
-// both paths sort the same values and run the same accumulation.
+// Summaries computes the three standard summaries: Breakdown's run-wide
+// row, each series sorted once. The results are float-for-float identical
+// to the per-metric calls: a sorted multiset is unique, and both paths run
+// the same accumulation over it.
 func (c *Recorder) Summaries() (ttft, tpot, norm Summary) {
-	n := c.Completed()
-	if n == 0 {
-		return
-	}
-	buf := make([]float64, 3*n)
-	tv, pv, nv := buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
-	i := 0
-	for _, ch := range c.chunks() {
-		for _, r := range ch {
-			if r.Dropped {
-				continue
-			}
-			tv[i] = r.TTFT()
-			pv[i] = r.TPOT()
-			nv[i] = r.NormLatency()
-			i++
-		}
-	}
-	return summarizeSorted(tv), summarizeSorted(pv), summarizeSorted(nv)
+	all, _ := c.Breakdown(SLOTarget{}, 0, func(string) string { return "" })
+	return all.TTFT, all.TPOT, all.NormLat
 }
 
 // SummarizeValues computes order statistics of a value slice.
@@ -238,19 +206,27 @@ func SummarizeValues(vals []float64) Summary {
 	if len(vals) == 0 {
 		return Summary{}
 	}
-	sorted := append([]float64(nil), vals...)
-	return summarizeSorted(sorted)
+	buf := make([]float64, 2*len(vals))
+	sorted := buf[:len(vals):len(vals)]
+	copy(sorted, vals)
+	return summarizeSorted(sorted, buf[len(vals):])
 }
 
-// summarizeSorted sorts vals in place and computes its order statistics —
-// the allocation-free core shared by SummarizeValues and the bulk
-// Recorder.Summaries path.
-func summarizeSorted(vals []float64) Summary {
+// summarizeSorted sorts vals in place (scratch holds at least len(vals)
+// values) and computes its order statistics — the allocation-free core of
+// every exact summary.
+func summarizeSorted(vals, scratch []float64) Summary {
+	sortFloats(vals, scratch)
+	return summarizeAscending(vals)
+}
+
+// summarizeAscending computes the order statistics of an ascending slice.
+// Mean sums in ascending order, so equal multisets give equal floats.
+func summarizeAscending(vals []float64) Summary {
 	s := Summary{Count: len(vals)}
 	if len(vals) == 0 {
 		return s
 	}
-	sort.Float64s(vals)
 	var sum float64
 	for _, v := range vals {
 		sum += v
@@ -262,6 +238,63 @@ func summarizeSorted(vals []float64) Summary {
 	s.P95 = Percentile(vals, 0.95)
 	s.P99 = Percentile(vals, 0.99)
 	return s
+}
+
+// sortFloats sorts vals ascending in place with an LSD radix sort over
+// sortKey, ping-ponging through scratch (at least len(vals) values). NaNs
+// sort first, where sort.Float64s puts them. One histogram pass fills all
+// eight byte-digit counts; a digit on which every key agrees is skipped,
+// so narrow-range latencies pay only for the digits that vary.
+func sortFloats(vals, scratch []float64) {
+	n := len(vals)
+	if n < 2 {
+		return
+	}
+	var counts [8][256]int
+	for _, v := range vals {
+		k := sortKey(v)
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	src, dst := vals, scratch[:n]
+	for d := range counts {
+		c := &counts[d]
+		shift := uint(8 * d)
+		if c[byte(sortKey(src[0])>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for b, cnt := range c {
+			c[b] = sum
+			sum += cnt
+		}
+		for _, v := range src {
+			b := byte(sortKey(v) >> shift)
+			dst[c[b]] = v
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &vals[0] {
+		copy(vals, src)
+	}
+}
+
+// sortKey maps a float64 to a uint64 whose unsigned order is the float
+// order: negatives have every bit flipped, non-negatives only the sign bit.
+// Every NaN maps to 0, below -Inf.
+func sortKey(v float64) uint64 {
+	if v != v {
+		return 0
+	}
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // Percentile interpolates the p-quantile (p in [0,1]) of an ascending

@@ -127,7 +127,7 @@ func TestSketchMemoryBound(t *testing.T) {
 }
 
 // TestTenantMuxMatchesExactSplit checks that fanning records through a
-// TenantMux of exact recorders reproduces Recorder.PerTenant: identical
+// TenantMux of exact recorders reproduces the per-tenant Recorder.Breakdown: identical
 // per-tenant counts, attainment, and summaries, and an aggregate equal to
 // the whole-trace snapshot.
 func TestTenantMuxMatchesExactSplit(t *testing.T) {
@@ -155,7 +155,7 @@ func TestTenantMuxMatchesExactSplit(t *testing.T) {
 	if got, want := mux.Snapshot(), all.Snapshot(); got != want {
 		t.Fatalf("aggregate snapshot diverged:\n got %+v\nwant %+v", got, want)
 	}
-	perTenant := all.PerTenant(slo, horizon)
+	_, perTenant := all.Breakdown(slo, horizon, sameGroup)
 	if got, want := mux.Tenants(), len(perTenant); len(got) != want {
 		t.Fatalf("tenant sets diverged: mux %v vs exact %d tenants", got, want)
 	}
@@ -177,7 +177,7 @@ func TestTenantMuxMatchesExactSplit(t *testing.T) {
 			t.Errorf("tenant %s: mux goodput %g, exact %g", ts.Tenant, snap.Goodput(horizon), ts.Goodput)
 		}
 		if snap.TTFT != ts.TTFT || snap.TPOT != ts.TPOT || snap.NormLat != ts.NormLat {
-			t.Errorf("tenant %s: mux summaries diverged from PerTenant", ts.Tenant)
+			t.Errorf("tenant %s: mux summaries diverged from Breakdown", ts.Tenant)
 		}
 	}
 	if total != all.Count() {

@@ -77,16 +77,15 @@ func TestRecorderChunkingMatchesFlat(t *testing.T) {
 	if got, want := chunked.Goodput(slo, horizon), flat.Goodput(slo, horizon); got != want {
 		t.Fatalf("Goodput() = %v want %v", got, want)
 	}
-	if got, want := chunked.Tenants(), flat.Tenants(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Tenants() = %v want %v", got, want)
-	}
 	ct, cp, cn := chunked.Summaries()
 	ft, fp, fn := flat.Summaries()
 	if ct != ft || cp != fp || cn != fn {
 		t.Fatalf("Summaries() diverged between chunked and flat recorders")
 	}
-	if got, want := chunked.PerTenant(slo, horizon), flat.PerTenant(slo, horizon); !reflect.DeepEqual(got, want) {
-		t.Fatalf("PerTenant() diverged:\n got %+v\nwant %+v", got, want)
+	call, cgroups := chunked.Breakdown(slo, horizon, sameGroup)
+	fall, fgroups := flat.Breakdown(slo, horizon, sameGroup)
+	if call != fall || !reflect.DeepEqual(cgroups, fgroups) {
+		t.Fatalf("Breakdown() diverged:\n got %+v %+v\nwant %+v %+v", call, cgroups, fall, fgroups)
 	}
 }
 

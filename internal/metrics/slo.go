@@ -88,45 +88,150 @@ type TenantStats struct {
 	NormLat    Summary
 }
 
-// Tenants returns the distinct tenant names seen, sorted ascending (the
-// empty single-tenant name sorts first).
-func (c *Recorder) Tenants() []string {
-	seen := map[string]bool{}
+// Breakdown summarizes the run as a whole and split into groups: group
+// maps a record's tenant to its group name (the identity gives per-tenant
+// rows). groups holds one entry per group seen, sorted by name; all is the
+// run-wide row, with an empty Tenant.
+//
+// It copies no record. One walk counts each group's completed, dropped and
+// attained records; a second lays every group's TTFT, TPOT and normalized
+// latency values out contiguously in one buffer, metric-major, so each
+// metric's run-wide series is the concatenation of its group segments.
+// Each segment is sorted once; the run-wide series is sorted again only
+// when more than one group has completions. The results equal summarizing
+// each group's records separately: a sorted multiset is unique, and the
+// counts are the same integers.
+func (c *Recorder) Breakdown(slo SLOTarget, horizon float64, group func(tenant string) string) (all TenantStats, groups []TenantStats) {
+	g := grouper{group: group, index: map[string]int{}, lastIdx: -1}
+	var tallies []tally
 	for _, ch := range c.chunks() {
 		for _, r := range ch {
-			seen[r.Tenant] = true
+			i := g.of(r.Tenant)
+			if i == len(tallies) {
+				tallies = append(tallies, tally{})
+			}
+			t := &tallies[i]
+			if r.Dropped {
+				t.dropped++
+			} else {
+				t.completed++
+			}
+			if slo.Attained(r) {
+				t.attained++
+			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
+
+	// Put the groups in name order and renumber them to match, so the
+	// second walk's group index is its row.
+	names := append([]string(nil), g.names...)
+	sort.Strings(names)
+	groups = make([]TenantStats, len(names))
+	off := make([]int, len(names)) // segment start within each metric's region
+	var sum tally
+	for j, name := range names {
+		t := tallies[g.index[name]]
+		g.index[name] = j
+		off[j] = sum.completed
+		groups[j] = t.stats(name, horizon)
+		sum.completed += t.completed
+		sum.dropped += t.dropped
+		sum.attained += t.attained
 	}
-	sort.Strings(out)
-	return out
+	g.lastIdx = -1
+	all = sum.stats("", horizon)
+	n := sum.completed
+	if n == 0 {
+		return all, groups
+	}
+
+	buf := make([]float64, 4*n)
+	scratch := buf[3*n:]
+	pos := append([]int(nil), off...)
+	for _, ch := range c.chunks() {
+		for _, r := range ch {
+			if r.Dropped {
+				continue
+			}
+			j := g.of(r.Tenant)
+			p := pos[j]
+			buf[p] = r.TTFT()
+			buf[n+p] = r.TPOT()
+			buf[2*n+p] = r.NormLatency()
+			pos[j]++
+		}
+	}
+	whole := -1 // the group holding every completion, if one does
+	for j := range groups {
+		if groups[j].Count == n {
+			whole = j
+		}
+	}
+	for m := 0; m < 3; m++ {
+		region := buf[m*n : (m+1)*n]
+		for j := range groups {
+			ts := &groups[j]
+			*ts.metric(m) = summarizeSorted(region[off[j]:off[j]+ts.Count], scratch)
+		}
+		if whole >= 0 {
+			*all.metric(m) = *groups[whole].metric(m)
+		} else {
+			*all.metric(m) = summarizeSorted(region, scratch)
+		}
+	}
+	return all, groups
 }
 
-// PerTenant breaks the run down by tenant, sorted by tenant name.
-func (c *Recorder) PerTenant(slo SLOTarget, horizon float64) []TenantStats {
-	byTenant := map[string][]RequestRecord{}
-	for _, ch := range c.chunks() {
-		for _, r := range ch {
-			byTenant[r.Tenant] = append(byTenant[r.Tenant], r)
-		}
+// tally is one group's record counts.
+type tally struct{ completed, dropped, attained int }
+
+// stats is the counted half of a TenantStats; the summaries are filled
+// from the sorted values.
+func (t tally) stats(name string, horizon float64) TenantStats {
+	ts := TenantStats{Tenant: name, Count: t.completed, Dropped: t.dropped}
+	if n := t.completed + t.dropped; n > 0 {
+		ts.Attainment = float64(t.attained) / float64(n)
 	}
-	out := make([]TenantStats, 0, len(byTenant))
-	for _, name := range c.Tenants() {
-		sub := recorderFromRecords(byTenant[name])
-		ttft, tpot, norm := sub.Summaries()
-		out = append(out, TenantStats{
-			Tenant:     name,
-			Count:      sub.Completed(),
-			Dropped:    sub.DroppedCount(),
-			Attainment: sub.Attainment(slo),
-			Goodput:    sub.Goodput(slo, horizon),
-			TTFT:       ttft,
-			TPOT:       tpot,
-			NormLat:    norm,
-		})
+	if horizon > 0 {
+		ts.Goodput = float64(t.attained) / horizon
 	}
-	return out
+	return ts
+}
+
+// metric addresses summary m of ts: 0 TTFT, 1 TPOT, 2 NormLat.
+func (ts *TenantStats) metric(m int) *Summary {
+	switch m {
+	case 0:
+		return &ts.TTFT
+	case 1:
+		return &ts.TPOT
+	}
+	return &ts.NormLat
+}
+
+// grouper assigns records to Breakdown's groups, numbered in discovery
+// order until Breakdown renumbers them. Neighbouring records often share a
+// tenant, so the last tenant's group is kept to skip the group call and
+// the map lookup.
+type grouper struct {
+	group   func(tenant string) string
+	index   map[string]int // group name -> group number
+	names   []string       // group names, discovery order
+	last    string
+	lastIdx int // group of last, or -1 before the first record
+}
+
+func (g *grouper) of(tenant string) int {
+	if g.lastIdx >= 0 && tenant == g.last {
+		return g.lastIdx
+	}
+	name := g.group(tenant)
+	i, ok := g.index[name]
+	if !ok {
+		i = len(g.names)
+		g.index[name] = i
+		g.names = append(g.names, name)
+	}
+	g.last, g.lastIdx = tenant, i
+	return i
 }

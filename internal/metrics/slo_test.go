@@ -81,12 +81,12 @@ func TestPerTenant(t *testing.T) {
 	c.Add(rec("b", 0.5, 0.05))
 	c.Add(rec("b", 3.0, 0.05))
 
-	if got := c.Tenants(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Tenants = %v, want [a b]", got)
-	}
-	stats := c.PerTenant(slo, 10)
+	all, stats := c.Breakdown(slo, 10, sameGroup)
 	if len(stats) != 2 {
-		t.Fatalf("PerTenant returned %d entries, want 2", len(stats))
+		t.Fatalf("Breakdown returned %d groups, want 2", len(stats))
+	}
+	if all.Count != c.Completed() || all.Attainment != c.Attainment(slo) || all.Goodput != c.Goodput(slo, 10) {
+		t.Errorf("run-wide stats wrong: %+v", all)
 	}
 	a, b := stats[0], stats[1]
 	if a.Tenant != "a" || a.Count != 2 || math.Abs(a.Attainment-0.5) > 1e-12 || math.Abs(a.Goodput-0.1) > 1e-12 {

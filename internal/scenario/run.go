@@ -259,25 +259,22 @@ func tierPreempted(spec Spec, res *engine.Result, tier string) int {
 // runs append the ChaosColumns and per-tier rows.
 func exactRows(tab *metrics.Table, spec Spec, engineName string, reqs []workload.Request, res *engine.Result, chaotic bool) {
 	rec := res.Recorder
-	ttft, tpot, norm := rec.Summaries()
+	all, tenants := rec.Breakdown(spec.SLO, res.Horizon, sameTenant)
 	row := []any{spec.Name, engineName, "all",
-		len(reqs), rec.Completed(),
-		rec.Goodput(spec.SLO, res.Horizon),
-		100 * rec.Attainment(spec.SLO),
-		ttft.P95,
-		tpot.P95,
-		norm.Mean}
+		len(reqs), all.Count,
+		all.Goodput,
+		100 * all.Attainment,
+		all.TTFT.P95,
+		all.TPOT.P95,
+		all.NormLat.Mean}
 	if chaotic {
-		row = append(row, rec.DroppedCount(), res.Preempted, meanOf(res.RecoveryTimes))
+		row = append(row, all.Dropped, res.Preempted, meanOf(res.RecoveryTimes))
 	}
 	tab.AddRow(row...)
 
 	if multiTenant(reqs) {
 		offered := offeredByTenant(reqs)
-		byTenant := map[string]metrics.TenantStats{}
-		for _, ts := range rec.PerTenant(spec.SLO, res.Horizon) {
-			byTenant[ts.Tenant] = ts
-		}
+		byTenant := statsByName(tenants)
 		// Walk the trace's tenant set (sorted), not the recorder's, so
 		// tenants whose every request starved still show a zero row.
 		for _, tenant := range tenantNames(offered) {
@@ -296,28 +293,36 @@ func exactRows(tab *metrics.Table, spec Spec, engineName string, reqs []workload
 
 	if chaotic && len(spec.Tiers) > 0 {
 		offered := offeredByTenant(reqs)
+		_, tiers := rec.Breakdown(spec.SLO, res.Horizon, spec.tierOf)
+		byTier := statsByName(tiers)
 		for _, t := range spec.Tiers {
-			sub := metrics.NewRecorder()
-			for _, r := range rec.Records() {
-				if spec.tierOf(r.Tenant) == t.Name {
-					sub.Add(r)
-				}
-			}
 			offeredN := 0
 			for _, tenant := range tenantNames(offered) {
 				if spec.tierOf(tenant) == t.Name {
 					offeredN += offered[tenant]
 				}
 			}
-			ttft, tpot, norm := sub.Summaries()
+			ts := byTier[t.Name]
 			tab.AddRow(spec.Name, engineName, "tier:"+t.Name,
-				offeredN, sub.Completed(),
-				sub.Goodput(spec.SLO, res.Horizon),
-				100*sub.Attainment(spec.SLO),
-				ttft.P95, tpot.P95, norm.Mean,
-				sub.DroppedCount(), tierPreempted(spec, res, t.Name), 0.0)
+				offeredN, ts.Count,
+				ts.Goodput, 100*ts.Attainment,
+				ts.TTFT.P95, ts.TPOT.P95, ts.NormLat.Mean,
+				ts.Dropped, tierPreempted(spec, res, t.Name), 0.0)
 		}
 	}
+}
+
+// sameTenant is the identity grouping: one Breakdown group per tenant.
+func sameTenant(tenant string) string { return tenant }
+
+// statsByName indexes Breakdown groups by name; a group with no records
+// reads as the zero row.
+func statsByName(groups []metrics.TenantStats) map[string]metrics.TenantStats {
+	m := make(map[string]metrics.TenantStats, len(groups))
+	for _, ts := range groups {
+		m[ts.Tenant] = ts
+	}
+	return m
 }
 
 // streamRows fills the table from streaming-sink snapshots: the same

@@ -12,9 +12,6 @@
 //	hetisbench -scenario bursty,multitenant -csv
 //	hetisbench -scenario megascale -stream    # million requests, O(1) metric memory
 //	hetisbench -scenario diurnal -stream -windows 5   # plus 5s windowed series
-//	hetisbench -bench                         # perf trajectory -> BENCH.json
-//	hetisbench -bench -quick -repeat 3        # CI smoke: reduced scale, best-of-3
-//	hetisbench -bench -bench-baseline old.json -bench-out BENCH.json
 //	hetisbench -list                          # show experiment ids and scenarios
 //	hetisbench -scenario megascale -cpuprofile cpu.out -memprofile mem.out
 //
@@ -25,6 +22,10 @@
 // grid order (dimension values as given, engines innermost), experiment-id
 // order, or scenario catalog order, independent of completion order, so
 // stdout is byte-identical for every -jobs value; timings go to stderr.
+//
+// The simulator's own speed is measured by the end-to-end benchmark in
+// benchmark/ (bash benchmark/run.sh); -cpuprofile and -memprofile profile
+// any single run of this command.
 package main
 
 import (
@@ -35,7 +36,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -59,23 +59,26 @@ func usageError(format string, args ...any) error {
 }
 
 func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	os.Exit(exitCode(run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// exitCode reports err the way the command exits on it: 0 on success and
+// -h, 2 on command-line mistakes (like flag.ExitOnError), 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
 	switch {
 	case err == nil, errors.Is(err, flag.ErrHelp):
-		// -h prints usage and succeeds, matching flag.ExitOnError.
+		return 0
 	case errors.Is(err, errParse):
-		os.Exit(2) // the FlagSet already reported the mistake
+		return 2 // the FlagSet already reported the mistake
 	case errors.Is(err, errUsage):
-		fmt.Fprintf(os.Stderr, "hetisbench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "hetisbench: %v\n", err)
+		return 2
 	default:
-		fmt.Fprintf(os.Stderr, "hetisbench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hetisbench: %v\n", err)
+		return 1
 	}
 }
 
-// run is the testable body of main: it parses args, runs the selected
-// mode, and writes tables to stdout and timings to stderr.
 // printList writes the experiment ids and scenario names -list shows.
 func printList(w io.Writer) {
 	fmt.Fprintln(w, "available experiments:")
@@ -88,6 +91,8 @@ func printList(w io.Writer) {
 	}
 }
 
+// run is the testable body of main: it parses args, runs the selected
+// mode, and writes tables to stdout and timings to stderr.
 func run(argv []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("hetisbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -100,16 +105,7 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	seed := fs.Int64("seed", 0, "trace seed offset (experiments, scenarios) or base seed (grid)")
 	list := fs.Bool("list", false, "list experiment ids and scenarios, then exit")
-	benchMode := fs.Bool("bench", false, "run the perf-trajectory harness (-scenario narrows the suite)")
-	benchOut := fs.String("bench-out", "BENCH.json", "perf report path for -bench")
-	benchBase := fs.String("bench-baseline", "", "existing BENCH.json whose suite becomes the -bench baseline")
-	repeat := fs.Int("repeat", 1, "repetitions per -bench measurement (best wall-clock kept)")
-	benchMicro := fs.Bool("bench-micro", true, "include micro-benchmarks in -bench (adds a few seconds)")
-	benchSinks := fs.Bool("bench-sinks", true, "include the exact-vs-streaming sink comparison in -bench (runs megascale twice; adds ~15s full-scale)")
-	benchFleet := fs.Bool("bench-fleet", true, "include the fleet shard-scaling section in -bench (runs gigascale at several worker counts)")
-	benchFleetScen := fs.String("bench-fleet-scenario", "", "sharded scenario the -bench fleet section measures (default gigascale)")
-	benchFleetWorkers := fs.String("bench-fleet-workers", "", "comma-separated shard-worker counts the -bench fleet section sweeps (default 1,2,4,8)")
-	stream := fs.Bool("stream", false, "measure through constant-memory streaming sinks (grid, scenario, bench modes)")
+	stream := fs.Bool("stream", false, "measure through constant-memory streaming sinks (grid and scenario modes)")
 	windows := fs.Float64("windows", 0, "with -stream -scenario: also print windowed time series with this bucket width in seconds")
 	shardWorkers := fs.Int("shard-workers", 0, "max concurrent shards within a fleet scenario (0 = one per CPU; output is identical at every value)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -149,10 +145,8 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 		return nil
 	}
 
-	// -bench is its own mode; -scenario composes with it to narrow the
-	// suite instead of selecting the pooled scenario-table mode.
 	modes := 0
-	for _, on := range []bool{*exp != "", len(gridDims) > 0, *scen != "" && !*benchMode, *benchMode} {
+	for _, on := range []bool{*exp != "", len(gridDims) > 0, *scen != ""} {
 		if on {
 			modes++
 		}
@@ -162,10 +156,10 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 		printList(stdout)
 	}
 	if modes != 1 {
-		return usageError("need exactly one of -exp, -grid, -scenario or -bench (see -h; -list shows ids)")
+		return usageError("need exactly one of -exp, -grid or -scenario (see -h; -list shows ids)")
 	}
 
-	if *windows != 0 && !(*stream && *scen != "" && !*benchMode) {
+	if *windows != 0 && !(*stream && *scen != "") {
 		return usageError("-windows needs -stream and -scenario (the windowed series is a streaming-sink product)")
 	}
 	if *windows < 0 {
@@ -194,20 +188,6 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	start := time.Now()
 	pool := hetis.SweepOptions{Jobs: *jobs, Cache: hetis.NewSweepCache(), ShardWorkers: *shardWorkers}
 	switch {
-	case *benchMode:
-		// The harness runs sequentially (stable wall-clock) with the
-		// scenarios' own seeds; these knobs would be silently ignored.
-		if *seed != 0 || *csv || *jobs != 0 {
-			return usageError("-seed, -csv and -jobs do not apply to -bench")
-		}
-		fleetWorkers, err := parseWorkerList(*benchFleetWorkers)
-		if err != nil {
-			return usageError("-bench-fleet-workers: %v", err)
-		}
-		if err := runPerfBench(stdout, stderr, *scen, *quick, *repeat, *stream, *benchOut, *benchBase,
-			*benchMicro, *benchSinks, *benchFleet, *benchFleetScen, fleetWorkers); err != nil {
-			return err
-		}
 	case len(gridDims) > 0:
 		spec := hetis.GridSpec{Quick: *quick, Seed: *seed, Stream: *stream}
 		spec, err := hetis.ParseGridDims(spec, gridDims)
@@ -287,98 +267,6 @@ func writeHeapProfile(path string) error {
 		return fmt.Errorf("-memprofile: %w", err)
 	}
 	return nil
-}
-
-// runPerfBench executes the perf-trajectory harness and writes BENCH.json. A
-// summary table goes to stdout so humans see the numbers the file records.
-func runPerfBench(stdout, stderr io.Writer, scen string, quick bool, repeat int, stream bool, outPath, basePath string, micro, sinks, fleet bool, fleetScen string, fleetWorkers []int) error {
-	opts := hetis.BenchOptions{
-		Quick: quick, Repeat: repeat, Stream: stream,
-		SkipMicro: !micro, SkipSinks: !sinks,
-		SkipFleet: !fleet, FleetScenario: fleetScen, FleetWorkers: fleetWorkers,
-	}
-	if scen != "" && scen != "all" {
-		opts.Scenarios = strings.Split(scen, ",")
-	}
-	rep, err := hetis.RunBench(opts)
-	if err != nil {
-		return err
-	}
-	if basePath != "" {
-		base, err := hetis.ReadBenchReport(basePath)
-		if err != nil {
-			return err
-		}
-		if base.Quick != rep.Quick {
-			return fmt.Errorf("baseline %s was measured with quick=%v, this run is quick=%v (not comparable)",
-				basePath, base.Quick, rep.Quick)
-		}
-		if base.Stream != rep.Stream {
-			return fmt.Errorf("baseline %s was measured with stream=%v, this run is stream=%v (not comparable)",
-				basePath, base.Stream, rep.Stream)
-		}
-		if !hetis.BenchSamePairs(&base.Suite, &rep.Suite) {
-			return fmt.Errorf("baseline %s measured a different (scenario, engine) set than this run (not comparable; match the -scenario selection)",
-				basePath)
-		}
-		rep.WithBaseline(&base.Suite)
-	}
-	if err := hetis.WriteBenchReport(outPath, rep); err != nil {
-		return err
-	}
-
-	tab := &hetis.Table{Header: []string{
-		"Scenario", "Engine", "Wall(s)", "Events", "Events/s", "LPSolves", "LPAvoided", "Allocs/ev",
-	}}
-	for _, sb := range rep.Suite.Scenarios {
-		tab.AddRow(sb.Scenario, sb.Engine, sb.WallSeconds, sb.Events, sb.EventsPerSec,
-			sb.LPSolves, sb.LPSolvesAvoided, sb.AllocsPerEvent)
-	}
-	fmt.Fprint(stdout, tab)
-	fmt.Fprintf(stdout, "suite: %.3fs wall, %d events (%.0f events/s), %d LP solves (%d avoided)\n",
-		rep.Suite.WallSeconds, rep.Suite.Events, rep.Suite.EventsPerSec,
-		rep.Suite.LPSolves, rep.Suite.LPSolvesAvoided)
-	fmt.Fprintf(stdout, "lp: %d placement solves / %d avoided / %d ideal relaxations, %d rows patched, %.3fs in solver (%.1f%% of wall)\n",
-		rep.Suite.LP.Solves, rep.Suite.LP.SolvesAvoided, rep.Suite.LP.IdealSolves,
-		rep.Suite.LP.PatchedRows, rep.Suite.LP.SolveSeconds, 100*rep.Suite.LP.WallShare)
-	for _, mb := range rep.Micro {
-		fmt.Fprintf(stdout, "micro: %-28s %12.0f ns/op  %6d B/op  %4d allocs/op\n",
-			mb.Name, mb.NsPerOp, mb.BytesPerOp, mb.AllocsPerOp)
-	}
-	for _, sb := range rep.Sinks {
-		fmt.Fprintf(stdout, "sinks: %s/%s %-9s  %7.3fs wall  %5.2f allocs/ev  live heap %+.1f MB\n",
-			sb.Scenario, sb.Engine, sb.Sink, sb.WallSeconds, sb.AllocsPerEvent, float64(sb.LiveHeapBytes)/1e6)
-	}
-	if fs := rep.Fleet; fs != nil {
-		for _, row := range fs.Rows {
-			fmt.Fprintf(stdout, "fleet: %s/%s %d shards  %d workers  %7.3fs wall  %.0f events/s  %.2fx vs 1  live heap %+.1f MB\n",
-				fs.Scenario, fs.Engine, fs.Shards, row.ShardWorkers, row.WallSeconds,
-				row.EventsPerSec, row.SpeedupVs1, float64(row.LiveHeapBytes)/1e6)
-		}
-	}
-	if rep.Baseline != nil {
-		fmt.Fprintf(stdout, "speedup vs baseline: %.2fx (%.3fs -> %.3fs)\n",
-			rep.SpeedupVsBaseline, rep.Baseline.WallSeconds, rep.Suite.WallSeconds)
-	}
-	fmt.Fprintf(stderr, "hetisbench: wrote %s\n", outPath)
-	return nil
-}
-
-// parseWorkerList parses a comma-separated list of positive shard-worker
-// counts; empty means the harness default.
-func parseWorkerList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q (want positive integers)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func emit(w io.Writer, tab *hetis.Table, csv bool) {

@@ -120,74 +120,6 @@ func TestScenarioOutputJobsIndependent(t *testing.T) {
 	}
 }
 
-// TestBenchModeWritesReport smokes the perf-trajectory mode: one quick
-// scenario, report written where asked, summary on stdout.
-func TestBenchModeWritesReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH.json")
-	stdout, err := runBench(t, "-bench", "-scenario", "steady", "-quick", "-bench-micro=false", "-bench-fleet=false", "-bench-out", out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout, "suite:") || !strings.Contains(stdout, "steady") {
-		t.Errorf("bench summary missing suite line:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "lp: ") || !strings.Contains(stdout, "ideal relaxations") ||
-		!strings.Contains(stdout, "rows patched") || !strings.Contains(stdout, "in solver") {
-		t.Errorf("bench summary missing lp solver line:\n%s", stdout)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"schema": "hetis-bench/4"`) {
-		t.Errorf("report missing schema:\n%s", data)
-	}
-	if !strings.Contains(string(data), `"patched_rows"`) {
-		t.Errorf("report missing lp section:\n%s", data)
-	}
-	if !strings.Contains(string(data), `"gomaxprocs"`) {
-		t.Errorf("report missing gomaxprocs:\n%s", data)
-	}
-
-	// A second run using the first as baseline reports a speedup factor.
-	out2 := filepath.Join(t.TempDir(), "BENCH2.json")
-	stdout2, err := runBench(t, "-bench", "-scenario", "steady", "-quick", "-bench-micro=false", "-bench-fleet=false",
-		"-bench-baseline", out, "-bench-out", out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout2, "speedup vs baseline:") {
-		t.Errorf("baseline run missing speedup line:\n%s", stdout2)
-	}
-}
-
-// TestBenchFleetSection smokes the shard-scaling section through the CLI:
-// the cheap registered fleet scenario at two worker counts, fleet rows on
-// stdout, and the fleet section in the written report.
-func TestBenchFleetSection(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH-fleet.json")
-	stdout, err := runBench(t, "-bench", "-scenario", "steady", "-quick", "-bench-micro=false", "-bench-sinks=false",
-		"-bench-fleet-scenario", "fleet", "-bench-fleet-workers", "1,2", "-bench-out", out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout, "fleet: fleet/hetis 4 shards") {
-		t.Errorf("bench summary missing fleet rows:\n%s", stdout)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"fleet"`, `"shard_workers": 1`, `"shard_workers": 2`, `"speedup_vs_1"`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("fleet report missing %s:\n%s", want, data)
-		}
-	}
-	if _, err := runBench(t, "-bench", "-quick", "-bench-fleet-workers", "0,x"); err == nil {
-		t.Error("bad -bench-fleet-workers should error")
-	}
-}
-
 // TestScenarioShardWorkersIndependent is the CLI face of the fleet
 // determinism contract: a sharded scenario's CSV is byte-identical at
 // every -shard-workers value.
@@ -205,11 +137,22 @@ func TestScenarioShardWorkersIndependent(t *testing.T) {
 	}
 }
 
-// TestBenchModeComposesWithScenarioOnly ensures -bench plus -scenario is a
-// single mode, while -bench plus -exp still violates exclusivity.
-func TestBenchModeComposesWithScenarioOnly(t *testing.T) {
-	if _, err := runBench(t, "-bench", "-exp", "fig8"); !errors.Is(err, errUsage) {
-		t.Errorf("-bench -exp err = %v, want errUsage", err)
+// TestBenchFlagIsUnknown pins that the command has no -bench mode: the
+// simulator's speed is measured by benchmark/, so -bench is an unknown
+// flag and the command exits 2, like any other flag mistake.
+func TestBenchFlagIsUnknown(t *testing.T) {
+	for _, args := range [][]string{{"-bench"}, {"-bench", "-scenario", "steady", "-quick"}} {
+		var stderr bytes.Buffer
+		err := run(args, io.Discard, &stderr)
+		if !errors.Is(err, errParse) {
+			t.Fatalf("run(%v) err = %v, want a flag-parse error", args, err)
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined: -bench") {
+			t.Errorf("run(%v) stderr = %q, want the unknown-flag report", args, stderr.String())
+		}
+		if code := exitCode(err, io.Discard); code != 2 {
+			t.Errorf("run(%v) exits %d, want 2", args, code)
+		}
 	}
 }
 
@@ -253,10 +196,9 @@ func TestScenarioFlagValidation(t *testing.T) {
 
 func TestStreamFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-scenario", "steady", "-windows", "5"},         // -windows needs -stream
-		{"-grid", "rate=2", "-stream", "-windows", "5"},  // -windows is scenario-only
-		{"-exp", "fig8", "-stream"},                      // experiments are exact
-		{"-bench", "-stream", "-windows", "5", "-quick"}, // bench has no windows
+		{"-scenario", "steady", "-windows", "5"},        // -windows needs -stream
+		{"-grid", "rate=2", "-stream", "-windows", "5"}, // -windows is scenario-only
+		{"-exp", "fig8", "-stream"},                     // experiments are exact
 		{"-scenario", "steady", "-stream", "-windows", "-1"},
 	} {
 		if _, err := runBench(t, args...); !errors.Is(err, errUsage) {

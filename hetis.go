@@ -34,7 +34,6 @@
 package hetis
 
 import (
-	"hetis/internal/bench"
 	"hetis/internal/engine"
 	"hetis/internal/experiments"
 	"hetis/internal/fleet"
@@ -473,43 +472,3 @@ var (
 	FlashCrowdTrace = workload.FlashCrowd
 	ClosedLoopTrace = workload.ClosedLoop
 )
-
-// --- Perf trajectory ----------------------------------------------------------
-
-// BenchOptions tunes the perf-trajectory harness (scenario selection,
-// Quick scale, repetitions).
-type BenchOptions = bench.Options
-
-// BenchReport is the BENCH.json document: suite and micro measurements
-// plus an optional pre-optimization baseline.
-type BenchReport = bench.Report
-
-// BenchSuite aggregates the scenario-suite measurements of a report.
-type BenchSuite = bench.Suite
-
-// BenchSchemaVersion identifies the BENCH.json layout this build emits.
-const BenchSchemaVersion = bench.SchemaVersion
-
-// BenchSinkComparison is one sink-mode measurement of the report's
-// exact-vs-streaming section (the recorded O(1)-memory proof).
-type BenchSinkComparison = bench.SinkBench
-
-// BenchFleetScaling is the report's shard-scaling section: the fleet
-// scenario at increasing shard-worker counts, identical merged output on
-// every row (the recorded proof that intra-run parallelism is free of
-// nondeterminism).
-type BenchFleetScaling = bench.FleetScaling
-
-// RunBench times the canonical scenario suite (and micro-benchmarks) and
-// assembles the perf report.
-func RunBench(opts BenchOptions) (*BenchReport, error) { return bench.Run(opts) }
-
-// BenchSamePairs reports whether two suites measured the same (scenario,
-// engine) pairs — the precondition for a meaningful speedup ratio.
-func BenchSamePairs(a, b *BenchSuite) bool { return bench.SamePairs(a, b) }
-
-// WriteBenchReport writes a report as indented JSON.
-func WriteBenchReport(path string, r *BenchReport) error { return bench.Write(path, r) }
-
-// ReadBenchReport parses a BENCH.json document, checking its schema.
-func ReadBenchReport(path string) (*BenchReport, error) { return bench.ReadFile(path) }

@@ -95,15 +95,8 @@ type Dispatcher struct {
 	// LPSolves counts placement simplex solves; LPSolvesAvoided counts
 	// §5.3.1 relaxations skipped by the lower-bound test.
 	LPSolves, LPSolvesAvoided int
-
-	// LPIdealSolves counts exact §5.3.1 relaxation evaluations (see
-	// relaxation); they do not count in LPSolves.
-	LPIdealSolves int
-	// LPPatchedRows counts placement LP rows whose data changed when a
-	// solve after the first rewrote them in place.
-	LPPatchedRows int
 	// LPSolveSeconds accumulates wall-clock spent posing and solving
-	// placement LPs, so the perf trajectory can report the LP layer's
+	// placement LPs, so the benchmark can report the LP layer's
 	// share of engine time directly.
 	LPSolveSeconds float64
 
@@ -378,18 +371,13 @@ func (d *Dispatcher) solvePlacement(rq NewRequest) ([]int, error) {
 }
 
 // posePlacement states the Eq. 7 LP for one request of context ctx into
-// the dispatcher's problem, rewriting every row in place and counting the
-// rows whose data changed since the previous solve.
+// the dispatcher's problem, rewriting every row in place.
 func (d *Dispatcher) posePlacement(ctx int) {
 	nW := len(d.workers)
 	row := d.row
 	k := 0
 	emit := func(op lp.Op, rhs float64) {
-		// The first solve states the rows New left empty; only later
-		// solves count as patches.
-		if d.prob.SetConstraint(k, row, op, rhs) && d.LPSolves > 1 {
-			d.LPPatchedRows++
-		}
+		d.prob.SetConstraint(k, row, op, rhs)
 		k++
 	}
 
@@ -707,7 +695,6 @@ func (d *Dispatcher) IdealAttnTime() (float64, error) {
 
 // idealAttn evaluates the relaxation over the given (non-empty) buckets.
 func (d *Dispatcher) idealAttn(buckets []bucket) (float64, error) {
-	d.LPIdealSolves++
 	// Under head conservation the aggregate capacity row's load is a
 	// constant — every bucket's heads land somewhere — so it is one test.
 	heads := float64(d.cfg.Heads)

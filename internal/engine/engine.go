@@ -238,24 +238,18 @@ type Result struct {
 	Horizon float64
 
 	// Events is the number of discrete events the run executed — the
-	// denominator-free measure of simulation work that the perf trajectory
-	// (internal/bench) divides by wall-clock for events/sec.
+	// denominator-free measure of simulation work that the benchmark
+	// (benchmark/) divides by wall-clock for events/sec.
 	Events uint64
 	// LPSolves counts placement LP solves across the run's dispatchers;
 	// LPSolvesAvoided counts §5.3.1 relaxations skipped by the lower-bound
 	// test. Both are zero for engines without dynamic dispatch.
 	LPSolves, LPSolvesAvoided int
-	// LPIdealSolves counts §5.3.1 relaxation evaluations (solved exactly,
-	// not by the simplex; see internal/dispatch).
-	LPIdealSolves int
 	// LPWarmStarts is always zero: the dispatcher no longer warm-starts
-	// any solve. The field stays for readers of older reports.
+	// any solve. The field stays because the benchmark still reads it.
 	LPWarmStarts int
-	// LPPatchedRows counts placement LP rows whose data changed when a
-	// solve rewrote them in place.
-	LPPatchedRows int
 	// LPSolveSeconds is wall-clock spent posing and solving placement
-	// LPs, the numerator of the perf trajectory's "LP share of engine
+	// LPs, the numerator of the benchmark's "LP share of engine
 	// time".
 	LPSolveSeconds float64
 	// DecodeSteps counts Hetis decode iterations, and PerRequestSteps the
@@ -431,27 +425,6 @@ func (q *queue) pop() *request {
 	q.head = (q.head + 1) & (len(q.ring) - 1)
 	q.n--
 	return r
-}
-
-// QueueStorm is the benchmark surface for the (unexported) request deque:
-// it fills a queue `fill` deep, requeues `storm` victims at the head —
-// the preemption-storm pattern, where the retired slice-backed queue paid
-// a full copy per head insert — then drains, returning the pop count so
-// callers can assert nothing was lost.
-func QueueStorm(fill, storm int) int {
-	var q queue
-	reqs := make([]request, fill+storm)
-	for i := 0; i < fill; i++ {
-		q.push(&reqs[i])
-	}
-	for i := 0; i < storm; i++ {
-		q.pushFront(&reqs[fill+i])
-	}
-	pops := 0
-	for q.pop() != nil {
-		pops++
-	}
-	return pops
 }
 
 // scheduleArrivals feeds the trace into the engines' admission path.

@@ -319,8 +319,6 @@ func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
 	for _, inst := range f.replicas {
 		res.LPSolves += inst.disp.LPSolves
 		res.LPSolvesAvoided += inst.disp.LPSolvesAvoided
-		res.LPIdealSolves += inst.disp.LPIdealSolves
-		res.LPPatchedRows += inst.disp.LPPatchedRows
 		res.LPSolveSeconds += inst.disp.LPSolveSeconds
 	}
 	return res, nil

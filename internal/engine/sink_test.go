@@ -124,7 +124,7 @@ func TestEnginesEmitThroughInjectedSink(t *testing.T) {
 					stream.Completed, exact.Completed, stream.Events, exact.Events)
 			}
 			// Accuracy at scale is pinned elsewhere (the metrics property
-			// tests and the megascale bench test); at this trace's ~40
+			// tests and the megascale scale tests in internal/scenario); at this trace's ~40
 			// completions the tail percentiles sit between sparse order
 			// statistics, so only the medians and exact running stats are
 			// meaningful here.

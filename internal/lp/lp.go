@@ -159,11 +159,9 @@ func (p *Problem) AddConstraint(coeffs []float64, op Op, rhs float64) {
 }
 
 // SetConstraint overwrites constraint i with coeffs·x op rhs, like
-// AddConstraint but in place. It reports whether any coefficient, the
-// relation, or the right-hand side actually changed (bitwise comparison)
-// — the dispatch layer's patched-row telemetry. Sparse rows may pass a
-// short slice; missing coefficients are zero.
-func (p *Problem) SetConstraint(i int, coeffs []float64, op Op, rhs float64) bool {
+// AddConstraint but in place. Sparse rows may pass a short slice; missing
+// coefficients are zero.
+func (p *Problem) SetConstraint(i int, coeffs []float64, op Op, rhs float64) {
 	if i < 0 || i >= len(p.cons) {
 		panic(fmt.Sprintf("lp: constraint index %d out of range [0,%d)", i, len(p.cons)))
 	}
@@ -171,19 +169,9 @@ func (p *Problem) SetConstraint(i int, coeffs []float64, op Op, rhs float64) boo
 		panic(fmt.Sprintf("lp: constraint has %d coefficients for %d variables", len(coeffs), p.n))
 	}
 	c := &p.cons[i]
-	changed := c.op != op || c.rhs != rhs
 	c.op, c.rhs = op, rhs
-	for j := range c.coeffs {
-		var v float64
-		if j < len(coeffs) {
-			v = coeffs[j]
-		}
-		if c.coeffs[j] != v {
-			c.coeffs[j] = v
-			changed = true
-		}
-	}
-	return changed
+	n := copy(c.coeffs, coeffs)
+	clear(c.coeffs[n:])
 }
 
 // Result is the outcome of Solve.

@@ -33,7 +33,7 @@ type fleetShard struct {
 
 // FleetRun is a prepared sharded run: trace generated, routed, and one
 // engine built per non-empty shard — everything except the simulation
-// itself, so harnesses that time serving (internal/bench) can keep
+// itself, so harnesses that time serving (benchmark/) can keep
 // preparation outside the clock. A FleetRun is single-use: streaming sinks
 // accumulate, so call PrepareFleet again for a repeat run.
 type FleetRun struct {
@@ -195,8 +195,6 @@ func (f *FleetRun) mergeResults() *engine.Result {
 		out.Events += r.Events
 		out.LPSolves += r.LPSolves
 		out.LPSolvesAvoided += r.LPSolvesAvoided
-		out.LPIdealSolves += r.LPIdealSolves
-		out.LPPatchedRows += r.LPPatchedRows
 		out.LPSolveSeconds += r.LPSolveSeconds
 		out.DecodeSteps += r.DecodeSteps
 		out.PerRequestSteps += r.PerRequestSteps

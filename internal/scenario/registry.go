@@ -60,11 +60,11 @@ func Names() []string {
 
 // SuiteNames lists the registered non-Heavy, non-chaotic, non-sharded
 // scenarios in sorted order — what catalog-wide expansions ("all", the
-// bench suite, the scenarios experiment) run. The rest run when named
-// explicitly: Heavy because of cost, chaotic because their tables carry
-// extra columns the suite consumers don't expect, and sharded because the
-// suite's committed baselines are single-cluster (fleet scaling has its
-// own bench section).
+// scenarios experiment) run. The rest run when named explicitly: Heavy
+// because of cost, chaotic because their tables carry extra columns the
+// suite consumers don't expect, and sharded because the suite's rows are
+// single-cluster (the benchmark's fleet-giga workload measures fleet
+// scaling).
 func SuiteNames() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()

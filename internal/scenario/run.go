@@ -75,7 +75,7 @@ func BuildEngine(name string, cfg engine.Config, reqs []workload.Request) (engin
 
 // ClusterByName resolves a spec's cluster name ("" and "paper" are the
 // paper's evaluation cluster). Exported so harnesses that run engines
-// directly (internal/bench) resolve deployments exactly like RunEngine.
+// directly (benchmark/) resolve deployments exactly like RunEngine.
 func ClusterByName(name string) (*hardware.Cluster, error) {
 	switch name {
 	case "", "paper":
@@ -88,7 +88,7 @@ func ClusterByName(name string) (*hardware.Cluster, error) {
 // generous multiple of the trace duration, so queues fully drain while
 // every engine shares the same denominator (Result.Horizon advances to
 // it on early drain). Harnesses that time engines directly
-// (internal/bench, sweep grids) must use the same window so their runs
+// (sweep grids, the scale tests) must use the same window so their runs
 // replay exactly what the golden harness pinned.
 func MeasurementHorizon(duration float64) float64 { return duration * 30 }
 

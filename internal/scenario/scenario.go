@@ -254,8 +254,8 @@ type Spec struct {
 	Fleet *FleetSpec
 
 	// Heavy marks large-scale scenarios (megascale and friends) that
-	// catalog-wide expansions — the bench suite, "-scenario all", the
-	// scenarios experiment — skip unless the scenario is named explicitly.
+	// catalog-wide expansions — "-scenario all" and the scenarios
+	// experiment — skip unless the scenario is named explicitly.
 	// Heavy scenarios are built for the streaming sink; running them with
 	// the exact recorder works but holds O(requests) memory.
 	Heavy bool
@@ -345,7 +345,7 @@ func (s Spec) Validate() error {
 // Sharded reports whether the spec runs as a fleet of shards. Sharded
 // scenarios are excluded from SuiteNames like chaotic ones: catalog-wide
 // expansions keep their single-cluster baselines comparable, and fleet
-// scaling is measured by its own bench section.
+// scaling is measured by the benchmark's fleet-giga workload.
 func (s Spec) Sharded() bool { return s.Fleet != nil }
 
 // Chaotic reports whether the spec's chaos fields can change behaviour:

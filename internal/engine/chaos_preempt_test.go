@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"hetis/internal/hardware"
@@ -68,38 +69,78 @@ func TestStaticEnginePreemption(t *testing.T) {
 	}
 }
 
+// pickVictimCases are TestPickVictim's table: each running batch is
+// (prio, seq) pairs, and want indexes the victim in it.
+var pickVictimCases = []struct {
+	name    string
+	running []*request
+	tiered  bool
+	limit   int
+	want    int
+}{
+	// A single-priority tier list leaves unmatched tenants at prio 0;
+	// untiered selection must still ignore priority entirely.
+	{"untiered newest among prio 5", victimBatch(5, 1, 0, 2, 5, 7, 5, 3), false, anyPrio, 2},
+	{"untiered prio-0 newest wins", victimBatch(5, 1, 5, 3, 0, 9), false, anyPrio, 2},
+	{"tiered lowest priority first", victimBatch(5, 9, 0, 2, 3, 8, 0, 4), true, anyPrio, 3},
+	{"tiered newest within priority", victimBatch(1, 3, 1, 6, 1, 5), true, anyPrio, 1},
+	{"limit excludes equal and higher", victimBatch(2, 9, 1, 3, 0, 1, 1, 4), true, 2, 2},
+	{"limit spares the admitter's peers", victimBatch(1, 3, 1, 6, 0, 2, 0, 1), true, 1, 2},
+	{"limit with no candidate", victimBatch(2, 1, 3, 2), true, 2, -1},
+	{"empty batch", nil, true, anyPrio, -1},
+}
+
+func victimBatch(prioSeq ...int) []*request {
+	var out []*request
+	for i := 0; i < len(prioSeq); i += 2 {
+		out = append(out, &request{prio: prioSeq[i], seq: int64(prioSeq[i+1])})
+	}
+	return out
+}
+
 // TestPickVictim pins the one victim rule every engine's eviction and
 // preemption share: plain LIFO untiered, lowest priority then newest
 // under tiers, and a preemption limit that spares the admitting request's
 // priority and above.
 func TestPickVictim(t *testing.T) {
-	run := func(prioSeq ...int) []*request {
-		var out []*request
-		for i := 0; i < len(prioSeq); i += 2 {
-			out = append(out, &request{prio: prioSeq[i], seq: int64(prioSeq[i+1])})
-		}
-		return out
-	}
-	for _, tc := range []struct {
-		name    string
-		running []*request // (prio, seq) pairs
-		tiered  bool
-		limit   int
-		want    int
-	}{
-		// A single-priority tier list leaves unmatched tenants at prio 0;
-		// untiered selection must still ignore priority entirely.
-		{"untiered newest among prio 5", run(5, 1, 0, 2, 5, 7, 5, 3), false, anyPrio, 2},
-		{"untiered prio-0 newest wins", run(5, 1, 5, 3, 0, 9), false, anyPrio, 2},
-		{"tiered lowest priority first", run(5, 9, 0, 2, 3, 8, 0, 4), true, anyPrio, 3},
-		{"tiered newest within priority", run(1, 3, 1, 6, 1, 5), true, anyPrio, 1},
-		{"limit excludes equal and higher", run(2, 9, 1, 3, 0, 1, 1, 4), true, 2, 2},
-		{"limit spares the admitter's peers", run(1, 3, 1, 6, 0, 2, 0, 1), true, 1, 2},
-		{"limit with no candidate", run(2, 1, 3, 2), true, 2, -1},
-		{"empty batch", nil, true, anyPrio, -1},
-	} {
+	for _, tc := range pickVictimCases {
 		if got := pickVictim(tc.running, tc.tiered, tc.limit); got != tc.want {
 			t.Errorf("%s: pickVictim = %d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestPickVictimOrderFree checks that the victim does not depend on the
+// batch's order — every permutation of each table batch yields the same
+// request — which is what lets tokenPool swap-remove from its batch.
+func TestPickVictimOrderFree(t *testing.T) {
+	for _, tc := range pickVictimCases {
+		var want *request
+		if tc.want >= 0 {
+			want = tc.running[tc.want]
+		}
+		permute(slices.Clone(tc.running), 0, func(batch []*request) {
+			var got *request
+			if i := pickVictim(batch, tc.tiered, tc.limit); i >= 0 {
+				got = batch[i]
+			}
+			if got != want {
+				t.Errorf("%s: batch %v picks %v, want %v", tc.name, batch, got, want)
+			}
+		})
+	}
+}
+
+// permute calls visit with every ordering of batch[k:], permuting batch
+// in place and restoring it.
+func permute(batch []*request, k int, visit func([]*request)) {
+	if k == len(batch) {
+		visit(batch)
+		return
+	}
+	for i := k; i < len(batch); i++ {
+		batch[k], batch[i] = batch[i], batch[k]
+		permute(batch, k+1, visit)
+		batch[k], batch[i] = batch[i], batch[k]
 	}
 }

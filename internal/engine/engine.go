@@ -323,8 +323,11 @@ type Engine interface {
 // pointers within one allocation instead of across a heap of individual
 // structs.
 type request struct {
-	wl        workload.Request
-	generated int // tokens produced so far
+	wl workload.Request
+	// generated is the number of tokens produced so far — except while
+	// the request is in a static engine's running batch, where it is held
+	// relative to the tokenPool's step clock (see tokenPool).
+	generated int
 	firstTok  float64
 	evicted   bool
 	// hauled marks a request whose KV cache survived a replica failure by
@@ -333,6 +336,9 @@ type request struct {
 	// still charges the full hauled context. It sits beside evicted so the
 	// two flags share one word.
 	hauled bool
+	// slot is the request's index in a tokenPool's running batch, kept in
+	// the word the two flags above leave free.
+	slot int32
 	// restartCtx is the context length to re-prefill after an eviction.
 	restartCtx int
 	// prio is the request's tier priority under chaos (higher preempts

@@ -118,7 +118,9 @@ const anyPrio = math.MaxInt
 // the index of the running request to evict among those with priority
 // below limit, or -1 when there is none: under multi-tier chaos the
 // lowest priority first and the newest (highest seq) within it, otherwise
-// the newest regardless of priority (plain LIFO).
+// the newest regardless of priority (plain LIFO). seq is unique within a
+// run, so the choice does not depend on the order of running — tokenPool
+// reorders its batch on every removal.
 func pickVictim(running []*request, tiered bool, limit int) int {
 	idx := -1
 	for i, v := range running {

@@ -38,7 +38,7 @@ func NewHexGen(cfg Config) (*HexGen, error) {
 func (h *HexGen) Name() string { return "hexgen" }
 
 // CacheCapacity implements Engine.
-func (h *HexGen) CacheCapacity() int64 { return h.pipe.cacheCapacityBytes(h.cfg.Model) }
+func (h *HexGen) CacheCapacity() int64 { return h.pipe.cacheCapacityBytes() }
 
 // Stages exposes the static layout for tests and experiments.
 func (h *HexGen) Stages() []parallelizer.Stage { return h.pipe.stages }
@@ -115,8 +115,9 @@ func (rt *staticRuntime) evacuate(s *sim.Simulator) ([]*request, map[int64]bool)
 		s.Cancel(rt.pending)
 		rt.busy = false
 	}
-	resident := make(map[int64]bool, len(rt.running))
-	for _, r := range rt.running {
+	batch := rt.tokenPool.evacuate()
+	resident := make(map[int64]bool, len(batch))
+	for _, r := range batch {
 		resident[r.wl.ID] = true
 	}
 	victims := make([]*request, 0, len(rt.byID))
@@ -125,8 +126,6 @@ func (rt *staticRuntime) evacuate(s *sim.Simulator) ([]*request, map[int64]bool)
 		victims = append(victims, r)
 	}
 	clear(rt.byID)
-	rt.running = rt.running[:0]
-	rt.used = 0
 	return victims, resident
 }
 
@@ -149,7 +148,7 @@ func (rt *staticRuntime) step(s *sim.Simulator) {
 }
 
 func (rt *staticRuntime) tryPrefill(s *sim.Simulator) bool {
-	cfg := rt.cfg
+	cfg := &rt.cfg
 	admitted := rt.prefillBatch[:0]
 	tokens := 0
 	for rt.waiting.len() > 0 &&
@@ -209,7 +208,7 @@ func (rt *staticRuntime) prefillDone(s *sim.Simulator) {
 			rt.release(r)
 			rt.retire(s, r)
 		} else {
-			rt.running = append(rt.running, r)
+			rt.join(r)
 		}
 	}
 	rt.fleet.flushFinishes()

@@ -54,29 +54,63 @@ func TestDecodeCostMemoBitEqual(t *testing.T) {
 
 // TestStaticDenseMemoBitEqual is the same property for the static
 // pipeline shared by hexgen/splitwise/vllm: decodeTime with a warm memo
-// must reproduce the cold result exactly for every (batch, ctx) pair.
+// must reproduce, bit for bit, both the cold result and refDecodeTime's
+// unmemoized cost, for every (batch, ctx) pair on each engine's pipeline.
 func TestStaticDenseMemoBitEqual(t *testing.T) {
 	cfg := DefaultConfig(model.Llama13B, hardware.PaperCluster())
-	hx, err := NewHexGen(cfg)
-	if err != nil {
-		t.Fatal(err)
+	pipes := func() []*staticPipeline {
+		hx, err := NewHexGen(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := NewSplitwise(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := NewVLLM(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*staticPipeline{hx.pipe, sw.decode, v.pipe}
 	}
-	cold, err := NewHexGen(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm, cold := pipes(), pipes()
+	est := perf.New(cfg.Model)
 	rng := rand.New(rand.NewSource(11))
-	// Warm hx's memo with every batch size first; cold recomputes each
+	// Warm each memo with every batch size first; cold recomputes each
 	// point on a fresh pipeline whose memo is reset before every call.
 	for trial := 0; trial < 100; trial++ {
 		batch := 1 + rng.Intn(128)
 		ctx := int64(batch * (64 + rng.Intn(1024)))
-		dt1, d1, a1 := hx.pipe.decodeTime(hx.est, cfg, batch, ctx)
-		cold.pipe.denseMemo = nil // force recomputation
-		dt2, d2, a2 := cold.pipe.decodeTime(cold.est, cfg, batch, ctx)
-		if dt1 != dt2 || d1 != d2 || a1 != a2 {
-			t.Fatalf("batch %d ctx %d: warm (%v,%v,%v) != cold (%v,%v,%v)",
-				batch, ctx, dt1, d1, a1, dt2, d2, a2)
+		for k := range warm {
+			dt1, d1, a1 := warm[k].decodeTime(est, &cfg, batch, ctx)
+			cold[k].denseMemo = nil // force recomputation
+			dt2, d2, a2 := cold[k].decodeTime(est, &cfg, batch, ctx)
+			dt3, d3, a3 := refDecodeTime(warm[k], est, cfg, batch, ctx)
+			if dt1 != dt2 || d1 != d2 || a1 != a2 || dt1 != dt3 || d1 != d3 || a1 != a3 {
+				t.Fatalf("pipeline %d batch %d ctx %d: warm (%v,%v,%v) cold (%v,%v,%v) unmemoized (%v,%v,%v)",
+					k, batch, ctx, dt1, d1, a1, dt2, d2, a2, dt3, d3, a3)
+			}
 		}
 	}
+}
+
+// refDecodeTime is the frozen unmemoized static decode cost: every term
+// recomputed from the cost model on each call, in its original order.
+func refDecodeTime(p *staticPipeline, est *perf.Estimator, cfg Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
+	m := cfg.Model
+	densePerStage := make([]float64, len(p.stages))
+	attnPerStage := make([]float64, len(p.stages))
+	for k, st := range p.stages {
+		densePerStage[k] = parallelizer.StageDecodeTime(est, st, batch, p.links[k])
+		heads := batch * m.Heads / st.TP
+		cacheLayer := ctxTokens * m.KVBytesPerTokenLayer() / int64(st.TP)
+		attnPerStage[k] = float64(st.Layers) * est.AttnDecodeTime(st.Spec, heads, cacheLayer)
+		dt += densePerStage[k] + attnPerStage[k]
+	}
+	if len(p.stages) > 1 {
+		dt += float64(len(p.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, m.HiddenStateBytes(batch))
+	}
+	last := p.stages[len(p.stages)-1]
+	dt += est.LMHeadTime(last.Spec, batch, last.TP)
+	return dt, moduleLatency(densePerStage), moduleLatency(attnPerStage)
 }

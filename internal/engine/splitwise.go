@@ -65,7 +65,7 @@ func (sw *Splitwise) Name() string { return "splitwise" }
 // CacheCapacity implements Engine: only the decode side hosts long-lived
 // KV cache; the prefill side's space is transient and does not add serving
 // capacity (§2.3).
-func (sw *Splitwise) CacheCapacity() int64 { return sw.decode.cacheCapacityBytes(sw.cfg.Model) }
+func (sw *Splitwise) CacheCapacity() int64 { return sw.decode.cacheCapacityBytes() }
 
 // PrefillStages and DecodeStages expose the layout.
 func (sw *Splitwise) PrefillStages() []parallelizer.Stage { return sw.prefill.stages }
@@ -90,6 +90,7 @@ func (sw *Splitwise) Run(reqs []workload.Request, horizon float64) (*Result, err
 		rt.requeued = rt.requeue
 		rt.finished = f.fleetCore.finishDeferred
 		rt.prefillStepFn = rt.prefillStep
+		rt.prefillDoneFn = rt.prefillDone
 		rt.decodeStepFn = rt.decodeStep
 		rt.decodeDoneFn = rt.decodeDone
 		return rt, nil
@@ -113,6 +114,10 @@ type splitwiseRuntime struct {
 	// prefillBatch the requests inside an in-flight prefill iteration.
 	prefillPending sim.Handle
 	prefillBatch   []*request
+	// promptBuf is prefillStep's reused prompt-length buffer; prefillBatch
+	// reuses its own backing array the same way. The next batch is only
+	// built after prefillDone is through with the last one.
+	promptBuf []int
 	// inPrefill tracks tokens resident on the prefill side.
 	inPrefill int64
 
@@ -131,6 +136,7 @@ type splitwiseRuntime struct {
 	// The loop callbacks, bound once so scheduling a step allocates no
 	// closure.
 	prefillStepFn func(*sim.Simulator)
+	prefillDoneFn func(*sim.Simulator)
 	decodeStepFn  func(*sim.Simulator)
 	decodeDoneFn  func(*sim.Simulator)
 }
@@ -161,7 +167,7 @@ func (rt *splitwiseRuntime) evacuate(s *sim.Simulator) ([]*request, map[int64]bo
 
 	resident := map[int64]bool{}
 	var victims []*request
-	for _, r := range rt.running {
+	for _, r := range rt.tokenPool.evacuate() {
 		resident[r.wl.ID] = true
 		victims = append(victims, r)
 	}
@@ -178,10 +184,8 @@ func (rt *splitwiseRuntime) evacuate(s *sim.Simulator) ([]*request, map[int64]bo
 	for rt.prefillQ.len() > 0 {
 		victims = append(victims, rt.prefillQ.pop())
 	}
-	rt.running = rt.running[:0]
 	rt.prefillBatch = nil
 	rt.handoffs = map[int64]*request{}
-	rt.used = 0
 	rt.inPrefill = 0
 	return victims, resident
 }
@@ -208,8 +212,8 @@ func (rt *splitwiseRuntime) kick(s *sim.Simulator) {
 func (rt *splitwiseRuntime) requeue(s *sim.Simulator, _ *request) { rt.kick(s) }
 
 func (rt *splitwiseRuntime) prefillStep(s *sim.Simulator) {
-	cfg := rt.cfg
-	var admitted []*request
+	cfg := &rt.cfg
+	admitted := rt.prefillBatch[:0]
 	tokens := 0
 	for rt.prefillQ.len() > 0 && len(admitted) < cfg.MaxPrefillRequests {
 		r := rt.prefillQ.peek()
@@ -231,43 +235,51 @@ func (rt *splitwiseRuntime) prefillStep(s *sim.Simulator) {
 		tokens += int(ctx)
 		admitted = append(admitted, r)
 	}
+	rt.prefillBatch = admitted
 	if len(admitted) == 0 {
 		rt.prefillBusy = false
 		return
 	}
-	prompts := make([]int, len(admitted))
-	for i, r := range admitted {
-		prompts[i] = r.restartCtx
+	prompts := rt.promptBuf[:0]
+	for _, r := range admitted {
+		prompts = append(prompts, r.restartCtx)
 	}
-	rt.prefillBatch = admitted
+	rt.promptBuf = prompts
 	dt := rt.prefill.prefillTime(rt.est, cfg, prompts)
-	rt.prefillPending = s.After(dt, "sw-prefill-done", func(s *sim.Simulator) {
-		rt.prefillBatch = nil
-		for _, r := range admitted {
-			if r.firstTok == 0 {
-				r.firstTok = s.Now()
-			}
-			if r.generated == 0 {
-				r.generated = 1
-			}
-			rt.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindPrefill, Request: r.wl.ID, Value: float64(r.restartCtx)})
-			if r.done() {
-				rt.inPrefill -= int64(r.restartCtx)
-				rt.fleet.finishDeferred(s, r)
-				continue
-			}
-			rt.scheduleHandoff(s, r)
+	rt.prefillPending = s.After(dt, "sw-prefill-done", rt.prefillDoneFn)
+}
+
+// prefillDone is the prefill-completion callback over the batch in
+// prefillBatch. Only one prefill event is pending at a time, and evacuate
+// cancels it before clearing the batch, so the callback never sees a
+// stale one.
+func (rt *splitwiseRuntime) prefillDone(s *sim.Simulator) {
+	admitted := rt.prefillBatch
+	rt.prefillBatch = admitted[:0]
+	for _, r := range admitted {
+		if r.firstTok == 0 {
+			r.firstTok = s.Now()
 		}
-		rt.fleet.flushFinishes()
-		// The next prefill batch waits for this batch's KV handoffs to
-		// drain the NIC: the phase split forces a full-context cache
-		// transfer per request, which interferes with prefill (§2.3).
-		if rt.transferFree > s.Now() {
-			rt.prefillPending = s.Schedule(rt.transferFree, "sw-prefill-nic", rt.prefillStepFn)
-			return
+		if r.generated == 0 {
+			r.generated = 1
 		}
-		rt.prefillStep(s)
-	})
+		rt.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindPrefill, Request: r.wl.ID, Value: float64(r.restartCtx)})
+		if r.done() {
+			rt.inPrefill -= int64(r.restartCtx)
+			rt.fleet.finishDeferred(s, r)
+			continue
+		}
+		rt.scheduleHandoff(s, r)
+	}
+	rt.fleet.flushFinishes()
+	// The next prefill batch waits for this batch's KV handoffs to drain
+	// the NIC: the phase split forces a full-context cache transfer per
+	// request, which interferes with prefill (§2.3).
+	if rt.transferFree > s.Now() {
+		rt.prefillPending = s.Schedule(rt.transferFree, "sw-prefill-nic", rt.prefillStepFn)
+		return
+	}
+	rt.prefillStep(s)
 }
 
 // scheduleHandoff ships the request's KV cache to the decode instance over
@@ -322,7 +334,7 @@ func (rt *splitwiseRuntime) decodeStep(s *sim.Simulator) {
 		}
 		rt.decodeQ.pop()
 		rt.used += ctx
-		rt.running = append(rt.running, r)
+		rt.join(r)
 	}
 	if len(rt.running) == 0 {
 		rt.decodeBusy = false

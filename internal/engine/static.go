@@ -1,11 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hetis/internal/hardware"
-	"hetis/internal/model"
 	"hetis/internal/parallelizer"
 	"hetis/internal/perf"
 	"hetis/internal/sim"
@@ -24,18 +25,27 @@ type staticPipeline struct {
 	// here: the pipeline is a pure shared shape that chaos-mode fleets
 	// replicate without copying.
 	tokenCap int64
+	// kvTokenLayer and kvToken are the model's KV bytes per token in one
+	// layer and across all layers, taken once at build so the decode loop
+	// does not copy the model config to ask.
+	kvTokenLayer, kvToken int64
 
-	// denseMemo caches per-batch dense stage times (pure in batch size;
-	// see decodeTime), and attnScratch is the per-iteration attention
-	// buffer both reused across decode steps.
-	denseMemo   map[int]*staticDenseCost
+	// denseMemo caches the batch-dependent side of decodeTime, indexed by
+	// batch size (nil until that size first decodes), and attnScratch is
+	// the per-iteration attention buffer; both are reused across decode
+	// steps.
+	denseMemo   []*staticDenseCost
 	attnScratch []float64
 }
 
-// staticDenseCost memoizes the batch-dependent dense side of decodeTime.
+// staticDenseCost memoizes the batch-dependent terms of decodeTime: the
+// dense stage times and their module latency, the inter-stage activation
+// transfers and the LM head.
 type staticDenseCost struct {
 	perStage []float64
 	module   float64 // moduleLatency(perStage)
+	p2p      float64 // (stages-1) activation hops; 0 for one stage
+	lmHead   float64
 }
 
 // buildStaticPipeline assigns layers to the given per-type device groups
@@ -116,7 +126,7 @@ func buildStaticPipeline(cfg Config, est *perf.Estimator, cluster *hardware.Clus
 		}
 	}
 
-	p := &staticPipeline{}
+	p := &staticPipeline{kvTokenLayer: m.KVBytesPerTokenLayer(), kvToken: m.KVBytesPerToken()}
 	p.tokenCap = int64(^uint64(0) >> 1)
 	for i, pr := range protos {
 		if layers[i] == 0 {
@@ -135,7 +145,7 @@ func buildStaticPipeline(cfg Config, est *perf.Estimator, cluster *hardware.Clus
 		if free < 0 {
 			free = 0
 		}
-		capTokens := int64(free / (float64(m.KVBytesPerTokenLayer()) * float64(layers[i])))
+		capTokens := int64(free / (float64(p.kvTokenLayer) * float64(layers[i])))
 		if capTokens < p.tokenCap {
 			p.tokenCap = capTokens
 		}
@@ -147,24 +157,27 @@ func buildStaticPipeline(cfg Config, est *perf.Estimator, cluster *hardware.Clus
 }
 
 // cacheCapacityBytes converts the token capacity to bytes.
-func (p *staticPipeline) cacheCapacityBytes(m model.Config) int64 {
-	return p.tokenCap * m.KVBytesPerToken()
-}
+func (p *staticPipeline) cacheCapacityBytes() int64 { return p.tokenCap * p.kvToken }
 
-// denseCostFor memoizes the batch-dependent dense stage times; dense
-// module cost is a pure function of (stage layout, batch), so the memo
-// never invalidates.
-func (p *staticPipeline) denseCostFor(est *perf.Estimator, batch int) *staticDenseCost {
-	if c, ok := p.denseMemo[batch]; ok {
-		return c
+// denseCostFor memoizes the batch-dependent terms of decodeTime; they
+// are a pure function of (stage layout, batch), so the memo never
+// invalidates.
+func (p *staticPipeline) denseCostFor(est *perf.Estimator, cfg *Config, batch int) *staticDenseCost {
+	if batch < len(p.denseMemo) && p.denseMemo[batch] != nil {
+		return p.denseMemo[batch]
 	}
 	c := &staticDenseCost{perStage: make([]float64, len(p.stages))}
 	for k, st := range p.stages {
 		c.perStage[k] = parallelizer.StageDecodeTime(est, st, batch, p.links[k])
 	}
 	c.module = moduleLatency(c.perStage)
-	if p.denseMemo == nil {
-		p.denseMemo = make(map[int]*staticDenseCost)
+	if len(p.stages) > 1 {
+		c.p2p = float64(len(p.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, cfg.Model.HiddenStateBytes(batch))
+	}
+	last := p.stages[len(p.stages)-1]
+	c.lmHead = est.LMHeadTime(last.Spec, batch, last.TP)
+	if batch >= len(p.denseMemo) {
+		p.denseMemo = append(p.denseMemo, make([]*staticDenseCost, batch+1-len(p.denseMemo))...)
 	}
 	p.denseMemo[batch] = c
 	return c
@@ -172,35 +185,33 @@ func (p *staticPipeline) denseCostFor(est *perf.Estimator, batch int) *staticDen
 
 // decodeTime is one decode iteration for `batch` sequences whose total
 // cached context is ctxTokens; it returns the iteration time plus the
-// §7.3 dense/attention module latencies. Dense stage times come from the
-// per-batch memo; attention depends on the live cached context and is
-// recomputed each call into a reused buffer. The dt accumulation walks
-// stages interleaving dense and attention exactly like the pre-memo code,
-// so the floating-point result is bit-identical.
-func (p *staticPipeline) decodeTime(est *perf.Estimator, cfg Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
-	m := cfg.Model
-	dense := p.denseCostFor(est, batch)
+// §7.3 dense/attention module latencies. The batch-dependent terms come
+// from the per-batch memo; attention depends on the live cached context
+// and is recomputed each call into a reused buffer. dt adds the stages'
+// dense and attention times in stage order, then the activation hops,
+// then the LM head — the order the unmemoized cost used — so the
+// floating-point result is bit-identical to it.
+func (p *staticPipeline) decodeTime(est *perf.Estimator, cfg *Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
+	dense := p.denseCostFor(est, cfg, batch)
 	if cap(p.attnScratch) < len(p.stages) {
 		p.attnScratch = make([]float64, len(p.stages))
 	}
 	attnPerStage := p.attnScratch[:len(p.stages)]
-	for k, st := range p.stages {
-		heads := batch * m.Heads / st.TP
-		cacheLayer := ctxTokens * m.KVBytesPerTokenLayer() / int64(st.TP)
-		attnPerStage[k] = float64(st.Layers) * est.AttnDecodeTime(st.Spec, heads, cacheLayer)
+	heads := batch * cfg.Model.Heads
+	cacheTokenLayer := ctxTokens * p.kvTokenLayer
+	for k := range p.stages {
+		st := &p.stages[k]
+		attnPerStage[k] = float64(st.Layers) * est.AttnDecodeTime(st.Spec, heads/st.TP, cacheTokenLayer/int64(st.TP))
 		dt += dense.perStage[k] + attnPerStage[k]
 	}
-	if len(p.stages) > 1 {
-		dt += float64(len(p.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, m.HiddenStateBytes(batch))
-	}
-	last := p.stages[len(p.stages)-1]
-	dt += est.LMHeadTime(last.Spec, batch, last.TP)
+	dt += dense.p2p
+	dt += dense.lmHead
 	return dt, dense.module, moduleLatency(attnPerStage)
 }
 
 // prefillTime is the iteration cost of prefilling the given prompts.
-func (p *staticPipeline) prefillTime(est *perf.Estimator, cfg Config, prompts []int) float64 {
-	m := cfg.Model
+func (p *staticPipeline) prefillTime(est *perf.Estimator, cfg *Config, prompts []int) float64 {
+	m := &cfg.Model
 	total := 0
 	for _, l := range prompts {
 		total += l
@@ -226,6 +237,15 @@ func (p *staticPipeline) prefillTime(est *perf.Estimator, cfg Config, prompts []
 // What differs between them is where a victim requeues and what a request
 // leaving the pool releases; those are fields bound once at construction,
 // so the decode loop allocates nothing.
+//
+// A decode step costs O(1 + finishers), not O(batch). The pool keeps a
+// step clock, and a request in the batch holds its generated count
+// relative to it (generated − clock), so one clock tick advances the whole
+// batch; the count is made absolute again whenever the request leaves the
+// batch (finish, eviction, preemption, evacuate), the only times anything
+// reads it. ctxSum tracks the batch's total context, and finishAt files
+// each request under the step it will finish on, so a step visits only
+// its finishers.
 type tokenPool struct {
 	cfg   Config
 	est   *perf.Estimator
@@ -233,11 +253,24 @@ type tokenPool struct {
 	res   *Result
 	fleet *fleetCore
 
+	// running is the decode batch in no particular order: a request
+	// leaving swaps the last one into its slot (request.slot), which
+	// pickVictim allows because its choice does not depend on order.
 	running []*request
 	// used is the replica's cache occupancy in tokens: the running batch,
 	// plus whatever its runtime admitted ahead of decode (the colocated
 	// runtime charges a prefill batch at admission).
 	used int64
+	// ctxSum is the running batch's total context length.
+	ctxSum int64
+	// clock counts the pool's decode steps.
+	clock int
+	// finishAt is a power-of-two ring of buckets: finishAt[t & (len-1)]
+	// holds the running requests that finish on step t, in the order they
+	// joined the batch. Join order is the order an ordered batch would
+	// hold them in, so completions come out in that order without a sort.
+	// A request's step is at most len steps ahead (join grows the ring).
+	finishAt [][]*request
 
 	// requeueQ is where a victim waits to re-prefill: at the head after an
 	// overflow eviction, so it keeps its place in line, and in priority
@@ -249,35 +282,77 @@ type tokenPool struct {
 	finished func(*sim.Simulator, *request)
 }
 
+// join adds a request that still has tokens to generate to the running
+// batch. The caller has charged its cache to used.
+func (p *tokenPool) join(r *request) {
+	r.slot = int32(len(p.running))
+	p.running = append(p.running, r)
+	p.ctxSum += int64(r.contextLen())
+	ahead := r.wl.OutputLen - r.generated
+	if ahead > len(p.finishAt) {
+		p.growRing(ahead)
+	}
+	r.generated -= p.clock
+	i := p.finishStep(r) & (len(p.finishAt) - 1)
+	p.finishAt[i] = append(p.finishAt[i], r)
+}
+
+// finishStep is the step on which a request in the batch finishes.
+func (p *tokenPool) finishStep(r *request) int { return r.wl.OutputLen - r.generated }
+
+// growRing widens finishAt to hold a finish step ahead steps away, moving
+// each pending bucket whole so its join order survives.
+func (p *tokenPool) growRing(ahead int) {
+	n := max(64, len(p.finishAt))
+	for n < ahead {
+		n *= 2
+	}
+	ring := make([][]*request, n)
+	for t := p.clock + 1; t <= p.clock+len(p.finishAt); t++ {
+		ring[t&(n-1)] = p.finishAt[t&(len(p.finishAt)-1)]
+	}
+	p.finishAt = ring
+}
+
+// leave takes r out of the batch and makes its generated count absolute.
+func (p *tokenPool) leave(r *request) {
+	last := len(p.running) - 1
+	moved := p.running[last]
+	p.running[r.slot] = moved
+	moved.slot = r.slot
+	p.running[last] = nil
+	p.running = p.running[:last]
+	r.generated += p.clock
+	p.ctxSum -= int64(r.contextLen())
+}
+
 // launchDecode prices one decode iteration of the running batch, records
 // its §7.3 module latencies, and schedules done at its end.
 func (p *tokenPool) launchDecode(s *sim.Simulator, name string, done func(*sim.Simulator)) sim.Handle {
-	var ctxTokens int64
-	for _, r := range p.running {
-		ctxTokens += int64(r.contextLen())
-	}
-	dt, dense, attn := p.pipe.decodeTime(p.est, p.cfg, len(p.running), ctxTokens)
+	dt, dense, attn := p.pipe.decodeTime(p.est, &p.cfg, len(p.running), p.ctxSum)
 	p.res.DenseTimes.Append(dense)
 	p.res.AttnTimes.Append(attn)
 	return s.After(dt, name, done)
 }
 
-// afterDecode advances every running request by one token and finishes
-// the completed ones. While the cache then overflows, it evicts victims
-// for recomputation: LIFO preemption, as vLLM does.
+// afterDecode advances every running request by one token (a clock tick)
+// and finishes the step's completions in join order. While the cache then
+// overflows, it evicts victims for recomputation: LIFO preemption, as
+// vLLM does.
 func (p *tokenPool) afterDecode(s *sim.Simulator) {
-	still := p.running[:0]
-	for _, r := range p.running {
-		r.generated++
-		p.used++
-		if r.done() {
-			p.release(r)
-			p.finished(s, r)
-			continue
-		}
-		still = append(still, r)
+	p.clock++
+	n := int64(len(p.running))
+	p.used += n
+	p.ctxSum += n
+	i := p.clock & (len(p.finishAt) - 1)
+	done := p.finishAt[i]
+	for _, r := range done {
+		p.leave(r)
+		p.release(r)
+		p.finished(s, r)
 	}
-	p.running = still
+	clear(done)
+	p.finishAt[i] = done[:0]
 	p.fleet.flushFinishes()
 	for p.used > p.pipe.tokenCap && len(p.running) > 0 {
 		v := p.remove(pickVictim(p.running, p.fleet.ctl.tiered(), anyPrio))
@@ -285,7 +360,7 @@ func (p *tokenPool) afterDecode(s *sim.Simulator) {
 		p.requeueQ.pushFront(v)
 		p.requeued(s, v)
 	}
-	if used := p.used * p.cfg.Model.KVBytesPerToken(); used > p.res.PeakCacheUsed {
+	if used := p.used * p.pipe.kvToken; used > p.res.PeakCacheUsed {
 		p.res.PeakCacheUsed = used
 	}
 }
@@ -307,16 +382,38 @@ func (p *tokenPool) preemptFor(s *sim.Simulator, prio int, ctx int64) {
 	}
 }
 
-// remove takes running[i] out of the batch and releases its cache.
+// remove takes running[i] out of the batch ahead of its finish step and
+// releases its cache.
 func (p *tokenPool) remove(i int) *request {
 	v := p.running[i]
-	p.running = append(p.running[:i], p.running[i+1:]...)
+	b := p.finishStep(v) & (len(p.finishAt) - 1)
+	k := slices.Index(p.finishAt[b], v)
+	p.finishAt[b] = slices.Delete(p.finishAt[b], k, k+1)
+	p.leave(v)
 	p.release(v)
 	return v
 }
 
 // release returns a request's cache to the pool.
 func (p *tokenPool) release(r *request) { p.used -= int64(r.contextLen()) }
+
+// evacuate empties the pool for a replica teardown and returns the batch
+// that was running, every generated count absolute again. The slice is
+// the pool's own and is valid only until the next join.
+func (p *tokenPool) evacuate() []*request {
+	batch := p.running
+	for _, r := range batch {
+		r.generated += p.clock
+	}
+	for i := range p.finishAt {
+		clear(p.finishAt[i])
+		p.finishAt[i] = p.finishAt[i][:0]
+	}
+	p.running = batch[:0]
+	p.used = 0
+	p.ctxSum = 0
+	return batch
+}
 
 // apportionLayers is the largest-remainder apportionment used by the
 // baselines (their stages always keep at least one layer when weighted).
@@ -342,7 +439,12 @@ func apportionLayers(total int, weights []float64) []int {
 		assigned += out[i]
 		rems = append(rems, rem{i, exact - float64(out[i])})
 	}
-	sort.Slice(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
+	slices.SortFunc(rems, func(a, b rem) int {
+		if c := cmp.Compare(b.frac, a.frac); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 	for k := 0; assigned < total; k++ {
 		out[rems[k%n].idx]++
 		assigned++

@@ -39,7 +39,7 @@ func NewVLLM(cfg Config) (*VLLM, error) {
 func (v *VLLM) Name() string { return "vllm" }
 
 // CacheCapacity implements Engine.
-func (v *VLLM) CacheCapacity() int64 { return v.pipe.cacheCapacityBytes(v.cfg.Model) }
+func (v *VLLM) CacheCapacity() int64 { return v.pipe.cacheCapacityBytes() }
 
 // Stages exposes the layout.
 func (v *VLLM) Stages() []parallelizer.Stage { return v.pipe.stages }

@@ -60,12 +60,13 @@ func (q *QuantileSketch) Merge(other *QuantileSketch) error {
 	}
 	q.count += other.count
 	q.zero += other.zero
-	//hetis:ordered bucket-count addition is commutative, so cell order cannot change the merged histogram
-	for k, c := range other.buckets {
-		if _, ok := q.buckets[k]; !ok {
-			q.dirty = true
-		}
-		q.buckets[k] += c
+	if len(other.counts) == 0 {
+		return nil
+	}
+	q.cover(other.offset, other.offset+len(other.counts)-1)
+	dst := q.counts[other.offset-q.offset:]
+	for i, c := range other.counts {
+		dst[i] += c
 	}
 	return nil
 }

@@ -124,6 +124,26 @@ func TestSketchMemoryBound(t *testing.T) {
 	if at100k > 8000 {
 		t.Fatalf("bucket count %d exceeds the dynamic-range bound", at100k)
 	}
+
+	// The dense store spans only the keys between the smallest and the
+	// largest value observed: one cell for a constant stream, and no more
+	// than the ≈5.5k-cell key span of 1e-9..1e3 however the range fills.
+	constant := newQuantileSketch(0)
+	for i := 0; i < 1000; i++ {
+		constant.Observe(0.25)
+	}
+	if n := len(constant.counts); n != 1 {
+		t.Fatalf("constant stream holds %d cells, want 1", n)
+	}
+	wide := newQuantileSketch(0)
+	for i := 0; i < 100000; i++ {
+		wide.Observe(math.Pow(10, -9+12*rng.Float64()))
+	}
+	wide.Observe(1.0000001e-9)
+	wide.Observe(1e3)
+	if n := len(wide.counts); n > 5600 {
+		t.Fatalf("1e-9..1e3 stream holds %d cells, want at most 5600", n)
+	}
 }
 
 // TestTenantMuxMatchesExactSplit checks that fanning records through a

@@ -8,10 +8,7 @@
 
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // DefaultSketchAlpha is the relative accuracy the streaming sinks use:
 // every quantile estimate q̂ satisfies |q̂ - v| <= alpha·v for some sample
@@ -26,7 +23,9 @@ const sketchMinValue = 1e-9
 
 // QuantileSketch estimates quantiles of a nonnegative stream in constant
 // memory. Buckets are the geometric cells [gamma^k, gamma^(k+1)) with
-// gamma = (1+alpha)/(1-alpha); the bucket count is bounded by the dynamic
+// gamma = (1+alpha)/(1-alpha), held in a dense array: counts[i] is cell
+// offset+i, and the array spans exactly the cells between the smallest and
+// the largest key observed. Its length is therefore bounded by the dynamic
 // range of the data (≈5.5k cells spanning 1e-9..1e3 seconds at the default
 // alpha), not by the stream length. Negative inputs are clamped into the
 // zero bucket — the latency metrics it serves are nonnegative by
@@ -35,10 +34,9 @@ type QuantileSketch struct {
 	alpha    float64
 	logGamma float64
 	count    uint64
-	zero     uint64         // exact count of values <= sketchMinValue
-	buckets  map[int]uint64 // bucket key -> count
-	keys     []int          // sorted bucket keys, rebuilt lazily
-	dirty    bool           // keys out of date
+	zero     uint64   // exact count of values <= sketchMinValue
+	offset   int      // key of counts[0]
+	counts   []uint64 // cell counts by key − offset
 }
 
 // newQuantileSketch returns an empty sketch with the given relative
@@ -51,7 +49,6 @@ func newQuantileSketch(alpha float64) *QuantileSketch {
 	return &QuantileSketch{
 		alpha:    alpha,
 		logGamma: math.Log(gamma),
-		buckets:  map[int]uint64{},
 	}
 }
 
@@ -68,11 +65,36 @@ func (q *QuantileSketch) Observe(v float64) {
 		q.zero++
 		return
 	}
-	key := int(math.Ceil(math.Log(v) / q.logGamma))
-	if _, ok := q.buckets[key]; !ok {
-		q.dirty = true
+	if v > math.MaxFloat64 {
+		v = math.MaxFloat64 // +Inf takes the top finite cell
 	}
-	q.buckets[key]++
+	key := int(math.Ceil(math.Log(v) / q.logGamma))
+	if i := key - q.offset; uint(i) < uint(len(q.counts)) {
+		q.counts[i]++
+		return
+	}
+	q.cover(key, key)
+	q.counts[key-q.offset]++
+}
+
+// cover grows the array to span keys lo..hi as well as what it holds.
+// Growth at the top appends, so it is amortized; growth at the bottom
+// copies the array, which happens only when a value below every earlier
+// one arrives.
+func (q *QuantileSketch) cover(lo, hi int) {
+	if len(q.counts) == 0 {
+		q.offset = lo
+		q.counts = make([]uint64, hi-lo+1)
+		return
+	}
+	if top := q.offset + len(q.counts) - 1; hi > top {
+		q.counts = append(q.counts, make([]uint64, hi-top)...)
+	}
+	if lo < q.offset {
+		grown := make([]uint64, q.offset-lo+len(q.counts))
+		copy(grown[q.offset-lo:], q.counts)
+		q.offset, q.counts = lo, grown
+	}
 }
 
 // Quantile estimates the p-quantile (p in [0,1]) using the same
@@ -93,37 +115,35 @@ func (q *QuantileSketch) Quantile(p float64) float64 {
 	// most one rank off the interpolated value, which the alpha budget
 	// documented on DefaultSketchAlpha absorbs for non-degenerate streams.
 	rank := uint64(math.Round(p * float64(q.count-1)))
-	if rank < q.zero {
-		return 0
-	}
-	if q.dirty {
-		q.keys = q.keys[:0]
-		for k := range q.buckets {
-			q.keys = append(q.keys, k)
-		}
-		sort.Ints(q.keys)
-		q.dirty = false
-	}
 	cum := q.zero
-	for _, k := range q.keys {
-		cum += q.buckets[k]
-		if rank < cum {
-			// Midpoint of [gamma^(k-1), gamma^k] in relative terms:
-			// 2·gamma^k/(gamma+1) is within alpha of every value in the cell.
-			gk := math.Exp(float64(k) * q.logGamma)
-			gamma := math.Exp(q.logGamma)
-			return 2 * gk / (gamma + 1)
-		}
-	}
-	// Unreachable when counts are consistent; fall back to the top cell.
-	if len(q.keys) == 0 {
+	if rank < cum {
 		return 0
 	}
-	gk := math.Exp(float64(q.keys[len(q.keys)-1]) * q.logGamma)
+	// rank < count, and the cells hold count − zero values, so the walk
+	// always ends inside the array.
+	k := q.offset
+	for _, c := range q.counts {
+		cum += c
+		if rank < cum {
+			break
+		}
+		k++
+	}
+	// Midpoint of [gamma^(k-1), gamma^k] in relative terms:
+	// 2·gamma^k/(gamma+1) is within alpha of every value in the cell.
+	gk := math.Exp(float64(k) * q.logGamma)
 	gamma := math.Exp(q.logGamma)
 	return 2 * gk / (gamma + 1)
 }
 
-// Buckets reports how many log cells the sketch currently holds — the
-// memory-bound tests pin this against the stream length.
-func (q *QuantileSketch) Buckets() int { return len(q.buckets) }
+// Buckets reports how many log cells the sketch currently holds a value
+// in — the memory-bound tests pin this against the stream length.
+func (q *QuantileSketch) Buckets() int {
+	n := 0
+	for _, c := range q.counts {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}

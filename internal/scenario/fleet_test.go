@@ -26,11 +26,11 @@ func fleetTestSpec(policy string) Spec {
 	}
 }
 
-// runFleetCSV runs the fixture and returns the row table (and the windowed
-// table, when streaming with a window) as CSV.
-func runFleetCSV(t *testing.T, spec Spec, opts Options) (string, string) {
+// runFleetCSV runs spec on one engine and returns the row table (and the
+// windowed table, when streaming with a window) as CSV.
+func runFleetCSV(t *testing.T, spec Spec, engineName string, opts Options) (string, string) {
 	t.Helper()
-	rows, wins, err := RunEngineSink(spec, spec.Engines[0], opts)
+	rows, wins, err := RunEngineSink(spec, engineName, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestFleetDeterministicAcrossWorkersAndProcs(t *testing.T) {
 				opts.Window = 5
 			}
 			runtime.GOMAXPROCS(1)
-			refRows, refWins := runFleetCSV(t, spec, opts)
+			refRows, refWins := runFleetCSV(t, spec, spec.Engines[0], opts)
 			if !strings.Contains(refRows, spec.Name) {
 				t.Fatalf("%s: reference CSV has no scenario rows:\n%s", policy, refRows)
 			}
@@ -63,7 +63,7 @@ func TestFleetDeterministicAcrossWorkersAndProcs(t *testing.T) {
 				for _, workers := range []int{1, 4, 8} {
 					runtime.GOMAXPROCS(procs)
 					opts.ShardWorkers = workers
-					rows, wins := runFleetCSV(t, spec, opts)
+					rows, wins := runFleetCSV(t, spec, spec.Engines[0], opts)
 					if rows != refRows {
 						t.Errorf("%s stream=%v: CSV differs at shard-workers=%d GOMAXPROCS=%d", policy, stream, workers, procs)
 					}
@@ -154,13 +154,13 @@ func TestFleetValidation(t *testing.T) {
 func TestFleetToleratesEmptyShards(t *testing.T) {
 	spec := fleetTestSpec("affinity")
 	spec.Mix = nil // single-tenant: every request carries tenant ""
-	a, _ := runFleetCSV(t, spec, Options{ShardWorkers: 1})
-	b, _ := runFleetCSV(t, spec, Options{ShardWorkers: 4})
+	a, _ := runFleetCSV(t, spec, spec.Engines[0], Options{ShardWorkers: 1})
+	b, _ := runFleetCSV(t, spec, spec.Engines[0], Options{ShardWorkers: 4})
 	if a != b {
 		t.Fatal("empty-shard fleet run not deterministic across worker counts")
 	}
-	sa, _ := runFleetCSV(t, spec, Options{Stream: true, ShardWorkers: 1})
-	sb, _ := runFleetCSV(t, spec, Options{Stream: true, ShardWorkers: 4})
+	sa, _ := runFleetCSV(t, spec, spec.Engines[0], Options{Stream: true, ShardWorkers: 1})
+	sb, _ := runFleetCSV(t, spec, spec.Engines[0], Options{Stream: true, ShardWorkers: 4})
 	if sa != sb {
 		t.Fatal("empty-shard streaming fleet run not deterministic across worker counts")
 	}
@@ -171,8 +171,8 @@ func TestFleetToleratesEmptyShards(t *testing.T) {
 // may differ, within the sketch's relative-error bound.
 func TestFleetStreamMatchesExactCounts(t *testing.T) {
 	spec := fleetTestSpec("least-loaded")
-	exact, _ := runFleetCSV(t, spec, Options{})
-	stream, _ := runFleetCSV(t, spec, Options{Stream: true})
+	exact, _ := runFleetCSV(t, spec, spec.Engines[0], Options{})
+	stream, _ := runFleetCSV(t, spec, spec.Engines[0], Options{Stream: true})
 	exactLines := strings.Split(strings.TrimSpace(exact), "\n")
 	streamLines := strings.Split(strings.TrimSpace(stream), "\n")
 	if len(exactLines) != len(streamLines) {
@@ -186,5 +186,48 @@ func TestFleetStreamMatchesExactCounts(t *testing.T) {
 				t.Fatalf("row %d column %d: exact %q vs stream %q", i, c, e[c], s[c])
 			}
 		}
+	}
+}
+
+// TestOneShardFleetMatchesUnsharded is the first metamorphic check of the
+// fleet layer: a one-shard fleet routes the whole trace to one replica, so
+// for every registered healthy, unsharded scenario and engine it must
+// render exactly what the spec without a Fleet renders — exact, streaming,
+// and streaming with windowed series.
+func TestOneShardFleetMatchesUnsharded(t *testing.T) {
+	modes := []struct {
+		name string
+		opts Options
+	}{
+		{"exact", Options{}},
+		{"stream", Options{Stream: true}},
+		{"windows", Options{Stream: true, Window: 30}},
+	}
+	for _, name := range Names() {
+		spec, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Chaotic() || spec.Sharded() {
+			continue
+		}
+		spec = spec.ForGolden()
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sharded := spec
+			sharded.Fleet = &FleetSpec{Shards: 1}
+			for _, eng := range spec.WithDefaults().Engines {
+				for _, m := range modes {
+					wantRows, wantWins := runFleetCSV(t, spec, eng, m.opts)
+					gotRows, gotWins := runFleetCSV(t, sharded, eng, m.opts)
+					if gotRows != wantRows {
+						t.Errorf("%s/%s: one-shard rows differ:\n%s", eng, m.name, diffLines([]byte(wantRows), []byte(gotRows)))
+					}
+					if gotWins != wantWins {
+						t.Errorf("%s/%s: one-shard windows differ:\n%s", eng, m.name, diffLines([]byte(wantWins), []byte(gotWins)))
+					}
+				}
+			}
+		})
 	}
 }

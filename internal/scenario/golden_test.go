@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hetis/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current engines")
@@ -36,23 +38,66 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := []byte(tab.CSV())
-			path := filepath.Join("testdata", name+".golden")
-			if *update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
+			checkGolden(t, name+".golden", []byte(tab.CSV()))
+		})
+	}
+}
+
+// streamGoldens are the scenarios whose streaming output is pinned as
+// well: per-tenant rows (multitenant), per-tier rows with the chaos
+// columns (preempt), and the sharded merge of tenant muxes and windowed
+// series (fleet).
+var streamGoldens = []string{"fleet", "multitenant", "preempt"}
+
+// streamGoldenWindow is the windowed-series width of the stream goldens.
+const streamGoldenWindow = 30
+
+// TestGoldenStream pins the streaming measurement path the way TestGolden
+// pins the exact one: each engine's rows through the streaming sinks,
+// then each engine's windowed series, at the golden trace size.
+func TestGoldenStream(t *testing.T) {
+	for _, name := range streamGoldens {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			spec, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec = spec.ForGolden()
+			tab := &metrics.Table{Header: HeaderFor(spec.Chaotic())}
+			var windows bytes.Buffer
+			for _, eng := range spec.WithDefaults().Engines {
+				rows, wins, err := RunEngineSink(spec, eng, Options{Stream: true, Window: streamGoldenWindow})
+				if err != nil {
 					t.Fatal(err)
 				}
-				return
+				tab.Rows = append(tab.Rows, rows.Rows...)
+				fmt.Fprintf(&windows, "# windows %s\n%s", eng, wins.CSV())
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("scenario %q drifted from its golden trace (rerun with -update if the change is intended):\n%s",
-					name, diffLines(want, got))
-			}
+			checkGolden(t, name+".stream.golden", append([]byte(tab.CSV()), windows.Bytes()...))
 		})
+	}
+}
+
+// checkGolden compares got with testdata/file, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from its golden trace (rerun with -update if the change is intended):\n%s",
+			file, diffLines(want, got))
 	}
 }
 
@@ -93,6 +138,9 @@ func TestGoldenFilesCoverRegistry(t *testing.T) {
 	known := map[string]bool{}
 	for _, name := range Names() {
 		known[name+".golden"] = true
+	}
+	for _, name := range streamGoldens {
+		known[name+".stream.golden"] = true
 	}
 	for _, e := range entries {
 		if !known[e.Name()] {

@@ -249,8 +249,12 @@ type WindowedSeries = metrics.WindowedSeries
 // WindowStat is one bucket of a WindowedSeries.
 type WindowStat = metrics.WindowStat
 
-// TenantMux fans records out per tenant for multi-tenant attribution.
-type TenantMux = metrics.TenantMux
+// KeyedMux fans records out by a record→key function (tenant, tier, …),
+// one lazily created sub-sink per key.
+type KeyedMux = metrics.KeyedMux
+
+// MetricsRecord is one finished request as sinks observe it.
+type MetricsRecord = metrics.RequestRecord
 
 // SinkTee fans every record out to several sinks.
 type SinkTee = metrics.Tee
@@ -269,9 +273,10 @@ func NewWindowedSeries(window float64, slo SLOTarget) *WindowedSeries {
 	return metrics.NewWindowedSeries(window, slo)
 }
 
-// NewTenantMux fans records to agg plus a lazily created per-tenant sink.
-func NewTenantMux(agg MetricsSink, make func(tenant string) MetricsSink) *TenantMux {
-	return metrics.NewTenantMux(agg, make)
+// NewKeyedMux fans records to a lazily created sub-sink per key; tee it
+// behind an aggregate sink when the whole-run view is needed too.
+func NewKeyedMux(key func(MetricsRecord) string, make func(key string) MetricsSink) *KeyedMux {
+	return metrics.NewKeyedMux(key, make)
 }
 
 // NewSinkTee builds a tee over primary plus further sinks; Snapshot
@@ -314,9 +319,6 @@ type GridPoint = sweep.Point
 
 // NewSweepCache returns an empty shared memo cache.
 func NewSweepCache() *SweepCache { return sweep.NewCache() }
-
-// SweepEngines lists the engine names a grid may reference.
-func SweepEngines() []string { return append([]string(nil), sweep.Engines...) }
 
 // RunGrid sweeps the grid on a bounded worker pool; the merged table
 // follows grid order independent of completion order, byte-identical for

@@ -302,12 +302,8 @@ func (ctl *chaosCtl) tick(s *sim.Simulator) {
 // scale operation.
 func (ctl *chaosCtl) decide(s *sim.Simulator) {
 	a := ctl.cfg.Autoscale
-	wins := ctl.win.Windows()
-	if len(wins) == 0 {
-		return
-	}
-	st := wins[len(wins)-1]
-	if st.Completions+st.Dropped == 0 {
+	st, ok := ctl.win.Open()
+	if !ok || st.Completions+st.Dropped == 0 {
 		return
 	}
 	att := st.Attainment()

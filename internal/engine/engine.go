@@ -74,7 +74,7 @@ type Config struct {
 	// Sink receives every finished request's metrics.RequestRecord as the
 	// run emits it. Nil (the default) stores records exactly in a fresh
 	// metrics.Recorder per run — the behaviour golden traces pin. Injecting
-	// a streaming sink (metrics.StreamingSink, WindowedSeries, TenantMux,
+	// a streaming sink (metrics.StreamingSink, WindowedSeries, KeyedMux,
 	// or a Tee of them) bounds measurement memory for million-request
 	// traces. A non-nil Sink is per-run state: reuse across runs
 	// accumulates.

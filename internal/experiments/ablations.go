@@ -9,6 +9,7 @@ import (
 	"hetis/internal/model"
 	"hetis/internal/parallelizer"
 	"hetis/internal/perf"
+	"hetis/internal/scenario"
 	"hetis/internal/workload"
 )
 
@@ -83,7 +84,7 @@ func AblationDispatch(opts Options) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return h.Run(reqs, horizonFor(60))
+		return h.Run(reqs, scenario.MeasurementHorizon(60))
 	}
 	lpRes, err := run(false)
 	if err != nil {
@@ -125,7 +126,7 @@ func AblationMigration(opts Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			return h.Run(reqs, horizonFor(60))
+			return h.Run(reqs, scenario.MeasurementHorizon(60))
 		}
 		over, err := run(false)
 		if err != nil {
@@ -198,7 +199,7 @@ func AblationSearch(opts Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := h.Run(reqs, horizonFor(dur))
+			res, err := h.Run(reqs, scenario.MeasurementHorizon(dur))
 			if err != nil {
 				return nil, err
 			}

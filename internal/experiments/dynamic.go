@@ -9,6 +9,7 @@ import (
 	"hetis/internal/model"
 	"hetis/internal/parallelizer"
 	"hetis/internal/profile"
+	"hetis/internal/scenario"
 	"hetis/internal/workload"
 )
 
@@ -45,7 +46,7 @@ func runSmallHetis(reqs []workload.Request, theta float64, disableRedispatch boo
 	if err != nil {
 		return nil, err
 	}
-	return h.Run(reqs, horizonFor(60))
+	return h.Run(reqs, scenario.MeasurementHorizon(60))
 }
 
 // runSmallHetisProfile runs the small setup with one profile parameter
@@ -71,7 +72,7 @@ func runSmallHetisProfile(reqs []workload.Request, theta float64, param string, 
 		h.SetProfile(perturbed)
 		// Rebuilding the engine is unnecessary: instances profile at Run.
 	}
-	return h.Run(reqs, horizonFor(60))
+	return h.Run(reqs, scenario.MeasurementHorizon(60))
 }
 
 // Fig14 reproduces Fig. 14: per-device cache utilization and head counts
@@ -96,7 +97,7 @@ func Fig14(opts Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := h.Run(reqs, horizonFor(100))
+	res, err := h.Run(reqs, scenario.MeasurementHorizon(100))
 	if err != nil {
 		return nil, err
 	}

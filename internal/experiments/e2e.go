@@ -6,6 +6,7 @@ import (
 	"hetis/internal/engine"
 	"hetis/internal/metrics"
 	"hetis/internal/model"
+	"hetis/internal/scenario"
 	"hetis/internal/workload"
 )
 
@@ -35,7 +36,7 @@ func latencySweep(m model.Config, entries []sweepEntry, opts Options) (*metrics.
 			if err != nil {
 				return nil, fmt.Errorf("%s rate %.1f: %w", e.dataset, rate, err)
 			}
-			horizon := horizonFor(dur)
+			horizon := scenario.MeasurementHorizon(dur)
 			resSW, err := sw.Run(reqs, horizon)
 			if err != nil {
 				return nil, err
@@ -118,7 +119,7 @@ func runFig12Setting(ds string, opts Options) (het, hex, sw *engine.Result, err 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	horizon := horizonFor(dur)
+	horizon := scenario.MeasurementHorizon(dur)
 	if het, err = h.Run(reqs, horizon); err != nil {
 		return nil, nil, nil, err
 	}

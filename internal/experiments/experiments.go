@@ -117,9 +117,6 @@ func (o Options) duration(full float64) float64 {
 	return full
 }
 
-// horizonFor bounds a run generously past the trace end.
-func horizonFor(dur float64) float64 { return dur * 30 }
-
 // buildEngines constructs the three systems for a model on the paper
 // cluster, planning Hetis for the given trace.
 func buildEngines(m model.Config, reqs []workload.Request) (het *engine.Hetis, hex *engine.HexGen, sw *engine.Splitwise, err error) {

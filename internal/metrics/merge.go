@@ -133,19 +133,14 @@ func (s *StreamingSink) MergeSink(other Sink) error {
 	return nil
 }
 
-// MergeSink implements MergeableSink for windowed series. Only retained
-// series merge (NewWindowedSeriesRetained): a finalized bucket has
-// discarded its sketches, so its p95 cannot be combined with anything.
-// Buckets merge by window index, which is keyed to absolute simulated
-// time — shards share one clock, so bucket k means the same interval in
-// every shard.
+// MergeSink implements MergeableSink for windowed series. Buckets merge
+// by window index, which is keyed to absolute simulated time — shards
+// share one clock, so bucket k means the same interval in every shard.
+// The merged series spans both inputs' windows.
 func (w *WindowedSeries) MergeSink(other Sink) error {
 	o, ok := other.(*WindowedSeries)
 	if !ok {
 		return fmt.Errorf("metrics: cannot merge %T into *WindowedSeries", other)
-	}
-	if !w.retain || !o.retain {
-		return fmt.Errorf("metrics: only retained windowed series merge (use NewWindowedSeriesRetained)")
 	}
 	if o.window != w.window {
 		return fmt.Errorf("metrics: cannot merge windowed series with widths %g and %g", w.window, o.window)
@@ -156,13 +151,23 @@ func (w *WindowedSeries) MergeSink(other Sink) error {
 	w.count += o.count
 	w.dropped += o.dropped
 	w.attained += o.attained
-	//hetis:ordered per-bucket merging is bucket-local and additive, so bucket visit order cannot change the result
-	for k, oa := range o.accums {
-		a := w.accums[k]
-		if a == nil {
-			a = newWindowAccum()
-			w.accums[k] = a
+	if len(o.accums) == 0 {
+		return nil
+	}
+	if len(w.accums) == 0 {
+		w.first = o.first
+	}
+	if o.first < w.first {
+		w.accums = append(make([]*windowAccum, w.first-o.first, w.first-o.first+len(w.accums)), w.accums...)
+		w.first = o.first
+	}
+	w.extend(o.first + len(o.accums) - 1)
+	for i, oa := range o.accums {
+		if oa == nil {
+			continue
 		}
+		k := o.first + i
+		a := w.accum(k)
 		a.completions += oa.completions
 		a.attained += oa.attained
 		a.dropped += oa.dropped
@@ -173,40 +178,14 @@ func (w *WindowedSeries) MergeSink(other Sink) error {
 			return fmt.Errorf("metrics: merging window %d normalized latency: %w", k, err)
 		}
 	}
-	if o.curIdx > w.curIdx {
-		w.curIdx = o.curIdx
-	}
 	return nil
 }
 
-// MergeSink implements MergeableSink for the tenant mux: aggregates merge,
-// and each of other's per-tenant sub-sinks merges into the same tenant's
-// sub-sink here, created through the factory when the tenant is new to the
-// receiver. Tenants are visited in sorted order so factory side effects
-// (if any) fire deterministically.
-func (m *TenantMux) MergeSink(other Sink) error {
-	o, ok := other.(*TenantMux)
-	if !ok {
-		return fmt.Errorf("metrics: cannot merge %T into *TenantMux", other)
-	}
-	if err := mergeInto(m.agg, o.agg); err != nil {
-		return fmt.Errorf("metrics: merging tenant aggregate: %w", err)
-	}
-	for _, tn := range o.Tenants() {
-		sub, ok := m.byTenant[tn]
-		if !ok {
-			sub = m.make(tn)
-			m.byTenant[tn] = sub
-		}
-		if err := mergeInto(sub, o.byTenant[tn]); err != nil {
-			return fmt.Errorf("metrics: merging tenant %q: %w", tn, err)
-		}
-	}
-	return nil
-}
-
-// MergeSink implements MergeableSink for the keyed mux, mirroring
-// TenantMux.MergeSink over arbitrary keys.
+// MergeSink implements MergeableSink for the keyed mux: each of other's
+// per-key sub-sinks merges into the same key's sub-sink here, created
+// through the factory when the key is new to the receiver. Keys are
+// visited in sorted order so factory side effects (if any) fire
+// deterministically.
 func (m *KeyedMux) MergeSink(other Sink) error {
 	o, ok := other.(*KeyedMux)
 	if !ok {

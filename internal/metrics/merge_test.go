@@ -130,33 +130,20 @@ func TestRecorderMergeConcatenatesInOrder(t *testing.T) {
 	}
 }
 
-func TestWindowedRetainedMatchesStreaming(t *testing.T) {
-	slo := SLOTarget{TTFT: 0.3}
-	plain := NewWindowedSeries(2, slo)
-	retained := NewWindowedSeriesRetained(2, slo)
-	recs := mergeRecords(5, 3000, []string{""})
-	// Windowed sinks expect nondecreasing finish order, like the event loop.
-	sortByFinish(recs)
-	for _, r := range recs {
-		plain.Observe(r)
-		retained.Observe(r)
-	}
-	if got, want := retained.Windows(), plain.Windows(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("retained series diverges from streaming series:\n%v\nvs\n%v", got, want)
-	}
-	if got, want := retained.Snapshot(), plain.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("retained snapshot %+v, streaming %+v", got, want)
-	}
-}
-
 func TestWindowedSeriesMerge(t *testing.T) {
 	slo := SLOTarget{TTFT: 0.3}
 	ra := mergeRecords(6, 2000, []string{""})
 	rb := mergeRecords(7, 1500, []string{""})
+	// a starts several windows after b, so the merge also widens the
+	// receiver's series backwards.
+	for i := range ra {
+		ra[i].FirstToken += 10
+		ra[i].FinishedAt += 10
+	}
 	sortByFinish(ra)
 	sortByFinish(rb)
-	a, b := NewWindowedSeriesRetained(2, slo), NewWindowedSeriesRetained(2, slo)
-	whole := NewWindowedSeriesRetained(2, slo)
+	a, b := NewWindowedSeries(2, slo), NewWindowedSeries(2, slo)
+	whole := NewWindowedSeries(2, slo)
 	for _, r := range ra {
 		a.Observe(r)
 	}
@@ -175,46 +162,55 @@ func TestWindowedSeriesMerge(t *testing.T) {
 		t.Fatalf("merged windows diverge from whole-stream windows:\n%v\nvs\n%v", got, want)
 	}
 
-	if err := a.MergeSink(NewWindowedSeriesRetained(3, slo)); err == nil {
+	if got, want := a.Snapshot(), whole.Snapshot(); got != want {
+		t.Fatalf("merged snapshot %+v, whole-stream %+v", got, want)
+	}
+
+	if err := a.MergeSink(NewWindowedSeries(3, slo)); err == nil {
 		t.Fatal("merging different window widths should fail")
 	}
-	if err := a.MergeSink(NewWindowedSeriesRetained(2, SLOTarget{})); err == nil {
+	if err := a.MergeSink(NewWindowedSeries(2, SLOTarget{})); err == nil {
 		t.Fatal("merging different SLOs should fail")
 	}
-	if err := a.MergeSink(NewWindowedSeries(2, slo)); err == nil {
-		t.Fatal("merging a non-retained series should fail")
-	}
-	if err := NewWindowedSeries(2, slo).MergeSink(a); err == nil {
-		t.Fatal("merging into a non-retained series should fail")
+	if err := a.MergeSink(NewStreamingSink(slo)); err == nil {
+		t.Fatal("merging a StreamingSink into a WindowedSeries should fail")
 	}
 }
 
-func TestTenantMuxMerge(t *testing.T) {
+// TestTenantPipelineMerge merges the scenario layer's tenant pipeline — an
+// aggregate sink teed with a per-tenant KeyedMux — where one side never
+// saw one of the tenants.
+func TestTenantPipelineMerge(t *testing.T) {
 	slo := SLOTarget{TTFT: 0.3}
-	mk := func() *TenantMux {
-		return NewTenantMux(NewStreamingSink(slo), func(string) Sink { return NewStreamingSink(slo) })
+	type pipeline struct {
+		tee *Tee
+		mux *KeyedMux
+	}
+	mk := func() pipeline {
+		mux := NewKeyedMux(func(r RequestRecord) string { return r.Tenant }, func(string) Sink { return NewStreamingSink(slo) })
+		return pipeline{tee: NewTee(NewStreamingSink(slo), mux), mux: mux}
 	}
 	tenants := []string{"chat", "code", "batch"}
 	ra := mergeRecords(8, 2000, tenants[:2]) // a never sees "batch"
 	rb := mergeRecords(9, 2000, tenants)
 	a, b, whole := mk(), mk(), mk()
 	for _, r := range ra {
-		a.Observe(r)
-		whole.Observe(r)
+		a.tee.Observe(r)
+		whole.tee.Observe(r)
 	}
 	for _, r := range rb {
-		b.Observe(r)
-		whole.Observe(r)
+		b.tee.Observe(r)
+		whole.tee.Observe(r)
 	}
-	if err := a.MergeSink(b); err != nil {
+	if err := MergeSinks(a.tee, b.tee); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.Tenants(), whole.Tenants(); !reflect.DeepEqual(got, want) {
+	if got, want := a.mux.Keys(), whole.mux.Keys(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged tenants %v, want %v", got, want)
 	}
-	wantSnapshot(t, "aggregate", a.Snapshot(), whole.Snapshot())
-	for _, tn := range whole.Tenants() {
-		wantSnapshot(t, "tenant "+tn, a.Tenant(tn).Snapshot(), whole.Tenant(tn).Snapshot())
+	wantSnapshot(t, "aggregate", a.tee.Snapshot(), whole.tee.Snapshot())
+	for _, tn := range whole.mux.Keys() {
+		wantSnapshot(t, "tenant "+tn, a.mux.Key(tn).Snapshot(), whole.mux.Key(tn).Snapshot())
 	}
 }
 

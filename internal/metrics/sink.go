@@ -2,8 +2,8 @@
 // instead of materializing them, so measurement cost is chosen by the
 // caller — store everything (ExactRecorder, the default, byte-stable for
 // golden traces), stream into constant-memory sketches (StreamingSink),
-// bucket into time windows (WindowedSeries), or fan out per tenant
-// (TenantMux). Sinks compose with Tee.
+// bucket into time windows (WindowedSeries), or fan out per tenant or any
+// other key (KeyedMux). Sinks compose with Tee.
 
 package metrics
 
@@ -52,6 +52,21 @@ func (s Snapshot) Goodput(horizon float64) float64 {
 		return 0
 	}
 	return float64(s.Attained) / horizon
+}
+
+// Stats reads the snapshot as a named TenantStats over the horizon —
+// the same fields Recorder.Breakdown fills from stored records.
+func (s Snapshot) Stats(name string, horizon float64) TenantStats {
+	return TenantStats{
+		Tenant:     name,
+		Count:      s.Count,
+		Dropped:    s.Dropped,
+		Attainment: s.Attainment(),
+		Goodput:    s.Goodput(horizon),
+		TTFT:       s.TTFT,
+		TPOT:       s.TPOT,
+		NormLat:    s.NormLat,
+	}
 }
 
 // BatchSink is the optional bulk extension of Sink: a sink that can absorb
@@ -211,8 +226,9 @@ func (s *StreamingSink) Snapshot() Snapshot {
 func (s *StreamingSink) SLO() SLOTarget { return s.slo }
 
 // Tee fans every record out to several sinks; Snapshot delegates to the
-// first (primary) sink. It composes the pipeline pieces — e.g. a TenantMux
-// for the tables plus a WindowedSeries for the dynamic plots.
+// first (primary) sink. It composes the pipeline pieces — e.g. an
+// aggregate StreamingSink, a per-tenant KeyedMux for the tables and a
+// WindowedSeries for the dynamic plots.
 type Tee struct {
 	sinks []Sink
 }
@@ -232,53 +248,12 @@ func (t *Tee) Observe(r RequestRecord) {
 // Snapshot implements Sink via the primary sink.
 func (t *Tee) Snapshot() Snapshot { return t.sinks[0].Snapshot() }
 
-// TenantMux fans records out per tenant for multi-tenant SLO attribution:
-// every record feeds the aggregate sink and a per-tenant sink created on
-// demand by the factory. Memory is one sub-sink per distinct tenant —
-// independent of trace length when the sub-sinks are streaming.
-type TenantMux struct {
-	agg      Sink
-	make     func(tenant string) Sink
-	byTenant map[string]Sink
-}
-
-// NewTenantMux builds a mux over the aggregate sink; make constructs the
-// per-tenant sinks lazily.
-func NewTenantMux(agg Sink, make func(tenant string) Sink) *TenantMux {
-	return &TenantMux{agg: agg, make: make, byTenant: map[string]Sink{}}
-}
-
-// Observe implements Sink.
-func (m *TenantMux) Observe(r RequestRecord) {
-	m.agg.Observe(r)
-	sub, ok := m.byTenant[r.Tenant]
-	if !ok {
-		sub = m.make(r.Tenant)
-		m.byTenant[r.Tenant] = sub
-	}
-	sub.Observe(r)
-}
-
-// Snapshot implements Sink via the aggregate sink.
-func (m *TenantMux) Snapshot() Snapshot { return m.agg.Snapshot() }
-
-// Tenants lists the tenant names seen so far, sorted ascending.
-func (m *TenantMux) Tenants() []string {
-	out := make([]string, 0, len(m.byTenant))
-	for t := range m.byTenant {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Tenant returns the sub-sink for a tenant (nil if never seen).
-func (m *TenantMux) Tenant(name string) Sink { return m.byTenant[name] }
-
-// KeyedMux generalizes TenantMux to an arbitrary record→key function, so
-// records can be attributed along any dimension — priority tier, dataset,
-// arrival phase — with one sub-sink per distinct key. Unlike TenantMux it
-// does not wrap an aggregate sink: compose it behind one with Tee when an
+// KeyedMux fans records out by an arbitrary record→key function, so
+// records can be attributed along any dimension — tenant, priority tier,
+// dataset, arrival phase — with one sub-sink per distinct key, created on
+// demand by the factory. Memory is one sub-sink per distinct key,
+// independent of trace length when the sub-sinks are streaming. It does
+// not wrap an aggregate sink: compose it behind one with Tee when an
 // aggregate view is also needed.
 type KeyedMux struct {
 	key   func(RequestRecord) string

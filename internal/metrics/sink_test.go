@@ -146,17 +146,19 @@ func TestSketchMemoryBound(t *testing.T) {
 	}
 }
 
-// TestTenantMuxMatchesExactSplit checks that fanning records through a
-// TenantMux of exact recorders reproduces the per-tenant Recorder.Breakdown: identical
+// TestKeyedMuxMatchesExactSplit checks that fanning records through a Tee
+// of an aggregate exact recorder and a per-tenant KeyedMux of exact
+// recorders reproduces the per-tenant Recorder.Breakdown: identical
 // per-tenant counts, attainment, and summaries, and an aggregate equal to
 // the whole-trace snapshot.
-func TestTenantMuxMatchesExactSplit(t *testing.T) {
+func TestKeyedMuxMatchesExactSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	slo := SLOTarget{TTFT: 0.2, TPOT: 0.05}
 	tenants := []string{"chat", "code", "batch"}
 
 	all := NewExactRecorder(slo)
-	mux := NewTenantMux(NewExactRecorder(slo), func(string) Sink { return NewExactRecorder(slo) })
+	mux := NewKeyedMux(func(r RequestRecord) string { return r.Tenant }, func(string) Sink { return NewExactRecorder(slo) })
+	tee := NewTee(NewExactRecorder(slo), mux)
 	for i := 0; i < 5000; i++ {
 		ttft := 0.05 * math.Exp(rng.NormFloat64())
 		tpot := 0.02 * math.Exp(0.5*rng.NormFloat64())
@@ -168,20 +170,20 @@ func TestTenantMuxMatchesExactSplit(t *testing.T) {
 			Tenant:     tenants[rng.Intn(len(tenants))],
 		}
 		all.Observe(rec)
-		mux.Observe(rec)
+		tee.Observe(rec)
 	}
 	const horizon = 120.0
 
-	if got, want := mux.Snapshot(), all.Snapshot(); got != want {
+	if got, want := tee.Snapshot(), all.Snapshot(); got != want {
 		t.Fatalf("aggregate snapshot diverged:\n got %+v\nwant %+v", got, want)
 	}
 	_, perTenant := all.Breakdown(slo, horizon, sameGroup)
-	if got, want := mux.Tenants(), len(perTenant); len(got) != want {
+	if got, want := mux.Keys(), len(perTenant); len(got) != want {
 		t.Fatalf("tenant sets diverged: mux %v vs exact %d tenants", got, want)
 	}
 	total := 0
 	for _, ts := range perTenant {
-		sub := mux.Tenant(ts.Tenant)
+		sub := mux.Key(ts.Tenant)
 		if sub == nil {
 			t.Fatalf("mux never saw tenant %q", ts.Tenant)
 		}
@@ -280,6 +282,38 @@ func TestWindowedSeries(t *testing.T) {
 	add(46, 0.1)
 	if ws := w.Windows(); ws[4].Completions != 2 {
 		t.Errorf("open window lost state after Windows(): %+v", ws[4])
+	}
+}
+
+// TestWindowedSeriesOpen checks the open-window accessor against the
+// rendered series after every observation, across empty gap windows,
+// stragglers behind the open window and dropped records.
+func TestWindowedSeriesOpen(t *testing.T) {
+	w := NewWindowedSeries(2, SLOTarget{TTFT: 0.3})
+	if _, ok := w.Open(); ok {
+		t.Fatal("empty series reports an open window")
+	}
+	recs := mergeRecords(12, 400, []string{""})
+	sortByFinish(recs)
+	for i := range recs {
+		switch {
+		case i == 150:
+			// Jump several windows ahead, leaving empty gap windows.
+			for j := i; j < len(recs); j++ {
+				recs[j].FinishedAt += 25
+			}
+		case i%37 == 0 && i > 0:
+			// A straggler finishing windows before the open one.
+			recs[i].FinishedAt -= 5
+		}
+	}
+	for i, r := range recs {
+		w.Observe(r)
+		ws := w.Windows()
+		open, ok := w.Open()
+		if !ok || open != ws[len(ws)-1] {
+			t.Fatalf("after record %d: Open() = %+v, %v; last window %+v", i, open, ok, ws[len(ws)-1])
+		}
 	}
 }
 

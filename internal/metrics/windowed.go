@@ -6,10 +6,7 @@
 
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // WindowStat is one time bucket of a WindowedSeries.
 type WindowStat struct {
@@ -47,6 +44,11 @@ func (st WindowStat) Attainment() float64 {
 // event loop is monotonic); a late straggler's window is clamped to the
 // open one.
 //
+// Every window keeps its sketch accumulators, so whole series merge
+// window by window (see MergeSink) — per-window p95 could not be
+// recovered from finalized floats — and Open reads the latest window
+// without rendering the rest.
+//
 // WindowedSeries is a series producer, not an aggregate summarizer: its
 // Snapshot carries exact whole-run counts and attainment but zero latency
 // summaries (no per-record aggregate sketches are paid for). Compose it
@@ -60,20 +62,14 @@ type WindowedSeries struct {
 	dropped  int
 	attained int
 
-	done   []WindowStat
-	curIdx int
-	cur    *windowAccum
-
-	// retain keeps every bucket's accumulator alive instead of finalizing
-	// closed buckets to floats. Retained series cost O(horizon/window)
-	// sketches but stay mergeable — per-window p95 cannot be recovered from
-	// finalized floats, so the fleet's per-shard series run retained and
-	// merge bucket-wise (see MergeSink).
-	retain bool
-	accums map[int]*windowAccum
+	// accums holds one accumulator per window from the first observed
+	// (index first) to the open one, the last; a window nothing landed in
+	// is nil.
+	first  int
+	accums []*windowAccum
 }
 
-// windowAccum is the open bucket under construction.
+// windowAccum is one bucket's running counts and sketches.
 type windowAccum struct {
 	completions int
 	attained    int
@@ -93,17 +89,6 @@ func NewWindowedSeries(window float64, slo SLOTarget) *WindowedSeries {
 		window = 1
 	}
 	return &WindowedSeries{window: window, slo: slo}
-}
-
-// NewWindowedSeriesRetained returns an empty series that keeps every
-// bucket's sketch accumulator alive, so whole series can later be merged
-// with MergeSink. Observe semantics are identical to NewWindowedSeries;
-// only the memory/mergeability trade differs.
-func NewWindowedSeriesRetained(window float64, slo SLOTarget) *WindowedSeries {
-	w := NewWindowedSeries(window, slo)
-	w.retain = true
-	w.accums = map[int]*windowAccum{}
-	return w
 }
 
 // Window reports the bucket width in seconds.
@@ -127,38 +112,12 @@ func (w *WindowedSeries) Observe(r RequestRecord) {
 	if idx < 0 {
 		idx = 0
 	}
-	var a *windowAccum
-	if w.retain {
-		// Retained buckets never finalize, so there is no open/closed
-		// distinction — just the same straggler clamp as the streaming path.
-		if len(w.accums) > 0 && idx < w.curIdx {
-			idx = w.curIdx
-		}
-		w.curIdx = idx
-		a = w.accums[idx]
-		if a == nil {
-			a = newWindowAccum()
-			w.accums[idx] = a
-		}
-	} else {
-		if w.cur == nil {
-			w.curIdx = idx
-			w.cur = newWindowAccum()
-		}
-		if idx > w.curIdx {
-			// Close the open bucket, then emit zero rows through any gap so
-			// the series stays contiguous for plotting — without building
-			// (and immediately discarding) sketch accumulators for empty
-			// buckets.
-			w.done = append(w.done, w.finalize(w.curIdx, w.cur))
-			for g := w.curIdx + 1; g < idx; g++ {
-				w.done = append(w.done, WindowStat{Start: float64(g) * w.window})
-			}
-			w.curIdx = idx
-			w.cur = newWindowAccum()
-		}
-		a = w.cur
+	if len(w.accums) == 0 {
+		w.first = idx
 	}
+	idx = max(idx, w.first+len(w.accums)-1) // the straggler clamp
+	w.extend(idx)
+	a := w.accum(idx)
 	if dropped {
 		a.dropped++
 		return
@@ -171,14 +130,35 @@ func (w *WindowedSeries) Observe(r RequestRecord) {
 	a.norm.Observe(r.NormLatency())
 }
 
-func (w *WindowedSeries) finalize(idx int, a *windowAccum) WindowStat {
-	st := WindowStat{
-		Start:       float64(idx) * w.window,
-		Completions: a.completions,
-		Attained:    a.attained,
-		Dropped:     a.dropped,
-		Goodput:     float64(a.attained) / w.window,
+// extend grows the series through window idx, leaving the windows it
+// adds empty.
+func (w *WindowedSeries) extend(idx int) {
+	for w.first+len(w.accums) <= idx {
+		w.accums = append(w.accums, nil)
 	}
+}
+
+// accum returns window idx's accumulator, creating it on first use; idx
+// must lie within the series.
+func (w *WindowedSeries) accum(idx int) *windowAccum {
+	a := w.accums[idx-w.first]
+	if a == nil {
+		a = newWindowAccum()
+		w.accums[idx-w.first] = a
+	}
+	return a
+}
+
+// finalize renders window idx; a nil accumulator is an empty window.
+func (w *WindowedSeries) finalize(idx int, a *windowAccum) WindowStat {
+	st := WindowStat{Start: float64(idx) * w.window}
+	if a == nil {
+		return st
+	}
+	st.Completions = a.completions
+	st.Attained = a.attained
+	st.Dropped = a.dropped
+	st.Goodput = float64(a.attained) / w.window
 	if a.completions > 0 {
 		st.TTFTP95 = a.ttft.Quantile(0.95)
 		st.NormLatP95 = a.norm.Quantile(0.95)
@@ -196,31 +176,25 @@ func (w *WindowedSeries) Snapshot() Snapshot {
 // Windows returns the contiguous bucket series including the open bucket;
 // the receiver stays usable for further Observe calls.
 func (w *WindowedSeries) Windows() []WindowStat {
-	if w.retain {
-		if len(w.accums) == 0 {
-			return nil
-		}
-		keys := make([]int, 0, len(w.accums))
-		for k := range w.accums {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		out := make([]WindowStat, 0, keys[len(keys)-1]-keys[0]+1)
-		next := keys[0]
-		for _, k := range keys {
-			for g := next; g < k; g++ {
-				out = append(out, WindowStat{Start: float64(g) * w.window})
-			}
-			out = append(out, w.finalize(k, w.accums[k]))
-			next = k + 1
-		}
-		return out
+	if len(w.accums) == 0 {
+		return nil
 	}
-	out := append([]WindowStat(nil), w.done...)
-	if w.cur != nil {
-		out = append(out, w.finalize(w.curIdx, w.cur))
+	out := make([]WindowStat, len(w.accums))
+	for i, a := range w.accums {
+		out[i] = w.finalize(w.first+i, a)
 	}
 	return out
+}
+
+// Open returns the open (latest) window — the last element of Windows —
+// at a cost independent of the series length; ok is false before the
+// first observation.
+func (w *WindowedSeries) Open() (st WindowStat, ok bool) {
+	n := len(w.accums)
+	if n == 0 {
+		return WindowStat{}, false
+	}
+	return w.finalize(w.first+n-1, w.accums[n-1]), true
 }
 
 // WindowsHeader is the column layout of Table renderings of a series.

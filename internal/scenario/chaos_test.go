@@ -27,7 +27,7 @@ func runResult(t *testing.T, s Spec, engineName string) *engine.Result {
 	}
 	cfg := engine.DefaultConfig(m, cluster)
 	cfg.Chaos = s.chaosConfig()
-	e, err := BuildEngine(engineName, cfg, reqs)
+	e, err := engine.NewByName(engineName, cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

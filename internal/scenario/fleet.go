@@ -1,11 +1,11 @@
-// The fleet run path: a sharded scenario routes its trace through a
-// front-door router at admission time, serves each shard's slice on an
-// independent engine (own calendar queue, trace arena, and sink), executes
-// the shards concurrently on the sweep worker pool, and merges everything
-// back in shard-index order. Every
-// decision that could differ between executions is made before the shards
-// start or after they all finish, so the merged output is byte-identical
-// at any shard-worker count and any GOMAXPROCS.
+// The one scenario run path: a run splits its trace into shards — the
+// whole trace for an unsharded spec, a front-door router's partition for a
+// sharded one — serves each shard on an independent engine (own calendar
+// queue, trace arena, and sink), executes the shards concurrently on the
+// sweep worker pool, and merges everything back in shard-index order.
+// Every decision that could differ between executions is made before the
+// shards start or after they all finish, so the merged output is
+// byte-identical at any shard-worker count and any GOMAXPROCS.
 
 package scenario
 
@@ -22,7 +22,7 @@ import (
 	"hetis/internal/workload"
 )
 
-// fleetShard is one replica's slice of a sharded run.
+// fleetShard is one replica's slice of a run.
 type fleetShard struct {
 	reqs     []workload.Request
 	eng      engine.Engine   // nil when the router sent the shard nothing
@@ -31,7 +31,7 @@ type fleetShard struct {
 	err      error
 }
 
-// FleetRun is a prepared sharded run: trace generated, routed, and one
+// FleetRun is a prepared run: trace generated, split into shards, and one
 // engine built per non-empty shard — everything except the simulation
 // itself, so harnesses that time serving (benchmark/) can keep
 // preparation outside the clock. A FleetRun is single-use: streaming sinks
@@ -42,16 +42,21 @@ type FleetRun struct {
 
 	reqs      []workload.Request
 	shards    []*fleetShard
+	pipeline  *streamPipeline // shard 0's, which the others merge onto
+	tenants   bool            // the trace is multi-tenant
+	chaotic   bool
 	streaming bool
 	ran       bool
 	merged    *engine.Result
 }
 
-// PrepareFleet prepares a sharded scenario for engineName: applies
-// defaults and Quick scaling, validates, generates and routes the trace,
-// and builds the per-shard engines. opts.Build is ignored — the sweep
-// cache keys engines by (scenario, duration, seed), which cannot tell
-// shards of one run apart, and each shard must plan its own sub-trace.
+// PrepareFleet prepares a scenario for engineName: applies defaults and
+// Quick scaling, validates, generates the trace, splits it into shards,
+// and builds each non-empty shard's engine through opts.Build. An
+// unsharded spec is one shard that holds the whole trace and carries the
+// spec's chaos config; a sharded spec's router partitions the trace and
+// every shard plans its own sub-trace, so a builder that looks engines up
+// by the whole trace (the sweep cache) must not be passed for one.
 func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error) {
 	spec = Prepare(spec, opts.Quick)
 	if err := spec.Validate(); err != nil {
@@ -59,15 +64,6 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	}
 	if !engine.Known(engineName) {
 		return nil, fmt.Errorf("scenario %s: unknown engine %q", spec.Name, engineName)
-	}
-	return prepareFleet(spec, engineName, opts)
-}
-
-// prepareFleet is PrepareFleet after Prepare/Validate (the RunEngineSink
-// entry point, which has already done both).
-func prepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error) {
-	if !spec.Sharded() {
-		return nil, fmt.Errorf("scenario %s: not a fleet scenario (no Fleet spec)", spec.Name)
 	}
 	reqs, err := spec.Trace()
 	if err != nil {
@@ -84,42 +80,65 @@ func prepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	if err != nil {
 		return nil, err
 	}
-	router, err := fleet.NewRouter(spec.Fleet.policy(), spec.Fleet.Shards, spec.Fleet.Weights)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+	parts := [][]workload.Request{reqs}
+	if spec.Sharded() {
+		router, err := fleet.NewRouter(spec.Fleet.policy(), spec.Fleet.Shards, spec.Fleet.Weights)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+		}
+		parts = router.Partition(reqs)
 	}
-	parts := router.Partition(reqs)
-
+	build := opts.Build
+	if build == nil {
+		build = engine.NewByName
+	}
+	chaos := spec.chaosConfig()
 	f := &FleetRun{
 		Spec:       spec,
 		EngineName: engineName,
 		reqs:       reqs,
 		shards:     make([]*fleetShard, len(parts)),
+		tenants:    multiTenant(reqs),
+		chaotic:    chaos.Active(),
 		streaming:  opts.Stream,
 	}
-	// All shards share the pipeline shape of the whole trace (a shard that
-	// happens to see one tenant still builds the mux) so the shard sinks
-	// merge structurally.
-	tenants := multiTenant(reqs)
+	var tierKey func(metrics.RequestRecord) string
+	if f.tiered() {
+		tierKey = func(r metrics.RequestRecord) string { return spec.tierOf(r.Tenant) }
+	}
 	for i, part := range parts {
 		sh := &fleetShard{reqs: part}
 		f.shards[i] = sh
 		cfg := engine.DefaultConfig(m, cluster)
+		cfg.Chaos = chaos
 		if opts.Stream {
-			sh.pipeline = newStreamPipeline(spec.SLO, opts.Window, tenants, nil, true)
+			// Every shard gets the pipeline shape of the whole trace (a
+			// shard that happens to see one tenant still builds the tenant
+			// mux), so the shard sinks merge structurally.
+			sh.pipeline = newStreamPipeline(spec.SLO, opts.Window, f.tenants, tierKey)
 			cfg.Sink = sh.pipeline.sink
 			cfg.NoTrace = true
 		}
 		if len(part) == 0 {
 			continue // a shard the router starved has nothing to simulate
 		}
-		eng, err := BuildEngine(engineName, cfg, part)
+		eng, err := build(engineName, cfg, part)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s/%s: shard %d/%d: %w", spec.Name, engineName, i, len(parts), err)
+			return nil, f.shardErr(i, err)
 		}
 		sh.eng = eng
 	}
+	f.pipeline = f.shards[0].pipeline
 	return f, nil
+}
+
+// shardErr gives shard i's error the run's context; a one-shard run names
+// no shard.
+func (f *FleetRun) shardErr(i int, err error) error {
+	if len(f.shards) == 1 {
+		return fmt.Errorf("scenario %s/%s: %w", f.Spec.Name, f.EngineName, err)
+	}
+	return fmt.Errorf("scenario %s/%s: shard %d/%d: %w", f.Spec.Name, f.EngineName, i, len(f.shards), err)
 }
 
 // Run executes the shards on up to shardWorkers concurrent workers (0 =
@@ -144,45 +163,48 @@ func (f *FleetRun) Run(shardWorkers int) (*engine.Result, error) {
 		if sh.err != nil {
 			// Shard-indexed context so a bad shard is debuggable from the
 			// merged error alone.
-			errs = append(errs, fmt.Errorf("scenario %s/%s: shard %d/%d: %w", f.Spec.Name, f.EngineName, i, len(f.shards), sh.err))
+			errs = append(errs, f.shardErr(i, sh.err))
 		}
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
 	f.merged = f.mergeResults()
-	// Once merged, the shard engines and per-shard results are dead weight
-	// (a FleetRun is single-use); drop them so a retained FleetRun costs
-	// the merged result, not S copies of simulation state. Shard 0's
-	// pipeline stays: the merged sinks were folded onto it and Tables
-	// renders from it.
-	for i, sh := range f.shards {
-		sh.eng = nil
-		sh.res = nil
-		if i > 0 {
-			sh.pipeline = nil
-		}
-	}
+	// Once merged, the shards are dead weight (a FleetRun is single-use);
+	// drop them so a retained FleetRun costs the merged result, not S
+	// copies of simulation state. f.pipeline keeps the merged sinks.
+	f.shards = nil
 	return f.merged, nil
 }
 
-// mergeResults folds the per-shard results into the fleet-wide Result, in
-// shard-index order throughout. Counters sum; Horizon is the latest shard
-// horizon; the exact path concatenates recorders and k-way-merges traces
-// by time. Per-device series (HeadSeries, CacheSeries, DenseTimes,
-// AttnTimes) stay nil: device IDs are cluster-local and collide across
-// shards, so a fleet-wide device view would attribute different shards'
-// devices to one another. CacheCapacity sums to the fleet's total;
-// PeakCacheUsed sums the per-shard peaks, an upper bound on the true
-// fleet-wide peak (shards peak at different instants).
+// mergeResults folds the per-shard results into the run-wide Result. A
+// one-shard run's result is the shard's own, untouched: no record, request
+// or trace event is copied. Otherwise shards fold in shard-index order
+// onto the first shard with a result — its Result and Recorder — and onto
+// shard 0's sink pipeline. Counters sum; Horizon is the latest shard
+// horizon; recorders concatenate and traces k-way-merge by time. The
+// per-device series (HeadSeries, CacheSeries, DenseTimes, AttnTimes) are
+// dropped: device IDs are cluster-local and collide across shards, so a
+// fleet-wide device view would attribute different shards' devices to one
+// another. CacheCapacity sums to the fleet's total; PeakCacheUsed sums the
+// per-shard peaks, an upper bound on the true fleet-wide peak (shards peak
+// at different instants).
 func (f *FleetRun) mergeResults() *engine.Result {
-	out := &engine.Result{Engine: f.EngineName}
+	if len(f.shards) == 1 {
+		return f.shards[0].res
+	}
+	var out *engine.Result
 	var logs []*trace.Log
 	for _, sh := range f.shards {
-		if sh.res == nil {
+		r := sh.res
+		if r == nil {
 			continue
 		}
-		r := sh.res
+		logs = append(logs, r.Trace)
+		if out == nil {
+			out = r
+			continue
+		}
 		out.CacheCapacity += r.CacheCapacity
 		out.PeakCacheUsed += r.PeakCacheUsed
 		out.Completed += r.Completed
@@ -198,42 +220,32 @@ func (f *FleetRun) mergeResults() *engine.Result {
 		out.LPSolveSeconds += r.LPSolveSeconds
 		out.DecodeSteps += r.DecodeSteps
 		out.PerRequestSteps += r.PerRequestSteps
-		if r.Horizon > out.Horizon {
-			out.Horizon = r.Horizon
-		}
-		if r.Trace != nil {
-			logs = append(logs, r.Trace)
+		out.Horizon = max(out.Horizon, r.Horizon)
+		// Merge errors here mean a bug, not bad input — the shards share
+		// one SLO, alpha and window — so they panic rather than complicate
+		// every caller.
+		if !f.streaming {
+			if err := out.Recorder.MergeSink(r.Recorder); err != nil {
+				panic(fmt.Sprintf("scenario %s/%s: merging recorders: %v", f.Spec.Name, f.EngineName, err))
+			}
 		}
 	}
+	out.HeadSeries, out.CacheSeries = nil, nil
+	out.DenseTimes, out.AttnTimes = engine.ModuleSeries{}, engine.ModuleSeries{}
 	if f.streaming {
-		// Shard pipelines are same-shaped by construction; fold them onto
-		// shard 0's in index order. Merge errors here mean a bug, not bad
-		// input — same alpha, SLO and window everywhere — so they panic
-		// rather than complicate every caller.
-		base := f.shards[0].pipeline
 		for i, sh := range f.shards[1:] {
-			if err := metrics.MergeSinks(base.sink, sh.pipeline.sink); err != nil {
+			if err := metrics.MergeSinks(f.pipeline.sink, sh.pipeline.sink); err != nil {
 				panic(fmt.Sprintf("scenario %s/%s: merging shard %d sink: %v", f.Spec.Name, f.EngineName, i+1, err))
 			}
 		}
-		out.Sink = base.sink
-	} else {
-		rec := metrics.NewRecorderCap(len(f.reqs))
-		for _, sh := range f.shards {
-			if sh.res != nil && sh.res.Recorder != nil {
-				if err := rec.MergeSink(sh.res.Recorder); err != nil {
-					panic(fmt.Sprintf("scenario %s/%s: merging recorders: %v", f.Spec.Name, f.EngineName, err))
-				}
-			}
-		}
-		out.Recorder = rec
-		out.Sink = rec
-		// One time-ordered fleet trace (ties break to the lower shard), then
-		// the shard arenas go back to the page pool.
-		out.Trace = trace.MergeByTime(logs...)
-		for _, l := range logs {
-			l.Release()
-		}
+		out.Sink = f.pipeline.sink
+		return out
+	}
+	// One time-ordered fleet trace (ties break to the lower shard), then
+	// the shard arenas go back to the page pool.
+	out.Trace = trace.MergeByTime(logs...)
+	for _, l := range logs {
+		l.Release()
 	}
 	return out
 }
@@ -245,17 +257,21 @@ func (f *FleetRun) Result() *engine.Result { return f.merged }
 // windowed series table for streaming runs with a window).
 func (f *FleetRun) Tables() (rows, windows *metrics.Table, err error) {
 	if f.merged == nil {
-		return nil, nil, fmt.Errorf("scenario %s/%s: fleet run has no result (Run first)", f.Spec.Name, f.EngineName)
+		return nil, nil, fmt.Errorf("scenario %s/%s: run has no result (Run first)", f.Spec.Name, f.EngineName)
 	}
-	tab := &metrics.Table{Header: HeaderFor(false)}
+	var st runStats
 	if f.streaming {
-		p := f.shards[0].pipeline
-		streamRows(tab, f.Spec, f.EngineName, f.reqs, f.merged, p, false)
-		if p.windows != nil {
-			windows = p.windows.Table()
+		st = f.pipeline.stats(f.merged.Horizon)
+		if f.pipeline.windows != nil {
+			windows = f.pipeline.windows.Table()
 		}
-		return tab, windows, nil
+	} else {
+		st = exactStats(f.Spec, f.merged, f.tiered())
 	}
-	exactRows(tab, f.Spec, f.EngineName, f.reqs, f.merged, false)
-	return tab, nil, nil
+	tab := &metrics.Table{Header: HeaderFor(f.chaotic)}
+	f.writeRows(tab, st)
+	return tab, windows, nil
 }
+
+// tiered reports whether the run has tier rows: a chaotic run with tiers.
+func (f *FleetRun) tiered() bool { return f.chaotic && len(f.Spec.Tiers) > 0 }

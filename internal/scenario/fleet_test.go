@@ -130,8 +130,7 @@ func TestFleetRunSingleUse(t *testing.T) {
 	}
 }
 
-// Fleet excludes chaos fields and unknown policies at validation time, and
-// the fleet preparation path refuses unsharded specs.
+// Fleet excludes chaos fields and unknown policies at validation time.
 func TestFleetValidation(t *testing.T) {
 	spec := fleetTestSpec("weighted")
 	spec.Replicas = 2
@@ -141,11 +140,6 @@ func TestFleetValidation(t *testing.T) {
 	bad := fleetTestSpec("no-such-policy")
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unknown routing policy should fail validation")
-	}
-	plain := fleetTestSpec("weighted")
-	plain.Fleet = nil
-	if _, err := prepareFleet(Prepare(plain, false), "vllm", Options{}); err == nil {
-		t.Fatal("prepareFleet should refuse an unsharded spec")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"hetis/internal/engine"
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
-	"hetis/internal/model"
 	"hetis/internal/workload"
 )
 
@@ -38,14 +37,15 @@ func HeaderFor(chaotic bool) []string {
 
 // EngineBuilder constructs a named engine for a config and the trace it
 // will serve. The sweep pool injects a cache-backed builder here so grid
-// points share plans and profile fits; nil falls back to BuildEngine.
+// points share plans and profile fits; nil falls back to engine.NewByName.
 type EngineBuilder func(name string, cfg engine.Config, reqs []workload.Request) (engine.Engine, error)
 
 // Options tunes a scenario run.
 type Options struct {
 	// Quick quarters the trace duration, like experiments.Options.Quick.
 	Quick bool
-	// Build overrides engine construction (nil = BuildEngine).
+	// Build overrides engine construction (nil = engine.NewByName). It
+	// builds every shard's engine from the shard's own trace slice.
 	Build EngineBuilder
 
 	// Stream measures through constant-memory streaming sinks (and
@@ -63,14 +63,8 @@ type Options struct {
 	// execute concurrently; 0 means one worker per CPU (clamped to the
 	// shard count), 1 runs the shards sequentially. Output is byte-
 	// identical at every value — the knob trades wall clock for cores,
-	// never results. Ignored for unsharded specs.
+	// never results. An unsharded spec is one shard, so it runs inline.
 	ShardWorkers int
-}
-
-// BuildEngine directly constructs the named engine, planning Hetis for the
-// trace.
-func BuildEngine(name string, cfg engine.Config, reqs []workload.Request) (engine.Engine, error) {
-	return engine.NewByName(name, cfg, reqs)
 }
 
 // ClusterByName resolves a spec's cluster name ("" and "paper" are the
@@ -110,125 +104,77 @@ func RunEngine(spec Spec, engineName string, opts Options) (*metrics.Table, erro
 	return rows, err
 }
 
-// streamPipeline is the sink stack a streaming run measures through: an
-// aggregate streaming sink — wrapped in a TenantMux only when the trace
-// is actually multi-tenant, so single-tenant runs pay one sketch set per
-// record, not two — plus an optional windowed series for the dynamic
-// plots.
+// streamPipeline is the sink stack a streaming run measures through:
+// Tee(agg, [KeyedMux(tenant)], [KeyedMux(tier)], [windows]). The tenant mux
+// exists only when the trace is multi-tenant and the tier mux only for
+// tiered chaos runs, so a single-tenant run without windows feeds one
+// bare StreamingSink.
 type streamPipeline struct {
-	agg     metrics.Sink // the aggregate view: the mux when present, else the bare sink
-	mux     *metrics.TenantMux
+	agg     *metrics.StreamingSink
+	tenants *metrics.KeyedMux
 	tiers   *metrics.KeyedMux
 	windows *metrics.WindowedSeries
 	sink    metrics.Sink
 }
 
-// retainWindows selects mergeable windowed series for the per-shard
-// pipelines of a fleet run: per-window p95 cannot be recovered from
-// finalized buckets, so shards keep their bucket sketches alive for the
-// shard-order merge. Single-cluster runs keep the cheaper streaming form.
-func newStreamPipeline(slo metrics.SLOTarget, window float64, tenants bool, tierKey func(metrics.RequestRecord) string, retainWindows bool) *streamPipeline {
+func newStreamPipeline(slo metrics.SLOTarget, window float64, tenants bool, tierKey func(metrics.RequestRecord) string) *streamPipeline {
+	sub := func(string) metrics.Sink { return metrics.NewStreamingSink(slo) }
 	p := &streamPipeline{agg: metrics.NewStreamingSink(slo)}
+	var rest []metrics.Sink
 	if tenants {
-		p.mux = metrics.NewTenantMux(p.agg, func(string) metrics.Sink {
-			return metrics.NewStreamingSink(slo)
-		})
-		p.agg = p.mux
-	}
-	extras := make([]metrics.Sink, 0, 2)
-	if window > 0 {
-		if retainWindows {
-			p.windows = metrics.NewWindowedSeriesRetained(window, slo)
-		} else {
-			p.windows = metrics.NewWindowedSeries(window, slo)
-		}
-		extras = append(extras, p.windows)
+		p.tenants = metrics.NewKeyedMux(func(r metrics.RequestRecord) string { return r.Tenant }, sub)
+		rest = append(rest, p.tenants)
 	}
 	if tierKey != nil {
-		p.tiers = metrics.NewKeyedMux(tierKey, func(string) metrics.Sink {
-			return metrics.NewStreamingSink(slo)
-		})
-		extras = append(extras, p.tiers)
+		p.tiers = metrics.NewKeyedMux(tierKey, sub)
+		rest = append(rest, p.tiers)
+	}
+	if window > 0 {
+		p.windows = metrics.NewWindowedSeries(window, slo)
+		rest = append(rest, p.windows)
 	}
 	p.sink = p.agg
-	if len(extras) > 0 {
-		p.sink = metrics.NewTee(p.agg, extras...)
+	if len(rest) > 0 {
+		p.sink = metrics.NewTee(p.agg, rest...)
 	}
 	return p
 }
 
+// stats reads the pipeline's slices as the row writer's input: counts,
+// goodput and attainment are exact, percentiles carry the sketch bound.
+func (p *streamPipeline) stats(horizon float64) runStats {
+	return runStats{
+		all:     p.agg.Snapshot().Stats("", horizon),
+		tenants: keyedStats(p.tenants, horizon),
+		tiers:   keyedStats(p.tiers, horizon),
+	}
+}
+
+// keyedStats indexes a mux's sub-sink snapshots by key (nil for no mux).
+func keyedStats(m *metrics.KeyedMux, horizon float64) map[string]metrics.TenantStats {
+	if m == nil {
+		return nil
+	}
+	out := map[string]metrics.TenantStats{}
+	for _, k := range m.Keys() {
+		out[k] = m.Key(k).Snapshot().Stats(k, horizon)
+	}
+	return out
+}
+
 // RunEngineSink runs like RunEngine and additionally returns the windowed
 // time-series table when the run streamed with Options.Window > 0 (nil
-// otherwise).
+// otherwise). Every spec runs as a FleetRun; an unsharded one is a single
+// shard.
 func RunEngineSink(spec Spec, engineName string, opts Options) (rows, windows *metrics.Table, err error) {
-	spec = Prepare(spec, opts.Quick)
-	if err := spec.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if !engine.Known(engineName) {
-		return nil, nil, fmt.Errorf("scenario %s: unknown engine %q", spec.Name, engineName)
-	}
-	if spec.Sharded() {
-		fr, err := prepareFleet(spec, engineName, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := fr.Run(opts.ShardWorkers); err != nil {
-			return nil, nil, err
-		}
-		return fr.Tables()
-	}
-	reqs, err := spec.Trace()
+	fr, err := PrepareFleet(spec, engineName, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(reqs) == 0 {
-		return nil, nil, fmt.Errorf("scenario %s: empty trace", spec.Name)
-	}
-	m, err := model.ByName(spec.Model)
-	if err != nil {
+	if _, err := fr.Run(opts.ShardWorkers); err != nil {
 		return nil, nil, err
 	}
-	cluster, err := ClusterByName(spec.Cluster)
-	if err != nil {
-		return nil, nil, err
-	}
-	build := opts.Build
-	if build == nil {
-		build = BuildEngine
-	}
-	cfg := engine.DefaultConfig(m, cluster)
-	cfg.Chaos = spec.chaosConfig()
-	chaotic := cfg.Chaos.Active()
-	var stream *streamPipeline
-	if opts.Stream {
-		var tierKey func(metrics.RequestRecord) string
-		if chaotic && len(spec.Tiers) > 0 {
-			tierKey = func(r metrics.RequestRecord) string { return spec.tierOf(r.Tenant) }
-		}
-		stream = newStreamPipeline(spec.SLO, opts.Window, multiTenant(reqs), tierKey, false)
-		cfg.Sink = stream.sink
-		cfg.NoTrace = true
-	}
-	eng, err := build(engineName, cfg, reqs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %s/%s: %w", spec.Name, engineName, err)
-	}
-	res, err := eng.Run(reqs, MeasurementHorizon(spec.Duration))
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %s/%s: %w", spec.Name, engineName, err)
-	}
-
-	tab := &metrics.Table{Header: HeaderFor(chaotic)}
-	if stream != nil {
-		streamRows(tab, spec, engineName, reqs, res, stream, chaotic)
-		if stream.windows != nil {
-			windows = stream.windows.Table()
-		}
-		return tab, windows, nil
-	}
-	exactRows(tab, spec, engineName, reqs, res, chaotic)
-	return tab, nil, nil
+	return fr.Tables()
 }
 
 // meanOf is the arithmetic mean (0 for an empty slice).
@@ -254,60 +200,64 @@ func tierPreempted(spec Spec, res *engine.Result, tier string) int {
 	return n
 }
 
-// exactRows fills the table from the run's exact recorder — the original,
-// golden-pinned path, byte-identical to what it always produced. Chaotic
-// runs append the ChaosColumns and per-tier rows.
-func exactRows(tab *metrics.Table, spec Spec, engineName string, reqs []workload.Request, res *engine.Result, chaotic bool) {
-	rec := res.Recorder
-	all, tenants := rec.Breakdown(spec.SLO, res.Horizon, sameTenant)
-	row := []any{spec.Name, engineName, "all",
-		len(reqs), all.Count,
-		all.Goodput,
-		100 * all.Attainment,
-		all.TTFT.P95,
-		all.TPOT.P95,
-		all.NormLat.Mean}
-	if chaotic {
-		row = append(row, all.Dropped, res.Preempted, meanOf(res.RecoveryTimes))
-	}
-	tab.AddRow(row...)
+// runStats is one run's measured slices for the row writer: the
+// aggregate, and the per-tenant and per-tier groups by name (a name with
+// no entry reads as the zero row).
+type runStats struct {
+	all            metrics.TenantStats
+	tenants, tiers map[string]metrics.TenantStats
+}
 
-	if multiTenant(reqs) {
-		offered := offeredByTenant(reqs)
-		byTenant := statsByName(tenants)
-		// Walk the trace's tenant set (sorted), not the recorder's, so
+// exactStats reads the slices from the run's exact recorder; tier groups
+// are summarized only for tiered runs.
+func exactStats(spec Spec, res *engine.Result, tiered bool) runStats {
+	all, tenants := res.Recorder.Breakdown(spec.SLO, res.Horizon, sameTenant)
+	st := runStats{all: all, tenants: statsByName(tenants)}
+	if tiered {
+		_, tiers := res.Recorder.Breakdown(spec.SLO, res.Horizon, spec.tierOf)
+		st.tiers = statsByName(tiers)
+	}
+	return st
+}
+
+// writeRows fills the table from the merged run's slices: the aggregate
+// row, one row per tenant of a multi-tenant trace and one per tier of a
+// tiered run. Chaotic runs append the ChaosColumns.
+func (f *FleetRun) writeRows(tab *metrics.Table, st runStats) {
+	spec, res := f.Spec, f.merged
+	add := func(name string, offered int, ts metrics.TenantStats, preempted int, recovery float64) {
+		row := []any{spec.Name, f.EngineName, name,
+			offered, ts.Count,
+			ts.Goodput, 100 * ts.Attainment,
+			ts.TTFT.P95, ts.TPOT.P95,
+			ts.NormLat.Mean}
+		if f.chaotic {
+			row = append(row, ts.Dropped, preempted, recovery)
+		}
+		tab.AddRow(row...)
+	}
+	add("all", len(f.reqs), st.all, res.Preempted, meanOf(res.RecoveryTimes))
+
+	if !f.tenants && !f.tiered() {
+		return
+	}
+	offered := offeredByTenant(f.reqs)
+	if f.tenants {
+		// Walk the trace's tenant set (sorted), not the measured one, so
 		// tenants whose every request starved still show a zero row.
 		for _, tenant := range tenantNames(offered) {
-			ts := byTenant[tenant]
-			row := []any{spec.Name, engineName, tenant,
-				offered[tenant], ts.Count,
-				ts.Goodput, 100 * ts.Attainment,
-				ts.TTFT.P95, ts.TPOT.P95,
-				ts.NormLat.Mean}
-			if chaotic {
-				row = append(row, ts.Dropped, res.PreemptedByTenant[tenant], 0.0)
-			}
-			tab.AddRow(row...)
+			add(tenant, offered[tenant], st.tenants[tenant], res.PreemptedByTenant[tenant], 0)
 		}
 	}
-
-	if chaotic && len(spec.Tiers) > 0 {
-		offered := offeredByTenant(reqs)
-		_, tiers := rec.Breakdown(spec.SLO, res.Horizon, spec.tierOf)
-		byTier := statsByName(tiers)
+	if f.tiered() {
 		for _, t := range spec.Tiers {
-			offeredN := 0
+			n := 0
 			for _, tenant := range tenantNames(offered) {
 				if spec.tierOf(tenant) == t.Name {
-					offeredN += offered[tenant]
+					n += offered[tenant]
 				}
 			}
-			ts := byTier[t.Name]
-			tab.AddRow(spec.Name, engineName, "tier:"+t.Name,
-				offeredN, ts.Count,
-				ts.Goodput, 100*ts.Attainment,
-				ts.TTFT.P95, ts.TPOT.P95, ts.NormLat.Mean,
-				ts.Dropped, tierPreempted(spec, res, t.Name), 0.0)
+			add("tier:"+t.Name, n, st.tiers[t.Name], tierPreempted(spec, res, t.Name), 0)
 		}
 	}
 }
@@ -315,73 +265,13 @@ func exactRows(tab *metrics.Table, spec Spec, engineName string, reqs []workload
 // sameTenant is the identity grouping: one Breakdown group per tenant.
 func sameTenant(tenant string) string { return tenant }
 
-// statsByName indexes Breakdown groups by name; a group with no records
-// reads as the zero row.
+// statsByName indexes Breakdown groups by name.
 func statsByName(groups []metrics.TenantStats) map[string]metrics.TenantStats {
 	m := make(map[string]metrics.TenantStats, len(groups))
 	for _, ts := range groups {
 		m[ts.Tenant] = ts
 	}
 	return m
-}
-
-// streamRows fills the table from streaming-sink snapshots: the same
-// columns, with counts/goodput/attainment exact and percentiles carrying
-// the sketch bound.
-func streamRows(tab *metrics.Table, spec Spec, engineName string, reqs []workload.Request, res *engine.Result, p *streamPipeline, chaotic bool) {
-	horizon := res.Horizon
-	snap := p.agg.Snapshot()
-	row := []any{spec.Name, engineName, "all",
-		len(reqs), snap.Count,
-		snap.Goodput(horizon),
-		100 * snap.Attainment(),
-		snap.TTFT.P95,
-		snap.TPOT.P95,
-		snap.NormLat.Mean}
-	if chaotic {
-		row = append(row, snap.Dropped, res.Preempted, meanOf(res.RecoveryTimes))
-	}
-	tab.AddRow(row...)
-
-	if p.mux != nil {
-		offered := offeredByTenant(reqs)
-		for _, tenant := range tenantNames(offered) {
-			var ts metrics.Snapshot
-			if sub := p.mux.Tenant(tenant); sub != nil {
-				ts = sub.Snapshot()
-			}
-			row := []any{spec.Name, engineName, tenant,
-				offered[tenant], ts.Count,
-				ts.Goodput(horizon), 100 * ts.Attainment(),
-				ts.TTFT.P95, ts.TPOT.P95,
-				ts.NormLat.Mean}
-			if chaotic {
-				row = append(row, ts.Dropped, res.PreemptedByTenant[tenant], 0.0)
-			}
-			tab.AddRow(row...)
-		}
-	}
-
-	if p.tiers != nil {
-		offered := offeredByTenant(reqs)
-		for _, t := range spec.Tiers {
-			var ts metrics.Snapshot
-			if sub := p.tiers.Key(t.Name); sub != nil {
-				ts = sub.Snapshot()
-			}
-			offeredN := 0
-			for _, tenant := range tenantNames(offered) {
-				if spec.tierOf(tenant) == t.Name {
-					offeredN += offered[tenant]
-				}
-			}
-			tab.AddRow(spec.Name, engineName, "tier:"+t.Name,
-				offeredN, ts.Count,
-				ts.Goodput(horizon), 100*ts.Attainment(),
-				ts.TTFT.P95, ts.TPOT.P95, ts.NormLat.Mean,
-				ts.Dropped, tierPreempted(spec, res, t.Name), 0.0)
-		}
-	}
 }
 
 func offeredByTenant(reqs []workload.Request) map[string]int {

@@ -13,12 +13,8 @@ import (
 	"hetis/internal/scenario"
 )
 
-// Engines lists the engine names a grid point may name, in comparison
-// order (the engine package's buildable set).
-var Engines = engine.Names
-
 func errUnknownEngine(name string) error {
-	return fmt.Errorf("sweep: unknown engine %q (known: %s)", name, strings.Join(Engines, ", "))
+	return fmt.Errorf("sweep: unknown engine %q (known: %s)", name, strings.Join(engine.Names, ", "))
 }
 
 // GridSpec describes a sweep over the cartesian product
@@ -28,7 +24,7 @@ func errUnknownEngine(name string) error {
 // seed 1. Scenarios define their own traffic and workload mix, so the
 // scenario dimension excludes Datasets and Rates.
 type GridSpec struct {
-	Engines  []string  // engine names (see Engines)
+	Engines  []string  // engine names (see engine.Names)
 	Models   []string  // model preset names (model.ByName)
 	Datasets []string  // dataset preset names or codes (workload.ByName)
 	Rates    []float64 // arrival rates, req/s
@@ -261,7 +257,7 @@ func ParseDims(spec GridSpec, dims []string) (GridSpec, error) {
 		switch strings.TrimSuffix(strings.ToLower(key), "s") {
 		case "engine":
 			for _, e := range parts {
-				if !slices.Contains(Engines, e) {
+				if !slices.Contains(engine.Names, e) {
 					return spec, errUnknownEngine(e)
 				}
 			}

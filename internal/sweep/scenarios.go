@@ -74,12 +74,13 @@ func RunScenariosSink(names []string, quick bool, seed int64, stream bool, windo
 	for i, p := range pairs {
 		i := i
 		jobs[i] = Job{Key: p.spec.Name + "/" + p.eng, Run: func(c *Cache) (*metrics.Table, error) {
-			rows, wins, err := scenario.RunEngineSink(p.spec, p.eng, scenario.Options{
-				Build:        scenarioBuilder(c, p.spec),
-				Stream:       stream,
-				Window:       window,
-				ShardWorkers: opts.ShardWorkers,
-			})
+			o := scenario.Options{Stream: stream, Window: window, ShardWorkers: opts.ShardWorkers}
+			if !p.spec.Sharded() {
+				// The cache keys engines by the whole trace; each shard of a
+				// sharded spec plans its own sub-trace.
+				o.Build = scenarioBuilder(c, p.spec)
+			}
+			rows, wins, err := scenario.RunEngineSink(p.spec, p.eng, o)
 			if wins != nil {
 				winMu.Lock()
 				winByIdx[i] = wins

@@ -68,11 +68,6 @@ type Result struct {
 	Err   error
 }
 
-// Each runs fn(i) for every index in [0, n) on up to workers goroutines —
-// the repo's one indexed worker pool, shared with the scenario fleet layer
-// through the pool subpackage (see pool.Each for the full contract).
-func Each(n, workers int, fn func(i int)) { pool.Each(n, workers, fn) }
-
 // RunMany executes the jobs on a bounded worker pool and returns one result
 // per job, sorted by key (ties keep submission order). The slice always has
 // len(jobs) entries; a failed job carries its error in Result.Err. The
@@ -87,7 +82,7 @@ func RunMany(jobs []Job, opts Options) ([]Result, error) {
 		cache = NewCache()
 	}
 	results := make([]Result, len(jobs))
-	Each(len(jobs), opts.workers(), func(i int) {
+	pool.Each(len(jobs), opts.workers(), func(i int) {
 		tab, err := jobs[i].Run(cache)
 		if err != nil {
 			err = fmt.Errorf("sweep: job %s: %w", jobs[i].Key, err)

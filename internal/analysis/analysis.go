@@ -191,6 +191,7 @@ var deterministicPkgs = []string{
 	"internal/scenario",
 	"internal/metrics",
 	"internal/fleet",
+	"internal/workload",
 }
 
 // DeterministicPackage reports whether an import path names one of the

@@ -14,6 +14,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"hetis/internal/workload"
@@ -63,11 +64,12 @@ type Router struct {
 
 	current []float64 // SWRR per-shard accumulators
 	load    []float64 // least-loaded cumulative assigned tokens
+	ratio   []float64 // load[i]/weights[i], recomputed for the charged shard only
 }
 
 // NewRouter builds a router over `shards` shards. weights may be nil (all
-// shards weigh 1) or one positive weight per shard; they scale both the
-// round-robin share and the least-loaded capacity.
+// shards weigh 1) or one positive, finite weight per shard; they scale
+// both the round-robin share and the least-loaded capacity.
 func NewRouter(policy string, shards int, weights []float64) (*Router, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("fleet: need at least 1 shard, got %d", shards)
@@ -86,10 +88,15 @@ func NewRouter(policy string, shards int, weights []float64) (*Router, error) {
 	}
 	var total float64
 	for i, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("fleet: shard %d weight %g must be positive", i, w)
+		// A NaN weight compares false both ways and an infinite one
+		// swallows every share, so both would starve or flood shards.
+		if !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("fleet: shard %d weight %g must be positive and finite", i, w)
 		}
 		total += w
+	}
+	if math.IsInf(total, 1) {
+		return nil, fmt.Errorf("fleet: weights sum to %g; scale them down", total)
 	}
 	return &Router{
 		policy:  policy,
@@ -97,6 +104,7 @@ func NewRouter(policy string, shards int, weights []float64) (*Router, error) {
 		total:   total,
 		current: make([]float64, shards),
 		load:    make([]float64, shards),
+		ratio:   make([]float64, shards),
 	}, nil
 }
 
@@ -109,10 +117,12 @@ func (r *Router) Policy() string { return r.policy }
 // Route assigns one request to a shard. Decisions depend only on the
 // request sequence routed so far — admission-time state, never execution
 // feedback — so the assignment is reproducible from the trace alone.
-func (r *Router) Route(req workload.Request) int {
+func (r *Router) Route(req workload.Request) int { return r.route(&req) }
+
+func (r *Router) route(req *workload.Request) int {
 	switch r.policy {
 	case PolicyLeastLoaded:
-		return r.routeLeastLoaded(req)
+		return r.routeLeastLoaded(req.TotalLen())
 	case PolicyAffinity:
 		if req.Tenant != "" {
 			return int(fnv1a(req.Tenant) % uint64(len(r.weights)))
@@ -140,26 +150,47 @@ func (r *Router) routeSWRR() int {
 
 // routeLeastLoaded picks the shard with the smallest weight-scaled
 // cumulative assigned work and charges the request's total tokens to it.
-// Ties break to the lowest index.
-func (r *Router) routeLeastLoaded(req workload.Request) int {
+// Ties break to the lowest index. Only the charged shard's ratio changes,
+// so only it is divided again: the same divisions as recomputing every
+// ratio per request, so the same decisions.
+func (r *Router) routeLeastLoaded(tokens int) int {
 	best := 0
-	for i := 1; i < len(r.load); i++ {
-		if r.load[i]/r.weights[i] < r.load[best]/r.weights[best] {
+	for i := 1; i < len(r.ratio); i++ {
+		if r.ratio[i] < r.ratio[best] {
 			best = i
 		}
 	}
-	r.load[best] += float64(req.TotalLen())
+	r.load[best] += float64(tokens)
+	r.ratio[best] = r.load[best] / r.weights[best]
 	return best
 }
 
 // Partition routes a whole trace and returns one per-shard sub-trace,
 // preserving arrival order within each shard. Every request lands in
-// exactly one shard; the sub-trace lengths sum to len(reqs).
+// exactly one shard; the sub-trace lengths sum to len(reqs), and a shard
+// that receives nothing gets nil. The sub-traces are capacity-clipped
+// windows of one exact-size array, so appending to one reallocates it
+// rather than overwriting its neighbour.
 func (r *Router) Partition(reqs []workload.Request) [][]workload.Request {
 	out := make([][]workload.Request, r.Shards())
-	for _, req := range reqs {
-		s := r.Route(req)
-		out[s] = append(out[s], req)
+	// Route once, count per shard, then scatter: no per-shard growth.
+	shard := make([]int32, len(reqs))
+	counts := make([]int, len(out))
+	for i := range reqs {
+		s := r.route(&reqs[i])
+		shard[i] = int32(s)
+		counts[s]++
+	}
+	all := make([]workload.Request, len(reqs))
+	lo := 0
+	for s, n := range counts {
+		if n > 0 {
+			out[s] = all[lo : lo : lo+n]
+		}
+		lo += n
+	}
+	for i, s := range shard {
+		out[s] = append(out[s], reqs[i])
 	}
 	return out
 }

@@ -40,7 +40,11 @@ type FleetRun struct {
 	Spec       Spec // the effective (defaulted, quick-scaled) spec
 	EngineName string
 
-	reqs      []workload.Request
+	// offered is the trace's request count and offeredBy its per-tenant
+	// split: all the row writer needs of the trace, which the shards hold
+	// and which is dropped once they have run.
+	offered   int
+	offeredBy map[string]int
 	shards    []*fleetShard
 	pipeline  *streamPipeline // shard 0's, which the others merge onto
 	tenants   bool            // the trace is multi-tenant
@@ -93,12 +97,14 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 		build = engine.NewByName
 	}
 	chaos := spec.chaosConfig()
+	offeredBy := offeredByTenant(reqs)
 	f := &FleetRun{
 		Spec:       spec,
 		EngineName: engineName,
-		reqs:       reqs,
+		offered:    len(reqs),
+		offeredBy:  offeredBy,
 		shards:     make([]*fleetShard, len(parts)),
-		tenants:    multiTenant(reqs),
+		tenants:    multiTenant(offeredBy),
 		chaotic:    chaos.Active(),
 		streaming:  opts.Stream,
 	}
@@ -169,7 +175,11 @@ func (f *FleetRun) Run(shardWorkers int) (*engine.Result, error) {
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	f.merged = f.mergeResults()
+	merged, err := f.mergeResults()
+	if err != nil {
+		return nil, err
+	}
+	f.merged = merged
 	// Once merged, the shards are dead weight (a FleetRun is single-use);
 	// drop them so a retained FleetRun costs the merged result, not S
 	// copies of simulation state. f.pipeline keeps the merged sinks.
@@ -188,14 +198,15 @@ func (f *FleetRun) Run(shardWorkers int) (*engine.Result, error) {
 // fleet-wide device view would attribute different shards' devices to one
 // another. CacheCapacity sums to the fleet's total; PeakCacheUsed sums the
 // per-shard peaks, an upper bound on the true fleet-wide peak (shards peak
-// at different instants).
-func (f *FleetRun) mergeResults() *engine.Result {
+// at different instants). A merge error means the shards' sinks or
+// recorders were not built alike; it names the shard that did not fit.
+func (f *FleetRun) mergeResults() (*engine.Result, error) {
 	if len(f.shards) == 1 {
-		return f.shards[0].res
+		return f.shards[0].res, nil
 	}
 	var out *engine.Result
 	var logs []*trace.Log
-	for _, sh := range f.shards {
+	for i, sh := range f.shards {
 		r := sh.res
 		if r == nil {
 			continue
@@ -221,12 +232,9 @@ func (f *FleetRun) mergeResults() *engine.Result {
 		out.DecodeSteps += r.DecodeSteps
 		out.PerRequestSteps += r.PerRequestSteps
 		out.Horizon = max(out.Horizon, r.Horizon)
-		// Merge errors here mean a bug, not bad input — the shards share
-		// one SLO, alpha and window — so they panic rather than complicate
-		// every caller.
 		if !f.streaming {
 			if err := out.Recorder.MergeSink(r.Recorder); err != nil {
-				panic(fmt.Sprintf("scenario %s/%s: merging recorders: %v", f.Spec.Name, f.EngineName, err))
+				return nil, f.shardErr(i, fmt.Errorf("merging recorder: %w", err))
 			}
 		}
 	}
@@ -235,11 +243,11 @@ func (f *FleetRun) mergeResults() *engine.Result {
 	if f.streaming {
 		for i, sh := range f.shards[1:] {
 			if err := metrics.MergeSinks(f.pipeline.sink, sh.pipeline.sink); err != nil {
-				panic(fmt.Sprintf("scenario %s/%s: merging shard %d sink: %v", f.Spec.Name, f.EngineName, i+1, err))
+				return nil, f.shardErr(i+1, fmt.Errorf("merging sink: %w", err))
 			}
 		}
 		out.Sink = f.pipeline.sink
-		return out
+		return out, nil
 	}
 	// One time-ordered fleet trace (ties break to the lower shard), then
 	// the shard arenas go back to the page pool.
@@ -247,7 +255,7 @@ func (f *FleetRun) mergeResults() *engine.Result {
 	for _, l := range logs {
 		l.Release()
 	}
-	return out
+	return out, nil
 }
 
 // Result returns the merged fleet-wide result (nil before Run succeeds).

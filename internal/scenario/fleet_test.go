@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"hetis/internal/fleet"
 	"hetis/internal/trace"
 	"hetis/internal/workload"
 )
@@ -86,7 +88,14 @@ func TestFleetConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offered := len(fr.reqs)
+	reqs, err := spec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	offered := len(reqs)
+	if fr.offered != offered {
+		t.Fatalf("FleetRun counts %d offered requests, the trace holds %d", fr.offered, offered)
+	}
 	res, err := fr.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +149,39 @@ func TestFleetValidation(t *testing.T) {
 	bad := fleetTestSpec("no-such-policy")
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unknown routing policy should fail validation")
+	}
+	for _, policy := range fleet.Policies() {
+		for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+			spec := fleetTestSpec(policy)
+			spec.Fleet.Weights = []float64{1, 1, w, 1}
+			err := spec.Validate()
+			if err == nil {
+				t.Errorf("%s: weight %g on shard 2 passed validation", policy, w)
+			} else if !strings.Contains(err.Error(), "shard 2") {
+				t.Errorf("%s: weight %g: error %q does not name shard 2", policy, w, err)
+			}
+		}
+	}
+}
+
+// A shard whose sink cannot merge with shard 0's is an error from Run that
+// names the scenario, engine and shard, not a panic.
+func TestFleetMergeMismatchIsError(t *testing.T) {
+	fr, err := PrepareFleet(fleetTestSpec("weighted"), "vllm", Options{Quick: true, Stream: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 2's merge-time sink gains a windowed series the others lack,
+	// so the Tee arities differ.
+	fr.shards[2].pipeline = newStreamPipeline(fr.Spec.SLO, 5, fr.tenants, nil)
+	_, err = fr.Run(1)
+	if err == nil {
+		t.Fatal("mismatched shard sink merged without error")
+	}
+	for _, want := range []string{"fleet-battery", "vllm", "shard 2/4", "merging sink"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q lacks %q", err, want)
+		}
 	}
 }
 

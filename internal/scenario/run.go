@@ -236,12 +236,9 @@ func (f *FleetRun) writeRows(tab *metrics.Table, st runStats) {
 		}
 		tab.AddRow(row...)
 	}
-	add("all", len(f.reqs), st.all, res.Preempted, meanOf(res.RecoveryTimes))
+	add("all", f.offered, st.all, res.Preempted, meanOf(res.RecoveryTimes))
 
-	if !f.tenants && !f.tiered() {
-		return
-	}
-	offered := offeredByTenant(f.reqs)
+	offered := f.offeredBy
 	if f.tenants {
 		// Walk the trace's tenant set (sorted), not the measured one, so
 		// tenants whose every request starved still show a zero row.
@@ -274,10 +271,17 @@ func statsByName(groups []metrics.TenantStats) map[string]metrics.TenantStats {
 	return m
 }
 
+// offeredByTenant counts the trace's requests per tenant. A run of one
+// tenant costs one map write, so a single-tenant trace costs one.
 func offeredByTenant(reqs []workload.Request) map[string]int {
 	offered := map[string]int{}
-	for _, r := range reqs {
-		offered[r.Tenant]++
+	for i := 0; i < len(reqs); {
+		j := i + 1
+		for j < len(reqs) && reqs[j].Tenant == reqs[i].Tenant {
+			j++
+		}
+		offered[reqs[i].Tenant] += j - i
+		i = j
 	}
 	return offered
 }
@@ -297,13 +301,11 @@ func Run(spec Spec, opts Options) (*metrics.Table, error) {
 	return tab, nil
 }
 
-func multiTenant(reqs []workload.Request) bool {
-	for _, r := range reqs {
-		if r.Tenant != "" {
-			return true
-		}
-	}
-	return false
+// multiTenant reports whether any request of the trace names a tenant,
+// from the trace's per-tenant counts.
+func multiTenant(offered map[string]int) bool {
+	_, untenanted := offered[""]
+	return len(offered) > 1 || (len(offered) == 1 && !untenanted)
 }
 
 func tenantNames(offered map[string]int) []string {

@@ -428,8 +428,11 @@ func (s Spec) Trace() ([]workload.Request, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	times := s.Traffic.Times(s.Duration, rand.New(rand.NewSource(s.Seed)))
-	// The mix draws from an independent stream so reshaping traffic does
-	// not reshuffle tenant assignments and lengths.
-	return workload.Assemble(times, s.Mix, s.Seed+1), nil
+	times := func() []float64 {
+		return s.Traffic.Times(s.Duration, rand.New(rand.NewSource(s.Seed)))
+	}
+	// The mix draws from an independent stream (Seed+1) so reshaping
+	// traffic does not reshuffle tenant assignments and lengths; being
+	// independent, the two streams are drawn concurrently.
+	return workload.Synthesize(times, s.Traffic.MeanRate()*s.Duration, s.Mix, s.Seed+1), nil
 }

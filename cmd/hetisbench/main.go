@@ -186,7 +186,7 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	start := time.Now()
-	pool := hetis.SweepOptions{Jobs: *jobs, Cache: hetis.NewSweepCache(), ShardWorkers: *shardWorkers}
+	pool := hetis.SweepOptions{Jobs: *jobs, ShardWorkers: *shardWorkers}
 	switch {
 	case len(gridDims) > 0:
 		spec := hetis.GridSpec{Quick: *quick, Seed: *seed, Stream: *stream}

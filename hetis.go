@@ -301,12 +301,9 @@ func RunExperiment(id string, opts ExperimentOptions) (*Table, error) {
 
 // --- Sweeps -------------------------------------------------------------------
 
-// SweepOptions bounds a worker pool (Jobs; 0 = NumCPU) and optionally
-// shares a memo cache across runs.
+// SweepOptions bounds a worker pool (Jobs; 0 = NumCPU) and the shard
+// workers of sharded scenarios (ShardWorkers; 0 = NumCPU).
 type SweepOptions = sweep.Options
-
-// SweepCache memoizes traces, plans and profile fits across pooled runs.
-type SweepCache = sweep.Cache
 
 // SweepResult is one pooled run's keyed outcome.
 type SweepResult = sweep.Result
@@ -316,9 +313,6 @@ type GridSpec = sweep.GridSpec
 
 // GridPoint is one grid coordinate.
 type GridPoint = sweep.Point
-
-// NewSweepCache returns an empty shared memo cache.
-func NewSweepCache() *SweepCache { return sweep.NewCache() }
 
 // RunGrid sweeps the grid on a bounded worker pool; the merged table
 // follows grid order independent of completion order, byte-identical for

@@ -192,6 +192,7 @@ var deterministicPkgs = []string{
 	"internal/metrics",
 	"internal/fleet",
 	"internal/workload",
+	"internal/sweep",
 }
 
 // DeterministicPackage reports whether an import path names one of the

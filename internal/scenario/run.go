@@ -36,8 +36,8 @@ func HeaderFor(chaotic bool) []string {
 }
 
 // EngineBuilder constructs a named engine for a config and the trace it
-// will serve. The sweep pool injects a cache-backed builder here so grid
-// points share plans and profile fits; nil falls back to engine.NewByName.
+// will serve; nil falls back to engine.NewByName. Tests and the benchmark
+// inject a builder to wrap or instrument the engine.
 type EngineBuilder func(name string, cfg engine.Config, reqs []workload.Request) (engine.Engine, error)
 
 // Options tunes a scenario run.
@@ -87,8 +87,8 @@ func ClusterByName(name string) (*hardware.Cluster, error) {
 func MeasurementHorizon(duration float64) float64 { return duration * 30 }
 
 // Prepare resolves a spec into its effective form for a run: defaults
-// filled and Quick scaling applied. Pooled runners use it so the trace
-// they cache matches the trace RunEngine generates.
+// filled and Quick scaling applied. Pooled runners use it to read a spec's
+// engines and chaos the way RunEngine will serve them.
 func Prepare(spec Spec, quick bool) Spec {
 	spec = spec.WithDefaults()
 	if quick {

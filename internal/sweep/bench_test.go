@@ -19,29 +19,13 @@ func benchSpec() GridSpec {
 	}
 }
 
-// BenchmarkGridSharedCache runs the 27-point grid the way RunGrid does:
-// one memo cache for the whole sweep, so each trace is generated once and
-// each model/cluster profile is fitted once.
-func BenchmarkGridSharedCache(b *testing.B) {
+// BenchmarkGrid runs the 27-point grid the way RunGrid does, on one
+// worker, so its time is the sum of the points' own runs.
+func BenchmarkGrid(b *testing.B) {
 	spec := benchSpec()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunGrid(spec, Options{Jobs: 1}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGridColdCache runs the same 27 points with a fresh cache per
-// point — what a naive loop over independent runs pays. The gap against
-// BenchmarkGridSharedCache is the memoization win, independent of core
-// count.
-func BenchmarkGridColdCache(b *testing.B) {
-	spec := benchSpec()
-	for i := 0; i < b.N; i++ {
-		for _, p := range spec.Points() {
-			if _, err := RunPoint(spec, p, NewCache()); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }
@@ -55,7 +39,7 @@ func BenchmarkPoolOverlap(b *testing.B) {
 	mkJobs := func() []Job {
 		jobs := make([]Job, 16)
 		for i := range jobs {
-			jobs[i] = Job{Key: fmt.Sprintf("j%02d", i), Run: func(*Cache) (*metrics.Table, error) {
+			jobs[i] = Job{Key: fmt.Sprintf("j%02d", i), Run: func() (*metrics.Table, error) {
 				time.Sleep(5 * time.Millisecond)
 				return &metrics.Table{}, nil
 			}}

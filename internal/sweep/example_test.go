@@ -8,7 +8,7 @@ import (
 )
 
 // ExampleRunMany sweeps a 3-point grid — the Hetis engine over the three
-// paper datasets — on a 3-worker pool. Results come back ordered by key no
+// paper datasets — on a 3-worker pool. Results come back in job order no
 // matter which worker finished first, so the output is stable.
 func ExampleRunMany() {
 	spec := sweep.GridSpec{
@@ -19,8 +19,8 @@ func ExampleRunMany() {
 	}
 	var jobs []sweep.Job
 	for _, p := range spec.Points() {
-		jobs = append(jobs, sweep.Job{Key: p.Key(), Run: func(c *sweep.Cache) (*metrics.Table, error) {
-			return sweep.RunPoint(spec, p, c)
+		jobs = append(jobs, sweep.Job{Key: p.Key(), Run: func() (*metrics.Table, error) {
+			return sweep.RunPoint(spec, p)
 		}})
 	}
 	results, err := sweep.RunMany(jobs, sweep.Options{Jobs: 3})
@@ -33,7 +33,7 @@ func ExampleRunMany() {
 		fmt.Printf("%s completed %s/%s\n", r.Key, r.Table.Rows[0][6], r.Table.Rows[0][5])
 	}
 	// Output:
+	// Llama-13B/SG/2/hetis completed 14/14
 	// Llama-13B/HE/2/hetis completed 14/14
 	// Llama-13B/LB/2/hetis completed 14/14
-	// Llama-13B/SG/2/hetis completed 14/14
 }

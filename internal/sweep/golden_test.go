@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite testdata/grid.golden from the c
 //	go test ./internal/sweep -run TestGridGolden -update
 func TestGridGolden(t *testing.T) {
 	var out bytes.Buffer
-	section := func(title string, csv string) {
+	section := func(title, csv string) {
 		out.WriteString("# " + title + "\n")
 		out.WriteString(csv)
 	}

@@ -11,6 +11,7 @@ import (
 	"hetis/internal/metrics"
 	"hetis/internal/model"
 	"hetis/internal/scenario"
+	"hetis/internal/workload"
 )
 
 func errUnknownEngine(name string) error {
@@ -39,7 +40,7 @@ type GridSpec struct {
 	Duration float64
 	Quick    bool
 	// Seed drives the trace sampling; points sharing a dataset and rate
-	// share the generated trace.
+	// replay the same trace.
 	Seed int64
 
 	// Stream measures every point through a constant-memory streaming sink
@@ -82,10 +83,21 @@ func (s GridSpec) withDefaults() GridSpec {
 	return s
 }
 
-// validate rejects dimension combinations Points would silently ignore.
+// validate rejects dimension combinations Points would silently ignore,
+// and scenarios a grid point cannot serve faithfully: a point runs the
+// scenario's trace on one plain engine, with no chaos, tiers or shards.
 func (s GridSpec) validate() error {
 	if len(s.Scenarios) > 0 && (len(s.Datasets) > 0 || len(s.Rates) > 0) {
 		return fmt.Errorf("sweep: the scenario dimension excludes dataset and rate (scenarios carry their own traffic and mix)")
+	}
+	for _, name := range s.Scenarios {
+		spec, err := scenario.ByName(name)
+		if err != nil {
+			return err
+		}
+		if spec.Chaotic() || spec.Sharded() {
+			return fmt.Errorf("sweep: scenario %q needs chaos, tiers or shards that a grid point does not run; use -scenario %s", name, name)
+		}
 	}
 	return nil
 }
@@ -101,8 +113,7 @@ type Point struct {
 }
 
 // Key renders the coordinate as "model/dataset/rate/engine" (or
-// "model/scenario/engine" on scenario grids); it is the job key and
-// therefore the sort key of the sweep's rows.
+// "model/scenario/engine" on scenario grids); it is the point's job key.
 func (p Point) Key() string {
 	if p.Scenario != "" {
 		return fmt.Sprintf("%s/%s/%s", p.Model, p.Scenario, p.Engine)
@@ -145,27 +156,33 @@ var GridHeader = []string{
 }
 
 // RunPoint simulates one grid coordinate and returns its one-row table.
-// The trace, the Hetis plan, and the profile fit come from the cache, so
-// points sharing a coordinate prefix share that work.
-func RunPoint(s GridSpec, p Point, c *Cache) (*metrics.Table, error) {
+// The point's trace is a Poisson trace of its dataset and rate, or its
+// scenario's trace at the grid's Duration and Seed.
+func RunPoint(s GridSpec, p Point) (*metrics.Table, error) {
 	s = s.withDefaults()
 	m, err := model.ByName(p.Model)
 	if err != nil {
 		return nil, err
 	}
+	var reqs []workload.Request
 	slo := scenario.DefaultSLO
-	k := TraceKey{Dataset: p.Dataset, Rate: p.Rate, Duration: s.Duration, Seed: s.Seed}
 	if p.Scenario != "" {
 		spec, err := scenario.ByName(p.Scenario)
 		if err != nil {
 			return nil, err
 		}
-		slo = spec.WithDefaults().SLO
-		k = TraceKey{Scenario: p.Scenario, Duration: s.Duration, Seed: s.Seed}
-	}
-	reqs, err := c.Trace(k)
-	if err != nil {
-		return nil, err
+		spec = spec.WithDefaults()
+		spec.Duration, spec.Seed = s.Duration, s.Seed
+		slo = spec.SLO
+		if reqs, err = spec.Trace(); err != nil {
+			return nil, err
+		}
+	} else {
+		dist, err := workload.ByName(p.Dataset)
+		if err != nil {
+			return nil, err
+		}
+		reqs = workload.Poisson(dist, p.Rate, s.Duration, s.Seed)
 	}
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("sweep: empty trace for %s", p.Key())
@@ -183,7 +200,7 @@ func RunPoint(s GridSpec, p Point, c *Cache) (*metrics.Table, error) {
 	} else {
 		cfg.Sink = metrics.NewExactRecorder(slo)
 	}
-	eng, err := c.BuildEngine(p.Engine, cfg, k)
+	eng, err := engine.NewByName(p.Engine, cfg, reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -219,27 +236,17 @@ func RunGrid(s GridSpec, opts Options) (*metrics.Table, error) {
 	pts := s.Points()
 	jobs := make([]Job, len(pts))
 	for i, p := range pts {
-		jobs[i] = Job{Key: p.Key(), Run: func(c *Cache) (*metrics.Table, error) {
-			return RunPoint(s, p, c)
+		jobs[i] = Job{Key: p.Key(), Run: func() (*metrics.Table, error) {
+			return RunPoint(s, p)
 		}}
 	}
 	results, err := RunMany(jobs, opts)
 	if err != nil {
 		return nil, err
 	}
-	// RunMany sorts by key, which orders rates lexicographically (10 < 2);
-	// reassemble in point order so rows follow the spec's own dimension
-	// order. Duplicate points work out because RunMany's sort is stable:
-	// equal keys keep submission order, and so does the point walk.
-	byKey := map[string][]*metrics.Table{}
-	for _, r := range results {
-		byKey[r.Key] = append(byKey[r.Key], r.Table)
-	}
 	tab := &metrics.Table{Header: GridHeader}
-	for _, p := range pts {
-		k := p.Key()
-		tab.Rows = append(tab.Rows, byKey[k][0].Rows...)
-		byKey[k] = byKey[k][1:]
+	for _, r := range results {
+		tab.Rows = append(tab.Rows, r.Table.Rows...)
 	}
 	return tab, nil
 }

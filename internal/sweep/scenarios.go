@@ -2,12 +2,9 @@ package sweep
 
 import (
 	"fmt"
-	"sync"
 
-	"hetis/internal/engine"
 	"hetis/internal/metrics"
 	"hetis/internal/scenario"
-	"hetis/internal/workload"
 )
 
 // RunScenarios serves the named scenarios on the pool, one job per
@@ -68,24 +65,13 @@ func RunScenariosSink(names []string, quick bool, seed int64, stream bool, windo
 	if chaotic > 0 && healthy > 0 {
 		return nil, nil, fmt.Errorf("sweep: cannot mix chaotic and non-chaotic scenarios in one table (their columns differ); run them separately")
 	}
-	var winMu sync.Mutex
 	winByIdx := make([]*metrics.Table, len(pairs))
 	jobs := make([]Job, len(pairs))
 	for i, p := range pairs {
-		i := i
-		jobs[i] = Job{Key: p.spec.Name + "/" + p.eng, Run: func(c *Cache) (*metrics.Table, error) {
-			o := scenario.Options{Stream: stream, Window: window, ShardWorkers: opts.ShardWorkers}
-			if !p.spec.Sharded() {
-				// The cache keys engines by the whole trace; each shard of a
-				// sharded spec plans its own sub-trace.
-				o.Build = scenarioBuilder(c, p.spec)
-			}
-			rows, wins, err := scenario.RunEngineSink(p.spec, p.eng, o)
-			if wins != nil {
-				winMu.Lock()
-				winByIdx[i] = wins
-				winMu.Unlock()
-			}
+		jobs[i] = Job{Key: p.spec.Name + "/" + p.eng, Run: func() (*metrics.Table, error) {
+			rows, wins, err := scenario.RunEngineSink(p.spec, p.eng,
+				scenario.Options{Stream: stream, Window: window, ShardWorkers: opts.ShardWorkers})
+			winByIdx[i] = wins
 			return rows, err
 		}}
 	}
@@ -93,32 +79,13 @@ func RunScenariosSink(names []string, quick bool, seed int64, stream bool, windo
 	if err != nil {
 		return nil, nil, err
 	}
-	// Reassemble in pair order (RunMany sorted by key); duplicates work
-	// out because both the sort and the pair walk are stable.
-	byKey := map[string][]*metrics.Table{}
-	for _, r := range results {
-		byKey[r.Key] = append(byKey[r.Key], r.Table)
-	}
 	tab := &metrics.Table{Header: scenario.HeaderFor(chaotic > 0)}
 	var windows []ScenarioWindows
 	for i, p := range pairs {
-		k := p.spec.Name + "/" + p.eng
-		tab.Rows = append(tab.Rows, byKey[k][0].Rows...)
-		byKey[k] = byKey[k][1:]
+		tab.Rows = append(tab.Rows, results[i].Table.Rows...)
 		if winByIdx[i] != nil {
 			windows = append(windows, ScenarioWindows{Scenario: p.spec.Name, Engine: p.eng, Table: winByIdx[i]})
 		}
 	}
 	return tab, windows, nil
-}
-
-// scenarioBuilder routes engine construction through the cache so every
-// engine serving the same scenario shares its trace, Hetis plan, and
-// profile fit. The run's cfg (sink injection included) passes through to
-// the engine untouched.
-func scenarioBuilder(c *Cache, spec scenario.Spec) scenario.EngineBuilder {
-	k := TraceKey{Scenario: spec.Name, Duration: spec.Duration, Seed: spec.Seed}
-	return func(name string, cfg engine.Config, reqs []workload.Request) (engine.Engine, error) {
-		return c.BuildEngine(name, cfg, k)
-	}
 }

@@ -4,20 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"hetis/internal/engine"
-	"hetis/internal/hardware"
 	"hetis/internal/metrics"
-	"hetis/internal/model"
 )
 
 // fakeJob returns a job that sleeps and then emits a one-row table naming
-// its key, so completion order can be forced to differ from key order.
+// its key, so completion order can be forced to differ from job order.
 func fakeJob(key string, sleep time.Duration) Job {
-	return Job{Key: key, Run: func(*Cache) (*metrics.Table, error) {
+	return Job{Key: key, Run: func() (*metrics.Table, error) {
 		time.Sleep(sleep)
 		tab := &metrics.Table{Header: []string{"Key"}}
 		tab.AddRow(key)
@@ -25,13 +21,14 @@ func fakeJob(key string, sleep time.Duration) Job {
 	}}
 }
 
-func TestRunManyOrdersByKeyNotCompletion(t *testing.T) {
-	// Submit in reverse key order with the earliest key sleeping longest:
-	// under Jobs>1 it completes last, but must still sort first.
+func TestRunManyOrdersByJobNotCompletion(t *testing.T) {
+	// The first job sleeps longest, so under Jobs>1 the jobs complete in
+	// reverse; the keys are neither sorted nor reverse-sorted, so neither
+	// a key sort nor completion order can pass for job order.
 	jobs := []Job{
-		fakeJob("c", 1*time.Millisecond),
-		fakeJob("b", 10*time.Millisecond),
-		fakeJob("a", 30*time.Millisecond),
+		fakeJob("c", 30*time.Millisecond),
+		fakeJob("a", 10*time.Millisecond),
+		fakeJob("b", 1*time.Millisecond),
 	}
 	results, err := RunMany(jobs, Options{Jobs: 3})
 	if err != nil {
@@ -44,8 +41,8 @@ func TestRunManyOrdersByKeyNotCompletion(t *testing.T) {
 			t.Errorf("result %s carries wrong table %v", r.Key, r.Table)
 		}
 	}
-	if got := strings.Join(keys, ","); got != "a,b,c" {
-		t.Fatalf("results ordered %s, want a,b,c", got)
+	if got := strings.Join(keys, ","); got != "c,a,b" {
+		t.Fatalf("results ordered %s, want job order c,a,b", got)
 	}
 }
 
@@ -53,7 +50,7 @@ func TestRunManyPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	jobs := []Job{
 		fakeJob("a", 0),
-		{Key: "bad", Run: func(*Cache) (*metrics.Table, error) { return nil, boom }},
+		{Key: "bad", Run: func() (*metrics.Table, error) { return nil, boom }},
 		fakeJob("z", 0),
 	}
 	results, err := RunMany(jobs, Options{Jobs: 2})
@@ -76,70 +73,10 @@ func TestRunManyPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestCacheTraceSingleflight(t *testing.T) {
-	c := NewCache()
-	k := TraceKey{Dataset: "SG", Rate: 4, Duration: 5, Seed: 7}
-
-	const callers = 16
-	traces := make([][]int64, callers) // first request IDs observed
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reqs, err := c.Trace(k)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for _, r := range reqs[:min(3, len(reqs))] {
-				traces[i] = append(traces[i], r.ID)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	if _, misses := c.Stats(); misses != 1 {
-		t.Errorf("misses = %d, want 1 (concurrent identical requests must coalesce)", misses)
-	}
-	first, err := c.Trace(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, _ := c.Trace(k)
-	if &first[0] != &again[0] {
-		t.Error("repeated Trace returned a different slice; memoization broken")
-	}
-	if hits, _ := c.Stats(); hits < callers {
-		t.Errorf("hits = %d, want >= %d", hits, callers)
-	}
-}
-
-func TestCacheSharesPlanAndProfileAcrossEngines(t *testing.T) {
-	c := NewCache()
-	k := TraceKey{Dataset: "SG", Rate: 3, Duration: 5, Seed: 1}
-	cfg := engine.DefaultConfig(model.Llama13B, hardware.PaperCluster())
-
-	for i := 0; i < 3; i++ {
-		if _, err := c.BuildEngine("hetis", cfg, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// First build computes trace, plan and profile; the two rebuilds hit
-	// the plan and profile entries (and never re-request the trace).
-	hits, misses := c.Stats()
-	if misses != 3 {
-		t.Errorf("misses = %d, want 3 (one trace, one plan, one profile)", misses)
-	}
-	if hits != 4 {
-		t.Errorf("hits = %d, want 4 (plan and profile, twice each)", hits)
-	}
-}
-
 func TestBuildEngineUnknown(t *testing.T) {
-	c := NewCache()
-	cfg := engine.DefaultConfig(model.Llama13B, hardware.PaperCluster())
-	if _, err := c.BuildEngine("triton", cfg, TraceKey{Dataset: "SG", Rate: 1, Duration: 1, Seed: 1}); err == nil || !strings.Contains(err.Error(), "triton") {
+	spec := GridSpec{Duration: 1}
+	p := Point{Model: "Llama-13B", Dataset: "SG", Rate: 5, Engine: "triton"}
+	if _, err := RunPoint(spec, p); err == nil || !strings.Contains(err.Error(), "triton") {
 		t.Fatalf("err = %v, want unknown-engine naming triton", err)
 	}
 }
@@ -200,39 +137,6 @@ func TestParseDims(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func TestCacheScenarioTrace(t *testing.T) {
-	c := NewCache()
-	k := TraceKey{Scenario: "multitenant", Duration: 10, Seed: 3}
-	reqs, err := c.Trace(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) == 0 {
-		t.Fatal("empty scenario trace")
-	}
-	tenants := map[string]bool{}
-	for _, r := range reqs {
-		tenants[r.Tenant] = true
-	}
-	if !tenants["chat"] || !tenants["code"] {
-		t.Errorf("scenario trace lost its tenants: %v", tenants)
-	}
-	again, _ := c.Trace(k)
-	if &reqs[0] != &again[0] {
-		t.Error("scenario trace not memoized")
-	}
-	if _, err := c.Trace(TraceKey{Scenario: "no-such", Duration: 10, Seed: 1}); err == nil {
-		t.Error("unknown scenario key should error")
-	}
-}
-
 func TestGridScenarioDimension(t *testing.T) {
 	spec := GridSpec{
 		Engines:   []string{"splitwise", "hexgen"},
@@ -261,13 +165,28 @@ func TestGridScenarioDimension(t *testing.T) {
 }
 
 func TestGridScenarioExcludesDatasetAndRate(t *testing.T) {
-	_, err := RunGrid(GridSpec{Scenarios: []string{"steady"}, Datasets: []string{"SG"}}, Options{})
-	if err == nil {
-		t.Error("scenario+dataset grid should error")
-	}
-	_, err = RunGrid(GridSpec{Scenarios: []string{"steady"}, Rates: []float64{2}}, Options{})
-	if err == nil {
-		t.Error("scenario+rate grid should error")
+	for _, tc := range []struct {
+		name string
+		spec GridSpec
+		want string // substring of the error
+	}{
+		{"dataset", GridSpec{Scenarios: []string{"steady"}, Datasets: []string{"SG"}}, "excludes dataset"},
+		{"rate", GridSpec{Scenarios: []string{"steady"}, Rates: []float64{2}}, "excludes dataset"},
+		// A grid point serves the trace on one plain engine, so scenarios
+		// whose behaviour lives in chaos, tiers or shards must be refused.
+		{"chaos", GridSpec{Scenarios: []string{"steady", "failover"}}, `"failover"`},
+		{"tiers", GridSpec{Scenarios: []string{"preempt"}}, `"preempt"`},
+		{"shards", GridSpec{Scenarios: []string{"fleet"}}, `"fleet"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunGrid(tc.spec, Options{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want an error containing %s", err, tc.want)
+			}
+			if tc.want != "excludes dataset" && !strings.Contains(err.Error(), "-scenario") {
+				t.Errorf("err = %v, want a pointer to -scenario", err)
+			}
+		})
 	}
 }
 

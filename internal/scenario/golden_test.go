@@ -45,9 +45,10 @@ func TestGolden(t *testing.T) {
 
 // streamGoldens are the scenarios whose streaming output is pinned as
 // well: per-tenant rows (multitenant), per-tier rows with the chaos
-// columns (preempt), and the sharded merge of tenant muxes and windowed
-// series (fleet).
-var streamGoldens = []string{"fleet", "multitenant", "preempt"}
+// columns (preempt), the sharded merge of tenant muxes and windowed
+// series (fleet), and the tenant row of a trace with one named tenant,
+// unsharded (megascale) and merged across shards (gigascale).
+var streamGoldens = []string{"fleet", "gigascale", "megascale", "multitenant", "preempt"}
 
 // streamGoldenWindow is the windowed-series width of the stream goldens.
 const streamGoldenWindow = 30

@@ -120,6 +120,23 @@ func TestScenarioOutputJobsIndependent(t *testing.T) {
 	}
 }
 
+// TestExperimentOutputJobsIndependent holds the quick experiment suite to
+// the same contract: `-exp all -quick` stdout is byte-identical on a
+// serial pool and an 8-worker pool, which rules out wall-clock columns.
+func TestExperimentOutputJobsIndependent(t *testing.T) {
+	one, err := runBench(t, "-exp", "all", "-quick", "-jobs", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eight, err := runBench(t, "-exp", "all", "-quick", "-jobs", "8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one != eight {
+		t.Errorf("-exp all -quick differs between -jobs 1 and -jobs 8:\n--- jobs=1\n%s--- jobs=8\n%s", one, eight)
+	}
+}
+
 // TestScenarioShardWorkersIndependent is the CLI face of the fleet
 // determinism contract: a sharded scenario's CSV is byte-identical at
 // every -shard-workers value.

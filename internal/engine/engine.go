@@ -470,9 +470,12 @@ func scheduleArrivals(s *sim.Simulator, reqs []workload.Request, admit func(s *s
 		if len(slab) == 0 {
 			slab = make([]request, requestSlabChunk)
 		}
+		// The slot is fresh from make, so setting the two non-zero fields
+		// in place initialises it without copying a whole request.
 		r := &slab[0]
 		slab = slab[1:]
-		*r = request{wl: reqs[i], restartCtx: reqs[i].PromptLen}
+		r.wl = reqs[i]
+		r.restartCtx = reqs[i].PromptLen
 		return r
 	}
 	first := s.ReserveSeq(n)

@@ -122,8 +122,9 @@ func stageFreeBytes(cfg Config, st parallelizer.Stage) int64 {
 type hetisInstance struct {
 	eng    *Hetis
 	stages []parallelizer.Stage
-	links  []hardware.LinkSpec
-	pool   []hardware.DeviceID
+	// costs holds each stage's cost record, compiled at build.
+	costs []parallelizer.StageCost
+	pool  []hardware.DeviceID
 
 	disp *dispatch.Dispatcher
 	kv   []*kvcache.Manager
@@ -242,7 +243,7 @@ func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstan
 
 	primaryDev := in.Stages[0].Devices[0]
 	for _, st := range in.Stages {
-		inst.links = append(inst.links, parallelizer.StageLink(cfg.Cluster, st))
+		inst.costs = append(inst.costs, parallelizer.CompileStage(h.est, st, parallelizer.StageLink(cfg.Cluster, st)))
 		am := h.prof.Attn[st.Devices[0]]
 		// TP shards heads and cache across the stage's tensor group.
 		am.A /= float64(st.TP)
@@ -471,21 +472,20 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 // dense + prompt attention through all stages, pipeline hops, the LM head,
 // and the scatter of pool-resident KV shards.
 func (inst *hetisInstance) prefillTime(prompts []int, admitted []*request) float64 {
-	est := inst.eng.est
 	cfg := inst.cfg
 	total := 0
 	for _, p := range prompts {
 		total += p
 	}
 	var dt float64
-	for k, st := range inst.stages {
-		dt += parallelizer.StagePrefillTime(est, st, prompts, inst.links[k])
+	for k := range inst.costs {
+		dt += inst.costs[k].PrefillTime(prompts)
 	}
-	if len(inst.stages) > 1 {
-		dt += float64(len(inst.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, cfg.Model.HiddenStateBytes(total))
+	last := &inst.costs[len(inst.costs)-1]
+	if len(inst.costs) > 1 {
+		dt += float64(len(inst.costs)-1) * perf.P2PTime(cfg.Cluster.InterLink, last.HiddenStateBytes(total))
 	}
-	last := inst.stages[len(inst.stages)-1]
-	dt += est.LMHeadTime(last.Spec, len(prompts), last.TP)
+	dt += last.LMHeadTime(len(prompts))
 
 	// KV scatter: shards dispatched to pool workers ship over their links
 	// concurrently; the slowest leg gates the iteration.
@@ -517,19 +517,18 @@ func (inst *hetisInstance) decodeCostFor(batch int) *decodeCost {
 	if c, ok := inst.decodeMemo[batch]; ok {
 		return c
 	}
-	est := inst.eng.est
 	cfg := inst.cfg
-	stageTimes := make([]float64, len(inst.stages))
+	stageTimes := make([]float64, len(inst.costs))
 	var dense float64
-	for k, st := range inst.stages {
-		stageTimes[k] = parallelizer.StageDecodeTime(est, st, batch, inst.links[k])
+	for k := range inst.costs {
+		stageTimes[k] = inst.costs[k].DecodeTime(batch)
 		dense += stageTimes[k]
 	}
-	if len(inst.stages) > 1 {
-		dense += float64(len(inst.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, cfg.Model.HiddenStateBytes(batch))
+	last := &inst.costs[len(inst.costs)-1]
+	if len(inst.costs) > 1 {
+		dense += float64(len(inst.costs)-1) * perf.P2PTime(cfg.Cluster.InterLink, last.HiddenStateBytes(batch))
 	}
-	last := inst.stages[len(inst.stages)-1]
-	dense += est.LMHeadTime(last.Spec, batch, last.TP)
+	dense += last.LMHeadTime(batch)
 	c := &decodeCost{denseModule: moduleLatency(stageTimes), dense: dense}
 	if inst.decodeMemo == nil {
 		inst.decodeMemo = make(map[int]*decodeCost)

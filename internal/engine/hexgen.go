@@ -17,7 +17,6 @@ import (
 // stage and low-end GPUs drag every dense module.
 type HexGen struct {
 	cfg  Config
-	est  *perf.Estimator
 	pipe *staticPipeline
 }
 
@@ -26,12 +25,11 @@ func NewHexGen(cfg Config) (*HexGen, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	est := perf.New(cfg.Model)
-	pipe, err := buildStaticPipeline(cfg, est, cfg.Cluster, cfg.Cluster.DevicesByType(), 32)
+	pipe, err := buildStaticPipeline(cfg, perf.New(cfg.Model), cfg.Cluster, cfg.Cluster.DevicesByType(), 32)
 	if err != nil {
 		return nil, fmt.Errorf("engine: hexgen: %w", err)
 	}
-	return &HexGen{cfg: cfg, est: est, pipe: pipe}, nil
+	return &HexGen{cfg: cfg, pipe: pipe}, nil
 }
 
 // Name implements Engine.
@@ -45,21 +43,20 @@ func (h *HexGen) Stages() []parallelizer.Stage { return h.pipe.stages }
 
 // Run implements Engine.
 func (h *HexGen) Run(reqs []workload.Request, horizon float64) (*Result, error) {
-	return runStatic(h.Name(), h.cfg, h.est, h.pipe, h.CacheCapacity(), reqs, horizon)
+	return runStatic(h.Name(), h.cfg, h.pipe, h.CacheCapacity(), reqs, horizon)
 }
 
 // runStatic is the shared Run body of the two static-pipeline engines: a
 // replica set of one staticRuntime, widened by chaos.
-func runStatic(name string, cfg Config, est *perf.Estimator, pipe *staticPipeline, capBytes int64, reqs []workload.Request, horizon float64) (*Result, error) {
+func runStatic(name string, cfg Config, pipe *staticPipeline, capBytes int64, reqs []workload.Request, horizon float64) (*Result, error) {
 	f, reqs := newReplicaSet[*staticRuntime](name, cfg, capBytes, reqs)
 	err := f.provision(1, func(int) (*staticRuntime, error) {
 		rt := &staticRuntime{
-			tokenPool: tokenPool{cfg: cfg, est: est, pipe: pipe, res: f.res, fleet: &f.fleetCore},
+			tokenPool: tokenPool{cfg: cfg, pipe: pipe, res: f.res, fleet: &f.fleetCore},
 			waiting:   newWaitQueue(f.ctl.tiered()),
-			byID:      map[int64]*request{},
 		}
 		rt.requeueQ = rt.waiting
-		rt.requeued = rt.unindex
+		rt.requeued = rt.unadmit
 		rt.finished = rt.retire
 		rt.stepFn = rt.step
 		rt.prefillDoneFn = rt.prefillDone
@@ -85,10 +82,10 @@ type staticRuntime struct {
 	pending sim.Handle
 
 	waiting *waitQueue
-	// byID indexes every admitted request: the prefill batch and the
-	// running one.
-	byID map[int64]*request
-	busy bool
+	// admitted counts the requests admitted and not yet requeued or
+	// retired: the in-flight prefill batch plus the running batch.
+	admitted int
+	busy     bool
 
 	// Cached loop callbacks and per-iteration scratch: the batching loop
 	// schedules one of these every iteration, and caching the method
@@ -103,13 +100,15 @@ type staticRuntime struct {
 }
 
 // load implements replica: admitted plus waiting requests.
-func (rt *staticRuntime) load() int { return len(rt.byID) + rt.waiting.len() }
+func (rt *staticRuntime) load() int { return rt.admitted + rt.waiting.len() }
 
 // intake implements replica.
 func (rt *staticRuntime) intake() *waitQueue { return rt.waiting }
 
 // evacuate implements replica: the running batch is resident; requests
-// admitted to an in-flight prefill hold no KV yet.
+// admitted to an in-flight prefill hold no KV yet. A prefill batch is
+// non-empty only while its prefill is in flight, so the two batches are
+// every admitted request.
 func (rt *staticRuntime) evacuate(s *sim.Simulator) ([]*request, map[int64]bool) {
 	if rt.busy {
 		s.Cancel(rt.pending)
@@ -120,12 +119,12 @@ func (rt *staticRuntime) evacuate(s *sim.Simulator) ([]*request, map[int64]bool)
 	for _, r := range batch {
 		resident[r.wl.ID] = true
 	}
-	victims := make([]*request, 0, len(rt.byID))
-	//hetis:ordered the replica set sorts victims by seq before acting on them
-	for _, r := range rt.byID {
-		victims = append(victims, r)
-	}
-	clear(rt.byID)
+	victims := make([]*request, 0, len(batch)+len(rt.prefillBatch))
+	victims = append(victims, batch...)
+	victims = append(victims, rt.prefillBatch...)
+	clear(rt.prefillBatch)
+	rt.prefillBatch = rt.prefillBatch[:0]
+	rt.admitted = 0
 	return victims, resident
 }
 
@@ -175,7 +174,7 @@ func (rt *staticRuntime) tryPrefill(s *sim.Simulator) bool {
 		rt.used += ctx
 		tokens += r.prefillLen()
 		admitted = append(admitted, r)
-		rt.byID[r.wl.ID] = r
+		rt.admitted++
 	}
 	rt.prefillBatch = admitted
 	if len(admitted) == 0 {
@@ -186,7 +185,7 @@ func (rt *staticRuntime) tryPrefill(s *sim.Simulator) bool {
 		prompts = append(prompts, r.prefillLen())
 	}
 	rt.promptBuf = prompts
-	dt := rt.pipe.prefillTime(rt.est, cfg, prompts)
+	dt := rt.pipe.prefillTime(cfg, prompts)
 	rt.pending = s.After(dt, "hexgen-prefill", rt.prefillDoneFn)
 	return true
 }
@@ -221,13 +220,13 @@ func (rt *staticRuntime) decodeDone(s *sim.Simulator) {
 	rt.step(s)
 }
 
-// unindex is the pool's requeue hook: a victim is no longer admitted.
-func (rt *staticRuntime) unindex(_ *sim.Simulator, r *request) { delete(rt.byID, r.wl.ID) }
+// unadmit is the pool's requeue hook: a victim is no longer admitted.
+func (rt *staticRuntime) unadmit(*sim.Simulator, *request) { rt.admitted-- }
 
 // retire hands a request whose cache is released to the fleet, with the
 // sink append batched (see fleetCore.finishDeferred); the iteration loops
 // flush once per batch.
 func (rt *staticRuntime) retire(s *sim.Simulator, r *request) {
-	delete(rt.byID, r.wl.ID)
+	rt.admitted--
 	rt.fleet.finishDeferred(s, r)
 }

@@ -34,7 +34,7 @@ func TestDecodeCostMemoBitEqual(t *testing.T) {
 		stageTimes := make([]float64, len(inst.stages))
 		var dense float64
 		for k, st := range inst.stages {
-			stageTimes[k] = parallelizer.StageDecodeTime(h.est, st, batch, inst.links[k])
+			stageTimes[k] = refStageDecodeTime(h.est, st, batch, parallelizer.StageLink(h.cfg.Cluster, st))
 			dense += stageTimes[k]
 		}
 		if len(inst.stages) > 1 {
@@ -53,12 +53,16 @@ func TestDecodeCostMemoBitEqual(t *testing.T) {
 }
 
 // TestStaticDenseMemoBitEqual is the same property for the static
-// pipeline shared by hexgen/splitwise/vllm: decodeTime with a warm memo
+// pipelines shared by hexgen/splitwise/vllm: decodeTime with a warm memo
 // must reproduce, bit for bit, both the cold result and refDecodeTime's
-// unmemoized cost, for every (batch, ctx) pair on each engine's pipeline.
+// unmemoized cost, for every (batch, ctx) pair on each engine's pipeline;
+// and prefillTime, priced from the compiled stage records and memoized for
+// one-prompt batches, must equal refPrefillTime's per-call estimator cost
+// on each pipeline that prefills, empty and zero-length prompts included.
 func TestStaticDenseMemoBitEqual(t *testing.T) {
 	cfg := DefaultConfig(model.Llama13B, hardware.PaperCluster())
-	pipes := func() []*staticPipeline {
+	type engines struct{ hx, swPrefill, swDecode, v *staticPipeline }
+	build := func() engines {
 		hx, err := NewHexGen(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -71,9 +75,12 @@ func TestStaticDenseMemoBitEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []*staticPipeline{hx.pipe, sw.decode, v.pipe}
+		return engines{hx.pipe, sw.prefill, sw.decode, v.pipe}
 	}
-	warm, cold := pipes(), pipes()
+	w, c := build(), build()
+	warm := []*staticPipeline{w.hx, w.swDecode, w.v}
+	cold := []*staticPipeline{c.hx, c.swDecode, c.v}
+	prefill := []*staticPipeline{w.hx, w.swPrefill, w.v}
 	est := perf.New(cfg.Model)
 	rng := rand.New(rand.NewSource(11))
 	// Warm each memo with every batch size first; cold recomputes each
@@ -82,26 +89,42 @@ func TestStaticDenseMemoBitEqual(t *testing.T) {
 		batch := 1 + rng.Intn(128)
 		ctx := int64(batch * (64 + rng.Intn(1024)))
 		for k := range warm {
-			dt1, d1, a1 := warm[k].decodeTime(est, &cfg, batch, ctx)
+			dt1, d1, a1 := warm[k].decodeTime(&cfg, batch, ctx)
 			cold[k].denseMemo = nil // force recomputation
-			dt2, d2, a2 := cold[k].decodeTime(est, &cfg, batch, ctx)
+			dt2, d2, a2 := cold[k].decodeTime(&cfg, batch, ctx)
 			dt3, d3, a3 := refDecodeTime(warm[k], est, cfg, batch, ctx)
 			if dt1 != dt2 || d1 != d2 || a1 != a2 || dt1 != dt3 || d1 != d3 || a1 != a3 {
 				t.Fatalf("pipeline %d batch %d ctx %d: warm (%v,%v,%v) cold (%v,%v,%v) unmemoized (%v,%v,%v)",
 					k, batch, ctx, dt1, d1, a1, dt2, d2, a2, dt3, d3, a3)
 			}
 		}
+		prompts := make([]int, rng.Intn(6))
+		for i := range prompts {
+			if rng.Intn(8) > 0 {
+				prompts[i] = rng.Intn(4096)
+			}
+		}
+		for k, p := range prefill {
+			want := refPrefillTime(p, est, cfg, prompts)
+			// The second call of a one-prompt batch is a soloMemo hit.
+			for rep := 0; rep < 2; rep++ {
+				if got := p.prefillTime(&cfg, prompts); got != want {
+					t.Fatalf("pipeline %d prompts %v call %d: prefill %v, per-call %v", k, prompts, rep, got, want)
+				}
+			}
+		}
 	}
 }
 
 // refDecodeTime is the frozen unmemoized static decode cost: every term
-// recomputed from the cost model on each call, in its original order.
+// recomputed from the estimator's per-call methods on each call, in its
+// original order.
 func refDecodeTime(p *staticPipeline, est *perf.Estimator, cfg Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
 	m := cfg.Model
 	densePerStage := make([]float64, len(p.stages))
 	attnPerStage := make([]float64, len(p.stages))
 	for k, st := range p.stages {
-		densePerStage[k] = parallelizer.StageDecodeTime(est, st, batch, p.links[k])
+		densePerStage[k] = refStageDecodeTime(est, st, batch, parallelizer.StageLink(cfg.Cluster, st))
 		heads := batch * m.Heads / st.TP
 		cacheLayer := ctxTokens * m.KVBytesPerTokenLayer() / int64(st.TP)
 		attnPerStage[k] = float64(st.Layers) * est.AttnDecodeTime(st.Spec, heads, cacheLayer)
@@ -113,4 +136,53 @@ func refDecodeTime(p *staticPipeline, est *perf.Estimator, cfg Config, batch int
 	last := p.stages[len(p.stages)-1]
 	dt += est.LMHeadTime(last.Spec, batch, last.TP)
 	return dt, moduleLatency(densePerStage), moduleLatency(attnPerStage)
+}
+
+// refPrefillTime is the static prefill cost recomputed from the
+// estimator's per-call methods, in the original order.
+func refPrefillTime(p *staticPipeline, est *perf.Estimator, cfg Config, prompts []int) float64 {
+	m := cfg.Model
+	total := 0
+	for _, l := range prompts {
+		total += l
+	}
+	var dt float64
+	for _, st := range p.stages {
+		if len(prompts) == 0 {
+			continue
+		}
+		link := parallelizer.StageLink(cfg.Cluster, st)
+		dense := est.DenseIterTime(st.Spec, total, st.Layers, st.TP)
+		attn := float64(st.Layers) * est.AttnPrefillLayerTime(st.Spec, prompts, st.TP)
+		var comm float64
+		if st.TP > 1 {
+			comm += float64(st.Layers) * 2 * perf.AllReduceTime(link, m.HiddenStateBytes(total), st.TP)
+		}
+		if st.PP > 1 {
+			comm += float64(st.PP-1) * perf.P2PTime(link, m.HiddenStateBytes(total))
+		}
+		dt += dense + attn + comm
+	}
+	if len(p.stages) > 1 {
+		dt += float64(len(p.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, m.HiddenStateBytes(total))
+	}
+	last := p.stages[len(p.stages)-1]
+	dt += est.LMHeadTime(last.Spec, len(prompts), last.TP)
+	return dt
+}
+
+// refStageDecodeTime is one stage's decode cost from the estimator's
+// per-call methods: dense compute, per-layer tensor-parallel all-reduces
+// and the hops inside the stage.
+func refStageDecodeTime(est *perf.Estimator, st parallelizer.Stage, tokens int, link hardware.LinkSpec) float64 {
+	m := est.Config()
+	dense := est.DenseIterTime(st.Spec, tokens, st.Layers, st.TP)
+	var comm float64
+	if st.TP > 1 {
+		comm += float64(st.Layers) * (2 * perf.AllReduceTime(link, m.HiddenStateBytes(tokens), st.TP))
+	}
+	if st.PP > 1 {
+		comm += float64(st.PP-1) * perf.P2PTime(link, m.HiddenStateBytes(tokens))
+	}
+	return dense + comm
 }

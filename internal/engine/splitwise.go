@@ -17,7 +17,6 @@ import (
 // hold a full copy of the model — the memory inefficiency of Fig. 1(a).
 type Splitwise struct {
 	cfg     Config
-	est     *perf.Estimator
 	prefill *staticPipeline
 	decode  *staticPipeline
 }
@@ -47,7 +46,7 @@ func NewSplitwise(cfg Config) (*Splitwise, error) {
 		pre, errP := buildStaticPipeline(cfg, est, cfg.Cluster, []hardware.TypeGroup{prefillGroup}, 8)
 		dec, errD := buildStaticPipeline(cfg, est, cfg.Cluster, decodeGroups, 32)
 		if errP == nil && errD == nil {
-			return &Splitwise{cfg: cfg, est: est, prefill: pre, decode: dec}, nil
+			return &Splitwise{cfg: cfg, prefill: pre, decode: dec}, nil
 		}
 		if keep == 1 {
 			if errP != nil {
@@ -80,7 +79,7 @@ func (sw *Splitwise) Run(reqs []workload.Request, horizon float64) (*Result, err
 	f.land = (*splitwiseRuntime).landHauled
 	err := f.provision(1, func(int) (*splitwiseRuntime, error) {
 		rt := &splitwiseRuntime{
-			tokenPool: tokenPool{cfg: sw.cfg, est: sw.est, pipe: sw.decode, res: f.res, fleet: &f.fleetCore},
+			tokenPool: tokenPool{cfg: sw.cfg, pipe: sw.decode, res: f.res, fleet: &f.fleetCore},
 			prefill:   sw.prefill,
 			prefillQ:  newWaitQueue(f.ctl.tiered()),
 			decodeQ:   newWaitQueue(f.ctl.tiered()),
@@ -245,7 +244,7 @@ func (rt *splitwiseRuntime) prefillStep(s *sim.Simulator) {
 		prompts = append(prompts, r.restartCtx)
 	}
 	rt.promptBuf = prompts
-	dt := rt.prefill.prefillTime(rt.est, cfg, prompts)
+	dt := rt.prefill.prefillTime(cfg, prompts)
 	rt.prefillPending = s.After(dt, "sw-prefill-done", rt.prefillDoneFn)
 }
 

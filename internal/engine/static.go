@@ -18,7 +18,10 @@ import (
 // stage — precisely the imbalance Fig. 1(b) illustrates.
 type staticPipeline struct {
 	stages []parallelizer.Stage
-	links  []hardware.LinkSpec
+	// costs holds each stage's cost record, compiled at build, so pricing
+	// an iteration reads fields instead of re-deriving the model and
+	// device constants per request.
+	costs []parallelizer.StageCost
 	// tokenCap is the number of cacheable tokens, bounded by the tightest
 	// stage: min_s floor(free_s / (kvPerTokenLayer · layers_s)).
 	// Occupancy lives on the runtime replica (tokenPool.used), not
@@ -36,7 +39,16 @@ type staticPipeline struct {
 	// steps.
 	denseMemo   []*staticDenseCost
 	attnScratch []float64
+	// soloMemo caches prefillTime of a one-prompt batch, indexed by the
+	// prompt length (0 until that length first prefills; a prefill always
+	// costs more). Most prefill batches hold one prompt, and its cost is a
+	// pure function of the length, so the memo never invalidates.
+	soloMemo []float64
 }
+
+// soloMemoMax bounds the prompt lengths soloMemo holds; longer prompts
+// are priced on every call.
+const soloMemoMax = 1 << 14
 
 // staticDenseCost memoizes the batch-dependent terms of decodeTime: the
 // dense stage times and their module latency, the inter-stage activation
@@ -140,7 +152,7 @@ func buildStaticPipeline(cfg Config, est *perf.Estimator, cluster *hardware.Clus
 			Layers:  layers[i],
 		}
 		p.stages = append(p.stages, st)
-		p.links = append(p.links, parallelizer.StageLink(cluster, st))
+		p.costs = append(p.costs, parallelizer.CompileStage(est, st, parallelizer.StageLink(cluster, st)))
 		free := budget(pr) - float64(layers[i])*float64(m.LayerWeightBytes())
 		if free < 0 {
 			free = 0
@@ -162,20 +174,20 @@ func (p *staticPipeline) cacheCapacityBytes() int64 { return p.tokenCap * p.kvTo
 // denseCostFor memoizes the batch-dependent terms of decodeTime; they
 // are a pure function of (stage layout, batch), so the memo never
 // invalidates.
-func (p *staticPipeline) denseCostFor(est *perf.Estimator, cfg *Config, batch int) *staticDenseCost {
+func (p *staticPipeline) denseCostFor(cfg *Config, batch int) *staticDenseCost {
 	if batch < len(p.denseMemo) && p.denseMemo[batch] != nil {
 		return p.denseMemo[batch]
 	}
-	c := &staticDenseCost{perStage: make([]float64, len(p.stages))}
-	for k, st := range p.stages {
-		c.perStage[k] = parallelizer.StageDecodeTime(est, st, batch, p.links[k])
+	c := &staticDenseCost{perStage: make([]float64, len(p.costs))}
+	for k := range p.costs {
+		c.perStage[k] = p.costs[k].DecodeTime(batch)
 	}
 	c.module = moduleLatency(c.perStage)
-	if len(p.stages) > 1 {
-		c.p2p = float64(len(p.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, cfg.Model.HiddenStateBytes(batch))
+	last := &p.costs[len(p.costs)-1]
+	if len(p.costs) > 1 {
+		c.p2p = float64(len(p.costs)-1) * perf.P2PTime(cfg.Cluster.InterLink, last.HiddenStateBytes(batch))
 	}
-	last := p.stages[len(p.stages)-1]
-	c.lmHead = est.LMHeadTime(last.Spec, batch, last.TP)
+	c.lmHead = last.LMHeadTime(batch)
 	if batch >= len(p.denseMemo) {
 		p.denseMemo = append(p.denseMemo, make([]*staticDenseCost, batch+1-len(p.denseMemo))...)
 	}
@@ -191,8 +203,8 @@ func (p *staticPipeline) denseCostFor(est *perf.Estimator, cfg *Config, batch in
 // dense and attention times in stage order, then the activation hops,
 // then the LM head — the order the unmemoized cost used — so the
 // floating-point result is bit-identical to it.
-func (p *staticPipeline) decodeTime(est *perf.Estimator, cfg *Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
-	dense := p.denseCostFor(est, cfg, batch)
+func (p *staticPipeline) decodeTime(cfg *Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
+	dense := p.denseCostFor(cfg, batch)
 	if cap(p.attnScratch) < len(p.stages) {
 		p.attnScratch = make([]float64, len(p.stages))
 	}
@@ -201,7 +213,7 @@ func (p *staticPipeline) decodeTime(est *perf.Estimator, cfg *Config, batch int,
 	cacheTokenLayer := ctxTokens * p.kvTokenLayer
 	for k := range p.stages {
 		st := &p.stages[k]
-		attnPerStage[k] = float64(st.Layers) * est.AttnDecodeTime(st.Spec, heads/st.TP, cacheTokenLayer/int64(st.TP))
+		attnPerStage[k] = float64(st.Layers) * p.costs[k].AttnDecodeTime(heads/st.TP, cacheTokenLayer/int64(st.TP))
 		dt += dense.perStage[k] + attnPerStage[k]
 	}
 	dt += dense.p2p
@@ -209,22 +221,39 @@ func (p *staticPipeline) decodeTime(est *perf.Estimator, cfg *Config, batch int,
 	return dt, dense.module, moduleLatency(attnPerStage)
 }
 
-// prefillTime is the iteration cost of prefilling the given prompts.
-func (p *staticPipeline) prefillTime(est *perf.Estimator, cfg *Config, prompts []int) float64 {
-	m := &cfg.Model
-	total := 0
-	for _, l := range prompts {
-		total += l
+// prefillTime is the iteration cost of prefilling the given prompts: each
+// stage's prefill, the activation hops between stages, then the LM head.
+// A one-prompt batch is priced once per prompt length.
+func (p *staticPipeline) prefillTime(cfg *Config, prompts []int) float64 {
+	if len(prompts) != 1 || uint(prompts[0]) >= soloMemoMax {
+		return p.pricePrefill(cfg, prompts)
 	}
+	l := prompts[0]
+	if l < len(p.soloMemo) && p.soloMemo[l] != 0 {
+		return p.soloMemo[l]
+	}
+	if l >= len(p.soloMemo) {
+		p.soloMemo = append(p.soloMemo, make([]float64, l+1-len(p.soloMemo))...)
+	}
+	p.soloMemo[l] = p.pricePrefill(cfg, prompts)
+	return p.soloMemo[l]
+}
+
+// pricePrefill is prefillTime computed from the stage cost records.
+func (p *staticPipeline) pricePrefill(cfg *Config, prompts []int) float64 {
 	var dt float64
-	for k, st := range p.stages {
-		dt += parallelizer.StagePrefillTime(est, st, prompts, p.links[k])
+	for k := range p.costs {
+		dt += p.costs[k].PrefillTime(prompts)
 	}
-	if len(p.stages) > 1 {
-		dt += float64(len(p.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, m.HiddenStateBytes(total))
+	last := &p.costs[len(p.costs)-1]
+	if len(p.costs) > 1 {
+		total := 0
+		for _, l := range prompts {
+			total += l
+		}
+		dt += float64(len(p.costs)-1) * perf.P2PTime(cfg.Cluster.InterLink, last.HiddenStateBytes(total))
 	}
-	last := p.stages[len(p.stages)-1]
-	dt += est.LMHeadTime(last.Spec, len(prompts), last.TP)
+	dt += last.LMHeadTime(len(prompts))
 	return dt
 }
 
@@ -248,7 +277,6 @@ func (p *staticPipeline) prefillTime(est *perf.Estimator, cfg *Config, prompts [
 // its finishers.
 type tokenPool struct {
 	cfg   Config
-	est   *perf.Estimator
 	pipe  *staticPipeline
 	res   *Result
 	fleet *fleetCore
@@ -329,7 +357,7 @@ func (p *tokenPool) leave(r *request) {
 // launchDecode prices one decode iteration of the running batch, records
 // its §7.3 module latencies, and schedules done at its end.
 func (p *tokenPool) launchDecode(s *sim.Simulator, name string, done func(*sim.Simulator)) sim.Handle {
-	dt, dense, attn := p.pipe.decodeTime(p.est, &p.cfg, len(p.running), p.ctxSum)
+	dt, dense, attn := p.pipe.decodeTime(&p.cfg, len(p.running), p.ctxSum)
 	p.res.DenseTimes.Append(dense)
 	p.res.AttnTimes.Append(attn)
 	return s.After(dt, name, done)

@@ -16,7 +16,6 @@ import (
 // high-end-only floor that Hetis must beat to justify itself.
 type VLLM struct {
 	cfg  Config
-	est  *perf.Estimator
 	pipe *staticPipeline
 }
 
@@ -25,14 +24,13 @@ func NewVLLM(cfg Config) (*VLLM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	est := perf.New(cfg.Model)
 	groups := cfg.Cluster.DevicesByType()
 	top := groups[:1]
-	pipe, err := buildStaticPipeline(cfg, est, cfg.Cluster, top, 32)
+	pipe, err := buildStaticPipeline(cfg, perf.New(cfg.Model), cfg.Cluster, top, 32)
 	if err != nil {
 		return nil, fmt.Errorf("engine: vllm: %w", err)
 	}
-	return &VLLM{cfg: cfg, est: est, pipe: pipe}, nil
+	return &VLLM{cfg: cfg, pipe: pipe}, nil
 }
 
 // Name implements Engine.
@@ -55,5 +53,5 @@ func (v *VLLM) Devices() []hardware.DeviceID {
 
 // Run implements Engine, reusing the colocated static runtime.
 func (v *VLLM) Run(reqs []workload.Request, horizon float64) (*Result, error) {
-	return runStatic(v.Name(), v.cfg, v.est, v.pipe, v.CacheCapacity(), reqs, horizon)
+	return runStatic(v.Name(), v.cfg, v.pipe, v.CacheCapacity(), reqs, horizon)
 }

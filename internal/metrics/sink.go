@@ -196,17 +196,28 @@ func NewStreamingSink(slo SLOTarget) *StreamingSink {
 
 // Observe implements Sink. Dropped records are counted separately and
 // excluded from the latency sketches (see RequestRecord.Dropped).
-func (s *StreamingSink) Observe(r RequestRecord) {
+func (s *StreamingSink) Observe(r RequestRecord) { s.observe(&r) }
+
+// ObserveBatch implements BatchSink: the engines' per-iteration batches
+// reach observe without an interface call and a record copy each.
+func (s *StreamingSink) ObserveBatch(recs []RequestRecord) {
+	for i := range recs {
+		s.observe(&recs[i])
+	}
+}
+
+func (s *StreamingSink) observe(r *RequestRecord) {
 	if r.Dropped {
 		s.dropped++
 		return
 	}
 	s.count++
-	if s.slo.Attained(r) {
+	ttft, tpot := r.TTFT(), r.TPOT()
+	if s.slo.met(ttft, tpot) {
 		s.attained++
 	}
-	s.ttft.Observe(r.TTFT())
-	s.tpot.Observe(r.TPOT())
+	s.ttft.Observe(ttft)
+	s.tpot.Observe(tpot)
 	s.norm.Observe(r.NormLatency())
 }
 

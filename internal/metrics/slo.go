@@ -23,16 +23,13 @@ func (s SLOTarget) IsZero() bool { return s.TTFT == 0 && s.TPOT == 0 }
 // request never attains — even against the zero SLOTarget — because a
 // request the system refused to serve met no latency target at all.
 func (s SLOTarget) Attained(r RequestRecord) bool {
-	if r.Dropped {
-		return false
-	}
-	if s.TTFT > 0 && r.TTFT() > s.TTFT {
-		return false
-	}
-	if s.TPOT > 0 && r.TPOT() > s.TPOT {
-		return false
-	}
-	return true
+	return !r.Dropped && s.met(r.TTFT(), r.TPOT())
+}
+
+// met reports whether a finished request's TTFT and TPOT meet every set
+// objective.
+func (s SLOTarget) met(ttft, tpot float64) bool {
+	return !(s.TTFT > 0 && ttft > s.TTFT) && !(s.TPOT > 0 && tpot > s.TPOT)
 }
 
 // Attained counts the recorded requests meeting the SLO.

@@ -5,33 +5,61 @@ import (
 	"hetis/internal/perf"
 )
 
-// StageDecodeTime models one decode iteration of `tokens` sequences through
-// a concrete stage: sub-stage dense compute, per-layer tensor-parallel
-// all-reduces, and pipeline hops inside the stage. link is the channel the
-// stage's collectives run over.
-func StageDecodeTime(est *perf.Estimator, st Stage, tokens int, link hardware.LinkSpec) float64 {
-	return stageDecodeCost(est, est.Config(), st.Spec, st.Layers, st.TP, st.PP, tokens, link)
+// StageCost is a pipeline stage's cost record: its device's constants
+// compiled once (perf.DeviceCost), its layout and the link its collectives
+// run over. Engines compile one per stage at build and price every
+// iteration from it, so the per-request path reads fields instead of
+// re-deriving the model and device constants.
+type StageCost struct {
+	perf.DeviceCost
+	layers, tp, pp int
+	link           hardware.LinkSpec
 }
 
-// StagePrefillTime models prefilling prompts with the given lengths through
+// CompileStage builds st's cost record; link is the channel the stage's
+// collectives run over (StageLink).
+func CompileStage(est *perf.Estimator, st Stage, link hardware.LinkSpec) StageCost {
+	return compileStage(est, st.Spec, st.Layers, st.TP, st.PP, link)
+}
+
+func compileStage(est *perf.Estimator, spec hardware.GPUSpec, layers, tp, pp int, link hardware.LinkSpec) StageCost {
+	return StageCost{DeviceCost: est.Compile(spec, tp), layers: layers, tp: tp, pp: pp, link: link}
+}
+
+// DecodeTime models one decode iteration of `tokens` sequences through the
+// stage: sub-stage dense compute, per-layer tensor-parallel all-reduces,
+// and pipeline hops inside the stage.
+func (c *StageCost) DecodeTime(tokens int) float64 {
+	dense := float64(c.layers) * c.DenseLayerTime(tokens)
+	var comm float64
+	if c.tp > 1 {
+		perLayer := 2 * perf.AllReduceTime(c.link, c.HiddenStateBytes(tokens), c.tp)
+		comm += float64(c.layers) * perLayer
+	}
+	if c.pp > 1 {
+		comm += float64(c.pp-1) * perf.P2PTime(c.link, c.HiddenStateBytes(tokens))
+	}
+	return dense + comm
+}
+
+// PrefillTime models prefilling prompts with the given lengths through
 // the stage (dense + prompt attention + collectives).
-func StagePrefillTime(est *perf.Estimator, st Stage, promptLens []int, link hardware.LinkSpec) float64 {
+func (c *StageCost) PrefillTime(promptLens []int) float64 {
 	if len(promptLens) == 0 {
 		return 0
 	}
-	cfg := est.Config()
 	total := 0
 	for _, l := range promptLens {
 		total += l
 	}
-	dense := est.DenseIterTime(st.Spec, total, st.Layers, st.TP)
-	attn := float64(st.Layers) * est.AttnPrefillLayerTime(st.Spec, promptLens, st.TP)
+	dense := float64(c.layers) * c.DenseLayerTime(total)
+	attn := float64(c.layers) * c.AttnPrefillLayerTime(promptLens)
 	var comm float64
-	if st.TP > 1 {
-		comm += float64(st.Layers) * 2 * perf.AllReduceTime(link, cfg.HiddenStateBytes(total), st.TP)
+	if c.tp > 1 {
+		comm += float64(c.layers) * 2 * perf.AllReduceTime(c.link, c.HiddenStateBytes(total), c.tp)
 	}
-	if st.PP > 1 {
-		comm += float64(st.PP-1) * perf.P2PTime(link, cfg.HiddenStateBytes(total))
+	if c.pp > 1 {
+		comm += float64(c.pp-1) * perf.P2PTime(c.link, c.HiddenStateBytes(total))
 	}
 	return dense + attn + comm
 }

@@ -448,10 +448,14 @@ func assembleProto(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Con
 	}
 	var protoStages []protoStage
 	var decodeCost, prefillCost float64
+	prompts := make([]int, prefillBatch)
+	for i := range prompts {
+		prompts[i] = wl.AvgPrompt
+	}
 	for _, st := range stages {
 		bestCost := math.Inf(1)
 		var bestTP, bestPP int
-		var bestPrefill float64
+		var bestDecode, bestPrefill float64
 		link := worstIntraTypeLink(cluster, typeGroups, st.spec.Name, st.count)
 		for tp := 1; tp <= st.count; tp++ {
 			if st.count%tp != 0 {
@@ -462,18 +466,19 @@ func assembleProto(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Con
 				continue
 			}
 			evaluated++
-			dec := stageDecodeCost(est, cfg, st.spec, st.layers, tp, pp, decodeBatch, link)
-			pre := stagePrefillCost(est, cfg, st.spec, st.layers, tp, pp, prefillBatch, wl.AvgPrompt, link)
+			sc := compileStage(est, st.spec, st.layers, tp, pp, link)
+			dec := sc.DecodeTime(decodeBatch)
+			pre := sc.PrefillTime(prompts)
 			total := float64(wl.AvgOutput)*dec + pre
 			if total < bestCost {
-				bestCost, bestTP, bestPP, bestPrefill = total, tp, pp, pre
+				bestCost, bestTP, bestPP, bestDecode, bestPrefill = total, tp, pp, dec, pre
 			}
 		}
 		if math.IsInf(bestCost, 1) {
 			return nil, evaluated, fmt.Errorf("parallelizer: no TP/PP layout for stage %s", st.spec.Name)
 		}
 		protoStages = append(protoStages, protoStage{spec: st.spec, count: st.count, tp: bestTP, pp: bestPP, layers: st.layers})
-		decodeCost += stageDecodeCost(est, cfg, st.spec, st.layers, bestTP, bestPP, decodeBatch, link)
+		decodeCost += bestDecode
 		prefillCost += bestPrefill
 	}
 
@@ -676,40 +681,6 @@ func apportionMinMax(total int, unitCost []float64) []int {
 		out[dst]++
 	}
 	return out
-}
-
-// stageDecodeCost models one decode iteration through a stage organized as
-// tp×pp: sub-stage dense compute + per-layer TP all-reduces + pp-1 hops.
-func stageDecodeCost(est *perf.Estimator, cfg model.Config, spec hardware.GPUSpec, layers, tp, pp, tokens int, link hardware.LinkSpec) float64 {
-	dense := est.DenseIterTime(spec, tokens, layers, tp)
-	var comm float64
-	if tp > 1 {
-		perLayer := 2 * perf.AllReduceTime(link, cfg.HiddenStateBytes(tokens), tp)
-		comm += float64(layers) * perLayer
-	}
-	if pp > 1 {
-		comm += float64(pp-1) * perf.P2PTime(link, cfg.HiddenStateBytes(tokens))
-	}
-	return dense + comm
-}
-
-// stagePrefillCost models prefilling a batch of prompts through the stage.
-func stagePrefillCost(est *perf.Estimator, cfg model.Config, spec hardware.GPUSpec, layers, tp, pp, batch, promptLen int, link hardware.LinkSpec) float64 {
-	prompts := make([]int, batch)
-	for i := range prompts {
-		prompts[i] = promptLen
-	}
-	tokens := batch * promptLen
-	dense := est.DenseIterTime(spec, tokens, layers, tp)
-	attn := float64(layers) * est.AttnPrefillLayerTime(spec, prompts, tp)
-	var comm float64
-	if tp > 1 {
-		comm += float64(layers) * 2 * perf.AllReduceTime(link, cfg.HiddenStateBytes(tokens), tp)
-	}
-	if pp > 1 {
-		comm += float64(pp-1) * perf.P2PTime(link, cfg.HiddenStateBytes(tokens))
-	}
-	return dense + attn + comm
 }
 
 // worstIntraTypeLink finds the slowest link inside the first `count`

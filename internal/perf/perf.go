@@ -51,16 +51,6 @@ func satRows(spec hardware.GPUSpec) float64 {
 	}
 }
 
-// effFLOPS is the achievable FLOP/s on a matmul with the given number of
-// rows (tokens in the batch).
-func effFLOPS(spec hardware.GPUSpec, rows float64) float64 {
-	if rows <= 0 {
-		rows = 1
-	}
-	sat := satRows(spec)
-	return spec.EffFLOPS() * rows / (rows + sat)
-}
-
 // Estimator predicts module times for one model on arbitrary devices.
 type Estimator struct {
 	cfg model.Config
@@ -77,11 +67,149 @@ func New(cfg model.Config) *Estimator {
 // Config returns the model the estimator was built for.
 func (e *Estimator) Config() model.Config { return e.cfg }
 
-// roofline combines compute and memory cost with fixed kernel overhead.
-func roofline(spec hardware.GPUSpec, flops float64, bytes float64, rows float64, kernels float64) float64 {
-	comp := flops / effFLOPS(spec, rows)
-	mem := bytes / spec.EffBandwidth()
-	return math.Max(comp, mem) + kernels*spec.LaunchOverhead
+// DeviceCost is the estimator's cost record for one GPU spec at one
+// tensor-parallel degree: every model and device constant the module
+// formulas read, derived once by Compile, so a caller that prices many
+// iterations on one device reads fields instead of re-deriving them from
+// value copies of the spec and the model config. The Estimator's per-call
+// methods compile a record and price through it, so each module has one
+// formula.
+type DeviceCost struct {
+	tp   float64 // the tensor-parallel degree, at least 1
+	lmTP float64 // the degree as given, which the LM head divides by
+
+	flops   float64 // effective dense FLOP/s
+	satRows float64
+	bw      float64 // effective memory bandwidth
+
+	denseFlops   float64 // dense FLOPs per token in one layer
+	weightBytes  float64 // one layer's weight bytes divided by tp
+	hiddenBytes  int64   // hidden-state bytes per token
+	attnCoef     float64 // 4·Heads·HeadDim: prefill attention FLOPs per l²·2
+	kvTokenLayer float64 // KV bytes per token in one layer
+	hidden       float64
+	vocab        float64
+	lmBytes      float64 // LM head weight bytes divided by lmTP
+
+	// denseLaunch, attnLaunch and lmLaunch are each module's
+	// kernels × LaunchOverhead term; perHead is LaunchOverhead·1e-3, the
+	// decode attention kernel's per-head issue cost.
+	denseLaunch, attnLaunch, lmLaunch float64
+	perHead                           float64
+}
+
+// Compile derives the cost record of spec at tensor-parallel degree tp.
+func (e *Estimator) Compile(spec hardware.GPUSpec, tp int) DeviceCost {
+	c := &e.cfg
+	d := DeviceCost{
+		lmTP:         float64(tp),
+		flops:        spec.EffFLOPS(),
+		satRows:      satRows(spec),
+		bw:           spec.EffBandwidth(),
+		denseFlops:   c.DenseFlopsPerToken(),
+		hiddenBytes:  c.HiddenStateBytes(1),
+		attnCoef:     4 * float64(c.Heads) * float64(c.HeadDim()),
+		kvTokenLayer: float64(c.KVBytesPerTokenLayer()),
+		hidden:       float64(c.Hidden),
+		vocab:        float64(c.Vocab),
+		lmBytes:      float64(c.Hidden) * float64(c.Vocab) * float64(c.BytesPerParam) / float64(tp),
+		denseLaunch:  kernelsDense * spec.LaunchOverhead,
+		attnLaunch:   kernelsAttn * spec.LaunchOverhead,
+		lmLaunch:     1 * spec.LaunchOverhead,
+		perHead:      spec.LaunchOverhead * 1e-3,
+	}
+	if tp < 1 {
+		tp = 1
+	}
+	d.tp = float64(tp)
+	d.weightBytes = float64(c.LayerWeightBytes()) / float64(tp)
+	return d
+}
+
+// roofline combines compute and memory cost with the fixed kernel
+// overhead launch. The achievable FLOP/s saturates with the matmul row
+// count (at least one): small decode batches underutilize wide GPUs.
+func (d *DeviceCost) roofline(flops, bytes, rows, launch float64) float64 {
+	if rows <= 0 {
+		rows = 1
+	}
+	comp := flops / (d.flops * rows / (rows + d.satRows))
+	mem := bytes / d.bw
+	return math.Max(comp, mem) + launch
+}
+
+// HiddenStateBytes is the activation size of n tokens, the unit moved
+// between pipeline stages and reduced across a tensor-parallel group.
+func (d *DeviceCost) HiddenStateBytes(n int) int64 { return int64(n) * d.hiddenBytes }
+
+// DenseLayerTime is Estimator.DenseLayerTime on the compiled device.
+func (d *DeviceCost) DenseLayerTime(tokens int) float64 {
+	if tokens <= 0 {
+		return 0
+	}
+	t := float64(tokens)
+	flops := t * d.denseFlops / d.tp
+	actBytes := float64(d.HiddenStateBytes(tokens)) * 4 // read/write around each module
+	return d.roofline(flops, d.weightBytes+actBytes, t, d.denseLaunch)
+}
+
+// LMHeadTime is Estimator.LMHeadTime on the compiled device.
+func (d *DeviceCost) LMHeadTime(tokens int) float64 {
+	if tokens <= 0 {
+		return 0
+	}
+	t := float64(tokens)
+	flops := 2 * t * d.hidden * d.vocab / d.lmTP
+	return d.roofline(flops, d.lmBytes, t, d.lmLaunch)
+}
+
+// AttnPrefillLayerTime is Estimator.AttnPrefillLayerTime on the compiled
+// device.
+func (d *DeviceCost) AttnPrefillLayerTime(promptLens []int) float64 {
+	if len(promptLens) == 0 {
+		return 0
+	}
+	var flops float64
+	var rows float64
+	var kvBytes float64
+	for _, l := range promptLens {
+		lf := float64(l)
+		flops += d.attnCoef * lf * lf / 2 // model.Config.AttnFlopsPrefill
+		rows += lf
+		kvBytes += lf * d.kvTokenLayer
+	}
+	flops /= d.tp
+	kvBytes /= d.tp
+	return d.roofline(flops, kvBytes, rows, d.attnLaunch)
+}
+
+// AttnDecodeTime is Estimator.AttnDecodeTime on the compiled device; it
+// does not depend on the tensor-parallel degree.
+func (d *DeviceCost) AttnDecodeTime(heads int, cacheBytes int64) float64 {
+	if heads <= 0 || cacheBytes <= 0 {
+		return 0
+	}
+	h := float64(heads)
+	g := float64(cacheBytes)
+
+	// Per-head issue cost: each query head is a separate block of work for
+	// the paged-attention kernel (q·Kᵀ GEMV setup, softmax, A·V). Scaled
+	// off the launch overhead so older parts pay proportionally more;
+	// ≈25 ns per head on A100-class GPUs, matching the slope of Fig. 7(c).
+	issue := h * d.perHead
+
+	// Cache streaming, with saturation: small transfers do not reach full
+	// HBM bandwidth. Saturation half-point at 8 MB.
+	const halfSat = 8 << 20
+	bw := d.bw * g / (g + halfSat)
+	stream := g / bw
+
+	// Head-contention term: beyond the SM count, heads queue behind each
+	// other; modelled as a soft quadratic with a large scale so the ground
+	// truth stays near-linear (Fig. 7(c)) yet not exactly linear.
+	contention := issue * h / 16384
+
+	return issue + stream + contention + d.attnLaunch
 }
 
 // DenseLayerTime is the time for the parameter-carrying modules (QKV
@@ -90,17 +218,8 @@ func roofline(spec hardware.GPUSpec, flops float64, bytes float64, rows float64,
 // FLOPs and weight traffic). Weight bytes are charged because at decode
 // batch sizes dense modules are weight-bandwidth-bound.
 func (e *Estimator) DenseLayerTime(spec hardware.GPUSpec, tokens int, tp int) float64 {
-	if tokens <= 0 {
-		return 0
-	}
-	if tp < 1 {
-		tp = 1
-	}
-	t := float64(tokens)
-	flops := t * e.cfg.DenseFlopsPerToken() / float64(tp)
-	weightBytes := float64(e.cfg.LayerWeightBytes()) / float64(tp)
-	actBytes := float64(e.cfg.HiddenStateBytes(tokens)) * 4 // read/write around each module
-	return roofline(spec, flops, weightBytes+actBytes, t, kernelsDense)
+	d := e.Compile(spec, tp)
+	return d.DenseLayerTime(tokens)
 }
 
 // DenseIterTime is DenseLayerTime summed over layers.
@@ -111,36 +230,16 @@ func (e *Estimator) DenseIterTime(spec hardware.GPUSpec, tokens, layers, tp int)
 // LMHeadTime is the final vocabulary projection for tokens rows, sharded tp
 // ways. Only the last pipeline stage pays it.
 func (e *Estimator) LMHeadTime(spec hardware.GPUSpec, tokens, tp int) float64 {
-	if tokens <= 0 {
-		return 0
-	}
-	t := float64(tokens)
-	flops := 2 * t * float64(e.cfg.Hidden) * float64(e.cfg.Vocab) / float64(tp)
-	bytes := float64(e.cfg.Hidden) * float64(e.cfg.Vocab) * float64(e.cfg.BytesPerParam) / float64(tp)
-	return roofline(spec, flops, bytes, t, 1)
+	d := e.Compile(spec, tp)
+	return d.LMHeadTime(tokens)
 }
 
 // AttnPrefillLayerTime is the attention-score computation of one layer for a
 // set of prompts being prefilled together, with heads sharded tp ways.
 // Prefill attention is compute-bound (quadratic in prompt length).
 func (e *Estimator) AttnPrefillLayerTime(spec hardware.GPUSpec, promptLens []int, tp int) float64 {
-	if len(promptLens) == 0 {
-		return 0
-	}
-	if tp < 1 {
-		tp = 1
-	}
-	var flops float64
-	var rows float64
-	var kvBytes float64
-	for _, l := range promptLens {
-		flops += e.cfg.AttnFlopsPrefill(l)
-		rows += float64(l)
-		kvBytes += float64(l) * float64(e.cfg.KVBytesPerTokenLayer())
-	}
-	flops /= float64(tp)
-	kvBytes /= float64(tp)
-	return roofline(spec, flops, kvBytes, rows, kernelsAttn)
+	d := e.Compile(spec, tp)
+	return d.AttnPrefillLayerTime(promptLens)
 }
 
 // AttnDecodeTime is the ground truth for the quantity the paper models as
@@ -153,31 +252,8 @@ func (e *Estimator) AttnPrefillLayerTime(spec hardware.GPUSpec, promptLens []int
 // bandwidth-saturation term makes the ground truth not exactly linear, so
 // the Profiler's linear fit is an approximation, as it is on real hardware.
 func (e *Estimator) AttnDecodeTime(spec hardware.GPUSpec, heads int, cacheBytes int64) float64 {
-	if heads <= 0 || cacheBytes <= 0 {
-		return 0
-	}
-	h := float64(heads)
-	g := float64(cacheBytes)
-
-	// Per-head issue cost: each query head is a separate block of work for
-	// the paged-attention kernel (q·Kᵀ GEMV setup, softmax, A·V). Scaled
-	// off the launch overhead so older parts pay proportionally more;
-	// ≈25 ns per head on A100-class GPUs, matching the slope of Fig. 7(c).
-	perHead := spec.LaunchOverhead * 1e-3
-	issue := h * perHead
-
-	// Cache streaming, with saturation: small transfers do not reach full
-	// HBM bandwidth. Saturation half-point at 8 MB.
-	const halfSat = 8 << 20
-	bw := spec.EffBandwidth() * g / (g + halfSat)
-	stream := g / bw
-
-	// Head-contention term: beyond the SM count, heads queue behind each
-	// other; modelled as a soft quadratic with a large scale so the ground
-	// truth stays near-linear (Fig. 7(c)) yet not exactly linear.
-	contention := issue * h / 16384
-
-	return issue + stream + contention + kernelsAttn*spec.LaunchOverhead
+	d := e.Compile(spec, 1)
+	return d.AttnDecodeTime(heads, cacheBytes)
 }
 
 // AttnDecodeTimeForRequests is a convenience over AttnDecodeTime for a set

@@ -114,13 +114,14 @@ func Run(est *perf.Estimator, cluster *hardware.Cluster, primary hardware.Device
 // fitAttn samples the ground-truth attention time on a grid and fits Eq. 3.
 func fitAttn(est *perf.Estimator, spec hardware.GPUSpec, opts Options) (AttnModel, float64) {
 	n := opts.GridPoints
+	dc := est.Compile(spec, 1)
 	var feats [][3]float64
 	var ys []float64
 	for i := 1; i <= n; i++ {
 		h := i * opts.MaxHeads / n
 		for j := 1; j <= n; j++ {
 			g := int64(j) * opts.MaxCacheBytes / int64(n)
-			y := est.AttnDecodeTime(spec, h, g)
+			y := dc.AttnDecodeTime(h, g)
 			feats = append(feats, [3]float64{float64(h), float64(g), 1})
 			ys = append(ys, y)
 		}
@@ -134,7 +135,7 @@ func fitAttn(est *perf.Estimator, spec hardware.GPUSpec, opts Options) (AttnMode
 	for i := 1; i < n; i++ {
 		h := i*opts.MaxHeads/n + opts.MaxHeads/(2*n)
 		g := int64(i)*opts.MaxCacheBytes/int64(n) + opts.MaxCacheBytes/int64(2*n)
-		truth := est.AttnDecodeTime(spec, h, g)
+		truth := dc.AttnDecodeTime(h, g)
 		if truth <= 0 {
 			continue
 		}

@@ -118,9 +118,9 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 		cfg.Chaos = chaos
 		if opts.Stream {
 			// Every shard gets the pipeline shape of the whole trace (a
-			// shard that happens to see one tenant still builds the tenant
-			// mux), so the shard sinks merge structurally.
-			sh.pipeline = newStreamPipeline(spec.SLO, opts.Window, f.tenants, tierKey)
+			// shard that happens to see one tenant of several still builds
+			// the tenant mux), so the shard sinks merge structurally.
+			sh.pipeline = newStreamPipeline(spec.SLO, opts.Window, offeredBy, tierKey)
 			cfg.Sink = sh.pipeline.sink
 			cfg.NoTrace = true
 		}

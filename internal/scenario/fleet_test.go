@@ -173,7 +173,7 @@ func TestFleetMergeMismatchIsError(t *testing.T) {
 	}
 	// Shard 2's merge-time sink gains a windowed series the others lack,
 	// so the Tee arities differ.
-	fr.shards[2].pipeline = newStreamPipeline(fr.Spec.SLO, 5, fr.tenants, nil)
+	fr.shards[2].pipeline = newStreamPipeline(fr.Spec.SLO, 5, fr.offeredBy, nil)
 	_, err = fr.Run(1)
 	if err == nil {
 		t.Fatal("mismatched shard sink merged without error")

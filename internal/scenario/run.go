@@ -106,24 +106,32 @@ func RunEngine(spec Spec, engineName string, opts Options) (*metrics.Table, erro
 
 // streamPipeline is the sink stack a streaming run measures through:
 // Tee(agg, [KeyedMux(tenant)], [KeyedMux(tier)], [windows]). The tenant mux
-// exists only when the trace is multi-tenant and the tier mux only for
-// tiered chaos runs, so a single-tenant run without windows feeds one
-// bare StreamingSink.
+// exists only when the trace has two or more tenants and the tier mux only
+// for tiered chaos runs, so a run of one tenant without windows feeds one
+// bare StreamingSink. A trace whose every request names the same tenant
+// gets that tenant's row from the aggregate, under its name (sole).
 type streamPipeline struct {
 	agg     *metrics.StreamingSink
 	tenants *metrics.KeyedMux
 	tiers   *metrics.KeyedMux
 	windows *metrics.WindowedSeries
 	sink    metrics.Sink
+	sole    string
 }
 
-func newStreamPipeline(slo metrics.SLOTarget, window float64, tenants bool, tierKey func(metrics.RequestRecord) string) *streamPipeline {
+// newStreamPipeline builds the pipeline for a trace with the given
+// per-tenant counts. The shape depends only on offered and tierKey, so
+// every shard of a run built from the whole trace's counts merges.
+func newStreamPipeline(slo metrics.SLOTarget, window float64, offered map[string]int, tierKey func(metrics.RequestRecord) string) *streamPipeline {
 	sub := func(string) metrics.Sink { return metrics.NewStreamingSink(slo) }
 	p := &streamPipeline{agg: metrics.NewStreamingSink(slo)}
 	var rest []metrics.Sink
-	if tenants {
+	switch {
+	case len(offered) > 1:
 		p.tenants = metrics.NewKeyedMux(func(r metrics.RequestRecord) string { return r.Tenant }, sub)
 		rest = append(rest, p.tenants)
+	case multiTenant(offered):
+		p.sole = tenantNames(offered)[0]
 	}
 	if tierKey != nil {
 		p.tiers = metrics.NewKeyedMux(tierKey, sub)
@@ -143,11 +151,16 @@ func newStreamPipeline(slo metrics.SLOTarget, window float64, tenants bool, tier
 // stats reads the pipeline's slices as the row writer's input: counts,
 // goodput and attainment are exact, percentiles carry the sketch bound.
 func (p *streamPipeline) stats(horizon float64) runStats {
-	return runStats{
-		all:     p.agg.Snapshot().Stats("", horizon),
+	all := p.agg.Snapshot()
+	st := runStats{
+		all:     all.Stats("", horizon),
 		tenants: keyedStats(p.tenants, horizon),
 		tiers:   keyedStats(p.tiers, horizon),
 	}
+	if p.sole != "" {
+		st.tenants = map[string]metrics.TenantStats{p.sole: all.Stats(p.sole, horizon)}
+	}
+	return st
 }
 
 // keyedStats indexes a mux's sub-sink snapshots by key (nil for no mux).

@@ -19,11 +19,7 @@ type StageCost struct {
 // CompileStage builds st's cost record; link is the channel the stage's
 // collectives run over (StageLink).
 func CompileStage(est *perf.Estimator, st Stage, link hardware.LinkSpec) StageCost {
-	return compileStage(est, st.Spec, st.Layers, st.TP, st.PP, link)
-}
-
-func compileStage(est *perf.Estimator, spec hardware.GPUSpec, layers, tp, pp int, link hardware.LinkSpec) StageCost {
-	return StageCost{DeviceCost: est.Compile(spec, tp), layers: layers, tp: tp, pp: pp, link: link}
+	return StageCost{DeviceCost: est.Compile(st.Spec, st.TP), layers: st.Layers, tp: st.TP, pp: st.PP, link: link}
 }
 
 // DecodeTime models one decode iteration of `tokens` sequences through the

@@ -466,7 +466,7 @@ func assembleProto(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Con
 				continue
 			}
 			evaluated++
-			sc := compileStage(est, st.spec, st.layers, tp, pp, link)
+			sc := CompileStage(est, Stage{Spec: st.spec, TP: tp, PP: pp, Layers: st.layers}, link)
 			dec := sc.DecodeTime(decodeBatch)
 			pre := sc.PrefillTime(prompts)
 			total := float64(wl.AvgOutput)*dec + pre

@@ -126,3 +126,28 @@ func TestChaosBudgetStillAbortsRunaway(t *testing.T) {
 		t.Errorf("guard tripped after %d events, want budget %d + the aborting event", s.Executed, budget)
 	}
 }
+
+// TestStaticEvacuationLosesNoRequest runs the storm on the static engines
+// until it drains: every request must complete or be dropped. The storm
+// tears replicas down mid-prefill, so a request admitted to an in-flight
+// prefill must come back out of evacuate as a victim; one that did not
+// would sit in the ledger's Queued term forever.
+func TestStaticEvacuationLosesNoRequest(t *testing.T) {
+	reqs := workload.Poisson(workload.HumanEval, 4, 20, 7)
+	cfg := DefaultConfig(model.Llama13B, hardware.PaperCluster())
+	cfg.Chaos = stormConfig()
+	for _, name := range []string{"hexgen", "vllm"} {
+		eng, err := NewByName(name, cfg, reqs)
+		if err != nil {
+			t.Fatalf("%s: build: %v", name, err)
+		}
+		res, err := eng.Run(reqs, 0)
+		if err != nil {
+			t.Fatalf("%s: run: %v", name, err)
+		}
+		if res.Queued != 0 || res.Completed+res.Dropped != len(reqs) {
+			t.Errorf("%s: completed %d + dropped %d of %d offered, %d never left the system",
+				name, res.Completed, res.Dropped, len(reqs), res.Queued)
+		}
+	}
+}

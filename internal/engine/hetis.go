@@ -473,19 +473,7 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 // and the scatter of pool-resident KV shards.
 func (inst *hetisInstance) prefillTime(prompts []int, admitted []*request) float64 {
 	cfg := inst.cfg
-	total := 0
-	for _, p := range prompts {
-		total += p
-	}
-	var dt float64
-	for k := range inst.costs {
-		dt += inst.costs[k].PrefillTime(prompts)
-	}
-	last := &inst.costs[len(inst.costs)-1]
-	if len(inst.costs) > 1 {
-		dt += float64(len(inst.costs)-1) * perf.P2PTime(cfg.Cluster.InterLink, last.HiddenStateBytes(total))
-	}
-	dt += last.LMHeadTime(len(prompts))
+	dt := stagesPrefillTime(inst.costs, cfg.Cluster.InterLink, prompts)
 
 	// KV scatter: shards dispatched to pool workers ship over their links
 	// concurrently; the slowest leg gates the iteration.

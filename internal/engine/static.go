@@ -221,12 +221,11 @@ func (p *staticPipeline) decodeTime(cfg *Config, batch int, ctxTokens int64) (dt
 	return dt, dense.module, moduleLatency(attnPerStage)
 }
 
-// prefillTime is the iteration cost of prefilling the given prompts: each
-// stage's prefill, the activation hops between stages, then the LM head.
-// A one-prompt batch is priced once per prompt length.
+// prefillTime is the iteration cost of prefilling the given prompts
+// (stagesPrefillTime); a one-prompt batch is priced once per length.
 func (p *staticPipeline) prefillTime(cfg *Config, prompts []int) float64 {
 	if len(prompts) != 1 || uint(prompts[0]) >= soloMemoMax {
-		return p.pricePrefill(cfg, prompts)
+		return stagesPrefillTime(p.costs, cfg.Cluster.InterLink, prompts)
 	}
 	l := prompts[0]
 	if l < len(p.soloMemo) && p.soloMemo[l] != 0 {
@@ -235,26 +234,27 @@ func (p *staticPipeline) prefillTime(cfg *Config, prompts []int) float64 {
 	if l >= len(p.soloMemo) {
 		p.soloMemo = append(p.soloMemo, make([]float64, l+1-len(p.soloMemo))...)
 	}
-	p.soloMemo[l] = p.pricePrefill(cfg, prompts)
+	p.soloMemo[l] = stagesPrefillTime(p.costs, cfg.Cluster.InterLink, prompts)
 	return p.soloMemo[l]
 }
 
-// pricePrefill is prefillTime computed from the stage cost records.
-func (p *staticPipeline) pricePrefill(cfg *Config, prompts []int) float64 {
+// stagesPrefillTime prices prefilling prompts through a pipeline's stage
+// cost records: each stage's prefill, the activation hops between stages
+// over interLink, then the LM head on the last stage.
+func stagesPrefillTime(costs []parallelizer.StageCost, interLink hardware.LinkSpec, prompts []int) float64 {
 	var dt float64
-	for k := range p.costs {
-		dt += p.costs[k].PrefillTime(prompts)
+	for k := range costs {
+		dt += costs[k].PrefillTime(prompts)
 	}
-	last := &p.costs[len(p.costs)-1]
-	if len(p.costs) > 1 {
+	last := &costs[len(costs)-1]
+	if len(costs) > 1 {
 		total := 0
 		for _, l := range prompts {
 			total += l
 		}
-		dt += float64(len(p.costs)-1) * perf.P2PTime(cfg.Cluster.InterLink, last.HiddenStateBytes(total))
+		dt += float64(len(costs)-1) * perf.P2PTime(interLink, last.HiddenStateBytes(total))
 	}
-	dt += last.LMHeadTime(len(prompts))
-	return dt
+	return dt + last.LMHeadTime(len(prompts))
 }
 
 // tokenPool is the decode side of one static-pipeline replica: the

@@ -85,7 +85,7 @@ type DeviceCost struct {
 	denseFlops   float64 // dense FLOPs per token in one layer
 	weightBytes  float64 // one layer's weight bytes divided by tp
 	hiddenBytes  int64   // hidden-state bytes per token
-	attnCoef     float64 // 4·Heads·HeadDim: prefill attention FLOPs per l²·2
+	attnCoef     float64 // 4·Heads·HeadDim, the leading factor of AttnFlopsPrefill
 	kvTokenLayer float64 // KV bytes per token in one layer
 	hidden       float64
 	vocab        float64

@@ -75,7 +75,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "model:    %s\ncluster:  %s\n", m, cluster)
-	fmt.Fprintf(stdout, "searched: %d configurations in %v\n\n", plan.Evaluated, plan.Elapsed)
+	// The search's wall clock goes to stderr so stdout depends only on
+	// the flags.
+	fmt.Fprintf(stdout, "searched: %d configurations\n\n", plan.Evaluated)
+	fmt.Fprintf(stderr, "hetisplan: searched in %v\n", plan.Elapsed)
 	fmt.Fprint(stdout, plan)
 	fmt.Fprintf(stdout, "\nmodeled decode step: %.2f ms   prefill: %.2f ms   KV capacity: %.1f GB\n",
 		plan.DecodeStepCost*1e3, plan.PrefillCost*1e3, float64(plan.CacheCapacity)/1e9)

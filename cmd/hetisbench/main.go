@@ -1,5 +1,6 @@
 // Command hetisbench runs experiments, grid sweeps, and scenarios on a
-// bounded worker pool.
+// bounded worker pool, and prints a model's deployment plan and cost
+// profile.
 //
 // Usage:
 //
@@ -12,6 +13,10 @@
 //	hetisbench -scenario bursty,multitenant -csv
 //	hetisbench -scenario megascale -stream    # million requests, O(1) metric memory
 //	hetisbench -scenario diurnal -stream -windows 5   # plus 5s windowed series
+//	hetisbench -grid engine=hetis dataset=SG rate=5 duration=60 -trace-out traces
+//	hetisbench -scenario failover -quick -trace-out traces   # event logs as JSONL
+//	hetisbench -plan Llama-70B                # §4.1 plan + §5.1 profile, paper cluster
+//	hetisbench -plan OPT-30B -cluster 2xA100,4xT4 -batch 128 -context 800
 //	hetisbench -list                          # show experiment ids and scenarios
 //	hetisbench -scenario megascale -cpuprofile cpu.out -memprofile mem.out
 //
@@ -22,6 +27,18 @@
 // grid order (dimension values as given, engines innermost), experiment-id
 // order, or scenario catalog order, independent of completion order, so
 // stdout is byte-identical for every -jobs value; timings go to stderr.
+//
+// -trace-out DIR writes each grid point's or exact scenario run's event
+// log (arrivals, prefills, decode steps, dispatches, migrations,
+// evictions, finishes) to DIR/<run key, '/' replaced by '_'>.jsonl; a
+// sharded scenario writes its merged fleet trace.
+//
+// -plan MODEL runs the Parallelizer (§4.1) on -cluster ("paper" or a
+// list like "4xA100,4x3090,4xP100", one host per entry) for the expected
+// workload -batch/-context/-prompt/-output and exclusion threshold
+// -delta, prints the chosen deployment, then runs the Profiler (§5.1) on
+// the plan's primary device and prints the fitted per-device models:
+// attention time τ = a·h + b·g + c and transfer overhead ρ = γ·d + β.
 //
 // The simulator's own speed is measured by the end-to-end benchmark in
 // benchmark/ (bash benchmark/run.sh); -cpuprofile and -memprofile profile
@@ -110,6 +127,15 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	shardWorkers := fs.Int("shard-workers", 0, "max concurrent shards within a fleet scenario (0 = one per CPU; output is identical at every value)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile, taken after the run, to this file")
+	traceOut := fs.String("trace-out", "", "with -grid or exact -scenario: write each run's event trace to DIR/<run key>.jsonl")
+	plan := fs.String("plan", "", "print the deployment plan and cost profile of this model preset")
+	clusterSpec := fs.String("cluster", "paper", `with -plan: "paper" or a list like "4xA100,4x3090,4xP100" (one host per entry)`)
+	wl := hetis.PlanWorkload{PrefillBatch: 4}
+	fs.IntVar(&wl.DecodeBatch, "batch", 64, "with -plan: expected concurrent decode batch (R)")
+	fs.IntVar(&wl.AvgContext, "context", 600, "with -plan: expected average context length")
+	fs.IntVar(&wl.AvgPrompt, "prompt", 400, "with -plan: expected average prompt length")
+	fs.IntVar(&wl.AvgOutput, "output", 240, "with -plan: expected average output length")
+	delta := fs.Float64("delta", 0.05, "with -plan: exclusion threshold Δ")
 
 	// Parse in rounds so flags and bare key=value grid dimensions can
 	// interleave: the flag package stops at the first non-flag argument,
@@ -146,7 +172,7 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	modes := 0
-	for _, on := range []bool{*exp != "", len(gridDims) > 0, *scen != ""} {
+	for _, on := range []bool{*exp != "", len(gridDims) > 0, *scen != "", *plan != ""} {
 		if on {
 			modes++
 		}
@@ -156,7 +182,7 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 		printList(stdout)
 	}
 	if modes != 1 {
-		return usageError("need exactly one of -exp, -grid or -scenario (see -h; -list shows ids)")
+		return usageError("need exactly one of -exp, -grid, -scenario or -plan (see -h; -list shows ids)")
 	}
 
 	if *windows != 0 && !(*stream && *scen != "") {
@@ -164,6 +190,23 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	}
 	if *windows < 0 {
 		return usageError("-windows must be positive")
+	}
+	if *traceOut != "" && (*stream || (len(gridDims) == 0 && *scen == "")) {
+		return usageError("-trace-out needs -grid or -scenario without -stream (streaming runs record no event trace)")
+	}
+	if *plan == "" {
+		var planOnly []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "cluster", "batch", "context", "prompt", "output", "delta":
+				planOnly = append(planOnly, "-"+f.Name)
+			}
+		})
+		if len(planOnly) > 0 {
+			return usageError("%s only apply to -plan", strings.Join(planOnly, ", "))
+		}
+	} else if *csv || *stream {
+		return usageError("-plan prints a plan and a profile, not a table: -csv and -stream do not apply")
 	}
 
 	if *cpuProfile != "" {
@@ -186,8 +229,12 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	start := time.Now()
-	pool := hetis.SweepOptions{Jobs: *jobs, ShardWorkers: *shardWorkers}
+	pool := hetis.SweepOptions{Jobs: *jobs, ShardWorkers: *shardWorkers, TraceDir: *traceOut}
 	switch {
+	case *plan != "":
+		if err := printPlan(stdout, stderr, *plan, *clusterSpec, wl, *delta); err != nil {
+			return err
+		}
 	case len(gridDims) > 0:
 		spec := hetis.GridSpec{Quick: *quick, Seed: *seed, Stream: *stream}
 		spec, err := hetis.ParseGridDims(spec, gridDims)
@@ -248,6 +295,49 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	fmt.Fprintf(stderr, "hetisbench: done in %.2fs (jobs=%d)\n", time.Since(start).Seconds(), *jobs)
+	return nil
+}
+
+// printPlan writes what -plan shows: the §4.1 plan for the model on the
+// cluster, a blank line, and the §5.1 profile fitted on the plan's primary
+// device, the device the Hetis engine fits on. The search's wall clock
+// goes to stderr, so stdout depends only on the arguments.
+func printPlan(stdout, stderr io.Writer, modelName, clusterSpec string, wl hetis.PlanWorkload, delta float64) error {
+	m, err := hetis.ModelByName(modelName)
+	if err != nil {
+		return err
+	}
+	cluster, err := hetis.ParseCluster(clusterSpec)
+	if err != nil {
+		return err
+	}
+	opts := hetis.DefaultPlanOptions()
+	opts.Delta = delta
+	plan, err := hetis.SearchPlan(cluster, m, wl, opts)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "hetisbench: searched in %v\n", plan.Elapsed)
+	fmt.Fprintf(stdout, "model:    %s\ncluster:  %s\n", m, cluster)
+	fmt.Fprintf(stdout, "searched: %d configurations\n\n", plan.Evaluated)
+	fmt.Fprint(stdout, plan)
+	fmt.Fprintf(stdout, "\nmodeled decode step: %.2f ms   prefill: %.2f ms   KV capacity: %.1f GB\n",
+		plan.DecodeStepCost*1e3, plan.PrefillCost*1e3, float64(plan.CacheCapacity)/1e9)
+
+	primary := plan.Instances[0].Stages[0].Devices[0]
+	prof, err := hetis.ProfileCluster(m, cluster, primary)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nmodel %s on %s (primary device %d)\n\n", m, cluster, primary)
+	fmt.Fprintf(stdout, "%-10s %-14s %-14s %-12s %-10s %-14s %-12s %-8s\n",
+		"device", "a (s/head)", "b (s/byte)", "c (s)", "fit(%)", "γ (s/byte)", "β (s)", "net(%)")
+	for _, dev := range cluster.Devices {
+		am, nm := prof.Attn[dev.ID], prof.Net[dev.ID]
+		fmt.Fprintf(stdout, "%-10s %-14.3e %-14.3e %-12.3e %-10.1f %-14.3e %-12.3e %-8.1f\n",
+			dev.String(), am.A, am.B, am.C, prof.AttnAccuracy[dev.ID]*100,
+			nm.Gamma, nm.Beta, prof.NetAccuracy[dev.ID]*100)
+	}
 	return nil
 }
 

@@ -287,3 +287,167 @@ func TestProfileFlags(t *testing.T) {
 		t.Error("an uncreatable -cpuprofile path should fail the run")
 	}
 }
+
+// readGolden returns testdata/name.golden.
+func readGolden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestPlanGoldens pins -plan: the §4.1 plan, a blank line, then the §5.1
+// profile on the plan's primary device. Where a case has both goldens the
+// output is exactly their join; otherwise it starts with the plan golden
+// or ends with the profile golden.
+func TestPlanGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		args          []string
+		plan, profile string
+	}{
+		{[]string{"-plan", "Llama-70B"}, "plan-Llama-70B", "profile-Llama-70B"},
+		{[]string{"-plan", "OPT-30B", "-cluster", "2xA100,4xT4"}, "plan-OPT-30B-2xA100-4xT4", ""},
+		{[]string{"-plan", "Llama-13B", "-batch", "128", "-context", "800"}, "plan-Llama-13B-batch128", ""},
+		{[]string{"-plan", "OPT-30B"}, "", "profile-OPT-30B"},
+	} {
+		out, err := runBench(t, tc.args...)
+		if err != nil {
+			t.Fatalf("run(%v): %v", tc.args, err)
+		}
+		var want string
+		switch {
+		case tc.plan != "" && tc.profile != "":
+			want = readGolden(t, tc.plan) + "\n" + readGolden(t, tc.profile)
+		case tc.plan != "":
+			want = readGolden(t, tc.plan) + "\n"
+			out = out[:min(len(out), len(want))]
+		default:
+			want = "\n" + readGolden(t, tc.profile)
+			out = out[max(0, len(out)-len(want)):]
+		}
+		if out != want {
+			t.Errorf("run(%v) stdout:\n%s\nwant:\n%s", tc.args, out, want)
+		}
+	}
+}
+
+func TestPlanBadInputs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-plan", "no-such-model"},
+		{"-plan", "Llama-13B", "-cluster", "bogus"},
+		{"-plan", "Llama-13B", "-cluster", "NaNxA100"},
+		{"-plan", "Llama-13B", "-cluster", "2xNoGPU"},
+		{"-plan", "Llama-13B", "-batch", "0"},
+		{"-plan", "Llama-13B", "-delta", "-1"},
+	} {
+		if _, err := runBench(t, args...); err == nil || exitCode(err, io.Discard) != 1 {
+			t.Errorf("run(%v) err = %v, want a run error", args, err)
+		}
+	}
+}
+
+// TestTraceOutGoldens pins -trace-out on grid points: each point writes
+// its event log as JSONL under its job key.
+func TestTraceOutGoldens(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		dims   []string
+		file   string
+		golden string
+	}{
+		{[]string{"engine=splitwise", "dataset=HE", "rate=2", "duration=3"}, "Llama-13B_HE_2_splitwise.jsonl", "trace-splitwise-HE"},
+		{[]string{"engine=hexgen", "dataset=LB", "rate=1", "duration=60"}, "Llama-13B_LB_1_hexgen.jsonl", "trace-hexgen-LB"},
+		{[]string{"engine=hetis", "model=Llama-13B", "dataset=SG", "rate=5", "duration=10"}, "Llama-13B_SG_5_hetis.jsonl", "trace-hetis-SG"},
+	} {
+		plain, err := runBench(t, tc.dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced, err := runBench(t, append([]string{"-trace-out", dir}, tc.dims...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced != plain {
+			t.Errorf("%v: -trace-out changed stdout:\n%s\nwant\n%s", tc.dims, traced, plain)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != readGolden(t, tc.golden) {
+			t.Errorf("%s differs from testdata/%s.golden", tc.file, tc.golden)
+		}
+	}
+}
+
+// TestTraceOutScenario writes one trace per (scenario, engine) run; a
+// sharded scenario's merged fleet trace is the same at every
+// -shard-workers value.
+func TestTraceOutScenario(t *testing.T) {
+	one, four := t.TempDir(), t.TempDir()
+	for _, run := range []struct {
+		dir     string
+		workers string
+	}{{one, "1"}, {four, "4"}} {
+		if _, err := runBench(t, "-scenario", "fleet", "-quick", "-trace-out", run.dir, "-shard-workers", run.workers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, eng := range []string{"hetis", "vllm"} {
+		a, err := os.ReadFile(filepath.Join(one, "fleet_"+eng+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(four, "fleet_"+eng+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) == 0 || a[0] != '{' {
+			t.Errorf("fleet_%s.jsonl starts %q, want JSONL", eng, a[:min(20, len(a))])
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("fleet_%s.jsonl differs between -shard-workers 1 and 4", eng)
+		}
+	}
+}
+
+func TestGridBadInputs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-grid", "engine=warp"},
+		{"-grid", "model=no-such", "duration=1"},
+		{"-grid", "dataset=XX", "duration=1"},
+		{"-grid", "rate=0"},
+		{"-grid", "duration=-5"},
+	} {
+		if _, err := runBench(t, args...); err == nil {
+			t.Errorf("run(%v) succeeded, want an error", args)
+		}
+	}
+}
+
+// TestPlanAndTraceUsage pins the flag combinations that are command-line
+// mistakes (exit 2).
+func TestPlanAndTraceUsage(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-exp", "fig15b", "-trace-out", dir},
+		{"-scenario", "steady", "-stream", "-trace-out", dir},
+		{"-grid", "rate=2", "-stream", "-trace-out", dir},
+		{"-plan", "Llama-13B", "-trace-out", dir},
+		{"-scenario", "steady", "-cluster", "2xA100"},
+		{"-grid", "rate=2", "-batch", "8"},
+		{"-exp", "fig15b", "-delta", "0.1"},
+		{"-plan", "Llama-13B", "-csv"},
+		{"-plan", "Llama-13B", "-scenario", "steady"},
+	} {
+		err := run(args, io.Discard, io.Discard)
+		if !errors.Is(err, errUsage) || exitCode(err, io.Discard) != 2 {
+			t.Errorf("run(%v) err = %v, want a usage error (exit 2)", args, err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("a refused run wrote %d trace files", len(entries))
+	}
+}

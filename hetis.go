@@ -95,6 +95,10 @@ func NewClusterBuilder(inter LinkSpec) *ClusterBuilder {
 // 2×2×RTX 3090, 4×P100 over 100 GbE.
 func PaperCluster() *Cluster { return hardware.PaperCluster() }
 
+// ParseCluster resolves a cluster name: "paper" (or "") is PaperCluster,
+// and a list like "4xA100,4x3090" builds one host per entry over 100 GbE.
+func ParseCluster(spec string) (*Cluster, error) { return hardware.ParseCluster(spec) }
+
 // GPUByName resolves a preset GPU spec by name ("A100", "3090", "P100", …).
 func GPUByName(name string) (GPUSpec, error) { return hardware.SpecByName(name) }
 

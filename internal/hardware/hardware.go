@@ -10,6 +10,7 @@ package hardware
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -226,6 +227,32 @@ func PaperCluster() *Cluster {
 		AddHost("3090-node-1", PCIe3x16, RTX3090, 2).
 		AddHost("p100-node", PCIe3x16, P100, 4).
 		MustBuild()
+}
+
+// ParseCluster resolves a cluster name: "" or "paper" is PaperCluster, and
+// a list like "4xA100,4x3090,4xP100" builds one PCIe4 host per entry, the
+// hosts joined by 100 GbE.
+func ParseCluster(spec string) (*Cluster, error) {
+	if spec == "" || spec == "paper" {
+		return PaperCluster(), nil
+	}
+	b := NewBuilder(LAN100G)
+	for i, part := range strings.Split(spec, ",") {
+		count, name, ok := strings.Cut(strings.TrimSpace(part), "x")
+		if !ok {
+			return nil, fmt.Errorf("hardware: bad cluster entry %q (want e.g. 4xA100)", part)
+		}
+		n, err := strconv.Atoi(count)
+		if err != nil {
+			return nil, fmt.Errorf("hardware: bad count in %q: %v", part, err)
+		}
+		gpu, err := SpecByName(name)
+		if err != nil {
+			return nil, err
+		}
+		b.AddHost(fmt.Sprintf("host%d-%s", i, gpu.Name), PCIe4x16, gpu, n)
+	}
+	return b.Build()
 }
 
 // Device returns the device with the given id.

@@ -133,6 +133,27 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+func TestParseCluster(t *testing.T) {
+	for _, name := range []string{"", "paper"} {
+		c, err := ParseCluster(name)
+		if err != nil || c.Fingerprint() != PaperCluster().Fingerprint() {
+			t.Errorf("ParseCluster(%q) = %v, %v; want the paper cluster", name, c, err)
+		}
+	}
+	c, err := ParseCluster("2xA100, 4xT4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.String(); got != "2xA100 + 4xT4 over 2 hosts (100GbE)" {
+		t.Errorf("ParseCluster(2xA100, 4xT4) = %q", got)
+	}
+	for _, bad := range []string{"bogus", "NaNxA100", "2xNoGPU", "0xA100", "2xA100,"} {
+		if _, err := ParseCluster(bad); err == nil {
+			t.Errorf("ParseCluster(%q) succeeded, want an error", bad)
+		}
+	}
+}
+
 func TestDeviceString(t *testing.T) {
 	c := PaperCluster()
 	if got := c.Device(0).String(); got != "A100#0" {

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
 
 	"hetis/internal/engine"
@@ -67,15 +66,12 @@ type Options struct {
 	ShardWorkers int
 }
 
-// ClusterByName resolves a spec's cluster name ("" and "paper" are the
-// paper's evaluation cluster). Exported so harnesses that run engines
-// directly (benchmark/) resolve deployments exactly like RunEngine.
+// ClusterByName resolves a spec's cluster name through
+// hardware.ParseCluster ("" and "paper" are the paper's evaluation
+// cluster). Exported so harnesses that run engines directly (benchmark/)
+// resolve deployments exactly like RunEngine.
 func ClusterByName(name string) (*hardware.Cluster, error) {
-	switch name {
-	case "", "paper":
-		return hardware.PaperCluster(), nil
-	}
-	return nil, fmt.Errorf("scenario: unknown cluster %q", name)
+	return hardware.ParseCluster(name)
 }
 
 // MeasurementHorizon is the window a scenario run measures rates over: a

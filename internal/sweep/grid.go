@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -159,6 +160,12 @@ var GridHeader = []string{
 // The point's trace is a Poisson trace of its dataset and rate, or its
 // scenario's trace at the grid's Duration and Seed.
 func RunPoint(s GridSpec, p Point) (*metrics.Table, error) {
+	return runPoint(s, p, "")
+}
+
+// runPoint is RunPoint that, with traceDir set, records the run's event
+// trace and writes it there (see Options.TraceDir).
+func runPoint(s GridSpec, p Point, traceDir string) (*metrics.Table, error) {
 	s = s.withDefaults()
 	m, err := model.ByName(p.Model)
 	if err != nil {
@@ -190,7 +197,7 @@ func RunPoint(s GridSpec, p Point) (*metrics.Table, error) {
 	cfg := engine.DefaultConfig(m, hardware.PaperCluster())
 	// Grid rows never read the event trace; skipping it keeps pooled
 	// workers from holding O(events) logs per in-flight point.
-	cfg.NoTrace = true
+	cfg.NoTrace = traceDir == ""
 	// Rows are computed from the sink's snapshot either way. The exact
 	// recorder's snapshot runs the same accumulation the recorder methods
 	// always ran, so the default output stays byte-identical; the streaming
@@ -207,6 +214,11 @@ func RunPoint(s GridSpec, p Point) (*metrics.Table, error) {
 	res, err := eng.Run(reqs, scenario.MeasurementHorizon(s.Duration))
 	if err != nil {
 		return nil, err
+	}
+	if traceDir != "" {
+		if err := writeTrace(traceDir, p.Key(), res.Trace); err != nil {
+			return nil, err
+		}
 	}
 	scenarioCol, datasetCol, rateCol := "-", p.Dataset, any(p.Rate)
 	if p.Scenario != "" {
@@ -232,12 +244,15 @@ func RunGrid(s GridSpec, opts Options) (*metrics.Table, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
+	if s.Stream && opts.TraceDir != "" {
+		return nil, errStreamTrace
+	}
 	s = s.withDefaults()
 	pts := s.Points()
 	jobs := make([]Job, len(pts))
 	for i, p := range pts {
 		jobs[i] = Job{Key: p.Key(), Run: func() (*metrics.Table, error) {
-			return RunPoint(s, p)
+			return runPoint(s, p, opts.TraceDir)
 		}}
 	}
 	results, err := RunMany(jobs, opts)
@@ -283,17 +298,17 @@ func ParseDims(spec GridSpec, dims []string) (GridSpec, error) {
 		case "rate":
 			rates := make([]float64, len(parts))
 			for i, p := range parts {
-				v, err := strconv.ParseFloat(p, 64)
+				v, err := parsePositive("rate", p)
 				if err != nil {
-					return spec, fmt.Errorf("sweep: bad rate %q: %w", p, err)
+					return spec, err
 				}
 				rates[i] = v
 			}
 			spec.Rates = rates
 		case "duration":
-			v, err := strconv.ParseFloat(vals, 64)
+			v, err := parsePositive("duration", vals)
 			if err != nil {
-				return spec, fmt.Errorf("sweep: bad duration %q: %w", vals, err)
+				return spec, err
 			}
 			spec.Duration = v
 		case "seed":
@@ -307,4 +322,18 @@ func ParseDims(spec GridSpec, dims []string) (GridSpec, error) {
 		}
 	}
 	return spec, nil
+}
+
+// parsePositive parses one value of the rate or duration dimension, which
+// must be finite and positive: an infinite rate would synthesize a trace
+// without bound, and a zero one an empty trace.
+func parsePositive(dim, v string) (float64, error) {
+	x, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return 0, fmt.Errorf("sweep: bad %s %q: %w", dim, v, err)
+	}
+	if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
+		return 0, fmt.Errorf("sweep: bad %s %q: must be finite and positive", dim, v)
+	}
+	return x, nil
 }

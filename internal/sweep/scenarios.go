@@ -1,11 +1,16 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 
 	"hetis/internal/metrics"
 	"hetis/internal/scenario"
 )
+
+// errStreamTrace refuses Options.TraceDir on a streaming run, which
+// records no event trace.
+var errStreamTrace = errors.New("sweep: streaming runs record no event trace to write")
 
 // RunScenarios serves the named scenarios on the pool, one job per
 // (scenario, engine) pair, and merges their rows in catalog order —
@@ -38,6 +43,9 @@ func RunScenariosSink(names []string, quick bool, seed int64, stream bool, windo
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("sweep: no scenarios named")
 	}
+	if stream && opts.TraceDir != "" {
+		return nil, nil, errStreamTrace
+	}
 	type pair struct {
 		spec scenario.Spec
 		eng  string
@@ -68,9 +76,23 @@ func RunScenariosSink(names []string, quick bool, seed int64, stream bool, windo
 	winByIdx := make([]*metrics.Table, len(pairs))
 	jobs := make([]Job, len(pairs))
 	for i, p := range pairs {
-		jobs[i] = Job{Key: p.spec.Name + "/" + p.eng, Run: func() (*metrics.Table, error) {
-			rows, wins, err := scenario.RunEngineSink(p.spec, p.eng,
+		key := p.spec.Name + "/" + p.eng
+		jobs[i] = Job{Key: key, Run: func() (*metrics.Table, error) {
+			fr, err := scenario.PrepareFleet(p.spec, p.eng,
 				scenario.Options{Stream: stream, Window: window, ShardWorkers: opts.ShardWorkers})
+			if err != nil {
+				return nil, err
+			}
+			res, err := fr.Run(opts.ShardWorkers)
+			if err != nil {
+				return nil, err
+			}
+			if opts.TraceDir != "" {
+				if err := writeTrace(opts.TraceDir, key, res.Trace); err != nil {
+					return nil, err
+				}
+			}
+			rows, wins, err := fr.Tables()
 			winByIdx[i] = wins
 			return rows, err
 		}}

@@ -17,9 +17,13 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"hetis/internal/metrics"
 	"hetis/internal/sweep/pool"
+	"hetis/internal/trace"
 )
 
 // Options tunes a pool run.
@@ -32,6 +36,11 @@ type Options struct {
 	// is byte-identical at every value — this knob trades wall-clock only.
 	// Unsharded runs ignore it.
 	ShardWorkers int
+	// TraceDir, when set, makes every grid point and exact scenario run
+	// record its event trace and write it as JSONL to
+	// TraceDir/<job key, '/' replaced by '_'>.jsonl. A sharded run writes
+	// its merged fleet trace. Streaming runs record no trace and refuse it.
+	TraceDir string
 }
 
 // Job is one unit of pool work.
@@ -73,4 +82,21 @@ func RunMany(jobs []Job, opts Options) ([]Result, error) {
 		}
 	}
 	return results, errors.Join(errs...)
+}
+
+// writeTrace writes a run's event trace to dir/<key, '/' replaced by
+// '_'>.jsonl, creating dir if needed.
+func writeTrace(dir, key string, log *trace.Log) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, strings.ReplaceAll(key, "/", "_")+".jsonl"))
+	if err != nil {
+		return err
+	}
+	if err := log.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

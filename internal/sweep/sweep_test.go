@@ -1,8 +1,11 @@
 package sweep
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -134,6 +137,57 @@ func TestParseDims(t *testing.T) {
 		if _, err := ParseDims(GridSpec{}, []string{bad}); err == nil {
 			t.Errorf("ParseDims(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+// TestParseDimsRejectsNonPositive pins that a rate or duration that is
+// not finite and positive fails at parse time, naming its dimension. The
+// Inf rate is only parsed: run, it would synthesize a trace without bound.
+func TestParseDimsRejectsNonPositive(t *testing.T) {
+	for _, tc := range []struct{ dim, name string }{
+		{"rate=Inf", "rate"},
+		{"rate=2,+Inf", "rate"},
+		{"rate=NaN", "rate"},
+		{"rate=0", "rate"},
+		{"rate=-1", "rate"},
+		{"duration=-5", "duration"},
+		{"duration=0", "duration"},
+		{"duration=Inf", "duration"},
+		{"duration=NaN", "duration"},
+	} {
+		_, err := ParseDims(GridSpec{}, []string{tc.dim})
+		if err == nil || !strings.Contains(err.Error(), "bad "+tc.name) {
+			t.Errorf("ParseDims(%q) err = %v, want an error naming the %s", tc.dim, err, tc.name)
+		}
+	}
+}
+
+// TestTraceDir checks Options.TraceDir: a grid point writes its trace
+// under its job key and keeps its row, and a streaming run refuses it.
+func TestTraceDir(t *testing.T) {
+	dir := t.TempDir()
+	spec := GridSpec{Engines: []string{"vllm"}, Datasets: []string{"HE"}, Rates: []float64{2}, Duration: 3}
+	plain, err := RunGrid(spec, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := RunGrid(spec, Options{Jobs: 1, TraceDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.String() != plain.String() {
+		t.Errorf("TraceDir changed the row:\n%s\nwant\n%s", traced, plain)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "Llama-13B_HE_2_vllm.jsonl"))
+	if err != nil || !bytes.HasPrefix(b, []byte(`{"at":`)) {
+		t.Errorf("trace file = %.40q, %v; want JSONL events", b, err)
+	}
+	spec.Stream = true
+	if _, err := RunGrid(spec, Options{TraceDir: dir}); !errors.Is(err, errStreamTrace) {
+		t.Errorf("streaming grid with TraceDir: err = %v, want errStreamTrace", err)
+	}
+	if _, _, err := RunScenariosSink([]string{"steady"}, true, 0, true, 0, Options{TraceDir: dir}); !errors.Is(err, errStreamTrace) {
+		t.Errorf("streaming scenarios with TraceDir: err = %v, want errStreamTrace", err)
 	}
 }
 

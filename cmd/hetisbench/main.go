@@ -1,6 +1,5 @@
 // Command hetisbench runs experiments, grid sweeps, and scenarios on a
-// bounded worker pool, and prints a model's deployment plan and cost
-// profile.
+// bounded worker pool, and plans and profiles a deployment.
 //
 // Usage:
 //
@@ -29,16 +28,10 @@
 // stdout is byte-identical for every -jobs value; timings go to stderr.
 //
 // -trace-out DIR writes each grid point's or exact scenario run's event
-// log (arrivals, prefills, decode steps, dispatches, migrations,
-// evictions, finishes) to DIR/<run key, '/' replaced by '_'>.jsonl; a
-// sharded scenario writes its merged fleet trace.
-//
-// -plan MODEL runs the Parallelizer (§4.1) on -cluster ("paper" or a
-// list like "4xA100,4x3090,4xP100", one host per entry) for the expected
-// workload -batch/-context/-prompt/-output and exclusion threshold
-// -delta, prints the chosen deployment, then runs the Profiler (§5.1) on
-// the plan's primary device and prints the fitted per-device models:
-// attention time τ = a·h + b·g + c and transfer overhead ρ = γ·d + β.
+// log to DIR/<run key, '/' replaced by '_'>.jsonl (a sharded run's merged
+// fleet trace). -plan MODEL prints the §4.1 deployment plan for the
+// -cluster and expected workload, then the §5.1 profile fitted on the
+// plan's primary device.
 //
 // The simulator's own speed is measured by the end-to-end benchmark in
 // benchmark/ (bash benchmark/run.sh); -cpuprofile and -memprofile profile
@@ -194,19 +187,17 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	if *traceOut != "" && (*stream || (len(gridDims) == 0 && *scen == "")) {
 		return usageError("-trace-out needs -grid or -scenario without -stream (streaming runs record no event trace)")
 	}
-	if *plan == "" {
-		var planOnly []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "cluster", "batch", "context", "prompt", "output", "delta":
-				planOnly = append(planOnly, "-"+f.Name)
-			}
-		})
-		if len(planOnly) > 0 {
-			return usageError("%s only apply to -plan", strings.Join(planOnly, ", "))
-		}
-	} else if *csv || *stream {
+	if *plan != "" && (*csv || *stream) {
 		return usageError("-plan prints a plan and a profile, not a table: -csv and -stream do not apply")
+	}
+	planOnly := ""
+	fs.Visit(func(f *flag.Flag) {
+		if *plan == "" && strings.HasPrefix(f.Usage, "with -plan:") {
+			planOnly = f.Name
+		}
+	})
+	if planOnly != "" {
+		return usageError("-%s applies only to -plan", planOnly)
 	}
 
 	if *cpuProfile != "" {
@@ -318,20 +309,16 @@ func printPlan(stdout, stderr io.Writer, modelName, clusterSpec string, wl hetis
 		return err
 	}
 	fmt.Fprintf(stderr, "hetisbench: searched in %v\n", plan.Elapsed)
-	fmt.Fprintf(stdout, "model:    %s\ncluster:  %s\n", m, cluster)
-	fmt.Fprintf(stdout, "searched: %d configurations\n\n", plan.Evaluated)
-	fmt.Fprint(stdout, plan)
+	fmt.Fprintf(stdout, "model:    %s\ncluster:  %s\nsearched: %d configurations\n\n%s", m, cluster, plan.Evaluated, plan)
 	fmt.Fprintf(stdout, "\nmodeled decode step: %.2f ms   prefill: %.2f ms   KV capacity: %.1f GB\n",
 		plan.DecodeStepCost*1e3, plan.PrefillCost*1e3, float64(plan.CacheCapacity)/1e9)
-
 	primary := plan.Instances[0].Stages[0].Devices[0]
 	prof, err := hetis.ProfileCluster(m, cluster, primary)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "\nmodel %s on %s (primary device %d)\n\n", m, cluster, primary)
-	fmt.Fprintf(stdout, "%-10s %-14s %-14s %-12s %-10s %-14s %-12s %-8s\n",
-		"device", "a (s/head)", "b (s/byte)", "c (s)", "fit(%)", "γ (s/byte)", "β (s)", "net(%)")
+	fmt.Fprintf(stdout, "\nmodel %s on %s (primary device %d)\n\n%-10s %-14s %-14s %-12s %-10s %-14s %-12s %-8s\n",
+		m, cluster, primary, "device", "a (s/head)", "b (s/byte)", "c (s)", "fit(%)", "γ (s/byte)", "β (s)", "net(%)")
 	for _, dev := range cluster.Devices {
 		am, nm := prof.Attn[dev.ID], prof.Net[dev.ID]
 		fmt.Fprintf(stdout, "%-10s %-14.3e %-14.3e %-12.3e %-10.1f %-14.3e %-12.3e %-8.1f\n",

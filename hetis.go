@@ -127,9 +127,6 @@ type Request = workload.Request
 // Dataset is a token-length distribution standing in for a serving corpus.
 type Dataset = workload.LengthDist
 
-// RateSegment is one phase of a piecewise-constant arrival process.
-type RateSegment = workload.RateSegment
-
 // Dataset presets matching the paper's three applications.
 var (
 	ShareGPT  = workload.ShareGPT  // chatbot
@@ -144,11 +141,6 @@ func DatasetByName(name string) (Dataset, error) { return workload.ByName(name) 
 // simulated seconds with the given seed.
 func PoissonTrace(d Dataset, rate, duration float64, seed int64) []Request {
 	return workload.Poisson(d, rate, duration, seed)
-}
-
-// PiecewiseTrace generates a trace whose rate steps through segments.
-func PiecewiseTrace(d Dataset, segments []RateSegment, seed int64) []Request {
-	return workload.PiecewiseRate(d, segments, seed)
 }
 
 // --- Planning -----------------------------------------------------------------
@@ -169,7 +161,11 @@ func DefaultPlanOptions() PlanOptions { return parallelizer.DefaultOptions() }
 
 // SearchPlan runs the §4.1 hierarchical search directly.
 func SearchPlan(cluster *Cluster, m ModelConfig, wl PlanWorkload, opts PlanOptions) (*Plan, error) {
-	return parallelizer.Search(cluster, newEstimator(m), wl, opts)
+	est, err := newEstimator(m)
+	if err != nil {
+		return nil, err
+	}
+	return parallelizer.Search(cluster, est, wl, opts)
 }
 
 // PlanDeployment plans Hetis for a trace's aggregate statistics.
@@ -349,23 +345,6 @@ type VLLMEngine = engine.VLLM
 // NewVLLMEngine builds the homogeneous reference engine.
 func NewVLLMEngine(cfg EngineConfig) (*VLLMEngine, error) {
 	return engine.NewVLLM(cfg)
-}
-
-// EngineNames lists the buildable serving engines in comparison order.
-func EngineNames() []string { return append([]string(nil), engine.Names...) }
-
-// NewEngineByName builds the named engine ("hetis", "hexgen",
-// "splitwise", "vllm") for the config, planning Hetis for the trace (the
-// other engines ignore it).
-func NewEngineByName(name string, cfg EngineConfig, reqs []Request) (Engine, error) {
-	return engine.NewByName(name, cfg, reqs)
-}
-
-// TruncateTrace clamps every request of a trace to a model context window
-// (what serving front-ends do to oversized prompts). Engines already apply
-// this internally; the helper is for workload analysis.
-func TruncateTrace(reqs []Request, maxSeqLen int) []Request {
-	return workload.Truncate(reqs, maxSeqLen)
 }
 
 // --- Scenarios ----------------------------------------------------------------

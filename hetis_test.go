@@ -103,3 +103,55 @@ func TestEstimatorFacade(t *testing.T) {
 		t.Fatal("estimator returned non-positive time")
 	}
 }
+
+// TestPlanningRejectsBadInput pins that planning and profiling through the
+// facade return errors, not panics, for a zero model, a nil cluster and a
+// primary outside the cluster.
+func TestPlanningRejectsBadInput(t *testing.T) {
+	reqs := PoissonTrace(ShareGPT, 2, 5, 1)
+	wl := PlanWorkload{DecodeBatch: 64, AvgContext: 600, PrefillBatch: 4, AvgPrompt: 400, AvgOutput: 240}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"SearchPlan zero model", func() error {
+			_, err := SearchPlan(PaperCluster(), ModelConfig{}, wl, DefaultPlanOptions())
+			return err
+		}},
+		{"SearchPlan nil cluster", func() error {
+			_, err := SearchPlan(nil, OPT30B, wl, DefaultPlanOptions())
+			return err
+		}},
+		{"ProfileCluster zero model", func() error {
+			_, err := ProfileCluster(ModelConfig{}, PaperCluster(), 0)
+			return err
+		}},
+		{"ProfileCluster primary 99", func() error {
+			_, err := ProfileCluster(OPT30B, PaperCluster(), 99)
+			return err
+		}},
+		{"ProfileCluster primary -1", func() error {
+			_, err := ProfileCluster(OPT30B, PaperCluster(), -1)
+			return err
+		}},
+		{"PlanDeployment zero model", func() error {
+			_, err := PlanDeployment(DefaultEngineConfig(ModelConfig{}, PaperCluster()), reqs)
+			return err
+		}},
+		{"PlanDeployment nil cluster", func() error {
+			_, err := PlanDeployment(DefaultEngineConfig(OPT30B, nil), reqs)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			if err := tc.call(); err == nil {
+				t.Fatal("succeeded, want an error")
+			}
+		})
+	}
+}

@@ -9,6 +9,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -49,6 +50,8 @@ type fleetCore struct {
 	parked queue
 	// haulFree is when the haul link next frees up (transfers serialize).
 	haulFree float64
+	// hauling counts the requests whose KV is in transit to a survivor.
+	hauling int
 	// recBatch buffers one iteration's completion records: afterDecode
 	// loops fill it through finishDeferred and flush it with one batched
 	// sink append before the event callback returns.
@@ -154,6 +157,10 @@ type replica interface {
 	intake() *waitQueue
 	// kick starts the intake loop if it is idle.
 	kick(s *sim.Simulator)
+	// held counts the requests the replica holds, read from its queues and
+	// batches (its intake plus everything evacuate would return), so the
+	// conservation ledger can check inSystem against what is really there.
+	held() int
 	// evacuate tears the replica down for deactivation: it cancels its
 	// pending events, clears engine-local state, and returns every request
 	// it held outside the intake queue (in any order) plus the IDs whose KV
@@ -238,7 +245,17 @@ func (f *replicaSet[R]) run(reqs []workload.Request, horizon float64, timers fun
 	}
 	f.res.Horizon = s.Now()
 	f.res.Events = s.Executed
-	f.res.Queued = f.inSystem
+	// Queued is what the park, the replicas and the in-flight hauls hold;
+	// a request lost on the way (say, by a faulty evacuate) shows as a gap
+	// against the ledger instead of balancing it.
+	f.res.Queued = f.parked.len() + f.hauling
+	for _, rt := range f.replicas {
+		f.res.Queued += rt.held()
+	}
+	if f.res.Queued != f.inSystem {
+		return nil, fmt.Errorf("engine %s: conservation gap of %d: the run ends holding %d requests, but %d were admitted and not finished",
+			f.res.Engine, f.inSystem-f.res.Queued, f.res.Queued, f.inSystem)
+	}
 	return f.res, nil
 }
 
@@ -305,6 +322,7 @@ func (f *replicaSet[R]) haul(s *sim.Simulator, r *request) {
 		f.haulFree = now
 	}
 	f.haulFree += dt
+	f.hauling++
 	f.res.Migrations++
 	f.res.MigratedBytes += bytes
 	f.res.Trace.Add(trace.Event{At: now, Kind: trace.KindMigration, Request: r.wl.ID, Value: float64(bytes)})
@@ -315,6 +333,7 @@ func (f *replicaSet[R]) haul(s *sim.Simulator, r *request) {
 // the engine's landing function on the least-loaded survivor, or — with
 // no replica serving — to the park, where its KV is lost.
 func (f *replicaSet[R]) landHauled(s *sim.Simulator, r *request) {
+	f.hauling--
 	if f.land == nil {
 		f.route(s, r)
 		return

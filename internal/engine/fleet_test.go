@@ -13,16 +13,17 @@ type fakeReplica struct {
 	q           *waitQueue
 	kicks       int
 	evacuations int
-	held        []*request
+	batch       []*request
 }
 
-func (f *fakeReplica) load() int           { return f.q.len() + len(f.held) }
+func (f *fakeReplica) load() int           { return f.q.len() + len(f.batch) }
+func (f *fakeReplica) held() int           { return f.load() }
 func (f *fakeReplica) intake() *waitQueue  { return f.q }
 func (f *fakeReplica) kick(*sim.Simulator) { f.kicks++ }
 func (f *fakeReplica) evacuate(*sim.Simulator) ([]*request, map[int64]bool) {
 	f.evacuations++
-	v := f.held
-	f.held = nil
+	v := f.batch
+	f.batch = nil
 	return v, nil
 }
 
@@ -68,7 +69,7 @@ func TestReplicaSetRules(t *testing.T) {
 		for _, seq := range []int64{3, 1, 2} {
 			r := queued(seq)
 			r.seq = seq
-			f.replicas[0].held = append(f.replicas[0].held, r)
+			f.replicas[0].batch = append(f.replicas[0].batch, r)
 		}
 		f.kill(s, 0, true) // nothing resident: every victim loses its KV
 		if f.state[0] != replicaFailed {

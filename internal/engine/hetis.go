@@ -64,6 +64,9 @@ func (h *Hetis) Plan() *parallelizer.Plan { return h.plan }
 // the trace's context lengths, so long-context workloads on KV-heavy models
 // stay feasible.
 func PlanForWorkload(cfg Config, reqs []workload.Request) (*parallelizer.Plan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	st := workload.Summarize(reqs)
 	wl := parallelizer.DefaultWorkload()
 	if st.Count > 0 {
@@ -324,6 +327,10 @@ func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
 // load implements replica with the legacy routing key: waiting plus
 // running.
 func (inst *hetisInstance) load() int { return inst.waiting.len() + len(inst.running) }
+
+// held implements replica: waiting, plus running and in-flight prefill
+// (byID indexes both).
+func (inst *hetisInstance) held() int { return inst.waiting.len() + len(inst.byID) }
 
 // intake implements replica.
 func (inst *hetisInstance) intake() *waitQueue { return inst.waiting }

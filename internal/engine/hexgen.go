@@ -102,6 +102,11 @@ type staticRuntime struct {
 // load implements replica: admitted plus waiting requests.
 func (rt *staticRuntime) load() int { return rt.admitted + rt.waiting.len() }
 
+// held implements replica: waiting, running and in-flight prefill.
+func (rt *staticRuntime) held() int {
+	return rt.waiting.len() + len(rt.running) + len(rt.prefillBatch)
+}
+
 // intake implements replica.
 func (rt *staticRuntime) intake() *waitQueue { return rt.waiting }
 

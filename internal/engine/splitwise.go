@@ -145,6 +145,9 @@ func (rt *splitwiseRuntime) load() int {
 	return rt.prefillQ.len() + len(rt.prefillBatch) + len(rt.handoffs) + rt.decodeQ.len() + len(rt.running)
 }
 
+// held implements replica: load already counts every queue and batch.
+func (rt *splitwiseRuntime) held() int { return rt.load() }
+
 // intake implements replica: routed work enters the prefill side; decode
 // queues stay put, since their KV is resident where it is.
 func (rt *splitwiseRuntime) intake() *waitQueue { return rt.prefillQ }

@@ -168,6 +168,9 @@ func (p *Plan) String() string {
 // Search runs the hierarchical exploration and returns the best plan.
 func Search(cluster *hardware.Cluster, est *perf.Estimator, wl Workload, opts Options) (*Plan, error) {
 	start := time.Now()
+	if cluster == nil || cluster.NumDevices() == 0 {
+		return nil, fmt.Errorf("parallelizer: empty cluster")
+	}
 	if err := wl.Validate(); err != nil {
 		return nil, err
 	}

@@ -85,6 +85,9 @@ func DefaultOptions() Options {
 // estimator and fits the linear models. primary designates the device whose
 // links carry the scattered heads.
 func Run(est *perf.Estimator, cluster *hardware.Cluster, primary hardware.DeviceID, opts Options) (*Profile, error) {
+	if cluster == nil || primary < 0 || int(primary) >= cluster.NumDevices() {
+		return nil, fmt.Errorf("profile: primary device %d is not in the cluster", primary)
+	}
 	if opts.GridPoints < 2 {
 		return nil, fmt.Errorf("profile: need at least 2 grid points, got %d", opts.GridPoints)
 	}

@@ -20,7 +20,7 @@ func ExampleRunMany() {
 	var jobs []sweep.Job
 	for _, p := range spec.Points() {
 		jobs = append(jobs, sweep.Job{Key: p.Key(), Run: func() (*metrics.Table, error) {
-			return sweep.RunPoint(spec, p)
+			return sweep.RunPoint(spec, p, "")
 		}})
 	}
 	results, err := sweep.RunMany(jobs, sweep.Options{Jobs: 3})

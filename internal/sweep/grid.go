@@ -158,14 +158,9 @@ var GridHeader = []string{
 
 // RunPoint simulates one grid coordinate and returns its one-row table.
 // The point's trace is a Poisson trace of its dataset and rate, or its
-// scenario's trace at the grid's Duration and Seed.
-func RunPoint(s GridSpec, p Point) (*metrics.Table, error) {
-	return runPoint(s, p, "")
-}
-
-// runPoint is RunPoint that, with traceDir set, records the run's event
-// trace and writes it there (see Options.TraceDir).
-func runPoint(s GridSpec, p Point, traceDir string) (*metrics.Table, error) {
+// scenario's trace at the grid's Duration and Seed. A non-empty traceDir
+// records the run's event trace and writes it there (Options.TraceDir).
+func RunPoint(s GridSpec, p Point, traceDir string) (*metrics.Table, error) {
 	s = s.withDefaults()
 	m, err := model.ByName(p.Model)
 	if err != nil {
@@ -215,10 +210,8 @@ func runPoint(s GridSpec, p Point, traceDir string) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if traceDir != "" {
-		if err := writeTrace(traceDir, p.Key(), res.Trace); err != nil {
-			return nil, err
-		}
+	if err := writeTrace(traceDir, p.Key(), res.Trace); err != nil {
+		return nil, err
 	}
 	scenarioCol, datasetCol, rateCol := "-", p.Dataset, any(p.Rate)
 	if p.Scenario != "" {
@@ -244,15 +237,12 @@ func RunGrid(s GridSpec, opts Options) (*metrics.Table, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if s.Stream && opts.TraceDir != "" {
-		return nil, errStreamTrace
-	}
 	s = s.withDefaults()
 	pts := s.Points()
 	jobs := make([]Job, len(pts))
 	for i, p := range pts {
 		jobs[i] = Job{Key: p.Key(), Run: func() (*metrics.Table, error) {
-			return runPoint(s, p, opts.TraceDir)
+			return RunPoint(s, p, opts.TraceDir)
 		}}
 	}
 	results, err := RunMany(jobs, opts)

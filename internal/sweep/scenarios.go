@@ -1,16 +1,11 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 
 	"hetis/internal/metrics"
 	"hetis/internal/scenario"
 )
-
-// errStreamTrace refuses Options.TraceDir on a streaming run, which
-// records no event trace.
-var errStreamTrace = errors.New("sweep: streaming runs record no event trace to write")
 
 // RunScenarios serves the named scenarios on the pool, one job per
 // (scenario, engine) pair, and merges their rows in catalog order —
@@ -42,9 +37,6 @@ func RunScenariosSink(names []string, quick bool, seed int64, stream bool, windo
 	}
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("sweep: no scenarios named")
-	}
-	if stream && opts.TraceDir != "" {
-		return nil, nil, errStreamTrace
 	}
 	type pair struct {
 		spec scenario.Spec
@@ -87,10 +79,8 @@ func RunScenariosSink(names []string, quick bool, seed int64, stream bool, windo
 			if err != nil {
 				return nil, err
 			}
-			if opts.TraceDir != "" {
-				if err := writeTrace(opts.TraceDir, key, res.Trace); err != nil {
-					return nil, err
-				}
+			if err := writeTrace(opts.TraceDir, key, res.Trace); err != nil {
+				return nil, err
 			}
 			rows, wins, err := fr.Tables()
 			winByIdx[i] = wins

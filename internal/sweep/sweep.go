@@ -37,9 +37,8 @@ type Options struct {
 	// Unsharded runs ignore it.
 	ShardWorkers int
 	// TraceDir, when set, makes every grid point and exact scenario run
-	// record its event trace and write it as JSONL to
-	// TraceDir/<job key, '/' replaced by '_'>.jsonl. A sharded run writes
-	// its merged fleet trace. Streaming runs record no trace and refuse it.
+	// write its event trace (a sharded run's merged fleet trace) as JSONL
+	// to TraceDir/<job key, '/' replaced by '_'>.jsonl.
 	TraceDir string
 }
 
@@ -85,8 +84,15 @@ func RunMany(jobs []Job, opts Options) ([]Result, error) {
 }
 
 // writeTrace writes a run's event trace to dir/<key, '/' replaced by
-// '_'>.jsonl, creating dir if needed.
+// '_'>.jsonl, creating dir if needed; an empty dir writes nothing. A
+// streaming scenario run records no trace, so it has none to write.
 func writeTrace(dir, key string, log *trace.Log) error {
+	if dir == "" {
+		return nil
+	}
+	if log == nil {
+		return fmt.Errorf("sweep: run %s recorded no event trace (streaming runs keep none)", key)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

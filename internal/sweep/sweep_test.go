@@ -79,7 +79,7 @@ func TestRunManyPropagatesErrors(t *testing.T) {
 func TestBuildEngineUnknown(t *testing.T) {
 	spec := GridSpec{Duration: 1}
 	p := Point{Model: "Llama-13B", Dataset: "SG", Rate: 5, Engine: "triton"}
-	if _, err := RunPoint(spec, p); err == nil || !strings.Contains(err.Error(), "triton") {
+	if _, err := RunPoint(spec, p, ""); err == nil || !strings.Contains(err.Error(), "triton") {
 		t.Fatalf("err = %v, want unknown-engine naming triton", err)
 	}
 }
@@ -163,7 +163,8 @@ func TestParseDimsRejectsNonPositive(t *testing.T) {
 }
 
 // TestTraceDir checks Options.TraceDir: a grid point writes its trace
-// under its job key and keeps its row, and a streaming run refuses it.
+// under its job key and keeps its row, and a streaming scenario run, which
+// records no trace, fails.
 func TestTraceDir(t *testing.T) {
 	dir := t.TempDir()
 	spec := GridSpec{Engines: []string{"vllm"}, Datasets: []string{"HE"}, Rates: []float64{2}, Duration: 3}
@@ -182,12 +183,8 @@ func TestTraceDir(t *testing.T) {
 	if err != nil || !bytes.HasPrefix(b, []byte(`{"at":`)) {
 		t.Errorf("trace file = %.40q, %v; want JSONL events", b, err)
 	}
-	spec.Stream = true
-	if _, err := RunGrid(spec, Options{TraceDir: dir}); !errors.Is(err, errStreamTrace) {
-		t.Errorf("streaming grid with TraceDir: err = %v, want errStreamTrace", err)
-	}
-	if _, _, err := RunScenariosSink([]string{"steady"}, true, 0, true, 0, Options{TraceDir: dir}); !errors.Is(err, errStreamTrace) {
-		t.Errorf("streaming scenarios with TraceDir: err = %v, want errStreamTrace", err)
+	if _, _, err := RunScenariosSink([]string{"steady"}, true, 0, true, 0, Options{TraceDir: dir}); err == nil || !strings.Contains(err.Error(), "no event trace") {
+		t.Errorf("streaming scenarios with TraceDir: err = %v, want a no-trace error", err)
 	}
 }
 

@@ -191,11 +191,13 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 		return usageError("-plan prints a plan and a profile, not a table: -csv and -stream do not apply")
 	}
 	planOnly := ""
-	fs.Visit(func(f *flag.Flag) {
-		if *plan == "" && strings.HasPrefix(f.Usage, "with -plan:") {
-			planOnly = f.Name
-		}
-	})
+	if *plan == "" {
+		fs.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Usage, "with -plan:") {
+				planOnly = f.Name
+			}
+		})
+	}
 	if planOnly != "" {
 		return usageError("-%s applies only to -plan", planOnly)
 	}

@@ -84,10 +84,18 @@ func (s GridSpec) withDefaults() GridSpec {
 	return s
 }
 
-// validate rejects dimension combinations Points would silently ignore,
-// and scenarios a grid point cannot serve faithfully: a point runs the
+// validate rejects rates and durations that are not finite and positive,
+// dimension combinations Points would silently ignore, and scenarios a grid point cannot serve faithfully: a point runs the
 // scenario's trace on one plain engine, with no chaos, tiers or shards.
 func (s GridSpec) validate() error {
+	for _, r := range s.Rates {
+		if !finitePositive(r) {
+			return fmt.Errorf("sweep: bad rate %v: must be finite and positive", r)
+		}
+	}
+	if s.Duration != 0 && !finitePositive(s.Duration) {
+		return fmt.Errorf("sweep: bad duration %v: must be finite and positive (0 takes the default)", s.Duration)
+	}
 	if len(s.Scenarios) > 0 && (len(s.Datasets) > 0 || len(s.Rates) > 0) {
 		return fmt.Errorf("sweep: the scenario dimension excludes dataset and rate (scenarios carry their own traffic and mix)")
 	}
@@ -314,15 +322,18 @@ func ParseDims(spec GridSpec, dims []string) (GridSpec, error) {
 	return spec, nil
 }
 
-// parsePositive parses one value of the rate or duration dimension, which
-// must be finite and positive: an infinite rate would synthesize a trace
-// without bound, and a zero one an empty trace.
+// finitePositive reports whether x is a usable rate or duration: an
+// infinite rate would synthesize a trace without bound, and a zero one an
+// empty trace.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// parsePositive parses one value of the rate or duration dimension.
 func parsePositive(dim, v string) (float64, error) {
 	x, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("sweep: bad %s %q: %w", dim, v, err)
 	}
-	if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
+	if !finitePositive(x) {
 		return 0, fmt.Errorf("sweep: bad %s %q: must be finite and positive", dim, v)
 	}
 	return x, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -158,6 +159,18 @@ func TestParseDimsRejectsNonPositive(t *testing.T) {
 		_, err := ParseDims(GridSpec{}, []string{tc.dim})
 		if err == nil || !strings.Contains(err.Error(), "bad "+tc.name) {
 			t.Errorf("ParseDims(%q) err = %v, want an error naming the %s", tc.dim, err, tc.name)
+		}
+	}
+	// A spec built without ParseDims is refused before any point runs.
+	for _, spec := range []GridSpec{
+		{Rates: []float64{math.Inf(1)}},
+		{Rates: []float64{2, math.NaN()}},
+		{Rates: []float64{0}},
+		{Duration: -5},
+		{Duration: math.Inf(1)},
+	} {
+		if _, err := RunGrid(spec, Options{Jobs: 1}); err == nil || !strings.Contains(err.Error(), "finite and positive") {
+			t.Errorf("RunGrid(%+v) err = %v, want a bad rate or duration", spec, err)
 		}
 	}
 }

@@ -223,7 +223,8 @@ type Spec struct {
 	SLO metrics.SLOTarget
 
 	// Model and Cluster pick the deployment; defaults: Llama-13B on the
-	// paper cluster.
+	// paper cluster. Cluster is a hardware.ParseCluster name ("paper" or
+	// a list like "4xA100,4x3090").
 	Model   string
 	Cluster string
 	// Engines lists the systems to run, in row order; default hetis,

@@ -333,6 +333,47 @@ func TestPlanGoldens(t *testing.T) {
 	}
 }
 
+func TestPlanFirstLine(t *testing.T) {
+	out, err := runBench(t, "-plan", "Llama-13B", "-cluster", "2xA100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(out, "\n")
+	if !strings.HasPrefix(first, "model:") || !strings.Contains(first, "Llama-13B") {
+		t.Errorf("first line = %q, want model: ... Llama-13B", first)
+	}
+	if !strings.Contains(out, "modeled decode step:") {
+		t.Error("output missing the modeled-cost summary line")
+	}
+}
+
+// TestProfileFirstLine checks the §5.1 table that follows the plan's
+// blank line: it names the model and the primary device and has a row
+// per cluster device.
+func TestProfileFirstLine(t *testing.T) {
+	out, err := runBench(t, "-plan", "OPT-13B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, profile, ok := strings.Cut(out, "\n\nmodel ")
+	if !ok {
+		t.Fatalf("-plan output has no profile table:\n%s", out)
+	}
+	first, _, _ := strings.Cut("model "+profile, "\n")
+	if !strings.HasPrefix(first, "model OPT-13B") || !strings.Contains(first, "primary device 0") {
+		t.Errorf("profile first line = %q", first)
+	}
+	if lines := strings.Count(profile, "\n"); lines < 5 {
+		t.Errorf("profile table only has %d lines", lines)
+	}
+}
+
+func TestPlanUnknownModel(t *testing.T) {
+	if _, err := runBench(t, "-plan", "no-such"); err == nil {
+		t.Error("unknown model should error")
+	}
+}
+
 func TestPlanBadInputs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-plan", "no-such-model"},
@@ -379,6 +420,20 @@ func TestTraceOutGoldens(t *testing.T) {
 		if string(got) != readGolden(t, tc.golden) {
 			t.Errorf("%s differs from testdata/%s.golden", tc.file, tc.golden)
 		}
+	}
+}
+
+func TestTraceOutWritesFile(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := runBench(t, "-trace-out", dir, "-grid", "engine=hexgen", "dataset=HE", "rate=2", "duration=3"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "Llama-13B_HE_2_hexgen.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) == 0 || data[0] != '{' {
+		t.Errorf("trace file starts %q, want JSONL", data[:min(20, len(data))])
 	}
 }
 

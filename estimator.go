@@ -9,23 +9,20 @@ import (
 // and communication costs. It is the ground truth the Profiler fits.
 type Estimator = perf.Estimator
 
-// newEstimator builds the cost model for a model configuration, or
-// returns why the configuration is invalid.
-func newEstimator(m ModelConfig) (*Estimator, error) {
+// NewEstimator builds the cost model for a model configuration, or returns
+// why the configuration is invalid. It is exposed for custom studies (e.g.
+// exploring a hypothetical GPU before adding it to a cluster).
+func NewEstimator(m ModelConfig) (*Estimator, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return perf.New(m), nil
 }
 
-// NewEstimator exposes the cost model for custom studies (e.g. exploring a
-// hypothetical GPU before adding it to a cluster).
-func NewEstimator(m ModelConfig) *Estimator { return perf.New(m) }
-
 // ProfileCluster runs the §5.1 Profiler: it fits the linear attention-time
 // and transfer models for every device relative to the given primary.
 func ProfileCluster(m ModelConfig, cluster *Cluster, primary DeviceID) (*Profile, error) {
-	est, err := newEstimator(m)
+	est, err := NewEstimator(m)
 	if err != nil {
 		return nil, err
 	}

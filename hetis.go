@@ -161,7 +161,7 @@ func DefaultPlanOptions() PlanOptions { return parallelizer.DefaultOptions() }
 
 // SearchPlan runs the §4.1 hierarchical search directly.
 func SearchPlan(cluster *Cluster, m ModelConfig, wl PlanWorkload, opts PlanOptions) (*Plan, error) {
-	est, err := newEstimator(m)
+	est, err := NewEstimator(m)
 	if err != nil {
 		return nil, err
 	}

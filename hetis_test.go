@@ -98,7 +98,10 @@ func TestExperimentRegistryViaFacade(t *testing.T) {
 }
 
 func TestEstimatorFacade(t *testing.T) {
-	est := NewEstimator(Llama70B)
+	est, err := NewEstimator(Llama70B)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if est.DenseLayerTime(A100, 64, 1) <= 0 {
 		t.Fatal("estimator returned non-positive time")
 	}
@@ -114,6 +117,10 @@ func TestPlanningRejectsBadInput(t *testing.T) {
 		name string
 		call func() error
 	}{
+		{"NewEstimator zero model", func() error {
+			_, err := NewEstimator(ModelConfig{})
+			return err
+		}},
 		{"SearchPlan zero model", func() error {
 			_, err := SearchPlan(PaperCluster(), ModelConfig{}, wl, DefaultPlanOptions())
 			return err

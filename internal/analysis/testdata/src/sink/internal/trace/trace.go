@@ -37,9 +37,9 @@ func (l *Log) Guardless() int { // want `does not start with a nil-receiver guar
 	return len(l.events)
 }
 
-// Release mirrors the arena recycler: no results, so the guard is a bare
-// early return — still a leading nil guard.
-func (l *Log) Release() {
+// Clear has no results, so the guard is a bare early return — still a
+// leading nil guard.
+func (l *Log) Clear() {
 	if l == nil {
 		return
 	}

@@ -46,19 +46,6 @@ type Config struct {
 	// about to advance. Only tests set it.
 	checkStep func(inst *hetisInstance, advancing []*request)
 
-	// MaxPrefillTokens bounds the tokens prefilled per iteration.
-	MaxPrefillTokens int
-	// MaxPrefillRequests bounds the prompts admitted per iteration.
-	MaxPrefillRequests int
-	// MaxRunning bounds the decode batch per instance.
-	MaxRunning int
-	// AdmitWatermark is the cache-utilization ceiling for admitting new
-	// (or recycled) requests: admission stops when the projected
-	// utilization exceeds it, leaving slack for running requests to grow.
-	// This is the hysteresis that keeps eviction storms from livelocking
-	// the batch under overload (vLLM's watermark, made explicit).
-	AdmitWatermark float64
-
 	// MaxEventsPerRequest scales the simulator's runaway guard to the
 	// trace: a run aborts after len(reqs)×MaxEventsPerRequest events (but
 	// never fewer than minEventBudget, so tiny traces keep slack for
@@ -92,20 +79,33 @@ type Config struct {
 	Chaos *ChaosConfig
 }
 
+// Continuous-batching limits shared by every engine.
+const (
+	// maxPrefillTokens bounds the tokens prefilled per iteration.
+	maxPrefillTokens = 8192
+	// maxPrefillRequests bounds the prompts admitted per iteration.
+	maxPrefillRequests = 8
+	// maxRunning bounds the decode batch per instance.
+	maxRunning = 512
+	// admitWatermark is the Hetis engine's cache-utilization ceiling for
+	// admitting new (or recycled) requests: admission stops when the
+	// projected utilization exceeds it, leaving slack for running requests
+	// to grow. This is the hysteresis that keeps eviction storms from
+	// livelocking the batch under overload (vLLM's watermark, made
+	// explicit).
+	admitWatermark = 0.92
+)
+
 // DefaultConfig returns the standard engine configuration for a model on a
 // cluster.
 func DefaultConfig(cfg model.Config, cluster *hardware.Cluster) Config {
 	return Config{
-		Model:              cfg,
-		Cluster:            cluster,
-		Theta:              0.5,
-		RebalanceEvery:     8,
-		MaxPrefillTokens:   8192,
-		MaxPrefillRequests: 8,
-		MaxRunning:         512,
-		AdmitWatermark:     0.92,
-		MemHeadroom:        0.08,
-		SampleEvery:        1.0,
+		Model:          cfg,
+		Cluster:        cluster,
+		Theta:          0.5,
+		RebalanceEvery: 8,
+		MemHeadroom:    0.08,
+		SampleEvery:    1.0,
 	}
 }
 
@@ -168,9 +168,6 @@ func (c Config) Validate() error {
 	}
 	if c.Theta < 0 {
 		return fmt.Errorf("engine: negative Theta %g", c.Theta)
-	}
-	if c.MaxPrefillTokens <= 0 || c.MaxPrefillRequests <= 0 || c.MaxRunning <= 0 {
-		return fmt.Errorf("engine: batching limits must be positive")
 	}
 	if err := c.Chaos.Validate(); err != nil {
 		return err

@@ -374,11 +374,6 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative theta should fail")
 	}
-	bad = good
-	bad.MaxRunning = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero MaxRunning should fail")
-	}
 	if _, err := NewHetis(good, nil); err == nil {
 		t.Error("nil plan should fail")
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"hetis/internal/dispatch"
 	"hetis/internal/hardware"
@@ -390,15 +389,14 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 	if inst.holdAdmission && len(inst.running) > 0 {
 		return false
 	}
-	cfg := inst.cfg
 	var admitted []*request
 	tokens := 0
 	for inst.waiting.len() > 0 &&
-		len(admitted) < cfg.MaxPrefillRequests &&
-		len(inst.running)+len(admitted) < cfg.MaxRunning {
+		len(admitted) < maxPrefillRequests &&
+		len(inst.running)+len(admitted) < maxRunning {
 		r := inst.waiting.peek()
 		ctx := r.restartCtx
-		if tokens+r.prefillLen() > cfg.MaxPrefillTokens && len(admitted) > 0 {
+		if tokens+r.prefillLen() > maxPrefillTokens && len(admitted) > 0 {
 			break
 		}
 		nr := dispatch.NewRequest{ID: r.wl.ID, ContextLen: ctx}
@@ -689,10 +687,6 @@ func (inst *hetisInstance) relieveOverflow(s *sim.Simulator) {
 // underWatermark reports whether admitting ctx more tokens of full-head
 // cache keeps the instance below the admission watermark.
 func (inst *hetisInstance) underWatermark(ctx int) bool {
-	wm := inst.cfg.AdmitWatermark
-	if wm <= 0 {
-		wm = 0.92
-	}
 	var used, capTotal float64
 	for i, w := range inst.disp.Workers() {
 		used += inst.disp.CacheBytes(i)
@@ -703,7 +697,7 @@ func (inst *hetisInstance) underWatermark(ctx int) bool {
 	}
 	add := float64(inst.cfg.Model.Heads) * float64(ctx) *
 		float64(inst.cfg.Model.KVBytesPerTokenHeadGroup()) / float64(inst.cfg.Model.GroupRatio())
-	return (used+add)/capTotal <= wm
+	return (used+add)/capTotal <= admitWatermark
 }
 
 // kvAlloc mirrors a dispatch placement into the block managers.
@@ -1033,44 +1027,19 @@ func (inst *hetisInstance) trackPeak() {
 	}
 }
 
-// seriesName caches the per-device sampler series names ("heads-3",
-// "cache-7"): sample runs on a timer for the whole horizon, and the small
-// device IDs repeat every tick, so formatting them once is enough.
-var seriesName struct {
-	sync.Mutex
-	heads map[int]string
-	cache map[int]string
-}
-
-// sampleSeriesName returns the cached name for one sampler family,
-// formatting it on first use.
-func sampleSeriesName(byDev *map[int]string, prefix string, dev int) string {
-	seriesName.Lock()
-	defer seriesName.Unlock()
-	if *byDev == nil {
-		*byDev = make(map[int]string)
-	}
-	name, ok := (*byDev)[dev]
-	if !ok {
-		name = fmt.Sprintf("%s-%d", prefix, dev)
-		(*byDev)[dev] = name
-	}
-	return name
-}
-
 // sample records per-device head counts and cache utilization (Fig. 14).
 func (inst *hetisInstance) sample(now float64) {
 	for i, dev := range inst.workerDev {
 		hs, ok := inst.res.HeadSeries[dev]
 		if !ok {
-			hs = &metrics.Series{Name: sampleSeriesName(&seriesName.heads, "heads", int(dev))}
+			hs = &metrics.Series{Name: fmt.Sprintf("heads-%d", int(dev))}
 			inst.res.HeadSeries[dev] = hs
 		}
 		hs.Append(now, inst.disp.Heads(i))
 
 		cs, ok := inst.res.CacheSeries[dev]
 		if !ok {
-			cs = &metrics.Series{Name: sampleSeriesName(&seriesName.cache, "cache", int(dev))}
+			cs = &metrics.Series{Name: fmt.Sprintf("cache-%d", int(dev))}
 			inst.res.CacheSeries[dev] = cs
 		}
 		cs.Append(now, inst.kv[i].Utilization()*100)

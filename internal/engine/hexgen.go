@@ -156,8 +156,8 @@ func (rt *staticRuntime) tryPrefill(s *sim.Simulator) bool {
 	admitted := rt.prefillBatch[:0]
 	tokens := 0
 	for rt.waiting.len() > 0 &&
-		len(admitted) < cfg.MaxPrefillRequests &&
-		len(rt.running)+len(admitted) < cfg.MaxRunning {
+		len(admitted) < maxPrefillRequests &&
+		len(rt.running)+len(admitted) < maxRunning {
 		r := rt.waiting.peek()
 		ctx := int64(r.restartCtx)
 		if rt.fleet.ctl.tiered() && rt.used+ctx > rt.pipe.tokenCap && len(admitted) == 0 {
@@ -172,7 +172,7 @@ func (rt *staticRuntime) tryPrefill(s *sim.Simulator) bool {
 			}
 			break
 		}
-		if tokens+r.prefillLen() > cfg.MaxPrefillTokens && len(admitted) > 0 {
+		if tokens+r.prefillLen() > maxPrefillTokens && len(admitted) > 0 {
 			break
 		}
 		rt.waiting.pop()

@@ -217,7 +217,7 @@ func (rt *splitwiseRuntime) prefillStep(s *sim.Simulator) {
 	cfg := &rt.cfg
 	admitted := rt.prefillBatch[:0]
 	tokens := 0
-	for rt.prefillQ.len() > 0 && len(admitted) < cfg.MaxPrefillRequests {
+	for rt.prefillQ.len() > 0 && len(admitted) < maxPrefillRequests {
 		r := rt.prefillQ.peek()
 		ctx := int64(r.restartCtx)
 		if ctx > rt.prefill.tokenCap {
@@ -229,7 +229,7 @@ func (rt *splitwiseRuntime) prefillStep(s *sim.Simulator) {
 		if rt.inPrefill+ctx > rt.prefill.tokenCap && len(admitted) > 0 {
 			break
 		}
-		if tokens+int(ctx) > cfg.MaxPrefillTokens && len(admitted) > 0 {
+		if tokens+int(ctx) > maxPrefillTokens && len(admitted) > 0 {
 			break
 		}
 		rt.prefillQ.pop()
@@ -319,7 +319,7 @@ func (rt *splitwiseRuntime) kickDecode(s *sim.Simulator) {
 
 func (rt *splitwiseRuntime) decodeStep(s *sim.Simulator) {
 	// Admit transferred requests while cache allows.
-	for rt.decodeQ.len() > 0 && len(rt.running) < rt.cfg.MaxRunning {
+	for rt.decodeQ.len() > 0 && len(rt.running) < maxRunning {
 		r := rt.decodeQ.peek()
 		ctx := int64(r.contextLen())
 		if rt.fleet.ctl.tiered() && rt.used+ctx > rt.pipe.tokenCap && len(rt.running) > 0 {

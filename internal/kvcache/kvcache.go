@@ -125,9 +125,6 @@ func (m *Manager) UsedBlocks() int { return m.totalBlocks - m.freeBlocks }
 // UsedBytes is the allocated cache volume.
 func (m *Manager) UsedBytes() int64 { return int64(m.UsedBlocks()) * m.cfg.BlockBytes() }
 
-// FreeBytes is the unallocated cache volume.
-func (m *Manager) FreeBytes() int64 { return int64(m.freeBlocks) * m.cfg.BlockBytes() }
-
 // CapacityBytes is the total cache volume the device can hold.
 func (m *Manager) CapacityBytes() int64 { return int64(m.totalBlocks) * m.cfg.BlockBytes() }
 
@@ -147,11 +144,6 @@ func (m *Manager) blocksFor(groups, tokens int) int {
 // perGroup is the number of blocks one group needs for tokens of context.
 func (m *Manager) perGroup(tokens int) int {
 	return (tokens + m.cfg.BlockTokens - 1) / m.cfg.BlockTokens
-}
-
-// CanAlloc reports whether groups head groups with tokens of context fit.
-func (m *Manager) CanAlloc(groups, tokens int) bool {
-	return m.blocksFor(groups, tokens) <= m.freeBlocks
 }
 
 // phase is the slot of phaseGroups an entry with the given base counts in.

@@ -233,9 +233,6 @@ func (s *StreamingSink) Snapshot() Snapshot {
 	}
 }
 
-// SLO reports the objective the sink measures attainment against.
-func (s *StreamingSink) SLO() SLOTarget { return s.slo }
-
 // Tee fans every record out to several sinks; Snapshot delegates to the
 // first (primary) sink. It composes the pipeline pieces — e.g. an
 // aggregate StreamingSink, a per-tenant KeyedMux for the tables and a

@@ -52,9 +52,6 @@ func newQuantileSketch(alpha float64) *QuantileSketch {
 	}
 }
 
-// Alpha reports the sketch's relative accuracy.
-func (q *QuantileSketch) Alpha() float64 { return q.alpha }
-
 // Count reports how many values the sketch absorbed.
 func (q *QuantileSketch) Count() int { return int(q.count) }
 

@@ -91,9 +91,6 @@ func NewWindowedSeries(window float64, slo SLOTarget) *WindowedSeries {
 	return &WindowedSeries{window: window, slo: slo}
 }
 
-// Window reports the bucket width in seconds.
-func (w *WindowedSeries) Window() float64 { return w.window }
-
 // Observe implements Sink. Dropped records land in the bucket of their
 // FinishedAt (the drop time) as Dropped counts: they widen the window's
 // attainment denominator without touching completions or latency sketches.

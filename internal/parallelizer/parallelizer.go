@@ -565,51 +565,6 @@ func activeStages(states []typeState, cfg model.Config, est *perf.Estimator, dec
 	return out
 }
 
-// apportion splits total into integer parts proportional to weights using
-// the largest-remainder method; every positive-weight part gets at least
-// one unit when total allows.
-func apportion(total int, weights []float64, wsum float64) []int {
-	n := len(weights)
-	out := make([]int, n)
-	if n == 0 || wsum <= 0 {
-		return out
-	}
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	assigned := 0
-	rems := make([]rem, 0, n)
-	for i, w := range weights {
-		exact := float64(total) * w / wsum
-		out[i] = int(exact)
-		assigned += out[i]
-		rems = append(rems, rem{i, exact - float64(out[i])})
-	}
-	sort.Slice(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
-	for k := 0; assigned < total; k++ {
-		out[rems[k%n].idx]++
-		assigned++
-	}
-	// Guarantee a floor of one layer per positive-weight stage.
-	for i := range out {
-		if weights[i] > 0 && out[i] == 0 {
-			// Steal from the largest.
-			maxIdx := 0
-			for j := range out {
-				if out[j] > out[maxIdx] {
-					maxIdx = j
-				}
-			}
-			if out[maxIdx] > 1 {
-				out[maxIdx]--
-				out[i]++
-			}
-		}
-	}
-	return out
-}
-
 // apportionMinMax splits total layers across stages with the given
 // per-layer costs so that the maximum stage cost is minimized. It starts
 // from a proportional split and then greedily moves single layers off the

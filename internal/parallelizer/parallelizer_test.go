@@ -222,31 +222,6 @@ func TestSearchOverheadSmall(t *testing.T) {
 	}
 }
 
-func TestApportion(t *testing.T) {
-	// Exact proportions.
-	got := apportion(10, []float64{1, 1}, 2)
-	if got[0]+got[1] != 10 || got[0] != 5 {
-		t.Fatalf("apportion(10, equal) = %v", got)
-	}
-	// Largest remainder.
-	got = apportion(10, []float64{2, 1}, 3)
-	if got[0]+got[1] != 10 || got[0] < got[1] {
-		t.Fatalf("apportion(10, 2:1) = %v", got)
-	}
-	// Floor of one for tiny weights.
-	got = apportion(10, []float64{100, 0.001}, 100.001)
-	if got[1] < 1 {
-		t.Fatalf("tiny weight starved: %v", got)
-	}
-	if got[0]+got[1] != 10 {
-		t.Fatalf("sum broken: %v", got)
-	}
-	// Degenerate inputs.
-	if out := apportion(5, nil, 0); len(out) != 0 {
-		t.Fatalf("empty weights should yield empty: %v", out)
-	}
-}
-
 func TestPlanStringMentionsStages(t *testing.T) {
 	plan := searchPaper(t, model.Llama70B, DefaultWorkload(), DefaultOptions())
 	s := plan.String()

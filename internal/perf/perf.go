@@ -302,17 +302,6 @@ func AllReduceTime(link hardware.LinkSpec, bytes int64, p int) float64 {
 	return float64(steps) * (link.Alpha + chunk/link.Beta)
 }
 
-// AllGatherTime models a ring all-gather of n total bytes among p
-// participants: (p−1) steps each moving n/p bytes.
-func AllGatherTime(link hardware.LinkSpec, bytes int64, p int) float64 {
-	if p <= 1 || bytes <= 0 {
-		return 0
-	}
-	steps := p - 1
-	chunk := float64(bytes) / float64(p)
-	return float64(steps) * (link.Alpha + chunk/link.Beta)
-}
-
 // HeadScatterBytes is the per-token traffic of offloading `heads` query
 // heads to a remote attention worker, following Eq. 4's volume model
 // d = (2 + 2/r)·h: the q vector and attention result (one head each) plus

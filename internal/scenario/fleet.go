@@ -248,12 +248,8 @@ func (f *FleetRun) mergeResults() (*engine.Result, error) {
 		out.Sink = f.pipeline.sink
 		return out, nil
 	}
-	// One time-ordered fleet trace (ties break to the lower shard), then
-	// the shard arenas go back to the page pool.
+	// One time-ordered fleet trace (ties break to the lower shard).
 	out.Trace = trace.MergeByTime(logs...)
-	for _, l := range logs {
-		l.Release()
-	}
 	return out, nil
 }
 

@@ -121,7 +121,6 @@ func TestFleetConservation(t *testing.T) {
 		last = ev.At
 		return true
 	})
-	res.Trace.Release()
 }
 
 // A FleetRun is single-use; a second Run must refuse rather than silently

@@ -9,7 +9,6 @@ import (
 	"hetis/internal/metrics"
 	"hetis/internal/model"
 	"hetis/internal/scenario"
-	"hetis/internal/trace"
 )
 
 // megascaleRun serves the megascale scenario at a reduced duration through
@@ -98,7 +97,6 @@ func liveHeap() int64 {
 func TestMegascaleStreamingAccuracy(t *testing.T) {
 	slo := metrics.SLOTarget{TTFT: 1.5, TPOT: 0.1}
 	sink := metrics.NewStreamingSink(slo)
-	trace.ResetPagePool() // pooled pages from earlier tests would blur the heap deltas
 	base := liveHeap()
 	streamRes, _ := megascaleRun(t, 6000, sink)
 	streamHeap := liveHeap() - base
@@ -106,7 +104,6 @@ func TestMegascaleStreamingAccuracy(t *testing.T) {
 	exactRes, _ := megascaleRun(t, 6000, nil)
 	exactHeap := liveHeap() - base
 	runtime.KeepAlive(streamRes)
-	defer exactRes.Trace.Release()
 
 	if streamRes.Events != exactRes.Events || streamRes.Completed != exactRes.Completed {
 		t.Errorf("sink choice changed the simulation: streaming %d events/%d completed, exact %d/%d",
@@ -180,7 +177,6 @@ func TestSinkComparison(t *testing.T) {
 	sink := metrics.NewStreamingSink(spec.SLO)
 	stream := run(sink)
 	exact := run(nil)
-	defer exact.Trace.Release()
 
 	if exact.Completed == 0 {
 		t.Fatal("quick steady completed no requests")
@@ -216,7 +212,6 @@ func TestGigascaleFleetWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace.ResetPagePool()
 		base := liveHeap()
 		res, err := fr.Run(workers)
 		if err != nil {

@@ -10,7 +10,9 @@ func BenchmarkScheduleRun(b *testing.B) {
 		for k := 0; k < 1024; k++ {
 			s.Schedule(float64(k%37), "e", func(*Simulator) {})
 		}
-		s.RunUntilIdle()
+		if err := s.Run(0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -26,7 +28,9 @@ func BenchmarkWheelCascade(b *testing.B) {
 			at := float64(k%97) * float64(1+k%11) * float64(1+k%1009) * 0.001
 			s.Schedule(at, "e", func(*Simulator) {})
 		}
-		s.RunUntilIdle()
+		if err := s.Run(0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -45,6 +49,8 @@ func BenchmarkCancelHeavy(b *testing.B) {
 		for k := 0; k < len(hs); k += 2 {
 			s.Cancel(hs[k])
 		}
-		s.RunUntilIdle()
+		if err := s.Run(0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -18,7 +18,9 @@ func TestGroupCancelAll(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatalf("group not emptied: %d handles", g.Len())
 	}
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if fired != 100 {
 		t.Fatalf("fired=%d, want only the unrelated event (100)", fired)
 	}
@@ -29,7 +31,9 @@ func TestGroupStaleHandlesAreSafe(t *testing.T) {
 	var g Group
 	fired := 0
 	g.Track(s, s.Schedule(1, "a", func(s *Simulator) { fired++ }))
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if fired != 1 {
 		t.Fatalf("fired=%d", fired)
 	}
@@ -39,7 +43,9 @@ func TestGroupStaleHandlesAreSafe(t *testing.T) {
 	if n := g.CancelAll(s); n != 0 {
 		t.Fatalf("CancelAll cancelled %d stale events, want 0", n)
 	}
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if fired != 2 {
 		t.Fatalf("fired=%d, want 2 (recycled event must still run)", fired)
 	}
@@ -52,7 +58,9 @@ func TestGroupPrunesDeadHandles(t *testing.T) {
 	// with the total ever tracked.
 	for i := 0; i < 1000; i++ {
 		g.Track(s, s.After(0, "tick", func(s *Simulator) {}))
-		s.RunUntilIdle()
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if g.Len() >= 64 {
 		t.Fatalf("group holds %d handles after all events fired; pruning failed", g.Len())
@@ -68,7 +76,9 @@ func TestAlive(t *testing.T) {
 	if s.Alive(Handle{}) {
 		t.Fatal("zero handle alive")
 	}
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if s.Alive(h) {
 		t.Fatal("fired handle still alive")
 	}

@@ -379,14 +379,6 @@ func (s *Simulator) Run(horizon float64) error {
 	return nil
 }
 
-// RunUntilIdle runs with no horizon and panics on internal error; it is a
-// convenience for tests where errors indicate bugs.
-func (s *Simulator) RunUntilIdle() {
-	if err := s.Run(0); err != nil {
-		panic(err)
-	}
-}
-
 // Alive reports whether the handle's event is still pending: scheduled and
 // neither fired nor cancelled. The zero Handle and stale handles (whose
 // event ran, possibly with the struct since recycled) are not alive.

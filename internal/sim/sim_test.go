@@ -14,7 +14,9 @@ func TestRunOrder(t *testing.T) {
 		at := at
 		s.Schedule(at, "e", func(s *Simulator) { got = append(got, at) })
 	}
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	want := []float64{0.5, 1, 2, 2, 3}
 	if len(got) != len(want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -33,7 +35,9 @@ func TestTieBreakInsertionOrder(t *testing.T) {
 		i := i
 		s.Schedule(1.0, "tie", func(s *Simulator) { got = append(got, i) })
 	}
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
 			t.Fatalf("ties not FIFO: %v", got)
@@ -53,7 +57,9 @@ func TestClockAdvances(t *testing.T) {
 			}
 		})
 	})
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if s.Now() != 7.5 {
 		t.Fatalf("final Now=%g want 7.5", s.Now())
 	}
@@ -70,7 +76,9 @@ func TestSchedulePastClampsToNow(t *testing.T) {
 			}
 		})
 	})
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if !ran {
 		t.Fatal("past-scheduled event never ran")
 	}
@@ -86,7 +94,9 @@ func TestCancel(t *testing.T) {
 	if s.Cancel(ev) {
 		t.Fatal("double Cancel returned true")
 	}
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -101,7 +111,9 @@ func TestCancelMiddleOfQueue(t *testing.T) {
 	_ = a
 	_ = c
 	s.Cancel(b)
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
 		t.Fatalf("got %v want [a c]", got)
 	}
@@ -114,7 +126,9 @@ func TestCancelStaleHandleIsNoop(t *testing.T) {
 	s := New()
 	fired := 0
 	stale := s.Schedule(1, "first", func(s *Simulator) { fired++ })
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if fired != 1 {
 		t.Fatalf("first event fired %d times", fired)
 	}
@@ -125,7 +139,9 @@ func TestCancelStaleHandleIsNoop(t *testing.T) {
 	if s.Cancel(stale) {
 		t.Fatal("stale handle cancelled a recycled event")
 	}
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if fired != 2 {
 		t.Fatalf("second event did not survive the stale cancel (fired=%d)", fired)
 	}
@@ -152,7 +168,9 @@ func TestCancelledEventRecycled(t *testing.T) {
 	if s.Cancel(a) {
 		t.Fatal("retired handle cancelled its successor")
 	}
-	s.RunUntilIdle()
+	if err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if !ran {
 		t.Fatal("successor event did not run")
 	}
@@ -206,7 +224,9 @@ func TestHorizonDrainAdvancesClock(t *testing.T) {
 	// advance to.
 	s2 := New()
 	s2.Schedule(1, "only", func(s *Simulator) {})
-	s2.RunUntilIdle()
+	if err := s2.Run(0); err != nil {
+		t.Fatal(err)
+	}
 	if s2.Now() != 1 {
 		t.Fatalf("unbounded Now=%g want 1", s2.Now())
 	}
@@ -262,7 +282,9 @@ func TestPropertyOrderingRandom(t *testing.T) {
 			times = append(times, at)
 			s.Schedule(at, "r", func(s *Simulator) { got = append(got, at) })
 		}
-		s.RunUntilIdle()
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
 		sort.Float64s(times)
 		if len(got) != len(times) {
 			return false

@@ -8,8 +8,7 @@ package trace
 // ties by input position (earlier log wins) so the merged order is a pure
 // function of the inputs — never of shard completion order or worker
 // count. Inputs must be At-nondecreasing, which every engine-emitted log
-// is; nil or empty logs are skipped. The inputs are not consumed: callers
-// still own (and should still Release) them.
+// is; nil or empty logs are skipped. The inputs are not consumed.
 func MergeByTime(logs ...*Log) *Log {
 	out := &Log{}
 	type cursor struct {

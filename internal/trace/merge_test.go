@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestMergeByTimeOrdersAndTieBreaks(t *testing.T) {
 	a, b, c := &Log{}, &Log{}, &Log{}
@@ -67,8 +64,6 @@ func TestMergeByTimeDegenerate(t *testing.T) {
 // Cross-page merge: streams longer than one page keep order across the
 // page-boundary cursor advance.
 func TestMergeByTimeAcrossPages(t *testing.T) {
-	ResetPagePool()
-	defer ResetPagePool()
 	a, b := &Log{}, &Log{}
 	n := pageEvents + 100
 	for i := 0; i < n; i++ {
@@ -91,37 +86,5 @@ func TestMergeByTimeAcrossPages(t *testing.T) {
 	})
 	if !ok {
 		t.Fatal("cross-page merge broke time order")
-	}
-}
-
-// Eight goroutines hammering grow/Release concurrently — the shard-arena
-// access pattern the striped pool exists for. Run under -race in CI; the
-// assertions here pin the pool accounting invariants.
-func TestPagePoolStripedConcurrency(t *testing.T) {
-	ResetPagePool()
-	defer ResetPagePool()
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 20; round++ {
-				l := &Log{}
-				for i := 0; i < 3*pageEvents; i++ {
-					l.Add(Event{At: float64(i), Kind: KindSample})
-				}
-				l.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := pagePoolLen(); got > poolCapPages {
-		t.Fatalf("pool holds %d pages, cap is %d", got, poolCapPages)
-	}
-	// Everything released while under cap must have been retained: at most
-	// workers*3 pages were ever live at once.
-	if got := pagePoolLen(); got > workers*3 {
-		t.Fatalf("pool holds %d pages, only %d were ever live", got, workers*3)
 	}
 }

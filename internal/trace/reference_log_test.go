@@ -65,38 +65,3 @@ func (l *referenceLog) refWriteJSONL(w io.Writer) error {
 	}
 	return nil
 }
-
-func (l *referenceLog) refKindCounts() map[Kind]int {
-	out := make(map[Kind]int)
-	for _, ev := range l.events {
-		out[ev.Kind]++
-	}
-	return out
-}
-
-func (l *referenceLog) refSpan() (first, last float64) {
-	if len(l.events) == 0 {
-		return 0, 0
-	}
-	first = l.events[0].At
-	last = l.events[0].At
-	for _, ev := range l.events[1:] {
-		if ev.At < first {
-			first = ev.At
-		}
-		if ev.At > last {
-			last = ev.At
-		}
-	}
-	return first, last
-}
-
-func (l *referenceLog) refSumValues(kind Kind) float64 {
-	var sum float64
-	for _, ev := range l.events {
-		if ev.Kind == kind {
-			sum += ev.Value
-		}
-	}
-	return sum
-}

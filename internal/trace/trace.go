@@ -7,8 +7,7 @@
 // Storage is a paged arena: events land in fixed-size pages chained into a
 // list, so appending never realloc-copies the whole log the way a flat
 // slice does (at megascale that was hundreds of MB of copy traffic per
-// run), and retired logs hand their pages back to a process-level free
-// list for the next run to reuse.
+// run). Pages belong to the garbage collector like any other allocation.
 package trace
 
 import (
@@ -16,8 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 )
 
 // Kind labels an event type.
@@ -65,114 +62,11 @@ type Event struct {
 // one page.
 const pageEvents = 4096
 
-// poolCapPages bounds the process-level free list: 1024 pages retain at
-// most 256 MB, sized so one released megascale trace (~870 pages) fits and
-// the next repeat of the benchmark suite allocates nothing.
-const poolCapPages = 1024
-
-// page is one fixed-size arena block. Pages chain through next both inside
-// a live log and on the free list.
+// page is one fixed-size arena block, chained through next.
 type page struct {
 	next *page
 	n    int
 	ev   [pageEvents]Event
-}
-
-// poolStripes splits the process-level free list into independently locked
-// stripes. One mutex was fine when only sweep workers touched the pool
-// (one lock per 4096 events per run); a sharded fleet run puts 8+ arenas
-// through it concurrently, and the single lock became the one line every
-// shard serializes on. Each Log is pinned round-robin to a home stripe, so
-// steady-state shard workloads never share a lock; getPage steals and
-// Release spills across stripes, keeping the pool's total behaviour (and
-// its cap) identical to the unstriped version.
-const poolStripes = 8
-
-// stripeCapPages bounds each stripe so the whole pool still retains at
-// most poolCapPages pages.
-const stripeCapPages = poolCapPages / poolStripes
-
-// poolStripe is one lock's worth of free list, padded out so neighbouring
-// stripes never share a cache line (the lock word would otherwise bounce
-// between shard cores exactly like the single mutex it replaces).
-type poolStripe struct {
-	mu   sync.Mutex
-	free *page
-	n    int
-	_    [64 - (8+8+8)%64]byte
-}
-
-var pagePool [poolStripes]poolStripe
-
-// logStripeCounter deals home stripes to logs round-robin. Stripe choice
-// is scheduling-visible but simulation-invisible: pages are zeroed on
-// release, so which stripe recycled a page can never change an event.
-var logStripeCounter atomic.Uint32
-
-// pop takes one page off the stripe (nil when empty).
-func (st *poolStripe) pop() *page {
-	st.mu.Lock()
-	p := st.free
-	if p != nil {
-		st.free = p.next
-		st.n--
-	}
-	st.mu.Unlock()
-	if p != nil {
-		p.next = nil
-	}
-	return p
-}
-
-// push prepends pages from the chain until the stripe is full, returning
-// the rest of the chain.
-func (st *poolStripe) push(p *page) *page {
-	st.mu.Lock()
-	for p != nil && st.n < stripeCapPages {
-		next := p.next
-		p.next = st.free
-		st.free = p
-		st.n++
-		p = next
-	}
-	st.mu.Unlock()
-	return p
-}
-
-// getPage pops a page from the home stripe, steals from the others when it
-// is empty, and allocates fresh only when the whole pool is dry.
-func getPage(home int) *page {
-	for i := 0; i < poolStripes; i++ {
-		if p := pagePool[(home+i)%poolStripes].pop(); p != nil {
-			return p
-		}
-	}
-	return new(page)
-}
-
-// ResetPagePool drops every pooled page so the garbage collector can
-// reclaim them. Memory measurements call it to keep retained pool pages
-// out of live-heap baselines; ordinary code never needs it.
-func ResetPagePool() {
-	for i := range pagePool {
-		st := &pagePool[i]
-		st.mu.Lock()
-		st.free = nil
-		st.n = 0
-		st.mu.Unlock()
-	}
-}
-
-// pagePoolLen reports the pooled page count across stripes (test hook).
-func pagePoolLen() int {
-	n := 0
-	for i := range pagePool {
-		st := &pagePool[i]
-		st.mu.Lock()
-		n += st.n
-		st.mu.Unlock()
-	}
-	return n
 }
 
 // Log accumulates events in memory. The zero value is ready to use. A nil
@@ -181,23 +75,11 @@ type Log struct {
 	head *page
 	tail *page
 	n    int
-	// stripe is the log's home pool stripe plus one (0 = not yet assigned,
-	// so the zero value stays ready to use). Assigned at first grow and
-	// kept across Release so a reused log stays on its stripe.
-	stripe uint32
 }
 
-// homeStripe resolves (lazily assigning) the log's pool stripe.
-func (l *Log) homeStripe() int {
-	if l.stripe == 0 {
-		l.stripe = logStripeCounter.Add(1)%poolStripes + 1
-	}
-	return int(l.stripe - 1)
-}
-
-// grow links a fresh (or recycled) page at the tail.
+// grow links a fresh page at the tail.
 func (l *Log) grow() *page {
-	p := getPage(l.homeStripe())
+	p := new(page)
 	if l.tail == nil {
 		l.head = p
 	} else {
@@ -235,30 +117,6 @@ func (l *Log) Addf(at float64, kind Kind, req int64, dev int, value float64, for
 	l.Add(Event{At: at, Kind: kind, Request: req, Device: dev, Value: value, Note: note})
 }
 
-// Release zeroes the log's events, returns its pages to the process free
-// list (up to the pool cap), and resets the log to empty. Views previously
-// returned by Events or Filter are copies and stay valid; the zeroing
-// guarantees a recycled page can never leak a prior run's notes and keeps
-// pooled pages from pinning dead strings. Nil-safe.
-func (l *Log) Release() {
-	if l == nil || l.head == nil {
-		return
-	}
-	head := l.head
-	for p := head; p != nil; p = p.next {
-		clear(p.ev[:p.n])
-		p.n = 0
-	}
-	home := l.homeStripe()
-	l.head, l.tail, l.n = nil, nil, 0
-	// Fill the home stripe first, spill the rest round-robin; whatever the
-	// whole pool cannot hold is left for the GC.
-	p := head
-	for i := 0; i < poolStripes && p != nil; i++ {
-		p = pagePool[(home+i)%poolStripes].push(p)
-	}
-}
-
 // Each calls fn for every event in emission order, stopping early when fn
 // returns false — iteration without materializing the stitched copy
 // Events builds. Nil-safe.
@@ -276,8 +134,7 @@ func (l *Log) Each(fn func(Event) bool) {
 }
 
 // Events returns the recorded events in emission order as one stitched
-// slice. The slice is a copy: it stays valid after the log is released and
-// its pages recycled. Nil-safe.
+// slice. The slice is a copy: later appends never change it. Nil-safe.
 func (l *Log) Events() []Event {
 	if l == nil || l.n == 0 {
 		return nil
@@ -348,71 +205,4 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 		return fmt.Errorf("trace: flush: %w", err)
 	}
 	return nil
-}
-
-// ReadJSONL parses a JSONL stream back into a log.
-func ReadJSONL(r io.Reader) (*Log, error) {
-	dec := json.NewDecoder(r)
-	l := &Log{}
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err == io.EOF {
-			return l, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decode: %w", err)
-		}
-		l.Add(ev)
-	}
-}
-
-// KindCounts tallies events per kind.
-func (l *Log) KindCounts() map[Kind]int {
-	if l == nil {
-		return nil
-	}
-	out := make(map[Kind]int)
-	for p := l.head; p != nil; p = p.next {
-		for i := range p.ev[:p.n] {
-			out[p.ev[i].Kind]++
-		}
-	}
-	return out
-}
-
-// Span returns the first and last event timestamps (0, 0 when empty).
-func (l *Log) Span() (first, last float64) {
-	if l == nil || l.n == 0 {
-		return 0, 0
-	}
-	first = l.head.ev[0].At
-	last = first
-	for p := l.head; p != nil; p = p.next {
-		for i := range p.ev[:p.n] {
-			at := p.ev[i].At
-			if at < first {
-				first = at
-			}
-			if at > last {
-				last = at
-			}
-		}
-	}
-	return first, last
-}
-
-// SumValues adds up the Value field across events of one kind (e.g. total
-// migrated bytes for KindMigration).
-func (l *Log) SumValues(kind Kind) float64 {
-	if l == nil {
-		return 0
-	}
-	var sum float64
-	for p := l.head; p != nil; p = p.next {
-		for i := range p.ev[:p.n] {
-			if p.ev[i].Kind == kind {
-				sum += p.ev[i].Value
-			}
-		}
-	}
-	return sum
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -47,46 +48,14 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != 2 {
 		t.Fatalf("expected 2 lines, got %d: %q", got, buf.String())
 	}
-	back, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 2 {
-		t.Fatalf("round trip lost events: %d", back.Len())
-	}
-	if back.Events()[0] != l.Events()[0] || back.Events()[1] != l.Events()[1] {
-		t.Fatalf("round trip mismatch: %+v vs %+v", back.Events(), l.Events())
-	}
-}
-
-func TestReadJSONLBadInput(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json")); err == nil {
-		t.Fatal("malformed input should error")
-	}
-}
-
-func TestAnalysisHelpers(t *testing.T) {
-	l := &Log{}
-	l.Add(Event{At: 2, Kind: KindMigration, Value: 100})
-	l.Add(Event{At: 1, Kind: KindMigration, Value: 50})
-	l.Add(Event{At: 5, Kind: KindFinish})
-	counts := l.KindCounts()
-	if counts[KindMigration] != 2 || counts[KindFinish] != 1 {
-		t.Fatalf("KindCounts = %v", counts)
-	}
-	first, last := l.Span()
-	if first != 1 || last != 5 {
-		t.Fatalf("Span = (%g, %g)", first, last)
-	}
-	if got := l.SumValues(KindMigration); got != 150 {
-		t.Fatalf("SumValues = %g", got)
-	}
-	var nilLog *Log
-	if nilLog.KindCounts() != nil || nilLog.SumValues(KindFinish) != 0 {
-		t.Fatal("nil log helpers should be zero-valued")
-	}
-	f, la := nilLog.Span()
-	if f != 0 || la != 0 {
-		t.Fatal("nil span should be zero")
+	dec := json.NewDecoder(&buf)
+	for i, want := range l.Events() {
+		var got Event
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if got != want {
+			t.Fatalf("round trip mismatch on line %d: %+v vs %+v", i, got, want)
+		}
 	}
 }

@@ -430,7 +430,18 @@ func (q *queue) pop() *request {
 	return r
 }
 
-// scheduleArrivals feeds the trace into the engines' admission path.
+// requestSlabChunk is the number of request structs carved per slab chunk.
+// Big enough to amortize allocator and GC bookkeeping to noise, small
+// enough that a chunk stays in the small-object allocator (256 × 104B ≈
+// 26KB ≤ 32KB, pinned by TestRequestSlabChunkIsSmallObject), where freed chunks recycle through size-class spans
+// instead of demanding fresh zeroed pages — the large-object path is
+// dramatically slower on scavenger-happy hosts.
+const requestSlabChunk = 256
+
+// scheduleArrivals feeds the trace into the engines' admission path. The
+// trace is read, never written: each request is clamped to the context
+// window (workload.Clamp with maxSeq) as it is carved into its slab slot,
+// before anything reads its lengths, so no run copies the whole trace.
 //
 // Request state comes from slab chunks carved on demand, so the hot loops
 // walk a handful of large allocations instead of one heap object per
@@ -445,15 +456,7 @@ func (q *queue) pop() *request {
 // keys — and therefore identical tie-breaking — to the eager loop it
 // replaced. Traces not sorted by arrival time fall back to the eager loop
 // with the same reserved numbering.
-// requestSlabChunk is the number of request structs carved per slab chunk.
-// Big enough to amortize allocator and GC bookkeeping to noise, small
-// enough that a chunk stays in the small-object allocator (256 × 104B ≈
-// 26KB ≤ 32KB, pinned by TestRequestSlabChunkIsSmallObject), where freed chunks recycle through size-class spans
-// instead of demanding fresh zeroed pages — the large-object path is
-// dramatically slower on scavenger-happy hosts.
-const requestSlabChunk = 256
-
-func scheduleArrivals(s *sim.Simulator, reqs []workload.Request, admit func(s *sim.Simulator, r *request)) {
+func scheduleArrivals(s *sim.Simulator, reqs []workload.Request, maxSeq int, admit func(s *sim.Simulator, r *request)) {
 	n := len(reqs)
 	if n == 0 {
 		return
@@ -471,8 +474,8 @@ func scheduleArrivals(s *sim.Simulator, reqs []workload.Request, admit func(s *s
 		// in place initialises it without copying a whole request.
 		r := &slab[0]
 		slab = slab[1:]
-		r.wl = reqs[i]
-		r.restartCtx = reqs[i].PromptLen
+		r.wl = workload.Clamp(reqs[i], maxSeq)
+		r.restartCtx = r.wl.PromptLen
 		return r
 	}
 	first := s.ReserveSeq(n)

@@ -180,13 +180,13 @@ type replicaSet[R replica] struct {
 	land func(R, *sim.Simulator, *request)
 }
 
-// newReplicaSet opens a run the same way for every engine: it clamps the
-// trace to the context window, builds the Result, and under active chaos
+// newReplicaSet opens a run the same way for every engine: it builds the
+// Result, sized for the n requests of the trace, and under active chaos
 // interposes the controller on the run's sink. The engine then provisions
-// its replicas and calls run.
-func newReplicaSet[R replica](name string, cfg Config, capBytes int64, reqs []workload.Request) (*replicaSet[R], []workload.Request) {
-	reqs = workload.Truncate(reqs, cfg.Model.MaxSeqLen) // clamp to the context window
-	sink, rec := cfg.newRunSink(len(reqs))
+// its replicas and calls run, whose arrivals clamp each request to the
+// context window as it is admitted; the trace itself is never copied.
+func newReplicaSet[R replica](name string, cfg Config, capBytes int64, n int) *replicaSet[R] {
+	sink, rec := cfg.newRunSink(n)
 	res := &Result{
 		Engine:        name,
 		Sink:          sink,
@@ -200,7 +200,7 @@ func newReplicaSet[R replica](name string, cfg Config, capBytes int64, reqs []wo
 		f.ctl.bind(f)
 		f.sink = f.ctl
 	}
-	return f, reqs
+	return f
 }
 
 // provision builds the set's replicas for an engine whose healthy
@@ -236,7 +236,7 @@ func (f *replicaSet[R]) run(reqs []workload.Request, horizon float64, timers fun
 	s := sim.New()
 	s.MaxEvents = f.cfg.MaxSimEvents(len(reqs))
 	f.ctl.start(s)
-	scheduleArrivals(s, reqs, f.arrive)
+	scheduleArrivals(s, reqs, f.cfg.Model.MaxSeqLen, f.arrive)
 	if timers != nil {
 		timers(s)
 	}

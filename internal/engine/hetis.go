@@ -279,7 +279,7 @@ func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstan
 // round-robin (same stages and pool, modelling identical spare
 // deployments).
 func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
-	f, reqs := newReplicaSet[*hetisInstance](h.Name(), h.cfg, h.CacheCapacity(), reqs)
+	f := newReplicaSet[*hetisInstance](h.Name(), h.cfg, h.CacheCapacity(), len(reqs))
 	res := f.res
 	res.HeadSeries = map[hardware.DeviceID]*metrics.Series{}
 	res.CacheSeries = map[hardware.DeviceID]*metrics.Series{}

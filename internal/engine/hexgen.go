@@ -49,7 +49,7 @@ func (h *HexGen) Run(reqs []workload.Request, horizon float64) (*Result, error) 
 // runStatic is the shared Run body of the two static-pipeline engines: a
 // replica set of one staticRuntime, widened by chaos.
 func runStatic(name string, cfg Config, pipe *staticPipeline, capBytes int64, reqs []workload.Request, horizon float64) (*Result, error) {
-	f, reqs := newReplicaSet[*staticRuntime](name, cfg, capBytes, reqs)
+	f := newReplicaSet[*staticRuntime](name, cfg, capBytes, len(reqs))
 	err := f.provision(1, func(int) (*staticRuntime, error) {
 		rt := &staticRuntime{
 			tokenPool: tokenPool{cfg: cfg, pipe: pipe, res: f.res, fleet: &f.fleetCore},

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"hetis/internal/hardware"
 	"hetis/internal/model"
 	"hetis/internal/parallelizer"
+	"hetis/internal/trace"
 	"hetis/internal/workload"
 )
 
@@ -117,37 +120,65 @@ func TestRebalanceEveryExtremes(t *testing.T) {
 
 func TestContextWindowTruncation(t *testing.T) {
 	// An OPT model (2048 window) served a LongBench trace must clamp
-	// contexts rather than fail or run unbounded prompts.
-	cfg := DefaultConfig(model.OPT13B, hardware.PaperCluster())
+	// contexts rather than fail or run unbounded prompts, on every engine
+	// and under failover chaos, and must leave the caller's trace as it
+	// was: requests are clamped as they are admitted, never in place.
+	window := model.OPT13B.MaxSeqLen
 	reqs := workload.Poisson(workload.LongBench, 1, 20, 5)
 	oversized := 0
 	for _, r := range reqs {
-		if r.TotalLen() > model.OPT13B.MaxSeqLen {
+		if r.TotalLen() > window {
 			oversized++
 		}
 	}
 	if oversized == 0 {
-		t.Skip("trace has no oversized requests; nothing to verify")
+		t.Fatal("trace has no oversized requests; nothing to verify")
 	}
-	plan, err := PlanForWorkload(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHetis(cfg, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Run(reqs, 2400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != len(reqs) {
-		t.Fatalf("completed %d of %d truncated requests", res.Completed, len(reqs))
-	}
-	for _, rec := range res.Recorder.Records() {
-		if rec.PromptLen+rec.OutputLen > model.OPT13B.MaxSeqLen {
-			t.Fatalf("request %d served beyond the context window: %d+%d",
-				rec.ID, rec.PromptLen, rec.OutputLen)
+	want := slices.Clone(reqs)
+
+	healthy := DefaultConfig(model.OPT13B, hardware.PaperCluster())
+	chaos := healthy
+	chaos.Chaos = &ChaosConfig{Replicas: 2, Failures: []FailureWindow{
+		{Replica: 0, Start: 4, End: 12, HaulKV: true},
+	}}
+	for _, run := range []struct {
+		name string
+		cfg  Config
+	}{{"healthy", healthy}, {"failover", chaos}} {
+		for _, name := range Names {
+			t.Run(run.name+"/"+name, func(t *testing.T) {
+				eng, err := NewByName(name, run.cfg, reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.Run(reqs, 2400)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(reqs, want) {
+					t.Fatal("Run wrote the caller's trace")
+				}
+				if run.cfg.Chaos != nil && res.Trace.Count(trace.KindFailure) == 0 {
+					t.Fatal("the failover run killed no replica")
+				}
+				if res.Completed != len(reqs) {
+					t.Fatalf("completed %d of %d clamped requests (dropped %d, queued %d)",
+						res.Completed, len(reqs), res.Dropped, res.Queued)
+				}
+				atWindow := 0
+				for _, rec := range res.Recorder.Records() {
+					if rec.PromptLen+rec.OutputLen > window {
+						t.Fatalf("request %d served beyond the context window: %d+%d",
+							rec.ID, rec.PromptLen, rec.OutputLen)
+					}
+					if rec.PromptLen+rec.OutputLen == window {
+						atWindow++
+					}
+				}
+				if atWindow == 0 {
+					t.Fatalf("no record was clamped to the %d-token window, though %d requests exceed it", window, oversized)
+				}
+			})
 		}
 	}
 }

@@ -75,7 +75,7 @@ func (sw *Splitwise) DecodeStages() []parallelizer.Stage { return sw.decode.stag
 // Run implements Engine. A replica is one whole phase-split deployment,
 // so a failure takes down both sides and a scale-up adds another pair.
 func (sw *Splitwise) Run(reqs []workload.Request, horizon float64) (*Result, error) {
-	f, reqs := newReplicaSet[*splitwiseRuntime](sw.Name(), sw.cfg, sw.CacheCapacity(), reqs)
+	f := newReplicaSet[*splitwiseRuntime](sw.Name(), sw.cfg, sw.CacheCapacity(), len(reqs))
 	f.land = (*splitwiseRuntime).landHauled
 	err := f.provision(1, func(int) (*splitwiseRuntime, error) {
 		rt := &splitwiseRuntime{

@@ -12,10 +12,11 @@ import (
 )
 
 // megascaleRun serves the megascale scenario at a reduced duration through
-// the given sink, returning the result and the run's allocs/event. The
+// the given sink, returning the result, the run's allocs/event and the
+// bytes Run allocates per offered request. The
 // scenario's own shape (diurnal wave, code-completion mix, vllm) is kept;
 // only the duration — and therefore the trace length — scales.
-func megascaleRun(t *testing.T, duration float64, sink metrics.Sink) (*engine.Result, float64) {
+func megascaleRun(t *testing.T, duration float64, sink metrics.Sink) (*engine.Result, float64, float64) {
 	t.Helper()
 	spec, err := scenario.ByName("megascale")
 	if err != nil {
@@ -54,7 +55,8 @@ func megascaleRun(t *testing.T, duration float64, sink metrics.Sink) (*engine.Re
 	if res.Completed != len(reqs) {
 		t.Fatalf("megascale at duration %g completed %d/%d", duration, res.Completed, len(reqs))
 	}
-	return res, float64(after.Mallocs-before.Mallocs) / float64(res.Events)
+	return res, float64(after.Mallocs-before.Mallocs) / float64(res.Events),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(len(reqs))
 }
 
 // TestMegascaleStreamingFlatAllocs is the O(1)-memory assertion:
@@ -64,9 +66,9 @@ func megascaleRun(t *testing.T, duration float64, sink metrics.Sink) (*engine.Re
 // measurement allocation fails here before it lands.
 func TestMegascaleStreamingFlatAllocs(t *testing.T) {
 	slo := metrics.SLOTarget{TTFT: 1.5, TPOT: 0.1}
-	_, small := megascaleRun(t, 1500, metrics.NewStreamingSink(slo))
-	_, large := megascaleRun(t, 6000, metrics.NewStreamingSink(slo))
-	t.Logf("allocs/event: %.2f at 1500s, %.2f at 6000s", small, large)
+	_, small, _ := megascaleRun(t, 1500, metrics.NewStreamingSink(slo))
+	_, large, perReq := megascaleRun(t, 6000, metrics.NewStreamingSink(slo))
+	t.Logf("allocs/event: %.2f at 1500s, %.2f at 6000s; %.0f B allocated per offered request at 6000s", small, large, perReq)
 	if large > small*1.3 {
 		t.Errorf("allocs/event grew with trace length: %.2f -> %.2f (4x trace)", small, large)
 	}
@@ -75,6 +77,14 @@ func TestMegascaleStreamingFlatAllocs(t *testing.T) {
 	const budget = 10.0
 	if large > budget {
 		t.Errorf("allocs/event %.2f exceeds the pinned budget %.1f", large, budget)
+	}
+	// Run serves the caller's trace in place, clamping each request as it
+	// is admitted. A whole-trace copy costs one 48 B workload.Request per
+	// offered request on top of the ~140 B the run itself allocates, so it
+	// would break this budget.
+	const bytesPerRequest = 160.0
+	if perReq > bytesPerRequest {
+		t.Errorf("Run allocated %.0f B per offered request, over the %.0f B budget (does it copy the trace?)", perReq, bytesPerRequest)
 	}
 }
 
@@ -98,10 +108,10 @@ func TestMegascaleStreamingAccuracy(t *testing.T) {
 	slo := metrics.SLOTarget{TTFT: 1.5, TPOT: 0.1}
 	sink := metrics.NewStreamingSink(slo)
 	base := liveHeap()
-	streamRes, _ := megascaleRun(t, 6000, sink)
+	streamRes, _, _ := megascaleRun(t, 6000, sink)
 	streamHeap := liveHeap() - base
 	base = liveHeap()
-	exactRes, _ := megascaleRun(t, 6000, nil)
+	exactRes, _, _ := megascaleRun(t, 6000, nil)
 	exactHeap := liveHeap() - base
 	runtime.KeepAlive(streamRes)
 

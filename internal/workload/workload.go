@@ -222,26 +222,21 @@ func Summarize(reqs []Request) Stats {
 	return s
 }
 
-// Truncate clamps every request to a model context window: prompts longer
-// than maxSeq-1 are cut, and outputs are cut so prompt+output ≤ maxSeq.
-// maxSeq <= 0 returns the input unchanged. A new slice is returned; the
-// input is not mutated.
-func Truncate(reqs []Request, maxSeq int) []Request {
+// Clamp fits one request to a model context window: a prompt longer than
+// maxSeq-1 is cut, and the output is cut so prompt+output ≤ maxSeq, keeping
+// at least one output token. maxSeq <= 0 returns r unchanged.
+func Clamp(r Request, maxSeq int) Request {
 	if maxSeq <= 0 {
-		return reqs
+		return r
 	}
-	out := make([]Request, len(reqs))
-	copy(out, reqs)
-	for i := range out {
-		if out[i].PromptLen > maxSeq-1 {
-			out[i].PromptLen = maxSeq - 1
-		}
-		if out[i].PromptLen+out[i].OutputLen > maxSeq {
-			out[i].OutputLen = maxSeq - out[i].PromptLen
-		}
-		if out[i].OutputLen < 1 {
-			out[i].OutputLen = 1
-		}
+	if r.PromptLen > maxSeq-1 {
+		r.PromptLen = maxSeq - 1
 	}
-	return out
+	if r.PromptLen+r.OutputLen > maxSeq {
+		r.OutputLen = maxSeq - r.PromptLen
+	}
+	if r.OutputLen < 1 {
+		r.OutputLen = 1
+	}
+	return r
 }

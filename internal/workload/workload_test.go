@@ -198,34 +198,36 @@ func TestTotalLen(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	reqs := []Request{
-		{PromptLen: 100, OutputLen: 50},
-		{PromptLen: 5000, OutputLen: 500},
-		{PromptLen: 2000, OutputLen: 100},
+func TestClamp(t *testing.T) {
+	cases := []struct {
+		name   string
+		in     Request
+		maxSeq int
+		want   Request
+	}{
+		{"fits", Request{PromptLen: 100, OutputLen: 50}, 2048, Request{PromptLen: 100, OutputLen: 50}},
+		{"exactly fills", Request{PromptLen: 2000, OutputLen: 48}, 2048, Request{PromptLen: 2000, OutputLen: 48}},
+		{"long prompt", Request{PromptLen: 5000, OutputLen: 500}, 2048, Request{PromptLen: 2047, OutputLen: 1}},
+		{"overflowing output", Request{PromptLen: 2000, OutputLen: 100}, 2048, Request{PromptLen: 2000, OutputLen: 48}},
+		{"prompt at the window", Request{PromptLen: 2048, OutputLen: 10}, 2048, Request{PromptLen: 2047, OutputLen: 1}},
+		{"zero output raised", Request{PromptLen: 10, OutputLen: 0}, 2048, Request{PromptLen: 10, OutputLen: 1}},
+		{"other fields kept", Request{ID: 7, ArrivalAt: 1.5, PromptLen: 9000, OutputLen: 9, Tenant: "t"}, 4096,
+			Request{ID: 7, ArrivalAt: 1.5, PromptLen: 4095, OutputLen: 1, Tenant: "t"}},
+		{"maxSeq 0 passes through", Request{PromptLen: 5000, OutputLen: 500}, 0, Request{PromptLen: 5000, OutputLen: 500}},
+		{"negative maxSeq passes through", Request{PromptLen: 5000, OutputLen: 0}, -1, Request{PromptLen: 5000, OutputLen: 0}},
+		{"maxSeq 1", Request{PromptLen: 5000, OutputLen: 500}, 1, Request{PromptLen: 0, OutputLen: 1}},
+		{"maxSeq 1 empty prompt", Request{PromptLen: 0, OutputLen: 3}, 1, Request{PromptLen: 0, OutputLen: 1}},
 	}
-	got := Truncate(reqs, 2048)
-	if got[0] != reqs[0] {
-		t.Errorf("short request should be untouched: %+v", got[0])
-	}
-	if got[1].PromptLen != 2047 || got[1].OutputLen != 1 {
-		t.Errorf("long prompt not clamped: %+v", got[1])
-	}
-	if got[2].PromptLen != 2000 || got[2].OutputLen != 48 {
-		t.Errorf("overflowing output not clamped: %+v", got[2])
-	}
-	// Input untouched.
-	if reqs[1].PromptLen != 5000 {
-		t.Error("Truncate mutated its input")
-	}
-	// maxSeq <= 0 passes through.
-	if &Truncate(reqs, 0)[0] != &reqs[0] {
-		t.Error("maxSeq=0 should return the input slice")
-	}
-	for _, r := range got {
-		if r.TotalLen() > 2048 {
-			t.Errorf("request exceeds window after truncation: %+v", r)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := Clamp(c.in, c.maxSeq)
+			if got != c.want {
+				t.Fatalf("Clamp(%+v, %d) = %+v, want %+v", c.in, c.maxSeq, got, c.want)
+			}
+			if c.maxSeq > 0 && got.TotalLen() > c.maxSeq {
+				t.Fatalf("clamped request exceeds the window: %+v", got)
+			}
+		})
 	}
 }
 

@@ -244,3 +244,71 @@ func stepState(inst *hetisInstance, rs []*request) string {
 	fmt.Fprintf(&b, "\nevictions %d", inst.res.Evictions)
 	return b.String()
 }
+
+// TestPerRequestStepMidBatchEviction pins the per-request decode loop's
+// handling of an eviction it forces mid-batch. Worker w has no free block
+// and its newest entry is the victim: one request's token crosses a block
+// boundary there and evicts the other, either before or after the
+// victim's own turn. Either way the victim must leave the batch for the
+// waiting queue, untouched by the rest of the step, the requester must
+// advance once, and no slot of either batch buffer may keep a pointer
+// past its length.
+func TestPerRequestStepMidBatchEviction(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		requester, victim int // indexes into the batch
+	}{
+		{"victim still to come", 0, 1},
+		{"victim already advanced", 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inst, rs := newHandleInstance(t)
+			inst.cfg.perRequestSteps = true
+			s := sim.New()
+			for inst.disp.ContextLen(1)%16 != 0 {
+				inst.extendToken(s, rs[0])
+				inst.extendToken(s, rs[1])
+			}
+			req, vic := rs[c.requester], rs[c.victim]
+			w := req.hx.slot.Shares()[0].Worker
+			m := inst.kv[w]
+			// Re-allocate the victim on w over every free block, which also
+			// makes it w's newest entry. One token short of its last block,
+			// it can still grow without a new one when its turn comes first.
+			m.Free(kvcache.RequestID(vic.wl.ID))
+			if err := m.Alloc(kvcache.RequestID(vic.wl.ID), 1, m.FreeBlocks()*16-1); err != nil {
+				t.Fatal(err)
+			}
+			reqGen, vicGen := req.generated, vic.generated
+			if c.victim > c.requester {
+				vicGen-- // it is evicted before its turn
+			}
+			inst.afterDecode(s)
+
+			if inst.res.PerRequestSteps != 1 || inst.res.Evictions != 1 {
+				t.Fatalf("per-request steps %d, evictions %d; want 1 and 1", inst.res.PerRequestSteps, inst.res.Evictions)
+			}
+			if len(inst.running) != 1 || inst.running[0] != req {
+				ids := []int64{}
+				for _, r := range inst.running {
+					ids = append(ids, r.wl.ID)
+				}
+				t.Fatalf("running %v after the step, want [%d]", ids, req.wl.ID)
+			}
+			if inst.waiting.len() != 1 || inst.waiting.peek() != vic {
+				t.Fatalf("waiting holds %d requests, want the victim %d alone", inst.waiting.len(), vic.wl.ID)
+			}
+			if req.generated != reqGen+1 || vic.generated != vicGen+1 {
+				t.Fatalf("generated: requester %d (want %d), victim %d (want %d)",
+					req.generated, reqGen+1, vic.generated, vicGen+1)
+			}
+			for name, buf := range map[string][]*request{"running": inst.running, "stillBuf": inst.stillBuf} {
+				for i, r := range buf[len(buf):cap(buf)] {
+					if r != nil {
+						t.Errorf("%s keeps request %d in slot %d past its length", name, r.wl.ID, len(buf)+i)
+					}
+				}
+			}
+		})
+	}
+}

@@ -166,6 +166,16 @@ type hetisInstance struct {
 	// runs.
 	fresh         []*request
 	holdAdmission bool
+	// admitBufs are the two buffers admission batches alternate between:
+	// tryPrefill fills admitBufs[admitNext], and its completion makes that
+	// batch fresh and flips admitNext, so filling the next batch never
+	// overwrites the fresh one. prompts is the batch's prompt-length
+	// scratch, and prefillDoneFn the cached completion callback, so a
+	// prefill allocates nothing once warm.
+	admitBufs     [2][]*request
+	admitNext     int
+	prompts       []int
+	prefillDoneFn func(*sim.Simulator)
 
 	// decodeMemo caches the dense side of a decode iteration per batch
 	// size. Dense-module cost is a pure function of (stage layout, batch)
@@ -186,6 +196,10 @@ type hetisInstance struct {
 	// idScratch collects a worker's resident request IDs for memory
 	// pressure's newest-first candidate list.
 	idScratch []kvcache.RequestID
+	// migOld, migNew and moves are applyRedispatch's scratch: the
+	// request's head groups per worker before and after, and the plan.
+	migOld, migNew []int
+	moves          []kvcache.Move
 	// hxSlab and kvSlab are the unused tails of the chunks request handle
 	// sets are carved from (see handles).
 	hxSlab []hetisHandles
@@ -271,6 +285,7 @@ func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstan
 	inst.disp = d
 	inst.overflowHit = make([]bool, len(workers))
 	inst.decodeDone = inst.onDecodeDone
+	inst.prefillDoneFn = inst.prefillDone
 	return inst, nil
 }
 
@@ -357,6 +372,7 @@ func (inst *hetisInstance) evacuate(s *sim.Simulator) ([]*request, map[int64]boo
 		inst.kvFree(r.wl.ID)
 	}
 	inst.disp.Clear()
+	clear(inst.running)
 	inst.running = inst.running[:0]
 	inst.pendingDelay = 0
 	inst.fresh, inst.holdAdmission = nil, false
@@ -389,7 +405,9 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 	if inst.holdAdmission && len(inst.running) > 0 {
 		return false
 	}
-	var admitted []*request
+	admitted := inst.admitBufs[inst.admitNext]
+	clear(admitted[:cap(admitted)]) // at most maxPrefillRequests slots
+	admitted = admitted[:0]
 	tokens := 0
 	for inst.waiting.len() > 0 &&
 		len(admitted) < maxPrefillRequests &&
@@ -434,43 +452,52 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 		admitted = append(admitted, r)
 		tokens += r.prefillLen()
 	}
+	inst.admitBufs[inst.admitNext] = admitted
 	if len(admitted) == 0 {
 		return false
 	}
-	prompts := make([]int, len(admitted))
-	for i, r := range admitted {
-		prompts[i] = r.prefillLen()
+	prompts := inst.prompts[:0]
+	for _, r := range admitted {
+		prompts = append(prompts, r.prefillLen())
 		inst.byID[r.wl.ID] = r
 	}
+	inst.prompts = prompts
 	dt := inst.prefillTime(prompts, admitted) + inst.pendingDelay
 	inst.pendingDelay = 0
-	inst.pending = s.After(dt, "prefill-done", func(s *sim.Simulator) {
-		inst.fresh = admitted
-		for _, r := range admitted {
-			if inst.byID[r.wl.ID] != r {
-				continue // evicted while the batch completed
-			}
-			if r.firstTok == 0 {
-				r.firstTok = s.Now()
-			}
-			if r.generated == 0 {
-				r.generated = 1 // prefill emits the first token
-			}
-			r.hauled = false
-			inst.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindPrefill, Request: r.wl.ID, Value: float64(r.restartCtx)})
-			if r.done() {
-				inst.finishDeferred(s, r)
-				continue
-			}
-			// Account the first generated token's KV.
-			inst.extendToken(s, r)
-			inst.running = append(inst.running, r)
-		}
-		inst.fleet.flushFinishes()
-		inst.relieveOverflow(s)
-		inst.step(s)
-	})
+	inst.pending = s.After(dt, "prefill-done", inst.prefillDoneFn)
 	return true
+}
+
+// prefillDone completes the in-flight prefill batch, admitBufs[admitNext]:
+// each request still admitted here emits its first token and joins the
+// running batch, and the batch becomes fresh.
+func (inst *hetisInstance) prefillDone(s *sim.Simulator) {
+	admitted := inst.admitBufs[inst.admitNext]
+	inst.admitNext ^= 1
+	inst.fresh = admitted
+	for _, r := range admitted {
+		if inst.byID[r.wl.ID] != r {
+			continue // evicted while the batch completed
+		}
+		if r.firstTok == 0 {
+			r.firstTok = s.Now()
+		}
+		if r.generated == 0 {
+			r.generated = 1 // prefill emits the first token
+		}
+		r.hauled = false
+		inst.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindPrefill, Request: r.wl.ID, Value: float64(r.restartCtx)})
+		if r.done() {
+			inst.finishDeferred(s, r)
+			continue
+		}
+		// Account the first generated token's KV.
+		inst.extendToken(s, r)
+		inst.running = append(inst.running, r)
+	}
+	inst.fleet.flushFinishes()
+	inst.relieveOverflow(s)
+	inst.step(s)
 }
 
 // prefillTime is the iteration cost of prefilling the admitted prompts:
@@ -575,10 +602,7 @@ func (inst *hetisInstance) onDecodeDone(s *sim.Simulator) {
 func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 	cfg := inst.cfg
 	// still reuses a second buffer double-swapped with running, so the
-	// per-iteration batch rebuild allocates nothing once warm. The two
-	// backing arrays are always distinct, preserving the original
-	// semantics: evictions triggered mid-loop splice inst.running (the old
-	// array) and never touch still.
+	// per-iteration batch rebuild allocates nothing once warm.
 	still := inst.stillBuf[:0]
 	inst.res.DecodeSteps++
 	inst.fresh, inst.holdAdmission = nil, false
@@ -602,23 +626,33 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 		}
 	} else {
 		inst.res.PerRequestSteps++
-		for _, r := range inst.running {
+		// The survivors collect in inst.running itself, so an eviction an
+		// extension forces mid-batch (evict splices inst.running) takes an
+		// already advanced victim out of the new batch, and the loop skips
+		// a victim whose turn is still to come, which evict dropped from
+		// byID.
+		batch := inst.running
+		inst.running = still
+		for _, r := range batch {
+			if inst.byID[r.wl.ID] != r {
+				continue // evicted earlier in this step
+			}
 			r.generated++
 			if r.done() {
 				inst.finishDeferred(s, r)
 				continue
 			}
 			inst.extendToken(s, r)
-			still = append(still, r)
+			inst.running = append(inst.running, r)
 		}
+		still, inst.running = inst.running, batch
 	}
 	inst.fleet.flushFinishes()
+	// Every pointer the retired batch holds lies within its length: the
+	// splices zero the slot they vacate, and evacuate clears the batch.
 	prev := inst.running
 	inst.running = still
-	prev = prev[:cap(prev)]
-	for i := range prev {
-		prev[i] = nil // drop stale request pointers before reuse as scratch
-	}
+	clear(prev)
 	inst.stillBuf = prev[:0]
 	inst.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindDecode, Value: float64(len(still))})
 
@@ -897,7 +931,7 @@ func (inst *hetisInstance) evict(s *sim.Simulator, id int64) bool {
 	inst.kvFree(id)
 	for k, rr := range inst.running {
 		if rr.wl.ID == id {
-			inst.running = append(inst.running[:k], inst.running[k+1:]...)
+			inst.running = slices.Delete(inst.running, k, k+1)
 			break
 		}
 	}
@@ -920,7 +954,7 @@ func (inst *hetisInstance) preemptFor(s *sim.Simulator, r *request) bool {
 		return false
 	}
 	v := inst.running[idx]
-	inst.running = append(inst.running[:idx], inst.running[idx+1:]...)
+	inst.running = slices.Delete(inst.running, idx, idx+1)
 	inst.disp.Remove(v.wl.ID)
 	inst.kvFree(v.wl.ID)
 	delete(inst.byID, v.wl.ID)
@@ -940,17 +974,16 @@ func (inst *hetisInstance) applyRedispatch(s *sim.Simulator, rd *dispatch.Redisp
 	ctx := inst.disp.ContextLen(rd.Request)
 	groupTok := cfg.Model.KVBytesPerTokenHeadGroup() * int64(cfg.Model.Layers)
 
-	oldMap := map[int]int{}
-	newMap := map[int]int{}
+	// Group counts by worker; a worker the request leaves or never held
+	// counts 0.
+	oldGroups, newGroups := inst.migOld[:0], inst.migNew[:0]
 	for i := range rd.Old {
-		if rd.Old[i] > 0 {
-			oldMap[i] = rd.Old[i] / r
-		}
-		if rd.New[i] > 0 {
-			newMap[i] = rd.New[i] / r
-		}
+		oldGroups = append(oldGroups, max(rd.Old[i], 0)/r)
+		newGroups = append(newGroups, max(rd.New[i], 0)/r)
 	}
-	moves, err := kvcache.PlanMigration(oldMap, newMap, ctx, groupTok)
+	inst.migOld, inst.migNew = oldGroups, newGroups
+	moves, err := kvcache.PlanMigration(inst.moves[:0], oldGroups, newGroups, ctx, groupTok)
+	inst.moves = moves
 	if err != nil {
 		return
 	}
@@ -958,7 +991,7 @@ func (inst *hetisInstance) applyRedispatch(s *sim.Simulator, rd *dispatch.Redisp
 	// destinations.
 	id := kvcache.RequestID(rd.Request)
 	for i := range inst.kv {
-		oldG, newG := oldMap[i], newMap[i]
+		oldG, newG := oldGroups[i], newGroups[i]
 		if newG < oldG {
 			if newG == 0 {
 				inst.kv[i].Free(id)
@@ -968,7 +1001,7 @@ func (inst *hetisInstance) applyRedispatch(s *sim.Simulator, rd *dispatch.Redisp
 		}
 	}
 	for i := range inst.kv {
-		oldG, newG := oldMap[i], newMap[i]
+		oldG, newG := oldGroups[i], newGroups[i]
 		if newG > oldG {
 			var err error
 			if oldG == 0 {

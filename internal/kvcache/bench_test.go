@@ -52,10 +52,12 @@ func BenchmarkExtendHandle(b *testing.B) {
 
 // BenchmarkPlanMigration measures the Hauler's overlap-aware planning.
 func BenchmarkPlanMigration(b *testing.B) {
-	old := map[int]int{0: 12, 1: 4, 2: 0, 3: 8}
-	new := map[int]int{0: 4, 1: 8, 2: 8, 3: 4}
+	old := []int{12, 4, 0, 8}
+	new := []int{4, 8, 8, 4}
+	var moves []Move
 	for i := 0; i < b.N; i++ {
-		if _, err := PlanMigration(old, new, 1500, 20480); err != nil {
+		var err error
+		if moves, err = PlanMigration(moves[:0], old, new, 1500, 20480); err != nil {
 			b.Fatal(err)
 		}
 	}

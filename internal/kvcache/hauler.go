@@ -11,81 +11,62 @@ type Move struct {
 	Bytes    int64
 }
 
-// PlanMigration computes the minimal set of group moves that turns the old
-// head-group placement of a request into the new one, reusing overlap: a
-// device keeps min(old, new) of its groups in place (§5.3's partial cache
-// transmission). Placements map device index → group count; tokens is the
-// request's context length and bytesPerGroupToken its per-group-token
-// footprint on the wire.
+// PlanMigration appends to moves the minimal set of group moves that turns
+// the old head-group placement of a request into the new one, and returns
+// the extended slice. It reuses overlap: a device keeps min(old, new) of
+// its groups in place (§5.3's partial cache transmission). old and new
+// hold one group count per device index and must be the same length;
+// tokens is the request's context length and bytesPerGroupToken its
+// per-group-token footprint on the wire.
 //
-// The returned moves pair surplus devices with deficit devices greedily in
+// The moves pair surplus devices with deficit devices greedily in
 // ascending device order, which is optimal in total bytes because every
-// group costs the same to move regardless of endpoints.
-func PlanMigration(old, new map[int]int, tokens int, bytesPerGroupToken int64) ([]Move, error) {
-	totalOld, totalNew := 0, 0
-	for d, g := range old {
-		if g < 0 {
-			return nil, fmt.Errorf("kvcache: negative group count %d on device %d", g, d)
-		}
-		totalOld += g
+// group costs the same to move regardless of endpoints. Passing a
+// reused moves[:0] plans without allocating.
+func PlanMigration(moves []Move, old, new []int, tokens int, bytesPerGroupToken int64) ([]Move, error) {
+	if len(old) != len(new) {
+		return moves, fmt.Errorf("kvcache: placements cover %d and %d devices", len(old), len(new))
 	}
-	for d, g := range new {
-		if g < 0 {
-			return nil, fmt.Errorf("kvcache: negative group count %d on device %d", g, d)
+	totalOld, totalNew := 0, 0
+	for d := range old {
+		if old[d] < 0 || new[d] < 0 {
+			return moves, fmt.Errorf("kvcache: negative group count %d on device %d", min(old[d], new[d]), d)
 		}
-		totalNew += g
+		totalOld += old[d]
+		totalNew += new[d]
 	}
 	if totalOld != totalNew {
-		return nil, fmt.Errorf("kvcache: placement changes total groups %d -> %d", totalOld, totalNew)
+		return moves, fmt.Errorf("kvcache: placement changes total groups %d -> %d", totalOld, totalNew)
 	}
-
-	maxDev := -1
-	for d := range old {
-		if d > maxDev {
-			maxDev = d
+	// from and to are the device cursors; surplus and deficit what each
+	// still has to give or take. The totals are equal, so both cursors
+	// run out together.
+	from, to := -1, -1
+	surplus, deficit := 0, 0
+	for {
+		for surplus == 0 {
+			if from++; from == len(old) {
+				return moves, nil
+			}
+			surplus = max(old[from]-new[from], 0)
 		}
-	}
-	for d := range new {
-		if d > maxDev {
-			maxDev = d
+		for deficit == 0 {
+			if to++; to == len(new) {
+				return moves, nil
+			}
+			deficit = max(new[to]-old[to], 0)
 		}
-	}
-
-	type delta struct{ dev, n int }
-	var surplus, deficit []delta
-	for d := 0; d <= maxDev; d++ {
-		diff := old[d] - new[d]
-		if diff > 0 {
-			surplus = append(surplus, delta{d, diff})
-		} else if diff < 0 {
-			deficit = append(deficit, delta{d, -diff})
-		}
-	}
-
-	var moves []Move
-	i, j := 0, 0
-	for i < len(surplus) && j < len(deficit) {
-		n := surplus[i].n
-		if deficit[j].n < n {
-			n = deficit[j].n
-		}
+		n := min(surplus, deficit)
 		moves = append(moves, Move{
-			From:   surplus[i].dev,
-			To:     deficit[j].dev,
+			From:   from,
+			To:     to,
 			Groups: n,
 			Tokens: tokens,
 			Bytes:  int64(n) * int64(tokens) * bytesPerGroupToken,
 		})
-		surplus[i].n -= n
-		deficit[j].n -= n
-		if surplus[i].n == 0 {
-			i++
-		}
-		if deficit[j].n == 0 {
-			j++
-		}
+		surplus -= n
+		deficit -= n
 	}
-	return moves, nil
 }
 
 // TotalMoveBytes sums the payload of a plan.

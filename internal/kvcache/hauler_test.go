@@ -2,15 +2,16 @@ package kvcache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestPlanMigrationReusesOverlap(t *testing.T) {
 	// Device 0 keeps 3 of its 5 groups; only 2 move to device 1.
-	old := map[int]int{0: 5, 1: 0}
-	new := map[int]int{0: 3, 1: 2}
-	moves, err := PlanMigration(old, new, 100, 64)
+	old := []int{5, 0}
+	new := []int{3, 2}
+	moves, err := PlanMigration(nil, old, new, 100, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +28,8 @@ func TestPlanMigrationReusesOverlap(t *testing.T) {
 }
 
 func TestPlanMigrationIdentityIsFree(t *testing.T) {
-	old := map[int]int{0: 4, 2: 4}
-	moves, err := PlanMigration(old, old, 500, 64)
+	old := []int{4, 0, 4}
+	moves, err := PlanMigration(nil, old, old, 500, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +39,9 @@ func TestPlanMigrationIdentityIsFree(t *testing.T) {
 }
 
 func TestPlanMigrationMultiWay(t *testing.T) {
-	old := map[int]int{0: 6}
-	new := map[int]int{1: 2, 2: 2, 3: 2}
-	moves, err := PlanMigration(old, new, 10, 1)
+	old := []int{6, 0, 0, 0}
+	new := []int{0, 2, 2, 2}
+	moves, err := PlanMigration(nil, old, new, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +61,14 @@ func TestPlanMigrationMultiWay(t *testing.T) {
 }
 
 func TestPlanMigrationErrors(t *testing.T) {
-	if _, err := PlanMigration(map[int]int{0: 2}, map[int]int{0: 3}, 1, 1); err == nil {
+	if _, err := PlanMigration(nil, []int{2}, []int{3}, 1, 1); err == nil {
 		t.Error("group-count change should error")
 	}
-	if _, err := PlanMigration(map[int]int{0: -1}, map[int]int{0: -1}, 1, 1); err == nil {
+	if _, err := PlanMigration(nil, []int{-1}, []int{-1}, 1, 1); err == nil {
 		t.Error("negative groups should error")
+	}
+	if _, err := PlanMigration(nil, []int{2, 0}, []int{2}, 1, 1); err == nil {
+		t.Error("placements of different lengths should error")
 	}
 }
 
@@ -74,31 +78,23 @@ func TestPropertyMigrationConservesGroups(t *testing.T) {
 		nDev := 2 + rng.Intn(5)
 		total := 1 + rng.Intn(20)
 		// Random old and new placements of the same total.
-		place := func() map[int]int {
-			p := map[int]int{}
+		place := func() []int {
+			p := make([]int, nDev)
 			left := total
 			for d := 0; d < nDev-1; d++ {
-				g := rng.Intn(left + 1)
-				if g > 0 {
-					p[d] = g
-				}
-				left -= g
+				p[d] = rng.Intn(left + 1)
+				left -= p[d]
 			}
-			if left > 0 {
-				p[nDev-1] = left
-			}
+			p[nDev-1] = left
 			return p
 		}
 		old, new := place(), place()
-		moves, err := PlanMigration(old, new, 100, 8)
+		moves, err := PlanMigration(nil, old, new, 100, 8)
 		if err != nil {
 			return false
 		}
 		// Apply the moves to old; must land exactly on new.
-		got := map[int]int{}
-		for d, g := range old {
-			got[d] = g
-		}
+		got := slices.Clone(old)
 		for _, m := range moves {
 			got[m.From] -= m.Groups
 			got[m.To] += m.Groups

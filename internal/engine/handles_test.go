@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -308,6 +309,68 @@ func TestPerRequestStepMidBatchEviction(t *testing.T) {
 						t.Errorf("%s keeps request %d in slot %d past its length", name, r.wl.ID, len(buf)+i)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestFreshBatchSurvivesNextFill pins the livelock guard's view of the
+// last completed prefill: inst.fresh must list that batch, unchanged,
+// while the next batch fills the other admission buffer.
+func TestFreshBatchSurvivesNextFill(t *testing.T) {
+	reqs := shortTrace(workload.ShareGPT, 2, 10, 3)
+	h := buildHetis(t, model.Llama13B, reqs)
+	inst, err := h.newInstance(h.plan.Instances[0], &Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.waiting = newWaitQueue(false)
+	inst.fleet = &fleetCore{res: inst.res}
+	// Twelve short requests make two batches of at most maxPrefillRequests.
+	for id := int64(1); id <= maxPrefillRequests+4; id++ {
+		inst.waiting.push(&request{wl: workload.Request{ID: id, PromptLen: 100, OutputLen: 50}, restartCtx: 100, seq: id})
+	}
+	s := sim.New()
+	if !inst.tryPrefill(s) {
+		t.Fatal("the first batch was not admitted")
+	}
+	first := slices.Clone(inst.admitBufs[inst.admitNext])
+	// Completing it admits the second batch at once.
+	inst.prefillDone(s)
+	if inst.waiting.len() != 0 {
+		t.Fatalf("%d requests still wait after the second fill", inst.waiting.len())
+	}
+	if !slices.Equal(inst.fresh, first) {
+		t.Fatalf("fresh batch changed while the next one filled: %d requests, want the %d completed", len(inst.fresh), len(first))
+	}
+}
+
+// TestSplicesLeaveNoStalePointer pins the two mid-batch splices: evict
+// and preemptFor take a request out of the running batch and must zero
+// the slot the batch vacates, since afterDecode clears a retired batch
+// only up to its length.
+func TestSplicesLeaveNoStalePointer(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		splice func(inst *hetisInstance, s *sim.Simulator, rs []*request) bool
+	}{
+		{"evict", func(inst *hetisInstance, s *sim.Simulator, rs []*request) bool {
+			return inst.evict(s, rs[0].wl.ID)
+		}},
+		{"preemptFor", func(inst *hetisInstance, s *sim.Simulator, rs []*request) bool {
+			return inst.preemptFor(s, &request{prio: 1})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inst, rs := newHandleInstance(t)
+			if !c.splice(inst, sim.New(), rs) {
+				t.Fatal("no request left the batch")
+			}
+			if len(inst.running) != 1 {
+				t.Fatalf("running holds %d requests, want 1", len(inst.running))
+			}
+			if tail := inst.running[1:cap(inst.running)]; slices.ContainsFunc(tail, func(r *request) bool { return r != nil }) {
+				t.Fatal("the vacated slot still points at a request")
 			}
 		})
 	}

@@ -405,9 +405,7 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 	if inst.holdAdmission && len(inst.running) > 0 {
 		return false
 	}
-	admitted := inst.admitBufs[inst.admitNext]
-	clear(admitted[:cap(admitted)]) // at most maxPrefillRequests slots
-	admitted = admitted[:0]
+	admitted := inst.admitBufs[inst.admitNext][:0]
 	tokens := 0
 	for inst.waiting.len() > 0 &&
 		len(admitted) < maxPrefillRequests &&
@@ -452,10 +450,10 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 		admitted = append(admitted, r)
 		tokens += r.prefillLen()
 	}
-	inst.admitBufs[inst.admitNext] = admitted
 	if len(admitted) == 0 {
 		return false
 	}
+	inst.admitBufs[inst.admitNext] = admitted
 	prompts := inst.prompts[:0]
 	for _, r := range admitted {
 		prompts = append(prompts, r.prefillLen())
@@ -626,11 +624,10 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 		}
 	} else {
 		inst.res.PerRequestSteps++
-		// The survivors collect in inst.running itself, so an eviction an
-		// extension forces mid-batch (evict splices inst.running) takes an
-		// already advanced victim out of the new batch, and the loop skips
-		// a victim whose turn is still to come, which evict dropped from
-		// byID.
+		// Survivors collect in inst.running itself, so a mid-batch
+		// eviction (evict splices inst.running) removes an already
+		// advanced victim from the new batch, and the loop skips one whose
+		// turn is still to come, which evict dropped from byID.
 		batch := inst.running
 		inst.running = still
 		for _, r := range batch {
@@ -974,8 +971,6 @@ func (inst *hetisInstance) applyRedispatch(s *sim.Simulator, rd *dispatch.Redisp
 	ctx := inst.disp.ContextLen(rd.Request)
 	groupTok := cfg.Model.KVBytesPerTokenHeadGroup() * int64(cfg.Model.Layers)
 
-	// Group counts by worker; a worker the request leaves or never held
-	// counts 0.
 	oldGroups, newGroups := inst.migOld[:0], inst.migNew[:0]
 	for i := range rd.Old {
 		oldGroups = append(oldGroups, max(rd.Old[i], 0)/r)

@@ -85,6 +85,7 @@ func planMigrationMaps(old, new map[int]int, tokens int, bytesPerGroupToken int6
 // already holds a move, which must survive untouched.
 func FuzzPlanMigration(f *testing.F) {
 	f.Add([]byte{5, 3, 0, 2}, uint16(100), uint8(64))
+	f.Add([]byte{0, 2, 2, 0}, uint16(100), uint8(64))
 	f.Add([]byte{4, 4, 0, 0, 4, 4}, uint16(500), uint8(64))
 	f.Add([]byte{6, 0, 0, 2, 0, 2, 0, 2}, uint16(10), uint8(1))
 	f.Add([]byte{12, 4, 4, 8, 0, 8, 8, 4}, uint16(1500), uint8(200))

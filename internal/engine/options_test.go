@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 
@@ -155,7 +154,7 @@ func TestContextWindowTruncation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(reqs, want) {
+				if !slices.Equal(reqs, want) {
 					t.Fatal("Run wrote the caller's trace")
 				}
 				if run.cfg.Chaos != nil && res.Trace.Count(trace.KindFailure) == 0 {

@@ -405,7 +405,11 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 	if inst.holdAdmission && len(inst.running) > 0 {
 		return false
 	}
-	admitted := inst.admitBufs[inst.admitNext][:0]
+	// Clear what the buffer held two batches ago: a stale request pointer
+	// would keep its request and handle slabs, and all they reach, alive.
+	admitted := inst.admitBufs[inst.admitNext]
+	clear(admitted[:cap(admitted)])
+	admitted = admitted[:0]
 	tokens := 0
 	for inst.waiting.len() > 0 &&
 		len(admitted) < maxPrefillRequests &&

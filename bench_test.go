@@ -4,8 +4,8 @@ package hetis
 // bench regenerates the corresponding experiment end to end — workload
 // generation, deployment planning, engine simulation, and aggregation — so
 // `go test -bench=. -benchmem` reproduces the entire evaluation and reports
-// the harness cost of each artifact. See EXPERIMENTS.md for paper-vs-
-// measured values.
+// the harness cost of each artifact. The tests in internal/experiments
+// check each artifact's measured values against the paper's.
 
 import (
 	"testing"
@@ -129,7 +129,7 @@ func BenchmarkHetisServe(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks (design choices DESIGN.md §4 calls out) ---------------
+// --- ablation benchmarks (design choices beyond the paper's figures) ----------
 
 // BenchmarkAblationSplit compares head/sequence/batch-wise splitting.
 func BenchmarkAblationSplit(b *testing.B) { benchExperiment(b, "ablation-split") }

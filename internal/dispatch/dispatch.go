@@ -823,11 +823,12 @@ type Redispatch struct {
 
 // RebalanceCompute implements §5.3.1: if the current Attention time exceeds
 // the ideal by more than theta (fractional, default 0.5), re-dispatch the
-// single request contributing most to the bottleneck device. Requests in
-// `frozen` are skipped (the engine freezes recently migrated requests to
-// damp ping-pong, the role of the paper's Θ stop condition). Returns nil
-// when no action is needed.
-func (d *Dispatcher) RebalanceCompute(theta float64, frozen map[RequestID]bool) (*Redispatch, error) {
+// single request contributing most to the bottleneck device. Requests for
+// which `frozen` reports true are skipped (the engine freezes recently
+// migrated requests to damp ping-pong, the role of the paper's Θ stop
+// condition); a nil `frozen` freezes none. Returns nil when no action is
+// needed.
+func (d *Dispatcher) RebalanceCompute(theta float64, frozen func(RequestID) bool) (*Redispatch, error) {
 	if len(d.recs) == 0 {
 		return nil, nil
 	}
@@ -855,7 +856,7 @@ func (d *Dispatcher) RebalanceCompute(theta float64, frozen map[RequestID]bool) 
 
 // redispatchBottleneck performs the §5.3.1 action: re-dispatch the
 // unfrozen request contributing most to the bottleneck device.
-func (d *Dispatcher) redispatchBottleneck(frozen map[RequestID]bool) (*Redispatch, error) {
+func (d *Dispatcher) redispatchBottleneck(frozen func(RequestID) bool) (*Redispatch, error) {
 	// Bottleneck device.
 	bott := 0
 	maxT := -1.0
@@ -874,7 +875,7 @@ func (d *Dispatcher) redispatchBottleneck(frozen map[RequestID]bool) (*Redispatc
 	var maxContrib float64
 	for _, s := range d.recs {
 		heads := float64(s.place[bott])
-		if heads == 0 || frozen[s.id] {
+		if heads == 0 || frozen != nil && frozen(s.id) {
 			continue
 		}
 		contrib := w.Attn.A*heads + w.Attn.B*heads*d.perHeadTokenBytes*float64(s.ctx())

@@ -119,7 +119,7 @@ func TestRebalanceComputeRespectsFrozen(t *testing.T) {
 	}
 	// With request 1 frozen, the re-dispatcher must not touch it even
 	// though it is the dominant contributor.
-	rd, err := d.RebalanceCompute(0.5, map[RequestID]bool{1: true})
+	rd, err := d.RebalanceCompute(0.5, func(id RequestID) bool { return id == 1 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,7 +268,7 @@ func (x *recordsHarness) step(op int) {
 			}
 		}
 		victim := ref.victim(frozen)
-		rd, err := d.RebalanceCompute([]float64{0, 0.1, 0.5}[rng.Intn(3)], frozen)
+		rd, err := d.RebalanceCompute([]float64{0, 0.1, 0.5}[rng.Intn(3)], func(id RequestID) bool { return frozen[id] })
 		switch {
 		case rd != nil:
 			if rd.Request != victim {
@@ -514,7 +514,7 @@ func TestRedispatchVictimTieBreak(t *testing.T) {
 	}
 	d.release(5)
 	d.commit(5, 500, append([]int(nil), x...))
-	rd, err := d.redispatchBottleneck(map[RequestID]bool{3: true})
+	rd, err := d.redispatchBottleneck(func(id RequestID) bool { return id == 3 })
 	if err != nil || rd == nil {
 		t.Fatalf("redispatchBottleneck: %+v, %v", rd, err)
 	}

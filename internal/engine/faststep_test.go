@@ -47,7 +47,9 @@ func TestHetisFastStepTwinTables(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				spec.Traffic.Rate = 4
+				if spec.Traffic.Kind != scenario.KindMMPP { // an MMPP has no base rate
+					spec.Traffic.Rate = 4
+				}
 				spec.Duration = 3000
 				spec.Seed = seed
 				var once sync.Once

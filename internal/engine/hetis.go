@@ -664,7 +664,13 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 		every = 8
 	}
 	if !cfg.DisableRedispatch && len(inst.running) > 0 && inst.decodeSteps%every == 0 {
-		if rd, err := inst.disp.RebalanceCompute(cfg.Theta, inst.frozenRequests(every)); err == nil && rd != nil {
+		// Requests migrated within the last 2·every decode steps are exempt
+		// from further re-dispatching, to damp ping-pong.
+		frozen := func(id int64) bool {
+			step, ok := inst.lastMig[id]
+			return ok && inst.decodeSteps-step < 2*every
+		}
+		if rd, err := inst.disp.RebalanceCompute(cfg.Theta, frozen); err == nil && rd != nil {
 			inst.applyRedispatch(s, rd)
 		}
 	}
@@ -837,22 +843,6 @@ func (inst *hetisInstance) kvFree(id int64) {
 	for _, m := range inst.kv {
 		m.Free(kvcache.RequestID(id))
 	}
-}
-
-// frozenRequests lists requests migrated within the last `window` decode
-// steps; they are exempt from further re-dispatching to damp ping-pong.
-func (inst *hetisInstance) frozenRequests(window int) map[int64]bool {
-	if len(inst.lastMig) == 0 {
-		return nil // reads on a nil map are false, and no allocation
-	}
-	out := make(map[int64]bool)
-	//hetis:ordered builds a membership set; callers only test membership, so insertion order is invisible
-	for id, step := range inst.lastMig {
-		if inst.decodeSteps-step < 2*window {
-			out[id] = true
-		}
-	}
-	return out
 }
 
 // handleMemoryPressure implements §5.3.2 for one exhausted worker: first

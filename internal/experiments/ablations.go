@@ -13,9 +13,9 @@ import (
 	"hetis/internal/workload"
 )
 
-// The ablations quantify the design choices DESIGN.md calls out, beyond the
-// paper's own figures: the splitting dimension, the Δ exclusion threshold,
-// LP vs greedy dispatching, migration overlap, and data-parallel fan-out.
+// The ablations quantify design choices beyond the paper's own figures:
+// the splitting dimension, the Δ exclusion threshold, LP vs greedy
+// dispatching, migration overlap, and data-parallel fan-out.
 
 // AblationSplit extends Fig. 5 with a batch-wise series: splitting whole
 // requests across devices moves no per-token traffic but forfeits

@@ -118,7 +118,7 @@ func TestThroughputHeadline(t *testing.T) {
 	// Paper: up to 2.25x (vs Splitwise) / 1.33x (vs HexGen) higher rate.
 	// Require a clear advantage somewhere and wins against Splitwise on
 	// most datasets (HumanEval's prefill-heavy profile can favour
-	// disaggregation at the SLO boundary; see EXPERIMENTS.md).
+	// disaggregation at the SLO boundary).
 	if maxRatio < 1.3 {
 		t.Errorf("best sustained-rate advantage %.2fx below 1.3x", maxRatio)
 	}

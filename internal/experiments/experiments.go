@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7). Each experiment is a named function producing a text
-// table with the same rows/series the paper reports; EXPERIMENTS.md records
-// the paper-vs-measured comparison. Experiments are deterministic given
-// their built-in seeds.
+// table with the same rows/series the paper reports; the package's tests
+// check each table against the trends and bands the paper reports.
+// Experiments are deterministic given their built-in seeds.
 package experiments
 
 import (
@@ -56,7 +56,7 @@ var registry = map[string]Runner{
 	"accuracy":   ModelAccuracy,
 	"throughput": Throughput,
 	"scenarios":  Scenarios,
-	// Ablations beyond the paper's figures (DESIGN.md §4).
+	// Ablations beyond the paper's figures (ablations.go).
 	"ablation-split":     AblationSplit,
 	"ablation-delta":     AblationDelta,
 	"ablation-dispatch":  AblationDispatch,

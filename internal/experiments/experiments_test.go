@@ -192,9 +192,8 @@ func TestFig12HetisBestP95(t *testing.T) {
 			t.Errorf("%v: hexgen %.2f beat hetis", row[:2], st.float(t, i, hx))
 		}
 		// Our Splitwise is stronger than the paper's (its decode side gets
-		// two A100s so FP16 Llama-70B fits; see EXPERIMENTS.md). At the
-		// unsaturated Fig. 12 rates it may edge Hetis slightly, but never
-		// by a large margin.
+		// two A100s so FP16 Llama-70B fits). At the unsaturated Fig. 12
+		// rates it may edge Hetis slightly, but never by a large margin.
 		if v := st.float(t, i, sw); v < 0.55 {
 			t.Errorf("%v: splitwise %.2f beats hetis beyond the documented band", row[:2], v)
 		}

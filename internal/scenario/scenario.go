@@ -11,6 +11,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"hetis/internal/engine"
 	"hetis/internal/fleet"
@@ -98,7 +99,38 @@ func (t Traffic) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown traffic kind %q", t.Kind)
 	}
+	// A field the kind ignores would silently change nothing: an mmpp spec
+	// with a Rate offers the same arrivals whatever the Rate.
+	if name := t.ignoredField(); name != "" {
+		return fmt.Errorf("scenario: %s traffic ignores %s; leave it unset", t.Kind, name)
+	}
 	return nil
+}
+
+// ignoredField names the first field t sets that its kind never reads, or
+// returns "".
+func (t Traffic) ignoredField() string {
+	fields := []struct {
+		name  string
+		set   bool
+		kinds []string // the kinds that read the field
+	}{
+		{"Rate", t.Rate != 0, []string{KindPoisson, KindDiurnal, KindFlashCrowd}},
+		{"States", len(t.States) > 0, []string{KindMMPP}},
+		{"Amplitude", t.Amplitude != 0, []string{KindDiurnal}},
+		{"Cycles", t.Cycles != 0, []string{KindDiurnal}},
+		{"SpikeStart", t.SpikeStart != 0, []string{KindFlashCrowd}},
+		{"SpikeFrac", t.SpikeFrac != 0, []string{KindFlashCrowd}},
+		{"SpikeFactor", t.SpikeFactor != 0, []string{KindFlashCrowd}},
+		{"Users", t.Users != 0, []string{KindClosedLoop}},
+		{"Think", t.Think != 0, []string{KindClosedLoop}},
+	}
+	for _, f := range fields {
+		if f.set && !slices.Contains(f.kinds, t.Kind) {
+			return f.name
+		}
+	}
+	return ""
 }
 
 // Times generates the arrival times over [0, duration).

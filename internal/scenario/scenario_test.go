@@ -62,6 +62,50 @@ func TestRegisterRejectsDuplicatesAndInvalid(t *testing.T) {
 	}
 }
 
+// TestTrafficValidateRefusesIgnoredFields pins that a field the traffic
+// kind never reads is an error naming the field, not a silent no-op, and
+// that every registered scenario sets only fields its kind reads.
+func TestTrafficValidateRefusesIgnoredFields(t *testing.T) {
+	states := []workload.MMPPState{{Rate: 10, MeanDwell: 1}}
+	spike := Traffic{Kind: KindFlashCrowd, Rate: 2, SpikeStart: 0.4, SpikeFrac: 0.2, SpikeFactor: 6}
+	cases := []struct {
+		traffic Traffic
+		field   string
+	}{
+		{Traffic{Kind: KindMMPP, States: states, Rate: 8}, "Rate"},
+		{Traffic{Kind: KindMMPP, States: states, Users: 4}, "Users"},
+		{Traffic{Kind: KindPoisson, Rate: 5, States: states}, "States"},
+		{Traffic{Kind: KindPoisson, Rate: 5, Amplitude: 0.5}, "Amplitude"},
+		{Traffic{Kind: KindPoisson, Rate: 5, Cycles: 2}, "Cycles"},
+		{Traffic{Kind: KindDiurnal, Rate: 4, SpikeFactor: 6}, "SpikeFactor"},
+		{Traffic{Kind: KindDiurnal, Rate: 4, Think: 8}, "Think"},
+		{Traffic{Kind: KindFlashCrowd, Rate: 2, SpikeStart: 0.4, SpikeFrac: 0.2, SpikeFactor: 6, Amplitude: 0.3}, "Amplitude"},
+		{Traffic{Kind: KindClosedLoop, Users: 48, Think: 8, Rate: 6}, "Rate"},
+		{Traffic{Kind: KindClosedLoop, Users: 48, Think: 8, SpikeStart: 0.1}, "SpikeStart"},
+		{Traffic{Kind: KindClosedLoop, Users: 48, Think: 8, SpikeFrac: 0.1}, "SpikeFrac"},
+		{Traffic{Kind: KindClosedLoop, Users: 48, Think: 8, States: states}, "States"},
+		{Traffic{Kind: KindPoisson, Rate: 5, Users: 1}, "Users"},
+	}
+	for _, c := range cases {
+		err := c.traffic.Validate()
+		if err == nil || !strings.Contains(err.Error(), " "+c.field+";") {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", c.traffic, err, c.field)
+		}
+	}
+	if err := spike.Validate(); err != nil {
+		t.Errorf("a flash crowd setting only its own fields: %v", err)
+	}
+	for _, name := range Names() {
+		spec, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.Traffic.Validate(); err != nil {
+			t.Errorf("registered scenario %s: %v", name, err)
+		}
+	}
+}
+
 func TestTraceDeterministicAndSorted(t *testing.T) {
 	for _, name := range Names() {
 		spec, err := ByName(name)

@@ -8,38 +8,45 @@ package trace
 // ties by input position (earlier log wins) so the merged order is a pure
 // function of the inputs — never of shard completion order or worker
 // count. Inputs must be At-nondecreasing, which every engine-emitted log
-// is; nil or empty logs are skipped. The inputs are not consumed.
+// is; nil or empty logs are skipped. The inputs are not consumed. Each
+// event is decoded from its source and re-interned into the output log's
+// own kind and note tables.
 func MergeByTime(logs ...*Log) *Log {
 	out := &Log{}
 	type cursor struct {
-		p   *page
-		i   int
-		src int
+		l  *Log
+		pi int    // page index
+		ss []slot // page pi's stored slots
+		i  int    // next slot in ss
 	}
 	heads := make([]cursor, 0, len(logs))
-	for src, l := range logs {
-		if l == nil || l.head == nil {
+	for _, l := range logs {
+		if l.Len() == 0 {
 			continue
 		}
-		heads = append(heads, cursor{p: l.head, src: src})
+		heads = append(heads, cursor{l: l, ss: l.filled(0)})
 	}
 	for len(heads) > 0 {
 		best := 0
 		for c := 1; c < len(heads); c++ {
 			// Strict < keeps ties on the earlier source: heads is ordered by
-			// src, and an exhausted cursor is removed without reordering.
-			if heads[c].p.ev[heads[c].i].At < heads[best].p.ev[heads[best].i].At {
+			// input position, and an exhausted cursor is removed without
+			// reordering. An escaped slot keeps its At, so comparing needs
+			// no decode.
+			if heads[c].ss[heads[c].i].at < heads[best].ss[heads[best].i].at {
 				best = c
 			}
 		}
 		cur := &heads[best]
-		out.Add(cur.p.ev[cur.i])
+		out.Add(cur.l.decode(&cur.ss[cur.i]))
 		cur.i++
-		if cur.i == cur.p.n {
-			cur.p = cur.p.next
+		if cur.i == len(cur.ss) {
+			cur.pi++
 			cur.i = 0
-			if cur.p == nil {
+			if cur.pi == len(cur.l.pages) {
 				heads = append(heads[:best], heads[best+1:]...)
+			} else {
+				cur.ss = cur.l.filled(cur.pi)
 			}
 		}
 	}

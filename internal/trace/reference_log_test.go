@@ -1,9 +1,10 @@
 // Frozen copy of the flat-slice event log that the paged arena in trace.go
 // replaced. It exists only as a differential-testing oracle (see
-// TestArenaMatchesReferenceLog): random Add/Addf/query sequences must
-// produce identical results from both implementations. Mirrors the frozen
-// reference queue in internal/sim/reference_queue.go and the reference
-// solver in internal/lp/reference_test.go.
+// TestArenaMatchesReferenceLog and FuzzLogRoundTrip): random Add/Addf/query
+// sequences must produce identical results from both implementations.
+// Mirrors the frozen reference queue in
+// internal/sim/reference_queue_test.go and the reference solver in
+// internal/lp/reference_test.go.
 //
 // Do not optimize this file. Its value is that it stays byte-for-byte the
 // storage logic the goldens were recorded against.

@@ -4,10 +4,15 @@
 // per-device cache-usage and head-count curves, and a JSONL writer dumps
 // them for offline inspection.
 //
-// Storage is a paged arena: events land in fixed-size pages chained into a
-// list, so appending never realloc-copies the whole log the way a flat
-// slice does (at megascale that was hundreds of MB of copy traffic per
-// run). Pages belong to the garbage collector like any other allocation.
+// Storage is a paged arena: events land in fixed-size 256 KB pages, so
+// appending never realloc-copies the whole log the way a flat slice does
+// (at megascale that was hundreds of MB of copy traffic per run). Each
+// event is packed into a 32-byte pointer-free slot: At, Request and Value
+// bit for bit, Device as an int32, and one word indexing the log's own
+// kind and note tables. An event that does not fit takes an escape slot
+// pointing into a side table of full Events, so every read decodes to an
+// Event equal to the one added. Pages belong to the garbage collector like
+// any other allocation.
 package trace
 
 import (
@@ -56,51 +61,175 @@ type Event struct {
 	Note string `json:"note,omitempty"`
 }
 
-// pageEvents is the arena page size. 4096 events × 64 B/event keeps each
-// page at 256 KB — large enough that the page-boundary branch in Add is
-// one miss in four thousand, small enough that a short run wastes at most
-// one page.
-const pageEvents = 4096
+// pageEvents is the arena page size. 8192 slots × 32 B keeps each page at
+// 256 KB — large enough that the page-boundary branch in Add is one miss
+// in eight thousand, small enough that a short run wastes at most one page.
+const pageEvents = 8192
 
-// page is one fixed-size arena block, chained through next.
-type page struct {
-	next *page
-	n    int
-	ev   [pageEvents]Event
+// Slot tag layout: the high kindBits index the log's kind table and the
+// low noteBits its note table. The all-ones kind index is the escape
+// sentinel.
+const (
+	kindBits  = 8
+	noteBits  = 32 - kindBits
+	noteMask  = 1<<noteBits - 1
+	escKind   = 1<<kindBits - 1 // kind index of an escaped slot
+	maxKinds  = escKind         // kind indices 0..254
+	noteSlots = 1 << noteBits   // note indices 0..2^24-1, "" included
+)
+
+// slot is one stored event in 32 B with no pointers, so the collector
+// never scans a page's events. At, Request and Value are the event's own
+// bits and Device fits in int32; tag packs the kind and note indices. An
+// event that does not fit (a Device outside int32, a full kind or note
+// table) is escaped: tag's kind index is escKind, req indexes the log's
+// side table of full Events, and at still holds At so MergeByTime can
+// order the slot without decoding it.
+type slot struct {
+	at    float64
+	req   int64
+	value float64
+	dev   int32
+	tag   uint32
 }
+
+// page is one fixed-size arena block. It holds no pointers, so the
+// collector never scans it, and at exactly 256 KB it fills its runtime
+// pages with nothing rounded up.
+type page [pageEvents]slot
 
 // Log accumulates events in memory. The zero value is ready to use. A nil
 // *Log discards everything, so engines can trace unconditionally.
+//
+// The kind and note tables live in the Log, never in the package, so
+// logs on concurrent shards share nothing.
 type Log struct {
-	head *page
-	tail *page
-	n    int
+	pages []*page // full pages, then the partly filled tail
+	n     int
+
+	kinds    []Kind            // kind index → kind; Add scans it, no hashing
+	notes    []string          // note index → note; notes[0] is ""
+	noteIdx  map[string]uint32 // note → index, for interning
+	lastNote string            // the note last interned or found, and its
+	lastIdx  uint32            // index: a repeated note skips the hash
+	escaped  []Event           // side table of events no slot can hold
+
+	// noteLimit caps the note table below noteSlots when nonzero, so tests
+	// reach the note escape without interning 16M strings.
+	noteLimit int
 }
 
-// grow links a fresh page at the tail.
-func (l *Log) grow() *page {
-	p := new(page)
-	if l.tail == nil {
-		l.head = p
-	} else {
-		l.tail.next = p
+// filled returns page pi's stored slots.
+func (l *Log) filled(pi int) []slot {
+	if pi == len(l.pages)-1 {
+		return l.pages[pi][:l.n-pi*pageEvents]
 	}
-	l.tail = p
-	return p
+	return l.pages[pi][:]
 }
 
-// Add appends an event. Safe on a nil receiver (no-op).
+// kindIndex returns k's index, adding it to the kind table if there is
+// room.
+func (l *Log) kindIndex(k Kind) (uint32, bool) {
+	if i, ok := l.findKind(k); ok {
+		return i, true
+	}
+	if len(l.kinds) == maxKinds {
+		return 0, false
+	}
+	l.kinds = append(l.kinds, k)
+	return uint32(len(l.kinds) - 1), true
+}
+
+// findKind returns k's index if the kind table holds it.
+func (l *Log) findKind(k Kind) (uint32, bool) {
+	for i, have := range l.kinds {
+		if have == k {
+			return uint32(i), true
+		}
+	}
+	return 0, false
+}
+
+// noteIndex interns s, returning its note index if the table has room.
+func (l *Log) noteIndex(s string) (uint32, bool) {
+	if s == "" {
+		return 0, true
+	}
+	if s == l.lastNote {
+		return l.lastIdx, true
+	}
+	if i, ok := l.noteIdx[s]; ok {
+		l.lastNote, l.lastIdx = s, i
+		return i, true
+	}
+	limit := noteSlots
+	if l.noteLimit > 0 {
+		limit = l.noteLimit
+	}
+	if l.notes == nil {
+		l.notes = []string{""}
+		l.noteIdx = make(map[string]uint32)
+	}
+	if len(l.notes) >= limit {
+		return 0, false
+	}
+	i := uint32(len(l.notes))
+	l.notes = append(l.notes, s)
+	l.noteIdx[s] = i
+	l.lastNote, l.lastIdx = s, i
+	return i, true
+}
+
+// Add appends an event. Safe on a nil receiver (no-op). It stays small
+// enough to inline, so an untraced run's nil check costs no call.
 func (l *Log) Add(ev Event) {
 	if l == nil {
 		return
 	}
-	p := l.tail
-	if p == nil || p.n == pageEvents {
-		p = l.grow()
+	l.add(ev)
+}
+
+// add packs ev into the next slot, escaping it if it does not fit.
+func (l *Log) add(ev Event) {
+	i := l.n % pageEvents
+	if i == 0 {
+		l.pages = append(l.pages, new(page))
 	}
-	p.ev[p.n] = ev
-	p.n++
+	s := &l.pages[len(l.pages)-1][i]
 	l.n++
+	if dev := int32(ev.Device); int(dev) == ev.Device {
+		if ki, ok := l.kindIndex(ev.Kind); ok {
+			if ni, ok := l.noteIndex(ev.Note); ok {
+				*s = slot{at: ev.At, req: ev.Request, value: ev.Value, dev: dev, tag: ki<<noteBits | ni}
+				return
+			}
+		}
+	}
+	*s = slot{at: ev.At, req: int64(len(l.escaped)), tag: escKind << noteBits}
+	l.escaped = append(l.escaped, ev)
+}
+
+// decode rebuilds the Event a slot stores, bit for bit the one added.
+func (l *Log) decode(s *slot) Event {
+	ki := s.tag >> noteBits
+	if ki == escKind {
+		return l.escaped[s.req]
+	}
+	ev := Event{At: s.at, Kind: l.kinds[ki], Request: s.req, Device: int(s.dev), Value: s.value}
+	if ni := s.tag & noteMask; ni != 0 {
+		ev.Note = l.notes[ni]
+	}
+	return ev
+}
+
+// hasKind reports whether the slot's event has the given kind, whose
+// table index is ki when known is true.
+func (l *Log) hasKind(s *slot, kind Kind, ki uint32, known bool) bool {
+	si := s.tag >> noteBits
+	if si == escKind {
+		return l.escaped[s.req].Kind == kind
+	}
+	return known && si == ki
 }
 
 // Addf is a convenience constructor-and-append. A format string with no
@@ -124,9 +253,10 @@ func (l *Log) Each(fn func(Event) bool) {
 	if l == nil {
 		return
 	}
-	for p := l.head; p != nil; p = p.next {
-		for i := range p.ev[:p.n] {
-			if !fn(p.ev[i]) {
+	for pi := range l.pages {
+		ss := l.filled(pi)
+		for i := range ss {
+			if !fn(l.decode(&ss[i])) {
 				return
 			}
 		}
@@ -140,8 +270,11 @@ func (l *Log) Events() []Event {
 		return nil
 	}
 	out := make([]Event, 0, l.n)
-	for p := l.head; p != nil; p = p.next {
-		out = append(out, p.ev[:p.n]...)
+	for pi := range l.pages {
+		ss := l.filled(pi)
+		for i := range ss {
+			out = append(out, l.decode(&ss[i]))
+		}
 	}
 	return out
 }
@@ -159,11 +292,13 @@ func (l *Log) Filter(kind Kind) []Event {
 	if l == nil {
 		return nil
 	}
+	ki, known := l.findKind(kind)
 	var out []Event
-	for p := l.head; p != nil; p = p.next {
-		for i := range p.ev[:p.n] {
-			if p.ev[i].Kind == kind {
-				out = append(out, p.ev[i])
+	for pi := range l.pages {
+		ss := l.filled(pi)
+		for i := range ss {
+			if l.hasKind(&ss[i], kind, ki, known) {
+				out = append(out, l.decode(&ss[i]))
 			}
 		}
 	}
@@ -175,10 +310,12 @@ func (l *Log) Count(kind Kind) int {
 	if l == nil {
 		return 0
 	}
+	ki, known := l.findKind(kind)
 	n := 0
-	for p := l.head; p != nil; p = p.next {
-		for i := range p.ev[:p.n] {
-			if p.ev[i].Kind == kind {
+	for pi := range l.pages {
+		ss := l.filled(pi)
+		for i := range ss {
+			if l.hasKind(&ss[i], kind, ki, known) {
 				n++
 			}
 		}
@@ -194,9 +331,11 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
-	for p := l.head; p != nil; p = p.next {
-		for i := range p.ev[:p.n] {
-			if err := enc.Encode(&p.ev[i]); err != nil {
+	for pi := range l.pages {
+		ss := l.filled(pi)
+		for i := range ss {
+			ev := l.decode(&ss[i])
+			if err := enc.Encode(&ev); err != nil {
 				return fmt.Errorf("trace: encode: %w", err)
 			}
 		}

@@ -75,7 +75,8 @@ func clampInt(v, lo, hi int) int {
 }
 
 // Dataset presets. Statistics follow the commonly published profiles of the
-// three corpora (see DESIGN.md for the substitution rationale).
+// three corpora (the package comment says why synthetic traces stand in
+// for them).
 var (
 	// ShareGPT models multi-turn chat: prompt median ~330 tokens with a
 	// heavy tail, outputs median ~240 tokens.

@@ -1,6 +1,8 @@
 package hetis
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -160,5 +162,63 @@ func TestPlanningRejectsBadInput(t *testing.T) {
 				t.Fatal("succeeded, want an error")
 			}
 		})
+	}
+}
+
+// TestRunRejectsBadTrace drives every engine's Run with a trace holding
+// one malformed request: it must return an error naming that request's
+// index and ID, never panic.
+func TestRunRejectsBadTrace(t *testing.T) {
+	cfg := DefaultEngineConfig(Llama13B, PaperCluster())
+	good := PoissonTrace(ShareGPT, 2, 5, 1)
+	plan, err := PlanDeployment(cfg, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hetis, err := NewHetisEngine(cfg, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	splitwise, err := NewSplitwiseEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hexgen, err := NewHexGenEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vllm, err := NewVLLMEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		bad  func(*Request)
+	}{
+		{"NaN arrival", func(r *Request) { r.ArrivalAt = nan }},
+		{"+Inf arrival", func(r *Request) { r.ArrivalAt = inf }},
+		{"-Inf arrival", func(r *Request) { r.ArrivalAt = -inf }},
+		{"negative arrival", func(r *Request) { r.ArrivalAt = -1 }},
+		{"negative prompt", func(r *Request) { r.PromptLen = -5 }},
+		{"negative output", func(r *Request) { r.OutputLen = -5 }},
+	} {
+		for _, eng := range []Engine{hetis, splitwise, hexgen, vllm} {
+			t.Run(tc.name+"/"+eng.Name(), func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				reqs := append([]Request(nil), good...)
+				const at = 3
+				tc.bad(&reqs[at])
+				_, err := eng.Run(reqs, 0)
+				want := fmt.Sprintf("request %d (ID %d)", at, reqs[at].ID)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Run error %v, want one naming %q", err, want)
+				}
+			})
+		}
 	}
 }

@@ -180,3 +180,65 @@ func TestPlacementView(t *testing.T) {
 		t.Error("unknown request should view nil")
 	}
 }
+
+// TestIdealAttnTimeAllocatesNothing pins the §5.3.1 relaxation's scratch:
+// once warm, IdealAttnTime reuses the dispatcher's context-length and
+// bucket buffers, and the solve its sweep buffer, so a rebalance check
+// allocates nothing.
+func TestIdealAttnTimeAllocatesNothing(t *testing.T) {
+	d, err := New(model.Llama13B, benchWorkers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 128; i++ {
+		if _, err := d.Dispatch(NewRequest{ID: int64(i), ContextLen: 400 + 37*(i%19)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := d.IdealAttnTime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if got, err := d.IdealAttnTime(); err != nil || got != want {
+			t.Fatalf("IdealAttnTime = %g, %v; want %g", got, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("IdealAttnTime allocates %.1f times per call once warm, want 0", allocs)
+	}
+}
+
+// TestRedispatchOldIsPriorPlacement pins redispatchRequest's no-copy read
+// of the released record: Redispatch.Old is the placement the request held
+// before, and later placements never change it.
+func TestRedispatchOldIsPriorPlacement(t *testing.T) {
+	d, err := New(model.Llama13B, testWorkersForBench(1e12, 1e12, 1e12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := d.Dispatch(NewRequest{ID: int64(i), ContextLen: 300 + 50*i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := d.Placement(5)
+	rd, err := d.redispatchRequest(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rd.Old, before) || !reflect.DeepEqual(rd.New, d.Placement(5)) {
+		t.Fatalf("redispatch Old %v New %v, want Old %v New %v", rd.Old, rd.New, before, d.Placement(5))
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := d.redispatchRequest(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(rd.Old, before) {
+		t.Fatalf("later redispatches changed an earlier Redispatch.Old: %v, want %v", rd.Old, before)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -109,9 +109,10 @@ type Dispatcher struct {
 	// relax is the §5.3.1 relaxation's per-worker cost table in sweep
 	// order, fixed at construction (it depends only on the workers).
 	relax relaxation
-	// lens is IdealAttnTime's context-length scratch; scratch and rems are
-	// solvePlacement's rounding scratch.
+	// lens and buckets are IdealAttnTime's context-length and bucket
+	// scratch; scratch and rems are solvePlacement's rounding scratch.
 	lens    []int
+	buckets []bucket
 	scratch []float64
 	rems    []remainder
 }
@@ -690,7 +691,8 @@ func (d *Dispatcher) IdealAttnTime() (float64, error) {
 	for _, s := range d.recs {
 		d.lens = append(d.lens, s.ctx())
 	}
-	return d.idealAttn(bucketByContext(d.lens, idealBuckets))
+	d.buckets = bucketByContext(d.buckets[:0], d.lens, idealBuckets)
+	return d.idealAttn(d.buckets)
 }
 
 // idealAttn evaluates the relaxation over the given (non-empty) buckets.
@@ -790,13 +792,12 @@ type bucket struct {
 }
 
 // bucketByContext groups context lengths (sorted in place) into at most n
-// buckets of similar length, in ascending context order.
-func bucketByContext(lens []int, n int) []bucket {
+// buckets of similar length, in ascending context order, appended to out.
+func bucketByContext(out []bucket, lens []int, n int) []bucket {
 	slices.Sort(lens)
 	if n > len(lens) {
 		n = len(lens)
 	}
-	out := make([]bucket, 0, n)
 	per := (len(lens) + n - 1) / n
 	for start := 0; start < len(lens); start += per {
 		end := start + per
@@ -891,8 +892,11 @@ func (d *Dispatcher) redispatchBottleneck(frozen func(RequestID) bool) (*Redispa
 }
 
 // redispatchRequest removes the request's load and re-places it via Eq. 7.
+// old views the released record's placement without a copy: a released
+// record is never reused and no placement is written after its commit, so
+// the view stays valid for the rollback commit and for Redispatch.Old.
 func (d *Dispatcher) redispatchRequest(id RequestID) (*Redispatch, error) {
-	old := d.Placement(id)
+	old := d.PlacementView(id)
 	ctx := d.ContextLen(id)
 	d.release(id)
 	x, err := d.solvePlacement(NewRequest{ID: id, ContextLen: ctx})

@@ -13,7 +13,9 @@ import (
 // policies — at every engine and checks the invariants no schedule may
 // break: the run terminates without panicking, stays inside the runaway
 // event budget, keeps the request-conservation ledger closed, and emits
-// causally ordered records.
+// causally ordered records. Each run must also match its twin with retired
+// requests poisoned instead of recycled (checkSameRun), so no engine reads
+// a request after it retires, whatever the failure schedule.
 //
 // The corpus encodes a schedule in 8 bytes: each pair (a, b) becomes one
 // failure window on replica a%3 over [start, start+len) derived from b.
@@ -50,6 +52,7 @@ func FuzzFailureSchedule(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: run: %v", name, err)
 			}
+			checkSameRun(t, name, res, runPoisoned(t, name, c, reqs, 400))
 			if got := res.Completed + res.Dropped + res.Queued; got != len(reqs) {
 				t.Errorf("%s: ledger leak: completed %d + dropped %d + queued %d = %d, offered %d",
 					name, res.Completed, res.Dropped, res.Queued, got, len(reqs))

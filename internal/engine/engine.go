@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
@@ -45,6 +46,10 @@ type Config struct {
 	// the batch's finishers left and before the advance, with the requests
 	// about to advance. Only tests set it.
 	checkStep func(inst *hetisInstance, advancing []*request)
+	// poisonRetired makes every run poison its completed requests instead
+	// of recycling them (see requestPool). Only tests set it, to check that
+	// nothing reads a request after it retires.
+	poisonRetired bool
 
 	// MaxEventsPerRequest scales the simulator's runaway guard to the
 	// trace: a run aborts after len(reqs)×MaxEventsPerRequest events (but
@@ -314,11 +319,11 @@ type Engine interface {
 	CacheCapacity() int64
 }
 
-// request is the runtime state of one in-flight request. Requests live in
-// a per-run slab (see scheduleArrivals): one contiguous arena indexed by
-// dense arrival order, so the victim-selection and decode loops chase
-// pointers within one allocation instead of across a heap of individual
-// structs.
+// request is the runtime state of one in-flight request. A run takes it
+// from its requestPool when the request arrives and hands it back when the
+// request completes; the pool zeroes it and serves it to a later arrival,
+// so no *request may be read after the flush that retires it (see
+// requestPool for the holders that outlive a completion).
 type request struct {
 	wl workload.Request
 	// generated is the number of tokens produced so far — except while
@@ -430,23 +435,94 @@ func (q *queue) pop() *request {
 	return r
 }
 
-// requestSlabChunk is the number of request structs carved per slab chunk.
-// Big enough to amortize allocator and GC bookkeeping to noise, small
-// enough that a chunk stays in the small-object allocator (256 × 104B ≈
-// 26KB ≤ 32KB, pinned by TestRequestSlabChunkIsSmallObject), where freed chunks recycle through size-class spans
-// instead of demanding fresh zeroed pages — the large-object path is
-// dramatically slower on scavenger-happy hosts.
-const requestSlabChunk = 256
+// requestPool recycles request state within one run. A request retires at
+// one point only, its completion: fleetCore.finishDeferred files it in
+// retired, and fleetCore.flushFinishes, once the batch's records are out,
+// zeroes it (dropping its tenant string and handle set) and moves it to
+// free, where the next arrival picks it up. A run therefore allocates
+// request state for its peak concurrency, not for every arrival. Drops
+// (admission control, unservable sizes) leave recycling to the GC: they
+// are rare, and one retirement point keeps the audit small.
+//
+// Recycling is safe because nothing dereferences a request after the
+// flush that retires it. The holders that outlive a completion are:
+//   - hetisInstance.fresh omits the requests that finished at their
+//     prefill, so evict's membership test cannot match a recycled struct;
+//   - the byID identity checks in prefillDone and afterDecode compare
+//     requests admitted or running in the same callback, before its flush;
+//   - the idle admitBufs slots and a static runtime's prefillBatch tail
+//     keep stale pointers that are cleared or overwritten, never read;
+//   - tokenPool.finishAt files a request in one bucket, which afterDecode
+//     clears before the flush, and remove splices out of;
+//   - chaos park, intake and haul closures hold only requests in the
+//     system, and a request finishes only off a replica's batch.
+//
+// poison, set by Config.poisonRetired, fills retired requests with values
+// no live request holds and never reuses them, so a run that reads one
+// after its flush diverges from the recycling run.
+type requestPool struct {
+	retired []*request
+	free    []*request
+	poison  bool
+}
+
+// get returns a zeroed request: a recycled one when the free list has one.
+func (p *requestPool) get() *request {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		return r
+	}
+	return new(request)
+}
+
+// recycle zeroes (or poisons) every retired request and frees it.
+func (p *requestPool) recycle() {
+	for _, r := range p.retired {
+		if p.poison {
+			poisonRequest(r)
+			continue
+		}
+		*r = request{}
+		p.free = append(p.free, r)
+	}
+	clear(p.retired)
+	p.retired = p.retired[:0]
+}
+
+// poisonRequest overwrites a retired request with values no live request
+// holds: a negative ID, NaN times, lengths past any context window, the
+// newest sequence number and the lowest priority, so any later read shows
+// up in the records, the trace or the victim choice.
+func poisonRequest(r *request) {
+	const huge = 1 << 40
+	*r = request{
+		wl: workload.Request{
+			ID:        -1 << 40,
+			ArrivalAt: math.NaN(),
+			PromptLen: huge,
+			OutputLen: huge,
+			Tenant:    "retired",
+		},
+		generated:  huge,
+		firstTok:   math.NaN(),
+		slot:       -1,
+		restartCtx: huge,
+		prio:       math.MinInt,
+		seq:        math.MaxInt64,
+	}
+}
 
 // scheduleArrivals feeds the trace into the engines' admission path. The
 // trace is read, never written: each request is clamped to the context
-// window (workload.Clamp with maxSeq) as it is carved into its slab slot,
-// before anything reads its lengths, so no run copies the whole trace.
+// window (workload.Clamp with maxSeq) as its state is taken from pool,
+// before anything reads its lengths, so no run copies the whole trace. It
+// refuses a trace with a request whose arrival time is negative or not
+// finite, or whose prompt or output length is negative, naming the first
+// such request; the check rides the sortedness scan, so it costs no pass.
 //
-// Request state comes from slab chunks carved on demand, so the hot loops
-// walk a handful of large allocations instead of one heap object per
-// request; chunks never reallocate, keeping every *request stable for the
-// life of the run.
+// Request state comes from the run's requestPool as arrivals fire, so a
+// run holds state for the requests in flight, not for the whole trace.
 //
 // Arrivals feed lazily: instead of pushing all n arrival events into the
 // queue up front (for a million-request trace that alone dominated queue
@@ -456,36 +532,31 @@ const requestSlabChunk = 256
 // keys — and therefore identical tie-breaking — to the eager loop it
 // replaced. Traces not sorted by arrival time fall back to the eager loop
 // with the same reserved numbering.
-func scheduleArrivals(s *sim.Simulator, reqs []workload.Request, maxSeq int, admit func(s *sim.Simulator, r *request)) {
+func scheduleArrivals(s *sim.Simulator, reqs []workload.Request, maxSeq int, pool *requestPool, admit func(s *sim.Simulator, r *request)) error {
 	n := len(reqs)
 	if n == 0 {
-		return
+		return nil
 	}
-	// Request state is slab-allocated in fixed-size chunks: pointers stay
-	// stable for the run, each chunk amortizes ~1k heap objects into one,
-	// and chunks are only carved as arrivals actually fire (the lazy feeder
-	// below), so a megascale trace never zeroes hundreds of MB up front.
-	var slab []request
 	alloc := func(i int) *request {
-		if len(slab) == 0 {
-			slab = make([]request, requestSlabChunk)
-		}
-		// The slot is fresh from make, so setting the two non-zero fields
-		// in place initialises it without copying a whole request.
-		r := &slab[0]
-		slab = slab[1:]
+		// The state is zeroed, so setting the two non-zero fields in place
+		// initialises it without copying a whole request.
+		r := pool.get()
 		r.wl = workload.Clamp(reqs[i], maxSeq)
 		r.restartCtx = r.wl.PromptLen
 		return r
 	}
-	first := s.ReserveSeq(n)
 	sorted := true
-	for i := 1; i < n; i++ {
-		if reqs[i].ArrivalAt < reqs[i-1].ArrivalAt {
+	for i := range reqs {
+		r := &reqs[i]
+		if !(r.ArrivalAt >= 0) || math.IsInf(r.ArrivalAt, 1) || r.PromptLen < 0 || r.OutputLen < 0 {
+			return fmt.Errorf("engine: trace request %d (ID %d): arrival %g, prompt %d, output %d: want a finite, non-negative arrival time and non-negative lengths",
+				i, r.ID, r.ArrivalAt, r.PromptLen, r.OutputLen)
+		}
+		if i > 0 && r.ArrivalAt < reqs[i-1].ArrivalAt {
 			sorted = false
-			break
 		}
 	}
+	first := s.ReserveSeq(n)
 	if !sorted {
 		for i := range reqs {
 			i := i
@@ -493,11 +564,12 @@ func scheduleArrivals(s *sim.Simulator, reqs []workload.Request, maxSeq int, adm
 				admit(s, alloc(i))
 			})
 		}
-		return
+		return nil
 	}
 	f := &arrivalFeeder{reqs: reqs, first: first, admit: admit, alloc: alloc}
 	f.fn = f.fire
 	s.ScheduleSeq(first, reqs[0].ArrivalAt, "arrival", f.fn)
+	return nil
 }
 
 // arrivalFeeder is the sorted-trace lazy feed as a value: one cached

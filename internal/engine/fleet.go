@@ -56,6 +56,9 @@ type fleetCore struct {
 	// loops fill it through finishDeferred and flush it with one batched
 	// sink append before the event callback returns.
 	recBatch []metrics.RequestRecord
+	// pool recycles the state of completed requests into later arrivals;
+	// finishDeferred retires a request and flushFinishes recycles it.
+	pool requestPool
 }
 
 // dropAdmitted records the drop of an already-admitted request (the
@@ -71,18 +74,22 @@ func (c *fleetCore) dropAdmitted(s *sim.Simulator, r *request) {
 // finishDeferred runs the shared completion bookkeeping with the sink
 // append buffered: ledger, counter, and trace updates happen immediately
 // (so trace-event order is untouched), while the completion record waits
-// in recBatch for one batched sink call. Callers must flushFinishes
-// before their event callback returns.
+// in recBatch for one batched sink call. It is the one point where a
+// request retires: the request joins the pool's retired list. Callers must
+// flushFinishes before their event callback returns, and must not read r
+// after that flush.
 func (c *fleetCore) finishDeferred(s *sim.Simulator, r *request) {
 	c.ctl.release(r)
 	c.inSystem--
 	c.recBatch = append(c.recBatch, finishRecord(r, s.Now()))
 	c.res.Completed++
 	c.res.Trace.Add(trace.Event{At: s.Now(), Kind: trace.KindFinish, Request: r.wl.ID})
+	c.pool.retired = append(c.pool.retired, r)
 }
 
-// flushFinishes observes the buffered completion records in order and
-// clears the buffer (dropping its tenant-string references) for reuse.
+// flushFinishes observes the buffered completion records in order, clears
+// the buffer (dropping its tenant-string references) for reuse, and
+// recycles the requests they retired.
 func (c *fleetCore) flushFinishes() {
 	if len(c.recBatch) == 0 {
 		return
@@ -90,6 +97,7 @@ func (c *fleetCore) flushFinishes() {
 	metrics.ObserveAll(c.sink, c.recBatch)
 	clear(c.recBatch)
 	c.recBatch = c.recBatch[:0]
+	c.pool.recycle()
 }
 
 // loseVictim applies lost-KV failure semantics: the request re-prefills
@@ -194,7 +202,7 @@ func newReplicaSet[R replica](name string, cfg Config, capBytes int64, n int) *r
 		Trace:         cfg.newTraceLog(),
 		CacheCapacity: capBytes,
 	}
-	f := &replicaSet[R]{fleetCore: fleetCore{cfg: cfg, res: res, sink: sink}}
+	f := &replicaSet[R]{fleetCore: fleetCore{cfg: cfg, res: res, sink: sink, pool: requestPool{poison: cfg.poisonRetired}}}
 	if chaos := cfg.Chaos.normalize(); chaos != nil {
 		f.ctl = newChaosCtl(chaos, res, res.Trace, sink)
 		f.ctl.bind(f)
@@ -236,7 +244,9 @@ func (f *replicaSet[R]) run(reqs []workload.Request, horizon float64, timers fun
 	s := sim.New()
 	s.MaxEvents = f.cfg.MaxSimEvents(len(reqs))
 	f.ctl.start(s)
-	scheduleArrivals(s, reqs, f.cfg.Model.MaxSeqLen, f.arrive)
+	if err := scheduleArrivals(s, reqs, f.cfg.Model.MaxSeqLen, &f.pool, f.arrive); err != nil {
+		return nil, err
+	}
 	if timers != nil {
 		timers(s)
 	}

@@ -5,25 +5,14 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"hetis/internal/dispatch"
 	"hetis/internal/kvcache"
+	"hetis/internal/metrics"
 	"hetis/internal/model"
 	"hetis/internal/sim"
 	"hetis/internal/workload"
 )
-
-// TestRequestSlabChunkIsSmallObject pins the slab sizing: a chunk of
-// request structs must stay within the runtime's largest small-object
-// size class (32 KiB), or every chunk takes the much slower large-object
-// path. A field added to request fails here instead of silently.
-func TestRequestSlabChunkIsSmallObject(t *testing.T) {
-	if size := unsafe.Sizeof(request{}) * requestSlabChunk; size > 32768 {
-		t.Fatalf("request is %d B, so a %d-request slab chunk is %d B > 32768 B",
-			unsafe.Sizeof(request{}), requestSlabChunk, size)
-	}
-}
 
 // newHandleInstance builds one Hetis instance with two admitted requests
 // (IDs 1 and 2) placed and allocated, ready for white-box decode steps.
@@ -342,6 +331,55 @@ func TestFreshBatchSurvivesNextFill(t *testing.T) {
 	}
 	if !slices.Equal(inst.fresh, first) {
 		t.Fatalf("fresh batch changed while the next one filled: %d requests, want the %d completed", len(inst.fresh), len(first))
+	}
+}
+
+// TestFreshOmitsFinishers pins the fresh batch against recycling: a
+// request that finishes at its prefill is recycled by that callback's
+// flush, so fresh must leave it out, or a later arrival reusing its state
+// and evicted before the next decode step would hold admission back.
+func TestFreshOmitsFinishers(t *testing.T) {
+	reqs := shortTrace(workload.ShareGPT, 2, 10, 3)
+	h := buildHetis(t, model.Llama13B, reqs)
+	inst, err := h.newInstance(h.plan.Instances[0], &Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.waiting = newWaitQueue(false)
+	inst.fleet = &fleetCore{res: inst.res, sink: metrics.NewRecorder()}
+	for id := int64(1); id <= 3; id++ {
+		out := 50
+		if id == 2 {
+			out = 1 // done with the prefill's token
+		}
+		inst.waiting.push(&request{wl: workload.Request{ID: id, PromptLen: 100, OutputLen: out}, restartCtx: 100, seq: id})
+	}
+	s := sim.New()
+	if !inst.tryPrefill(s) {
+		t.Fatal("the batch was not admitted")
+	}
+	finisher := inst.admitBufs[inst.admitNext][1]
+	inst.prefillDone(s)
+	if inst.res.Completed != 1 {
+		t.Fatalf("%d requests completed at the prefill, want 1", inst.res.Completed)
+	}
+	if len(inst.fresh) != 2 || slices.Contains(inst.fresh, finisher) {
+		t.Fatalf("fresh holds %d requests (finisher included: %v), want the 2 still running", len(inst.fresh), slices.Contains(inst.fresh, finisher))
+	}
+	// The next arrival takes the finisher's state; evicting it before the
+	// decode step must not hold admission.
+	r := inst.fleet.pool.get()
+	if r != finisher {
+		t.Fatal("the pool did not hand back the finisher's state")
+	}
+	r.wl = workload.Request{ID: 9, PromptLen: 100, OutputLen: 50}
+	r.restartCtx = 100
+	inst.byID[9] = r
+	if !inst.evict(s, 9) {
+		t.Fatal("the arrival was not evicted")
+	}
+	if inst.holdAdmission {
+		t.Fatal("evicting a new arrival held admission: fresh still lists the state it reuses")
 	}
 }
 

@@ -158,12 +158,12 @@ type hetisInstance struct {
 	// pendingDelay accumulates blocking-migration time charged to the
 	// next iteration.
 	pendingDelay float64
-	// fresh is the batch whose prefill completed last, until the next
-	// decode step. holdAdmission is set when memory pressure evicts one of
-	// it before that step: re-admitting the victim at once would prefill
-	// it into the same shortage, evict it again and starve decode — a
-	// livelock — so tryPrefill waits for the decode step while anything
-	// runs.
+	// fresh is the batch whose prefill completed last, less the requests
+	// that finished there, until the next decode step. holdAdmission is
+	// set when memory pressure evicts one of it before that step:
+	// re-admitting the victim at once would prefill it into the same
+	// shortage, evict it again and starve decode — a livelock — so
+	// tryPrefill waits for the decode step while anything runs.
 	fresh         []*request
 	holdAdmission bool
 	// admitBufs are the two buffers admission batches alternate between:
@@ -405,8 +405,10 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 	if inst.holdAdmission && len(inst.running) > 0 {
 		return false
 	}
-	// Clear what the buffer held two batches ago: a stale request pointer
-	// would keep its request and handle slabs, and all they reach, alive.
+	// Clear what the buffer held two batches ago: a stale pointer to a
+	// request dropped since would keep it and its handle slab, and all
+	// they reach, alive. (Completed requests are recycled; nothing reads
+	// a stale pointer here.)
 	admitted := inst.admitBufs[inst.admitNext]
 	clear(admitted[:cap(admitted)])
 	admitted = admitted[:0]
@@ -471,8 +473,9 @@ func (inst *hetisInstance) tryPrefill(s *sim.Simulator) bool {
 }
 
 // prefillDone completes the in-flight prefill batch, admitBufs[admitNext]:
-// each request still admitted here emits its first token and joins the
-// running batch, and the batch becomes fresh.
+// each request still admitted here emits its first token and finishes or
+// joins the running batch, and the batch, less its finishers, becomes
+// fresh.
 func (inst *hetisInstance) prefillDone(s *sim.Simulator) {
 	admitted := inst.admitBufs[inst.admitNext]
 	inst.admitNext ^= 1
@@ -497,6 +500,11 @@ func (inst *hetisInstance) prefillDone(s *sim.Simulator) {
 		inst.extendToken(s, r)
 		inst.running = append(inst.running, r)
 	}
+	// The finishers leave fresh before the flush recycles their state, so
+	// evict can never take a later arrival reusing it for one of them. A
+	// live request is never done, so this keeps exactly the batch's
+	// requests still in the system.
+	inst.fresh = slices.DeleteFunc(admitted, (*request).done)
 	inst.fleet.flushFinishes()
 	inst.relieveOverflow(s)
 	inst.step(s)

@@ -226,6 +226,10 @@ type Simulator struct {
 	// from it before allocating. Generation counters keep stale handles
 	// from aliasing recycled structs.
 	free []*Event
+
+	// err is the first scheduling error (a NaN time). It is sticky: the
+	// run stops after the current event and Run returns it from then on.
+	err error
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -238,10 +242,11 @@ func (s *Simulator) Now() float64 { return s.now }
 
 // Schedule registers fn to run at absolute time at. Scheduling in the past
 // (before Now) is clamped to Now; this makes "run immediately after current
-// event" trivially safe. It returns the event so callers may cancel it.
+// event" trivially safe. It returns the event so callers may cancel it. A
+// NaN time schedules nothing: it becomes the error Run returns.
 func (s *Simulator) Schedule(at float64, name string, fn func(s *Simulator)) Handle {
 	if math.IsNaN(at) {
-		panic(fmt.Sprintf("sim: NaN schedule time for event %q", name))
+		return s.fail(name)
 	}
 	if at < s.now {
 		at = s.now
@@ -260,6 +265,17 @@ func (s *Simulator) Schedule(at float64, name string, fn func(s *Simulator)) Han
 	return Handle{ev: ev, gen: ev.gen}
 }
 
+// fail records a NaN schedule time for the named event as the simulator's
+// sticky error, stops the run, and returns the inert zero Handle: the
+// event is never queued.
+func (s *Simulator) fail(name string) Handle {
+	if s.err == nil {
+		s.err = fmt.Errorf("sim: NaN schedule time for event %q", name)
+	}
+	s.stopped = true
+	return Handle{}
+}
+
 // ReserveSeq pre-allocates n insertion-order slots and returns the first.
 // Callers that know a batch of future events up front (the engines' lazy
 // arrival feeders) use it to schedule those events later — interleaved
@@ -276,7 +292,7 @@ func (s *Simulator) ReserveSeq(n int) uint64 {
 // from ReserveSeq. The timestamp rules are identical to Schedule's.
 func (s *Simulator) ScheduleSeq(seq uint64, at float64, name string, fn func(s *Simulator)) Handle {
 	if math.IsNaN(at) {
-		panic(fmt.Sprintf("sim: NaN schedule time for event %q", name))
+		return s.fail(name)
 	}
 	if at < s.now {
 		at = s.now
@@ -338,6 +354,9 @@ func (s *Simulator) Pending() int { return s.queue.n }
 // asked for, so two systems serving the same trace share a denominator even
 // when one finishes sooner.
 func (s *Simulator) Run(horizon float64) error {
+	if s.err != nil {
+		return s.err
+	}
 	s.stopped = false
 	for s.queue.n > 0 && !s.stopped {
 		ev := s.queue.min()
@@ -372,6 +391,9 @@ func (s *Simulator) Run(horizon float64) error {
 				break
 			}
 		}
+	}
+	if s.err != nil {
+		return s.err
 	}
 	if horizon > 0 && !s.stopped && s.queue.n == 0 && s.now < horizon {
 		s.now = horizon

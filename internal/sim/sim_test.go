@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -301,14 +302,38 @@ func TestPropertyOrderingRandom(t *testing.T) {
 	}
 }
 
-func TestNaNPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on NaN schedule time")
-		}
-	}()
-	s := New()
+// TestNaNScheduleIsStickyError pins the NaN contract: a NaN time
+// schedules nothing, hands back the inert Handle, and becomes the error
+// Run returns, naming the event, after the event that scheduled it — and
+// on every later Run.
+func TestNaNScheduleIsStickyError(t *testing.T) {
 	zero := 0.0
 	nan := zero / zero // NaN without importing math in the test
-	s.Schedule(nan, "bad", func(*Simulator) {})
+	for _, seq := range []bool{false, true} {
+		s := New()
+		var ran []string
+		s.Schedule(1, "first", func(s *Simulator) {
+			ran = append(ran, "first")
+			var h Handle
+			if seq {
+				h = s.ScheduleSeq(s.ReserveSeq(1), nan, "bad", func(*Simulator) { ran = append(ran, "bad") })
+			} else {
+				h = s.Schedule(nan, "bad", func(*Simulator) { ran = append(ran, "bad") })
+			}
+			if h != (Handle{}) || s.Cancel(h) {
+				t.Error("a NaN schedule returned a live handle")
+			}
+		})
+		s.Schedule(1, "same-time", func(*Simulator) { ran = append(ran, "same-time") })
+		s.Schedule(2, "later", func(*Simulator) { ran = append(ran, "later") })
+		for i := 0; i < 2; i++ {
+			err := s.Run(0)
+			if err == nil || !strings.Contains(err.Error(), `"bad"`) {
+				t.Fatalf("seq %v, run %d: error %v, want one naming event \"bad\"", seq, i, err)
+			}
+		}
+		if len(ran) != 1 || ran[0] != "first" {
+			t.Fatalf("seq %v: ran %v, want only the event that scheduled NaN", seq, ran)
+		}
+	}
 }

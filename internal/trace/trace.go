@@ -18,6 +18,7 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -336,7 +337,9 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 		for i := range ss {
 			ev := l.decode(&ss[i])
 			if err := enc.Encode(&ev); err != nil {
-				return fmt.Errorf("trace: encode: %w", err)
+				// Encode writes nothing for an event it refuses, so the
+				// writer gets exactly the lines before it.
+				return errors.Join(fmt.Errorf("trace: encode: %w", err), bw.Flush())
 			}
 		}
 	}

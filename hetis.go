@@ -153,7 +153,8 @@ type Plan = parallelizer.Plan
 // optimizes for.
 type PlanWorkload = parallelizer.Workload
 
-// PlanOptions tunes the hierarchical search (Δ, memory headroom, …).
+// PlanOptions tunes the hierarchical search: the exclusion threshold Δ,
+// the extended tier-suffix search, and a forced instance count.
 type PlanOptions = parallelizer.Options
 
 // DefaultPlanOptions mirrors the paper (Δ = 0.05).

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hetis/internal/model"
@@ -83,7 +84,7 @@ func TestCachingDecisionEquivalence(t *testing.T) {
 					samePlacement(step, twin, rq, got, err)
 				case op < 7: // grow every live request by one token
 					for _, id := range live {
-						if _, err := d.ExtendContext(id, 1); err != nil {
+						if _, err := extendByID(d, id, 1); err != nil {
 							t.Fatalf("step %d: extend %d: %v", step, id, err)
 						}
 					}
@@ -159,8 +160,8 @@ func TestIdealLowerBoundCertified(t *testing.T) {
 	}
 }
 
-// TestPlacementView pins the no-copy accessor: same content as Placement,
-// same backing array as the dispatcher's own record, nil for unknowns.
+// TestPlacementView pins the no-copy accessor: the dispatcher's own record,
+// backing array included, and nil for unknowns.
 func TestPlacementView(t *testing.T) {
 	d, err := New(model.Llama13B, testWorkersForBench(1e12, 1e12))
 	if err != nil {
@@ -172,9 +173,9 @@ func TestPlacementView(t *testing.T) {
 	if _, err := d.Dispatch(NewRequest{ID: 7, ContextLen: 100}); err != nil {
 		t.Fatal(err)
 	}
-	view := d.PlacementView(7)
-	if !reflect.DeepEqual(view, d.Placement(7)) {
-		t.Errorf("view %v != copy %v", view, d.Placement(7))
+	view, place := d.PlacementView(7), d.byID[7].place
+	if len(view) != 2 || &view[0] != &place[0] {
+		t.Errorf("view %v is not the record's placement %v", view, place)
 	}
 	if d.PlacementView(8) != nil {
 		t.Error("unknown request should view nil")
@@ -222,13 +223,13 @@ func TestRedispatchOldIsPriorPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := d.Placement(5)
+	before := slices.Clone(d.PlacementView(5))
 	rd, err := d.redispatchRequest(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rd.Old, before) || !reflect.DeepEqual(rd.New, d.Placement(5)) {
-		t.Fatalf("redispatch Old %v New %v, want Old %v New %v", rd.Old, rd.New, before, d.Placement(5))
+	if !reflect.DeepEqual(rd.Old, before) || !reflect.DeepEqual(rd.New, d.PlacementView(5)) {
+		t.Fatalf("redispatch Old %v New %v, want Old %v New %v", rd.Old, rd.New, before, d.PlacementView(5))
 	}
 	for i := 0; i < 16; i++ {
 		if _, err := d.redispatchRequest(int64(i)); err != nil {

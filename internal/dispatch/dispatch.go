@@ -236,20 +236,10 @@ func (d *Dispatcher) Heads(i int) float64 { return float64(d.h[i]) }
 // CacheBytes returns g_i for worker index i.
 func (d *Dispatcher) CacheBytes(i int) float64 { return float64(d.g[i]) }
 
-// Placement returns a copy of request id's per-worker head counts, or nil.
-func (d *Dispatcher) Placement(id RequestID) []int {
-	s, ok := d.byID[id]
-	if !ok {
-		return nil
-	}
-	return append([]int(nil), s.place...)
-}
-
 // PlacementView returns request id's per-worker head counts without
 // copying, or nil. The slice is owned by the dispatcher and valid until
 // the request is re-placed or removed; callers must treat it as
-// read-only. It exists for the engine's per-iteration bookkeeping loops,
-// where Placement's defensive copy was a measurable allocation source.
+// read-only and clone it to keep a copy.
 func (d *Dispatcher) PlacementView(id RequestID) []int {
 	if s, ok := d.byID[id]; ok {
 		return s.place
@@ -581,31 +571,10 @@ func (d *Dispatcher) Clear() {
 	d.baseSum = 0
 }
 
-// ExtendContext grows a request by n freshly generated tokens, increasing
-// g on every device holding its heads. It reports the devices whose
-// capacity the growth overflows (empty when all fits).
-func (d *Dispatcher) ExtendContext(id RequestID, n int) ([]int, error) {
-	s, ok := d.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("dispatch: unknown request %d", id)
-	}
-	over := make([]bool, len(d.workers))
-	if err := d.ExtendSlot(s, n, over); err != nil {
-		return nil, err
-	}
-	var out []int
-	for i, o := range over {
-		if o {
-			out = append(out, i)
-		}
-	}
-	return out, nil
-}
-
-// ExtendSlot is ExtendContext for one request through a record handle, with
-// no hash lookup: it sets over[i] for every worker i whose capacity the
-// growth overflows and leaves the other flags alone. A stale handle is an
-// error (see Resolve).
+// ExtendSlot grows one request by n freshly generated tokens through its
+// record handle, increasing g on every device holding its heads: it sets
+// over[i] for every worker i whose capacity the growth overflows and
+// leaves the other flags alone. A stale handle is an error (see Resolve).
 func (d *Dispatcher) ExtendSlot(s *Slot, n int, over []bool) error {
 	if s == nil || s.owner != d || s.idx < 0 {
 		return fmt.Errorf("dispatch: stale request handle")

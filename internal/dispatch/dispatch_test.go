@@ -198,6 +198,22 @@ func TestDuplicateDispatchRejected(t *testing.T) {
 	}
 }
 
+// extendByID grows request id by n tokens through its record handle and
+// returns the workers the growth overflows.
+func extendByID(d *Dispatcher, id RequestID, n int) ([]int, error) {
+	over := make([]bool, d.NumWorkers())
+	if err := d.ExtendSlot(d.Resolve(nil, id), n, over); err != nil {
+		return nil, err
+	}
+	var out []int
+	for i, o := range over {
+		if o {
+			out = append(out, i)
+		}
+	}
+	return out, nil
+}
+
 func TestExtendContextAndOverflow(t *testing.T) {
 	cfg := model.Llama13B
 	perHeadToken := float64(cfg.KVBytesPerTokenHeadGroup())
@@ -206,11 +222,11 @@ func TestExtendContextAndOverflow(t *testing.T) {
 	if _, err := d.Dispatch(NewRequest{ID: 1, ContextLen: 100}); err != nil {
 		t.Fatal(err)
 	}
-	over, err := d.ExtendContext(1, 5)
+	over, err := extendByID(d, 1, 5)
 	if err != nil || len(over) != 0 {
 		t.Fatalf("within capacity: over=%v err=%v", over, err)
 	}
-	over, err = d.ExtendContext(1, 50)
+	over, err = extendByID(d, 1, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +236,7 @@ func TestExtendContextAndOverflow(t *testing.T) {
 	if d.ContextLen(1) != 155 {
 		t.Fatalf("context = %d want 155", d.ContextLen(1))
 	}
-	if _, err := d.ExtendContext(99, 1); err == nil {
+	if _, err := extendByID(d, 99, 1); err == nil {
 		t.Fatal("unknown request should error")
 	}
 }
@@ -283,7 +299,7 @@ func TestRebalanceComputeAfterSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Request 1 decodes 30000 tokens (unpredictably long context).
-	if _, err := d.ExtendContext(1, 30000); err != nil {
+	if _, err := extendByID(d, 1, 30000); err != nil {
 		t.Fatal(err)
 	}
 	before := d.AttnStepTime()
@@ -338,7 +354,7 @@ func TestRebalanceMemoryMovesVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Decode pushes the primary over; request 2 (newest) should move.
-	over, err := d.ExtendContext(2, 50)
+	over, err := extendByID(d, 2, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +448,7 @@ func TestPropertyInvariantsUnderRandomChurn(t *testing.T) {
 			case 1:
 				if len(live) > 0 {
 					k := rng.Intn(len(live))
-					if _, err := d.ExtendContext(live[k], rng.Intn(50)); err != nil {
+					if _, err := extendByID(d, live[k], rng.Intn(50)); err != nil {
 						return false
 					}
 				}

@@ -114,7 +114,7 @@ func TestRebalanceComputeRespectsFrozen(t *testing.T) {
 	if _, err := dispatchEach(d, reqs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ExtendContext(1, 30000); err != nil {
+	if _, err := extendByID(d, 1, 30000); err != nil {
 		t.Fatal(err)
 	}
 	// With request 1 frozen, the re-dispatcher must not touch it even

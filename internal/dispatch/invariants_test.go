@@ -17,7 +17,7 @@ import (
 //   - no worker's tracked cache load exceeds its CapacityBytes,
 //   - the dispatcher's internal accounting matches the placements.
 //
-// Growth (ExtendContext) and release (Remove) are exercised between
+// Growth (ExtendSlot) and release (Remove) are exercised between
 // batches so the invariants hold across the whole request lifecycle, not
 // only at admission.
 func TestDispatchPlacementProperties(t *testing.T) {
@@ -82,8 +82,8 @@ func TestDispatchPlacementProperties(t *testing.T) {
 			// accounting must stay exact either way.
 			if len(live) > 0 {
 				id := live[rng.Intn(len(live))]
-				if _, err := d.ExtendContext(id, rng.Intn(256)); err != nil {
-					t.Fatalf("round %d: ExtendContext: %v", round, err)
+				if _, err := extendByID(d, id, rng.Intn(256)); err != nil {
+					t.Fatalf("round %d: ExtendSlot: %v", round, err)
 				}
 			}
 			// Finish a random request half the time.

@@ -240,12 +240,12 @@ func (x *recordsHarness) step(op int) {
 			return
 		}
 		n := 16 * rng.Intn(4)
-		got, err := d.ExtendContext(id, n)
+		got, err := extendByID(d, id, n)
 		if err != nil {
-			t.Fatalf("ExtendContext(%d): %v", id, err)
+			t.Fatalf("extend %d: %v", id, err)
 		}
 		if want := ref.extend(id, n); !reflect.DeepEqual(got, want) {
-			t.Fatalf("ExtendContext(%d) overflow %v, reference %v", id, got, want)
+			t.Fatalf("extend %d overflow %v, reference %v", id, got, want)
 		}
 	case 4, 5: // extend every live request by one token through its handle
 		over := make([]bool, d.NumWorkers())
@@ -467,7 +467,7 @@ func runRecords(t *testing.T, seed int64) (*Dispatcher, *recordsHarness) {
 }
 
 // FuzzDispatcherRecords drives the record table and the map-keyed
-// reference it replaced through the same random Dispatch / ExtendContext
+// reference it replaced through the same random Dispatch / ExtendSlot
 // (by id and by handle) / decode step (batched or per request) /
 // RebalanceCompute / RebalanceMemory / Remove / Clear sequences, asserting
 // bit-identical h and g, identical contexts, placements, overflow sets and

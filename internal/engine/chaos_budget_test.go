@@ -75,12 +75,13 @@ func TestChaosStormStaysInsideBudget(t *testing.T) {
 	cfg := DefaultConfig(model.Llama13B, hardware.PaperCluster())
 	// A deliberately tight per-request budget, so the healthy-sized bound
 	// per*n is small enough for the storm to overrun it.
-	cfg.MaxEventsPerRequest = 2
+	const per = 2
 	cfg.Chaos = stormConfig()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	healthySized := uint64(cfg.MaxEventsPerRequest) * uint64(len(reqs))
+	healthySized := uint64(per) * uint64(len(reqs))
+	budget := cfg.eventBudget(len(reqs), per)
 	for _, name := range Names {
 		eng, err := NewByName(name, cfg, reqs)
 		if err != nil {
@@ -90,8 +91,8 @@ func TestChaosStormStaysInsideBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: storm must finish inside the chaos-scaled budget: %v", name, err)
 		}
-		if budget := cfg.MaxSimEvents(len(reqs)); res.Events > budget {
-			t.Errorf("%s: %d events exceed budget %d", name, res.Events, budget)
+		if res.Events > budget {
+			t.Errorf("%s: %d events exceed the chaos-scaled budget %d", name, res.Events, budget)
 		}
 		if res.Events <= healthySized {
 			t.Errorf("%s: storm ran only %d events, not above the healthy-sized bound %d — test lost its teeth",
@@ -107,9 +108,8 @@ func TestChaosStormStaysInsideBudget(t *testing.T) {
 // it off.
 func TestChaosBudgetStillAbortsRunaway(t *testing.T) {
 	var cfg Config
-	cfg.MaxEventsPerRequest = 1
 	cfg.Chaos = stormConfig()
-	budget := cfg.MaxSimEvents(8) // floor-dominated: 1e6 events
+	budget := cfg.eventBudget(8, 1) // floor-dominated: 1e6 events
 	s := sim.New()
 	s.MaxEvents = budget
 	var loop func(*sim.Simulator)

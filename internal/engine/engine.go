@@ -14,6 +14,7 @@ import (
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
 	"hetis/internal/model"
+	"hetis/internal/parallelizer"
 	"hetis/internal/sim"
 	"hetis/internal/trace"
 	"hetis/internal/workload"
@@ -32,9 +33,6 @@ type Config struct {
 	// BlockingMigration charges cache-migration time to the iteration
 	// instead of overlapping it on low-priority streams (ablation).
 	BlockingMigration bool
-	// RebalanceEvery is the number of decode iterations between §5.3.1
-	// imbalance checks (each check may solve the ideal relaxation).
-	RebalanceEvery int
 	// GreedyDispatch replaces the Eq. 7 LP with the greedy
 	// longest-processing-time heuristic (ablation).
 	GreedyDispatch bool
@@ -50,13 +48,6 @@ type Config struct {
 	// of recycling them (see requestPool). Only tests set it, to check that
 	// nothing reads a request after it retires.
 	poisonRetired bool
-
-	// MaxEventsPerRequest scales the simulator's runaway guard to the
-	// trace: a run aborts after len(reqs)×MaxEventsPerRequest events (but
-	// never fewer than minEventBudget, so tiny traces keep slack for
-	// sampling timers and rebalance checks). 0 takes
-	// DefaultMaxEventsPerRequest. See Config.MaxSimEvents.
-	MaxEventsPerRequest int
 
 	// MemHeadroom is the memory fraction reserved for activations.
 	MemHeadroom float64
@@ -99,34 +90,37 @@ const (
 	// livelocking the batch under overload (vLLM's watermark, made
 	// explicit).
 	admitWatermark = 0.92
+	// rebalanceEvery is the number of Hetis decode iterations between
+	// §5.3.1 imbalance checks (each check may solve the ideal relaxation).
+	rebalanceEvery = 8
 )
 
 // DefaultConfig returns the standard engine configuration for a model on a
 // cluster.
 func DefaultConfig(cfg model.Config, cluster *hardware.Cluster) Config {
 	return Config{
-		Model:          cfg,
-		Cluster:        cluster,
-		Theta:          0.5,
-		RebalanceEvery: 8,
-		MemHeadroom:    0.08,
-		SampleEvery:    1.0,
+		Model:       cfg,
+		Cluster:     cluster,
+		Theta:       0.5,
+		MemHeadroom: parallelizer.MemHeadroom,
+		SampleEvery: 1.0,
 	}
 }
 
-// DefaultMaxEventsPerRequest is the per-request event budget of the
-// simulator's runaway guard. A request's worst case — solo decode of a
-// full context window plus repeated eviction/re-prefill cycles — stays
-// well under it, while a genuine scheduling livelock (events that never
-// advance a request) still trips the guard quickly.
-const DefaultMaxEventsPerRequest = 65536
+// maxEventsPerRequest is the per-request event budget of the simulator's
+// runaway guard. A request's worst case — solo decode of a full context
+// window plus repeated eviction/re-prefill cycles — stays well under it,
+// while a genuine scheduling livelock (events that never advance a
+// request) still trips the guard quickly.
+const maxEventsPerRequest = 65536
 
 // minEventBudget floors the runaway guard so tiny traces keep slack for
 // per-second sampling timers and rebalance cadence events.
 const minEventBudget = 1_000_000
 
 // MaxSimEvents is the runaway-guard event budget for a trace of n
-// requests: n×MaxEventsPerRequest, floored at minEventBudget. Scaling with
+// requests: n×maxEventsPerRequest, floored at minEventBudget (so tiny
+// traces keep slack for sampling timers and rebalance checks). Scaling with
 // the trace keeps the guard meaningful for small runs without tripping on
 // million-request traces (the old fixed 20M literal did).
 //
@@ -138,11 +132,10 @@ const minEventBudget = 1_000_000
 // chaos event classes. A genuine livelock still trips the guard: the
 // multiplier is a constant for a given config, while a livelock generates
 // events without bound.
-func (c Config) MaxSimEvents(n int) uint64 {
-	per := c.MaxEventsPerRequest
-	if per <= 0 {
-		per = DefaultMaxEventsPerRequest
-	}
+func (c Config) MaxSimEvents(n int) uint64 { return c.eventBudget(n, maxEventsPerRequest) }
+
+// eventBudget is MaxSimEvents at per events per request.
+func (c Config) eventBudget(n, per int) uint64 {
 	budget := uint64(per) * uint64(n)
 	if chaos := c.Chaos.normalize(); chaos != nil {
 		mult := uint64(chaos.maxReplicas())

@@ -218,7 +218,7 @@ func TestBatchedStepFallsBack(t *testing.T) {
 
 // stepState renders what a decode step can change: the batch, each
 // request's tokens, the dispatcher's loads and contexts, and every block
-// manager's blocks, store operations and per-request tokens.
+// manager's blocks and per-request tokens.
 func stepState(inst *hetisInstance, rs []*request) string {
 	var b strings.Builder
 	for _, r := range inst.running {
@@ -228,8 +228,8 @@ func stepState(inst *hetisInstance, rs []*request) string {
 		fmt.Fprintf(&b, "\nrequest %d generated %d ctx %d", r.wl.ID, r.generated, inst.disp.ContextLen(r.wl.ID))
 	}
 	for i, m := range inst.kv {
-		fmt.Fprintf(&b, "\nworker %d g %g free %d store %d tokens %d/%d/%d",
-			i, inst.disp.CacheBytes(i), m.FreeBlocks(), m.StoreOps(), m.Tokens(1), m.Tokens(2), m.Tokens(99))
+		fmt.Fprintf(&b, "\nworker %d g %g free %d tokens %d/%d/%d",
+			i, inst.disp.CacheBytes(i), m.FreeBlocks(), m.Tokens(1), m.Tokens(2), m.Tokens(99))
 	}
 	fmt.Fprintf(&b, "\nevictions %d", inst.res.Evictions)
 	return b.String()
@@ -346,7 +346,7 @@ func TestFreshOmitsFinishers(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst.waiting = newWaitQueue(false)
-	inst.fleet = &fleetCore{res: inst.res, sink: metrics.NewRecorder()}
+	inst.fleet = &fleetCore{res: inst.res, sink: metrics.NewExactRecorder(metrics.SLOTarget{})}
 	for id := int64(1); id <= 3; id++ {
 		out := 50
 		if id == 2 {

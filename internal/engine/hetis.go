@@ -667,16 +667,12 @@ func (inst *hetisInstance) afterDecode(s *sim.Simulator) {
 
 	inst.relieveOverflow(s)
 	inst.decodeSteps++
-	every := cfg.RebalanceEvery
-	if every <= 0 {
-		every = 8
-	}
-	if !cfg.DisableRedispatch && len(inst.running) > 0 && inst.decodeSteps%every == 0 {
-		// Requests migrated within the last 2·every decode steps are exempt
-		// from further re-dispatching, to damp ping-pong.
+	if !cfg.DisableRedispatch && len(inst.running) > 0 && inst.decodeSteps%rebalanceEvery == 0 {
+		// Requests migrated within the last 2·rebalanceEvery decode steps
+		// are exempt from further re-dispatching, to damp ping-pong.
 		frozen := func(id int64) bool {
 			step, ok := inst.lastMig[id]
-			return ok && inst.decodeSteps-step < 2*every
+			return ok && inst.decodeSteps-step < 2*rebalanceEvery
 		}
 		if rd, err := inst.disp.RebalanceCompute(cfg.Theta, frozen); err == nil && rd != nil {
 			inst.applyRedispatch(s, rd)

@@ -54,17 +54,17 @@ func TestMaxSimEvents(t *testing.T) {
 		t.Errorf("MaxSimEvents(1)=%d want floor %d", got, minEventBudget)
 	}
 	n := 1_000_000
-	want := uint64(DefaultMaxEventsPerRequest) * uint64(n)
+	want := uint64(maxEventsPerRequest) * uint64(n)
 	if got := cfg.MaxSimEvents(n); got != want {
 		t.Errorf("MaxSimEvents(%d)=%d want %d (must scale with the trace)", n, got, want)
 	}
-	cfg.MaxEventsPerRequest = 10
-	if got := cfg.MaxSimEvents(n); got != 10_000_000 {
-		t.Errorf("override MaxSimEvents(%d)=%d want 10000000", n, got)
+	if got := cfg.eventBudget(n, 10); got != 10_000_000 {
+		t.Errorf("eventBudget(%d, 10)=%d want 10000000", n, got)
 	}
-	// The override still respects the floor for small traces.
-	if got := cfg.MaxSimEvents(3); got != minEventBudget {
-		t.Errorf("small-trace MaxSimEvents(3)=%d want floor %d", got, minEventBudget)
+	// A smaller per-request budget still respects the floor for small
+	// traces.
+	if got := cfg.eventBudget(3, 10); got != minEventBudget {
+		t.Errorf("small-trace eventBudget(3, 10)=%d want floor %d", got, minEventBudget)
 	}
 }
 
@@ -76,12 +76,19 @@ func TestMaxSimEvents(t *testing.T) {
 func TestEventBudgetFloorKeepsSmallTracesServiceable(t *testing.T) {
 	reqs := shortTrace(workload.HumanEval, 3, 10, 4)
 	cfg := DefaultConfig(model.Llama13B, hardware.PaperCluster())
-	cfg.MaxEventsPerRequest = 1
+	budget := cfg.eventBudget(len(reqs), 1)
+	if budget != minEventBudget {
+		t.Fatalf("eventBudget(%d, 1)=%d want floor %d", len(reqs), budget, minEventBudget)
+	}
 	hx, err := NewHexGen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hx.Run(reqs, 0); err != nil {
-		t.Fatalf("floored budget should serve a small trace: %v", err)
+	res, err := hx.Run(reqs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events > budget {
+		t.Fatalf("a small trace ran %d events, past the floored budget %d", res.Events, budget)
 	}
 }

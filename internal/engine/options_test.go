@@ -103,20 +103,6 @@ func TestPressuredDeterminism(t *testing.T) {
 	}
 }
 
-func TestRebalanceEveryExtremes(t *testing.T) {
-	// Rebalancing every iteration and (almost) never must both serve.
-	often := pressuredSetup(t, func(c *Config) { c.RebalanceEvery = 1 })
-	rare := pressuredSetup(t, func(c *Config) { c.RebalanceEvery = 1 << 30 })
-	if often.Completed == 0 || rare.Completed == 0 {
-		t.Fatalf("extreme RebalanceEvery failed to serve: %d / %d", often.Completed, rare.Completed)
-	}
-	// With rebalancing effectively off, only memory-pressure migrations
-	// remain, so the frequent config must migrate at least as much.
-	if often.Migrations < rare.Migrations {
-		t.Errorf("RebalanceEvery=1 migrated less (%d) than never (%d)", often.Migrations, rare.Migrations)
-	}
-}
-
 func TestContextWindowTruncation(t *testing.T) {
 	// An OPT model (2048 window) served a LongBench trace must clamp
 	// contexts rather than fail or run unbounded prompts, on every engine

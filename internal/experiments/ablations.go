@@ -153,7 +153,8 @@ func AblationMigration(opts Options) (*metrics.Table, error) {
 }
 
 // AblationDP forces the data-parallel instance count and reports the
-// latency/capacity trade-off the CacheTolerance selection navigates.
+// latency/capacity trade-off the planner's cache-tolerance selection
+// navigates.
 func AblationDP(Options) (*metrics.Table, error) {
 	cluster := hardware.PaperCluster()
 	est := perf.New(model.Llama13B)

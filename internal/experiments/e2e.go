@@ -26,7 +26,10 @@ func latencySweep(m model.Config, entries []sweepEntry, opts Options) (*metrics.
 	}}
 	dur := opts.duration(40)
 	for _, e := range entries {
-		dist := datasetByCode(e.dataset)
+		dist, err := workload.ByName(e.dataset)
+		if err != nil {
+			return nil, err
+		}
 		for _, rate := range e.rates {
 			reqs := workload.Poisson(dist, rate, dur, opts.seed(1000+int64(rate*10)))
 			if len(reqs) == 0 {
@@ -93,7 +96,11 @@ func Fig11(opts Options) (*metrics.Table, error) {
 	dur := opts.duration(30)
 	for _, m := range []model.Config{model.Llama13B, model.OPT30B, model.Llama70B} {
 		for _, ds := range []string{"SG", "HE", "LB"} {
-			reqs := workload.Poisson(datasetByCode(ds), 4, dur, opts.seed(77))
+			dist, err := workload.ByName(ds)
+			if err != nil {
+				return nil, err
+			}
+			reqs := workload.Poisson(dist, 4, dur, opts.seed(77))
 			het, hex, sw, err := buildEngines(m, reqs)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", m.Name, ds, err)
@@ -114,7 +121,11 @@ var fig12Rates = map[string]float64{"SG": 1.5, "HE": 6, "LB": 0.8}
 // point for one dataset.
 func runFig12Setting(ds string, opts Options) (het, hex, sw *engine.Result, err error) {
 	dur := opts.duration(40)
-	reqs := workload.Poisson(datasetByCode(ds), fig12Rates[ds], dur, opts.seed(2100))
+	dist, err := workload.ByName(ds)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	reqs := workload.Poisson(dist, fig12Rates[ds], dur, opts.seed(2100))
 	h, x, s, err := buildEngines(model.Llama70B, reqs)
 	if err != nil {
 		return nil, nil, nil, err
@@ -186,7 +197,11 @@ func Fig16a(opts Options) (*metrics.Table, error) {
 	lat := map[string][]float64{}
 	for _, ds := range []string{"SG", "HE", "LB"} {
 		rate := map[string]float64{"SG": 6, "HE": 30, "LB": 2.5}[ds]
-		reqs := workload.Poisson(datasetByCode(ds), rate, dur, opts.seed(1600))
+		dist, err := workload.ByName(ds)
+		if err != nil {
+			return nil, err
+		}
+		reqs := workload.Poisson(dist, rate, dur, opts.seed(1600))
 		for _, theta := range thetas {
 			res, err := runSmallHetis(reqs, theta, false)
 			if err != nil {

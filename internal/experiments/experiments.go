@@ -142,13 +142,3 @@ func buildEngines(m model.Config, reqs []workload.Request) (het *engine.Hetis, h
 	}
 	return het, hex, sw, nil
 }
-
-// datasetByCode resolves the two-letter dataset codes used in the paper's
-// figures.
-func datasetByCode(code string) workload.LengthDist {
-	d, err := workload.ByName(code)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}

@@ -151,7 +151,8 @@ func Fig15b(Options) (*metrics.Table, error) {
 // many configurations the Parallelizer costs on the paper cluster and on a
 // large simulated cluster with five GPU types × 32 GPUs. The table holds
 // only deterministic columns, so `-exp all` output is byte-stable; the
-// search's wall-clock time is BenchmarkSearchOverhead's to measure.
+// search's wall-clock time is the root BenchmarkParallelizerSearch's to
+// measure.
 func SearchOverhead(Options) (*metrics.Table, error) {
 	tab := &metrics.Table{Header: []string{"Cluster", "GPUs", "Configs"}}
 

@@ -59,7 +59,10 @@ func Throughput(opts Options) (*metrics.Table, error) {
 		"Hetis/SW", "Hetis/HG",
 	}}
 	for _, ds := range []string{"SG", "HE", "LB"} {
-		dist := datasetByCode(ds)
+		dist, err := workload.ByName(ds)
+		if err != nil {
+			return nil, err
+		}
 		rates := ladders[ds]
 
 		swRate, err := maxSustainedRate(func(reqs []workload.Request) (engine.Engine, error) {

@@ -114,11 +114,9 @@ func (r *Router) Shards() int { return len(r.weights) }
 // Policy reports the routing policy.
 func (r *Router) Policy() string { return r.policy }
 
-// Route assigns one request to a shard. Decisions depend only on the
+// route assigns one request to a shard. Decisions depend only on the
 // request sequence routed so far — admission-time state, never execution
 // feedback — so the assignment is reproducible from the trace alone.
-func (r *Router) Route(req workload.Request) int { return r.route(&req) }
-
 func (r *Router) route(req *workload.Request) int {
 	switch r.policy {
 	case PolicyLeastLoaded:

@@ -7,6 +7,23 @@ import (
 	"hetis/internal/workload"
 )
 
+// shardOf partitions reqs and returns the shard each request landed in,
+// by trace position.
+func shardOf(r *Router, reqs []workload.Request) []int {
+	tagged := make([]workload.Request, len(reqs))
+	for i, req := range reqs {
+		req.ID = int64(i)
+		tagged[i] = req
+	}
+	out := make([]int, len(reqs))
+	for s, part := range r.Partition(tagged) {
+		for _, req := range part {
+			out[req.ID] = s
+		}
+	}
+	return out
+}
+
 func TestNewRouterValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -45,8 +62,8 @@ func TestWeightedEqualIsRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		if got, want := r.Route(workload.Request{}), i%4; got != want {
+	for i, got := range shardOf(r, make([]workload.Request, 20)) {
+		if want := i % 4; got != want {
 			t.Fatalf("request %d routed to shard %d, want %d", i, got, want)
 		}
 	}
@@ -62,8 +79,7 @@ func TestWeightedShares(t *testing.T) {
 	}
 	counts := [2]int{}
 	firstLight := -1
-	for i := 0; i < 40; i++ {
-		s := r.Route(workload.Request{})
+	for i, s := range shardOf(r, make([]workload.Request, 40)) {
 		counts[s]++
 		if s == 1 && firstLight < 0 {
 			firstLight = i
@@ -83,10 +99,13 @@ func TestLeastLoadedBalancesTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
+	reqs := make([]workload.Request, 2000)
+	for i := range reqs {
+		reqs[i] = workload.Request{PromptLen: 1 + rng.Intn(900), OutputLen: 1 + rng.Intn(300)}
+	}
 	load := [3]float64{}
-	for i := 0; i < 2000; i++ {
-		req := workload.Request{PromptLen: 1 + rng.Intn(900), OutputLen: 1 + rng.Intn(300)}
-		load[r.Route(req)] += float64(req.TotalLen())
+	for i, s := range shardOf(r, reqs) {
+		load[s] += float64(reqs[i].TotalLen())
 	}
 	min, max := load[0], load[0]
 	for _, l := range load[1:] {
@@ -110,10 +129,13 @@ func TestLeastLoadedHonorsWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := make([]workload.Request, 4000)
+	for i := range reqs {
+		reqs[i] = workload.Request{PromptLen: 100, OutputLen: 100}
+	}
 	load := [2]float64{}
-	for i := 0; i < 4000; i++ {
-		req := workload.Request{PromptLen: 100, OutputLen: 100}
-		load[r.Route(req)] += float64(req.TotalLen())
+	for i, s := range shardOf(r, reqs) {
+		load[s] += float64(reqs[i].TotalLen())
 	}
 	ratio := load[0] / load[1]
 	if ratio < 2.9 || ratio > 3.1 {
@@ -129,9 +151,12 @@ func TestAffinityPinsTenants(t *testing.T) {
 	pinned := map[string]int{}
 	tenants := []string{"chat", "code", "batch", "search", ""}
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		tn := tenants[rng.Intn(len(tenants))]
-		s := r.Route(workload.Request{Tenant: tn})
+	reqs := make([]workload.Request, 1000)
+	for i := range reqs {
+		reqs[i].Tenant = tenants[rng.Intn(len(tenants))]
+	}
+	for i, s := range shardOf(r, reqs) {
+		tn := reqs[i].Tenant
 		if tn == "" {
 			continue // untenanted traffic round-robins; no pin to check
 		}
@@ -166,9 +191,10 @@ func TestRouteDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		b, _ := NewRouter(policy, 5, []float64{2, 1, 1, 3, 1})
-		for i, req := range reqs {
-			if sa, sb := a.Route(req), b.Route(req); sa != sb {
-				t.Fatalf("%s: request %d routed to %d and %d by identical routers", policy, i, sa, sb)
+		sb := shardOf(b, reqs)
+		for i, sa := range shardOf(a, reqs) {
+			if sa != sb[i] {
+				t.Fatalf("%s: request %d routed to %d and %d by identical routers", policy, i, sa, sb[i])
 			}
 		}
 	}

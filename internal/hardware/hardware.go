@@ -277,11 +277,6 @@ func (c *Cluster) Link(a, b DeviceID) LinkSpec {
 	return c.InterLink
 }
 
-// SameHost reports whether two devices share a host.
-func (c *Cluster) SameHost(a, b DeviceID) bool {
-	return c.Devices[a].Host == c.Devices[b].Host
-}
-
 // TotalMemory sums device memory across the cluster.
 func (c *Cluster) TotalMemory() int64 {
 	var total int64
@@ -322,25 +317,6 @@ func (c *Cluster) DevicesByType() []TypeGroup {
 type TypeGroup struct {
 	Spec GPUSpec
 	IDs  []DeviceID
-}
-
-// Fingerprint renders the full topology — every host with its intra link
-// and device spec lineup, plus the inter-host link — so distinct clusters
-// never collide. Use it as a cache or map key; String is a lossy summary
-// that omits link generations and device arrangement.
-func (c *Cluster) Fingerprint() string {
-	var b strings.Builder
-	b.WriteString(c.InterLink.Name)
-	for i, h := range c.Hosts {
-		fmt.Fprintf(&b, "|%s/%s:", h.Name, h.IntraLink.Name)
-		for _, d := range c.Devices {
-			if d.Host == i {
-				b.WriteString(d.Spec.Name)
-				b.WriteByte(',')
-			}
-		}
-	}
-	return b.String()
 }
 
 // String summarizes the cluster composition, e.g.

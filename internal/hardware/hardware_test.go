@@ -2,6 +2,7 @@ package hardware
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -95,10 +96,10 @@ func TestClusterLinks(t *testing.T) {
 	if got := c.Link(0, 1); got.Name != "PCIe4x16" {
 		t.Errorf("intra-host A100 link = %s want PCIe4x16", got.Name)
 	}
-	if !c.SameHost(4, 5) {
+	if c.Devices[4].Host != c.Devices[5].Host {
 		t.Error("3090s 4 and 5 should share a host")
 	}
-	if c.SameHost(5, 6) {
+	if c.Devices[5].Host == c.Devices[6].Host {
 		t.Error("3090s 5 and 6 are on different hosts")
 	}
 	if got := c.Link(5, 6); got.Name != "100GbE" {
@@ -136,7 +137,7 @@ func TestBuilderErrors(t *testing.T) {
 func TestParseCluster(t *testing.T) {
 	for _, name := range []string{"", "paper"} {
 		c, err := ParseCluster(name)
-		if err != nil || c.Fingerprint() != PaperCluster().Fingerprint() {
+		if err != nil || !reflect.DeepEqual(c, PaperCluster()) {
 			t.Errorf("ParseCluster(%q) = %v, %v; want the paper cluster", name, c, err)
 		}
 	}

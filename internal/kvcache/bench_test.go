@@ -2,31 +2,9 @@ package kvcache
 
 import "testing"
 
-// BenchmarkAllocExtendFree measures the block-manager hot path: one
-// request's lifecycle (alloc, 256 decode extends, free).
-func BenchmarkAllocExtendFree(b *testing.B) {
-	cfg := Config{BlockTokens: 16, BytesPerGroupToken: 20480, CapacityBytes: 8 << 30}
-	m, err := NewManager(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := RequestID(i)
-		if err := m.Alloc(id, 8, 512); err != nil {
-			b.Fatal(err)
-		}
-		for k := 0; k < 256; k++ {
-			if err := m.Extend(id, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		m.Free(id)
-	}
-}
-
-// BenchmarkExtendHandle is BenchmarkAllocExtendFree with the decode
-// extends made through a cached entry handle, the Hetis decode-step path.
+// BenchmarkExtendHandle measures the block-manager hot path: one request's
+// lifecycle (alloc, 256 decode extends through a cached entry handle, the
+// Hetis decode-step path, free).
 func BenchmarkExtendHandle(b *testing.B) {
 	cfg := Config{BlockTokens: 16, BytesPerGroupToken: 20480, CapacityBytes: 8 << 30}
 	m, err := NewManager(cfg)

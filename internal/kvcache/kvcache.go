@@ -80,14 +80,10 @@ type Manager struct {
 	// phase whose entries fill their last blocks exactly.
 	clock, cross int
 	// phaseGroups[p] sums the groups of the live entries whose base is p
-	// modulo BlockTokens; groups sums them all. An entry needs a new block
+	// modulo BlockTokens. An entry needs a new block
 	// per group exactly when its context is a multiple of BlockTokens, so
 	// one step's block demand is a single phase's sum (see StepDemand).
 	phaseGroups []int
-	groups      int
-	// Ops counters, used by the management-overhead experiment (Fig. 15b).
-	storeOps int64
-	fetchOps int64
 }
 
 // NewManager creates a manager with the given geometry.
@@ -159,7 +155,6 @@ func (m *Manager) phase(base int) int {
 // or out of (n < 0) the phase counters.
 func (m *Manager) addGroups(base, n int) {
 	m.phaseGroups[m.phase(base)] += n
-	m.groups += n
 }
 
 // entrySlabChunk is the number of entries carved per allocation. Entries
@@ -168,7 +163,7 @@ const entrySlabChunk = 64
 
 // Alloc reserves cache for `groups` KV head groups of request id, each with
 // `tokens` of context. A request may be allocated only once per device;
-// use Extend to grow it or GrowGroups to add head groups.
+// use ExtendEntry to grow it or GrowGroups to add head groups.
 func (m *Manager) Alloc(id RequestID, groups, tokens int) error {
 	if groups <= 0 || tokens < 0 {
 		return fmt.Errorf("kvcache: invalid allocation groups=%d tokens=%d", groups, tokens)
@@ -194,23 +189,13 @@ func (m *Manager) Alloc(id RequestID, groups, tokens int) error {
 	m.ents = append(m.ents, e)
 	m.reqs[id] = e
 	m.nextArrival++
-	m.storeOps += int64(groups) // one block-table insert per head group
 	return nil
 }
 
-// Extend grows request id by n tokens across all its head groups,
-// allocating new blocks when a group's last block fills up.
-func (m *Manager) Extend(id RequestID, n int) error {
-	e, ok := m.reqs[id]
-	if !ok {
-		return fmt.Errorf("kvcache: request %d not on device", id)
-	}
-	return m.ExtendEntry(e, n)
-}
-
-// ExtendEntry is Extend through an entry handle, for one request alone
-// (Advance moves every entry at once). A nil or stale handle is an error
-// (see Resolve); ErrNoSpace leaves the entry unchanged.
+// ExtendEntry grows one request by n tokens across all its head groups
+// through its entry handle, allocating new blocks when a group's last
+// block fills up (Advance moves every entry at once). A nil or stale
+// handle is an error (see Resolve); ErrNoSpace leaves the entry unchanged.
 func (m *Manager) ExtendEntry(e *Entry, n int) error {
 	if e == nil || e.m != m || e.idx < 0 {
 		return fmt.Errorf("kvcache: stale or missing entry handle")
@@ -227,7 +212,6 @@ func (m *Manager) ExtendEntry(e *Entry, n int) error {
 	m.addGroups(e.base, -e.groups)
 	e.base += n
 	m.addGroups(e.base, e.groups)
-	m.storeOps += int64(e.groups) // per-group append
 	return nil
 }
 
@@ -239,18 +223,17 @@ func (m *Manager) StepDemand() int {
 }
 
 // Advance grows every live entry by one token — one decode step of the
-// whole device — in O(1): the crossing phase's groups take a block each
-// and every group counts one append, exactly what ExtendEntry(e, 1) on
-// each entry would do. When the step's demand exceeds the free blocks it
-// returns ErrNoSpace and changes nothing; per-entry extension is then the
-// only way to decide who gets the blocks.
+// whole device — in O(1): the crossing phase's groups take a block each,
+// exactly what ExtendEntry(e, 1) on each entry would do. When the step's
+// demand exceeds the free blocks it returns ErrNoSpace and changes
+// nothing; per-entry extension is then the only way to decide who gets
+// the blocks.
 func (m *Manager) Advance() error {
 	need := m.StepDemand()
 	if need > m.freeBlocks {
 		return fmt.Errorf("%w: step needs %d blocks, %d free", ErrNoSpace, need, m.freeBlocks)
 	}
 	m.freeBlocks -= need
-	m.storeOps += int64(m.groups)
 	m.clock++
 	if m.cross--; m.cross < 0 {
 		m.cross += m.cfg.BlockTokens
@@ -286,7 +269,6 @@ func (m *Manager) GrowGroups(id RequestID, extra int) error {
 	m.freeBlocks -= delta
 	e.groups += extra
 	m.addGroups(e.base, extra)
-	m.storeOps += int64(extra)
 	return nil
 }
 
@@ -359,20 +341,6 @@ func (m *Manager) BytesOf(id RequestID) int64 {
 	return 0
 }
 
-// Fetch records a cache read of the request (decode step touching all its
-// groups) for the op-count accounting of Fig. 15(b).
-func (m *Manager) Fetch(id RequestID) {
-	if e, ok := m.reqs[id]; ok {
-		m.fetchOps += int64(e.groups)
-	}
-}
-
-// StoreOps and FetchOps expose the management-op counters.
-func (m *Manager) StoreOps() int64 { return m.storeOps }
-
-// FetchOps reports accumulated fetch (block-indexing) operations.
-func (m *Manager) FetchOps() int64 { return m.fetchOps }
-
 // AppendRequests appends the IDs of the requests with blocks on this
 // device to dst, in no particular order, and returns the extended slice;
 // callers order the IDs by a key of their own.
@@ -422,7 +390,7 @@ func (m *Manager) CheckInvariants() error {
 	if len(m.reqs) != len(m.ents) {
 		return fmt.Errorf("kvcache: %d entries but %d indexed", len(m.ents), len(m.reqs))
 	}
-	used, groups := 0, 0
+	used := 0
 	phases := make([]int, m.cfg.BlockTokens)
 	for k, e := range m.ents {
 		id := e.id
@@ -436,7 +404,6 @@ func (m *Manager) CheckInvariants() error {
 			return fmt.Errorf("kvcache: request %d with %d tokens", id, e.tokens())
 		}
 		used += e.blocks()
-		groups += e.groups
 		phases[m.phase(e.base)] += e.groups
 	}
 	if used+m.freeBlocks != m.totalBlocks {
@@ -444,9 +411,6 @@ func (m *Manager) CheckInvariants() error {
 	}
 	if m.cross != m.phase(-m.clock) {
 		return fmt.Errorf("kvcache: crossing phase %d at clock %d", m.cross, m.clock)
-	}
-	if groups != m.groups {
-		return fmt.Errorf("kvcache: %d groups live, counted %d", groups, m.groups)
 	}
 	for p, n := range phases {
 		if m.phaseGroups[p] != n {

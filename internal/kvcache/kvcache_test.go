@@ -76,17 +76,22 @@ func TestAllocNoSpace(t *testing.T) {
 	}
 }
 
+// extendID grows request id by n tokens through a freshly resolved handle.
+func extendID(m *Manager, id RequestID, n int) error {
+	return m.ExtendEntry(m.Resolve(nil, id), n)
+}
+
 func TestExtendAllocatesOnBlockBoundary(t *testing.T) {
 	m := newTestManager(t, 100)
 	mustOK(t, m.Alloc(1, 2, 16)) // exactly 1 block per group
 	if m.UsedBlocks() != 2 {
 		t.Fatalf("UsedBlocks=%d want 2", m.UsedBlocks())
 	}
-	mustOK(t, m.Extend(1, 1)) // 17 tokens → 2 blocks per group
+	mustOK(t, extendID(m, 1, 1)) // 17 tokens → 2 blocks per group
 	if m.UsedBlocks() != 4 {
 		t.Fatalf("UsedBlocks=%d want 4 after boundary crossing", m.UsedBlocks())
 	}
-	mustOK(t, m.Extend(1, 14)) // 31 tokens → still 2 blocks per group
+	mustOK(t, extendID(m, 1, 14)) // 31 tokens → still 2 blocks per group
 	if m.UsedBlocks() != 4 {
 		t.Fatalf("UsedBlocks=%d want 4 within block", m.UsedBlocks())
 	}
@@ -96,7 +101,7 @@ func TestExtendAllocatesOnBlockBoundary(t *testing.T) {
 func TestExtendNoSpace(t *testing.T) {
 	m := newTestManager(t, 2)
 	mustOK(t, m.Alloc(1, 2, 16))
-	err := m.Extend(1, 1)
+	err := extendID(m, 1, 1)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", err)
 	}
@@ -161,26 +166,6 @@ func TestVictimLIFOPicksLatestArrival(t *testing.T) {
 	}
 }
 
-func TestOpsCounters(t *testing.T) {
-	m := newTestManager(t, 100)
-	mustOK(t, m.Alloc(1, 4, 16))
-	if m.StoreOps() != 4 {
-		t.Fatalf("StoreOps=%d want 4 (one per group)", m.StoreOps())
-	}
-	mustOK(t, m.Extend(1, 1))
-	if m.StoreOps() != 8 {
-		t.Fatalf("StoreOps=%d want 8", m.StoreOps())
-	}
-	m.Fetch(1)
-	if m.FetchOps() != 4 {
-		t.Fatalf("FetchOps=%d want 4", m.FetchOps())
-	}
-	m.Fetch(99) // absent: no-op
-	if m.FetchOps() != 4 {
-		t.Fatal("fetch of absent request should not count")
-	}
-}
-
 func TestPropertyNoLeaksUnderRandomOps(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -201,7 +186,7 @@ func TestPropertyNoLeaksUnderRandomOps(t *testing.T) {
 				}
 			case 2:
 				for id := range live {
-					_ = m.Extend(id, rng.Intn(10))
+					_ = extendID(m, id, rng.Intn(10))
 					break
 				}
 			case 3:

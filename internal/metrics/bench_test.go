@@ -9,7 +9,7 @@ import (
 // benchmarks.
 func benchRecords() *Recorder {
 	rng := rand.New(rand.NewSource(42))
-	rec := NewRecorder()
+	rec := NewExactRecorder(SLOTarget{})
 	for i := 0; i < 10000; i++ {
 		ttft := 0.05 + rng.ExpFloat64()*0.2
 		rec.Add(RequestRecord{
@@ -73,7 +73,7 @@ func BenchmarkStreamingObserve(b *testing.B) {
 func BenchmarkRecorderAppend1M(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rec := NewRecorder()
+		rec := NewExactRecorder(SLOTarget{})
 		for k := 0; k < 1_000_000; k++ {
 			rec.Add(RequestRecord{ID: int64(k), FirstToken: 0.05, FinishedAt: 0.5, PromptLen: 300, OutputLen: 64})
 		}

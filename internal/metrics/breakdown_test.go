@@ -34,14 +34,15 @@ func oracleBreakdown(c *Recorder, slo SLOTarget, horizon float64, group func(str
 }
 
 func oracleStats(name string, recs []RequestRecord, slo SLOTarget, horizon float64) TenantStats {
-	sub := NewRecorder()
+	sub := NewExactRecorder(slo)
 	sub.AddBatch(recs)
+	snap := sub.Snapshot()
 	return TenantStats{
 		Tenant:     name,
 		Count:      sub.Completed(),
 		Dropped:    sub.DroppedCount(),
-		Attainment: sub.Attainment(slo),
-		Goodput:    sub.Goodput(slo, horizon),
+		Attainment: snap.Attainment(),
+		Goodput:    snap.Goodput(horizon),
 		TTFT:       oracleSummary(recs, RequestRecord.TTFT),
 		TPOT:       oracleSummary(recs, RequestRecord.TPOT),
 		NormLat:    oracleSummary(recs, RequestRecord.NormLatency),
@@ -83,7 +84,7 @@ func TestBreakdownMatchesCopyOracle(t *testing.T) {
 		if len(tenants) > 0 {
 			n = rng.Intn(3 * recordChunk)
 		}
-		c := NewRecorder()
+		c := NewExactRecorder(SLOTarget{})
 		for i := 0; i < n; i++ {
 			tenant := tenants[rng.Intn(len(tenants))]
 			// Coarse grids make ties; shed is the dropped-only tenant.
@@ -215,7 +216,7 @@ func TestBreakdownCopiesNoRecord(t *testing.T) {
 	slo := SLOTarget{TTFT: 1.5, TPOT: 0.1}
 	var prevAllocs float64
 	for _, n := range []int{2_000, 20_000} {
-		c := NewRecorder()
+		c := NewExactRecorder(SLOTarget{})
 		c.AddBatch(slabRecords(n))
 		allocs := testing.AllocsPerRun(5, func() { c.Breakdown(slo, 60, sameGroup) })
 		if prevAllocs != 0 && allocs != prevAllocs {

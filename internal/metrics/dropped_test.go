@@ -29,7 +29,7 @@ func droppedRecord(id int64, at float64) RequestRecord {
 
 func TestAttainmentDenominatorIncludesDropped(t *testing.T) {
 	slo := SLOTarget{TTFT: 0.5}
-	rec := NewRecorder()
+	rec := NewExactRecorder(slo)
 	rec.Add(completedRecord(1, 0.1)) // attains
 	rec.Add(completedRecord(2, 0.2)) // attains
 	rec.Add(completedRecord(3, 0.9)) // misses TTFT
@@ -44,10 +44,11 @@ func TestAttainmentDenominatorIncludesDropped(t *testing.T) {
 	if got := rec.DroppedCount(); got != 1 {
 		t.Fatalf("DroppedCount() = %d, want 1", got)
 	}
-	if got, want := rec.Attainment(slo), 2.0/4.0; got != want {
+	snap := rec.Snapshot()
+	if got, want := snap.Attainment(), 2.0/4.0; got != want {
 		t.Fatalf("Attainment = %v, want %v (2 attained over 3 completed + 1 dropped)", got, want)
 	}
-	if got, want := rec.Goodput(slo, 10), 2.0/10.0; got != want {
+	if got, want := snap.Goodput(10), 2.0/10.0; got != want {
 		t.Fatalf("Goodput = %v, want %v", got, want)
 	}
 }
@@ -63,7 +64,7 @@ func TestDroppedNeverAttainsZeroSLO(t *testing.T) {
 }
 
 func TestSummariesExcludeDropped(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewExactRecorder(SLOTarget{})
 	rec.Add(completedRecord(1, 0.25))
 	rec.Add(droppedRecord(2, 0)) // zero timestamps must not flatten TTFT
 	rec.Add(completedRecord(3, 0.75))

@@ -95,7 +95,7 @@ func TestStreamingSinkMerge(t *testing.T) {
 	if err := sa.MergeSink(NewStreamingSink(SLOTarget{TTFT: 9})); err == nil {
 		t.Fatal("merging different SLOs should fail")
 	}
-	if err := sa.MergeSink(NewRecorder()); err == nil {
+	if err := sa.MergeSink(NewExactRecorder(SLOTarget{})); err == nil {
 		t.Fatal("merging a Recorder into a StreamingSink should fail")
 	}
 }
@@ -103,7 +103,7 @@ func TestStreamingSinkMerge(t *testing.T) {
 func TestRecorderMergeConcatenatesInOrder(t *testing.T) {
 	ra := mergeRecords(3, 700, []string{""}) // crosses chunk boundaries
 	rb := mergeRecords(4, 300, []string{""})
-	a, b := NewRecorder(), NewRecorderCap(len(rb))
+	a, b := NewExactRecorder(SLOTarget{}), NewRecorderCap(len(rb))
 	a.AddBatch(ra)
 	b.AddBatch(rb)
 	if err := a.MergeSink(b); err != nil {

@@ -79,9 +79,6 @@ type Recorder struct {
 	slo     SLOTarget
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
 // NewRecorderCap returns an empty recorder pre-sized for n records, so a
 // run of known length (engines know their request count up front) fills
 // one contiguous slab and never allocates again.

@@ -116,7 +116,7 @@ func TestSummarizeValues(t *testing.T) {
 }
 
 func TestRecorderSummaries(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewExactRecorder(SLOTarget{})
 	for i := 0; i < 10; i++ {
 		rec.Add(RequestRecord{
 			ID:         int64(i),

@@ -26,8 +26,7 @@ type Sink interface {
 // three standard latency summaries.
 type Snapshot struct {
 	// Count is the completed-request count; Dropped counts requests the
-	// system rejected or shed. Attainment divides by their sum (see
-	// Recorder.Attainment for the denominator rationale).
+	// system rejected or shed. Attainment divides by their sum.
 	Count    int
 	Dropped  int
 	Attained int
@@ -37,7 +36,15 @@ type Snapshot struct {
 }
 
 // Attainment is the attained fraction of completed + dropped requests
-// (0 when nothing was observed).
+// (0 when nothing was observed — an idle system attains nothing).
+//
+// Denominator choice, made explicit for overload scenarios: a sink counts
+// one record per completed request plus one per dropped request, so the
+// denominator is completed + dropped. Dropped requests never attain (see
+// SLOTarget.Attained), so shedding load lowers attainment instead of
+// laundering it. Preempted-and-requeued requests appear exactly once — as
+// their eventual completion — so a preemption costs latency, not a
+// denominator slot.
 func (s Snapshot) Attainment() float64 {
 	if s.Count+s.Dropped == 0 {
 		return 0
@@ -46,7 +53,9 @@ func (s Snapshot) Attainment() float64 {
 }
 
 // Goodput is the rate of attained completions over the horizon, in
-// requests per second.
+// requests per second. Requests that never finished count against it
+// implicitly: they were never observed. Dropped requests were observed
+// but never attain, so they count against goodput the same way.
 func (s Snapshot) Goodput(horizon float64) float64 {
 	if horizon <= 0 {
 		return 0

@@ -53,7 +53,7 @@ func TestStreamingSinkAccuracy(t *testing.T) {
 	for _, dist := range adversarialDists {
 		t.Run(dist.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			exact := NewRecorder()
+			exact := NewExactRecorder(SLOTarget{})
 			stream := NewStreamingSink(SLOTarget{})
 			for i := 0; i < n; i++ {
 				ttft := dist.gen(rng)
@@ -211,7 +211,7 @@ func TestKeyedMuxMatchesExactSplit(t *testing.T) {
 // equivalence with the three separate summary calls.
 func TestSummariesBulkMatchesPerMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	rec := NewRecorder()
+	rec := NewExactRecorder(SLOTarget{})
 	for i := 0; i < 3000; i++ {
 		ttft := rng.ExpFloat64() * 0.1
 		rec.Add(RequestRecord{

@@ -38,7 +38,7 @@ func TestRecorderChunkingMatchesFlat(t *testing.T) {
 	slo := SLOTarget{TTFT: 1.5, TPOT: 0.1}
 	const horizon = 120.0
 
-	chunked := NewRecorder()
+	chunked := NewExactRecorder(SLOTarget{})
 	for _, r := range recs {
 		chunked.Add(r)
 	}
@@ -71,11 +71,14 @@ func TestRecorderChunkingMatchesFlat(t *testing.T) {
 	if got, want := chunked.Attained(slo), flat.Attained(slo); got != want {
 		t.Fatalf("Attained() = %d want %d", got, want)
 	}
-	if got, want := chunked.Attainment(slo), flat.Attainment(slo); got != want {
-		t.Fatalf("Attainment() = %v want %v", got, want)
+	whole := func(string) string { return "" }
+	chunkedAll, _ := chunked.Breakdown(slo, horizon, whole)
+	flatAll, _ := flat.Breakdown(slo, horizon, whole)
+	if got, want := chunkedAll.Attainment, flatAll.Attainment; got != want {
+		t.Fatalf("Attainment = %v want %v", got, want)
 	}
-	if got, want := chunked.Goodput(slo, horizon), flat.Goodput(slo, horizon); got != want {
-		t.Fatalf("Goodput() = %v want %v", got, want)
+	if got, want := chunkedAll.Goodput, flatAll.Goodput; got != want {
+		t.Fatalf("Goodput = %v want %v", got, want)
 	}
 	ct, cp, cn := chunked.Summaries()
 	ft, fp, fn := flat.Summaries()
@@ -109,7 +112,7 @@ func TestRecorderCapSingleSlab(t *testing.T) {
 
 // TestRecorderEmpty pins the zero-value edges the engines rely on.
 func TestRecorderEmpty(t *testing.T) {
-	c := NewRecorder()
+	c := NewExactRecorder(SLOTarget{})
 	if c.Count() != 0 || c.Completed() != 0 || c.DroppedCount() != 0 {
 		t.Fatalf("empty recorder has nonzero counts")
 	}
@@ -170,7 +173,7 @@ func TestObserveAllBatchDispatch(t *testing.T) {
 		t.Fatalf("empty ObserveAll still called the sink")
 	}
 
-	rec := NewRecorder()
+	rec := NewExactRecorder(SLOTarget{})
 	ObserveAll(rec, recs)
 	if !reflect.DeepEqual(rec.Records(), recs) {
 		t.Fatalf("Recorder via ObserveAll diverged from the input")

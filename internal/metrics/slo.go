@@ -45,34 +45,6 @@ func (c *Recorder) Attained(slo SLOTarget) int {
 	return n
 }
 
-// Attainment is the fraction of recorded requests meeting the SLO
-// (0 when nothing finished — an idle system attains nothing).
-//
-// Denominator choice, made explicit for overload scenarios: the recorder
-// holds one record per completed request plus one per dropped request, so
-// the denominator is completed + dropped. Dropped requests never attain
-// (see SLOTarget.Attained), so shedding load lowers attainment instead of
-// laundering it. Preempted-and-requeued requests appear exactly once — as
-// their eventual completion — so a preemption costs latency, not a
-// denominator slot.
-func (c *Recorder) Attainment(slo SLOTarget) float64 {
-	if c.n == 0 {
-		return 0
-	}
-	return float64(c.Attained(slo)) / float64(c.n)
-}
-
-// Goodput is the rate of SLO-attaining completions over the horizon,
-// in requests per second. Requests that never finished count against it
-// implicitly: they are not in the recorder. Dropped requests are in the
-// recorder but never attain, so they count against goodput the same way.
-func (c *Recorder) Goodput(slo SLOTarget, horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(c.Attained(slo)) / horizon
-}
-
 // TenantStats is one tenant's slice of a run.
 type TenantStats struct {
 	Tenant     string

@@ -49,9 +49,9 @@ func TestSLOAttained(t *testing.T) {
 }
 
 func TestAttainmentAndGoodput(t *testing.T) {
-	c := NewRecorder()
 	slo := SLOTarget{TTFT: 1.0, TPOT: 0.1}
-	if c.Attainment(slo) != 0 || c.Goodput(slo, 10) != 0 {
+	c := NewExactRecorder(slo)
+	if snap := c.Snapshot(); snap.Attainment() != 0 || snap.Goodput(10) != 0 {
 		t.Error("empty recorder should attain nothing")
 	}
 	c.Add(rec("", 0.5, 0.05))
@@ -61,20 +61,21 @@ func TestAttainmentAndGoodput(t *testing.T) {
 	if got := c.Attained(slo); got != 2 {
 		t.Errorf("Attained = %d, want 2", got)
 	}
-	if got := c.Attainment(slo); math.Abs(got-0.5) > 1e-12 {
+	snap := c.Snapshot()
+	if got := snap.Attainment(); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Attainment = %g, want 0.5", got)
 	}
-	if got := c.Goodput(slo, 10); math.Abs(got-0.2) > 1e-12 {
+	if got := snap.Goodput(10); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("Goodput = %g, want 0.2", got)
 	}
-	if c.Goodput(slo, 0) != 0 {
+	if snap.Goodput(0) != 0 {
 		t.Error("zero horizon must give zero goodput")
 	}
 }
 
 func TestPerTenant(t *testing.T) {
-	c := NewRecorder()
 	slo := SLOTarget{TTFT: 1.0}
+	c := NewExactRecorder(slo)
 	c.Add(rec("b", 0.5, 0.05))
 	c.Add(rec("a", 2.0, 0.05))
 	c.Add(rec("a", 0.5, 0.05))
@@ -85,7 +86,7 @@ func TestPerTenant(t *testing.T) {
 	if len(stats) != 2 {
 		t.Fatalf("Breakdown returned %d groups, want 2", len(stats))
 	}
-	if all.Count != c.Completed() || all.Attainment != c.Attainment(slo) || all.Goodput != c.Goodput(slo, 10) {
+	if snap := c.Snapshot(); all.Count != c.Completed() || all.Attainment != snap.Attainment() || all.Goodput != snap.Goodput(10) {
 		t.Errorf("run-wide stats wrong: %+v", all)
 	}
 	a, b := stats[0], stats[1]

@@ -160,28 +160,6 @@ func (c Config) DenseFlopsPerToken() float64 {
 	return c.QKVFlopsPerToken() + c.OutProjFlopsPerToken() + c.MLPFlopsPerToken()
 }
 
-// AttnFlopsDecodeToken counts the parameter-free attention work of decoding
-// one new token against a context of ctxLen tokens, for nHeads query heads
-// (QKᵀ plus AV, 2·2·headDim FLOPs per head per context token).
-func (c Config) AttnFlopsDecodeToken(ctxLen int, nHeads int) float64 {
-	return 4 * float64(nHeads) * float64(c.HeadDim()) * float64(ctxLen)
-}
-
-// AttnFlopsPrefill counts the attention work of a full prompt of promptLen
-// tokens (causal, so roughly promptLen²/2 interactions per head).
-func (c Config) AttnFlopsPrefill(promptLen int) float64 {
-	l := float64(promptLen)
-	return 4 * float64(c.Heads) * float64(c.HeadDim()) * l * l / 2
-}
-
-// AttnBytesDecodeToken is the KV-cache traffic (HBM reads) needed to decode
-// one token over ctxLen context for nHeads query heads. Grouped query heads
-// share their KV head's cache, so traffic scales with nHeads/GroupRatio.
-func (c Config) AttnBytesDecodeToken(ctxLen int, nHeads int) int64 {
-	groups := (nHeads + c.GroupRatio() - 1) / c.GroupRatio()
-	return int64(ctxLen) * 2 * int64(c.HeadDim()) * int64(c.BytesPerParam) * int64(groups)
-}
-
 // HiddenStateBytes is the activation size of n tokens (hidden dim × dtype),
 // the unit transferred between pipeline stages.
 func (c Config) HiddenStateBytes(nTokens int) int64 {

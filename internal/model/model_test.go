@@ -135,44 +135,6 @@ func TestFlopsAccounting(t *testing.T) {
 	}
 }
 
-func TestAttnFlopsLinearInContextAndHeads(t *testing.T) {
-	c := OPT30B
-	f1 := c.AttnFlopsDecodeToken(1000, 8)
-	f2 := c.AttnFlopsDecodeToken(2000, 8)
-	f3 := c.AttnFlopsDecodeToken(1000, 16)
-	if math.Abs(f2/f1-2) > 1e-9 {
-		t.Errorf("attention flops not linear in context: %g vs %g", f1, f2)
-	}
-	if math.Abs(f3/f1-2) > 1e-9 {
-		t.Errorf("attention flops not linear in heads: %g vs %g", f1, f3)
-	}
-}
-
-func TestAttnBytesGQASharing(t *testing.T) {
-	// For the GQA model, 8 query heads in one group read a single KV
-	// head's cache.
-	g := Llama70B
-	b8 := g.AttnBytesDecodeToken(1000, 8)
-	b16 := g.AttnBytesDecodeToken(1000, 16)
-	if b16 != 2*b8 {
-		t.Errorf("two groups should read twice one group's bytes: %d vs %d", b16, b8)
-	}
-	// Partial groups round up.
-	b9 := g.AttnBytesDecodeToken(1000, 9)
-	if b9 != b16 {
-		t.Errorf("9 heads spanning 2 groups should read 2 groups of cache: %d vs %d", b9, b16)
-	}
-}
-
-func TestPrefillAttnQuadratic(t *testing.T) {
-	c := Llama13B
-	f1 := c.AttnFlopsPrefill(512)
-	f2 := c.AttnFlopsPrefill(1024)
-	if math.Abs(f2/f1-4) > 1e-9 {
-		t.Errorf("prefill attention should be quadratic: ratio %g want 4", f2/f1)
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"opt-2.7b", "OPT-30B", "llama-70b", "Llama-13B", "opt-13b"} {
 		if _, err := ByName(name); err != nil {

@@ -1,6 +1,7 @@
 package parallelizer
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -117,31 +118,43 @@ func TestForceInstances(t *testing.T) {
 }
 
 func TestCacheToleranceSelectsCapacity(t *testing.T) {
-	// With zero tolerance the search may pick a lower-latency but
-	// cache-poorer grouping; with generous tolerance it must pick at
-	// least as much cache.
-	est := perf.New(model.Llama70B)
+	// Search keeps the best plan of every feasible instance count; forcing
+	// each count recovers that list. The chosen plan must lie within
+	// (1+cacheTolerance) of the best objective and hold the most cache of
+	// the plans that do.
+	cluster := hardware.PaperCluster()
 	wl := DefaultWorkload()
-	strict := DefaultOptions()
-	strict.CacheTolerance = 0
-	loose := DefaultOptions()
-	loose.CacheTolerance = 0.5
-
-	planStrict, err := Search(hardware.PaperCluster(), est, wl, strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planLoose, err := Search(hardware.PaperCluster(), est, wl, loose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planLoose.CacheCapacity < planStrict.CacheCapacity {
-		t.Fatalf("looser tolerance reduced cache: %d < %d",
-			planLoose.CacheCapacity, planStrict.CacheCapacity)
-	}
-	if planStrict.Objective > planLoose.Objective+1e-9 {
-		t.Fatalf("strict tolerance must pick the lowest objective: %g > %g",
-			planStrict.Objective, planLoose.Objective)
+	for _, cfg := range []model.Config{model.Llama13B, model.Llama70B} {
+		est := perf.New(cfg)
+		chosen, err := Search(cluster, est, wl, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var feasible []*Plan
+		for d := 1; d <= len(cluster.Devices); d++ {
+			opts := DefaultOptions()
+			opts.ForceInstances = d
+			if plan, err := Search(cluster, est, wl, opts); err == nil {
+				feasible = append(feasible, plan)
+			}
+		}
+		minObj := math.Inf(1)
+		for _, p := range feasible {
+			minObj = math.Min(minObj, p.Objective)
+		}
+		limit := minObj * (1 + cacheTolerance)
+		if chosen.Objective > limit {
+			t.Fatalf("%s: chosen objective %g outside tolerance of the best %g", cfg.Name, chosen.Objective, minObj)
+		}
+		for _, p := range feasible {
+			if p.Objective <= limit && p.CacheCapacity > chosen.CacheCapacity {
+				t.Errorf("%s: a %d-instance plan within tolerance (objective %g) holds %d bytes of cache, more than the chosen %d",
+					cfg.Name, len(p.Instances), p.Objective, p.CacheCapacity, chosen.CacheCapacity)
+			}
+		}
+		if len(feasible) < 2 {
+			t.Errorf("%s: %d feasible instance counts; the property needs a choice", cfg.Name, len(feasible))
+		}
 	}
 }
 
@@ -178,7 +191,7 @@ func TestExtendedSearchNeverWorse(t *testing.T) {
 		// The extended candidate set is a superset, so it can only match
 		// or improve the modeled objective (modulo the cache-tolerance
 		// tiebreak, which trades within the band).
-		if ext.Objective > base.Objective*(1+DefaultOptions().CacheTolerance)+1e-9 {
+		if ext.Objective > base.Objective*(1+cacheTolerance)+1e-9 {
 			t.Errorf("%s: extended search worsened objective beyond tolerance: %g vs %g",
 				tc.name, ext.Objective, base.Objective)
 		}

@@ -65,16 +65,6 @@ type Options struct {
 	// worker if removing it raises Cp by at most this fraction. The paper
 	// defaults to 0.05.
 	Delta float64
-	// MemHeadroom is the fraction of device memory reserved for
-	// activations and fragmentation (not weights, not KV cache).
-	MemHeadroom float64
-	// MinCacheFraction requires the plan to keep at least this fraction
-	// of the estimated KV demand of R as cache capacity.
-	MinCacheFraction float64
-	// CacheTolerance picks, among groupings whose objective is within
-	// (1+CacheTolerance) of the best, the one with the largest KV
-	// capacity. Latency within tolerance, serving capacity maximized.
-	CacheTolerance float64
 	// ExtendedSearch additionally evaluates tier-suffix primary sets (only
 	// the top k GPU tiers serve dense modules) under the full comm-aware
 	// cost. The paper's Cp criterion is communication-blind by design
@@ -88,9 +78,16 @@ type Options struct {
 }
 
 // DefaultOptions mirrors the paper (Δ = 0.05).
-func DefaultOptions() Options {
-	return Options{Delta: 0.05, MemHeadroom: 0.08, MinCacheFraction: 1.0, CacheTolerance: 0.15}
-}
+func DefaultOptions() Options { return Options{Delta: 0.05} }
+
+// MemHeadroom is the fraction of device memory reserved for activations
+// and fragmentation (not weights, not KV cache).
+const MemHeadroom = 0.08
+
+// cacheTolerance picks, among groupings whose objective is within
+// (1+cacheTolerance) of the best, the one with the largest KV capacity:
+// latency within tolerance, serving capacity maximized.
+const cacheTolerance = 0.15
 
 // Stage is one pipeline stage of primary workers: devices of a single GPU
 // type arranged as a TP×PP grid holding Layers transformer layers.
@@ -221,8 +218,8 @@ func Search(cluster *hardware.Cluster, est *perf.Estimator, wl Workload, opts Op
 	}
 	best := feasible[0]
 	for _, p := range feasible {
-		within := p.Objective <= minObj*(1+opts.CacheTolerance)
-		bestWithin := best.Objective <= minObj*(1+opts.CacheTolerance)
+		within := p.Objective <= minObj*(1+cacheTolerance)
+		bestWithin := best.Objective <= minObj*(1+cacheTolerance)
 		switch {
 		case within && !bestWithin:
 			best = p
@@ -275,7 +272,7 @@ func searchGrouping(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Co
 
 	// KV-capacity filter (level 1): the grouping must hold the decoding
 	// load of R.
-	required := int64(float64(wl.DecodeBatch) * float64(wl.AvgContext) * float64(cfg.KVBytesPerToken()) * opts.MinCacheFraction)
+	required := int64(float64(wl.DecodeBatch) * float64(wl.AvgContext) * float64(cfg.KVBytesPerToken()))
 	if plan.CacheCapacity < required {
 		return nil, evaluated, fmt.Errorf("parallelizer: grouping d=%d holds %.1fGB cache, needs %.1fGB", d, float64(plan.CacheCapacity)/1e9, float64(required)/1e9)
 	}
@@ -343,7 +340,7 @@ func searchInstance(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Co
 		stages := activeStages(states, cfg, est, decodeBatch)
 		for _, st := range stages {
 			perDev := float64(st.layers) * float64(cfg.LayerWeightBytes()) / float64(st.count)
-			budget := float64(st.spec.MemBytes) * (1 - opts.MemHeadroom)
+			budget := float64(st.spec.MemBytes) * (1 - MemHeadroom)
 			if perDev > budget {
 				return false
 			}
@@ -414,7 +411,7 @@ exclusion:
 
 	var best *protoInstance
 	for _, cand := range candidates {
-		proto, evals, err := assembleProto(cluster, est, cfg, wl, opts, typeGroups, cand, decodeBatch, prefillBatch)
+		proto, evals, err := assembleProto(cluster, est, cfg, wl, typeGroups, cand, decodeBatch, prefillBatch)
 		evaluated += evals
 		if err != nil {
 			continue
@@ -436,7 +433,7 @@ func cloneStates(states []typeState) []typeState {
 
 // assembleProto runs level 3 (TP×PP search, comm-aware costing) and the
 // capacity accounting for one fixed primary-worker assignment.
-func assembleProto(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Config, wl Workload, opts Options, typeGroups []hardware.TypeGroup, states []typeState, decodeBatch, prefillBatch int) (*protoInstance, int, error) {
+func assembleProto(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Config, wl Workload, typeGroups []hardware.TypeGroup, states []typeState, decodeBatch, prefillBatch int) (*protoInstance, int, error) {
 	evaluated := 0
 	stages := activeStages(states, cfg, est, decodeBatch)
 	if len(stages) == 0 {
@@ -445,7 +442,7 @@ func assembleProto(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Con
 	// Weight fit for this assignment.
 	for _, st := range stages {
 		perDev := float64(st.layers) * float64(cfg.LayerWeightBytes()) / float64(st.count)
-		if perDev > float64(st.spec.MemBytes)*(1-opts.MemHeadroom) {
+		if perDev > float64(st.spec.MemBytes)*(1-MemHeadroom) {
 			return nil, evaluated, fmt.Errorf("parallelizer: %s stage over weight budget", st.spec.Name)
 		}
 	}
@@ -504,11 +501,11 @@ func assembleProto(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Con
 		demoted := s.total - s.prim
 		if demoted > 0 {
 			attnPerType[s.spec.Name] = demoted
-			cache += float64(demoted) * float64(s.spec.MemBytes) * (1 - opts.MemHeadroom)
+			cache += float64(demoted) * float64(s.spec.MemBytes) * (1 - MemHeadroom)
 		}
 	}
 	for _, st := range protoStages {
-		perDev := float64(st.spec.MemBytes)*(1-opts.MemHeadroom) - float64(st.layers)*float64(cfg.LayerWeightBytes())/float64(st.count)
+		perDev := float64(st.spec.MemBytes)*(1-MemHeadroom) - float64(st.layers)*float64(cfg.LayerWeightBytes())/float64(st.count)
 		if perDev < 0 {
 			perDev = 0
 		}

@@ -96,7 +96,7 @@ func TestWeightsFitOnEveryPrimary(t *testing.T) {
 		for _, in := range plan.Instances {
 			for _, st := range in.Stages {
 				perDev := float64(st.Layers) * float64(cfg.LayerWeightBytes()) / float64(len(st.Devices))
-				budget := float64(st.Spec.MemBytes) * (1 - opts.MemHeadroom)
+				budget := float64(st.Spec.MemBytes) * (1 - MemHeadroom)
 				if perDev > budget {
 					t.Errorf("%s: stage %s holds %.1fGB/device, budget %.1fGB",
 						cfg.Name, st.Spec.Name, perDev/1e9, budget/1e9)

@@ -66,6 +66,13 @@ func oracleLMHeadTime(cfg model.Config, spec hardware.GPUSpec, tokens, tp int) f
 	return oracleRoofline(spec, flops, bytes, t, 1)
 }
 
+// oracleAttnFlopsPrefill counts the attention work of a full prompt of
+// promptLen tokens (causal, so roughly promptLen²/2 interactions per head).
+func oracleAttnFlopsPrefill(cfg model.Config, promptLen int) float64 {
+	l := float64(promptLen)
+	return 4 * float64(cfg.Heads) * float64(cfg.HeadDim()) * l * l / 2
+}
+
 func oracleAttnPrefillLayerTime(cfg model.Config, spec hardware.GPUSpec, promptLens []int, tp int) float64 {
 	if len(promptLens) == 0 {
 		return 0
@@ -77,7 +84,7 @@ func oracleAttnPrefillLayerTime(cfg model.Config, spec hardware.GPUSpec, promptL
 	var rows float64
 	var kvBytes float64
 	for _, l := range promptLens {
-		flops += cfg.AttnFlopsPrefill(l)
+		flops += oracleAttnFlopsPrefill(cfg, l)
 		rows += float64(l)
 		kvBytes += float64(l) * float64(cfg.KVBytesPerTokenLayer())
 	}

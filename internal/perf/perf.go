@@ -85,7 +85,7 @@ type DeviceCost struct {
 	denseFlops   float64 // dense FLOPs per token in one layer
 	weightBytes  float64 // one layer's weight bytes divided by tp
 	hiddenBytes  int64   // hidden-state bytes per token
-	attnCoef     float64 // 4·Heads·HeadDim, the leading factor of AttnFlopsPrefill
+	attnCoef     float64 // 4·Heads·HeadDim, the leading factor of the prefill attention FLOPs
 	kvTokenLayer float64 // KV bytes per token in one layer
 	hidden       float64
 	vocab        float64
@@ -174,7 +174,7 @@ func (d *DeviceCost) AttnPrefillLayerTime(promptLens []int) float64 {
 	var kvBytes float64
 	for _, l := range promptLens {
 		lf := float64(l)
-		flops += d.attnCoef * lf * lf / 2 // model.Config.AttnFlopsPrefill
+		flops += d.attnCoef * lf * lf / 2 // causal: 4·H·D·l²/2 per layer
 		rows += lf
 		kvBytes += lf * d.kvTokenLayer
 	}
@@ -254,25 +254,6 @@ func (e *Estimator) AttnPrefillLayerTime(spec hardware.GPUSpec, promptLens []int
 func (e *Estimator) AttnDecodeTime(spec hardware.GPUSpec, heads int, cacheBytes int64) float64 {
 	d := e.Compile(spec, 1)
 	return d.AttnDecodeTime(heads, cacheBytes)
-}
-
-// AttnDecodeTimeForRequests is a convenience over AttnDecodeTime for a set
-// of (heads, contextLen) pairs decoded together on one device in one layer.
-func (e *Estimator) AttnDecodeTimeForRequests(spec hardware.GPUSpec, reqs []AttnLoad) float64 {
-	var heads int
-	var bytes int64
-	for _, r := range reqs {
-		heads += r.Heads
-		bytes += e.CacheBytesPerLayer(r.Heads, r.ContextLen)
-	}
-	return e.AttnDecodeTime(spec, heads, bytes)
-}
-
-// AttnLoad is one request's attention share on a device: the number of its
-// query heads placed there and the request's current context length.
-type AttnLoad struct {
-	Heads      int
-	ContextLen int
 }
 
 // CacheBytesPerLayer is the single-layer KV footprint of `heads` query

@@ -80,13 +80,16 @@ func TestAttnDecodeBatchInvariance(t *testing.T) {
 	// they are split across must not matter. Our ground truth only sees
 	// (heads, bytes), so this is exact.
 	e := New(model.OPT30B)
-	few := []AttnLoad{{Heads: 560, ContextLen: 1000}}
-	many := make([]AttnLoad, 10)
-	for i := range many {
-		many[i] = AttnLoad{Heads: 56, ContextLen: 1000}
+	// decode prices n requests of the given heads each at 1000 tokens of
+	// context, decoded together on one device in one layer.
+	decode := func(n, heads int) float64 {
+		var bytes int64
+		for i := 0; i < n; i++ {
+			bytes += e.CacheBytesPerLayer(heads, 1000)
+		}
+		return e.AttnDecodeTime(hardware.A100, n*heads, bytes)
 	}
-	a := e.AttnDecodeTimeForRequests(hardware.A100, few)
-	b := e.AttnDecodeTimeForRequests(hardware.A100, many)
+	a, b := decode(1, 560), decode(10, 56)
 	if math.Abs(a-b)/a > 1e-9 {
 		t.Errorf("attention time should depend only on totals: %g vs %g", a, b)
 	}

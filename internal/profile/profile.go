@@ -15,7 +15,6 @@ package profile
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"hetis/internal/hardware"
@@ -266,34 +265,6 @@ func leastSquares3(feats [][3]float64, ys []float64) [3]float64 {
 	for r, i := range idx {
 		if math.Abs(a[r][r]) > 1e-30 {
 			out[i] = b[r] / a[r][r]
-		}
-	}
-	return out
-}
-
-// Perturb returns a copy of the profile with every fitted parameter
-// independently scaled by a factor drawn uniformly from [1−pct, 1+pct].
-// It reproduces the robustness experiment of Fig. 16(b).
-func (p *Profile) Perturb(pct float64, seed int64) *Profile {
-	rng := rand.New(rand.NewSource(seed))
-	scale := func(v float64) float64 {
-		return v * (1 + (rng.Float64()*2-1)*pct)
-	}
-	out := &Profile{
-		Model:        p.Model,
-		Primary:      p.Primary,
-		Attn:         make(map[hardware.DeviceID]AttnModel, len(p.Attn)),
-		Net:          make(map[hardware.DeviceID]NetModel, len(p.Net)),
-		AttnAccuracy: p.AttnAccuracy,
-		NetAccuracy:  p.NetAccuracy,
-	}
-	// Deterministic iteration order: scan IDs upward.
-	for id := hardware.DeviceID(0); int(id) < len(p.Attn)+len(p.Net); id++ {
-		if m, ok := p.Attn[id]; ok {
-			out.Attn[id] = AttnModel{A: scale(m.A), B: scale(m.B), C: scale(m.C)}
-		}
-		if m, ok := p.Net[id]; ok {
-			out.Net[id] = NetModel{Gamma: scale(m.Gamma), Beta: scale(m.Beta)}
 		}
 	}
 	return out

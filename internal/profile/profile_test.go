@@ -106,41 +106,6 @@ func TestPredictZeroLoad(t *testing.T) {
 	}
 }
 
-func TestPerturbBounded(t *testing.T) {
-	p := runDefault(t)
-	q := p.Perturb(0.2, 1)
-	for id, m := range p.Attn {
-		pm := q.Attn[id]
-		for _, pair := range [][2]float64{{m.A, pm.A}, {m.B, pm.B}, {m.C, pm.C}} {
-			if pair[0] == 0 {
-				continue
-			}
-			ratio := pair[1] / pair[0]
-			if ratio < 0.8-1e-9 || ratio > 1.2+1e-9 {
-				t.Fatalf("device %d: perturbation ratio %g outside ±20%%", id, ratio)
-			}
-		}
-	}
-	// Determinism: same seed, same result.
-	q2 := p.Perturb(0.2, 1)
-	for id := range q.Attn {
-		if q.Attn[id] != q2.Attn[id] {
-			t.Fatal("Perturb not deterministic for equal seeds")
-		}
-	}
-	// Different seeds should differ.
-	q3 := p.Perturb(0.2, 2)
-	same := true
-	for id := range q.Attn {
-		if q.Attn[id] != q3.Attn[id] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical perturbations")
-	}
-}
-
 func TestPerturbParam(t *testing.T) {
 	p := runDefault(t)
 	q, err := p.PerturbParam("a", 1.2)

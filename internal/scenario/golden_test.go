@@ -13,6 +13,15 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current engines")
 
+// ForGolden returns the spec the golden-trace harness runs: the scenario
+// at its GoldenDuration (when set), everything else untouched.
+func (s Spec) ForGolden() Spec {
+	if s.GoldenDuration > 0 {
+		s.Duration = s.GoldenDuration
+	}
+	return s
+}
+
 // TestGolden pins every registered scenario's full CSV output — per-engine
 // and per-tenant goodput, attainment, and latency columns — against a
 // golden file. Any change anywhere in the serving stack (engine batching,

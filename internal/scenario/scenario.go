@@ -10,6 +10,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -65,6 +66,28 @@ type Traffic struct {
 
 // Validate reports traffic description errors.
 func (t Traffic) Validate() error {
+	// A NaN or infinite parameter would make the generators loop without
+	// bound (an infinite rate never advances time) or emit nothing.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Rate", t.Rate}, {"Amplitude", t.Amplitude}, {"Cycles", t.Cycles},
+		{"SpikeStart", t.SpikeStart}, {"SpikeFrac", t.SpikeFrac}, {"SpikeFactor", t.SpikeFactor},
+		{"Think", t.Think},
+	} {
+		if !finite(f.v) {
+			return fmt.Errorf("scenario: %s traffic %s is %g; it must be finite", t.Kind, f.name, f.v)
+		}
+	}
+	for i, st := range t.States {
+		if !finite(st.Rate) {
+			return fmt.Errorf("scenario: mmpp state %d Rate is %g; it must be finite", i, st.Rate)
+		}
+		if !finite(st.MeanDwell) {
+			return fmt.Errorf("scenario: mmpp state %d MeanDwell is %g; it must be finite", i, st.MeanDwell)
+		}
+	}
 	switch t.Kind {
 	case KindPoisson, KindDiurnal:
 		if t.Rate <= 0 {
@@ -330,6 +353,12 @@ func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec has no name")
 	}
+	if !finite(s.Duration) {
+		return fmt.Errorf("scenario %s: Duration is %g; it must be finite", s.Name, s.Duration)
+	}
+	if !finite(s.GoldenDuration) {
+		return fmt.Errorf("scenario %s: GoldenDuration is %g; it must be finite", s.Name, s.GoldenDuration)
+	}
 	if err := s.Traffic.Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
@@ -354,7 +383,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario %s: heavy scenarios must set GoldenDuration (the golden harness cannot replay them at full scale)", s.Name)
 	}
 	for i, fe := range s.FailurePlan {
-		if fe.Start < 0 || fe.End <= fe.Start {
+		if !finite(fe.Start) || !finite(fe.End) || fe.Start < 0 || fe.End <= fe.Start {
 			return fmt.Errorf("scenario %s: failure %d: bad window fractions [%g, %g)", s.Name, i, fe.Start, fe.End)
 		}
 	}
@@ -374,6 +403,9 @@ func (s Spec) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Sharded reports whether the spec runs as a fleet of shards. Sharded
 // scenarios are excluded from SuiteNames like chaotic ones: catalog-wide
@@ -442,15 +474,6 @@ func (s Spec) tierOf(tenant string) string {
 		}
 	}
 	return catchAll
-}
-
-// ForGolden returns the spec the golden-trace harness runs: the scenario
-// at its GoldenDuration (when set), everything else untouched.
-func (s Spec) ForGolden() Spec {
-	if s.GoldenDuration > 0 {
-		s.Duration = s.GoldenDuration
-	}
-	return s
 }
 
 // Trace generates the scenario's request trace: arrival times from the

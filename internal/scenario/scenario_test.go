@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -102,6 +103,68 @@ func TestTrafficValidateRefusesIgnoredFields(t *testing.T) {
 		}
 		if err := spec.Traffic.Validate(); err != nil {
 			t.Errorf("registered scenario %s: %v", name, err)
+		}
+	}
+}
+
+// TestValidateRefusesNonFinite pins that every float field of a spec is
+// refused, by name, when it is NaN or infinite: an infinite Rate or
+// Duration would make Trace append without bound.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	steady := func(tr Traffic) Spec {
+		return Spec{Name: "x", Traffic: tr, Engines: []string{"vllm"}}
+	}
+	poisson := Traffic{Kind: KindPoisson, Rate: 2}
+	diurnal := Traffic{Kind: KindDiurnal, Rate: 2, Amplitude: 0.5, Cycles: 2}
+	flash := Traffic{Kind: KindFlashCrowd, Rate: 2, SpikeStart: 0.4, SpikeFrac: 0.2, SpikeFactor: 6}
+	closed := Traffic{Kind: KindClosedLoop, Users: 8, Think: 4}
+	mmpp := func(rate, dwell float64) Traffic {
+		return Traffic{Kind: KindMMPP, States: []workload.MMPPState{{Rate: 6, MeanDwell: 2}, {Rate: rate, MeanDwell: dwell}}}
+	}
+	with := func(tr Traffic, set func(*Traffic)) Traffic {
+		set(&tr)
+		return tr
+	}
+	cases := []struct {
+		spec  Spec
+		field string
+	}{
+		{steady(with(poisson, func(t *Traffic) { t.Rate = inf })), "Rate"},
+		{steady(with(poisson, func(t *Traffic) { t.Rate = nan })), "Rate"},
+		{steady(with(poisson, func(t *Traffic) { t.Rate = -inf })), "Rate"},
+		{steady(with(diurnal, func(t *Traffic) { t.Amplitude = nan })), "Amplitude"},
+		{steady(with(diurnal, func(t *Traffic) { t.Cycles = nan })), "Cycles"},
+		{steady(with(diurnal, func(t *Traffic) { t.Cycles = inf })), "Cycles"},
+		{steady(with(flash, func(t *Traffic) { t.SpikeStart = nan })), "SpikeStart"},
+		{steady(with(flash, func(t *Traffic) { t.SpikeFrac = nan })), "SpikeFrac"},
+		{steady(with(flash, func(t *Traffic) { t.SpikeFactor = inf })), "SpikeFactor"},
+		{steady(with(closed, func(t *Traffic) { t.Think = nan })), "Think"},
+		{steady(with(closed, func(t *Traffic) { t.Think = inf })), "Think"},
+		{steady(mmpp(inf, 1)), "state 1 Rate"},
+		{steady(mmpp(nan, 1)), "state 1 Rate"},
+		{steady(mmpp(1, inf)), "state 1 MeanDwell"},
+		{steady(mmpp(1, nan)), "state 1 MeanDwell"},
+		{Spec{Name: "x", Traffic: poisson, Duration: inf}, "Duration"},
+		{Spec{Name: "x", Traffic: poisson, Duration: nan}, "Duration"},
+		{Spec{Name: "x", Traffic: poisson, GoldenDuration: inf}, "GoldenDuration"},
+	}
+	for _, c := range cases {
+		err := c.spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), " "+c.field+" is ") {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", c.spec.Traffic, err, c.field)
+		}
+		if _, err := c.spec.Trace(); err == nil {
+			t.Errorf("Trace(%+v) succeeded, want the validation error", c.spec.Traffic)
+		}
+	}
+	nanWindow := Spec{Name: "x", Traffic: poisson, Replicas: 2, FailurePlan: []FailureEvent{{Replica: 0, Start: nan, End: 0.5}}}
+	if err := nanWindow.Validate(); err == nil || !strings.Contains(err.Error(), "failure 0") {
+		t.Errorf("Validate with a NaN failure window = %v, want an error naming failure 0", err)
+	}
+	for _, tr := range []Traffic{poisson, diurnal, flash, closed, mmpp(1, 1)} {
+		if err := steady(tr).Validate(); err != nil {
+			t.Errorf("finite %s traffic: %v", tr.Kind, err)
 		}
 	}
 }

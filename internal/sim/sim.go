@@ -336,16 +336,13 @@ func (s *Simulator) Cancel(h Handle) bool {
 	return true
 }
 
-// Stop makes Run return after the current event completes. Pending events
-// stay in the queue; a subsequent Run resumes them.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // Pending reports how many events remain in the queue.
 func (s *Simulator) Pending() int { return s.queue.n }
 
-// Run executes events in time order until the queue drains, Stop is called,
-// or the optional horizon (seconds; <=0 means unbounded) is passed. Events
-// scheduled exactly at the horizon still run.
+// Run executes events in time order until the queue drains, an event
+// schedules at a NaN time (see fail), or the optional horizon (seconds;
+// <=0 means unbounded) is passed. Events scheduled exactly at the horizon
+// still run.
 //
 // With a positive horizon, Run always leaves the clock at the horizon when
 // it returns without pending work: draining the queue early advances Now to

@@ -231,9 +231,9 @@ func TestHorizonDrainAdvancesClock(t *testing.T) {
 	if s2.Now() != 1 {
 		t.Fatalf("unbounded Now=%g want 1", s2.Now())
 	}
-	// Stop leaves the clock where it stopped: pending work resumes later.
+	// A stop leaves the clock where it stopped: pending work resumes later.
 	s3 := New()
-	s3.Schedule(1, "stop", func(s *Simulator) { s.Stop() })
+	s3.Schedule(1, "stop", func(s *Simulator) { s.stopped = true })
 	s3.Schedule(2, "later", func(s *Simulator) {})
 	if err := s3.Run(10); err != nil {
 		t.Fatal(err)
@@ -243,16 +243,18 @@ func TestHorizonDrainAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestStop pins the stopped flag a NaN schedule time sets: Run returns
+// after the current event completes, and pending events stay queued.
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
-	s.Schedule(1, "a", func(s *Simulator) { count++; s.Stop() })
+	s.Schedule(1, "a", func(s *Simulator) { count++; s.stopped = true })
 	s.Schedule(2, "b", func(s *Simulator) { count++ })
 	if err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
-		t.Fatalf("count=%d want 1 after Stop", count)
+		t.Fatalf("count=%d want 1 after a stop", count)
 	}
 	if s.Pending() != 1 {
 		t.Fatalf("Pending=%d want 1", s.Pending())

@@ -1,10 +1,9 @@
 // Arrival processes beyond steady Poisson: bursty (MMPP), diurnal,
 // flash-crowd, and closed-loop traffic, plus multi-tenant workload mixing.
-// Each process generates sorted arrival times; Assemble turns times into
-// Requests by sampling a weighted tenant mix, and Synthesize does the same
-// with the mix drawn concurrently with the arrival process. Everything is
-// seeded and deterministic: the same (parameters, seed) always yield the
-// same trace.
+// Each process generates sorted arrival times; Synthesize turns times into
+// Requests by sampling a weighted tenant mix, drawn concurrently with the
+// arrival process. Everything is seeded and deterministic: the same
+// (parameters, seed) always yield the same trace.
 
 package workload
 
@@ -20,6 +19,15 @@ import (
 // estimate, so a malformed rate cannot allocate unbounded memory up front;
 // a longer trace grows by append past it.
 const maxPresize = 1 << 21
+
+// positive reports whether v is a positive finite number: the only rates
+// and durations a generator can finish with. An infinite rate never
+// advances time and an infinite duration never ends, so generators return
+// an empty trace for them, as for a non-positive or NaN value.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // presize is the starting capacity for a process expected to produce
 // about mean arrivals: the mean plus four Poisson standard deviations, so
@@ -38,7 +46,7 @@ func presize(mean float64) int {
 // PoissonTimes generates homogeneous Poisson arrival times at `rate`
 // requests/second over [0, duration).
 func PoissonTimes(rate, duration float64, rng *rand.Rand) []float64 {
-	if rate <= 0 || duration <= 0 {
+	if !positive(rate) || !positive(duration) {
 		return nil
 	}
 	times := make([]float64, 0, presize(rate*duration))
@@ -61,15 +69,19 @@ type MMPPState struct {
 // MMPPTimes generates arrival times of a cyclic MMPP over [0, duration):
 // the process cycles through the states in order, staying Exp(MeanDwell)
 // in each. With two states (high/low rate) this is the classic
-// interrupted-Poisson bursty source.
+// interrupted-Poisson bursty source. A state with a NaN or infinite rate
+// or dwell gives an empty trace.
 func MMPPTimes(states []MMPPState, duration float64, rng *rand.Rand) []float64 {
-	if len(states) == 0 || duration <= 0 {
+	if len(states) == 0 || !positive(duration) {
 		return nil
 	}
 	// Zero-dwell states are skipped, so at least one must be inhabitable
 	// or the cycle would never advance time.
 	var work, dwell float64
 	for _, st := range states {
+		if !finite(st.Rate) || !finite(st.MeanDwell) {
+			return nil
+		}
 		if st.MeanDwell > 0 {
 			work += st.Rate * st.MeanDwell
 			dwell += st.MeanDwell
@@ -107,7 +119,7 @@ func MMPPTimes(states []MMPPState, duration float64, rng *rand.Rand) []float64 {
 // amplitude is clamped to [0, 1] so the rate never goes negative; period
 // is the full day-night cycle in simulated seconds.
 func DiurnalTimes(base, amplitude, period, duration float64, rng *rand.Rand) []float64 {
-	if base <= 0 || period <= 0 || duration <= 0 {
+	if !positive(base) || !positive(period) || !positive(duration) {
 		return nil
 	}
 	if amplitude < 0 {
@@ -126,7 +138,7 @@ func DiurnalTimes(base, amplitude, period, duration float64, rng *rand.Rand) []f
 // spike: during [spikeAt, spikeAt+spikeDur) the rate jumps to base·factor
 // (a breaking-news or retry-storm surge), then returns to base.
 func FlashCrowdTimes(base, spikeAt, spikeDur, factor, duration float64, rng *rand.Rand) []float64 {
-	if base <= 0 || duration <= 0 {
+	if !positive(base) || !positive(duration) {
 		return nil
 	}
 	if factor < 0 {
@@ -143,9 +155,10 @@ func FlashCrowdTimes(base, spikeAt, spikeDur, factor, duration float64, rng *ran
 
 // thinned samples an inhomogeneous Poisson process with instantaneous rate
 // rate(t) ≤ maxRate by Lewis-Shedler thinning; mean estimates the arrival
-// count.
+// count. A NaN or infinite maxRate (a NaN amplitude or spike factor, an
+// infinite factor) gives an empty trace.
 func thinned(rate func(float64) float64, maxRate, mean, duration float64, rng *rand.Rand) []float64 {
-	if maxRate <= 0 {
+	if !positive(maxRate) {
 		return nil
 	}
 	times := make([]float64, 0, presize(mean))
@@ -167,7 +180,7 @@ func thinned(rate func(float64) float64, maxRate, mean, duration float64, rng *r
 // session log, with service time folded into the think time). The merged
 // stream is sorted ascending.
 func ClosedLoopTimes(users int, think, duration float64, rng *rand.Rand) []float64 {
-	if users <= 0 || think <= 0 || duration <= 0 {
+	if users <= 0 || !positive(think) || !positive(duration) {
 		return nil
 	}
 	times := make([]float64, 0, presize(float64(users)/think*duration))
@@ -190,18 +203,13 @@ type MixEntry struct {
 	Weight  float64 // relative share of arrivals; entries with Weight <= 0 are ignored
 }
 
-// Assemble turns arrival times into a trace by sampling the weighted
-// tenant mix independently per arrival: tenant first, then (prompt, output)
-// from that tenant's dataset. An empty (or fully zero-weight) mix defaults
-// to single-tenant ShareGPT. Requests come out in ascending arrival order
-// (times need not be sorted, and are never reordered in place), with IDs
-// assigned in that order.
-func Assemble(times []float64, mix []MixEntry, seed int64) []Request {
-	return assemble(times, mix, rand.New(rand.NewSource(seed)))
-}
-
-// assemble is Assemble drawing from rng, which the single-tenant
-// generators share with their arrival process.
+// assemble turns arrival times into a trace by sampling the weighted
+// tenant mix from rng independently per arrival: tenant first, then
+// (prompt, output) from that tenant's dataset. An empty (or fully
+// zero-weight) mix defaults to single-tenant ShareGPT. Requests come out in
+// ascending arrival order (times need not be sorted, and are never
+// reordered in place), with IDs assigned in that order. The single-tenant
+// generators share rng with their arrival process.
 func assemble(times []float64, mix []MixEntry, rng *rand.Rand) []Request {
 	d := newMixDrawer(mix, rng)
 	times = ascending(times)
@@ -268,13 +276,14 @@ func (d *mixDrawer) draw(r *Request) {
 // between looks at whether the arrival count is known yet.
 const drawChunk = 4096
 
-// Synthesize builds the trace Assemble(times(), mix, seed) builds, drawing
-// the mix on a second goroutine while times runs on the caller's. The two
-// share nothing: the arrivals come from whatever stream times owns, and
-// the draws from a private stream seeded by seed. Request i takes that
-// stream's i-th draws however far past the arrival count the goroutine
-// ran, so the trace does not depend on scheduling or GOMAXPROCS, and
-// synthesis costs about the slower half instead of the sum of both.
+// Synthesize builds the trace assemble builds from times() and a stream
+// seeded by seed, drawing the mix on a second goroutine while times runs
+// on the caller's. The two share nothing: the arrivals come from whatever
+// stream times owns, and the draws from a private stream seeded by seed.
+// Request i takes that stream's i-th draws however far past the arrival
+// count the goroutine ran, so the trace does not depend on scheduling or
+// GOMAXPROCS, and synthesis costs about the slower half instead of the
+// sum of both.
 //
 // expected estimates the arrival count. The draws go straight into the
 // returned slice, pre-sized by presize(expected) (at least one chunk).

@@ -225,3 +225,53 @@ func TestDegenerateParameters(t *testing.T) {
 		t.Error("FlashCrowdTimes with negative factor should clamp the spike to silence, not fail")
 	}
 }
+
+// TestNonFiniteParametersGiveEmptyTraces pins that every generator returns
+// an empty trace for a NaN or infinite rate, duration or shape parameter,
+// as it does for a non-positive one. An infinite rate adds
+// ExpFloat64()/Inf = 0 to the clock, so without the guard the generator
+// would append without bound.
+func TestNonFiniteParametersGiveEmptyTraces(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(1)) }
+	cases := []struct {
+		name string
+		gen  func() int
+	}{
+		{"PoissonTimes rate=+Inf", func() int { return len(PoissonTimes(inf, 10, rng())) }},
+		{"PoissonTimes rate=NaN", func() int { return len(PoissonTimes(nan, 10, rng())) }},
+		{"PoissonTimes duration=+Inf", func() int { return len(PoissonTimes(5, inf, rng())) }},
+		{"PoissonTimes duration=NaN", func() int { return len(PoissonTimes(5, nan, rng())) }},
+		{"Poisson rate=+Inf", func() int { return len(Poisson(ShareGPT, inf, 10, 1)) }},
+		{"Poisson duration=+Inf", func() int { return len(Poisson(ShareGPT, 5, inf, 1)) }},
+		{"MMPPTimes rate=+Inf", func() int {
+			return len(MMPPTimes([]MMPPState{{Rate: 5, MeanDwell: 1}, {Rate: inf, MeanDwell: 1}}, 10, rng()))
+		}},
+		{"MMPPTimes rate=NaN", func() int {
+			return len(MMPPTimes([]MMPPState{{Rate: 5, MeanDwell: 1}, {Rate: nan, MeanDwell: 1}}, 10, rng()))
+		}},
+		{"MMPPTimes dwell=+Inf", func() int { return len(MMPPTimes([]MMPPState{{Rate: 5, MeanDwell: inf}}, 10, rng())) }},
+		{"MMPPTimes duration=+Inf", func() int { return len(MMPPTimes([]MMPPState{{Rate: 5, MeanDwell: 1}}, inf, rng())) }},
+		{"DiurnalTimes base=+Inf", func() int { return len(DiurnalTimes(inf, 0.5, 10, 10, rng())) }},
+		{"DiurnalTimes amplitude=NaN", func() int { return len(DiurnalTimes(5, nan, 10, 10, rng())) }},
+		{"DiurnalTimes period=NaN", func() int { return len(DiurnalTimes(5, 0.5, nan, 10, rng())) }},
+		{"DiurnalTimes duration=+Inf", func() int { return len(DiurnalTimes(5, 0.5, 10, inf, rng())) }},
+		{"FlashCrowdTimes base=+Inf", func() int { return len(FlashCrowdTimes(inf, 1, 1, 2, 10, rng())) }},
+		{"FlashCrowdTimes factor=+Inf", func() int { return len(FlashCrowdTimes(5, 1, 1, inf, 10, rng())) }},
+		{"FlashCrowdTimes factor=NaN", func() int { return len(FlashCrowdTimes(5, 1, 1, nan, 10, rng())) }},
+		{"FlashCrowdTimes duration=+Inf", func() int { return len(FlashCrowdTimes(5, 1, 1, 2, inf, rng())) }},
+		{"ClosedLoopTimes think=NaN", func() int { return len(ClosedLoopTimes(4, nan, 10, rng())) }},
+		{"ClosedLoopTimes duration=+Inf", func() int { return len(ClosedLoopTimes(4, 5, inf, rng())) }},
+		{"PiecewiseRate rate=+Inf", func() int {
+			return len(PiecewiseRate(ShareGPT, []RateSegment{{Rate: 5, Duration: 1}, {Rate: inf, Duration: 1}}, 1))
+		}},
+		{"PiecewiseRate duration=+Inf", func() int {
+			return len(PiecewiseRate(ShareGPT, []RateSegment{{Rate: 5, Duration: inf}}, 1))
+		}},
+	}
+	for _, c := range cases {
+		if n := c.gen(); n != 0 {
+			t.Errorf("%s: %d arrivals, want none", c.name, n)
+		}
+	}
+}

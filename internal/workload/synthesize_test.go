@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// Assemble is Synthesize's sequential oracle: assemble drawing the mix from
+// a stream seeded by seed, on the caller's goroutine.
+func Assemble(times []float64, mix []MixEntry, seed int64) []Request {
+	return assemble(times, mix, rand.New(rand.NewSource(seed)))
+}
+
 // TestSynthesizeMatchesAssemble: drawing the mix on its own goroutine
 // gives Assemble's trace whatever the arrival-count estimate — exact, far
 // too low (the draws wait at their limit, then grow), far too high (the

@@ -121,9 +121,10 @@ func ByName(name string) (LengthDist, error) {
 }
 
 // Poisson generates a trace with exponential inter-arrival times at `rate`
-// requests/second for `duration` seconds.
+// requests/second for `duration` seconds; it is empty unless both are
+// positive and finite.
 func Poisson(dist LengthDist, rate, duration float64, seed int64) []Request {
-	if rate <= 0 || duration <= 0 {
+	if !positive(rate) || !positive(duration) {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -147,8 +148,14 @@ type RateSegment struct {
 
 // PiecewiseRate generates a trace whose arrival rate steps through the
 // segments, reproducing time-varying loads like Fig. 14's
-// rps 5 → 0 → 2.5 → 0 pattern.
+// rps 5 → 0 → 2.5 → 0 pattern. A segment with a NaN or infinite rate or
+// duration makes the whole trace empty.
 func PiecewiseRate(dist LengthDist, segments []RateSegment, seed int64) []Request {
+	for _, seg := range segments {
+		if !finite(seg.Rate) || !finite(seg.Duration) {
+			return nil
+		}
+	}
 	rng := rand.New(rand.NewSource(seed))
 	var reqs []Request
 	id := int64(0)
@@ -167,18 +174,6 @@ func PiecewiseRate(dist LengthDist, segments []RateSegment, seed int64) []Reques
 			}
 		}
 		base += seg.Duration
-	}
-	return reqs
-}
-
-// FixedBatch generates n simultaneous requests at time zero with lengths
-// drawn from the distribution; used by microbenchmarks such as Table 1.
-func FixedBatch(dist LengthDist, n int, seed int64) []Request {
-	rng := rand.New(rand.NewSource(seed))
-	reqs := make([]Request, n)
-	for i := range reqs {
-		p, o := dist.Sample(rng)
-		reqs[i] = Request{ID: int64(i), ArrivalAt: 0, PromptLen: p, OutputLen: o}
 	}
 	return reqs
 }

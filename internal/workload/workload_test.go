@@ -37,7 +37,7 @@ func TestDatasetCharacter(t *testing.T) {
 	// The three datasets must keep their published relative character:
 	// LongBench prompts >> ShareGPT prompts >> HumanEval prompts, and
 	// ShareGPT outputs the longest.
-	reqs := func(d LengthDist) Stats { return Summarize(FixedBatch(d, 4000, 7)) }
+	reqs := func(d LengthDist) Stats { return Summarize(sample(d, 4000, 7)) }
 	sg, he, lb := reqs(ShareGPT), reqs(HumanEval), reqs(LongBench)
 
 	if !(lb.MeanPrompt > 3*sg.MeanPrompt) {
@@ -141,16 +141,14 @@ func TestPiecewiseRate(t *testing.T) {
 	}
 }
 
-func TestFixedBatch(t *testing.T) {
-	reqs := FixedBatch(LongBench, 25, 11)
-	if len(reqs) != 25 {
-		t.Fatalf("len=%d want 25", len(reqs))
+// sample draws n (prompt, output) pairs from d.
+func sample(d LengthDist, n int, seed int64) []Request {
+	rng := rand.New(rand.NewSource(seed))
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i].PromptLen, reqs[i].OutputLen = d.Sample(rng)
 	}
-	for _, r := range reqs {
-		if r.ArrivalAt != 0 {
-			t.Fatal("fixed batch must arrive at t=0")
-		}
-	}
+	return reqs
 }
 
 func TestSummarizeEmpty(t *testing.T) {
@@ -182,7 +180,7 @@ func TestPropertyMedianNearConfigured(t *testing.T) {
 	// Sampled medians should track the configured medians (log-normal has
 	// median = the median parameter, modulo clamping).
 	f := func(seed int64) bool {
-		reqs := FixedBatch(ShareGPT, 2000, seed)
+		reqs := sample(ShareGPT, 2000, seed)
 		s := Summarize(reqs)
 		return math.Abs(float64(s.MedianPrompt)-ShareGPT.PromptMedian)/ShareGPT.PromptMedian < 0.2
 	}

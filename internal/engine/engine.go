@@ -62,9 +62,13 @@ type Config struct {
 	// traces. A non-nil Sink is per-run state: reuse across runs
 	// accumulates.
 	Sink metrics.Sink
-	// NoTrace disables the per-event structured trace log; Result.Trace is
-	// nil (trace.Log is nil-safe) and the run stops holding O(events)
-	// memory for it. Large-scale streaming runs want this on.
+	// NoTrace drops the run's per-event and per-iteration records: the
+	// structured trace log (Result.Trace is nil; trace.Log is nil-safe),
+	// the §7.3 module series (DenseTimes and AttnTimes stay empty) and
+	// Hetis's per-device samples (HeadSeries and CacheSeries stay nil).
+	// The run then holds no memory that grows with its length beyond what
+	// its sink keeps. The simulation itself, event count included, does
+	// not change. Large-scale streaming runs want this on.
 	NoTrace bool
 
 	// Chaos configures the resilience layer: replica failure windows,
@@ -194,10 +198,13 @@ type Result struct {
 
 	// DenseTimes and AttnTimes are per-decode-iteration module latencies
 	// (max across stages × stage count, as §7.3 defines), for Fig. 13.
+	// Both stay empty with Config.NoTrace.
 	DenseTimes, AttnTimes ModuleSeries
 
 	// HeadSeries and CacheSeries sample per-device head counts and cache
-	// utilization over time (Fig. 14), keyed by device ID.
+	// utilization over time (Fig. 14), keyed by device ID. Only the Hetis
+	// engine fills them, every Config.SampleEvery simulated seconds; both
+	// are nil with Config.NoTrace.
 	HeadSeries  map[hardware.DeviceID]*metrics.Series
 	CacheSeries map[hardware.DeviceID]*metrics.Series
 

@@ -296,8 +296,10 @@ func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstan
 func (h *Hetis) Run(reqs []workload.Request, horizon float64) (*Result, error) {
 	f := newReplicaSet[*hetisInstance](h.Name(), h.cfg, h.CacheCapacity(), len(reqs))
 	res := f.res
-	res.HeadSeries = map[hardware.DeviceID]*metrics.Series{}
-	res.CacheSeries = map[hardware.DeviceID]*metrics.Series{}
+	if !h.cfg.NoTrace {
+		res.HeadSeries = map[hardware.DeviceID]*metrics.Series{}
+		res.CacheSeries = map[hardware.DeviceID]*metrics.Series{}
+	}
 	base := len(h.plan.Instances)
 	err := f.provision(base, func(i int) (*hetisInstance, error) {
 		inst, err := h.newInstance(h.plan.Instances[i%base], res)
@@ -580,14 +582,16 @@ func (inst *hetisInstance) tryDecode(s *sim.Simulator) bool {
 	attn := float64(cfg.Model.Layers) * attnPerLayer
 
 	// §7.3 module metrics.
-	inst.res.DenseTimes.Append(cost.denseModule)
-	if inst.attnScratch == nil {
-		inst.attnScratch = make([]float64, len(inst.stages))
+	if !cfg.NoTrace {
+		inst.res.DenseTimes.Append(cost.denseModule)
+		if inst.attnScratch == nil {
+			inst.attnScratch = make([]float64, len(inst.stages))
+		}
+		for k, st := range inst.stages {
+			inst.attnScratch[k] = float64(st.Layers) * attnPerLayer
+		}
+		inst.res.AttnTimes.Append(moduleLatency(inst.attnScratch))
 	}
-	for k, st := range inst.stages {
-		inst.attnScratch[k] = float64(st.Layers) * attnPerLayer
-	}
-	inst.res.AttnTimes.Append(moduleLatency(inst.attnScratch))
 
 	dt := cost.dense + attn + inst.pendingDelay
 	inst.pendingDelay = 0
@@ -1054,7 +1058,12 @@ func (inst *hetisInstance) trackPeak() {
 }
 
 // sample records per-device head counts and cache utilization (Fig. 14).
+// An untraced run keeps no series: its timer still fires, so the event
+// count does not depend on NoTrace, but nothing is appended.
 func (inst *hetisInstance) sample(now float64) {
+	if inst.cfg.NoTrace {
+		return
+	}
 	for i, dev := range inst.workerDev {
 		hs, ok := inst.res.HeadSeries[dev]
 		if !ok {

@@ -355,11 +355,14 @@ func (p *tokenPool) leave(r *request) {
 }
 
 // launchDecode prices one decode iteration of the running batch, records
-// its §7.3 module latencies, and schedules done at its end.
+// its §7.3 module latencies unless the run is untraced, and schedules done
+// at its end.
 func (p *tokenPool) launchDecode(s *sim.Simulator, name string, done func(*sim.Simulator)) sim.Handle {
 	dt, dense, attn := p.pipe.decodeTime(&p.cfg, len(p.running), p.ctxSum)
-	p.res.DenseTimes.Append(dense)
-	p.res.AttnTimes.Append(attn)
+	if !p.cfg.NoTrace {
+		p.res.DenseTimes.Append(dense)
+		p.res.AttnTimes.Append(attn)
+	}
 	return s.After(dt, name, done)
 }
 

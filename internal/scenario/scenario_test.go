@@ -109,7 +109,8 @@ func TestTrafficValidateRefusesIgnoredFields(t *testing.T) {
 
 // TestValidateRefusesNonFinite pins that every float field of a spec is
 // refused, by name, when it is NaN or infinite: an infinite Rate or
-// Duration would make Trace append without bound.
+// Duration would make Trace append without bound, and a non-finite mix
+// Weight would assign tenants wrongly.
 func TestValidateRefusesNonFinite(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	steady := func(tr Traffic) Spec {
@@ -121,6 +122,9 @@ func TestValidateRefusesNonFinite(t *testing.T) {
 	closed := Traffic{Kind: KindClosedLoop, Users: 8, Think: 4}
 	mmpp := func(rate, dwell float64) Traffic {
 		return Traffic{Kind: KindMMPP, States: []workload.MMPPState{{Rate: 6, MeanDwell: 2}, {Rate: rate, MeanDwell: dwell}}}
+	}
+	mix := func(w float64) []workload.MixEntry {
+		return []workload.MixEntry{{Tenant: "chat", Dataset: workload.ShareGPT, Weight: 1}, {Tenant: "code", Dataset: workload.HumanEval, Weight: w}}
 	}
 	with := func(tr Traffic, set func(*Traffic)) Traffic {
 		set(&tr)
@@ -148,6 +152,9 @@ func TestValidateRefusesNonFinite(t *testing.T) {
 		{Spec{Name: "x", Traffic: poisson, Duration: inf}, "Duration"},
 		{Spec{Name: "x", Traffic: poisson, Duration: nan}, "Duration"},
 		{Spec{Name: "x", Traffic: poisson, GoldenDuration: inf}, "GoldenDuration"},
+		{Spec{Name: "x", Traffic: poisson, Mix: mix(inf)}, "Weight"},
+		{Spec{Name: "x", Traffic: poisson, Mix: mix(nan)}, "Weight"},
+		{Spec{Name: "x", Traffic: poisson, Mix: mix(-inf)}, "Weight"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()

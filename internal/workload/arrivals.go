@@ -366,11 +366,17 @@ func ClosedLoop(dist LengthDist, users int, think, duration float64, seed int64)
 	return assemble(ClosedLoopTimes(users, think, duration, rng), []MixEntry{{Dataset: dist, Weight: 1}}, rng)
 }
 
-// ValidateMix reports whether the mix is usable: at least one positive-weight
-// entry, every positive-weight entry with a named, non-empty dataset.
+// ValidateMix reports whether the mix is usable: every weight finite, at
+// least one positive-weight entry, every positive-weight entry with a
+// named, non-empty dataset.
 func ValidateMix(mix []MixEntry) error {
 	any := false
 	for i, e := range mix {
+		// A NaN weight would be dropped silently and an infinite one
+		// would send every pick past it.
+		if !finite(e.Weight) {
+			return fmt.Errorf("workload: mix entry %d (%q) Weight is %g; it must be finite", i, e.Tenant, e.Weight)
+		}
 		if e.Weight <= 0 {
 			continue
 		}

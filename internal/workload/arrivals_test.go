@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -165,6 +166,13 @@ func TestValidateMix(t *testing.T) {
 	}
 	if err := ValidateMix([]MixEntry{{Tenant: "a", Dataset: ShareGPT, Weight: 0}}); err == nil {
 		t.Error("all-zero-weight mix should fail")
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		mix := []MixEntry{{Tenant: "a", Dataset: ShareGPT, Weight: 1}, {Tenant: "b", Dataset: HumanEval, Weight: w}}
+		err := ValidateMix(mix)
+		if err == nil || !strings.Contains(err.Error(), `mix entry 1 ("b") Weight is`) {
+			t.Errorf("weight %g: ValidateMix = %v, want an error naming entry 1 and tenant b", w, err)
+		}
 	}
 }
 

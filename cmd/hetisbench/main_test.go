@@ -137,6 +137,19 @@ func TestExperimentOutputJobsIndependent(t *testing.T) {
 	}
 }
 
+// TestExperimentGolden pins `-exp all -quick` stdout, so every experiment
+// table (costing, planning, profiling and the engine runs behind them)
+// stays byte-identical across refactors.
+func TestExperimentGolden(t *testing.T) {
+	out, err := runBench(t, "-exp", "all", "-quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := readGolden(t, "exp-all-quick"); out != want {
+		t.Errorf("-exp all -quick differs from testdata/exp-all-quick.golden:\n%s", out)
+	}
+}
+
 // TestScenarioShardWorkersIndependent is the CLI face of the fleet
 // determinism contract: a sharded scenario's CSV is byte-identical at
 // every -shard-workers value.

@@ -26,5 +26,5 @@ func ProfileCluster(m ModelConfig, cluster *Cluster, primary DeviceID) (*Profile
 	if err != nil {
 		return nil, err
 	}
-	return profile.Run(est, cluster, primary, profile.DefaultOptions())
+	return profile.Run(est, cluster, primary)
 }

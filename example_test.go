@@ -27,7 +27,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	fmt.Printf("completed %d/%d requests, p95 TTFT %.2fs\n",
-		res.Completed, len(reqs), res.Recorder.TTFTSummary().P95)
+		res.Completed, len(reqs), res.Recorder.Snapshot().TTFT.P95)
 	// Output:
 	// completed 301/301 requests, p95 TTFT 0.53s
 }

@@ -42,7 +42,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			return fmt.Sprintf("%6.1f ms/tok", res.Recorder.NormLatencySummary().Mean*1e3)
+			return fmt.Sprintf("%6.1f ms/tok", res.Recorder.Snapshot().NormLat.Mean*1e3)
 		}
 		fmt.Printf("%-10.0f %-14s %-14s %-14s\n", rate, norm(sw), norm(hx), norm(het))
 	}

@@ -64,7 +64,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			lat := res.Recorder.NormLatencySummary().Mean
+			lat := res.Recorder.Snapshot().NormLat.Mean
 			mark := ""
 			if lat > slo || res.Completed < len(reqs) {
 				mark = " X"

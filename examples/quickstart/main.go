@@ -40,9 +40,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ttft := res.Recorder.TTFTSummary()
-	tpot := res.Recorder.TPOTSummary()
-	norm := res.Recorder.NormLatencySummary()
+	snap := res.Recorder.Snapshot()
+	ttft, tpot, norm := snap.TTFT, snap.TPOT, snap.NormLat
 	fmt.Printf("\nserved %d requests in %.1f simulated seconds (%.2f req/s)\n",
 		res.Completed, res.Horizon, res.Throughput())
 	fmt.Printf("TTFT   mean %6.1f ms   p95 %6.1f ms\n", ttft.Mean*1e3, ttft.P95*1e3)

@@ -47,7 +47,7 @@ func main() {
 	lifo := run(true)
 
 	show := func(name string, r *hetis.Result) {
-		n := r.Recorder.NormLatencySummary()
+		n := r.Recorder.Snapshot().NormLat
 		fmt.Printf("%-18s mean %6.1f ms/tok  p95 %6.1f ms/tok  evictions %3d  migrations %3d (%.1f GB moved)\n",
 			name, n.Mean*1e3, n.P95*1e3, r.Evictions, r.Migrations, float64(r.MigratedBytes)/1e9)
 	}

@@ -25,7 +25,7 @@
 //	eng, _ := hetis.NewHetisEngine(cfg, plan)
 //	res, _ := eng.Run(reqs, 0)
 //	fmt.Printf("completed %d/%d requests, p95 TTFT %.2fs\n",
-//		res.Completed, len(reqs), res.Recorder.TTFTSummary().P95)
+//		res.Completed, len(reqs), res.Recorder.Snapshot().TTFT.P95)
 //
 // (The package Example keeps this snippet compiling and verifies its
 // output.) Sweeps over {model × dataset × rate × engine} grids and pooled
@@ -334,11 +334,6 @@ func RunExperiments(ids []string, opts ExperimentOptions, pool SweepOptions) ([]
 	return experiments.RunMany(ids, opts, pool)
 }
 
-// RunAllExperiments pools every registered experiment, in id order.
-func RunAllExperiments(opts ExperimentOptions, pool SweepOptions) ([]SweepResult, error) {
-	return experiments.RunAll(opts, pool)
-}
-
 // VLLMEngine is the homogeneous reference: vLLM-style tensor-parallel
 // serving on the cluster's top GPU tier only, ignoring low-end devices.
 type VLLMEngine = engine.VLLM
@@ -443,12 +438,3 @@ type ScenarioWindows = sweep.ScenarioWindows
 func RunScenariosStream(names []string, quick bool, seed int64, window float64, pool SweepOptions) (*Table, []ScenarioWindows, error) {
 	return sweep.RunScenariosSink(names, quick, seed, true, window, pool)
 }
-
-// Bursty, diurnal, flash-crowd and closed-loop trace generators
-// (single-tenant; use Scenario specs for mixed traffic).
-var (
-	MMPPTrace       = workload.MMPP
-	DiurnalTrace    = workload.Diurnal
-	FlashCrowdTrace = workload.FlashCrowd
-	ClosedLoopTrace = workload.ClosedLoop
-)

@@ -27,7 +27,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d", res.Completed, len(reqs))
 	}
-	if res.Recorder.TTFTSummary().P95 <= 0 {
+	if res.Recorder.Snapshot().TTFT.P95 <= 0 {
 		t.Fatal("no TTFT recorded")
 	}
 }
@@ -104,7 +104,7 @@ func TestEstimatorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.DenseLayerTime(A100, 64, 1) <= 0 {
+	if d := est.Compile(A100, 1); d.DenseLayerTime(64) <= 0 {
 		t.Fatal("estimator returned non-positive time")
 	}
 }

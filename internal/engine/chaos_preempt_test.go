@@ -25,15 +25,18 @@ func tieredChaos() *ChaosConfig {
 // preemption costs latency, never a completion).
 func TestStaticEnginePreemption(t *testing.T) {
 	// Prompts clamp at the model's context window, so cache pressure comes
-	// from shrinking the cache, not growing the prompts: at MemHeadroom
-	// 0.8, hexgen's OPT-30B pipeline caches only ~4.8k tokens — two
-	// 1.9k-token contexts fit, a third does not.
-	cfg := DefaultConfig(model.OPT30B, hardware.PaperCluster())
-	cfg.MemHeadroom = 0.8
+	// from shrinking the cluster, not growing the prompts: OPT-30B on one
+	// A100 caches only ~10.5k tokens — five 1.9k-token contexts fit, the
+	// eight bronze ones do not.
+	cluster, err := hardware.ParseCluster("1xA100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(model.OPT30B, cluster)
 	cfg.Chaos = tieredChaos()
 
 	var reqs []workload.Request
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 8; i++ {
 		reqs = append(reqs, workload.Request{
 			ID: int64(i + 1), ArrivalAt: float64(i) * 0.2,
 			PromptLen: 1500, OutputLen: 400, Tenant: "bronze",

@@ -14,7 +14,6 @@ import (
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
 	"hetis/internal/model"
-	"hetis/internal/parallelizer"
 	"hetis/internal/sim"
 	"hetis/internal/trace"
 	"hetis/internal/workload"
@@ -49,8 +48,6 @@ type Config struct {
 	// nothing reads a request after it retires.
 	poisonRetired bool
 
-	// MemHeadroom is the memory fraction reserved for activations.
-	MemHeadroom float64
 	// SampleEvery is the trace-sampling period in seconds (0 disables).
 	SampleEvery float64
 
@@ -106,7 +103,6 @@ func DefaultConfig(cfg model.Config, cluster *hardware.Cluster) Config {
 		Model:       cfg,
 		Cluster:     cluster,
 		Theta:       0.5,
-		MemHeadroom: parallelizer.MemHeadroom,
 		SampleEvery: 1.0,
 	}
 }

@@ -66,8 +66,8 @@ func TestHetisDeterministic(t *testing.T) {
 	if r1.Completed != r2.Completed || r1.Horizon != r2.Horizon {
 		t.Fatalf("non-deterministic: %d@%g vs %d@%g", r1.Completed, r1.Horizon, r2.Completed, r2.Horizon)
 	}
-	s1 := r1.Recorder.NormLatencySummary()
-	s2 := r2.Recorder.NormLatencySummary()
+	s1 := r1.Recorder.Snapshot().NormLat
+	s2 := r2.Recorder.Snapshot().NormLat
 	if s1.Mean != s2.Mean || s1.P95 != s2.P95 {
 		t.Fatalf("latency summaries differ: %+v vs %+v", s1, s2)
 	}
@@ -240,7 +240,7 @@ func TestHetisBeatsBaselinesUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lat := func(r *Result) float64 { return r.Recorder.NormLatencySummary().Mean }
+	lat := func(r *Result) float64 { return r.Recorder.Snapshot().NormLat.Mean }
 	t.Logf("norm latency: hetis %.4f, hexgen %.4f, splitwise %.4f (completed %d/%d/%d)",
 		lat(resHet), lat(resHx), lat(resSw), resHet.Completed, resHx.Completed, resSw.Completed)
 	if resHet.Completed < resHx.Completed || resHet.Completed < resSw.Completed {

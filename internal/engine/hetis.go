@@ -44,7 +44,7 @@ func NewHetis(cfg Config, plan *parallelizer.Plan) (*Hetis, error) {
 	}
 	est := perf.New(cfg.Model)
 	primary := plan.Instances[0].Stages[0].Devices[0]
-	prof, err := profile.Run(est, cfg.Cluster, primary, profile.DefaultOptions())
+	prof, err := profile.Run(est, cfg.Cluster, primary)
 	if err != nil {
 		return nil, fmt.Errorf("engine: profiling: %w", err)
 	}
@@ -75,7 +75,7 @@ func PlanForWorkload(cfg Config, reqs []workload.Request) (*parallelizer.Plan, e
 	}
 	// Upper-bound the batch target by the cache the cluster could hold
 	// with one model copy resident (conservatively 60% usable for KV).
-	freeBytes := float64(cfg.Cluster.TotalMemory())*(1-cfg.MemHeadroom) - float64(cfg.Model.WeightBytes())
+	freeBytes := float64(cfg.Cluster.TotalMemory())*(1-parallelizer.MemHeadroom) - float64(cfg.Model.WeightBytes())
 	if freeBytes > 0 {
 		maxBatch := int(0.6 * freeBytes / (float64(wl.AvgContext) * float64(cfg.Model.KVBytesPerToken())))
 		if maxBatch < 4 {
@@ -103,7 +103,7 @@ func (h *Hetis) CacheCapacity() int64 {
 			}
 		}
 		for _, id := range in.AttentionWorkers {
-			total += int64(float64(h.cfg.Cluster.Device(id).Spec.MemBytes) * (1 - h.cfg.MemHeadroom))
+			total += int64(float64(h.cfg.Cluster.Device(id).Spec.MemBytes) * (1 - parallelizer.MemHeadroom))
 		}
 	}
 	return total
@@ -112,7 +112,7 @@ func (h *Hetis) CacheCapacity() int64 {
 func stageFreeBytes(cfg Config, st parallelizer.Stage) int64 {
 	var mem float64
 	for range st.Devices {
-		mem += float64(st.Spec.MemBytes) * (1 - cfg.MemHeadroom)
+		mem += float64(st.Spec.MemBytes) * (1 - parallelizer.MemHeadroom)
 	}
 	weights := float64(st.Layers) * float64(cfg.Model.LayerWeightBytes())
 	return int64(mem - weights)
@@ -269,7 +269,7 @@ func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstan
 		}
 	}
 	for _, id := range in.AttentionWorkers {
-		free := int64(float64(cfg.Cluster.Device(id).Spec.MemBytes) * (1 - cfg.MemHeadroom))
+		free := int64(float64(cfg.Cluster.Device(id).Spec.MemBytes) * (1 - parallelizer.MemHeadroom))
 		link := cfg.Cluster.Link(primaryDev, id)
 		if err := addWorker(id, h.prof.Attn[id], h.prof.Net[id], false, free, link); err != nil {
 			return nil, err

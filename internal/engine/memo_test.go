@@ -42,7 +42,8 @@ func TestDecodeCostMemoBitEqual(t *testing.T) {
 				perf.P2PTime(h.cfg.Cluster.InterLink, h.cfg.Model.HiddenStateBytes(batch))
 		}
 		last := inst.stages[len(inst.stages)-1]
-		dense += h.est.LMHeadTime(last.Spec, batch, last.TP)
+		lm := h.est.Compile(last.Spec, last.TP)
+		dense += lm.LMHeadTime(batch)
 		wantModule := moduleLatency(stageTimes)
 
 		if got.dense != dense || got.denseModule != wantModule {
@@ -57,7 +58,7 @@ func TestDecodeCostMemoBitEqual(t *testing.T) {
 // must reproduce, bit for bit, both the cold result and refDecodeTime's
 // unmemoized cost, for every (batch, ctx) pair on each engine's pipeline;
 // and prefillTime, priced from the compiled stage records and memoized for
-// one-prompt batches, must equal refPrefillTime's per-call estimator cost
+// one-prompt batches, must equal refPrefillTime's freshly compiled cost
 // on each pipeline that prefills, empty and zero-length prompts included.
 func TestStaticDenseMemoBitEqual(t *testing.T) {
 	cfg := DefaultConfig(model.Llama13B, hardware.PaperCluster())
@@ -117,7 +118,7 @@ func TestStaticDenseMemoBitEqual(t *testing.T) {
 }
 
 // refDecodeTime is the frozen unmemoized static decode cost: every term
-// recomputed from the estimator's per-call methods on each call, in its
+// recomputed from a freshly compiled cost record on each call, in its
 // original order.
 func refDecodeTime(p *staticPipeline, est *perf.Estimator, cfg Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
 	m := cfg.Model
@@ -127,19 +128,21 @@ func refDecodeTime(p *staticPipeline, est *perf.Estimator, cfg Config, batch int
 		densePerStage[k] = refStageDecodeTime(est, st, batch, parallelizer.StageLink(cfg.Cluster, st))
 		heads := batch * m.Heads / st.TP
 		cacheLayer := ctxTokens * m.KVBytesPerTokenLayer() / int64(st.TP)
-		attnPerStage[k] = float64(st.Layers) * est.AttnDecodeTime(st.Spec, heads, cacheLayer)
+		d := est.Compile(st.Spec, 1)
+		attnPerStage[k] = float64(st.Layers) * d.AttnDecodeTime(heads, cacheLayer)
 		dt += densePerStage[k] + attnPerStage[k]
 	}
 	if len(p.stages) > 1 {
 		dt += float64(len(p.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, m.HiddenStateBytes(batch))
 	}
 	last := p.stages[len(p.stages)-1]
-	dt += est.LMHeadTime(last.Spec, batch, last.TP)
+	lm := est.Compile(last.Spec, last.TP)
+	dt += lm.LMHeadTime(batch)
 	return dt, moduleLatency(densePerStage), moduleLatency(attnPerStage)
 }
 
-// refPrefillTime is the static prefill cost recomputed from the
-// estimator's per-call methods, in the original order.
+// refPrefillTime is the static prefill cost recomputed from freshly
+// compiled cost records, in the original order.
 func refPrefillTime(p *staticPipeline, est *perf.Estimator, cfg Config, prompts []int) float64 {
 	m := cfg.Model
 	total := 0
@@ -152,8 +155,9 @@ func refPrefillTime(p *staticPipeline, est *perf.Estimator, cfg Config, prompts 
 			continue
 		}
 		link := parallelizer.StageLink(cfg.Cluster, st)
-		dense := est.DenseIterTime(st.Spec, total, st.Layers, st.TP)
-		attn := float64(st.Layers) * est.AttnPrefillLayerTime(st.Spec, prompts, st.TP)
+		d := est.Compile(st.Spec, st.TP)
+		dense := float64(st.Layers) * d.DenseLayerTime(total)
+		attn := float64(st.Layers) * d.AttnPrefillLayerTime(prompts)
 		var comm float64
 		if st.TP > 1 {
 			comm += float64(st.Layers) * 2 * perf.AllReduceTime(link, m.HiddenStateBytes(total), st.TP)
@@ -167,16 +171,18 @@ func refPrefillTime(p *staticPipeline, est *perf.Estimator, cfg Config, prompts 
 		dt += float64(len(p.stages)-1) * perf.P2PTime(cfg.Cluster.InterLink, m.HiddenStateBytes(total))
 	}
 	last := p.stages[len(p.stages)-1]
-	dt += est.LMHeadTime(last.Spec, len(prompts), last.TP)
+	lm := est.Compile(last.Spec, last.TP)
+	dt += lm.LMHeadTime(len(prompts))
 	return dt
 }
 
-// refStageDecodeTime is one stage's decode cost from the estimator's
-// per-call methods: dense compute, per-layer tensor-parallel all-reduces
-// and the hops inside the stage.
+// refStageDecodeTime is one stage's decode cost from a freshly compiled
+// cost record: dense compute, per-layer tensor-parallel all-reduces and
+// the hops inside the stage.
 func refStageDecodeTime(est *perf.Estimator, st parallelizer.Stage, tokens int, link hardware.LinkSpec) float64 {
 	m := est.Config()
-	dense := est.DenseIterTime(st.Spec, tokens, st.Layers, st.TP)
+	d := est.Compile(st.Spec, st.TP)
+	dense := float64(st.Layers) * d.DenseLayerTime(tokens)
 	var comm float64
 	if st.TP > 1 {
 		comm += float64(st.Layers) * (2 * perf.AllReduceTime(link, m.HiddenStateBytes(tokens), st.TP))

@@ -56,7 +56,7 @@ func TestGreedyDispatchOptionServes(t *testing.T) {
 	if res.Completed == 0 {
 		t.Fatal("greedy engine served nothing")
 	}
-	if res.Recorder.NormLatencySummary().Mean <= 0 {
+	if res.Recorder.Snapshot().NormLat.Mean <= 0 {
 		t.Fatal("no latency recorded")
 	}
 }
@@ -97,7 +97,7 @@ func TestPressuredDeterminism(t *testing.T) {
 			[5]any{a.Completed, a.Evictions, a.Migrations, a.MigratedBytes, a.Horizon},
 			[5]any{b.Completed, b.Evictions, b.Migrations, b.MigratedBytes, b.Horizon})
 	}
-	sa, sb := a.Recorder.NormLatencySummary(), b.Recorder.NormLatencySummary()
+	sa, sb := a.Recorder.Snapshot().NormLat, b.Recorder.Snapshot().NormLat
 	if sa != sb {
 		t.Fatalf("latency summaries diverge: %+v vs %+v", sa, sb)
 	}

@@ -80,9 +80,9 @@ func checkSameRun(t *testing.T, name string, recycled, poisoned *Result) {
 
 // TestRecycledRequestsMatchPoisoned is the recycling guard on runs that
 // reach the engines' eviction and preemption paths: OPT-30B under a
-// three-tenant mix at 8 req/s, healthy (Hetis must evict) and under two
-// priority tiers with half the memory reserved (every engine must
-// preempt). Each engine's recycling run must match its poisoned twin.
+// three-tenant mix at 8 req/s, healthy on the paper cluster (Hetis must
+// evict) and under two priority tiers on a smaller 2xA100+2x3090 cluster
+// (every engine must preempt). Each engine's recycling run must match its poisoned twin.
 //
 // The differential cannot reach the case the fresh-batch fix in
 // prefillDone closes: a request recycled at a prefill's flush can only
@@ -97,8 +97,11 @@ func TestRecycledRequestsMatchPoisoned(t *testing.T) {
 		{Tenant: "batch", Dataset: workload.LongBench, Weight: 1},
 	}, 3)
 	healthy := DefaultConfig(model.OPT30B, hardware.PaperCluster())
-	tiered := healthy
-	tiered.MemHeadroom = 0.5
+	small, err := hardware.ParseCluster("2xA100,2x3090")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered := DefaultConfig(model.OPT30B, small)
 	tiered.Chaos = &ChaosConfig{Tiers: []Tier{
 		{Name: "gold", Tenants: []string{"chat"}, Priority: 1},
 		{Name: "bronze", Priority: 0},

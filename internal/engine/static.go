@@ -96,14 +96,15 @@ func buildStaticPipeline(cfg Config, est *perf.Estimator, cluster *hardware.Clus
 	weights := make([]float64, len(protos))
 	var wsum float64
 	for i, p := range protos {
-		weights[i] = float64(len(p.ids)) / est.DenseLayerTime(p.spec, decodeBatch, 1)
+		d := est.Compile(p.spec, 1)
+		weights[i] = float64(len(p.ids)) / d.DenseLayerTime(decodeBatch)
 		wsum += weights[i]
 	}
 	layers := apportionLayers(m.Layers, weights)
 
 	// Enforce per-stage weight fit by shifting layers to stages with room.
 	budget := func(p protoStage) float64 {
-		return float64(len(p.ids)) * float64(p.spec.MemBytes) * (1 - cfg.MemHeadroom)
+		return float64(len(p.ids)) * float64(p.spec.MemBytes) * (1 - parallelizer.MemHeadroom)
 	}
 	fits := func(i int) bool {
 		return float64(layers[i])*float64(m.LayerWeightBytes()) <= budget(protos[i])

@@ -95,7 +95,7 @@ func AblationDispatch(opts Options) (*metrics.Table, error) {
 		return nil, fmt.Errorf("greedy: %w", err)
 	}
 	tab := &metrics.Table{Header: []string{"Metric", "LP", "Greedy", "Greedy/LP"}}
-	ln, gn := lpRes.Recorder.NormLatencySummary(), grRes.Recorder.NormLatencySummary()
+	ln, gn := lpRes.Recorder.Snapshot().NormLat, grRes.Recorder.Snapshot().NormLat
 	tab.AddRow("mean(s/tok)", ln.Mean, gn.Mean, gn.Mean/ln.Mean)
 	tab.AddRow("p95(s/tok)", ln.P95, gn.P95, gn.P95/ln.P95)
 	tab.AddRow("completed", lpRes.Completed, grRes.Completed,
@@ -136,7 +136,7 @@ func AblationMigration(opts Options) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		on, bn := over.Recorder.NormLatencySummary(), block.Recorder.NormLatencySummary()
+		on, bn := over.Recorder.Snapshot().NormLat, block.Recorder.Snapshot().NormLat
 		meanOver += on.Mean
 		meanBlock += bn.Mean
 		p95Over += on.P95
@@ -209,7 +209,7 @@ func AblationSearch(opts Options) (*metrics.Table, error) {
 				variant = "extended"
 			}
 			tab.AddRow(m.Name, variant, plan.NumAttentionWorkers(),
-				plan.Objective, res.Recorder.NormLatencySummary().Mean)
+				plan.Objective, res.Recorder.Snapshot().NormLat.Mean)
 		}
 	}
 	return tab, nil

@@ -144,8 +144,8 @@ func Fig15a(opts Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fig15a lifo: %w", err)
 	}
-	hn := withRd.Recorder.NormLatencySummary()
-	ln := lifo.Recorder.NormLatencySummary()
+	hn := withRd.Recorder.Snapshot().NormLat
+	ln := lifo.Recorder.Snapshot().NormLat
 	tab := &metrics.Table{Header: []string{"Metric", "Hetis", "LIFO", "LIFO/Hetis"}}
 	tab.AddRow("mean(s/tok)", hn.Mean, ln.Mean, ln.Mean/hn.Mean)
 	tab.AddRow("p95(s/tok)", hn.P95, ln.P95, ln.P95/hn.P95)

@@ -53,9 +53,9 @@ func latencySweep(m model.Config, entries []sweepEntry, opts Options) (*metrics.
 				return nil, err
 			}
 			tab.AddRow(e.dataset, rate,
-				resSW.Recorder.NormLatencySummary().Mean,
-				resHG.Recorder.NormLatencySummary().Mean,
-				resHT.Recorder.NormLatencySummary().Mean,
+				resSW.Recorder.Snapshot().NormLat.Mean,
+				resHG.Recorder.Snapshot().NormLat.Mean,
+				resHT.Recorder.Snapshot().NormLat.Mean,
 				resSW.Completed, resHG.Completed, resHT.Completed)
 		}
 	}
@@ -152,14 +152,9 @@ func Fig12(opts Options) (*metrics.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig12 %s: %w", ds, err)
 		}
-		base := het.Recorder.TTFTSummary().P95
-		tab.AddRow("TTFT-P95", ds, 1.0,
-			hex.Recorder.TTFTSummary().P95/base,
-			sw.Recorder.TTFTSummary().P95/base)
-		base = het.Recorder.TPOTSummary().P95
-		tab.AddRow("TPOT-P95", ds, 1.0,
-			hex.Recorder.TPOTSummary().P95/base,
-			sw.Recorder.TPOTSummary().P95/base)
+		hetS, hexS, swS := het.Recorder.Snapshot(), hex.Recorder.Snapshot(), sw.Recorder.Snapshot()
+		tab.AddRow("TTFT-P95", ds, 1.0, hexS.TTFT.P95/hetS.TTFT.P95, swS.TTFT.P95/hetS.TTFT.P95)
+		tab.AddRow("TPOT-P95", ds, 1.0, hexS.TPOT.P95/hetS.TPOT.P95, swS.TPOT.P95/hetS.TPOT.P95)
 	}
 	return tab, nil
 }
@@ -207,7 +202,7 @@ func Fig16a(opts Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig16a %s theta %.1f: %w", ds, theta, err)
 			}
-			lat[ds] = append(lat[ds], res.Recorder.NormLatencySummary().Mean)
+			lat[ds] = append(lat[ds], res.Recorder.Snapshot().NormLat.Mean)
 		}
 	}
 	for i, theta := range thetas {
@@ -231,7 +226,7 @@ func Fig16b(opts Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := baseRes.Recorder.NormLatencySummary().Mean
+	base := baseRes.Recorder.Snapshot().NormLat.Mean
 
 	tab := &metrics.Table{Header: []string{"Error(%)", "a", "b", "c", "gamma", "beta"}}
 	for _, pct := range []float64{5, 10, 15, 20} {
@@ -241,7 +236,7 @@ func Fig16b(opts Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig16b %s %+.0f%%: %w", param, pct, err)
 			}
-			row = append(row, res.Recorder.NormLatencySummary().Mean/base)
+			row = append(row, res.Recorder.Snapshot().NormLat.Mean/base)
 		}
 		tab.AddRow(row...)
 	}

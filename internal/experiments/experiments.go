@@ -106,11 +106,6 @@ func RunMany(ids []string, opts Options, pool sweep.Options) ([]sweep.Result, er
 	return sweep.RunMany(jobs, pool)
 }
 
-// RunAll runs every registered experiment on the pool, in id order.
-func RunAll(opts Options, pool sweep.Options) ([]sweep.Result, error) {
-	return RunMany(IDs(), opts, pool)
-}
-
 // duration scales a trace length by Quick mode.
 func (o Options) duration(full float64) float64 {
 	if o.Quick {

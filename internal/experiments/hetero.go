@@ -56,8 +56,8 @@ func AblationHetero(opts Options) (*metrics.Table, error) {
 			return nil, err
 		}
 		tab.AddRow(rate,
-			refRes.Recorder.NormLatencySummary().Mean,
-			hetRes.Recorder.NormLatencySummary().Mean,
+			refRes.Recorder.Snapshot().NormLat.Mean,
+			hetRes.Recorder.Snapshot().NormLat.Mean,
 			refRes.Completed, hetRes.Completed,
 			float64(refRes.CacheCapacity)/1e9,
 			float64(hetRes.CacheCapacity)/1e9)

@@ -27,11 +27,14 @@ func Table1(Options) (*metrics.Table, error) {
 	}
 	tab := &metrics.Table{Header: []string{"Device", "Memory(GB)", "Time(Prefill,s)", "Time(Decode,s)"}}
 	for _, spec := range []hardware.GPUSpec{hardware.A100, hardware.RTX3090, hardware.P100} {
-		prefill := est.PrefillStepTime(spec, prompts, cfg.Layers, 1)
-		decode := est.DecodeStepDenseTime(spec, decodes, cfg.Layers, 1)
+		d := est.Compile(spec, 1)
+		dense := float64(cfg.Layers) * d.DenseLayerTime(prefills*promptLen)
+		attn := float64(cfg.Layers) * d.AttnPrefillLayerTime(prompts)
+		prefill := dense + attn + d.LMHeadTime(prefills)
+		decode := float64(cfg.Layers)*d.DenseLayerTime(decodes) + d.LMHeadTime(decodes)
 		heads := decodes * cfg.Heads
 		cache := est.CacheBytesPerLayer(cfg.Heads, decodeCtx) * decodes
-		decode += float64(cfg.Layers) * est.AttnDecodeTime(spec, heads, cache)
+		decode += float64(cfg.Layers) * d.AttnDecodeTime(heads, cache)
 		tab.AddRow(spec.Name, float64(spec.MemBytes)/1e9, prefill, decode)
 	}
 	return tab, nil
@@ -47,14 +50,15 @@ func Fig2(Options) (*metrics.Table, error) {
 	for _, n := range []int{20, 100, 200, 300, 400} {
 		mlp := func(spec hardware.GPUSpec) float64 {
 			// MLP share of the dense layer (module-level, no projections).
-			full := est.DenseLayerTime(spec, n, 1)
+			d := est.Compile(spec, 1)
 			frac := cfg.MLPFlopsPerToken() / cfg.DenseFlopsPerToken()
-			return full * frac
+			return d.DenseLayerTime(n) * frac
 		}
 		attn := func(spec hardware.GPUSpec) float64 {
 			heads := n * cfg.Heads
 			cache := est.CacheBytesPerLayer(cfg.Heads, seqLen) * int64(n)
-			return est.AttnDecodeTime(spec, heads, cache)
+			d := est.Compile(spec, 1)
+			return d.AttnDecodeTime(heads, cache)
 		}
 		baseM, baseA := mlp(hardware.A100), attn(hardware.A100)
 		tab.AddRow(n, "MLP", mlp(hardware.P100)/baseM, mlp(hardware.RTX3090)/baseM, 1.0)
@@ -107,7 +111,7 @@ func Fig5(Options) (*metrics.Table, error) {
 func Fig7(Options) (*metrics.Table, error) {
 	est := perf.New(model.OPT30B)
 	cfg := model.OPT30B
-	spec := hardware.A100
+	a100 := est.Compile(hardware.A100, 1)
 	tab := &metrics.Table{Header: []string{"Part", "X", "AttnTime(ms)"}}
 
 	// (a) fixed totals (30k heads, fixed cache), varying request count.
@@ -115,7 +119,7 @@ func Fig7(Options) (*metrics.Table, error) {
 	for _, n := range []int{400, 500, 600, 700} {
 		// The same total cache split over n requests.
 		cache := est.CacheBytesPerLayer(cfg.Heads, 1000) * 550 // constant
-		t := est.AttnDecodeTime(spec, totalHeads, cache)
+		t := a100.AttnDecodeTime(totalHeads, cache)
 		tab.AddRow("(a)", n, t*1e3)
 	}
 
@@ -123,14 +127,14 @@ func Fig7(Options) (*metrics.Table, error) {
 	for _, ctx := range []int{900, 1000, 1100, 1200} {
 		heads := 550 * cfg.Heads
 		cache := est.CacheBytesPerLayer(cfg.Heads, ctx) * 550
-		t := est.AttnDecodeTime(spec, heads, cache)
+		t := a100.AttnDecodeTime(heads, cache)
 		tab.AddRow("(b)", ctx, t*1e3)
 	}
 
 	// (c) growing head count, fixed cache.
 	fixedCache := est.CacheBytesPerLayer(cfg.Heads, 1000) * 550
 	for _, heads := range []int{15000, 30000, 45000} {
-		t := est.AttnDecodeTime(spec, heads, fixedCache)
+		t := a100.AttnDecodeTime(heads, fixedCache)
 		tab.AddRow("(c)", heads, t*1e3)
 	}
 	return tab, nil
@@ -139,11 +143,10 @@ func Fig7(Options) (*metrics.Table, error) {
 // Fig15b reproduces Fig. 15(b): head-wise vs token-wise cache-management
 // overhead on the store and fetch paths.
 func Fig15b(Options) (*metrics.Table, error) {
-	m := kvcache.DefaultMgmtCost()
 	const groups, blocks = 40, 64
 	tab := &metrics.Table{Header: []string{"Path", "vLLM(norm)", "Hetis(norm)"}}
-	tab.AddRow("Stor.", 1.0, m.HeadWiseStore(groups)/m.TokenWiseStore())
-	tab.AddRow("Fetch.", 1.0, m.HeadWiseFetch(groups, blocks)/m.TokenWiseFetch(blocks))
+	tab.AddRow("Stor.", 1.0, kvcache.HeadWiseStore(groups)/kvcache.TokenWiseStore())
+	tab.AddRow("Fetch.", 1.0, kvcache.HeadWiseFetch(groups, blocks)/kvcache.TokenWiseFetch(blocks))
 	return tab, nil
 }
 
@@ -186,7 +189,7 @@ func SearchOverhead(Options) (*metrics.Table, error) {
 func ModelAccuracy(Options) (*metrics.Table, error) {
 	est := perf.New(model.OPT30B)
 	cluster := hardware.PaperCluster()
-	prof, err := profile.Run(est, cluster, 0, profile.DefaultOptions())
+	prof, err := profile.Run(est, cluster, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func maxSustainedRate(build func(reqs []workload.Request) (engine.Engine, error)
 			return 0, err
 		}
 		done := float64(res.Completed) / float64(len(reqs))
-		lat := res.Recorder.NormLatencySummary().Mean
+		lat := res.Recorder.Snapshot().NormLat.Mean
 		if done >= 0.99 && lat <= sloNormLatency {
 			best = rate
 		}

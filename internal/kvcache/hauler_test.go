@@ -130,11 +130,10 @@ func TestMgmtCostFig15bShape(t *testing.T) {
 	// ~26% less on the fetch path. Check the model lands in those
 	// neighbourhoods for a typical OPT-30B-like setup: 56 head groups,
 	// 1024-token context with 16-token blocks (64 blocks).
-	m := DefaultMgmtCost()
 	groups, blocks := 40, 64
 
-	storeRatio := m.HeadWiseStore(groups) / m.TokenWiseStore()
-	fetchRatio := m.HeadWiseFetch(groups, blocks) / m.TokenWiseFetch(blocks)
+	storeRatio := HeadWiseStore(groups) / TokenWiseStore()
+	fetchRatio := HeadWiseFetch(groups, blocks) / TokenWiseFetch(blocks)
 	t.Logf("store overhead %+.0f%%, fetch change %+.0f%%", (storeRatio-1)*100, (fetchRatio-1)*100)
 
 	if storeRatio < 1.05 || storeRatio > 1.30 {
@@ -145,15 +144,17 @@ func TestMgmtCostFig15bShape(t *testing.T) {
 	}
 }
 
-func TestMgmtCostDegenerateCores(t *testing.T) {
-	m := DefaultMgmtCost()
-	m.Cores = 0 // must clamp to 1, not divide by zero
-	if got := m.HeadWiseFetch(4, 4); got <= 0 {
-		t.Fatalf("HeadWiseFetch with 0 cores = %g", got)
+// TestMgmtCostDegenerateShapes: one head group stores at exactly the
+// token-wise cost, an empty context fetches at the fixed cost on both
+// paths, and the head-wise store cost grows with the group count.
+func TestMgmtCostDegenerateShapes(t *testing.T) {
+	if got, want := HeadWiseStore(1), TokenWiseStore(); got != want {
+		t.Errorf("one-group head-wise store %g, token-wise %g", got, want)
 	}
-	// Single-core head-wise fetch must cost at least token-wise.
-	m.Cores = 1
-	if m.HeadWiseFetch(4, 16) < m.TokenWiseFetch(16) {
-		t.Error("single-core head-wise fetch cannot be cheaper than token-wise")
+	if got, want := HeadWiseFetch(40, 0), TokenWiseFetch(0); got != want || got <= 0 {
+		t.Errorf("empty-context fetch: head-wise %g, token-wise %g", got, want)
+	}
+	if HeadWiseStore(80) <= HeadWiseStore(40) {
+		t.Error("head-wise store must cost more with more head groups")
 	}
 }

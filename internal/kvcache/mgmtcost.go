@@ -1,58 +1,47 @@
 package kvcache
 
-// MgmtCostModel prices the CPU-side cache-management work of a decode step,
-// reproducing the trade-off of Fig. 15(b): managing blocks per head group
-// issues more (smaller) table operations than vLLM's per-token scheme,
-// costing extra on the store path, while the block-indexing work on the
-// fetch path parallelizes across CPU cores and ends up faster.
-type MgmtCostModel struct {
-	// StoreFixed is the fixed kernel/launch cost of a store round.
-	StoreFixed float64
-	// StorePerOp is the cost of one block-table insert/append.
-	StorePerOp float64
-	// FetchFixed is the fixed cost of assembling a fetch.
-	FetchFixed float64
-	// FetchPerOp is the single-core cost of indexing one block.
-	FetchPerOp float64
-	// Cores is the CPU parallelism available to head-wise block indexing.
-	Cores int
-}
-
-// DefaultMgmtCost matches the constants used for the Fig. 15(b)
-// reproduction: ~3 µs per store round plus 10 ns per table op, ~2 µs per
-// fetch plus 50 ns per block index, 64-way CPU parallelism.
-func DefaultMgmtCost() MgmtCostModel {
-	return MgmtCostModel{
-		StoreFixed: 3e-6,
-		StorePerOp: 10e-9,
-		FetchFixed: 2e-6,
-		FetchPerOp: 50e-9,
-		Cores:      64,
-	}
-}
+// The cache-management cost model prices the CPU-side work of a decode
+// step, reproducing the trade-off of Fig. 15(b): managing blocks per head
+// group issues more (smaller) table operations than vLLM's per-token
+// scheme, costing extra on the store path, while the block-indexing work
+// on the fetch path parallelizes across CPU cores and ends up faster.
+//
+// Its constants are the Fig. 15(b) reproduction's: ~3 µs per store round
+// plus 10 ns per table op, ~2 µs per fetch plus 50 ns per block index,
+// 64-way CPU parallelism. They are typed, so every sum is rounded to
+// float64 as it would be at run time.
+const (
+	// storeFixed is the fixed kernel/launch cost of a store round.
+	storeFixed float64 = 3e-6
+	// storePerOp is the cost of one block-table insert/append.
+	storePerOp float64 = 10e-9
+	// fetchFixed is the fixed cost of assembling a fetch.
+	fetchFixed float64 = 2e-6
+	// fetchPerOp is the single-core cost of indexing one block.
+	fetchPerOp float64 = 50e-9
+	// mgmtCores is the CPU parallelism available to head-wise block
+	// indexing.
+	mgmtCores float64 = 64
+)
 
 // TokenWiseStore is vLLM's per-token store: one table append per step.
-func (m MgmtCostModel) TokenWiseStore() float64 {
-	return m.StoreFixed + m.StorePerOp
+func TokenWiseStore() float64 {
+	return storeFixed + storePerOp
 }
 
 // HeadWiseStore is Hetis' per-group store: one append per head group.
-func (m MgmtCostModel) HeadWiseStore(groups int) float64 {
-	return m.StoreFixed + float64(groups)*m.StorePerOp
+func HeadWiseStore(groups int) float64 {
+	return storeFixed + float64(groups)*storePerOp
 }
 
 // TokenWiseFetch indexes ctxBlocks blocks on a single core.
-func (m MgmtCostModel) TokenWiseFetch(ctxBlocks int) float64 {
-	return m.FetchFixed + float64(ctxBlocks)*m.FetchPerOp
+func TokenWiseFetch(ctxBlocks int) float64 {
+	return fetchFixed + float64(ctxBlocks)*fetchPerOp
 }
 
-// HeadWiseFetch indexes groups×ctxBlocks block entries spread across Cores
-// workers.
-func (m MgmtCostModel) HeadWiseFetch(groups, ctxBlocks int) float64 {
-	cores := m.Cores
-	if cores < 1 {
-		cores = 1
-	}
+// HeadWiseFetch indexes groups×ctxBlocks block entries spread across the
+// mgmtCores workers.
+func HeadWiseFetch(groups, ctxBlocks int) float64 {
 	ops := float64(groups) * float64(ctxBlocks)
-	return m.FetchFixed + ops*m.FetchPerOp/float64(cores)
+	return fetchFixed + ops*fetchPerOp/mgmtCores
 }

@@ -23,27 +23,14 @@ func benchRecords() *Recorder {
 	return rec
 }
 
-// BenchmarkSummarize3x is three independent summary calls, each walking
-// the records and copying the values.
-func BenchmarkSummarize3x(b *testing.B) {
+// BenchmarkSnapshotExact is the exact sink's bulk summary path: one
+// record walk, one allocation, in-place sorts.
+func BenchmarkSnapshotExact(b *testing.B) {
 	rec := benchRecords()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = rec.TTFTSummary()
-		_ = rec.TPOTSummary()
-		_ = rec.NormLatencySummary()
-	}
-}
-
-// BenchmarkSummariesBulk is the bulk path: one record walk, one
-// allocation, in-place sorts.
-func BenchmarkSummariesBulk(b *testing.B) {
-	rec := benchRecords()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, _ = rec.Summaries()
+		_ = rec.Snapshot()
 	}
 }
 

@@ -69,16 +69,15 @@ func TestSummariesExcludeDropped(t *testing.T) {
 	rec.Add(droppedRecord(2, 0)) // zero timestamps must not flatten TTFT
 	rec.Add(completedRecord(3, 0.75))
 
-	ttft := rec.TTFTSummary()
+	ttft := rec.Snapshot().TTFT
 	if ttft.Count != 2 {
 		t.Fatalf("TTFT summary count = %d, want 2 completed", ttft.Count)
 	}
 	if ttft.Min != 0.25 {
 		t.Fatalf("TTFT min = %v; dropped record's zero leaked into the summary", ttft.Min)
 	}
-	bttft, _, _ := rec.Summaries()
-	if bttft != ttft {
-		t.Fatalf("bulk Summaries diverged from TTFTSummary: %+v vs %+v", bttft, ttft)
+	if want := summarizeMetric(rec, RequestRecord.TTFT); ttft != want {
+		t.Fatalf("Snapshot TTFT diverged from the per-metric oracle: %+v vs %+v", ttft, want)
 	}
 }
 

@@ -157,47 +157,6 @@ type Summary struct {
 	Min, Max      float64
 }
 
-// Summarize computes a Summary of f over the completed records. Dropped
-// records are skipped: they never produced the measured latencies, and a
-// zero TTFT from a rejected request would flatter the percentiles.
-func (c *Recorder) Summarize(f func(RequestRecord) float64) Summary {
-	vals := make([]float64, 0, c.Completed())
-	for _, ch := range c.chunks() {
-		for _, r := range ch {
-			if r.Dropped {
-				continue
-			}
-			vals = append(vals, f(r))
-		}
-	}
-	return SummarizeValues(vals)
-}
-
-// TTFTSummary, TPOTSummary and NormLatencySummary are the three standard
-// aggregations of the paper's evaluation.
-func (c *Recorder) TTFTSummary() Summary {
-	return c.Summarize(RequestRecord.TTFT)
-}
-
-// TPOTSummary aggregates time-per-output-token.
-func (c *Recorder) TPOTSummary() Summary {
-	return c.Summarize(RequestRecord.TPOT)
-}
-
-// NormLatencySummary aggregates normalized end-to-end latency.
-func (c *Recorder) NormLatencySummary() Summary {
-	return c.Summarize(RequestRecord.NormLatency)
-}
-
-// Summaries computes the three standard summaries: Breakdown's run-wide
-// row, each series sorted once. The results are float-for-float identical
-// to the per-metric calls: a sorted multiset is unique, and both paths run
-// the same accumulation over it.
-func (c *Recorder) Summaries() (ttft, tpot, norm Summary) {
-	all, _ := c.Breakdown(SLOTarget{}, 0, func(string) string { return "" })
-	return all.TTFT, all.TPOT, all.NormLat
-}
-
 // SummarizeValues computes order statistics of a value slice.
 func SummarizeValues(vals []float64) Summary {
 	if len(vals) == 0 {

@@ -129,15 +129,14 @@ func TestRecorderSummaries(t *testing.T) {
 	if rec.Count() != 10 {
 		t.Fatalf("Count=%d", rec.Count())
 	}
-	ttft := rec.TTFTSummary()
-	if ttft.Mean != 5.5 {
-		t.Errorf("mean TTFT=%g want 5.5", ttft.Mean)
+	snap := rec.Snapshot()
+	if snap.TTFT.Mean != 5.5 {
+		t.Errorf("mean TTFT=%g want 5.5", snap.TTFT.Mean)
 	}
-	tpot := rec.TPOTSummary()
-	if math.Abs(tpot.Mean-1) > 1e-12 {
-		t.Errorf("mean TPOT=%g want 1", tpot.Mean)
+	if math.Abs(snap.TPOT.Mean-1) > 1e-12 {
+		t.Errorf("mean TPOT=%g want 1", snap.TPOT.Mean)
 	}
-	if nl := rec.NormLatencySummary(); nl.Count != 10 {
+	if nl := snap.NormLat; nl.Count != 10 {
 		t.Errorf("norm latency count=%d", nl.Count)
 	}
 }

@@ -121,16 +121,19 @@ func (c *Recorder) Observe(r RequestRecord) { c.Add(r) }
 // ObserveBatch implements BatchSink.
 func (c *Recorder) ObserveBatch(recs []RequestRecord) { c.AddBatch(recs) }
 
-// Snapshot implements Sink, using the bulk Summaries path.
+// Snapshot implements Sink. Its summaries are Breakdown's run-wide row
+// over the completed records, each series sorted once; dropped records are
+// skipped, since a zero TTFT from a rejected request would flatter the
+// percentiles.
 func (c *Recorder) Snapshot() Snapshot {
-	ttft, tpot, norm := c.Summaries()
+	all, _ := c.Breakdown(SLOTarget{}, 0, func(string) string { return "" })
 	return Snapshot{
 		Count:    c.Completed(),
 		Dropped:  c.DroppedCount(),
-		Attained: c.Attained(c.slo),
-		TTFT:     ttft,
-		TPOT:     tpot,
-		NormLat:  norm,
+		Attained: c.attained(c.slo),
+		TTFT:     all.TTFT,
+		TPOT:     all.TPOT,
+		NormLat:  all.NormLat,
 	}
 }
 

@@ -207,8 +207,9 @@ func TestKeyedMuxMatchesExactSplit(t *testing.T) {
 	}
 }
 
-// TestSummariesBulkMatchesPerMetric pins the bulk path's float-for-float
-// equivalence with the three separate summary calls.
+// TestSummariesBulkMatchesPerMetric pins the exact Snapshot's bulk
+// summaries float for float against summarizing each metric's extracted
+// values on its own.
 func TestSummariesBulkMatchesPerMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rec := NewExactRecorder(SLOTarget{})
@@ -220,22 +221,33 @@ func TestSummariesBulkMatchesPerMetric(t *testing.T) {
 			OutputLen:  1 + rng.Intn(50),
 		})
 	}
-	ttft, tpot, norm := rec.Summaries()
-	if want := rec.TTFTSummary(); ttft != want {
-		t.Errorf("bulk TTFT %+v != per-metric %+v", ttft, want)
+	snap := rec.Snapshot()
+	if want := summarizeMetric(rec, RequestRecord.TTFT); snap.TTFT != want {
+		t.Errorf("bulk TTFT %+v != per-metric %+v", snap.TTFT, want)
 	}
-	if want := rec.TPOTSummary(); tpot != want {
-		t.Errorf("bulk TPOT %+v != per-metric %+v", tpot, want)
+	if want := summarizeMetric(rec, RequestRecord.TPOT); snap.TPOT != want {
+		t.Errorf("bulk TPOT %+v != per-metric %+v", snap.TPOT, want)
 	}
-	if want := rec.NormLatencySummary(); norm != want {
-		t.Errorf("bulk NormLat %+v != per-metric %+v", norm, want)
+	if want := summarizeMetric(rec, RequestRecord.NormLatency); snap.NormLat != want {
+		t.Errorf("bulk NormLat %+v != per-metric %+v", snap.NormLat, want)
 	}
 
 	var empty Recorder
-	a, b, c := empty.Summaries()
-	if a != (Summary{}) || b != (Summary{}) || c != (Summary{}) {
-		t.Errorf("empty recorder bulk summaries not zero: %+v %+v %+v", a, b, c)
+	if e := empty.Snapshot(); e.TTFT != (Summary{}) || e.TPOT != (Summary{}) || e.NormLat != (Summary{}) {
+		t.Errorf("empty recorder bulk summaries not zero: %+v", e)
 	}
+}
+
+// summarizeMetric is the per-metric oracle for the exact summaries:
+// SummarizeValues over f of every completed record, in insertion order.
+func summarizeMetric(c *Recorder, f func(RequestRecord) float64) Summary {
+	var vals []float64
+	for _, r := range c.Records() {
+		if !r.Dropped {
+			vals = append(vals, f(r))
+		}
+	}
+	return SummarizeValues(vals)
 }
 
 // TestWindowedSeries covers bucketing, gap filling, and goodput math.

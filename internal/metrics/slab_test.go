@@ -68,8 +68,8 @@ func TestRecorderChunkingMatchesFlat(t *testing.T) {
 
 	// Every aggregate must be identical whether the records lived in one
 	// slab or several chunks.
-	if got, want := chunked.Attained(slo), flat.Attained(slo); got != want {
-		t.Fatalf("Attained() = %d want %d", got, want)
+	if got, want := chunked.attained(slo), flat.attained(slo); got != want {
+		t.Fatalf("attained() = %d want %d", got, want)
 	}
 	whole := func(string) string { return "" }
 	chunkedAll, _ := chunked.Breakdown(slo, horizon, whole)
@@ -80,10 +80,19 @@ func TestRecorderChunkingMatchesFlat(t *testing.T) {
 	if got, want := chunkedAll.Goodput, flatAll.Goodput; got != want {
 		t.Fatalf("Goodput = %v want %v", got, want)
 	}
-	ct, cp, cn := chunked.Summaries()
-	ft, fp, fn := flat.Summaries()
-	if ct != ft || cp != fp || cn != fn {
-		t.Fatalf("Summaries() diverged between chunked and flat recorders")
+	cs := chunked.Snapshot()
+	for _, m := range []struct {
+		name string
+		got  Summary
+		f    func(RequestRecord) float64
+	}{
+		{"TTFT", cs.TTFT, RequestRecord.TTFT},
+		{"TPOT", cs.TPOT, RequestRecord.TPOT},
+		{"NormLat", cs.NormLat, RequestRecord.NormLatency},
+	} {
+		if want := summarizeMetric(flat, m.f); m.got != want {
+			t.Fatalf("chunked Snapshot %s %+v, flat per-metric %+v", m.name, m.got, want)
+		}
 	}
 	call, cgroups := chunked.Breakdown(slo, horizon, sameGroup)
 	fall, fgroups := flat.Breakdown(slo, horizon, sameGroup)

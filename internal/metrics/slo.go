@@ -32,8 +32,8 @@ func (s SLOTarget) met(ttft, tpot float64) bool {
 	return !(s.TTFT > 0 && ttft > s.TTFT) && !(s.TPOT > 0 && tpot > s.TPOT)
 }
 
-// Attained counts the recorded requests meeting the SLO.
-func (c *Recorder) Attained(slo SLOTarget) int {
+// attained counts the recorded requests meeting the SLO.
+func (c *Recorder) attained(slo SLOTarget) int {
 	n := 0
 	for _, ch := range c.chunks() {
 		for _, r := range ch {

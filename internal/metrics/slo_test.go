@@ -58,8 +58,8 @@ func TestAttainmentAndGoodput(t *testing.T) {
 	c.Add(rec("", 0.5, 0.05))
 	c.Add(rec("", 2.0, 0.05))
 	c.Add(rec("", 0.5, 0.5))
-	if got := c.Attained(slo); got != 2 {
-		t.Errorf("Attained = %d, want 2", got)
+	if got := c.attained(slo); got != 2 {
+		t.Errorf("attained = %d, want 2", got)
 	}
 	snap := c.Snapshot()
 	if got := snap.Attainment(); math.Abs(got-0.5) > 1e-12 {

@@ -81,7 +81,8 @@ type Options struct {
 func DefaultOptions() Options { return Options{Delta: 0.05} }
 
 // MemHeadroom is the fraction of device memory reserved for activations
-// and fragmentation (not weights, not KV cache).
+// and fragmentation (not weights, not KV cache). The planner and every
+// engine reserve this one value, so a plan's cache is the built engine's.
 const MemHeadroom = 0.08
 
 // cacheTolerance picks, among groupings whose objective is within
@@ -319,7 +320,8 @@ func searchInstance(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Co
 		var unit []float64
 		for _, s := range states {
 			if s.prim > 0 {
-				unit = append(unit, est.DenseLayerTime(s.spec, decodeBatch, 1)/float64(s.prim))
+				d := est.Compile(s.spec, 1)
+				unit = append(unit, d.DenseLayerTime(decodeBatch)/float64(s.prim))
 			}
 		}
 		if len(unit) == 0 {
@@ -490,8 +492,9 @@ func assembleProto(cluster *hardware.Cluster, est *perf.Estimator, cfg model.Con
 	}
 	// LM head on the last stage.
 	last := protoStages[len(protoStages)-1]
-	decodeCost += est.LMHeadTime(last.spec, decodeBatch, last.tp)
-	prefillCost += est.LMHeadTime(last.spec, prefillBatch, last.tp)
+	lm := est.Compile(last.spec, last.tp)
+	decodeCost += lm.LMHeadTime(decodeBatch)
+	prefillCost += lm.LMHeadTime(prefillBatch)
 
 	// Cache capacity: leftover memory on primaries plus all memory on
 	// attention workers (minus headroom).
@@ -549,7 +552,8 @@ func activeStages(states []typeState, cfg model.Config, est *perf.Estimator, dec
 	sort.Slice(idx, func(a, b int) bool { return states[idx[a]].spec.Tier > states[idx[b]].spec.Tier })
 	unit := make([]float64, len(idx))
 	for k, i := range idx {
-		unit[k] = est.DenseLayerTime(states[i].spec, decodeBatch, 1) / float64(states[i].prim)
+		d := est.Compile(states[i].spec, 1)
+		unit[k] = d.DenseLayerTime(decodeBatch) / float64(states[i].prim)
 	}
 	layers := apportionMinMax(cfg.Layers, unit)
 	out := make([]activeStage, 0, len(idx))

@@ -189,9 +189,7 @@ func FuzzStageCost(f *testing.F) {
 		check("PrefillTime", sc.PrefillTime(prompts), oracleStagePrefillTime(cfg, st, prompts, ln))
 		check("AttnDecodeTime", sc.AttnDecodeTime(int(heads), cache), oracleAttnDecodeTime(st.Spec, int(heads), cache))
 		check("LMHeadTime", sc.LMHeadTime(n), oracleLMHeadTime(cfg, st.Spec, n, st.TP))
-		check("Estimator.AttnDecodeTime", est.AttnDecodeTime(st.Spec, int(heads), cache), oracleAttnDecodeTime(st.Spec, int(heads), cache))
-		check("Estimator.LMHeadTime", est.LMHeadTime(st.Spec, n, st.TP), oracleLMHeadTime(cfg, st.Spec, n, st.TP))
-		check("Estimator.DenseLayerTime", est.DenseLayerTime(st.Spec, n, st.TP), oracleDenseLayerTime(cfg, st.Spec, n, st.TP))
-		check("Estimator.AttnPrefillLayerTime", est.AttnPrefillLayerTime(st.Spec, prompts, st.TP), oracleAttnPrefillLayerTime(cfg, st.Spec, prompts, st.TP))
+		check("DenseLayerTime", sc.DenseLayerTime(n), oracleDenseLayerTime(cfg, st.Spec, n, st.TP))
+		check("AttnPrefillLayerTime", sc.AttnPrefillLayerTime(prompts), oracleAttnPrefillLayerTime(cfg, st.Spec, prompts, st.TP))
 	})
 }

@@ -11,7 +11,8 @@ import (
 func BenchmarkDenseLayerTime(b *testing.B) {
 	e := New(model.Llama70B)
 	for i := 0; i < b.N; i++ {
-		_ = e.DenseLayerTime(hardware.A100, 64, 4)
+		d := e.Compile(hardware.A100, 4)
+		_ = d.DenseLayerTime(64)
 	}
 }
 
@@ -19,15 +20,18 @@ func BenchmarkDenseLayerTime(b *testing.B) {
 func BenchmarkAttnDecodeTime(b *testing.B) {
 	e := New(model.Llama70B)
 	for i := 0; i < b.N; i++ {
-		_ = e.AttnDecodeTime(hardware.P100, 2048, 1<<30)
+		d := e.Compile(hardware.P100, 1)
+		_ = d.AttnDecodeTime(2048, 1<<30)
 	}
 }
 
-// BenchmarkPrefillStepTime measures a full prefill estimate.
-func BenchmarkPrefillStepTime(b *testing.B) {
+// BenchmarkPrefillCost measures a full prefill estimate: compile the
+// device, then price dense, prompt attention and LM head over 40 layers.
+func BenchmarkPrefillCost(b *testing.B) {
 	e := New(model.Llama13B)
 	prompts := []int{512, 900, 300, 1400}
 	for i := 0; i < b.N; i++ {
-		_ = e.PrefillStepTime(hardware.A100, prompts, 40, 4)
+		d := e.Compile(hardware.A100, 4)
+		_ = 40*d.DenseLayerTime(3112) + 40*d.AttnPrefillLayerTime(prompts) + d.LMHeadTime(len(prompts))
 	}
 }

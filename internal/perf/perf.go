@@ -71,9 +71,8 @@ func (e *Estimator) Config() model.Config { return e.cfg }
 // tensor-parallel degree: every model and device constant the module
 // formulas read, derived once by Compile, so a caller that prices many
 // iterations on one device reads fields instead of re-deriving them from
-// value copies of the spec and the model config. The Estimator's per-call
-// methods compile a record and price through it, so each module has one
-// formula.
+// value copies of the spec and the model config. Every module time is
+// priced through a compiled record, so each module has one formula.
 type DeviceCost struct {
 	tp   float64 // the tensor-parallel degree, at least 1
 	lmTP float64 // the degree as given, which the LM head divides by
@@ -142,7 +141,11 @@ func (d *DeviceCost) roofline(flops, bytes, rows, launch float64) float64 {
 // between pipeline stages and reduced across a tensor-parallel group.
 func (d *DeviceCost) HiddenStateBytes(n int) int64 { return int64(n) * d.hiddenBytes }
 
-// DenseLayerTime is Estimator.DenseLayerTime on the compiled device.
+// DenseLayerTime is the time for the parameter-carrying modules (QKV
+// projection, output projection, MLP) of ONE layer processing tokens rows,
+// with the layer's weights sharded tp ways (tensor parallelism divides both
+// FLOPs and weight traffic). Weight bytes are charged because at decode
+// batch sizes dense modules are weight-bandwidth-bound.
 func (d *DeviceCost) DenseLayerTime(tokens int) float64 {
 	if tokens <= 0 {
 		return 0
@@ -153,7 +156,8 @@ func (d *DeviceCost) DenseLayerTime(tokens int) float64 {
 	return d.roofline(flops, d.weightBytes+actBytes, t, d.denseLaunch)
 }
 
-// LMHeadTime is Estimator.LMHeadTime on the compiled device.
+// LMHeadTime is the final vocabulary projection for tokens rows, sharded tp
+// ways. Only the last pipeline stage pays it.
 func (d *DeviceCost) LMHeadTime(tokens int) float64 {
 	if tokens <= 0 {
 		return 0
@@ -163,8 +167,9 @@ func (d *DeviceCost) LMHeadTime(tokens int) float64 {
 	return d.roofline(flops, d.lmBytes, t, d.lmLaunch)
 }
 
-// AttnPrefillLayerTime is Estimator.AttnPrefillLayerTime on the compiled
-// device.
+// AttnPrefillLayerTime is the attention-score computation of one layer for a
+// set of prompts being prefilled together, with heads sharded tp ways.
+// Prefill attention is compute-bound (quadratic in prompt length).
 func (d *DeviceCost) AttnPrefillLayerTime(promptLens []int) float64 {
 	if len(promptLens) == 0 {
 		return 0
@@ -183,8 +188,16 @@ func (d *DeviceCost) AttnPrefillLayerTime(promptLens []int) float64 {
 	return d.roofline(flops, kvBytes, rows, d.attnLaunch)
 }
 
-// AttnDecodeTime is Estimator.AttnDecodeTime on the compiled device; it
-// does not depend on the tensor-parallel degree.
+// AttnDecodeTime is the ground truth for the quantity the paper models as
+// τᵢ(t) = aᵢ·hᵢ(t) + bᵢ·gᵢ(t) + cᵢ (Eq. 3): the per-layer decode-attention
+// time on a device computing `heads` query heads whose footprint on the
+// device is cacheBytes of K/V for that layer. It does not depend on the
+// tensor-parallel degree.
+//
+// The decode attention kernel is memory-bound (it streams the KV cache from
+// HBM once) with a per-head scheduling cost and a fixed launch cost. A mild
+// bandwidth-saturation term makes the ground truth not exactly linear, so
+// the Profiler's linear fit is an approximation, as it is on real hardware.
 func (d *DeviceCost) AttnDecodeTime(heads int, cacheBytes int64) float64 {
 	if heads <= 0 || cacheBytes <= 0 {
 		return 0
@@ -210,50 +223,6 @@ func (d *DeviceCost) AttnDecodeTime(heads int, cacheBytes int64) float64 {
 	contention := issue * h / 16384
 
 	return issue + stream + contention + d.attnLaunch
-}
-
-// DenseLayerTime is the time for the parameter-carrying modules (QKV
-// projection, output projection, MLP) of ONE layer processing tokens rows,
-// with the layer's weights sharded tp ways (tensor parallelism divides both
-// FLOPs and weight traffic). Weight bytes are charged because at decode
-// batch sizes dense modules are weight-bandwidth-bound.
-func (e *Estimator) DenseLayerTime(spec hardware.GPUSpec, tokens int, tp int) float64 {
-	d := e.Compile(spec, tp)
-	return d.DenseLayerTime(tokens)
-}
-
-// DenseIterTime is DenseLayerTime summed over layers.
-func (e *Estimator) DenseIterTime(spec hardware.GPUSpec, tokens, layers, tp int) float64 {
-	return float64(layers) * e.DenseLayerTime(spec, tokens, tp)
-}
-
-// LMHeadTime is the final vocabulary projection for tokens rows, sharded tp
-// ways. Only the last pipeline stage pays it.
-func (e *Estimator) LMHeadTime(spec hardware.GPUSpec, tokens, tp int) float64 {
-	d := e.Compile(spec, tp)
-	return d.LMHeadTime(tokens)
-}
-
-// AttnPrefillLayerTime is the attention-score computation of one layer for a
-// set of prompts being prefilled together, with heads sharded tp ways.
-// Prefill attention is compute-bound (quadratic in prompt length).
-func (e *Estimator) AttnPrefillLayerTime(spec hardware.GPUSpec, promptLens []int, tp int) float64 {
-	d := e.Compile(spec, tp)
-	return d.AttnPrefillLayerTime(promptLens)
-}
-
-// AttnDecodeTime is the ground truth for the quantity the paper models as
-// τᵢ(t) = aᵢ·hᵢ(t) + bᵢ·gᵢ(t) + cᵢ (Eq. 3): the per-layer decode-attention
-// time on a device computing `heads` query heads whose footprint on the
-// device is cacheBytes of K/V for that layer.
-//
-// The decode attention kernel is memory-bound (it streams the KV cache from
-// HBM once) with a per-head scheduling cost and a fixed launch cost. A mild
-// bandwidth-saturation term makes the ground truth not exactly linear, so
-// the Profiler's linear fit is an approximation, as it is on real hardware.
-func (e *Estimator) AttnDecodeTime(spec hardware.GPUSpec, heads int, cacheBytes int64) float64 {
-	d := e.Compile(spec, 1)
-	return d.AttnDecodeTime(heads, cacheBytes)
 }
 
 // CacheBytesPerLayer is the single-layer KV footprint of `heads` query
@@ -304,27 +273,4 @@ func (e *Estimator) SeqScatterBytes() int64 {
 	full := 2 * int64(e.cfg.Heads) * int64(e.cfg.QHeadBytes())
 	stats := int64(e.cfg.Heads) * 2 * 4
 	return full + stats
-}
-
-// DecodeStepDenseTime is a convenience: full dense time of a decode step of
-// `tokens` sequences over `layers` layers plus the LM head (applied once).
-func (e *Estimator) DecodeStepDenseTime(spec hardware.GPUSpec, tokens, layers, tp int) float64 {
-	return e.DenseIterTime(spec, tokens, layers, tp) + e.LMHeadTime(spec, tokens, tp)
-}
-
-// PrefillStepTime is the full single-device time to prefill prompts with
-// the given lengths over `layers` layers: dense modules plus prompt
-// attention plus the LM head for the last token of each prompt.
-func (e *Estimator) PrefillStepTime(spec hardware.GPUSpec, promptLens []int, layers, tp int) float64 {
-	if len(promptLens) == 0 {
-		return 0
-	}
-	total := 0
-	for _, l := range promptLens {
-		total += l
-	}
-	dense := e.DenseIterTime(spec, total, layers, tp)
-	attn := float64(layers) * e.AttnPrefillLayerTime(spec, promptLens, tp)
-	lm := e.LMHeadTime(spec, len(promptLens), tp)
-	return dense + attn + lm
 }

@@ -11,18 +11,20 @@ import (
 
 func TestDenseLayerTimeBasics(t *testing.T) {
 	e := New(model.OPT27B)
-	if got := e.DenseLayerTime(hardware.A100, 0, 1); got != 0 {
+	d := e.Compile(hardware.A100, 1)
+	if got := d.DenseLayerTime(0); got != 0 {
 		t.Errorf("zero tokens should cost 0, got %g", got)
 	}
-	t1 := e.DenseLayerTime(hardware.A100, 100, 1)
-	t2 := e.DenseLayerTime(hardware.A100, 200, 1)
+	t1 := d.DenseLayerTime(100)
+	t2 := d.DenseLayerTime(200)
 	if t2 <= t1 {
 		t.Errorf("dense time should grow with tokens: %g vs %g", t1, t2)
 	}
 	// TP divides the work; with saturation and fixed overheads the speedup
 	// is sublinear but must be a speedup.
-	tp2 := e.DenseLayerTime(hardware.A100, 4096, 2)
-	full := e.DenseLayerTime(hardware.A100, 4096, 1)
+	d2 := e.Compile(hardware.A100, 2)
+	tp2 := d2.DenseLayerTime(4096)
+	full := d.DenseLayerTime(4096)
 	if tp2 >= full {
 		t.Errorf("tp=2 should be faster at large batch: %g vs %g", tp2, full)
 	}
@@ -31,21 +33,13 @@ func TestDenseLayerTimeBasics(t *testing.T) {
 	}
 }
 
-func TestDenseIterTimeScalesWithLayers(t *testing.T) {
-	e := New(model.OPT27B)
-	one := e.DenseIterTime(hardware.A100, 32, 1, 1)
-	ten := e.DenseIterTime(hardware.A100, 32, 10, 1)
-	if math.Abs(ten-10*one) > 1e-12 {
-		t.Errorf("iter time not linear in layers: %g vs %g", ten, 10*one)
-	}
-}
-
 func TestDecodeIsWeightBandwidthBound(t *testing.T) {
 	// At decode batch sizes, dense module time on an A100 should track the
 	// weight-read time, not the FLOP time.
 	e := New(model.OPT27B)
 	cfg := model.OPT27B
-	got := e.DenseLayerTime(hardware.A100, 8, 1)
+	d := e.Compile(hardware.A100, 1)
+	got := d.DenseLayerTime(8)
 	weightRead := float64(cfg.LayerWeightBytes()) / hardware.A100.EffBandwidth()
 	if got < weightRead {
 		t.Errorf("decode layer time %g below weight-read floor %g", got, weightRead)
@@ -58,18 +52,18 @@ func TestDecodeIsWeightBandwidthBound(t *testing.T) {
 func TestAttnDecodeTimeLinearity(t *testing.T) {
 	// Fig. 7: attention time should be (near-)linear in the number of
 	// heads at fixed cache, and in the cache size at fixed heads.
-	e := New(model.OPT30B)
+	d := New(model.OPT30B).Compile(hardware.A100, 1)
 	const mb = int64(1) << 20
-	base := e.AttnDecodeTime(hardware.A100, 1000, 512*mb)
-	dblHeads := e.AttnDecodeTime(hardware.A100, 2000, 512*mb)
-	dblCache := e.AttnDecodeTime(hardware.A100, 1000, 1024*mb)
+	base := d.AttnDecodeTime(1000, 512*mb)
+	dblHeads := d.AttnDecodeTime(2000, 512*mb)
+	dblCache := d.AttnDecodeTime(1000, 1024*mb)
 	if dblHeads <= base || dblCache <= base {
 		t.Fatalf("attention time must increase with heads and cache: %g %g %g", base, dblHeads, dblCache)
 	}
 	// Marginal cost of heads should be near-constant (linearity): compare
 	// slope on [1000,2000] vs [2000,3000].
 	s1 := dblHeads - base
-	s2 := e.AttnDecodeTime(hardware.A100, 3000, 512*mb) - dblHeads
+	s2 := d.AttnDecodeTime(3000, 512*mb) - dblHeads
 	if math.Abs(s2-s1)/s1 > 0.25 {
 		t.Errorf("head slope not near-linear: %g vs %g", s1, s2)
 	}
@@ -80,6 +74,7 @@ func TestAttnDecodeBatchInvariance(t *testing.T) {
 	// they are split across must not matter. Our ground truth only sees
 	// (heads, bytes), so this is exact.
 	e := New(model.OPT30B)
+	a100 := e.Compile(hardware.A100, 1)
 	// decode prices n requests of the given heads each at 1000 tokens of
 	// context, decoded together on one device in one layer.
 	decode := func(n, heads int) float64 {
@@ -87,7 +82,7 @@ func TestAttnDecodeBatchInvariance(t *testing.T) {
 		for i := 0; i < n; i++ {
 			bytes += e.CacheBytesPerLayer(heads, 1000)
 		}
-		return e.AttnDecodeTime(hardware.A100, n*heads, bytes)
+		return a100.AttnDecodeTime(n*heads, bytes)
 	}
 	a, b := decode(1, 560), decode(10, 56)
 	if math.Abs(a-b)/a > 1e-9 {
@@ -100,12 +95,13 @@ func TestAttnGapSmallerThanDenseGap(t *testing.T) {
 	// (dense) than for Attention. This asymmetry is what Hetis exploits.
 	e := New(model.Llama70B)
 	tokens := 400
-	denseA := e.DenseLayerTime(hardware.A100, tokens, 1)
-	denseP := e.DenseLayerTime(hardware.P100, tokens, 1)
+	a100, p100 := e.Compile(hardware.A100, 1), e.Compile(hardware.P100, 1)
+	denseA := a100.DenseLayerTime(tokens)
+	denseP := p100.DenseLayerTime(tokens)
 	heads := tokens * model.Llama70B.Heads
 	cache := e.CacheBytesPerLayer(model.Llama70B.Heads, 1000) * int64(tokens)
-	attnA := e.AttnDecodeTime(hardware.A100, heads, cache)
-	attnP := e.AttnDecodeTime(hardware.P100, heads, cache)
+	attnA := a100.AttnDecodeTime(heads, cache)
+	attnP := p100.AttnDecodeTime(heads, cache)
 
 	denseGap := denseP / denseA
 	attnGap := attnP / attnA
@@ -183,26 +179,29 @@ func TestHeadWiseBeatsSeqWiseTraffic(t *testing.T) {
 	}
 }
 
-func TestPrefillStepTime(t *testing.T) {
-	e := New(model.Llama13B)
-	if got := e.PrefillStepTime(hardware.A100, nil, 40, 1); got != 0 {
-		t.Errorf("empty prefill should cost 0, got %g", got)
+func TestPrefillCostGrowsWithPrompt(t *testing.T) {
+	d := New(model.Llama13B).Compile(hardware.A100, 1)
+	if got := d.AttnPrefillLayerTime(nil); got != 0 {
+		t.Errorf("empty prefill attention should cost 0, got %g", got)
 	}
-	short := e.PrefillStepTime(hardware.A100, []int{128}, 40, 1)
-	long := e.PrefillStepTime(hardware.A100, []int{2048}, 40, 1)
-	if long <= short {
+	// prefill is one prompt's dense, attention and LM-head time over 40
+	// layers, priced the way the engines price a prefill step.
+	prefill := func(l int) float64 {
+		return 40*d.DenseLayerTime(l) + 40*d.AttnPrefillLayerTime([]int{l}) + d.LMHeadTime(1)
+	}
+	if short, long := prefill(128), prefill(2048); long <= short {
 		t.Errorf("longer prompt must cost more: %g vs %g", short, long)
 	}
 }
 
 func TestPropertyMonotoneInTokens(t *testing.T) {
-	e := New(model.OPT27B)
+	d := New(model.OPT27B).Compile(hardware.RTX3090, 1)
 	f := func(a, b uint16) bool {
 		x, y := int(a)%4096+1, int(b)%4096+1
 		if x > y {
 			x, y = y, x
 		}
-		return e.DenseLayerTime(hardware.RTX3090, x, 1) <= e.DenseLayerTime(hardware.RTX3090, y, 1)+1e-15
+		return d.DenseLayerTime(x) <= d.DenseLayerTime(y)+1e-15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -210,7 +209,7 @@ func TestPropertyMonotoneInTokens(t *testing.T) {
 }
 
 func TestPropertyAttnMonotone(t *testing.T) {
-	e := New(model.Llama70B)
+	d := New(model.Llama70B).Compile(hardware.P100, 1)
 	f := func(h1, h2 uint16, g1, g2 uint32) bool {
 		ha, hb := int(h1)%5000+1, int(h2)%5000+1
 		ga, gb := int64(g1)%(1<<30)+1, int64(g2)%(1<<30)+1
@@ -220,7 +219,7 @@ func TestPropertyAttnMonotone(t *testing.T) {
 		if ga > gb {
 			ga, gb = gb, ga
 		}
-		return e.AttnDecodeTime(hardware.P100, ha, ga) <= e.AttnDecodeTime(hardware.P100, hb, gb)+1e-15
+		return d.AttnDecodeTime(ha, ga) <= d.AttnDecodeTime(hb, gb)+1e-15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

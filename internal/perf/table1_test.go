@@ -28,12 +28,14 @@ func table1Times(spec hardware.GPUSpec) (prefill, decode float64) {
 	for i := range prompts {
 		prompts[i] = table1PromptLen
 	}
-	prefill = e.PrefillStepTime(spec, prompts, cfg.Layers, 1)
+	d := e.Compile(spec, 1)
+	layers := float64(cfg.Layers)
+	prefill = layers*d.DenseLayerTime(table1Prefills*table1PromptLen) + layers*d.AttnPrefillLayerTime(prompts) + d.LMHeadTime(table1Prefills)
 
-	decode = e.DecodeStepDenseTime(spec, table1Decodes, cfg.Layers, 1)
+	decode = layers*d.DenseLayerTime(table1Decodes) + d.LMHeadTime(table1Decodes)
 	heads := table1Decodes * cfg.Heads
 	cache := e.CacheBytesPerLayer(cfg.Heads, table1DecodeCtx) * table1Decodes
-	decode += float64(cfg.Layers) * e.AttnDecodeTime(spec, heads, cache)
+	decode += layers * d.AttnDecodeTime(heads, cache)
 	return prefill, decode
 }
 

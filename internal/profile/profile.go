@@ -65,33 +65,21 @@ type Profile struct {
 	NetAccuracy  map[hardware.DeviceID]float64
 }
 
-// Options tunes the profiling run.
-type Options struct {
-	// GridPoints is the number of sample values per axis (the paper uses
-	// 8 h-values × 8 g-values).
-	GridPoints int
-	// MaxHeads and MaxCacheBytes bound the sampled operating range.
-	MaxHeads      int
-	MaxCacheBytes int64
-}
-
-// DefaultOptions mirrors the paper's profiling configuration.
-func DefaultOptions() Options {
-	return Options{GridPoints: 8, MaxHeads: 4096, MaxCacheBytes: 4 << 30}
-}
+// The paper's profiling configuration: gridPoints sample values per axis
+// (8 h-values × 8 g-values), over heads up to maxHeads and cache up to
+// maxCacheBytes.
+const (
+	gridPoints    = 8
+	maxHeads      = 4096
+	maxCacheBytes = int64(4 << 30)
+)
 
 // Run profiles every device of the cluster against the ground-truth
 // estimator and fits the linear models. primary designates the device whose
 // links carry the scattered heads.
-func Run(est *perf.Estimator, cluster *hardware.Cluster, primary hardware.DeviceID, opts Options) (*Profile, error) {
+func Run(est *perf.Estimator, cluster *hardware.Cluster, primary hardware.DeviceID) (*Profile, error) {
 	if cluster == nil || primary < 0 || int(primary) >= cluster.NumDevices() {
 		return nil, fmt.Errorf("profile: primary device %d is not in the cluster", primary)
-	}
-	if opts.GridPoints < 2 {
-		return nil, fmt.Errorf("profile: need at least 2 grid points, got %d", opts.GridPoints)
-	}
-	if opts.MaxHeads < opts.GridPoints || opts.MaxCacheBytes < int64(opts.GridPoints) {
-		return nil, fmt.Errorf("profile: operating range too small for %d grid points", opts.GridPoints)
 	}
 	p := &Profile{
 		Model:        est.Config(),
@@ -102,11 +90,11 @@ func Run(est *perf.Estimator, cluster *hardware.Cluster, primary hardware.Device
 		NetAccuracy:  make(map[hardware.DeviceID]float64, cluster.NumDevices()),
 	}
 	for _, dev := range cluster.Devices {
-		am, aacc := fitAttn(est, dev.Spec, opts)
+		am, aacc := fitAttn(est, dev.Spec)
 		p.Attn[dev.ID] = am
 		p.AttnAccuracy[dev.ID] = aacc
 
-		nm, nacc := fitNet(est, cluster.Link(primary, dev.ID), opts)
+		nm, nacc := fitNet(est, cluster.Link(primary, dev.ID))
 		p.Net[dev.ID] = nm
 		p.NetAccuracy[dev.ID] = nacc
 	}
@@ -114,15 +102,15 @@ func Run(est *perf.Estimator, cluster *hardware.Cluster, primary hardware.Device
 }
 
 // fitAttn samples the ground-truth attention time on a grid and fits Eq. 3.
-func fitAttn(est *perf.Estimator, spec hardware.GPUSpec, opts Options) (AttnModel, float64) {
-	n := opts.GridPoints
+func fitAttn(est *perf.Estimator, spec hardware.GPUSpec) (AttnModel, float64) {
+	n := gridPoints
 	dc := est.Compile(spec, 1)
 	var feats [][3]float64
 	var ys []float64
 	for i := 1; i <= n; i++ {
-		h := i * opts.MaxHeads / n
+		h := i * maxHeads / n
 		for j := 1; j <= n; j++ {
-			g := int64(j) * opts.MaxCacheBytes / int64(n)
+			g := int64(j) * maxCacheBytes / int64(n)
 			y := dc.AttnDecodeTime(h, g)
 			feats = append(feats, [3]float64{float64(h), float64(g), 1})
 			ys = append(ys, y)
@@ -135,8 +123,8 @@ func fitAttn(est *perf.Estimator, spec hardware.GPUSpec, opts Options) (AttnMode
 	var relErr float64
 	var count int
 	for i := 1; i < n; i++ {
-		h := i*opts.MaxHeads/n + opts.MaxHeads/(2*n)
-		g := int64(i)*opts.MaxCacheBytes/int64(n) + opts.MaxCacheBytes/int64(2*n)
+		h := i*maxHeads/n + maxHeads/(2*n)
+		g := int64(i)*maxCacheBytes/int64(n) + maxCacheBytes/int64(2*n)
 		truth := dc.AttnDecodeTime(h, g)
 		if truth <= 0 {
 			continue
@@ -152,13 +140,13 @@ func fitAttn(est *perf.Estimator, spec hardware.GPUSpec, opts Options) (AttnMode
 }
 
 // fitNet samples the link and fits Eq. 4. The volume grid covers the bytes
-// implied by scattering 1..MaxHeads heads (Eq. 4's d = (2+2/r)·h model).
-func fitNet(est *perf.Estimator, link hardware.LinkSpec, opts Options) (NetModel, float64) {
-	n := opts.GridPoints
+// implied by scattering 1..maxHeads heads (Eq. 4's d = (2+2/r)·h model).
+func fitNet(est *perf.Estimator, link hardware.LinkSpec) (NetModel, float64) {
+	n := gridPoints
 	var feats [][3]float64
 	var ys []float64
 	for i := 1; i <= n; i++ {
-		h := i * opts.MaxHeads / n
+		h := i * maxHeads / n
 		bytes := est.HeadScatterBytes(h)
 		y := perf.P2PTime(link, bytes)
 		feats = append(feats, [3]float64{float64(bytes), 1, 0})
@@ -170,7 +158,7 @@ func fitNet(est *perf.Estimator, link hardware.LinkSpec, opts Options) (NetModel
 	var relErr float64
 	var count int
 	for i := 1; i < n; i++ {
-		h := i*opts.MaxHeads/n + opts.MaxHeads/(2*n)
+		h := i*maxHeads/n + maxHeads/(2*n)
 		bytes := est.HeadScatterBytes(h)
 		truth := perf.P2PTime(link, bytes)
 		if truth <= 0 {

@@ -12,7 +12,7 @@ import (
 func runDefault(t *testing.T) *Profile {
 	t.Helper()
 	est := perf.New(model.OPT30B)
-	p, err := Run(est, hardware.PaperCluster(), 0, DefaultOptions())
+	p, err := Run(est, hardware.PaperCluster(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +132,6 @@ func TestPerturbParam(t *testing.T) {
 	}
 	if _, err := p.PerturbParam("zeta", 1.1); err == nil {
 		t.Fatal("unknown parameter should error")
-	}
-}
-
-func TestRunOptionValidation(t *testing.T) {
-	est := perf.New(model.OPT30B)
-	c := hardware.PaperCluster()
-	if _, err := Run(est, c, 0, Options{GridPoints: 1, MaxHeads: 10, MaxCacheBytes: 10}); err == nil {
-		t.Error("GridPoints=1 should fail")
-	}
-	if _, err := Run(est, c, 0, Options{GridPoints: 8, MaxHeads: 2, MaxCacheBytes: 1000}); err == nil {
-		t.Error("tiny range should fail")
 	}
 }
 

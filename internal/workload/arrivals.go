@@ -203,24 +203,6 @@ type MixEntry struct {
 	Weight  float64 // relative share of arrivals; entries with Weight <= 0 are ignored
 }
 
-// assemble turns arrival times into a trace by sampling the weighted
-// tenant mix from rng independently per arrival: tenant first, then
-// (prompt, output) from that tenant's dataset. An empty (or fully
-// zero-weight) mix defaults to single-tenant ShareGPT. Requests come out in
-// ascending arrival order (times need not be sorted, and are never
-// reordered in place), with IDs assigned in that order. The single-tenant
-// generators share rng with their arrival process.
-func assemble(times []float64, mix []MixEntry, rng *rand.Rand) []Request {
-	d := newMixDrawer(mix, rng)
-	times = ascending(times)
-	reqs := make([]Request, len(times))
-	for i, t := range times {
-		reqs[i] = Request{ID: int64(i), ArrivalAt: t}
-		d.draw(&reqs[i])
-	}
-	return reqs
-}
-
 // ascending returns times in ascending order: times itself when it already
 // is (every generator's output), else a sorted copy. Sorting an already
 // sorted slice moves nothing, so both paths give the same order.
@@ -276,14 +258,19 @@ func (d *mixDrawer) draw(r *Request) {
 // between looks at whether the arrival count is known yet.
 const drawChunk = 4096
 
-// Synthesize builds the trace assemble builds from times() and a stream
-// seeded by seed, drawing the mix on a second goroutine while times runs
-// on the caller's. The two share nothing: the arrivals come from whatever
-// stream times owns, and the draws from a private stream seeded by seed.
-// Request i takes that stream's i-th draws however far past the arrival
-// count the goroutine ran, so the trace does not depend on scheduling or
-// GOMAXPROCS, and synthesis costs about the slower half instead of the
-// sum of both.
+// Synthesize turns the arrival times times() returns into a trace by
+// sampling the weighted tenant mix per arrival, from a stream seeded by
+// seed: tenant first, then (prompt, output) from that tenant's dataset. An
+// empty (or fully zero-weight) mix defaults to single-tenant ShareGPT.
+// Requests come out in ascending arrival order (times need not be sorted,
+// and are never reordered in place), with IDs assigned in that order.
+//
+// The mix is drawn on a second goroutine while times runs on the
+// caller's. The two share nothing: the arrivals come from whatever stream
+// times owns, and the draws from the private stream. Request i takes that
+// stream's i-th draws however far past the arrival count the goroutine
+// ran, so the trace does not depend on scheduling or GOMAXPROCS, and
+// synthesis costs about the slower half instead of the sum of both.
 //
 // expected estimates the arrival count. The draws go straight into the
 // returned slice, pre-sized by presize(expected) (at least one chunk).
@@ -339,31 +326,6 @@ func (d *mixDrawer) drawAhead(limit int, count <-chan int) []Request {
 		next(n)
 	}
 	return reqs[:n]
-}
-
-// MMPP generates a single-tenant bursty trace: a cyclic MMPP through the
-// states with lengths from dist.
-func MMPP(dist LengthDist, states []MMPPState, duration float64, seed int64) []Request {
-	rng := rand.New(rand.NewSource(seed))
-	return assemble(MMPPTimes(states, duration, rng), []MixEntry{{Dataset: dist, Weight: 1}}, rng)
-}
-
-// Diurnal generates a single-tenant trace with sinusoidal arrival rate.
-func Diurnal(dist LengthDist, base, amplitude, period, duration float64, seed int64) []Request {
-	rng := rand.New(rand.NewSource(seed))
-	return assemble(DiurnalTimes(base, amplitude, period, duration, rng), []MixEntry{{Dataset: dist, Weight: 1}}, rng)
-}
-
-// FlashCrowd generates a single-tenant trace with a rate spike.
-func FlashCrowd(dist LengthDist, base, spikeAt, spikeDur, factor, duration float64, seed int64) []Request {
-	rng := rand.New(rand.NewSource(seed))
-	return assemble(FlashCrowdTimes(base, spikeAt, spikeDur, factor, duration, rng), []MixEntry{{Dataset: dist, Weight: 1}}, rng)
-}
-
-// ClosedLoop generates a single-tenant closed-loop trace.
-func ClosedLoop(dist LengthDist, users int, think, duration float64, seed int64) []Request {
-	rng := rand.New(rand.NewSource(seed))
-	return assemble(ClosedLoopTimes(users, think, duration, rng), []MixEntry{{Dataset: dist, Weight: 1}}, rng)
 }
 
 // ValidateMix reports whether the mix is usable: every weight finite, at

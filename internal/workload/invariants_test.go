@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -22,24 +23,38 @@ var generators = []struct {
 		}, seed)
 	}},
 	{"mmpp", func(rate, duration float64, seed int64) []Request {
-		return MMPP(ShareGPT, []MMPPState{
-			{Rate: rate * 2, MeanDwell: duration / 8},
-			{Rate: rate / 4, MeanDwell: duration / 4},
-		}, duration, seed)
+		return synthesizeOne(ShareGPT, seed, func(rng *rand.Rand) []float64 {
+			return MMPPTimes([]MMPPState{
+				{Rate: rate * 2, MeanDwell: duration / 8},
+				{Rate: rate / 4, MeanDwell: duration / 4},
+			}, duration, rng)
+		})
 	}},
 	{"diurnal", func(rate, duration float64, seed int64) []Request {
-		return Diurnal(LongBench, rate, 0.8, duration, duration, seed)
+		return synthesizeOne(LongBench, seed, func(rng *rand.Rand) []float64 {
+			return DiurnalTimes(rate, 0.8, duration, duration, rng)
+		})
 	}},
 	{"flashcrowd", func(rate, duration float64, seed int64) []Request {
-		return FlashCrowd(ShareGPT, rate, duration/3, duration/6, 5, duration, seed)
+		return synthesizeOne(ShareGPT, seed, func(rng *rand.Rand) []float64 {
+			return FlashCrowdTimes(rate, duration/3, duration/6, 5, duration, rng)
+		})
 	}},
 	{"closedloop", func(rate, duration float64, seed int64) []Request {
 		users := int(rate * 4)
 		if users < 1 {
 			users = 1
 		}
-		return ClosedLoop(HumanEval, users, 4, duration, seed)
+		return synthesizeOne(HumanEval, seed, func(rng *rand.Rand) []float64 {
+			return ClosedLoopTimes(users, 4, duration, rng)
+		})
 	}},
+}
+
+// synthesizeOne is a single-tenant trace on dist: the arrival times times
+// draws from a stream seeded by seed, the mix through Synthesize.
+func synthesizeOne(dist LengthDist, seed int64, times func(*rand.Rand) []float64) []Request {
+	return Synthesize(func() []float64 { return times(rand.New(rand.NewSource(seed))) }, 0, []MixEntry{{Dataset: dist, Weight: 1}}, seed)
 }
 
 // checkTraceInvariants asserts the contract every generator must keep:

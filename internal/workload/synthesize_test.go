@@ -8,10 +8,18 @@ import (
 	"testing"
 )
 
-// Assemble is Synthesize's sequential oracle: assemble drawing the mix from
-// a stream seeded by seed, on the caller's goroutine.
+// Assemble is Synthesize's sequential oracle: it draws the mix from a
+// stream seeded by seed, on the caller's goroutine, one arrival at a time
+// in ascending arrival order.
 func Assemble(times []float64, mix []MixEntry, seed int64) []Request {
-	return assemble(times, mix, rand.New(rand.NewSource(seed)))
+	d := newMixDrawer(mix, rand.New(rand.NewSource(seed)))
+	times = ascending(times)
+	reqs := make([]Request, len(times))
+	for i, t := range times {
+		reqs[i] = Request{ID: int64(i), ArrivalAt: t}
+		d.draw(&reqs[i])
+	}
+	return reqs
 }
 
 // TestSynthesizeMatchesAssemble: drawing the mix on its own goroutine

@@ -13,10 +13,7 @@ type Estimator = perf.Estimator
 // why the configuration is invalid. It is exposed for custom studies (e.g.
 // exploring a hypothetical GPU before adding it to a cluster).
 func NewEstimator(m ModelConfig) (*Estimator, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return perf.New(m), nil
+	return perf.New(m)
 }
 
 // ProfileCluster runs the §5.1 Profiler: it fits the linear attention-time

@@ -434,7 +434,8 @@ type ScenarioWindows = sweep.ScenarioWindows
 // RunScenariosStream is RunScenarios through constant-memory streaming
 // sinks — the mode million-request scenarios (megascale) are built for.
 // window > 0 additionally returns each pair's windowed time series in pair
-// order.
+// order. A NaN, infinite or negative window, or one that cuts a run's
+// measurement horizon into more than 1<<20 windows, is refused.
 func RunScenariosStream(names []string, quick bool, seed int64, window float64, pool SweepOptions) (*Table, []ScenarioWindows, error) {
 	return sweep.RunScenariosSink(names, quick, seed, true, window, pool)
 }

@@ -42,7 +42,10 @@ func NewHetis(cfg Config, plan *parallelizer.Plan) (*Hetis, error) {
 	if plan == nil || len(plan.Instances) == 0 {
 		return nil, fmt.Errorf("engine: hetis needs a non-empty plan")
 	}
-	est := perf.New(cfg.Model)
+	est, err := perf.New(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
 	primary := plan.Instances[0].Stages[0].Devices[0]
 	prof, err := profile.Run(est, cfg.Cluster, primary)
 	if err != nil {
@@ -85,7 +88,11 @@ func PlanForWorkload(cfg Config, reqs []workload.Request) (*parallelizer.Plan, e
 			wl.DecodeBatch = maxBatch
 		}
 	}
-	return parallelizer.Search(cfg.Cluster, perf.New(cfg.Model), wl, parallelizer.DefaultOptions())
+	est, err := perf.New(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
+	return parallelizer.Search(cfg.Cluster, est, wl, parallelizer.DefaultOptions())
 }
 
 // Name implements Engine.

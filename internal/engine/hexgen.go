@@ -25,7 +25,11 @@ func NewHexGen(cfg Config) (*HexGen, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pipe, err := buildStaticPipeline(cfg, perf.New(cfg.Model), cfg.Cluster, cfg.Cluster.DevicesByType(), 32)
+	est, err := perf.New(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
+	pipe, err := buildStaticPipeline(cfg, est, cfg.Cluster, cfg.Cluster.DevicesByType(), 32)
 	if err != nil {
 		return nil, fmt.Errorf("engine: hexgen: %w", err)
 	}

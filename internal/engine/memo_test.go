@@ -82,7 +82,10 @@ func TestStaticDenseMemoBitEqual(t *testing.T) {
 	warm := []*staticPipeline{w.hx, w.swDecode, w.v}
 	cold := []*staticPipeline{c.hx, c.swDecode, c.v}
 	prefill := []*staticPipeline{w.hx, w.swPrefill, w.v}
-	est := perf.New(cfg.Model)
+	est, err := perf.New(cfg.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(11))
 	// Warm each memo with every batch size first; cold recomputes each
 	// point on a fresh pipeline whose memo is reset before every call.

@@ -29,7 +29,10 @@ func NewSplitwise(cfg Config) (*Splitwise, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	est := perf.New(cfg.Model)
+	est, err := perf.New(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
 	groups := cfg.Cluster.DevicesByType()
 	if len(groups) < 2 {
 		return nil, fmt.Errorf("engine: splitwise needs at least two GPU types (or split within one type)")

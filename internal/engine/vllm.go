@@ -26,7 +26,11 @@ func NewVLLM(cfg Config) (*VLLM, error) {
 	}
 	groups := cfg.Cluster.DevicesByType()
 	top := groups[:1]
-	pipe, err := buildStaticPipeline(cfg, perf.New(cfg.Model), cfg.Cluster, top, 32)
+	est, err := perf.New(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
+	pipe, err := buildStaticPipeline(cfg, est, cfg.Cluster, top, 32)
 	if err != nil {
 		return nil, fmt.Errorf("engine: vllm: %w", err)
 	}

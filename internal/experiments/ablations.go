@@ -22,7 +22,10 @@ import (
 // fine-grained balance, which the table shows as the per-device load spread
 // each scheme can achieve for a mixed batch.
 func AblationSplit(Options) (*metrics.Table, error) {
-	est := perf.New(model.Llama70B)
+	est, err := perf.New(model.Llama70B)
+	if err != nil {
+		return nil, err
+	}
 	cfg := model.Llama70B
 	link := hardware.LAN100G
 	const batch = 64
@@ -52,7 +55,10 @@ func AblationSplit(Options) (*metrics.Table, error) {
 // GPUs each value demotes to attention workers and the modeled costs.
 func AblationDelta(Options) (*metrics.Table, error) {
 	cluster := hardware.PaperCluster()
-	est := perf.New(model.Llama70B)
+	est, err := perf.New(model.Llama70B)
+	if err != nil {
+		return nil, err
+	}
 	wl := parallelizer.DefaultWorkload()
 	tab := &metrics.Table{Header: []string{
 		"Delta", "AttentionWorkers", "DecodeStep(ms)", "Prefill(ms)", "Cache(GB)",
@@ -157,7 +163,10 @@ func AblationMigration(opts Options) (*metrics.Table, error) {
 // navigates.
 func AblationDP(Options) (*metrics.Table, error) {
 	cluster := hardware.PaperCluster()
-	est := perf.New(model.Llama13B)
+	est, err := perf.New(model.Llama13B)
+	if err != nil {
+		return nil, err
+	}
 	wl := parallelizer.DefaultWorkload()
 	tab := &metrics.Table{Header: []string{
 		"Instances", "DecodeStep(ms)", "Prefill(ms)", "Cache(GB)", "AttnWorkers",
@@ -191,7 +200,11 @@ func AblationSearch(opts Options) (*metrics.Table, error) {
 			popts := parallelizer.DefaultOptions()
 			popts.ExtendedSearch = ext
 			wl := parallelizer.DefaultWorkload()
-			plan, err := parallelizer.Search(cluster, perf.New(m), wl, popts)
+			est, err := perf.New(m)
+			if err != nil {
+				return nil, err
+			}
+			plan, err := parallelizer.Search(cluster, est, wl, popts)
 			if err != nil {
 				return nil, fmt.Errorf("search ext=%v: %w", ext, err)
 			}

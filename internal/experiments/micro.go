@@ -13,7 +13,10 @@ import (
 // Table1 reproduces Table 1: memory capacity and full-model iteration time
 // per GPU for OPT-2.7B (3 prefill requests, 25 decode requests).
 func Table1(Options) (*metrics.Table, error) {
-	est := perf.New(model.OPT27B)
+	est, err := perf.New(model.OPT27B)
+	if err != nil {
+		return nil, err
+	}
 	cfg := model.OPT27B
 	const (
 		promptLen = 512
@@ -43,7 +46,10 @@ func Table1(Options) (*metrics.Table, error) {
 // Fig2 reproduces Fig. 2: per-layer decode MLP and Attention time across
 // GPUs for Llama-70B with 1000-token contexts, normalized to the A100.
 func Fig2(Options) (*metrics.Table, error) {
-	est := perf.New(model.Llama70B)
+	est, err := perf.New(model.Llama70B)
+	if err != nil {
+		return nil, err
+	}
 	cfg := model.Llama70B
 	const seqLen = 1000
 	tab := &metrics.Table{Header: []string{"Requests", "Module", "P100", "3090", "A100(norm=1)"}}
@@ -72,7 +78,10 @@ func Fig2(Options) (*metrics.Table, error) {
 // (a) one attention worker at varying offload ratios; (b) loads spread
 // evenly over 1-4 workers.
 func Fig5(Options) (*metrics.Table, error) {
-	est := perf.New(model.Llama70B)
+	est, err := perf.New(model.Llama70B)
+	if err != nil {
+		return nil, err
+	}
 	cfg := model.Llama70B
 	link := hardware.LAN100G
 	const batch = 64 // decoding requests per iteration
@@ -109,7 +118,10 @@ func Fig5(Options) (*metrics.Table, error) {
 // OPT-30B. (a) time vs request count at fixed totals; (b) vs average
 // context length; (c) vs head count.
 func Fig7(Options) (*metrics.Table, error) {
-	est := perf.New(model.OPT30B)
+	est, err := perf.New(model.OPT30B)
+	if err != nil {
+		return nil, err
+	}
 	cfg := model.OPT30B
 	a100 := est.Compile(hardware.A100, 1)
 	tab := &metrics.Table{Header: []string{"Part", "X", "AttnTime(ms)"}}
@@ -162,7 +174,11 @@ func SearchOverhead(Options) (*metrics.Table, error) {
 	run := func(name string, cluster *hardware.Cluster, m model.Config, batch int) error {
 		wl := parallelizer.DefaultWorkload()
 		wl.DecodeBatch = batch
-		plan, err := parallelizer.Search(cluster, perf.New(m), wl, parallelizer.DefaultOptions())
+		est, err := perf.New(m)
+		if err != nil {
+			return err
+		}
+		plan, err := parallelizer.Search(cluster, est, wl, parallelizer.DefaultOptions())
 		if err != nil {
 			return err
 		}
@@ -187,7 +203,10 @@ func SearchOverhead(Options) (*metrics.Table, error) {
 // ModelAccuracy reproduces the §7.4 profiling-accuracy measurement: the
 // fitted Eq. 3 / Eq. 4 models against held-out ground truth per device.
 func ModelAccuracy(Options) (*metrics.Table, error) {
-	est := perf.New(model.OPT30B)
+	est, err := perf.New(model.OPT30B)
+	if err != nil {
+		return nil, err
+	}
 	cluster := hardware.PaperCluster()
 	prof, err := profile.Run(est, cluster, 0)
 	if err != nil {

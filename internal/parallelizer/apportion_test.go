@@ -96,7 +96,7 @@ func TestApportionMinMaxProperties(t *testing.T) {
 }
 
 func TestForceInstances(t *testing.T) {
-	est := perf.New(model.Llama13B)
+	est := newEst(t, model.Llama13B)
 	wl := DefaultWorkload()
 	for _, d := range []int{1, 2, 4} {
 		opts := DefaultOptions()
@@ -125,7 +125,7 @@ func TestCacheToleranceSelectsCapacity(t *testing.T) {
 	cluster := hardware.PaperCluster()
 	wl := DefaultWorkload()
 	for _, cfg := range []model.Config{model.Llama13B, model.Llama70B} {
-		est := perf.New(cfg)
+		est := newEst(t, cfg)
 		chosen, err := Search(cluster, est, wl, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -168,8 +168,8 @@ func BenchmarkApportion(b *testing.B) {
 }
 
 func TestExtendedSearchNeverWorse(t *testing.T) {
-	est13 := perf.New(model.Llama13B)
-	est70 := perf.New(model.Llama70B)
+	est13 := newEst(t, model.Llama13B)
+	est70 := newEst(t, model.Llama70B)
 	wl := DefaultWorkload()
 	for _, tc := range []struct {
 		name string
@@ -204,7 +204,7 @@ func TestExtendedSearchDropsSlowTierFor13B(t *testing.T) {
 	// the Cp heuristic keeps.
 	opts := DefaultOptions()
 	opts.ExtendedSearch = true
-	plan, err := Search(hardware.PaperCluster(), perf.New(model.Llama13B), DefaultWorkload(), opts)
+	plan, err := Search(hardware.PaperCluster(), newEst(t, model.Llama13B), DefaultWorkload(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,19 @@ import (
 	"hetis/internal/perf"
 )
 
+// newEst is perf.New for a model configuration the test knows is valid.
+func newEst(tb testing.TB, cfg model.Config) *perf.Estimator {
+	tb.Helper()
+	est, err := perf.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return est
+}
+
 func searchPaper(t *testing.T, cfg model.Config, wl Workload, opts Options) *Plan {
 	t.Helper()
-	plan, err := Search(hardware.PaperCluster(), perf.New(cfg), wl, opts)
+	plan, err := Search(hardware.PaperCluster(), newEst(t, cfg), wl, opts)
 	if err != nil {
 		t.Fatalf("Search(%s): %v", cfg.Name, err)
 	}
@@ -161,7 +171,7 @@ func TestInfeasibleModelRejected(t *testing.T) {
 	small := hardware.NewBuilder(hardware.LAN100G).
 		AddHost("h", hardware.PCIe3x16, hardware.P100, 2).
 		MustBuild()
-	if _, err := Search(small, perf.New(model.Llama70B), DefaultWorkload(), DefaultOptions()); err == nil {
+	if _, err := Search(small, newEst(t, model.Llama70B), DefaultWorkload(), DefaultOptions()); err == nil {
 		t.Fatal("expected infeasibility error")
 	}
 }
@@ -169,10 +179,10 @@ func TestInfeasibleModelRejected(t *testing.T) {
 func TestWorkloadValidation(t *testing.T) {
 	bad := DefaultWorkload()
 	bad.DecodeBatch = 0
-	if _, err := Search(hardware.PaperCluster(), perf.New(model.Llama13B), bad, DefaultOptions()); err == nil {
+	if _, err := Search(hardware.PaperCluster(), newEst(t, model.Llama13B), bad, DefaultOptions()); err == nil {
 		t.Fatal("invalid workload should error")
 	}
-	if _, err := Search(hardware.PaperCluster(), perf.New(model.Llama13B), DefaultWorkload(), Options{Delta: -1}); err == nil {
+	if _, err := Search(hardware.PaperCluster(), newEst(t, model.Llama13B), DefaultWorkload(), Options{Delta: -1}); err == nil {
 		t.Fatal("negative delta should error")
 	}
 }
@@ -185,7 +195,7 @@ func TestHomogeneousClusterDegeneratesToClassicParallelism(t *testing.T) {
 		AddHost("h0", hardware.NVLink3, hardware.A100, 4).
 		AddHost("h1", hardware.NVLink3, hardware.A100, 4).
 		MustBuild()
-	plan, err := Search(homo, perf.New(model.Llama13B), DefaultWorkload(), DefaultOptions())
+	plan, err := Search(homo, newEst(t, model.Llama13B), DefaultWorkload(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +221,7 @@ func TestSearchOverheadSmall(t *testing.T) {
 	}
 	wl := DefaultWorkload()
 	wl.DecodeBatch = 512
-	plan, err := Search(cluster, perf.New(model.Llama70B), wl, DefaultOptions())
+	plan, err := Search(cluster, newEst(t, model.Llama70B), wl, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,8 +150,8 @@ var (
 )
 
 // FuzzStageCost checks the compiled stage record against the frozen
-// per-call cost model, bit for bit: DecodeTime, PrefillTime, the decode
-// attention and the LM head, plus the estimator's per-call methods, on
+// per-call cost model, bit for bit: DecodeTime, PrefillTime, and the dense
+// layer, prefill attention, decode attention and LM head modules, on
 // every GPU and model preset at TP 1–8 and PP 1–2. Prompts are two bytes
 // each (lengths 0–8191); tokens, heads and cache bytes may be zero or
 // negative.
@@ -176,7 +176,7 @@ func FuzzStageCost(f *testing.F) {
 		for i := 0; i+2 <= len(raw) && len(prompts) < 64; i += 2 {
 			prompts = append(prompts, int(binary.LittleEndian.Uint16(raw[i:]))%8192)
 		}
-		est := perf.New(cfg)
+		est := newEst(t, cfg)
 		sc := CompileStage(est, st, ln)
 		n := int(tokens)
 		check := func(what string, got, want float64) {

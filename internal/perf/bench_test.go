@@ -9,7 +9,7 @@ import (
 
 // BenchmarkDenseLayerTime measures the hot path of every engine iteration.
 func BenchmarkDenseLayerTime(b *testing.B) {
-	e := New(model.Llama70B)
+	e := newEst(b, model.Llama70B)
 	for i := 0; i < b.N; i++ {
 		d := e.Compile(hardware.A100, 4)
 		_ = d.DenseLayerTime(64)
@@ -18,7 +18,7 @@ func BenchmarkDenseLayerTime(b *testing.B) {
 
 // BenchmarkAttnDecodeTime measures the ground-truth attention model.
 func BenchmarkAttnDecodeTime(b *testing.B) {
-	e := New(model.Llama70B)
+	e := newEst(b, model.Llama70B)
 	for i := 0; i < b.N; i++ {
 		d := e.Compile(hardware.P100, 1)
 		_ = d.AttnDecodeTime(2048, 1<<30)
@@ -28,7 +28,7 @@ func BenchmarkAttnDecodeTime(b *testing.B) {
 // BenchmarkPrefillCost measures a full prefill estimate: compile the
 // device, then price dense, prompt attention and LM head over 40 layers.
 func BenchmarkPrefillCost(b *testing.B) {
-	e := New(model.Llama13B)
+	e := newEst(b, model.Llama13B)
 	prompts := []int{512, 900, 300, 1400}
 	for i := 0; i < b.N; i++ {
 		d := e.Compile(hardware.A100, 4)

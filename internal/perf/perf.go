@@ -56,12 +56,13 @@ type Estimator struct {
 	cfg model.Config
 }
 
-// New returns an estimator for the model configuration.
-func New(cfg model.Config) *Estimator {
+// New returns an estimator for the model configuration, or why the
+// configuration is invalid.
+func New(cfg model.Config) (*Estimator, error) {
 	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("perf: invalid model: %v", err))
+		return nil, fmt.Errorf("perf: invalid model: %w", err)
 	}
-	return &Estimator{cfg: cfg}
+	return &Estimator{cfg: cfg}, nil
 }
 
 // Config returns the model the estimator was built for.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestDenseLayerTimeBasics(t *testing.T) {
-	e := New(model.OPT27B)
+	e := newEst(t, model.OPT27B)
 	d := e.Compile(hardware.A100, 1)
 	if got := d.DenseLayerTime(0); got != 0 {
 		t.Errorf("zero tokens should cost 0, got %g", got)
@@ -36,7 +36,7 @@ func TestDenseLayerTimeBasics(t *testing.T) {
 func TestDecodeIsWeightBandwidthBound(t *testing.T) {
 	// At decode batch sizes, dense module time on an A100 should track the
 	// weight-read time, not the FLOP time.
-	e := New(model.OPT27B)
+	e := newEst(t, model.OPT27B)
 	cfg := model.OPT27B
 	d := e.Compile(hardware.A100, 1)
 	got := d.DenseLayerTime(8)
@@ -52,7 +52,7 @@ func TestDecodeIsWeightBandwidthBound(t *testing.T) {
 func TestAttnDecodeTimeLinearity(t *testing.T) {
 	// Fig. 7: attention time should be (near-)linear in the number of
 	// heads at fixed cache, and in the cache size at fixed heads.
-	d := New(model.OPT30B).Compile(hardware.A100, 1)
+	d := newEst(t, model.OPT30B).Compile(hardware.A100, 1)
 	const mb = int64(1) << 20
 	base := d.AttnDecodeTime(1000, 512*mb)
 	dblHeads := d.AttnDecodeTime(2000, 512*mb)
@@ -73,7 +73,7 @@ func TestAttnDecodeBatchInvariance(t *testing.T) {
 	// Fig. 7(a): with total heads and cache fixed, the number of requests
 	// they are split across must not matter. Our ground truth only sees
 	// (heads, bytes), so this is exact.
-	e := New(model.OPT30B)
+	e := newEst(t, model.OPT30B)
 	a100 := e.Compile(hardware.A100, 1)
 	// decode prices n requests of the given heads each at 1000 tokens of
 	// context, decoded together on one device in one layer.
@@ -93,7 +93,7 @@ func TestAttnDecodeBatchInvariance(t *testing.T) {
 func TestAttnGapSmallerThanDenseGap(t *testing.T) {
 	// §2.3/Fig. 2: the A100-P100 performance gap is far larger for MLP
 	// (dense) than for Attention. This asymmetry is what Hetis exploits.
-	e := New(model.Llama70B)
+	e := newEst(t, model.Llama70B)
 	tokens := 400
 	a100, p100 := e.Compile(hardware.A100, 1), e.Compile(hardware.P100, 1)
 	denseA := a100.DenseLayerTime(tokens)
@@ -118,7 +118,7 @@ func TestAttnGapSmallerThanDenseGap(t *testing.T) {
 }
 
 func TestCacheBytesPerLayerGQA(t *testing.T) {
-	e := New(model.Llama70B) // r=8
+	e := newEst(t, model.Llama70B) // r=8
 	// 8 heads = 1 group; 9 heads = 2 groups.
 	b8 := e.CacheBytesPerLayer(8, 100)
 	b9 := e.CacheBytesPerLayer(9, 100)
@@ -150,14 +150,14 @@ func TestCollectives(t *testing.T) {
 
 func TestHeadScatterBytes(t *testing.T) {
 	// MHA (r=1): (2 + 2)·headDim·2B per head.
-	e := New(model.OPT30B)
+	e := newEst(t, model.OPT30B)
 	hd := int64(model.OPT30B.HeadDim())
 	want := 4 * hd * 2
 	if got := e.HeadScatterBytes(1); got != want {
 		t.Errorf("MHA scatter bytes per head = %d want %d", got, want)
 	}
 	// GQA (r=8): (2 + 0.25)·headDim·2B per head.
-	g := New(model.Llama70B)
+	g := newEst(t, model.Llama70B)
 	hd = int64(model.Llama70B.HeadDim())
 	want = int64(2.25 * float64(hd) * 2)
 	if got := g.HeadScatterBytes(1); got != want {
@@ -168,7 +168,7 @@ func TestHeadScatterBytes(t *testing.T) {
 func TestHeadWiseBeatsSeqWiseTraffic(t *testing.T) {
 	// The core of Fig. 5: offloading 20% of heads moves far less data than
 	// sequence-splitting, which ships the full q vector and result.
-	e := New(model.Llama70B)
+	e := newEst(t, model.Llama70B)
 	offloaded := model.Llama70B.Heads / 5
 	headWise := e.HeadScatterBytes(offloaded)
 	seqWise := e.SeqScatterBytes()
@@ -180,7 +180,7 @@ func TestHeadWiseBeatsSeqWiseTraffic(t *testing.T) {
 }
 
 func TestPrefillCostGrowsWithPrompt(t *testing.T) {
-	d := New(model.Llama13B).Compile(hardware.A100, 1)
+	d := newEst(t, model.Llama13B).Compile(hardware.A100, 1)
 	if got := d.AttnPrefillLayerTime(nil); got != 0 {
 		t.Errorf("empty prefill attention should cost 0, got %g", got)
 	}
@@ -195,7 +195,7 @@ func TestPrefillCostGrowsWithPrompt(t *testing.T) {
 }
 
 func TestPropertyMonotoneInTokens(t *testing.T) {
-	d := New(model.OPT27B).Compile(hardware.RTX3090, 1)
+	d := newEst(t, model.OPT27B).Compile(hardware.RTX3090, 1)
 	f := func(a, b uint16) bool {
 		x, y := int(a)%4096+1, int(b)%4096+1
 		if x > y {
@@ -209,7 +209,7 @@ func TestPropertyMonotoneInTokens(t *testing.T) {
 }
 
 func TestPropertyAttnMonotone(t *testing.T) {
-	d := New(model.Llama70B).Compile(hardware.P100, 1)
+	d := newEst(t, model.Llama70B).Compile(hardware.P100, 1)
 	f := func(h1, h2 uint16, g1, g2 uint32) bool {
 		ha, hb := int(h1)%5000+1, int(h2)%5000+1
 		ga, gb := int64(g1)%(1<<30)+1, int64(g2)%(1<<30)+1
@@ -226,13 +226,20 @@ func TestPropertyAttnMonotone(t *testing.T) {
 	}
 }
 
-func TestNewPanicsOnInvalidModel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid model config")
-		}
-	}()
+func TestNewRejectsInvalidModel(t *testing.T) {
 	bad := model.OPT27B
 	bad.Layers = 0
-	New(bad)
+	if e, err := New(bad); err == nil || e != nil {
+		t.Fatalf("New(invalid) = %v, %v; want nil and an error", e, err)
+	}
+}
+
+// newEst is New for a model configuration the test knows is valid.
+func newEst(tb testing.TB, cfg model.Config) *Estimator {
+	tb.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
 }

@@ -21,8 +21,8 @@ const (
 )
 
 // table1Times returns (prefill, decode) full-model iteration times on spec.
-func table1Times(spec hardware.GPUSpec) (prefill, decode float64) {
-	e := New(model.OPT27B)
+func table1Times(t *testing.T, spec hardware.GPUSpec) (prefill, decode float64) {
+	e := newEst(t, model.OPT27B)
 	cfg := model.OPT27B
 	prompts := make([]int, table1Prefills)
 	for i := range prompts {
@@ -53,7 +53,7 @@ func TestTable1AbsoluteTimes(t *testing.T) {
 		{hardware.P100, 1.47, 0.077, 0.35, 0.35},
 	}
 	for _, tc := range cases {
-		p, d := table1Times(tc.spec)
+		p, d := table1Times(t, tc.spec)
 		t.Logf("%s: prefill=%.4fs (paper %.4f)  decode=%.5fs (paper %.5f)",
 			tc.spec.Name, p, tc.wantPrefill, d, tc.wantDecode)
 		if rel := math.Abs(p-tc.wantPrefill) / tc.wantPrefill; rel > tc.tolPrefill {
@@ -69,9 +69,9 @@ func TestTable1Ratios(t *testing.T) {
 	// The ratios are what the scheduler sees; they must match closely.
 	// Paper: prefill A100 is 2.45x faster than 3090 and 24.5x faster than
 	// P100; decode 1.47x and 7.93x.
-	pA, dA := table1Times(hardware.A100)
-	p3, d3 := table1Times(hardware.RTX3090)
-	pP, dP := table1Times(hardware.P100)
+	pA, dA := table1Times(t, hardware.A100)
+	p3, d3 := table1Times(t, hardware.RTX3090)
+	pP, dP := table1Times(t, hardware.P100)
 
 	check := func(name string, got, want, tol float64) {
 		t.Helper()

@@ -11,7 +11,10 @@ import (
 
 func runDefault(t *testing.T) *Profile {
 	t.Helper()
-	est := perf.New(model.OPT30B)
+	est, err := perf.New(model.OPT30B)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := Run(est, hardware.PaperCluster(), 0)
 	if err != nil {
 		t.Fatal(err)

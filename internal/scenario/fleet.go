@@ -59,11 +59,15 @@ type FleetRun struct {
 // and builds each non-empty shard's engine through opts.Build. An
 // unsharded spec is one shard that holds the whole trace and carries the
 // spec's chaos config; a sharded spec's router partitions the trace and
-// every shard plans its own sub-trace.
+// every shard plans its own sub-trace. A window the windowed series
+// cannot bucket (checkWindow) is refused before any of that.
 func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error) {
 	spec = Prepare(spec, opts.Quick)
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if err := checkWindow(opts.Window, spec.Duration); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 	if !engine.Known(engineName) {
 		return nil, fmt.Errorf("scenario %s: unknown engine %q", spec.Name, engineName)

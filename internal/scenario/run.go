@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"hetis/internal/engine"
@@ -72,6 +74,26 @@ type Options struct {
 // resolve deployments exactly like RunEngine.
 func ClusterByName(name string) (*hardware.Cluster, error) {
 	return hardware.ParseCluster(name)
+}
+
+// maxWindows caps how many windows Options.Window may cut a run's
+// measurement horizon into: the windowed series keeps one slot per window
+// up to the last finish, so a tiny window would exhaust memory.
+const maxWindows = 1 << 20
+
+// checkWindow refuses an Options.Window the windowed series cannot
+// bucket: NaN, infinite or negative, or so small that it cuts the
+// horizon of a duration-second trace into more than maxWindows windows.
+// Zero collects no series.
+func checkWindow(window, duration float64) error {
+	if math.IsNaN(window) || math.IsInf(window, 0) || window < 0 {
+		return fmt.Errorf("window %g s: must be finite and non-negative (0 collects no series)", window)
+	}
+	horizon := MeasurementHorizon(duration)
+	if window > 0 && horizon/window > maxWindows {
+		return fmt.Errorf("window %g s cuts the %g s measurement horizon into more than the cap of %d windows", window, horizon, maxWindows)
+	}
+	return nil
 }
 
 // MeasurementHorizon is the window a scenario run measures rates over: a

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -98,6 +100,41 @@ func TestRunEngineSinkWindows(t *testing.T) {
 		t.Fatal(err)
 	} else if windows != nil {
 		t.Error("exact run must not produce a windows table")
+	}
+}
+
+// TestPrepareFleetRefusesUnbucketableWindow: PrepareFleet, the one
+// scenario run path, refuses a window the windowed series cannot bucket —
+// NaN, infinite, negative, or cutting the measurement horizon into more
+// than maxWindows windows — naming the window, before any run allocates a
+// series. Zero and an ordinary width pass.
+func TestPrepareFleetRefusesUnbucketableWindow(t *testing.T) {
+	spec, err := ByName("steady")
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := MeasurementHorizon(Prepare(spec, true).Duration)
+	for _, tc := range []struct {
+		window float64
+		want   string // "" for no error
+	}{
+		{0, ""},
+		{2, ""},
+		{horizon / (maxWindows / 2), ""},
+		{math.NaN(), "window NaN s"},
+		{math.Inf(1), "window +Inf s"},
+		{math.Inf(-1), "window -Inf s"},
+		{-1, "window -1 s"},
+		{1e-9, "window 1e-09 s cuts the"},
+		{horizon / (2 * maxWindows), fmt.Sprintf("cap of %d windows", maxWindows)},
+	} {
+		_, err := PrepareFleet(spec, "vllm", Options{Quick: true, Stream: true, Window: tc.window})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("window %g: %v", tc.window, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("window %g: err = %v, want one containing %q", tc.window, err, tc.want)
+		}
 	}
 }
 

@@ -165,8 +165,9 @@ var GridHeader = []string{
 }
 
 // RunPoint simulates one grid coordinate and returns its one-row table.
-// The point's trace is a Poisson trace of its dataset and rate, or its
-// scenario's trace at the grid's Duration and Seed. A non-empty traceDir
+// The point's trace is a Poisson trace of its dataset and rate on the
+// paper cluster, or its scenario's trace at the grid's Duration and Seed
+// on the scenario's cluster. A non-empty traceDir
 // records the run's event trace and writes it there (Options.TraceDir).
 func RunPoint(s GridSpec, p Point, traceDir string) (*metrics.Table, error) {
 	s = s.withDefaults()
@@ -176,6 +177,7 @@ func RunPoint(s GridSpec, p Point, traceDir string) (*metrics.Table, error) {
 	}
 	var reqs []workload.Request
 	slo := scenario.DefaultSLO
+	cluster := hardware.PaperCluster()
 	if p.Scenario != "" {
 		spec, err := scenario.ByName(p.Scenario)
 		if err != nil {
@@ -184,6 +186,9 @@ func RunPoint(s GridSpec, p Point, traceDir string) (*metrics.Table, error) {
 		spec = spec.WithDefaults()
 		spec.Duration, spec.Seed = s.Duration, s.Seed
 		slo = spec.SLO
+		if cluster, err = scenario.ClusterByName(spec.Cluster); err != nil {
+			return nil, err
+		}
 		if reqs, err = spec.Trace(); err != nil {
 			return nil, err
 		}
@@ -197,7 +202,7 @@ func RunPoint(s GridSpec, p Point, traceDir string) (*metrics.Table, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("sweep: empty trace for %s", p.Key())
 	}
-	cfg := engine.DefaultConfig(m, hardware.PaperCluster())
+	cfg := engine.DefaultConfig(m, cluster)
 	// Grid rows never read the event trace; skipping it keeps pooled
 	// workers from holding O(events) logs per in-flight point.
 	cfg.NoTrace = traceDir == ""

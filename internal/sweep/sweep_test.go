@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hetis/internal/metrics"
+	"hetis/internal/scenario"
 )
 
 // fakeJob returns a job that sleeps and then emits a one-row table naming
@@ -251,6 +252,30 @@ func TestGridScenarioExcludesDatasetAndRate(t *testing.T) {
 				t.Errorf("err = %v, want a pointer to -scenario", err)
 			}
 		})
+	}
+}
+
+// TestScenarioPointUsesScenarioCluster: a scenario grid point serves its
+// trace on the scenario's cluster, so a model that does not fit there
+// fails the point with the engine's build error, as scenario.RunEngine
+// does on the same spec.
+func TestScenarioPointUsesScenarioCluster(t *testing.T) {
+	const name = "grid-cluster-1xT4"
+	if _, err := scenario.ByName(name); err != nil {
+		// Heavy keeps it out of the suite that "all" expands to.
+		if err := scenario.Register(scenario.Spec{Name: name, Cluster: "1xT4", Heavy: true, GoldenDuration: 10, Traffic: scenario.Traffic{Kind: scenario.KindPoisson, Rate: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := GridSpec{Duration: 10}
+	for _, eng := range []string{"hexgen", "vllm"} {
+		_, err := RunPoint(spec, Point{Model: "Llama-13B", Scenario: name, Engine: eng}, "")
+		if err == nil || !strings.Contains(err.Error(), "does not fit") {
+			t.Errorf("%s on 1xT4: err = %v, want the engine's does-not-fit error", eng, err)
+		}
+	}
+	if _, err := RunPoint(spec, Point{Model: "Llama-13B", Scenario: "steady", Engine: "hexgen"}, ""); err != nil {
+		t.Errorf("steady on the paper cluster: %v", err)
 	}
 }
 

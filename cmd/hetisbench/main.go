@@ -241,30 +241,24 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 		emit(stdout, tab, *csv)
 	case *scen != "":
 		names := strings.Split(*scen, ",")
-		if *stream {
-			tab, wins, err := hetis.RunScenariosStream(names, *quick, *seed, *windows, pool)
-			if err != nil {
-				return err
-			}
-			// Keep -csv stdout machine-parseable: the banners go to stderr
-			// there, so stdout stays a sequence of pure CSV tables.
-			banners := stdout
-			if *csv {
-				banners = stderr
-			}
-			fmt.Fprintln(banners, "=== scenarios, streaming ===")
-			emit(stdout, tab, *csv)
-			for _, w := range wins {
-				fmt.Fprintf(banners, "\n=== windows %s/%s (%gs buckets) ===\n", w.Scenario, w.Engine, *windows)
-				emit(stdout, w.Table, *csv)
-			}
-			break
-		}
-		tab, err := hetis.RunScenarios(names, *quick, *seed, pool)
+		tab, wins, err := hetis.RunScenarios(names, *seed, hetis.ScenarioOptions{Quick: *quick, Stream: *stream, Window: *windows}, pool)
 		if err != nil {
 			return err
 		}
+		// Keep -csv stdout machine-parseable: the banners go to stderr
+		// there, so stdout stays a sequence of pure CSV tables.
+		banners := stdout
+		if *csv {
+			banners = stderr
+		}
+		if *stream {
+			fmt.Fprintln(banners, "=== scenarios, streaming ===")
+		}
 		emit(stdout, tab, *csv)
+		for _, w := range wins {
+			fmt.Fprintf(banners, "\n=== windows %s/%s (%gs buckets) ===\n", w.Scenario, w.Engine, *windows)
+			emit(stdout, w.Table, *csv)
+		}
 	default:
 		if *stream {
 			return usageError("-stream does not apply to -exp (experiments pin exact paper tables)")

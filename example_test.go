@@ -58,7 +58,7 @@ func ExampleRunGrid() {
 // catalog order (scenarios as named, engines in spec order) for any job
 // count.
 func ExampleRunScenarios() {
-	tab, err := hetis.RunScenarios([]string{"bursty", "steady"}, true, 0, hetis.SweepOptions{Jobs: 4})
+	tab, _, err := hetis.RunScenarios([]string{"bursty", "steady"}, 0, hetis.ScenarioOptions{Quick: true}, hetis.SweepOptions{Jobs: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

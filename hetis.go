@@ -416,26 +416,28 @@ func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name
 // RegisterScenario adds a scenario to the catalog.
 func RegisterScenario(s Scenario) error { return scenario.Register(s) }
 
-// RunScenario serves one scenario on every engine it names.
+// RunScenario serves one scenario on every engine it names, rows in
+// engine order, through the pooled runner RunScenarios uses.
 func RunScenario(s Scenario, opts ScenarioOptions) (*Table, error) {
-	return scenario.Run(s, opts)
-}
-
-// RunScenarios serves the named scenarios (or the non-heavy catalog, for
-// ["all"]) on a bounded worker pool; the merged table follows catalog
-// order, byte-identical for any job count.
-func RunScenarios(names []string, quick bool, seed int64, pool SweepOptions) (*Table, error) {
-	return sweep.RunScenarios(names, quick, seed, pool)
+	tab, _, err := sweep.RunScenariosSink([]Scenario{s}, 0, opts, SweepOptions{})
+	return tab, err
 }
 
 // ScenarioWindows is one (scenario, engine) run's windowed time series.
 type ScenarioWindows = sweep.ScenarioWindows
 
-// RunScenariosStream is RunScenarios through constant-memory streaming
-// sinks — the mode million-request scenarios (megascale) are built for.
-// window > 0 additionally returns each pair's windowed time series in pair
-// order. A NaN, infinite or negative window, or one that cuts a run's
+// RunScenarios serves the named scenarios (or the non-heavy catalog, for
+// ["all"]) on a bounded worker pool; the merged table follows catalog
+// order, byte-identical for any job count. seed offsets every scenario's
+// own seed. opts.Stream measures through constant-memory streaming sinks
+// — the mode million-request scenarios (megascale) are built for — and
+// opts.Window > 0 additionally returns each pair's windowed time series in
+// pair order. A NaN, infinite or negative window, or one that cuts a run's
 // measurement horizon into more than 1<<20 windows, is refused.
-func RunScenariosStream(names []string, quick bool, seed int64, window float64, pool SweepOptions) (*Table, []ScenarioWindows, error) {
-	return sweep.RunScenariosSink(names, quick, seed, true, window, pool)
+func RunScenarios(names []string, seed int64, opts ScenarioOptions, pool SweepOptions) (*Table, []ScenarioWindows, error) {
+	specs, err := scenario.ByNames(names)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sweep.RunScenariosSink(specs, seed, opts, pool)
 }

@@ -99,6 +99,25 @@ func TestExperimentRegistryViaFacade(t *testing.T) {
 	}
 }
 
+// TestRunScenarioUsesSpecEngineOrder checks that RunScenario serves a
+// spec outside the catalog through the pooled runner, rows in the spec's
+// engine order.
+func TestRunScenarioUsesSpecEngineOrder(t *testing.T) {
+	spec, err := ScenarioByName("steady")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Name = "steady-unregistered"
+	spec.Engines = []string{"splitwise", "hexgen"}
+	tab, err := RunScenario(spec, ScenarioOptions{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 2 || tab.Rows[0][1] != "splitwise" || tab.Rows[1][1] != "hexgen" {
+		t.Fatalf("rows do not follow spec engine order:\n%s", tab)
+	}
+}
+
 func TestEstimatorFacade(t *testing.T) {
 	est, err := NewEstimator(Llama70B)
 	if err != nil {

@@ -64,11 +64,11 @@ func TestHetisFastStepTwinTables(t *testing.T) {
 					tap.Engine = e
 					return tap, err
 				}
-				batched, err := scenario.RunEngine(spec, "hetis", scenario.Options{Build: checked})
+				batched, _, err := scenario.RunEngineSink(spec, "hetis", scenario.Options{Build: checked})
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain, err := scenario.RunEngine(spec, "hetis", scenario.Options{Build: perRequest})
+				plain, _, err := scenario.RunEngineSink(spec, "hetis", scenario.Options{Build: perRequest})
 				if err != nil {
 					t.Fatal(err)
 				}

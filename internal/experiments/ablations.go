@@ -83,20 +83,11 @@ func AblationDispatch(opts Options) (*metrics.Table, error) {
 	dur := 40.0 // fixed: the comparison needs the loaded regime
 	reqs := workload.Poisson(workload.ShareGPT, 8, dur, opts.seed(1900))
 
-	run := func(greedy bool) (*engine.Result, error) {
-		cfg := engine.DefaultConfig(model.Llama13B, smallCluster())
-		cfg.GreedyDispatch = greedy
-		h, err := engine.NewHetis(cfg, smallPlan(model.Llama13B))
-		if err != nil {
-			return nil, err
-		}
-		return h.Run(reqs, scenario.MeasurementHorizon(60))
-	}
-	lpRes, err := run(false)
+	lpRes, err := runSmall(reqs, scenario.MeasurementHorizon(60), nil)
 	if err != nil {
 		return nil, fmt.Errorf("lp: %w", err)
 	}
-	grRes, err := run(true)
+	grRes, err := runSmall(reqs, scenario.MeasurementHorizon(60), func(cfg *engine.Config) { cfg.GreedyDispatch = true })
 	if err != nil {
 		return nil, fmt.Errorf("greedy: %w", err)
 	}
@@ -125,20 +116,11 @@ func AblationMigration(opts Options) (*metrics.Table, error) {
 	var migOver, migBlock int
 	for _, seed := range seeds {
 		reqs := workload.Poisson(workload.ShareGPT, 6, dur, opts.seed(seed))
-		run := func(blocking bool) (*engine.Result, error) {
-			cfg := engine.DefaultConfig(model.Llama13B, smallCluster())
-			cfg.BlockingMigration = blocking
-			h, err := engine.NewHetis(cfg, smallPlan(model.Llama13B))
-			if err != nil {
-				return nil, err
-			}
-			return h.Run(reqs, scenario.MeasurementHorizon(60))
-		}
-		over, err := run(false)
+		over, err := runSmall(reqs, scenario.MeasurementHorizon(60), nil)
 		if err != nil {
 			return nil, err
 		}
-		block, err := run(true)
+		block, err := runSmall(reqs, scenario.MeasurementHorizon(60), func(cfg *engine.Config) { cfg.BlockingMigration = true })
 		if err != nil {
 			return nil, err
 		}
@@ -208,12 +190,11 @@ func AblationSearch(opts Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("search ext=%v: %w", ext, err)
 			}
-			cfg := engine.DefaultConfig(m, cluster)
-			h, err := engine.NewHetis(cfg, plan)
-			if err != nil {
-				return nil, err
-			}
-			res, err := h.Run(reqs, scenario.MeasurementHorizon(dur))
+			res, err := scenario.Job{Model: m, Cluster: cluster, Engine: "hetis", Trace: reqs,
+				Horizon: scenario.MeasurementHorizon(dur),
+				Build: func(_ string, cfg engine.Config, _ []workload.Request) (engine.Engine, error) {
+					return engine.NewHetis(cfg, plan)
+				}}.Run()
 			if err != nil {
 				return nil, err
 			}

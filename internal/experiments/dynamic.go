@@ -8,7 +8,6 @@ import (
 	"hetis/internal/metrics"
 	"hetis/internal/model"
 	"hetis/internal/parallelizer"
-	"hetis/internal/profile"
 	"hetis/internal/scenario"
 	"hetis/internal/workload"
 )
@@ -37,42 +36,16 @@ func smallPlan(m model.Config) *parallelizer.Plan {
 	}}}
 }
 
-// runSmallHetis serves a trace on the small cluster with the pinned plan.
-func runSmallHetis(reqs []workload.Request, theta float64, disableRedispatch bool) (*engine.Result, error) {
-	cfg := engine.DefaultConfig(model.Llama13B, smallCluster())
-	cfg.Theta = theta
-	cfg.DisableRedispatch = disableRedispatch
-	h, err := engine.NewHetis(cfg, smallPlan(model.Llama13B))
-	if err != nil {
-		return nil, err
-	}
-	return h.Run(reqs, scenario.MeasurementHorizon(60))
-}
-
-// runSmallHetisProfile runs the small setup with one profile parameter
-// scaled (Fig. 16(b)); an empty param runs the exact profile.
-func runSmallHetisProfile(reqs []workload.Request, theta float64, param string, factor float64) (*engine.Result, error) {
-	cfg := engine.DefaultConfig(model.Llama13B, smallCluster())
-	cfg.Theta = theta
-	h, err := engine.NewHetis(cfg, smallPlan(model.Llama13B))
-	if err != nil {
-		return nil, err
-	}
-	if param != "" {
-		// Perturb the profile the engine fitted at construction. We reach
-		// it through a fresh profiling run to stay deterministic.
-		prof, err := reprofileSmall()
-		if err != nil {
-			return nil, err
-		}
-		perturbed, err := prof.PerturbParam(param, factor)
-		if err != nil {
-			return nil, err
-		}
-		h.SetProfile(perturbed)
-		// Rebuilding the engine is unnecessary: instances profile at Run.
-	}
-	return h.Run(reqs, scenario.MeasurementHorizon(60))
+// runSmall serves a trace on the small cluster with the pinned plan,
+// measured to horizon, after tune (if set) adjusts the default config.
+func runSmall(reqs []workload.Request, horizon float64, tune func(*engine.Config)) (*engine.Result, error) {
+	return scenario.Job{Model: model.Llama13B, Cluster: smallCluster(), Engine: "hetis", Trace: reqs, Horizon: horizon,
+		Build: func(_ string, cfg engine.Config, _ []workload.Request) (engine.Engine, error) {
+			if tune != nil {
+				tune(&cfg)
+			}
+			return engine.NewHetis(cfg, smallPlan(model.Llama13B))
+		}}.Run()
 }
 
 // Fig14 reproduces Fig. 14: per-device cache utilization and head counts
@@ -91,13 +64,7 @@ func Fig14(opts Options) (*metrics.Table, error) {
 		}
 	}
 	reqs := workload.PiecewiseRate(workload.ShareGPT, segs, opts.seed(1400))
-	cfg := engine.DefaultConfig(model.Llama13B, smallCluster())
-	cfg.SampleEvery = 5
-	h, err := engine.NewHetis(cfg, smallPlan(model.Llama13B))
-	if err != nil {
-		return nil, err
-	}
-	res, err := h.Run(reqs, scenario.MeasurementHorizon(100))
+	res, err := runSmall(reqs, scenario.MeasurementHorizon(100), func(cfg *engine.Config) { cfg.SampleEvery = 5 })
 	if err != nil {
 		return nil, err
 	}
@@ -136,11 +103,11 @@ func Fig15a(opts Options) (*metrics.Table, error) {
 	// regularly while Hetis still completes the whole trace.
 	reqs := workload.Poisson(workload.ShareGPT, 6, dur, opts.seed(1500))
 
-	withRd, err := runSmallHetis(reqs, 0.5, false)
+	withRd, err := runSmall(reqs, scenario.MeasurementHorizon(60), nil)
 	if err != nil {
 		return nil, fmt.Errorf("fig15a hetis: %w", err)
 	}
-	lifo, err := runSmallHetis(reqs, 0.5, true)
+	lifo, err := runSmall(reqs, scenario.MeasurementHorizon(60), func(cfg *engine.Config) { cfg.DisableRedispatch = true })
 	if err != nil {
 		return nil, fmt.Errorf("fig15a lifo: %w", err)
 	}
@@ -153,15 +120,4 @@ func Fig15a(opts Options) (*metrics.Table, error) {
 	tab.AddRow("evictions", withRd.Evictions, lifo.Evictions, 0.0)
 	tab.AddRow("migrations", withRd.Migrations, lifo.Migrations, 0.0)
 	return tab, nil
-}
-
-// reprofileSmall re-runs the profiler on the small cluster so Fig. 16(b)
-// perturbs exactly the models the engine would otherwise use.
-func reprofileSmall() (*profile.Profile, error) {
-	cfg := engine.DefaultConfig(model.Llama13B, smallCluster())
-	h, err := engine.NewHetis(cfg, smallPlan(model.Llama13B))
-	if err != nil {
-		return nil, err
-	}
-	return h.Profile(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hetis/internal/engine"
+	"hetis/internal/hardware"
 	"hetis/internal/metrics"
 	"hetis/internal/model"
 	"hetis/internal/scenario"
@@ -35,28 +36,15 @@ func latencySweep(m model.Config, entries []sweepEntry, opts Options) (*metrics.
 			if len(reqs) == 0 {
 				continue
 			}
-			het, hex, sw, err := buildEngines(m, reqs)
+			res, err := serve(m, hardware.PaperCluster(), reqs, scenario.MeasurementHorizon(dur), "splitwise", "hexgen", "hetis")
 			if err != nil {
 				return nil, fmt.Errorf("%s rate %.1f: %w", e.dataset, rate, err)
 			}
-			horizon := scenario.MeasurementHorizon(dur)
-			resSW, err := sw.Run(reqs, horizon)
-			if err != nil {
-				return nil, err
-			}
-			resHG, err := hex.Run(reqs, horizon)
-			if err != nil {
-				return nil, err
-			}
-			resHT, err := het.Run(reqs, horizon)
-			if err != nil {
-				return nil, err
-			}
 			tab.AddRow(e.dataset, rate,
-				resSW.Recorder.Snapshot().NormLat.Mean,
-				resHG.Recorder.Snapshot().NormLat.Mean,
-				resHT.Recorder.Snapshot().NormLat.Mean,
-				resSW.Completed, resHG.Completed, resHT.Completed)
+				res[0].Recorder.Snapshot().NormLat.Mean,
+				res[1].Recorder.Snapshot().NormLat.Mean,
+				res[2].Recorder.Snapshot().NormLat.Mean,
+				res[0].Completed, res[1].Completed, res[2].Completed)
 		}
 	}
 	return tab, nil
@@ -101,14 +89,25 @@ func Fig11(opts Options) (*metrics.Table, error) {
 				return nil, err
 			}
 			reqs := workload.Poisson(dist, 4, dur, opts.seed(77))
-			het, hex, sw, err := buildEngines(m, reqs)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", m.Name, ds, err)
+			row := []any{m.Name, ds}
+			for _, name := range []string{"hetis", "hexgen", "splitwise"} {
+				// Build the engine through the job and read its KV space
+				// without serving the trace.
+				var capacity int64
+				_, err := scenario.Job{Model: m, Cluster: hardware.PaperCluster(), Engine: name, Trace: reqs,
+					Build: func(name string, cfg engine.Config, reqs []workload.Request) (engine.Engine, error) {
+						eng, err := engine.NewByName(name, cfg, reqs)
+						if err == nil {
+							capacity = eng.CacheCapacity()
+						}
+						return eng, err
+					}}.Prepare()
+				if err != nil {
+					return nil, fmt.Errorf("%s/%s: %w", m.Name, ds, err)
+				}
+				row = append(row, float64(capacity)/1e9)
 			}
-			tab.AddRow(m.Name, ds,
-				float64(het.CacheCapacity())/1e9,
-				float64(hex.CacheCapacity())/1e9,
-				float64(sw.CacheCapacity())/1e9)
+			tab.AddRow(row...)
 		}
 	}
 	return tab, nil
@@ -126,21 +125,11 @@ func runFig12Setting(ds string, opts Options) (het, hex, sw *engine.Result, err 
 		return nil, nil, nil, err
 	}
 	reqs := workload.Poisson(dist, fig12Rates[ds], dur, opts.seed(2100))
-	h, x, s, err := buildEngines(model.Llama70B, reqs)
+	res, err := serve(model.Llama70B, hardware.PaperCluster(), reqs, scenario.MeasurementHorizon(dur), "hetis", "hexgen", "splitwise")
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	horizon := scenario.MeasurementHorizon(dur)
-	if het, err = h.Run(reqs, horizon); err != nil {
-		return nil, nil, nil, err
-	}
-	if hex, err = x.Run(reqs, horizon); err != nil {
-		return nil, nil, nil, err
-	}
-	if sw, err = s.Run(reqs, horizon); err != nil {
-		return nil, nil, nil, err
-	}
-	return het, hex, sw, nil
+	return res[0], res[1], res[2], nil
 }
 
 // Fig12 reproduces Fig. 12: P95 TTFT and TPOT for Llama-70B, normalized to
@@ -198,7 +187,7 @@ func Fig16a(opts Options) (*metrics.Table, error) {
 		}
 		reqs := workload.Poisson(dist, rate, dur, opts.seed(1600))
 		for _, theta := range thetas {
-			res, err := runSmallHetis(reqs, theta, false)
+			res, err := runSmall(reqs, scenario.MeasurementHorizon(60), func(cfg *engine.Config) { cfg.Theta = theta })
 			if err != nil {
 				return nil, fmt.Errorf("fig16a %s theta %.1f: %w", ds, theta, err)
 			}
@@ -222,21 +211,46 @@ func Fig16b(opts Options) (*metrics.Table, error) {
 	dur := opts.duration(40)
 	reqs := workload.Poisson(workload.ShareGPT, 5, dur, opts.seed(1700))
 
-	baseRes, err := runSmallHetisProfile(reqs, 0.5, "", 1)
+	// run serves the trace with one parameter of the engine's fitted
+	// profile scaled by factor; an empty param runs the exact profile.
+	// Instances read the profile at Run, so the engine needs no rebuild.
+	run := func(param string, factor float64) (float64, error) {
+		res, err := scenario.Job{Model: model.Llama13B, Cluster: smallCluster(), Engine: "hetis", Trace: reqs,
+			Horizon: scenario.MeasurementHorizon(60),
+			Build: func(_ string, cfg engine.Config, _ []workload.Request) (engine.Engine, error) {
+				h, err := engine.NewHetis(cfg, smallPlan(model.Llama13B))
+				if err != nil {
+					return nil, err
+				}
+				if param == "" {
+					return h, nil
+				}
+				perturbed, err := h.Profile().PerturbParam(param, factor)
+				if err != nil {
+					return nil, err
+				}
+				h.SetProfile(perturbed)
+				return h, nil
+			}}.Run()
+		if err != nil {
+			return 0, err
+		}
+		return res.Recorder.Snapshot().NormLat.Mean, nil
+	}
+	base, err := run("", 1)
 	if err != nil {
 		return nil, err
 	}
-	base := baseRes.Recorder.Snapshot().NormLat.Mean
 
 	tab := &metrics.Table{Header: []string{"Error(%)", "a", "b", "c", "gamma", "beta"}}
 	for _, pct := range []float64{5, 10, 15, 20} {
 		row := []any{pct}
 		for _, param := range []string{"a", "b", "c", "gamma", "beta"} {
-			res, err := runSmallHetisProfile(reqs, 0.5, param, 1+pct/100)
+			lat, err := run(param, 1+pct/100)
 			if err != nil {
 				return nil, fmt.Errorf("fig16b %s %+.0f%%: %w", param, pct, err)
 			}
-			row = append(row, res.Recorder.Snapshot().NormLat.Mean/base)
+			row = append(row, lat/base)
 		}
 		tab.AddRow(row...)
 	}

@@ -13,6 +13,7 @@ import (
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
 	"hetis/internal/model"
+	"hetis/internal/scenario"
 	"hetis/internal/sweep"
 	"hetis/internal/workload"
 )
@@ -114,26 +115,16 @@ func (o Options) duration(full float64) float64 {
 	return full
 }
 
-// buildEngines constructs the three systems for a model on the paper
-// cluster, planning Hetis for the given trace.
-func buildEngines(m model.Config, reqs []workload.Request) (het *engine.Hetis, hex *engine.HexGen, sw *engine.Splitwise, err error) {
-	cluster := hardware.PaperCluster()
-	cfg := engine.DefaultConfig(m, cluster)
-	plan, err := engine.PlanForWorkload(cfg, reqs)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("plan: %w", err)
+// serve runs the trace on each named engine over cluster through
+// scenario.Job, measured to horizon; the results follow names.
+func serve(m model.Config, cluster *hardware.Cluster, reqs []workload.Request, horizon float64, names ...string) ([]*engine.Result, error) {
+	out := make([]*engine.Result, len(names))
+	for i, name := range names {
+		res, err := scenario.Job{Model: m, Cluster: cluster, Engine: name, Trace: reqs, Horizon: horizon}.Run()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		out[i] = res
 	}
-	het, err = engine.NewHetis(cfg, plan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	hex, err = engine.NewHexGen(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sw, err = engine.NewSplitwise(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return het, hex, sw, nil
+	return out, nil
 }

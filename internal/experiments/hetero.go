@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"hetis/internal/engine"
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
 	"hetis/internal/model"
@@ -32,29 +29,11 @@ func AblationHetero(opts Options) (*metrics.Table, error) {
 			AddHost("3090-1", hardware.PCIe3x16, hardware.RTX3090, 2).
 			AddHost("p100", hardware.PCIe3x16, hardware.P100, 4).
 			MustBuild()
-		cfg := engine.DefaultConfig(m, cluster)
-
-		ref, err := engine.NewVLLM(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("vllm: %w", err)
-		}
-		plan, err := engine.PlanForWorkload(cfg, reqs)
+		res, err := serve(m, cluster, reqs, dur*12, "vllm", "hetis")
 		if err != nil {
 			return nil, err
 		}
-		het, err := engine.NewHetis(cfg, plan)
-		if err != nil {
-			return nil, err
-		}
-		horizon := dur * 12
-		refRes, err := ref.Run(reqs, horizon)
-		if err != nil {
-			return nil, err
-		}
-		hetRes, err := het.Run(reqs, horizon)
-		if err != nil {
-			return nil, err
-		}
+		refRes, hetRes := res[0], res[1]
 		tab.AddRow(rate,
 			refRes.Recorder.Snapshot().NormLat.Mean,
 			hetRes.Recorder.Snapshot().NormLat.Mean,

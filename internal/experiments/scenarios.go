@@ -17,5 +17,10 @@ import (
 func Scenarios(opts Options) (*metrics.Table, error) {
 	// SuiteNames: heavy scenarios (megascale) are streaming-sink workloads,
 	// not experiment tables; they run when named explicitly.
-	return sweep.RunScenarios(scenario.SuiteNames(), opts.Quick, opts.Seed, sweep.Options{})
+	specs, err := scenario.ByNames(scenario.SuiteNames())
+	if err != nil {
+		return nil, err
+	}
+	tab, _, err := sweep.RunScenariosSink(specs, opts.Seed, scenario.Options{Quick: opts.Quick}, sweep.Options{})
+	return tab, err
 }

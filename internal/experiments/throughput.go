@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"hetis/internal/engine"
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
 	"hetis/internal/model"
@@ -15,25 +14,21 @@ import (
 const sloNormLatency = 0.25
 
 // maxSustainedRate ladders the request rate upward and returns the largest
-// rate at which the engine finishes ≥99% of the trace within the horizon
-// while meeting the latency SLO.
-func maxSustainedRate(build func(reqs []workload.Request) (engine.Engine, error), dist workload.LengthDist, rates []float64, dur float64, opts Options) (float64, error) {
+// rate at which the named engine finishes ≥99% of the trace within the
+// horizon while meeting the latency SLO, on a fresh paper cluster per probe.
+func maxSustainedRate(m model.Config, name string, dist workload.LengthDist, rates []float64, dur float64, opts Options) (float64, error) {
 	best := 0.0
 	for _, rate := range rates {
 		reqs := workload.Poisson(dist, rate, dur, opts.seed(3000+int64(rate*7)))
 		if len(reqs) == 0 {
 			continue
 		}
-		eng, err := build(reqs)
+		res, err := serve(m, hardware.PaperCluster(), reqs, dur*8, name)
 		if err != nil {
 			return 0, err
 		}
-		res, err := eng.Run(reqs, dur*8)
-		if err != nil {
-			return 0, err
-		}
-		done := float64(res.Completed) / float64(len(reqs))
-		lat := res.Recorder.Snapshot().NormLat.Mean
+		done := float64(res[0].Completed) / float64(len(reqs))
+		lat := res[0].Recorder.Snapshot().NormLat.Mean
 		if done >= 0.99 && lat <= sloNormLatency {
 			best = rate
 		}
@@ -63,33 +58,13 @@ func Throughput(opts Options) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rates := ladders[ds]
-
-		swRate, err := maxSustainedRate(func(reqs []workload.Request) (engine.Engine, error) {
-			cfg := engine.DefaultConfig(m, clusterForThroughput())
-			return engine.NewSplitwise(cfg)
-		}, dist, rates, dur, opts)
-		if err != nil {
-			return nil, fmt.Errorf("splitwise %s: %w", ds, err)
-		}
-		hgRate, err := maxSustainedRate(func(reqs []workload.Request) (engine.Engine, error) {
-			cfg := engine.DefaultConfig(m, clusterForThroughput())
-			return engine.NewHexGen(cfg)
-		}, dist, rates, dur, opts)
-		if err != nil {
-			return nil, fmt.Errorf("hexgen %s: %w", ds, err)
-		}
-		htRate, err := maxSustainedRate(func(reqs []workload.Request) (engine.Engine, error) {
-			cfg := engine.DefaultConfig(m, clusterForThroughput())
-			plan, err := engine.PlanForWorkload(cfg, reqs)
-			if err != nil {
-				return nil, err
+		var sustained [3]float64
+		for i, name := range []string{"splitwise", "hexgen", "hetis"} {
+			if sustained[i], err = maxSustainedRate(m, name, dist, ladders[ds], dur, opts); err != nil {
+				return nil, fmt.Errorf("%s %s: %w", name, ds, err)
 			}
-			return engine.NewHetis(cfg, plan)
-		}, dist, rates, dur, opts)
-		if err != nil {
-			return nil, fmt.Errorf("hetis %s: %w", ds, err)
 		}
+		swRate, hgRate, htRate := sustained[0], sustained[1], sustained[2]
 
 		ratio := func(a, b float64) float64 {
 			if b == 0 {
@@ -101,7 +76,3 @@ func Throughput(opts Options) (*metrics.Table, error) {
 	}
 	return tab, nil
 }
-
-// clusterForThroughput isolates cluster construction so the ladder gets a
-// fresh deployment per probe.
-func clusterForThroughput() *hardware.Cluster { return hardware.PaperCluster() }

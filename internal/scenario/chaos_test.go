@@ -133,14 +133,7 @@ func TestChaosNoOpIdentical(t *testing.T) {
 		t.Fatal("chaos-free spec reports Chaotic() == true")
 	}
 
-	want, err := Run(base, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(inert, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, got := runSpec(t, base), runSpec(t, inert)
 	if got.CSV() != want.CSV() {
 		t.Errorf("inert chaos spec drifted from its healthy twin:\n%s",
 			diffLines([]byte(want.CSV()), []byte(got.CSV())))

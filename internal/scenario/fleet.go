@@ -15,6 +15,7 @@ import (
 
 	"hetis/internal/engine"
 	"hetis/internal/fleet"
+	"hetis/internal/hardware"
 	"hetis/internal/metrics"
 	"hetis/internal/model"
 	"hetis/internal/sweep/pool"
@@ -37,7 +38,7 @@ type fleetShard struct {
 // preparation outside the clock. A FleetRun is single-use: streaming sinks
 // accumulate, so call PrepareFleet again for a repeat run.
 type FleetRun struct {
-	Spec       Spec // the effective (defaulted, quick-scaled) spec
+	Spec       Spec // the effective (defaulted, quick-scaled) spec; zero for a Job
 	EngineName string
 
 	// offered is the trace's request count and offeredBy its per-tenant
@@ -45,6 +46,7 @@ type FleetRun struct {
 	// and which is dropped once they have run.
 	offered   int
 	offeredBy map[string]int
+	horizon   float64 // the measurement horizon every shard runs to
 	shards    []*fleetShard
 	pipeline  *streamPipeline // shard 0's, which the others merge onto
 	tenants   bool            // the trace is multi-tenant
@@ -60,7 +62,9 @@ type FleetRun struct {
 // unsharded spec is one shard that holds the whole trace and carries the
 // spec's chaos config; a sharded spec's router partitions the trace and
 // every shard plans its own sub-trace. A window the windowed series
-// cannot bucket (checkWindow) is refused before any of that.
+// cannot bucket (checkWindow) is refused before any of that. It is the
+// spec case of Job: the same build and Run code, with the spec's trace,
+// shards, chaos and sinks.
 func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error) {
 	spec = Prepare(spec, opts.Quick)
 	if err := spec.Validate(); err != nil {
@@ -95,10 +99,6 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 		}
 		parts = router.Partition(reqs)
 	}
-	build := opts.Build
-	if build == nil {
-		build = engine.NewByName
-	}
 	chaos := spec.chaosConfig()
 	offeredBy := offeredByTenant(reqs)
 	f := &FleetRun{
@@ -106,7 +106,6 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 		EngineName: engineName,
 		offered:    len(reqs),
 		offeredBy:  offeredBy,
-		shards:     make([]*fleetShard, len(parts)),
 		tenants:    multiTenant(offeredBy),
 		chaotic:    chaos.Active(),
 		streaming:  opts.Stream,
@@ -115,10 +114,8 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	if f.tiered() {
 		tierKey = func(r metrics.RequestRecord) string { return spec.tierOf(r.Tenant) }
 	}
-	for i, part := range parts {
-		sh := &fleetShard{reqs: part}
-		f.shards[i] = sh
-		cfg := engine.DefaultConfig(m, cluster)
+	job := Job{Model: m, Cluster: cluster, Engine: engineName, Horizon: MeasurementHorizon(spec.Duration), Build: opts.Build}
+	err = f.build(job, parts, func(cfg *engine.Config, sh *fleetShard) {
 		cfg.Chaos = chaos
 		if opts.Stream {
 			// Every shard gets the pipeline shape of the whole trace (a
@@ -128,22 +125,84 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 			cfg.Sink = sh.pipeline.sink
 			cfg.NoTrace = true
 		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Job serves a pre-built trace on one engine of a resolved deployment,
+// the way experiments and grid points run. It takes the code path of
+// PrepareFleet as one shard with no chaos: Build (nil = engine.NewByName)
+// makes the engine from the default config and may change the config,
+// pin a plan or pick the sink; Run returns the engine's own Result.
+type Job struct {
+	Model   model.Config
+	Cluster *hardware.Cluster
+	Engine  string
+	Trace   []workload.Request
+	Horizon float64
+	Build   EngineBuilder
+}
+
+// Prepare builds the job's engine without serving the trace.
+func (j Job) Prepare() (*FleetRun, error) {
+	if len(j.Trace) == 0 {
+		return nil, fmt.Errorf("%s: empty trace", j.Engine)
+	}
+	f := &FleetRun{EngineName: j.Engine, offered: len(j.Trace)}
+	if err := f.build(j, [][]workload.Request{j.Trace}, nil); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Run serves the job's trace up to its horizon.
+func (j Job) Run() (*engine.Result, error) {
+	f, err := j.Prepare()
+	if err != nil {
+		return nil, err
+	}
+	return f.Run(1)
+}
+
+// build makes one shard per part and builds each non-empty shard's engine
+// through j.Build from the default config, which tune (if set) adjusts
+// for the shard first.
+func (f *FleetRun) build(j Job, parts [][]workload.Request, tune func(*engine.Config, *fleetShard)) error {
+	build := j.Build
+	if build == nil {
+		build = engine.NewByName
+	}
+	f.horizon = j.Horizon
+	f.shards = make([]*fleetShard, len(parts))
+	for i, part := range parts {
+		sh := &fleetShard{reqs: part}
+		f.shards[i] = sh
+		cfg := engine.DefaultConfig(j.Model, j.Cluster)
+		if tune != nil {
+			tune(&cfg, sh)
+		}
 		if len(part) == 0 {
 			continue // a shard the router starved has nothing to simulate
 		}
-		eng, err := build(engineName, cfg, part)
+		eng, err := build(j.Engine, cfg, part)
 		if err != nil {
-			return nil, f.shardErr(i, err)
+			return f.shardErr(i, err)
 		}
 		sh.eng = eng
 	}
 	f.pipeline = f.shards[0].pipeline
-	return f, nil
+	return nil
 }
 
 // shardErr gives shard i's error the run's context; a one-shard run names
-// no shard.
+// no shard, and a Job's caller names its own run.
 func (f *FleetRun) shardErr(i int, err error) error {
+	if f.Spec.Name == "" {
+		return err
+	}
 	if len(f.shards) == 1 {
 		return fmt.Errorf("scenario %s/%s: %w", f.Spec.Name, f.EngineName, err)
 	}
@@ -159,13 +218,12 @@ func (f *FleetRun) Run(shardWorkers int) (*engine.Result, error) {
 		return nil, fmt.Errorf("scenario %s/%s: FleetRun is single-use; PrepareFleet again for a repeat", f.Spec.Name, f.EngineName)
 	}
 	f.ran = true
-	horizon := MeasurementHorizon(f.Spec.Duration)
 	pool.Each(len(f.shards), shardWorkers, func(i int) {
 		sh := f.shards[i]
 		if sh.eng == nil {
 			return
 		}
-		sh.res, sh.err = sh.eng.Run(sh.reqs, horizon)
+		sh.res, sh.err = sh.eng.Run(sh.reqs, f.horizon)
 	})
 	var errs []error
 	for i, sh := range f.shards {

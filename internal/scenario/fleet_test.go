@@ -28,11 +28,19 @@ func fleetTestSpec(policy string) Spec {
 	}
 }
 
-// runFleetCSV runs spec on one engine and returns the row table (and the
-// windowed table, when streaming with a window) as CSV.
-func runFleetCSV(t *testing.T, spec Spec, engineName string, opts Options) (string, string) {
+// runFleetCSV runs spec on one engine with the given shard-worker count
+// and returns the row table (and the windowed table, when streaming with a
+// window) as CSV.
+func runFleetCSV(t *testing.T, spec Spec, engineName string, opts Options, workers int) (string, string) {
 	t.Helper()
-	rows, wins, err := RunEngineSink(spec, engineName, opts)
+	fr, err := PrepareFleet(spec, engineName, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fr.Run(workers); err != nil {
+		t.Fatal(err)
+	}
+	rows, wins, err := fr.Tables()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,20 +60,19 @@ func TestFleetDeterministicAcrossWorkersAndProcs(t *testing.T) {
 	for _, policy := range []string{"weighted", "least-loaded", "affinity"} {
 		spec := fleetTestSpec(policy)
 		for _, stream := range []bool{false, true} {
-			opts := Options{Stream: stream, ShardWorkers: 1}
+			opts := Options{Stream: stream}
 			if stream {
 				opts.Window = 5
 			}
 			runtime.GOMAXPROCS(1)
-			refRows, refWins := runFleetCSV(t, spec, spec.Engines[0], opts)
+			refRows, refWins := runFleetCSV(t, spec, spec.Engines[0], opts, 1)
 			if !strings.Contains(refRows, spec.Name) {
 				t.Fatalf("%s: reference CSV has no scenario rows:\n%s", policy, refRows)
 			}
 			for _, procs := range []int{1, 2} {
 				for _, workers := range []int{1, 4, 8} {
 					runtime.GOMAXPROCS(procs)
-					opts.ShardWorkers = workers
-					rows, wins := runFleetCSV(t, spec, spec.Engines[0], opts)
+					rows, wins := runFleetCSV(t, spec, spec.Engines[0], opts, workers)
 					if rows != refRows {
 						t.Errorf("%s stream=%v: CSV differs at shard-workers=%d GOMAXPROCS=%d", policy, stream, workers, procs)
 					}
@@ -189,13 +196,13 @@ func TestFleetMergeMismatchIsError(t *testing.T) {
 func TestFleetToleratesEmptyShards(t *testing.T) {
 	spec := fleetTestSpec("affinity")
 	spec.Mix = nil // single-tenant: every request carries tenant ""
-	a, _ := runFleetCSV(t, spec, spec.Engines[0], Options{ShardWorkers: 1})
-	b, _ := runFleetCSV(t, spec, spec.Engines[0], Options{ShardWorkers: 4})
+	a, _ := runFleetCSV(t, spec, spec.Engines[0], Options{}, 1)
+	b, _ := runFleetCSV(t, spec, spec.Engines[0], Options{}, 4)
 	if a != b {
 		t.Fatal("empty-shard fleet run not deterministic across worker counts")
 	}
-	sa, _ := runFleetCSV(t, spec, spec.Engines[0], Options{Stream: true, ShardWorkers: 1})
-	sb, _ := runFleetCSV(t, spec, spec.Engines[0], Options{Stream: true, ShardWorkers: 4})
+	sa, _ := runFleetCSV(t, spec, spec.Engines[0], Options{Stream: true}, 1)
+	sb, _ := runFleetCSV(t, spec, spec.Engines[0], Options{Stream: true}, 4)
 	if sa != sb {
 		t.Fatal("empty-shard streaming fleet run not deterministic across worker counts")
 	}
@@ -206,8 +213,8 @@ func TestFleetToleratesEmptyShards(t *testing.T) {
 // may differ, within the sketch's relative-error bound.
 func TestFleetStreamMatchesExactCounts(t *testing.T) {
 	spec := fleetTestSpec("least-loaded")
-	exact, _ := runFleetCSV(t, spec, spec.Engines[0], Options{})
-	stream, _ := runFleetCSV(t, spec, spec.Engines[0], Options{Stream: true})
+	exact, _ := runFleetCSV(t, spec, spec.Engines[0], Options{}, 0)
+	stream, _ := runFleetCSV(t, spec, spec.Engines[0], Options{Stream: true}, 0)
 	exactLines := strings.Split(strings.TrimSpace(exact), "\n")
 	streamLines := strings.Split(strings.TrimSpace(stream), "\n")
 	if len(exactLines) != len(streamLines) {
@@ -253,8 +260,8 @@ func TestOneShardFleetMatchesUnsharded(t *testing.T) {
 			sharded.Fleet = &FleetSpec{Shards: 1}
 			for _, eng := range spec.WithDefaults().Engines {
 				for _, m := range modes {
-					wantRows, wantWins := runFleetCSV(t, spec, eng, m.opts)
-					gotRows, gotWins := runFleetCSV(t, sharded, eng, m.opts)
+					wantRows, wantWins := runFleetCSV(t, spec, eng, m.opts, 0)
+					gotRows, gotWins := runFleetCSV(t, sharded, eng, m.opts, 0)
 					if gotRows != wantRows {
 						t.Errorf("%s/%s: one-shard rows differ:\n%s", eng, m.name, diffLines([]byte(wantRows), []byte(gotRows)))
 					}

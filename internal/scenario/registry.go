@@ -46,6 +46,26 @@ func ByName(name string) (Spec, error) {
 	return s, nil
 }
 
+// ByNames resolves scenario names in the order given; ["all"] expands to
+// SuiteNames, so heavy, chaotic and sharded scenarios run only when named.
+func ByNames(names []string) ([]Spec, error) {
+	if len(names) == 1 && names[0] == "all" {
+		names = SuiteNames()
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("scenario: no scenarios named")
+	}
+	specs := make([]Spec, len(names))
+	for i, name := range names {
+		spec, err := ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = spec
+	}
+	return specs, nil
+}
+
 // Names lists the registered scenarios in sorted order.
 func Names() []string {
 	regMu.RLock()

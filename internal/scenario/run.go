@@ -59,19 +59,12 @@ type Options struct {
 	// (completions, goodput, p95 latency per Window seconds) that
 	// RunEngineSink returns as a second table.
 	Window float64
-
-	// ShardWorkers bounds how many of a sharded (Spec.Fleet) run's shards
-	// execute concurrently; 0 means one worker per CPU (clamped to the
-	// shard count), 1 runs the shards sequentially. Output is byte-
-	// identical at every value — the knob trades wall clock for cores,
-	// never results. An unsharded spec is one shard, so it runs inline.
-	ShardWorkers int
 }
 
 // ClusterByName resolves a spec's cluster name through
 // hardware.ParseCluster ("" and "paper" are the paper's evaluation
 // cluster). Exported so harnesses that run engines directly (benchmark/)
-// resolve deployments exactly like RunEngine.
+// resolve deployments exactly like PrepareFleet.
 func ClusterByName(name string) (*hardware.Cluster, error) {
 	return hardware.ParseCluster(name)
 }
@@ -106,20 +99,13 @@ func MeasurementHorizon(duration float64) float64 { return duration * 30 }
 
 // Prepare resolves a spec into its effective form for a run: defaults
 // filled and Quick scaling applied. Pooled runners use it to read a spec's
-// engines and chaos the way RunEngine will serve them.
+// engines and chaos the way PrepareFleet will serve them.
 func Prepare(spec Spec, quick bool) Spec {
 	spec = spec.WithDefaults()
 	if quick {
 		spec.Duration /= 4
 	}
 	return spec
-}
-
-// RunEngine serves the scenario's trace on one engine and returns its rows:
-// the aggregate first, then per-tenant rows for multi-tenant mixes.
-func RunEngine(spec Spec, engineName string, opts Options) (*metrics.Table, error) {
-	rows, _, err := RunEngineSink(spec, engineName, opts)
-	return rows, err
 }
 
 // streamPipeline is the sink stack a streaming run measures through:
@@ -193,16 +179,17 @@ func keyedStats(m *metrics.KeyedMux, horizon float64) map[string]metrics.TenantS
 	return out
 }
 
-// RunEngineSink runs like RunEngine and additionally returns the windowed
-// time-series table when the run streamed with Options.Window > 0 (nil
-// otherwise). Every spec runs as a FleetRun; an unsharded one is a single
-// shard.
+// RunEngineSink serves the scenario's trace on one engine and returns its
+// rows — the aggregate first, then per-tenant and per-tier rows — and the
+// windowed time-series table when the run streamed with Options.Window > 0
+// (nil otherwise). Every spec runs as a FleetRun; an unsharded one is a
+// single shard, and a sharded one runs one shard worker per CPU.
 func RunEngineSink(spec Spec, engineName string, opts Options) (rows, windows *metrics.Table, err error) {
 	fr, err := PrepareFleet(spec, engineName, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := fr.Run(opts.ShardWorkers); err != nil {
+	if _, err := fr.Run(0); err != nil {
 		return nil, nil, err
 	}
 	return fr.Tables()
@@ -315,21 +302,6 @@ func offeredByTenant(reqs []workload.Request) map[string]int {
 		i = j
 	}
 	return offered
-}
-
-// Run serves the scenario on every engine it names, rows in engine order.
-func Run(spec Spec, opts Options) (*metrics.Table, error) {
-	spec = Prepare(spec, opts.Quick)
-	opts.Quick = false // already applied
-	tab := &metrics.Table{Header: HeaderFor(spec.Chaotic())}
-	for _, eng := range spec.Engines {
-		sub, err := RunEngine(spec, eng, opts)
-		if err != nil {
-			return nil, err
-		}
-		tab.Rows = append(tab.Rows, sub.Rows...)
-	}
-	return tab, nil
 }
 
 // multiTenant reports whether any request of the trace names a tenant,

@@ -278,7 +278,7 @@ func TestMeanRate(t *testing.T) {
 
 func TestRunEngineRows(t *testing.T) {
 	spec, _ := ByName("multitenant")
-	tab, err := RunEngine(spec, "splitwise", Options{Quick: true})
+	tab, _, err := RunEngineSink(spec, "splitwise", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestRunEngineRows(t *testing.T) {
 	}
 
 	spec, _ = ByName("steady")
-	tab, err = RunEngine(spec, "splitwise", Options{Quick: true})
+	tab, _, err = RunEngineSink(spec, "splitwise", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,20 +303,8 @@ func TestRunEngineRows(t *testing.T) {
 		t.Fatalf("single-tenant scenario rows = %d, want 1:\n%s", len(tab.Rows), tab)
 	}
 
-	if _, err := RunEngine(spec, "warp", Options{Quick: true}); err == nil {
+	if _, _, err := RunEngineSink(spec, "warp", Options{Quick: true}); err == nil {
 		t.Error("unknown engine should error")
-	}
-}
-
-func TestRunUsesSpecEngineOrder(t *testing.T) {
-	spec, _ := ByName("steady")
-	spec.Engines = []string{"splitwise", "hexgen"}
-	tab, err := Run(spec, Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 || tab.Rows[0][1] != "splitwise" || tab.Rows[1][1] != "hexgen" {
-		t.Fatalf("rows do not follow spec engine order:\n%s", tab)
 	}
 }
 

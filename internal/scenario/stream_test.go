@@ -28,11 +28,11 @@ func TestStreamMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := RunEngine(spec, "hexgen", Options{Quick: true})
+	exact, _, err := RunEngineSink(spec, "hexgen", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := RunEngine(spec, "hexgen", Options{Quick: true, Stream: true})
+	stream, _, err := RunEngineSink(spec, "hexgen", Options{Quick: true, Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}

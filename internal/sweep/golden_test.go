@@ -15,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite testdata/grid.golden from the c
 
 // TestGridGolden pins the pooled outputs byte-for-byte: a dataset × rate
 // grid, a scenario grid over every engine, and the scenario suite through
-// RunScenarios. The scenario goldens run each engine directly, so this is
+// RunScenariosSink. The scenario goldens run each engine directly, so this is
 // what pins the sweep's own engine construction and row assembly.
 // Regenerate with:
 //
@@ -43,7 +43,7 @@ func TestGridGolden(t *testing.T) {
 	}
 	section("grid engine × scenario", tab.CSV())
 
-	tab, err = RunScenarios(scenario.SuiteNames(), true, 0, Options{})
+	tab, _, err = runNamed(scenario.SuiteNames(), scenario.Options{Quick: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,27 +199,26 @@ func RunPoint(s GridSpec, p Point, traceDir string) (*metrics.Table, error) {
 		}
 		reqs = workload.Poisson(dist, p.Rate, s.Duration, s.Seed)
 	}
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("sweep: empty trace for %s", p.Key())
-	}
-	cfg := engine.DefaultConfig(m, cluster)
-	// Grid rows never read the event trace; skipping it keeps pooled
-	// workers from holding O(events) logs per in-flight point.
-	cfg.NoTrace = traceDir == ""
-	// Rows are computed from the sink's snapshot either way. The exact
-	// recorder's snapshot runs the same accumulation the recorder methods
-	// always ran, so the default output stays byte-identical; the streaming
-	// sink swaps O(records) memory for the sketch bound.
-	if s.Stream {
-		cfg.Sink = metrics.NewStreamingSink(slo)
-	} else {
-		cfg.Sink = metrics.NewExactRecorder(slo)
-	}
-	eng, err := engine.NewByName(p.Engine, cfg, reqs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Run(reqs, scenario.MeasurementHorizon(s.Duration))
+	job := scenario.Job{Model: m, Cluster: cluster, Engine: p.Engine, Trace: reqs,
+		Horizon: scenario.MeasurementHorizon(s.Duration),
+		Build: func(name string, cfg engine.Config, reqs []workload.Request) (engine.Engine, error) {
+			// Grid rows never read the event trace; skipping it keeps
+			// pooled workers from holding O(events) logs per in-flight
+			// point.
+			cfg.NoTrace = traceDir == ""
+			// Rows are computed from the sink's snapshot either way. The
+			// exact recorder's snapshot runs the same accumulation the
+			// recorder methods always ran, so the default output stays
+			// byte-identical; the streaming sink swaps O(records) memory
+			// for the sketch bound.
+			if s.Stream {
+				cfg.Sink = metrics.NewStreamingSink(slo)
+			} else {
+				cfg.Sink = metrics.NewExactRecorder(slo)
+			}
+			return engine.NewByName(name, cfg, reqs)
+		}}
+	res, err := job.Run()
 	if err != nil {
 		return nil, err
 	}

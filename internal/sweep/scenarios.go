@@ -7,17 +7,6 @@ import (
 	"hetis/internal/scenario"
 )
 
-// RunScenarios serves the named scenarios on the pool, one job per
-// (scenario, engine) pair, and merges their rows in catalog order —
-// scenarios as given (or the non-heavy catalog, for "all"), engines in
-// each spec's order — independent of completion order, so the output is
-// byte-identical for any Options.Jobs value. quick quarters trace
-// durations; seed offsets every scenario's built-in seed.
-func RunScenarios(names []string, quick bool, seed int64, opts Options) (*metrics.Table, error) {
-	tab, _, err := RunScenariosSink(names, quick, seed, false, 0, opts)
-	return tab, err
-}
-
 // ScenarioWindows is one (scenario, engine) run's windowed time series.
 type ScenarioWindows struct {
 	Scenario string
@@ -25,31 +14,24 @@ type ScenarioWindows struct {
 	Table    *metrics.Table
 }
 
-// RunScenariosSink is RunScenarios with sink selection: stream measures
-// through constant-memory streaming sinks (required for heavy scenarios
-// like megascale to stay cheap), and window > 0 additionally returns each
-// pair's windowed time series, in the same deterministic pair order as the
-// rows. "all" expands to the non-heavy catalog (scenario.SuiteNames);
-// heavy scenarios run when named explicitly.
-func RunScenariosSink(names []string, quick bool, seed int64, stream bool, window float64, opts Options) (*metrics.Table, []ScenarioWindows, error) {
-	if len(names) == 1 && names[0] == "all" {
-		names = scenario.SuiteNames()
-	}
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("sweep: no scenarios named")
-	}
+// RunScenariosSink serves the scenarios on the pool, one job per
+// (scenario, engine) pair, each through scenario.PrepareFleet with so, and
+// merges their rows in the order given — engines in each spec's order —
+// independent of completion order, so the output is byte-identical for
+// any Options.Jobs value. so.Quick quarters trace durations and seed
+// offsets every scenario's own seed. so.Stream measures through
+// constant-memory streaming sinks (required for heavy scenarios like
+// megascale to stay cheap), and so.Window > 0 additionally returns each
+// pair's windowed time series, in the same pair order as the rows.
+func RunScenariosSink(specs []scenario.Spec, seed int64, so scenario.Options, opts Options) (*metrics.Table, []ScenarioWindows, error) {
 	type pair struct {
 		spec scenario.Spec
 		eng  string
 	}
 	var pairs []pair
 	chaotic, healthy := 0, 0
-	for _, name := range names {
-		spec, err := scenario.ByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		spec = scenario.Prepare(spec, quick)
+	for _, spec := range specs {
+		spec = scenario.Prepare(spec, so.Quick)
 		spec.Seed += seed
 		if spec.Chaotic() {
 			chaotic++
@@ -60,6 +42,7 @@ func RunScenariosSink(names []string, quick bool, seed int64, stream bool, windo
 			pairs = append(pairs, pair{spec: spec, eng: eng})
 		}
 	}
+	so.Quick = false // applied above
 	// Chaotic scenarios append extra columns; one merged table cannot
 	// carry both row shapes, so a batch must be all-chaotic or all-not.
 	if chaotic > 0 && healthy > 0 {
@@ -70,8 +53,7 @@ func RunScenariosSink(names []string, quick bool, seed int64, stream bool, windo
 	for i, p := range pairs {
 		key := p.spec.Name + "/" + p.eng
 		jobs[i] = Job{Key: key, Run: func() (*metrics.Table, error) {
-			fr, err := scenario.PrepareFleet(p.spec, p.eng,
-				scenario.Options{Stream: stream, Window: window, ShardWorkers: opts.ShardWorkers})
+			fr, err := scenario.PrepareFleet(p.spec, p.eng, so)
 			if err != nil {
 				return nil, err
 			}

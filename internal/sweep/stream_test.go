@@ -4,6 +4,8 @@ import (
 	"math"
 	"strconv"
 	"testing"
+
+	"hetis/internal/scenario"
 )
 
 // TestGridStreamMatchesExact pins the snapshot-based grid row contract:
@@ -46,11 +48,12 @@ func TestGridStreamMatchesExact(t *testing.T) {
 // table per (scenario, engine) pair in deterministic pair order for any
 // job count.
 func TestRunScenariosSinkWindows(t *testing.T) {
-	tab1, wins1, err := RunScenariosSink([]string{"steady"}, true, 0, true, 5, Options{Jobs: 1})
+	so := scenario.Options{Quick: true, Stream: true, Window: 5}
+	tab1, wins1, err := runNamed([]string{"steady"}, so, Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab4, wins4, err := RunScenariosSink([]string{"steady"}, true, 0, true, 5, Options{Jobs: 4})
+	tab4, wins4, err := runNamed([]string{"steady"}, so, Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestRunScenariosSinkWindows(t *testing.T) {
 	}
 
 	// Without a window the runner returns rows only.
-	_, wins, err := RunScenariosSink([]string{"steady"}, true, 0, true, 0, Options{})
+	_, wins, err := runNamed([]string{"steady"}, scenario.Options{Quick: true, Stream: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +87,13 @@ func TestRunScenariosSinkWindows(t *testing.T) {
 
 // TestRunScenariosAllExcludesHeavy keeps "all" a suite-sized expansion.
 func TestRunScenariosAllExcludesHeavy(t *testing.T) {
-	tab, err := RunScenarios([]string{"all"}, true, 0, Options{})
+	tab, _, err := runNamed([]string{"all"}, scenario.Options{Quick: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range tab.Rows {
 		if row[0] == "megascale" {
-			t.Fatal("RunScenarios(all) ran the heavy megascale scenario")
+			t.Fatal("runNamed(all) ran the heavy megascale scenario")
 		}
 	}
 }

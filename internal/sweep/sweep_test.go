@@ -197,7 +197,7 @@ func TestTraceDir(t *testing.T) {
 	if err != nil || !bytes.HasPrefix(b, []byte(`{"at":`)) {
 		t.Errorf("trace file = %.40q, %v; want JSONL events", b, err)
 	}
-	if _, _, err := RunScenariosSink([]string{"steady"}, true, 0, true, 0, Options{TraceDir: dir}); err == nil || !strings.Contains(err.Error(), "no event trace") {
+	if _, _, err := runNamed([]string{"steady"}, scenario.Options{Quick: true, Stream: true}, Options{TraceDir: dir}); err == nil || !strings.Contains(err.Error(), "no event trace") {
 		t.Errorf("streaming scenarios with TraceDir: err = %v, want a no-trace error", err)
 	}
 }
@@ -295,7 +295,7 @@ func TestParseDimsScenario(t *testing.T) {
 func TestRunScenariosByteIdenticalAcrossJobs(t *testing.T) {
 	var rendered []string
 	for _, jobs := range []int{1, 8} {
-		tab, err := RunScenarios([]string{"all"}, true, 0, Options{Jobs: jobs})
+		tab, _, err := runNamed([]string{"all"}, scenario.Options{Quick: true}, Options{Jobs: jobs})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -307,10 +307,20 @@ func TestRunScenariosByteIdenticalAcrossJobs(t *testing.T) {
 }
 
 func TestRunScenariosUnknown(t *testing.T) {
-	if _, err := RunScenarios([]string{"no-such"}, true, 0, Options{}); err == nil {
+	if _, _, err := runNamed([]string{"no-such"}, scenario.Options{Quick: true}, Options{}); err == nil {
 		t.Error("unknown scenario should fail fast")
 	}
-	if _, err := RunScenarios(nil, true, 0, Options{}); err == nil {
+	if _, _, err := runNamed(nil, scenario.Options{Quick: true}, Options{}); err == nil {
 		t.Error("empty scenario list should error")
 	}
+}
+
+// runNamed resolves names with scenario.ByNames, as the facade does, and
+// serves them through RunScenariosSink.
+func runNamed(names []string, so scenario.Options, opts Options) (*metrics.Table, []ScenarioWindows, error) {
+	specs, err := scenario.ByNames(names)
+	if err != nil {
+		return nil, nil, err
+	}
+	return RunScenariosSink(specs, 0, so, opts)
 }

@@ -1,10 +1,15 @@
 package hetis
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,12 +18,15 @@ import (
 var mdRef = regexp.MustCompile(`[\w./-]*\w\.md\b`)
 
 // TestMarkdownReferencesExist fails when a Go file or a doc names a
-// Markdown file that is not in the repository. The docs are the READMEs
-// and doc/; the root's other Markdown files record history or quote other
-// repositories, so they may name files that are gone or never lived
-// here. A name resolves against the naming file's directory, the
+// Markdown file that is not in the repository, or when a doc names an
+// exported Go identifier that is not (see checkIdentifiers). The docs are
+// the READMEs and doc/; the root's other Markdown files record history or
+// quote other repositories, so they may name files that are gone or never
+// lived here. A name resolves against the naming file's directory, the
 // repository root, or doc/.
 func TestMarkdownReferencesExist(t *testing.T) {
+	decls := map[string]map[string]bool{} // package name -> declared names
+	docs := map[string][]string{}         // doc path -> lines
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -37,7 +45,8 @@ func TestMarkdownReferencesExist(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for i, line := range strings.Split(string(data), "\n") {
+		lines := strings.Split(string(data), "\n")
+		for i, line := range lines {
 			for _, ref := range mdRef.FindAllString(line, -1) {
 				if strings.Contains(ref, "//") {
 					continue // part of a URL
@@ -47,10 +56,17 @@ func TestMarkdownReferencesExist(t *testing.T) {
 				}
 			}
 		}
-		return nil
+		if isDoc {
+			docs[path] = lines
+			return nil
+		}
+		return declare(decls, path, data)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, path := range slices.Sorted(maps.Keys(docs)) {
+		checkIdentifiers(t, decls, path, docs[path])
 	}
 }
 
@@ -62,4 +78,75 @@ func mdExists(candidates ...string) bool {
 		}
 	}
 	return false
+}
+
+// codeSpan matches an inline code span; qualRef an exported qualified
+// identifier pkg.Name in one, where pkg does not continue a path or
+// selector. Lowercase names are left out: in the docs they are file names
+// (`fleet.go`) and benchmark metric keys (`engine.run_s`), not Go.
+var (
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	qualRef  = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Z]\w*)`)
+)
+
+// declare records the top-level names a Go file declares (functions,
+// types, variables and constants; not methods) under its package name.
+func declare(decls map[string]map[string]bool, path string, src []byte) error {
+	f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	names := decls[f.Name.Name]
+	if names == nil {
+		names = map[string]bool{}
+		decls[f.Name.Name] = names
+	}
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			if decl.Recv == nil {
+				names[decl.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					names[spec.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						names[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkIdentifiers fails on every exported qualified identifier `pkg.Name`
+// a doc names in a code span or a fenced code block whose pkg is one of
+// this module's package names and whose Name no package of that name
+// declares at top level, tests included: a doc that still names a deleted
+// function, such as scenario.RunEngine, fails.
+func checkIdentifiers(t *testing.T, decls map[string]map[string]bool, path string, lines []string) {
+	t.Helper()
+	fenced := false
+	for i, line := range lines {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		code := codeSpan.FindAllString(line, -1)
+		if fenced {
+			code = []string{line}
+		}
+		for _, span := range code {
+			for _, m := range qualRef.FindAllStringSubmatch(span, -1) {
+				pkg, name := m[1], m[2]
+				if names, ok := decls[pkg]; ok && !names[name] {
+					t.Errorf("%s:%d names %s.%s, which package %s does not declare", path, i+1, pkg, name, pkg)
+				}
+			}
+		}
+	}
 }

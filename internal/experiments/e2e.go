@@ -211,9 +211,14 @@ func Fig16b(opts Options) (*metrics.Table, error) {
 	dur := opts.duration(40)
 	reqs := workload.Poisson(workload.ShareGPT, 5, dur, opts.seed(1700))
 
+	baseRes, err := runSmall(reqs, scenario.MeasurementHorizon(60), nil)
+	if err != nil {
+		return nil, err
+	}
+	base := baseRes.Recorder.Snapshot().NormLat.Mean
 	// run serves the trace with one parameter of the engine's fitted
-	// profile scaled by factor; an empty param runs the exact profile.
-	// Instances read the profile at Run, so the engine needs no rebuild.
+	// profile scaled by factor. Instances read the profile at Run, so the
+	// engine needs no rebuild.
 	run := func(param string, factor float64) (float64, error) {
 		res, err := scenario.Job{Model: model.Llama13B, Cluster: smallCluster(), Engine: "hetis", Trace: reqs,
 			Horizon: scenario.MeasurementHorizon(60),
@@ -221,9 +226,6 @@ func Fig16b(opts Options) (*metrics.Table, error) {
 				h, err := engine.NewHetis(cfg, smallPlan(model.Llama13B))
 				if err != nil {
 					return nil, err
-				}
-				if param == "" {
-					return h, nil
 				}
 				perturbed, err := h.Profile().PerturbParam(param, factor)
 				if err != nil {
@@ -236,10 +238,6 @@ func Fig16b(opts Options) (*metrics.Table, error) {
 			return 0, err
 		}
 		return res.Recorder.Snapshot().NormLat.Mean, nil
-	}
-	base, err := run("", 1)
-	if err != nil {
-		return nil, err
 	}
 
 	tab := &metrics.Table{Header: []string{"Error(%)", "a", "b", "c", "gamma", "beta"}}

@@ -11,7 +11,13 @@
 // fits are seeded, deterministic functions of their inputs, so two runs
 // of the same point compute the same bytes without sharing any state.
 // A grid sweep over {engine × dataset × rate × model} points ([GridSpec],
-// [RunGrid]) is one job per point.
+// [RunGrid]) is one job per point. Jobs delegate the run to
+// internal/scenario: a grid point serves its pre-built trace as a
+// scenario.Job, whose builder sets the point's sink and trace switch, and
+// a scenario pair ([RunScenariosSink]) runs scenario.PrepareFleet and
+// FleetRun.Run. The default config and the run itself live there: this
+// package constructs an engine only inside the builder it hands to
+// scenario, and calls no Engine.Run.
 package sweep
 
 import (

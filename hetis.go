@@ -417,7 +417,8 @@ func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name
 func RegisterScenario(s Scenario) error { return scenario.Register(s) }
 
 // RunScenario serves one scenario on every engine it names, rows in
-// engine order, through the pooled runner RunScenarios uses.
+// engine order, through the pooled runner RunScenarios uses: the engines
+// run concurrently, so an opts.Build hook must be safe for that.
 func RunScenario(s Scenario, opts ScenarioOptions) (*Table, error) {
 	tab, _, err := sweep.RunScenariosSink([]Scenario{s}, 0, opts, SweepOptions{})
 	return tab, err

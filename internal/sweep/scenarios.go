@@ -22,7 +22,8 @@ type ScenarioWindows struct {
 // offsets every scenario's own seed. so.Stream measures through
 // constant-memory streaming sinks (required for heavy scenarios like
 // megascale to stay cheap), and so.Window > 0 additionally returns each
-// pair's windowed time series, in the same pair order as the rows.
+// pair's windowed time series, in the same pair order as the rows. The
+// pairs run concurrently, so so.Build must be safe for concurrent use.
 func RunScenariosSink(specs []scenario.Spec, seed int64, so scenario.Options, opts Options) (*metrics.Table, []ScenarioWindows, error) {
 	type pair struct {
 		spec scenario.Spec

@@ -151,7 +151,7 @@ func (j Job) Prepare() (*FleetRun, error) {
 	if len(j.Trace) == 0 {
 		return nil, fmt.Errorf("%s: empty trace", j.Engine)
 	}
-	f := &FleetRun{EngineName: j.Engine, offered: len(j.Trace)}
+	f := &FleetRun{EngineName: j.Engine}
 	if err := f.build(j, [][]workload.Request{j.Trace}, nil); err != nil {
 		return nil, err
 	}

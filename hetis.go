@@ -433,8 +433,9 @@ type ScenarioWindows = sweep.ScenarioWindows
 // own seed. opts.Stream measures through constant-memory streaming sinks
 // — the mode million-request scenarios (megascale) are built for — and
 // opts.Window > 0 additionally returns each pair's windowed time series in
-// pair order. A NaN, infinite or negative window, or one that cuts a run's
-// measurement horizon into more than 1<<20 windows, is refused.
+// pair order. A NaN, infinite or negative window, one that cuts a run's
+// measurement horizon into more than 1<<20 windows, or a positive one
+// without opts.Stream, is refused.
 func RunScenarios(names []string, seed int64, opts ScenarioOptions, pool SweepOptions) (*Table, []ScenarioWindows, error) {
 	specs, err := scenario.ByNames(names)
 	if err != nil {

@@ -118,6 +118,19 @@ func TestRunScenarioUsesSpecEngineOrder(t *testing.T) {
 	}
 }
 
+// TestRunScenariosRefusesWindowWithoutStream: only the streaming sinks
+// collect the windowed series, so a window on an exact run is refused
+// with an error naming it rather than silently returning no series.
+func TestRunScenariosRefusesWindowWithoutStream(t *testing.T) {
+	_, wins, err := RunScenarios([]string{"steady"}, 0, ScenarioOptions{Quick: true, Window: 5}, SweepOptions{})
+	if err == nil || !strings.Contains(err.Error(), "window 5 s") {
+		t.Fatalf("Window 5 without Stream: windows %v, err %v; want an error naming window 5 s", wins, err)
+	}
+	if _, wins, err = RunScenarios([]string{"steady"}, 0, ScenarioOptions{Quick: true, Stream: true, Window: 5}, SweepOptions{}); err != nil || len(wins) == 0 {
+		t.Fatalf("Window 5 with Stream: %d window tables, err %v", len(wins), err)
+	}
+}
+
 func TestEstimatorFacade(t *testing.T) {
 	est, err := NewEstimator(Llama70B)
 	if err != nil {

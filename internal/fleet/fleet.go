@@ -163,15 +163,18 @@ func (r *Router) routeLeastLoaded(tokens int) int {
 	return best
 }
 
-// Partition routes a whole trace and returns one per-shard sub-trace,
-// preserving arrival order within each shard. Every request lands in
-// exactly one shard; the sub-trace lengths sum to len(reqs), and a shard
-// that receives nothing gets nil. The sub-traces are capacity-clipped
-// windows of one exact-size array, so appending to one reallocates it
-// rather than overwriting its neighbour.
+// Partition routes a whole trace and splits it into one sub-trace per
+// shard, preserving arrival order within each shard. Every request lands
+// in exactly one shard; the sub-trace lengths sum to len(reqs), and a
+// shard that receives nothing gets nil.
+//
+// Partition reorders the caller's slice: the sub-traces are
+// capacity-clipped windows of reqs itself, laid out in shard order, so
+// appending to one reallocates it rather than overwriting its neighbour.
+// It is one stable forward pass (partitionInPlace) whose extra memory is
+// the requests waiting for their slot, not a second copy of the trace.
 func (r *Router) Partition(reqs []workload.Request) [][]workload.Request {
 	out := make([][]workload.Request, r.Shards())
-	// Route once, count per shard, then scatter: no per-shard growth.
 	shard := make([]int32, len(reqs))
 	counts := make([]int, len(out))
 	for i := range reqs {
@@ -179,18 +182,99 @@ func (r *Router) Partition(reqs []workload.Request) [][]workload.Request {
 		shard[i] = int32(s)
 		counts[s]++
 	}
-	all := make([]workload.Request, len(reqs))
+	partitionInPlace(reqs, shard, counts)
 	lo := 0
 	for s, n := range counts {
 		if n > 0 {
-			out[s] = all[lo : lo : lo+n]
+			out[s] = reqs[lo : lo+n : lo+n]
 		}
 		lo += n
 	}
-	for i, s := range shard {
-		out[s] = append(out[s], reqs[i])
-	}
 	return out
+}
+
+// chunkLen is the request count of one FIFO chunk: large enough that chunk
+// bookkeeping is noise, small enough that the few partial chunks cost
+// little next to the waiting requests.
+const chunkLen = 1024
+
+// partitionInPlace stably moves every request to its shard's region of
+// reqs (shard s owns counts[s] slots after the regions of shards < s) in
+// one forward pass. Reading slot i vacates it, and a slot is written only
+// after it has been read. A request whose slot is behind the read cursor
+// is written at once; one whose slot is ahead waits in its shard's FIFO
+// until the cursor reaches that slot. A shard's waiting requests hold the
+// last slots it has assigned, all at or past the cursor, so whenever the
+// FIFO of the region containing slot i is non-empty, its head owns slot
+// i: any earlier slot of the region went to a request read before the
+// head and written at once, so it lies behind the cursor. The FIFOs draw
+// fixed-size chunks from one shared free list, so the extra memory is the
+// most requests ever waiting at once (about n/4 for balanced 8-way
+// routing) plus a few partial chunks.
+func partitionInPlace(reqs []workload.Request, shard []int32, counts []int) {
+	next := make([]int, len(counts)) // each shard's next unassigned slot
+	lo := 0
+	for s, n := range counts {
+		next[s] = lo
+		lo += n
+	}
+	q := make([]fifo, len(counts))
+	var free [][]workload.Request
+	r, end := 0, counts[0]
+	for i := range reqs {
+		x := reqs[i]
+		s := shard[i]
+		if d := next[s]; d <= i {
+			reqs[d] = x
+		} else {
+			q[s].push(x, &free)
+		}
+		next[s]++
+		for i >= end {
+			r++
+			end += counts[r]
+		}
+		if f := &q[r]; f.n > 0 {
+			reqs[i] = f.pop(&free)
+		}
+	}
+}
+
+// fifo is one shard's queue of waiting requests: chunks[0][head:] through
+// the last chunk's first tail entries.
+type fifo struct {
+	chunks     [][]workload.Request
+	head, tail int
+	n          int
+}
+
+func (f *fifo) push(x workload.Request, free *[][]workload.Request) {
+	if len(f.chunks) == 0 || f.tail == chunkLen {
+		var c []workload.Request
+		if k := len(*free); k > 0 {
+			c = (*free)[k-1]
+			*free = (*free)[:k-1]
+		} else {
+			c = make([]workload.Request, chunkLen)
+		}
+		f.chunks = append(f.chunks, c)
+		f.tail = 0
+	}
+	f.chunks[len(f.chunks)-1][f.tail] = x
+	f.tail++
+	f.n++
+}
+
+func (f *fifo) pop(free *[][]workload.Request) workload.Request {
+	x := f.chunks[0][f.head]
+	f.head++
+	f.n--
+	if f.head == chunkLen {
+		*free = append(*free, f.chunks[0])
+		f.chunks = f.chunks[1:]
+		f.head = 0
+	}
+	return x
 }
 
 // fnv1a is the 64-bit FNV-1a hash, inlined so routing a tenant costs no

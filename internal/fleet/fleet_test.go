@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hetis/internal/workload"
@@ -212,7 +213,8 @@ func TestPartitionConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts := r.Partition(reqs)
+		// Partition reorders its input; each policy gets the trace fresh.
+		parts := r.Partition(slices.Clone(reqs))
 		if len(parts) != 4 {
 			t.Fatalf("%s: %d partitions, want 4", policy, len(parts))
 		}

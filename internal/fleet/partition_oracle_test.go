@@ -4,8 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hetis/internal/workload"
 )
@@ -69,9 +72,12 @@ func (r *refRouter) partition(reqs []workload.Request) [][]workload.Request {
 
 // FuzzPartitionScatter drives Partition and the frozen append-based one
 // with random policies, shard counts, weights (uniform or skewed, nil
-// included) and tenant mixes: the parts must be equal, empty shards nil
-// included, and appending to any part must leave every other part as it
-// was (the parts share one backing array).
+// included) and tenant mixes. Partition reorders its input, so the oracle
+// runs on a copy taken first. The parts must be equal, empty shards nil
+// included; each non-empty part must be the next window of the input, in
+// shard order, so together they hold exactly the input's requests; and
+// appending to any part must leave every other part as it was (the parts
+// share one backing array).
 func FuzzPartitionScatter(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(1), uint16(1000), uint8(0), false)
 	f.Add(int64(2), uint8(3), uint8(0), uint16(37), uint8(3), true)
@@ -115,8 +121,9 @@ func FuzzPartitionScatter(f *testing.F) {
 				refWeights[i] = 1
 			}
 		}
+		orig := slices.Clone(reqs)
+		want := newRefRouter(policy, refWeights).partition(orig)
 		got := r.Partition(reqs)
-		want := newRefRouter(policy, refWeights).partition(reqs)
 		if !reflect.DeepEqual(got, want) {
 			for s := range want {
 				if !reflect.DeepEqual(got[s], want[s]) {
@@ -124,6 +131,21 @@ func FuzzPartitionScatter(f *testing.F) {
 				}
 			}
 			t.Fatalf("%s, %d shards: partitions differ", policy, shards)
+		}
+		lo := 0
+		for s, part := range got {
+			if part == nil {
+				continue
+			}
+			if &part[0] != &reqs[lo] || cap(part) != len(part) {
+				t.Fatalf("%s: part %d is not the clipped window reqs[%d:%d]", policy, s, lo, lo+len(part))
+			}
+			lo += len(part)
+		}
+		// The windows tile reqs and equal the oracle's parts of the copy,
+		// so reqs now holds exactly the input's requests.
+		if lo != len(reqs) {
+			t.Fatalf("%s: parts cover %d of %d input slots", policy, lo, len(reqs))
 		}
 		for i := range got {
 			got[i] = append(got[i], workload.Request{ID: -1, Tenant: "appended"})
@@ -140,7 +162,39 @@ func FuzzPartitionScatter(f *testing.F) {
 	})
 }
 
-// TestPartitionEmptyShardsNil pins the scatter's shape: an empty trace
+// TestPartitionExtraBytes pins the in-place partition's memory: on a
+// balanced 8-way least-loaded split, at most about a quarter of the
+// requests wait for their slot at once, so Partition allocates under
+// 0.3·n requests, plus the 4n-byte shard array and a little bookkeeping.
+// A scatter into a second exact-size array allocates n requests.
+func TestPartitionExtraBytes(t *testing.T) {
+	const n = 200_000
+	rng := rand.New(rand.NewSource(11))
+	reqs := make([]workload.Request, n)
+	for i := range reqs {
+		reqs[i] = workload.Request{ID: int64(i), ArrivalAt: float64(i),
+			PromptLen: 1 + rng.Intn(4000), OutputLen: 1 + rng.Intn(800)}
+	}
+	r, err := NewRouter(PolicyLeastLoaded, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	parts := r.Partition(reqs)
+	runtime.ReadMemStats(&after)
+	if len(parts) != 8 {
+		t.Fatalf("%d parts, want 8", len(parts))
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(0.3*n*float64(unsafe.Sizeof(workload.Request{}))) + 4*n + 64<<10
+	t.Logf("Partition of %d requests allocated %d bytes (limit %d)", n, got, limit)
+	if got > limit {
+		t.Fatalf("Partition of %d requests allocated %d bytes, over the limit of %d", n, got, limit)
+	}
+}
+
+// TestPartitionEmptyShardsNil pins the partition's shape: an empty trace
 // gives every shard nil, a starved shard stays nil, and each part's
 // capacity is its length.
 func TestPartitionEmptyShardsNil(t *testing.T) {

@@ -60,11 +60,14 @@ type FleetRun struct {
 // Quick scaling, validates, generates the trace, splits it into shards,
 // and builds each non-empty shard's engine through opts.Build. An
 // unsharded spec is one shard that holds the whole trace and carries the
-// spec's chaos config; a sharded spec's router partitions the trace and
-// every shard plans its own sub-trace. A window the windowed series
-// cannot bucket (checkWindow) is refused before any of that. It is the
-// spec case of Job: the same build and Run code, with the spec's trace,
-// shards, chaos and sinks.
+// spec's chaos config; a sharded spec's router partitions the freshly
+// generated trace in place, so the shards are windows of that one array
+// and no second copy of the trace is ever live, and every shard plans its
+// own sub-trace. A window the windowed series cannot bucket
+// (checkWindow), or any window without Stream (only the streaming sinks
+// collect the series), is refused before any of that. It is the spec case of
+// Job: the same build and Run code, with the spec's trace, shards, chaos
+// and sinks.
 func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error) {
 	spec = Prepare(spec, opts.Quick)
 	if err := spec.Validate(); err != nil {
@@ -72,6 +75,9 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	}
 	if err := checkWindow(opts.Window, spec.Duration); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+	}
+	if opts.Window > 0 && !opts.Stream {
+		return nil, fmt.Errorf("scenario %s: window %g s needs Stream (the windowed series is a streaming-sink product)", spec.Name, opts.Window)
 	}
 	if !engine.Known(engineName) {
 		return nil, fmt.Errorf("scenario %s: unknown engine %q", spec.Name, engineName)

@@ -57,7 +57,8 @@ type Options struct {
 	Stream bool
 	// Window, with Stream, additionally collects a windowed time series
 	// (completions, goodput, p95 latency per Window seconds) that
-	// RunEngineSink returns as a second table.
+	// RunEngineSink returns as a second table. A positive Window without
+	// Stream is refused.
 	Window float64
 }
 

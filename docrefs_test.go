@@ -1,6 +1,7 @@
 package hetis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -12,14 +13,17 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // mdRef matches a name ending in .md: a bare file name or a path.
 var mdRef = regexp.MustCompile(`[\w./-]*\w\.md\b`)
 
 // TestMarkdownReferencesExist fails when a Go file or a doc names a
-// Markdown file that is not in the repository, or when a doc names an
-// exported Go identifier that is not (see checkIdentifiers). The docs are
+// Markdown file that is not in the repository, when a doc names an
+// exported Go identifier that is not (see checkIdentifiers), or when a
+// doc links to a heading that its target does not have (see
+// checkAnchors). The docs are
 // the READMEs and doc/; the root's other Markdown files record history or
 // quote other repositories, so they may name files that are gone or never
 // lived here. A name resolves against the naming file's directory, the
@@ -67,6 +71,7 @@ func TestMarkdownReferencesExist(t *testing.T) {
 	}
 	for _, path := range slices.Sorted(maps.Keys(docs)) {
 		checkIdentifiers(t, decls, path, docs[path])
+		checkAnchors(t, path, docs[path])
 	}
 }
 
@@ -149,4 +154,72 @@ func checkIdentifiers(t *testing.T, decls map[string]map[string]bool, path strin
 			}
 		}
 	}
+}
+
+// anchorLink matches a Markdown link to a heading: an optional relative
+// target file, then the #fragment.
+var anchorLink = regexp.MustCompile(`\]\(([^)\s#]*)#([^)\s]+)\)`)
+
+// checkAnchors fails on every link in a doc whose #fragment names no
+// heading of its in-repo Markdown target (the doc itself for a bare
+// #fragment), compared as GitHub renders heading anchors (headingSlugs).
+func checkAnchors(t *testing.T, path string, lines []string) {
+	t.Helper()
+	for i, line := range lines {
+		for _, m := range anchorLink.FindAllStringSubmatch(line, -1) {
+			target, frag := m[1], m[2]
+			if strings.Contains(target, "://") || (target != "" && !strings.HasSuffix(target, ".md")) {
+				continue
+			}
+			file := path
+			if target != "" {
+				file = filepath.Join(filepath.Dir(path), target)
+			}
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Errorf("%s:%d links to %s: %v", path, i+1, m[0], err)
+				continue
+			}
+			if !headingSlugs(strings.Split(string(data), "\n"))[frag] {
+				t.Errorf("%s:%d links to #%s, which is no heading of %s", path, i+1, frag, file)
+			}
+		}
+	}
+}
+
+// headingSlugs returns the anchors GitHub gives a Markdown file's ATX
+// headings outside fenced code: the heading text lowercased, with spaces
+// turned into hyphens and every character but letters, digits, hyphens
+// and underscores dropped; a repeated slug gets -1, -2, ... appended.
+func headingSlugs(lines []string) map[string]bool {
+	slugs := map[string]bool{}
+	seen := map[string]int{}
+	fenced := false
+	for _, line := range lines {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		text := strings.TrimLeft(line, "#")
+		if fenced || text == line || !strings.HasPrefix(text, " ") {
+			continue
+		}
+		var b strings.Builder
+		for _, r := range strings.ToLower(strings.TrimSpace(text)) {
+			switch {
+			case unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-' || r == '_':
+				b.WriteRune(r)
+			case r == ' ':
+				b.WriteByte('-')
+			}
+		}
+		slug := b.String()
+		if n := seen[slug]; n > 0 {
+			slugs[fmt.Sprintf("%s-%d", slug, n)] = true
+		} else {
+			slugs[slug] = true
+		}
+		seen[slug]++
+	}
+	return slugs
 }

@@ -8,8 +8,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"hetis/internal/hardware"
 	"hetis/internal/metrics"
@@ -512,7 +514,7 @@ func poisonRequest(r *request) {
 // scheduleArrivals feeds the trace into the engines' admission path. The
 // trace is read, never written: each request is clamped to the context
 // window (workload.Clamp with maxSeq) as its state is taken from pool,
-// before anything reads its lengths, so no run copies the whole trace. It
+// before anything reads its lengths, so no run copies a sorted trace. It
 // refuses a trace with a request whose arrival time is negative or not
 // finite, or whose prompt or output length is negative, naming the first
 // such request; the check rides the sortedness scan, so it costs no pass.
@@ -521,25 +523,17 @@ func poisonRequest(r *request) {
 // run holds state for the requests in flight, not for the whole trace.
 //
 // Arrivals feed lazily: instead of pushing all n arrival events into the
-// queue up front (for a million-request trace that alone dominated queue
-// occupancy), each arrival schedules the next, so at most one arrival is
-// pending at a time. Sequence numbers for all n arrivals are reserved up
-// front, which makes the lazy feed produce byte-identical (At, seq) event
-// keys — and therefore identical tie-breaking — to the eager loop it
-// replaced. Traces not sorted by arrival time fall back to the eager loop
-// with the same reserved numbering.
+// queue up front, each arrival schedules the next, so at most one arrival
+// is pending at a time. Sequence numbers for all n arrivals are reserved
+// up front as one block, so arrivals order by (At, trace index) among
+// themselves and by At and the block's position against every other
+// event — the order an eager up-front loop would produce. A trace not
+// sorted by arrival time feeds a stably sorted clone, which keeps that
+// order: equal arrival times stay in trace order.
 func scheduleArrivals(s *sim.Simulator, reqs []workload.Request, maxSeq int, pool *requestPool, admit func(s *sim.Simulator, r *request)) error {
 	n := len(reqs)
 	if n == 0 {
 		return nil
-	}
-	alloc := func(i int) *request {
-		// The state is zeroed, so setting the two non-zero fields in place
-		// initialises it without copying a whole request.
-		r := pool.get()
-		r.wl = workload.Clamp(reqs[i], maxSeq)
-		r.restartCtx = r.wl.PromptLen
-		return r
 	}
 	sorted := true
 	for i := range reqs {
@@ -552,23 +546,26 @@ func scheduleArrivals(s *sim.Simulator, reqs []workload.Request, maxSeq int, poo
 			sorted = false
 		}
 	}
-	first := s.ReserveSeq(n)
 	if !sorted {
-		for i := range reqs {
-			i := i
-			s.ScheduleSeq(first+uint64(i), reqs[i].ArrivalAt, "arrival", func(s *sim.Simulator) {
-				admit(s, alloc(i))
-			})
-		}
-		return nil
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, func(a, b workload.Request) int { return cmp.Compare(a.ArrivalAt, b.ArrivalAt) })
 	}
+	alloc := func(i int) *request {
+		// The state is zeroed, so setting the two non-zero fields in place
+		// initialises it without copying a whole request.
+		r := pool.get()
+		r.wl = workload.Clamp(reqs[i], maxSeq)
+		r.restartCtx = r.wl.PromptLen
+		return r
+	}
+	first := s.ReserveSeq(n)
 	f := &arrivalFeeder{reqs: reqs, first: first, admit: admit, alloc: alloc}
 	f.fn = f.fire
 	s.ScheduleSeq(first, reqs[0].ArrivalAt, "arrival", f.fn)
 	return nil
 }
 
-// arrivalFeeder is the sorted-trace lazy feed as a value: one cached
+// arrivalFeeder is the lazy arrival feed as a value: one cached
 // callback fires every arrival instead of a fresh closure per request
 // (a megascale trace paid one heap allocation per arrival for those).
 // next advances monotonically because exactly one arrival is pending at a

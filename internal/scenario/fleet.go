@@ -1,6 +1,6 @@
 // The one scenario run path: a run splits its trace into shards — the
 // whole trace for an unsharded spec, a front-door router's partition for a
-// sharded one — serves each shard on an independent engine (own calendar
+// sharded one — serves each shard on an independent engine (own event
 // queue, trace arena, and sink), executes the shards concurrently on the
 // sweep worker pool, and merges everything back in shard-index order.
 // Every decision that could differ between executions is made before the

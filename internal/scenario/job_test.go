@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hetis/internal/engine"
@@ -96,6 +99,72 @@ func TestJobMatchesPrepareFleet(t *testing.T) {
 					if g, w := jsonl(t, got.Trace), jsonl(t, want.Trace); !bytes.Equal(g, w) {
 						t.Errorf("%s: job trace JSONL differs:\n%s", where, diffLines(w, g))
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestUnsortedTraceMatchesSorted drives the engines' unsorted-trace
+// arrival path: a scenario's trace, shuffled and with exact arrival ties
+// forced, served through a Job on every engine gives the same trace JSONL
+// and records as its stably sorted copy, so requests that arrive together
+// keep their trace order. The shuffled trace itself is left as it was.
+func TestUnsortedTraceMatchesSorted(t *testing.T) {
+	for _, name := range []string{"multitenant", "bursty", "steady"} {
+		spec, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec = Prepare(spec.ForGolden(), false)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			reqs, err := spec.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := model.ByName(spec.Model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cluster, err := ClusterByName(spec.Cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(spec.Seed))
+			rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+			// Every fourth request arrives exactly with an earlier one in
+			// trace order, so the stable sort has ties to keep.
+			for i := 4; i < len(reqs); i += 4 {
+				reqs[i].ArrivalAt = reqs[rng.Intn(i)].ArrivalAt
+			}
+			byArrival := func(a, b workload.Request) int { return cmp.Compare(a.ArrivalAt, b.ArrivalAt) }
+			if slices.IsSortedFunc(reqs, byArrival) {
+				t.Fatal("the shuffled trace is sorted; the test would not drive the unsorted path")
+			}
+			shuffled := slices.Clone(reqs)
+			sorted := slices.Clone(reqs)
+			slices.SortStableFunc(sorted, byArrival)
+			for _, eng := range engine.Names {
+				run := func(trace []workload.Request) *engine.Result {
+					res, err := Job{Model: m, Cluster: cluster, Engine: eng, Trace: trace, Horizon: MeasurementHorizon(spec.Duration)}.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				got, want := run(reqs), run(sorted)
+				if len(want.Recorder.Records()) == 0 {
+					t.Fatalf("%s: the sorted trace completed nothing", eng)
+				}
+				if !slices.Equal(reqs, shuffled) {
+					t.Fatalf("%s: serving the shuffled trace reordered it", eng)
+				}
+				if g, w := fmt.Sprint(got.Recorder.Records()), fmt.Sprint(want.Recorder.Records()); g != w {
+					t.Errorf("%s: shuffled-trace records differ from the sorted trace's", eng)
+				}
+				if g, w := jsonl(t, got.Trace), jsonl(t, want.Trace); !bytes.Equal(g, w) {
+					t.Errorf("%s: shuffled-trace JSONL differs:\n%s", eng, diffLines(w, g))
 				}
 			}
 		})

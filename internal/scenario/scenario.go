@@ -240,7 +240,7 @@ type TierSpec struct {
 
 // FleetSpec shards a scenario across independent cluster replicas behind
 // a front-door router (see internal/fleet). Each shard serves its routed
-// slice of the trace on its own engine, calendar queue, trace arena and
+// slice of the trace on its own engine, event queue, trace arena and
 // sink, concurrently with its siblings; the results merge in shard-index
 // order, so the scenario's output is byte-identical at any shard-worker
 // count.

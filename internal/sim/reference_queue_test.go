@@ -1,8 +1,9 @@
-// Frozen copy of the binary-heap event queue that the calendar queue in
-// sim.go replaced. It exists only as a differential-testing oracle (see
-// FuzzQueueEquivalence): random schedule/cancel/pop sequences must produce
-// the same (At, seq) order from both implementations. Mirrors the frozen
-// reference solver in internal/lp/reference_test.go.
+// Frozen copy of the container/heap event queue the goldens were first
+// recorded against. It exists only as a differential-testing oracle for
+// the hand-written heap in sim.go (see FuzzQueueEquivalence): random
+// schedule/cancel/pop sequences must produce the same (At, seq) order from
+// both implementations. Mirrors the frozen reference solver in
+// internal/lp/reference_test.go.
 //
 // Do not optimize this file. Its value is that it stays byte-for-byte the
 // ordering logic the goldens were recorded against.

@@ -1,14 +1,12 @@
 // Package sim provides a minimal discrete-event simulation kernel used by
 // the serving engines. Time is a float64 number of seconds since simulation
-// start. Events are scheduled on a hierarchical calendar queue (a time
-// wheel) and executed in timestamp order; ties are broken by insertion
-// order so runs are fully deterministic.
+// start. Events wait in a binary min-heap and execute in timestamp order;
+// ties are broken by insertion order so runs are fully deterministic.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Event is a callback scheduled to run at a particular virtual time.
@@ -27,12 +25,9 @@ type Event struct {
 	// schedule follow-up events.
 	Fn func(s *Simulator)
 
-	seq  uint64 // insertion order, for deterministic tie-breaking
-	gen  uint64 // bumped whenever the struct retires, invalidating handles
-	tick uint64 // quantized At, the wheel bucket key
-	pos  int32  // index within its bucket slice
-	lvl  int16  // wheel level, or -1 when not queued
-	slot uint16 // slot within the level
+	seq uint64 // insertion order, for deterministic tie-breaking
+	gen uint64 // bumped whenever the struct retires, invalidating handles
+	pos int32  // index in the event queue, or -1 when not queued
 }
 
 // Handle identifies one scheduled occurrence of a (possibly recycled)
@@ -43,175 +38,91 @@ type Handle struct {
 	gen uint64
 }
 
-// Wheel geometry. Eleven levels of 64 slots (6 bits each) cover the full
-// 62-bit tick range; at 4096 ticks per simulated second a level-0 slot is
-// ~244µs wide, so the dense near-future events these traces produce land
-// in level 0 and schedule/pop in O(1).
-const (
-	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 11
-	// tickScale is a power of two, so At*tickScale is exact (no rounding)
-	// and tick order agrees with At order.
-	tickScale = 4096.0
-	maxTick   = uint64(1)<<62 - 1
-)
+// eventQueue is an indexed binary min-heap ordered by (At, seq). Sequence
+// numbers are unique, so the order is total and any correct priority queue
+// pops the same sequence; a heap is the simplest one, and the queue stays
+// small because every run feeds its arrivals one at a time (the most
+// events pending on any benchmark workload is a few dozen). Each queued
+// event records its index in pos, which Cancel needs to unlink it.
+type eventQueue []*Event
 
-// tickOf quantizes a timestamp to its wheel bucket key. Times past the
-// representable range (including +Inf) clamp to the last bucket; ordering
-// inside a bucket is by exact (At, seq), so clamping never reorders.
-func tickOf(at float64) uint64 {
-	t := at * tickScale
-	if t >= float64(maxTick) {
-		return maxTick
-	}
-	return uint64(t)
+func (q eventQueue) less(i, j int) bool {
+	a, b := q[i], q[j]
+	return a.At < b.At || (a.At == b.At && a.seq < b.seq)
 }
 
-// calendarQueue is a hierarchical time wheel with absolute slot indexing.
-//
-// Invariants:
-//   - every pending event has tick >= cur (insert below cur rebases);
-//   - an event sits at the level of its highest tick digit differing from
-//     cur, so for any level >= 1 the slot holding cur's own digit is empty
-//     and occupied slots are strictly above it — bucket order is tick
-//     order with no straddling;
-//   - min() cascades the lowest occupied bucket of levels >= 1 down the
-//     wheel until the minimum lives in level 0, advancing cur only to
-//     bucket bases that are <= the minimum pending tick.
-//
-// Ticks quantize time, so one bucket may hold events with different
-// timestamps; min() selects by exact (At, seq) inside the bucket, which
-// keeps pop order byte-identical to the old binary heap's.
-type calendarQueue struct {
-	cur uint64
-	n   int
-	occ [wheelLevels]uint64
-	buk [wheelLevels][wheelSlots][]*Event
+func (q eventQueue) swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].pos = int32(i)
+	q[j].pos = int32(j)
 }
 
-// levelOf places tick t relative to the cursor: the level of the highest
-// differing 6-bit digit, or 0 when t equals the cursor.
-func (q *calendarQueue) levelOf(t uint64) int {
-	x := t ^ q.cur
-	if x == 0 {
-		return 0
-	}
-	return (bits.Len64(x) - 1) / wheelBits
-}
-
-func (q *calendarQueue) insert(ev *Event) {
-	t := ev.tick
-	if t < q.cur {
-		// Only reachable when a run stopped at its horizon (the cursor may
-		// sit at the far-future minimum) and the caller then scheduled an
-		// earlier event. Rare, so an O(n) re-bucketing keeps the hot path
-		// branch-free.
-		q.rebase(t)
-	}
-	lvl := q.levelOf(t)
-	slot := (t >> (uint(lvl) * wheelBits)) & wheelMask
-	b := q.buk[lvl][slot]
-	ev.lvl = int16(lvl)
-	ev.slot = uint16(slot)
-	ev.pos = int32(len(b))
-	q.buk[lvl][slot] = append(b, ev)
-	q.occ[lvl] |= 1 << slot
-	q.n++
-}
-
-// unlink removes a pending event (swap-remove within its bucket). It never
-// moves the cursor, so a peeked-but-not-fired minimum — the horizon case —
-// leaves the queue consistent.
-func (q *calendarQueue) unlink(ev *Event) {
-	lvl, slot := int(ev.lvl), int(ev.slot)
-	b := q.buk[lvl][slot]
-	last := len(b) - 1
-	if int(ev.pos) != last {
-		moved := b[last]
-		b[ev.pos] = moved
-		moved.pos = ev.pos
-	}
-	b[last] = nil
-	q.buk[lvl][slot] = b[:last]
-	if last == 0 {
-		q.occ[lvl] &^= 1 << slot
-	}
-	ev.lvl = -1
-	q.n--
-}
-
-// rebase re-buckets every pending event around a new, lower cursor.
-func (q *calendarQueue) rebase(newCur uint64) {
-	var pending []*Event
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		for occ := q.occ[lvl]; occ != 0; occ &= occ - 1 {
-			slot := bits.TrailingZeros64(occ)
-			b := q.buk[lvl][slot]
-			pending = append(pending, b...)
-			for i := range b {
-				b[i] = nil
-			}
-			q.buk[lvl][slot] = b[:0]
+func (q eventQueue) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			return
 		}
-		q.occ[lvl] = 0
+		q.swap(i, p)
+		i = p
 	}
-	q.cur = newCur
-	q.n = 0
-	for _, ev := range pending {
-		q.insert(ev)
+}
+
+// down sifts element i toward the leaves and reports whether it moved.
+func (q eventQueue) down(i int) bool {
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q.swap(i, c)
+		i = c
 	}
+	return i > i0
+}
+
+func (q *eventQueue) insert(ev *Event) {
+	ev.pos = int32(len(*q))
+	*q = append(*q, ev)
+	q.up(int(ev.pos))
+}
+
+// unlink removes a pending event: the last event takes its place and
+// sifts to its own position. It leaves pos at -1, marking ev unqueued.
+func (q *eventQueue) unlink(ev *Event) {
+	h := *q
+	i, last := int(ev.pos), len(h)-1
+	if i != last {
+		h.swap(i, last)
+	}
+	h[last] = nil
+	*q = h[:last]
+	if i != last && !q.down(i) {
+		q.up(i)
+	}
+	ev.pos = -1
 }
 
 // min returns the pending event with the smallest (At, seq) without
-// removing it, cascading higher-level buckets down the wheel as needed.
-// It returns nil when the queue is empty.
-func (q *calendarQueue) min() *Event {
-	if q.n == 0 {
+// removing it, or nil when the queue is empty.
+func (q eventQueue) min() *Event {
+	if len(q) == 0 {
 		return nil
 	}
-	for {
-		lvl := 0
-		for lvl < wheelLevels && q.occ[lvl] == 0 {
-			lvl++
-		}
-		slot := bits.TrailingZeros64(q.occ[lvl])
-		if lvl == 0 {
-			b := q.buk[0][slot]
-			best := b[0]
-			for _, ev := range b[1:] {
-				if ev.At < best.At || (ev.At == best.At && ev.seq < best.seq) {
-					best = ev
-				}
-			}
-			return best
-		}
-		// Cascade: drain the lowest occupied bucket and re-level its events
-		// around the bucket's base tick. The base is <= every pending tick
-		// (all other occupied slots are above this one), so advancing the
-		// cursor to it preserves the tick >= cur invariant.
-		shift := uint(lvl) * wheelBits
-		base := q.cur&^(uint64(1)<<(shift+wheelBits)-1) | uint64(slot)<<shift
-		b := q.buk[lvl][slot]
-		// Keep the bucket's capacity for future inserts; the drained events
-		// all re-level strictly below lvl (their high digits now match the
-		// cursor), so insert never appends to the slice being drained.
-		q.buk[lvl][slot] = b[:0]
-		q.occ[lvl] &^= 1 << slot
-		q.cur = base
-		q.n -= len(b)
-		for i, ev := range b {
-			q.insert(ev)
-			b[i] = nil
-		}
-	}
+	return q[0]
 }
 
 // Simulator owns the virtual clock and the pending event queue.
 type Simulator struct {
 	now     float64
-	queue   calendarQueue
+	queue   eventQueue
 	nextSeq uint64
 	stopped bool
 
@@ -245,24 +156,8 @@ func (s *Simulator) Now() float64 { return s.now }
 // event" trivially safe. It returns the event so callers may cancel it. A
 // NaN time schedules nothing: it becomes the error Run returns.
 func (s *Simulator) Schedule(at float64, name string, fn func(s *Simulator)) Handle {
-	if math.IsNaN(at) {
-		return s.fail(name)
-	}
-	if at < s.now {
-		at = s.now
-	}
-	var ev *Event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free = s.free[:n-1]
-		*ev = Event{At: at, Name: name, Fn: fn, seq: s.nextSeq, gen: ev.gen}
-	} else {
-		ev = &Event{At: at, Name: name, Fn: fn, seq: s.nextSeq}
-	}
 	s.nextSeq++
-	ev.tick = tickOf(at)
-	s.queue.insert(ev)
-	return Handle{ev: ev, gen: ev.gen}
+	return s.ScheduleSeq(s.nextSeq-1, at, name, fn)
 }
 
 // fail records a NaN schedule time for the named event as the simulator's
@@ -305,7 +200,6 @@ func (s *Simulator) ScheduleSeq(seq uint64, at float64, name string, fn func(s *
 	} else {
 		ev = &Event{At: at, Name: name, Fn: fn, seq: seq}
 	}
-	ev.tick = tickOf(at)
 	s.queue.insert(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
@@ -326,7 +220,7 @@ func (s *Simulator) After(delay float64, name string, fn func(s *Simulator)) Han
 // ones.
 func (s *Simulator) Cancel(h Handle) bool {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.lvl < 0 {
+	if ev == nil || ev.gen != h.gen || ev.pos < 0 {
 		return false
 	}
 	s.queue.unlink(ev)
@@ -337,7 +231,7 @@ func (s *Simulator) Cancel(h Handle) bool {
 }
 
 // Pending reports how many events remain in the queue.
-func (s *Simulator) Pending() int { return s.queue.n }
+func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Run executes events in time order until the queue drains, an event
 // schedules at a NaN time (see fail), or the optional horizon (seconds;
@@ -355,7 +249,7 @@ func (s *Simulator) Run(horizon float64) error {
 		return s.err
 	}
 	s.stopped = false
-	for s.queue.n > 0 && !s.stopped {
+	for len(s.queue) > 0 && !s.stopped {
 		ev := s.queue.min()
 		if horizon > 0 && ev.At > horizon {
 			// Peeked, not popped: the event stays queued for a later Run.
@@ -380,7 +274,7 @@ func (s *Simulator) Run(horizon float64) error {
 			ev.Fn = nil // drop the closure before pooling
 			ev.gen++    // retire: handles to the fired occurrence go stale
 			s.free = append(s.free, ev)
-			if s.stopped || s.queue.n == 0 {
+			if s.stopped || len(s.queue) == 0 {
 				break
 			}
 			ev = s.queue.min()
@@ -392,7 +286,7 @@ func (s *Simulator) Run(horizon float64) error {
 	if s.err != nil {
 		return s.err
 	}
-	if horizon > 0 && !s.stopped && s.queue.n == 0 && s.now < horizon {
+	if horizon > 0 && !s.stopped && len(s.queue) == 0 && s.now < horizon {
 		s.now = horizon
 	}
 	return nil
@@ -403,7 +297,7 @@ func (s *Simulator) Run(horizon float64) error {
 // event ran, possibly with the struct since recycled) are not alive.
 func (s *Simulator) Alive(h Handle) bool {
 	ev := h.ev
-	return ev != nil && ev.gen == h.gen && ev.lvl >= 0
+	return ev != nil && ev.gen == h.gen && ev.pos >= 0
 }
 
 // Group collects the handles of related scheduled events so they can be

@@ -99,12 +99,10 @@ func (q *eventQueue) insert(ev *Event) {
 func (q *eventQueue) unlink(ev *Event) {
 	h := *q
 	i, last := int(ev.pos), len(h)-1
-	if i != last {
-		h.swap(i, last)
-	}
+	h.swap(i, last)
 	h[last] = nil
 	*q = h[:last]
-	if i != last && !q.down(i) {
+	if i < last && !q.down(i) {
 		q.up(i)
 	}
 	ev.pos = -1

@@ -192,12 +192,7 @@ func (m *KeyedMux) MergeSink(other Sink) error {
 		return fmt.Errorf("metrics: cannot merge %T into *KeyedMux", other)
 	}
 	for _, k := range o.Keys() {
-		sub, ok := m.byKey[k]
-		if !ok {
-			sub = m.make(k)
-			m.byKey[k] = sub
-		}
-		if err := mergeInto(sub, o.byKey[k]); err != nil {
+		if err := mergeInto(m.sub(k), o.byKey[k]); err != nil {
 			return fmt.Errorf("metrics: merging key %q: %w", k, err)
 		}
 	}

@@ -12,7 +12,9 @@ import "sort"
 // Sink consumes finished-request records as the engines emit them and can
 // produce an aggregate Snapshot at any point. Implementations are not
 // required to be safe for concurrent Observe calls: each engine run feeds
-// exactly one goroutine.
+// exactly one goroutine. The inner sink of a Pipe is fed from the Pipe's
+// consumer goroutine while records flow and from the caller after Drain:
+// still one goroutine at a time.
 type Sink interface {
 	// Observe records one finished request.
 	Observe(RequestRecord)
@@ -265,6 +267,15 @@ func (t *Tee) Observe(r RequestRecord) {
 	}
 }
 
+// ObserveBatch implements BatchSink: the whole batch goes to each sub-sink
+// in turn, through its own batch path. The sub-sinks are independent, so
+// each still sees the records in batch order, as with per-record Observe.
+func (t *Tee) ObserveBatch(recs []RequestRecord) {
+	for _, s := range t.sinks {
+		ObserveAll(s, recs)
+	}
+}
+
 // Snapshot implements Sink via the primary sink.
 func (t *Tee) Snapshot() Snapshot { return t.sinks[0].Snapshot() }
 
@@ -288,14 +299,30 @@ func NewKeyedMux(key func(RequestRecord) string, make func(key string) Sink) *Ke
 }
 
 // Observe implements Sink.
-func (m *KeyedMux) Observe(r RequestRecord) {
-	k := m.key(r)
-	sub, ok := m.byKey[k]
-	if !ok {
-		sub = m.make(k)
-		m.byKey[k] = sub
+func (m *KeyedMux) Observe(r RequestRecord) { m.sub(m.key(r)).Observe(r) }
+
+// ObserveBatch implements BatchSink: each maximal run of consecutive
+// records with one key reaches its sub-sink as one batch, in batch order.
+func (m *KeyedMux) ObserveBatch(recs []RequestRecord) {
+	for i := 0; i < len(recs); {
+		k := m.key(recs[i])
+		j := i + 1
+		for j < len(recs) && m.key(recs[j]) == k {
+			j++
+		}
+		ObserveAll(m.sub(k), recs[i:j])
+		i = j
 	}
-	sub.Observe(r)
+}
+
+// sub returns the sub-sink for key k, making it on first sight.
+func (m *KeyedMux) sub(k string) Sink {
+	s, ok := m.byKey[k]
+	if !ok {
+		s = m.make(k)
+		m.byKey[k] = s
+	}
+	return s
 }
 
 // Snapshot implements Sink by summing the per-key counts; latency

@@ -65,9 +65,11 @@ type FleetRun struct {
 // and no second copy of the trace is ever live, and every shard plans its
 // own sub-trace. A window the windowed series cannot bucket
 // (checkWindow), or any window without Stream (only the streaming sinks
-// collect the series), is refused before any of that. It is the spec case of
-// Job: the same build and Run code, with the spec's trace, shards, chaos
-// and sinks.
+// collect the series), is refused before any of that. An unsharded
+// streaming run on a machine with a second core feeds its sinks through a
+// metrics.Pipe (Options.piped has the rule). It is the spec case of Job:
+// the same build and Run code, with the spec's trace, shards, chaos and
+// sinks.
 func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error) {
 	spec = Prepare(spec, opts.Quick)
 	if err := spec.Validate(); err != nil {
@@ -120,6 +122,7 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	if f.tiered() {
 		tierKey = func(r metrics.RequestRecord) string { return spec.tierOf(r.Tenant) }
 	}
+	piped := opts.Stream && opts.piped(spec.Sharded())
 	job := Job{Model: m, Cluster: cluster, Engine: engineName, Horizon: MeasurementHorizon(spec.Duration), Build: opts.Build}
 	err = f.build(job, parts, func(cfg *engine.Config, sh *fleetShard) {
 		cfg.Chaos = chaos
@@ -129,6 +132,10 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 			// the tenant mux), so the shard sinks merge structurally.
 			sh.pipeline = newStreamPipeline(spec.SLO, opts.Window, offeredBy, tierKey)
 			cfg.Sink = sh.pipeline.sink
+			if piped {
+				sh.pipeline.pipe = metrics.NewPipe(sh.pipeline.sink)
+				cfg.Sink = sh.pipeline.pipe
+			}
 			cfg.NoTrace = true
 		}
 	})
@@ -217,8 +224,9 @@ func (f *FleetRun) shardErr(i int, err error) error {
 
 // Run executes the shards on up to shardWorkers concurrent workers (0 =
 // one per CPU, clamped to the shard count) and merges their results in
-// shard-index order. The returned Result is the fleet-wide view; Run may
-// be called once per FleetRun.
+// shard-index order. A pipelined shard's Pipe is drained as soon as its
+// engine returns, so no Pipe goroutine outlives Run. The returned Result
+// is the fleet-wide view; Run may be called once per FleetRun.
 func (f *FleetRun) Run(shardWorkers int) (*engine.Result, error) {
 	if f.ran {
 		return nil, fmt.Errorf("scenario %s/%s: FleetRun is single-use; PrepareFleet again for a repeat", f.Spec.Name, f.EngineName)
@@ -230,6 +238,9 @@ func (f *FleetRun) Run(shardWorkers int) (*engine.Result, error) {
 			return
 		}
 		sh.res, sh.err = sh.eng.Run(sh.reqs, f.horizon)
+		// A pipelined shard's last records reach its sinks, and the Pipe's
+		// goroutine exits, before anything merges or reads them.
+		sh.pipeline.drain()
 	})
 	var errs []error
 	for i, sh := range f.shards {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"hetis/internal/engine"
@@ -60,6 +61,34 @@ type Options struct {
 	// RunEngineSink returns as a second table. A positive Window without
 	// Stream is refused.
 	Window float64
+
+	// pipe overrides PrepareFleet's rule for putting a metrics.Pipe in
+	// front of a streaming run's sinks; tests force it on or off.
+	pipe pipeMode
+}
+
+// pipeMode is Options.pipe: the rule (pipeAuto) or a forced choice.
+type pipeMode int8
+
+const (
+	pipeAuto pipeMode = iota
+	pipeOn
+	pipeOff
+)
+
+// piped reports whether a streaming run's engine feeds its sinks through a
+// metrics.Pipe. The rule is structural: only an unsharded run, whose one
+// event loop leaves a core idle, and only when a second core exists for
+// the Pipe's consumer. A sharded run's shard workers already fill every
+// core, so its sinks stay synchronous.
+func (o Options) piped(sharded bool) bool {
+	switch o.pipe {
+	case pipeOn:
+		return true
+	case pipeOff:
+		return false
+	}
+	return !sharded && min(runtime.GOMAXPROCS(0), runtime.NumCPU()) >= 2
 }
 
 // ClusterByName resolves a spec's cluster name through
@@ -114,13 +143,15 @@ func Prepare(spec Spec, quick bool) Spec {
 // exists only when the trace has two or more tenants and the tier mux only
 // for tiered chaos runs, so a run of one tenant without windows feeds one
 // bare StreamingSink. A trace whose every request names the same tenant
-// gets that tenant's row from the aggregate, under its name (sole).
+// gets that tenant's row from the aggregate, under its name (sole). A
+// pipelined run's engine feeds pipe, which feeds sink.
 type streamPipeline struct {
 	agg     *metrics.StreamingSink
 	tenants *metrics.KeyedMux
 	tiers   *metrics.KeyedMux
 	windows *metrics.WindowedSeries
 	sink    metrics.Sink
+	pipe    *metrics.Pipe
 	sole    string
 }
 
@@ -151,6 +182,14 @@ func newStreamPipeline(slo metrics.SLOTarget, window float64, offered map[string
 		p.sink = metrics.NewTee(p.agg, rest...)
 	}
 	return p
+}
+
+// drain waits for a pipelined run's records to reach the sinks and its
+// consumer goroutine to exit; nil-safe, and a no-op for unpiped runs.
+func (p *streamPipeline) drain() {
+	if p != nil && p.pipe != nil {
+		p.pipe.Drain()
+	}
 }
 
 // stats reads the pipeline's slices as the row writer's input: counts,

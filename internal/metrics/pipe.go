@@ -32,8 +32,7 @@ type Pipe struct {
 	work    chan []RequestRecord // full chunks for the consumer; nil stops it
 	free    chan []RequestRecord // consumed chunks, returned for reuse
 	done    chan struct{}        // signalled as the consumer exits
-	running bool
-	chunks  int
+	running bool                 // the consumer goroutine is started and not yet drained
 }
 
 // NewPipe returns a Pipe feeding inner.
@@ -81,7 +80,6 @@ func (p *Pipe) handOff() {
 		go p.consume()
 	}
 	p.work <- p.open
-	p.chunks++
 	select {
 	case c := <-p.free:
 		p.open = c
@@ -121,7 +119,3 @@ func (p *Pipe) Snapshot() Snapshot {
 	p.Drain()
 	return p.inner.Snapshot()
 }
-
-// Chunks counts the chunks handed to the consumer goroutine so far; zero
-// means every record reached the inner sink on the caller's goroutine.
-func (p *Pipe) Chunks() int { return p.chunks }

@@ -267,15 +267,6 @@ func (t *Tee) Observe(r RequestRecord) {
 	}
 }
 
-// ObserveBatch implements BatchSink: the whole batch goes to each sub-sink
-// in turn, through its own batch path. The sub-sinks are independent, so
-// each still sees the records in batch order, as with per-record Observe.
-func (t *Tee) ObserveBatch(recs []RequestRecord) {
-	for _, s := range t.sinks {
-		ObserveAll(s, recs)
-	}
-}
-
 // Snapshot implements Sink via the primary sink.
 func (t *Tee) Snapshot() Snapshot { return t.sinks[0].Snapshot() }
 
@@ -300,20 +291,6 @@ func NewKeyedMux(key func(RequestRecord) string, make func(key string) Sink) *Ke
 
 // Observe implements Sink.
 func (m *KeyedMux) Observe(r RequestRecord) { m.sub(m.key(r)).Observe(r) }
-
-// ObserveBatch implements BatchSink: each maximal run of consecutive
-// records with one key reaches its sub-sink as one batch, in batch order.
-func (m *KeyedMux) ObserveBatch(recs []RequestRecord) {
-	for i := 0; i < len(recs); {
-		k := m.key(recs[i])
-		j := i + 1
-		for j < len(recs) && m.key(recs[j]) == k {
-			j++
-		}
-		ObserveAll(m.sub(k), recs[i:j])
-		i = j
-	}
-}
 
 // sub returns the sub-sink for key k, making it on first sight.
 func (m *KeyedMux) sub(k string) Sink {

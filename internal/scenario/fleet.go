@@ -66,8 +66,8 @@ type FleetRun struct {
 // own sub-trace. A window the windowed series cannot bucket
 // (checkWindow), or any window without Stream (only the streaming sinks
 // collect the series), is refused before any of that. An unsharded
-// streaming run on a machine with a second core feeds its sinks through a
-// metrics.Pipe (Options.piped has the rule). It is the spec case of Job:
+// streaming run feeds its sinks through a metrics.Pipe (Options.piped has
+// the rule). It is the spec case of Job:
 // the same build and Run code, with the spec's trace, shards, chaos and
 // sinks.
 func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error) {

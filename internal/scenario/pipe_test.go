@@ -10,9 +10,11 @@ import (
 	"hetis/internal/workload"
 )
 
-// pipeTestRecords is how many requests each differential trace holds at
-// least: two chunks of the Pipe, so every forced-on run hands records to
-// the consumer goroutine instead of feeding them all at Drain.
+// pipeTestRecords is how many records each forced-on differential run
+// must feed its Pipe: two of the Pipe's 512-record chunks. A Pipe hands
+// every full chunk to its consumer goroutine (the metrics tests pin that),
+// so such a run exercises the goroutine instead of feeding every record
+// at Drain.
 const pipeTestRecords = 1024
 
 // TestPipelinedStreamMatchesSync is the differential for the pipelined
@@ -20,7 +22,8 @@ const pipeTestRecords = 1024
 // every engine, streamed with and without a windowed series, renders the
 // same rows and windows with the Pipe forced on as with it forced off. The
 // golden traces are lengthened until they hold pipeTestRecords requests,
-// since a trace shorter than one chunk never reaches the goroutine. Before
+// and each forced-on run must observe that many records, since a run
+// shorter than one chunk never reaches the goroutine. Before
 // that, on the run path alone: no Pipe goroutine outlives FleetRun.Run,
 // whether the engine succeeds or fails.
 func TestPipelinedStreamMatchesSync(t *testing.T) {
@@ -28,7 +31,7 @@ func TestPipelinedStreamMatchesSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec = spec.ForGolden()
+	spec = lengthened(t, spec.ForGolden(), pipeTestRecords)
 	t.Run("no goroutine left", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		fr, err := PrepareFleet(spec, "vllm", Options{Stream: true, pipe: pipeOn})
@@ -38,8 +41,8 @@ func TestPipelinedStreamMatchesSync(t *testing.T) {
 		if _, err := fr.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		if fr.pipeline.pipe.Chunks() == 0 {
-			t.Fatal("the run handed no chunk to the Pipe's goroutine")
+		if n := observed(fr); n < pipeTestRecords {
+			t.Fatalf("the run fed its Pipe %d records, want at least %d", n, pipeTestRecords)
 		}
 		waitGoroutines(t, base)
 	})
@@ -56,8 +59,8 @@ func TestPipelinedStreamMatchesSync(t *testing.T) {
 		if _, err := fr.Run(0); !errors.Is(err, errMidRun) {
 			t.Fatalf("Run error %v, want the engine's %v", err, errMidRun)
 		}
-		if fr.pipeline.pipe.Chunks() == 0 {
-			t.Fatal("the failing engine handed no chunk to the Pipe's goroutine")
+		if n := observed(fr); n < pipeTestRecords {
+			t.Fatalf("the failing engine fed its Pipe %d records, want at least %d", n, pipeTestRecords)
 		}
 		waitGoroutines(t, base)
 	})
@@ -84,10 +87,10 @@ func TestPipelinedStreamMatchesSync(t *testing.T) {
 				for _, m := range modes {
 					on, off := m.opts, m.opts
 					on.pipe, off.pipe = pipeOn, pipeOff
-					gotRows, gotWins, chunks := runPiped(t, spec, eng, on)
+					gotRows, gotWins, n := runPiped(t, spec, eng, on)
 					wantRows, wantWins, _ := runPiped(t, spec, eng, off)
-					if chunks == 0 {
-						t.Errorf("%s/%s: the forced-on run handed no chunk to the Pipe's goroutine", eng, m.name)
+					if n < pipeTestRecords {
+						t.Errorf("%s/%s: the forced-on run fed its Pipe %d records, want at least %d", eng, m.name, n, pipeTestRecords)
 					}
 					if gotRows != wantRows {
 						t.Errorf("%s/%s: pipelined rows differ:\n%s", eng, m.name, diffLines([]byte(wantRows), []byte(gotRows)))
@@ -102,8 +105,8 @@ func TestPipelinedStreamMatchesSync(t *testing.T) {
 }
 
 // runPiped serves spec on one engine and returns its rows and windows as
-// CSV, with the chunks its Pipe handed off (0 for an unpiped run).
-func runPiped(t *testing.T, spec Spec, eng string, opts Options) (rows, wins string, chunks int) {
+// CSV, with the records its sinks observed.
+func runPiped(t *testing.T, spec Spec, eng string, opts Options) (rows, wins string, records int) {
 	t.Helper()
 	fr, err := PrepareFleet(spec, eng, opts)
 	if err != nil {
@@ -112,9 +115,7 @@ func runPiped(t *testing.T, spec Spec, eng string, opts Options) (rows, wins str
 	if _, err := fr.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if p := fr.pipeline.pipe; p != nil {
-		chunks = p.Chunks()
-	}
+	records = observed(fr)
 	r, w, err := fr.Tables()
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +123,14 @@ func runPiped(t *testing.T, spec Spec, eng string, opts Options) (rows, wins str
 	if w != nil {
 		wins = w.CSV()
 	}
-	return r.CSV(), wins, chunks
+	return r.CSV(), wins, records
+}
+
+// observed counts the records an unsharded streaming run's sinks took in,
+// dropped ones included; after Run it is what the engine fed its Pipe.
+func observed(fr *FleetRun) int {
+	s := fr.pipeline.agg.Snapshot()
+	return s.Count + s.Dropped
 }
 
 // lengthened returns spec with defaults filled and its duration doubled

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"hetis/internal/engine"
@@ -78,9 +77,10 @@ const (
 
 // piped reports whether a streaming run's engine feeds its sinks through a
 // metrics.Pipe. The rule is structural: only an unsharded run, whose one
-// event loop leaves a core idle, and only when a second core exists for
-// the Pipe's consumer. A sharded run's shard workers already fill every
-// core, so its sinks stay synchronous.
+// event loop leaves a core idle for the Pipe's consumer. A sharded run's
+// shard workers already fill every core, so its sinks stay synchronous.
+// On a single core the consumer time-slices with the loop, which measured
+// no slower than synchronous sinks.
 func (o Options) piped(sharded bool) bool {
 	switch o.pipe {
 	case pipeOn:
@@ -88,7 +88,7 @@ func (o Options) piped(sharded bool) bool {
 	case pipeOff:
 		return false
 	}
-	return !sharded && min(runtime.GOMAXPROCS(0), runtime.NumCPU()) >= 2
+	return !sharded
 }
 
 // ClusterByName resolves a spec's cluster name through

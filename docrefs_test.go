@@ -21,15 +21,16 @@ var mdRef = regexp.MustCompile(`[\w./-]*\w\.md\b`)
 
 // TestMarkdownReferencesExist fails when a Go file or a doc names a
 // Markdown file that is not in the repository, when a doc names an
-// exported Go identifier that is not (see checkIdentifiers), or when a
-// doc links to a heading that its target does not have (see
-// checkAnchors). The docs are
+// exported Go identifier that is not (see checkIdentifiers) or a test that
+// no test file declares (see checkTestNames), or when a doc links to a
+// heading that its target does not have (see checkAnchors). The docs are
 // the READMEs and doc/; the root's other Markdown files record history or
 // quote other repositories, so they may name files that are gone or never
 // lived here. A name resolves against the naming file's directory, the
 // repository root, or doc/.
 func TestMarkdownReferencesExist(t *testing.T) {
 	decls := map[string]map[string]bool{} // package name -> declared names
+	tests := map[string]bool{}            // funcs declared in _test.go files
 	docs := map[string][]string{}         // doc path -> lines
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -64,13 +65,14 @@ func TestMarkdownReferencesExist(t *testing.T) {
 			docs[path] = lines
 			return nil
 		}
-		return declare(decls, path, data)
+		return declare(decls, tests, path, data)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range slices.Sorted(maps.Keys(docs)) {
 		checkIdentifiers(t, decls, path, docs[path])
+		checkTestNames(t, tests, path, docs[path])
 		checkAnchors(t, path, docs[path])
 	}
 }
@@ -95,8 +97,9 @@ var (
 )
 
 // declare records the top-level names a Go file declares (functions,
-// types, variables and constants; not methods) under its package name.
-func declare(decls map[string]map[string]bool, path string, src []byte) error {
+// types, variables and constants; not methods) under its package name,
+// and a test file's functions in tests.
+func declare(decls map[string]map[string]bool, tests map[string]bool, path string, src []byte) error {
 	f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
 	if err != nil {
 		return err
@@ -111,6 +114,9 @@ func declare(decls map[string]map[string]bool, path string, src []byte) error {
 		case *ast.FuncDecl:
 			if decl.Recv == nil {
 				names[decl.Name.Name] = true
+				if strings.HasSuffix(path, "_test.go") {
+					tests[decl.Name.Name] = true
+				}
 			}
 		case *ast.GenDecl:
 			for _, spec := range decl.Specs {
@@ -151,6 +157,25 @@ func checkIdentifiers(t *testing.T, decls map[string]map[string]bool, path strin
 				if names, ok := decls[pkg]; ok && !names[name] {
 					t.Errorf("%s:%d names %s.%s, which package %s does not declare", path, i+1, pkg, name, pkg)
 				}
+			}
+		}
+	}
+}
+
+// testName matches a bare test, fuzz target or benchmark name: not the
+// selector of a qualified identifier.
+var testName = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*)`)
+
+// checkTestNames fails on every bare Test*, Fuzz* or Benchmark* name a doc
+// gives, anywhere in its text, that no _test.go file declares as a
+// function: a doc that names the test pinning a design must name one that
+// runs.
+func checkTestNames(t *testing.T, tests map[string]bool, path string, lines []string) {
+	t.Helper()
+	for i, line := range lines {
+		for _, m := range testName.FindAllStringSubmatch(line, -1) {
+			if !tests[m[1]] {
+				t.Errorf("%s:%d names %s, which no test file declares", path, i+1, m[1])
 			}
 		}
 	}

@@ -131,6 +131,33 @@ func TestRunScenariosRefusesWindowWithoutStream(t *testing.T) {
 	}
 }
 
+// TestRegisterScenarioRefusesTenantInTwoTiers: the engine would schedule
+// such a tenant under one tier and the table report it under the other,
+// so the spec is refused with an error naming the tenant and both tiers.
+func TestRegisterScenarioRefusesTenantInTwoTiers(t *testing.T) {
+	spec, err := ScenarioByName("steady")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Name = "steady-chat-in-two-tiers"
+	spec.Tiers = []ScenarioTier{
+		{Name: "gold", Tenants: []string{"chat"}, Priority: 2},
+		{Name: "silver", Tenants: []string{"chat"}, Priority: 1, MaxInflight: 1},
+	}
+	err = RegisterScenario(spec)
+	if err == nil {
+		t.Fatal("registered a spec naming tenant chat in two tiers")
+	}
+	for _, name := range []string{`"chat"`, `"gold"`, `"silver"`} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+	if _, err := ScenarioByName(spec.Name); err == nil {
+		t.Error("the refused spec was registered")
+	}
+}
+
 func TestEstimatorFacade(t *testing.T) {
 	est, err := NewEstimator(Llama70B)
 	if err != nil {

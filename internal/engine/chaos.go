@@ -132,6 +132,9 @@ func (c *ChaosConfig) Validate() error {
 		}
 	}
 	seen := map[string]bool{}
+	// tierOf names the tier listing each tenant: a tenant in two tiers
+	// would be scheduled under one and reported under the other.
+	tierOf := map[string]string{}
 	catchAll := 0
 	for _, t := range c.Tiers {
 		if t.Name == "" {
@@ -146,6 +149,12 @@ func (c *ChaosConfig) Validate() error {
 		}
 		if len(t.Tenants) == 0 {
 			catchAll++
+		}
+		for _, tenant := range t.Tenants {
+			if prev, ok := tierOf[tenant]; ok && prev != t.Name {
+				return fmt.Errorf("chaos: tenant %q is in tiers %q and %q", tenant, prev, t.Name)
+			}
+			tierOf[tenant] = t.Name
 		}
 	}
 	if catchAll > 1 {

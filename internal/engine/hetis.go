@@ -129,11 +129,11 @@ func stageFreeBytes(cfg Config, st parallelizer.Stage) int64 {
 // replicaSet; a healthy run's set has exactly the plan's instances, all
 // active, and behaves like the legacy loop.
 type hetisInstance struct {
-	eng    *Hetis
-	stages []parallelizer.Stage
-	// costs holds each stage's cost record, compiled at build.
-	costs []parallelizer.StageCost
-	pool  []hardware.DeviceID
+	eng *Hetis
+	// pipe prices the instance's stages: the dense side of a decode step,
+	// memoized per batch size, and prefills.
+	pipe *stagePipeline
+	pool []hardware.DeviceID
 
 	disp *dispatch.Dispatcher
 	kv   []*kvcache.Manager
@@ -184,16 +184,9 @@ type hetisInstance struct {
 	prompts       []int
 	prefillDoneFn func(*sim.Simulator)
 
-	// decodeMemo caches the dense side of a decode iteration per batch
-	// size. Dense-module cost is a pure function of (stage layout, batch)
-	// — head placement never touches dense modules — so the memo needs no
-	// invalidation; attention costs depend on the live head assignment and
-	// are recomputed every iteration.
-	decodeMemo map[int]*decodeCost
-	// attnScratch, stillBuf and finishing are per-iteration scratch reused
-	// across decode steps; overflowHit flags, by worker index, the workers
-	// a prefill or decode step left over their dispatch capacity.
-	attnScratch []float64
+	// stillBuf and finishing are per-iteration scratch reused across
+	// decode steps; overflowHit flags, by worker index, the workers a
+	// prefill or decode step left over their dispatch capacity.
 	stillBuf    []*request
 	finishing   []*dispatch.Slot
 	overflowHit []bool
@@ -216,20 +209,11 @@ type hetisInstance struct {
 	cfg *Config
 }
 
-// decodeCost is the memoized dense side of one decode iteration.
-type decodeCost struct {
-	// denseModule is moduleLatency over per-stage dense times (the §7.3
-	// DenseTimes sample); dense is the full iteration dense cost including
-	// pipeline hops and the LM head.
-	denseModule float64
-	dense       float64
-}
-
 func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstance, error) {
 	cfg := h.cfg
 	inst := &hetisInstance{
 		eng:     h,
-		stages:  in.Stages,
+		pipe:    &stagePipeline{stages: in.Stages},
 		pool:    in.AttentionWorkers,
 		byID:    make(map[int64]*request),
 		lastMig: make(map[int64]int),
@@ -266,7 +250,7 @@ func (h *Hetis) newInstance(in parallelizer.Instance, res *Result) (*hetisInstan
 
 	primaryDev := in.Stages[0].Devices[0]
 	for _, st := range in.Stages {
-		inst.costs = append(inst.costs, parallelizer.CompileStage(h.est, st, parallelizer.StageLink(cfg.Cluster, st)))
+		inst.pipe.costs = append(inst.pipe.costs, parallelizer.CompileStage(h.est, st, parallelizer.StageLink(cfg.Cluster, st)))
 		am := h.prof.Attn[st.Devices[0]]
 		// TP shards heads and cache across the stage's tensor group.
 		am.A /= float64(st.TP)
@@ -524,14 +508,14 @@ func (inst *hetisInstance) prefillDone(s *sim.Simulator) {
 // and the scatter of pool-resident KV shards.
 func (inst *hetisInstance) prefillTime(prompts []int, admitted []*request) float64 {
 	cfg := inst.cfg
-	dt := stagesPrefillTime(inst.costs, cfg.Cluster.InterLink, prompts)
+	dt := inst.pipe.prefillTime(cfg, prompts)
 
 	// KV scatter: shards dispatched to pool workers ship over their links
 	// concurrently; the slowest leg gates the iteration.
 	groupTok := cfg.Model.KVBytesPerTokenHeadGroup() * int64(cfg.Model.Layers)
 	r := cfg.Model.GroupRatio()
 	var maxLeg float64
-	for wi := len(inst.stages); wi < inst.disp.NumWorkers(); wi++ {
+	for wi := len(inst.pipe.stages); wi < inst.disp.NumWorkers(); wi++ {
 		var bytes int64
 		for _, req := range admitted {
 			x := inst.disp.PlacementView(req.wl.ID)
@@ -549,33 +533,6 @@ func (inst *hetisInstance) prefillTime(prompts []int, admitted []*request) float
 	return dt + maxLeg
 }
 
-// decodeCostFor memoizes the dense side of a decode iteration per batch
-// size; batch sizes repeat constantly across iterations, so after warmup
-// the hot path is a map hit instead of re-walking the cost model.
-func (inst *hetisInstance) decodeCostFor(batch int) *decodeCost {
-	if c, ok := inst.decodeMemo[batch]; ok {
-		return c
-	}
-	cfg := inst.cfg
-	stageTimes := make([]float64, len(inst.costs))
-	var dense float64
-	for k := range inst.costs {
-		stageTimes[k] = inst.costs[k].DecodeTime(batch)
-		dense += stageTimes[k]
-	}
-	last := &inst.costs[len(inst.costs)-1]
-	if len(inst.costs) > 1 {
-		dense += float64(len(inst.costs)-1) * perf.P2PTime(cfg.Cluster.InterLink, last.HiddenStateBytes(batch))
-	}
-	dense += last.LMHeadTime(batch)
-	c := &decodeCost{denseModule: moduleLatency(stageTimes), dense: dense}
-	if inst.decodeMemo == nil {
-		inst.decodeMemo = make(map[int]*decodeCost)
-	}
-	inst.decodeMemo[batch] = c
-	return c
-}
-
 // tryDecode runs one decode iteration over the running batch.
 func (inst *hetisInstance) tryDecode(s *sim.Simulator) bool {
 	if len(inst.running) == 0 {
@@ -584,20 +541,24 @@ func (inst *hetisInstance) tryDecode(s *sim.Simulator) bool {
 	cfg := inst.cfg
 	batch := len(inst.running)
 
-	cost := inst.decodeCostFor(batch)
+	// The dense side is a pure function of (stage layout, batch), so the
+	// pipeline memoizes it; attention depends on the live head assignment
+	// and is recomputed every iteration.
+	cost := inst.pipe.denseCostFor(cfg, batch)
 	attnPerLayer := inst.disp.AttnStepTime()
 	attn := float64(cfg.Model.Layers) * attnPerLayer
 
 	// §7.3 module metrics.
 	if !cfg.NoTrace {
-		inst.res.DenseTimes.Append(cost.denseModule)
-		if inst.attnScratch == nil {
-			inst.attnScratch = make([]float64, len(inst.stages))
+		inst.res.DenseTimes.Append(cost.module)
+		p := inst.pipe
+		if p.attnScratch == nil {
+			p.attnScratch = make([]float64, len(p.stages))
 		}
-		for k, st := range inst.stages {
-			inst.attnScratch[k] = float64(st.Layers) * attnPerLayer
+		for k, st := range p.stages {
+			p.attnScratch[k] = float64(st.Layers) * attnPerLayer
 		}
-		inst.res.AttnTimes.Append(moduleLatency(inst.attnScratch))
+		inst.res.AttnTimes.Append(moduleLatency(p.attnScratch))
 	}
 
 	dt := cost.dense + attn + inst.pendingDelay

@@ -17,7 +17,7 @@ import (
 // stage and low-end GPUs drag every dense module.
 type HexGen struct {
 	cfg  Config
-	pipe *staticPipeline
+	pipe *stagePipeline
 }
 
 // NewHexGen builds the baseline over the whole cluster.
@@ -52,7 +52,7 @@ func (h *HexGen) Run(reqs []workload.Request, horizon float64) (*Result, error) 
 
 // runStatic is the shared Run body of the two static-pipeline engines: a
 // replica set of one staticRuntime, widened by chaos.
-func runStatic(name string, cfg Config, pipe *staticPipeline, capBytes int64, reqs []workload.Request, horizon float64) (*Result, error) {
+func runStatic(name string, cfg Config, pipe *stagePipeline, capBytes int64, reqs []workload.Request, horizon float64) (*Result, error) {
 	f := newReplicaSet[*staticRuntime](name, cfg, capBytes, len(reqs))
 	err := f.provision(1, func(int) (*staticRuntime, error) {
 		rt := &staticRuntime{

@@ -11,11 +11,11 @@ import (
 	"hetis/internal/workload"
 )
 
-// TestDecodeCostMemoBitEqual asserts the per-batch dense-cost memo is a
-// pure cache: for random batch sizes, memo hits return the exact values a
-// fresh recomputation from the cost model produces, bit for bit. This is
-// the engine half of the optimization contract (the dispatch half is
-// TestCachingDecisionEquivalence).
+// TestDecodeCostMemoBitEqual asserts the per-batch dense-cost memo a Hetis
+// instance's stage pipeline keeps is a pure cache: for random batch sizes,
+// memo hits return the exact values a fresh recomputation from the cost
+// model produces, bit for bit. This is the engine half of the optimization
+// contract (the dispatch half is TestCachingDecisionEquivalence).
 func TestDecodeCostMemoBitEqual(t *testing.T) {
 	reqs := shortTrace(workload.ShareGPT, 2, 10, 3)
 	h := buildHetis(t, model.Llama13B, reqs)
@@ -27,28 +27,29 @@ func TestDecodeCostMemoBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
 		batch := 1 + rng.Intn(256)
-		got := inst.decodeCostFor(batch) // may be a memo hit
+		got := inst.pipe.denseCostFor(inst.cfg, batch) // may be a memo hit
 
-		// Fresh recomputation straight from the cost model, mirroring
-		// decodeCostFor term by term.
-		stageTimes := make([]float64, len(inst.stages))
+		// Fresh recomputation straight from the cost model, in the order
+		// the unmemoized Hetis step added its terms.
+		stages := inst.pipe.stages
+		stageTimes := make([]float64, len(stages))
 		var dense float64
-		for k, st := range inst.stages {
+		for k, st := range stages {
 			stageTimes[k] = refStageDecodeTime(h.est, st, batch, parallelizer.StageLink(h.cfg.Cluster, st))
 			dense += stageTimes[k]
 		}
-		if len(inst.stages) > 1 {
-			dense += float64(len(inst.stages)-1) *
+		if len(stages) > 1 {
+			dense += float64(len(stages)-1) *
 				perf.P2PTime(h.cfg.Cluster.InterLink, h.cfg.Model.HiddenStateBytes(batch))
 		}
-		last := inst.stages[len(inst.stages)-1]
+		last := stages[len(stages)-1]
 		lm := h.est.Compile(last.Spec, last.TP)
 		dense += lm.LMHeadTime(batch)
 		wantModule := moduleLatency(stageTimes)
 
-		if got.dense != dense || got.denseModule != wantModule {
+		if got.dense != dense || got.module != wantModule {
 			t.Fatalf("batch %d: memo (%v, %v) != recomputed (%v, %v)",
-				batch, got.dense, got.denseModule, dense, wantModule)
+				batch, got.dense, got.module, dense, wantModule)
 		}
 	}
 }
@@ -62,7 +63,7 @@ func TestDecodeCostMemoBitEqual(t *testing.T) {
 // on each pipeline that prefills, empty and zero-length prompts included.
 func TestStaticDenseMemoBitEqual(t *testing.T) {
 	cfg := DefaultConfig(model.Llama13B, hardware.PaperCluster())
-	type engines struct{ hx, swPrefill, swDecode, v *staticPipeline }
+	type engines struct{ hx, swPrefill, swDecode, v *stagePipeline }
 	build := func() engines {
 		hx, err := NewHexGen(cfg)
 		if err != nil {
@@ -79,9 +80,9 @@ func TestStaticDenseMemoBitEqual(t *testing.T) {
 		return engines{hx.pipe, sw.prefill, sw.decode, v.pipe}
 	}
 	w, c := build(), build()
-	warm := []*staticPipeline{w.hx, w.swDecode, w.v}
-	cold := []*staticPipeline{c.hx, c.swDecode, c.v}
-	prefill := []*staticPipeline{w.hx, w.swPrefill, w.v}
+	warm := []*stagePipeline{w.hx, w.swDecode, w.v}
+	cold := []*stagePipeline{c.hx, c.swDecode, c.v}
+	prefill := []*stagePipeline{w.hx, w.swPrefill, w.v}
 	est, err := perf.New(cfg.Model)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestStaticDenseMemoBitEqual(t *testing.T) {
 // refDecodeTime is the frozen unmemoized static decode cost: every term
 // recomputed from a freshly compiled cost record on each call, in its
 // original order.
-func refDecodeTime(p *staticPipeline, est *perf.Estimator, cfg Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
+func refDecodeTime(p *stagePipeline, est *perf.Estimator, cfg Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
 	m := cfg.Model
 	densePerStage := make([]float64, len(p.stages))
 	attnPerStage := make([]float64, len(p.stages))
@@ -146,7 +147,7 @@ func refDecodeTime(p *staticPipeline, est *perf.Estimator, cfg Config, batch int
 
 // refPrefillTime is the static prefill cost recomputed from freshly
 // compiled cost records, in the original order.
-func refPrefillTime(p *staticPipeline, est *perf.Estimator, cfg Config, prompts []int) float64 {
+func refPrefillTime(p *stagePipeline, est *perf.Estimator, cfg Config, prompts []int) float64 {
 	m := cfg.Model
 	total := 0
 	for _, l := range prompts {

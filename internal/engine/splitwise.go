@@ -17,8 +17,8 @@ import (
 // hold a full copy of the model — the memory inefficiency of Fig. 1(a).
 type Splitwise struct {
 	cfg     Config
-	prefill *staticPipeline
-	decode  *staticPipeline
+	prefill *stagePipeline
+	decode  *stagePipeline
 }
 
 // NewSplitwise plans the phase split: the top GPU tier preferably serves
@@ -109,7 +109,7 @@ func (sw *Splitwise) Run(reqs []workload.Request, horizon float64) (*Result, err
 type splitwiseRuntime struct {
 	tokenPool
 
-	prefill     *staticPipeline
+	prefill     *stagePipeline
 	prefillQ    *waitQueue
 	prefillBusy bool
 	// prefillPending is the prefill loop's single outstanding event;

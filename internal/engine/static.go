@@ -12,11 +12,13 @@ import (
 	"hetis/internal/sim"
 )
 
-// staticPipeline is the shared substrate of the two baselines: a fixed
-// sequence of per-type pipeline stages with static layer assignment and
-// stage-local KV cache. Its capacity is limited by the most constrained
-// stage — precisely the imbalance Fig. 1(b) illustrates.
-type staticPipeline struct {
+// stagePipeline is a fixed sequence of pipeline stages, priced through
+// their compiled cost records. The baselines serve on one built by
+// buildStaticPipeline: per-type stages with static layer assignment and
+// stage-local KV cache, whose capacity is limited by the most constrained
+// stage — precisely the imbalance Fig. 1(b) illustrates. Each Hetis
+// instance prices its stages through one too, leaving tokenCap unused.
+type stagePipeline struct {
 	stages []parallelizer.Stage
 	// costs holds each stage's cost record, compiled at build, so pricing
 	// an iteration reads fields instead of re-deriving the model and
@@ -37,7 +39,7 @@ type staticPipeline struct {
 	// batch size (nil until that size first decodes), and attnScratch is
 	// the per-iteration attention buffer; both are reused across decode
 	// steps.
-	denseMemo   []*staticDenseCost
+	denseMemo   []*denseCost
 	attnScratch []float64
 	// soloMemo caches prefillTime of a one-prompt batch, indexed by the
 	// prompt length (0 until that length first prefills; a prefill always
@@ -50,20 +52,21 @@ type staticPipeline struct {
 // are priced on every call.
 const soloMemoMax = 1 << 14
 
-// staticDenseCost memoizes the batch-dependent terms of decodeTime: the
+// denseCost memoizes the batch-dependent terms of decodeTime: the
 // dense stage times and their module latency, the inter-stage activation
 // transfers and the LM head.
-type staticDenseCost struct {
+type denseCost struct {
 	perStage []float64
 	module   float64 // moduleLatency(perStage)
 	p2p      float64 // (stages-1) activation hops; 0 for one stage
 	lmHead   float64
+	dense    float64 // Σ perStage (stage order) + p2p + lmHead: a Hetis step's dense cost
 }
 
 // buildStaticPipeline assigns layers to the given per-type device groups
 // (ordered high→low tier) proportionally to their dense throughput, then
 // computes the cache capacity. groups must be non-empty.
-func buildStaticPipeline(cfg Config, est *perf.Estimator, cluster *hardware.Cluster, groups []hardware.TypeGroup, decodeBatch int) (*staticPipeline, error) {
+func buildStaticPipeline(cfg Config, est *perf.Estimator, cluster *hardware.Cluster, groups []hardware.TypeGroup, decodeBatch int) (*stagePipeline, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("engine: static pipeline needs devices")
 	}
@@ -139,7 +142,7 @@ func buildStaticPipeline(cfg Config, est *perf.Estimator, cluster *hardware.Clus
 		}
 	}
 
-	p := &staticPipeline{kvTokenLayer: m.KVBytesPerTokenLayer(), kvToken: m.KVBytesPerToken()}
+	p := &stagePipeline{kvTokenLayer: m.KVBytesPerTokenLayer(), kvToken: m.KVBytesPerToken()}
 	p.tokenCap = int64(^uint64(0) >> 1)
 	for i, pr := range protos {
 		if layers[i] == 0 {
@@ -170,18 +173,19 @@ func buildStaticPipeline(cfg Config, est *perf.Estimator, cluster *hardware.Clus
 }
 
 // cacheCapacityBytes converts the token capacity to bytes.
-func (p *staticPipeline) cacheCapacityBytes() int64 { return p.tokenCap * p.kvToken }
+func (p *stagePipeline) cacheCapacityBytes() int64 { return p.tokenCap * p.kvToken }
 
 // denseCostFor memoizes the batch-dependent terms of decodeTime; they
 // are a pure function of (stage layout, batch), so the memo never
 // invalidates.
-func (p *staticPipeline) denseCostFor(cfg *Config, batch int) *staticDenseCost {
+func (p *stagePipeline) denseCostFor(cfg *Config, batch int) *denseCost {
 	if batch < len(p.denseMemo) && p.denseMemo[batch] != nil {
 		return p.denseMemo[batch]
 	}
-	c := &staticDenseCost{perStage: make([]float64, len(p.costs))}
+	c := &denseCost{perStage: make([]float64, len(p.costs))}
 	for k := range p.costs {
 		c.perStage[k] = p.costs[k].DecodeTime(batch)
+		c.dense += c.perStage[k]
 	}
 	c.module = moduleLatency(c.perStage)
 	last := &p.costs[len(p.costs)-1]
@@ -189,8 +193,9 @@ func (p *staticPipeline) denseCostFor(cfg *Config, batch int) *staticDenseCost {
 		c.p2p = float64(len(p.costs)-1) * perf.P2PTime(cfg.Cluster.InterLink, last.HiddenStateBytes(batch))
 	}
 	c.lmHead = last.LMHeadTime(batch)
+	c.dense = c.dense + c.p2p + c.lmHead
 	if batch >= len(p.denseMemo) {
-		p.denseMemo = append(p.denseMemo, make([]*staticDenseCost, batch+1-len(p.denseMemo))...)
+		p.denseMemo = append(p.denseMemo, make([]*denseCost, batch+1-len(p.denseMemo))...)
 	}
 	p.denseMemo[batch] = c
 	return c
@@ -204,7 +209,7 @@ func (p *staticPipeline) denseCostFor(cfg *Config, batch int) *staticDenseCost {
 // dense and attention times in stage order, then the activation hops,
 // then the LM head — the order the unmemoized cost used — so the
 // floating-point result is bit-identical to it.
-func (p *staticPipeline) decodeTime(cfg *Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
+func (p *stagePipeline) decodeTime(cfg *Config, batch int, ctxTokens int64) (dt, denseModule, attnModule float64) {
 	dense := p.denseCostFor(cfg, batch)
 	if cap(p.attnScratch) < len(p.stages) {
 		p.attnScratch = make([]float64, len(p.stages))
@@ -224,7 +229,7 @@ func (p *staticPipeline) decodeTime(cfg *Config, batch int, ctxTokens int64) (dt
 
 // prefillTime is the iteration cost of prefilling the given prompts
 // (stagesPrefillTime); a one-prompt batch is priced once per length.
-func (p *staticPipeline) prefillTime(cfg *Config, prompts []int) float64 {
+func (p *stagePipeline) prefillTime(cfg *Config, prompts []int) float64 {
 	if len(prompts) != 1 || uint(prompts[0]) >= soloMemoMax {
 		return stagesPrefillTime(p.costs, cfg.Cluster.InterLink, prompts)
 	}
@@ -278,7 +283,7 @@ func stagesPrefillTime(costs []parallelizer.StageCost, interLink hardware.LinkSp
 // its finishers.
 type tokenPool struct {
 	cfg   Config
-	pipe  *staticPipeline
+	pipe  *stagePipeline
 	res   *Result
 	fleet *fleetCore
 

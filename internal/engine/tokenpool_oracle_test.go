@@ -15,7 +15,7 @@ import (
 // checked for completion, on every step, with the context sum recounted
 // per launch. FuzzTokenPoolStep holds the tokenPool to it.
 type refTokenPool struct {
-	pipe     *staticPipeline
+	pipe     *stagePipeline
 	fleet    *fleetCore
 	running  []*request
 	used     int64
@@ -180,7 +180,7 @@ func checkTokenPoolStep(t *testing.T, tiered bool, capTokens int64, ops []byte) 
 	fastSide := &poolSide{reqs: map[int64]*request{}}
 	refSide := &poolSide{reqs: map[int64]*request{}}
 	fast := &tokenPool{
-		pipe:     &staticPipeline{tokenCap: capTokens},
+		pipe:     &stagePipeline{tokenCap: capTokens},
 		res:      &Result{},
 		fleet:    newFleet(),
 		requeueQ: newWaitQueue(tiered),
@@ -188,7 +188,7 @@ func checkTokenPoolStep(t *testing.T, tiered bool, capTokens int64, ops []byte) 
 		finished: fastSide.hook("finish"),
 	}
 	ref := &refTokenPool{
-		pipe:     &staticPipeline{tokenCap: capTokens},
+		pipe:     &stagePipeline{tokenCap: capTokens},
 		fleet:    newFleet(),
 		requeueQ: newWaitQueue(tiered),
 		requeued: refSide.hook("requeue"),

@@ -16,7 +16,7 @@ import (
 // high-end-only floor that Hetis must beat to justify itself.
 type VLLM struct {
 	cfg  Config
-	pipe *staticPipeline
+	pipe *stagePipeline
 }
 
 // NewVLLM builds the reference engine on the highest-tier GPU type.

@@ -58,7 +58,7 @@ func (r RequestRecord) NormLatency() float64 {
 
 // recordChunk is the slab size for recorders that did not pre-size: 256
 // records × ~80 B stay under the Go allocator's 32 KB small-object
-// threshold, the same rationale as the engine's request slabs.
+// threshold, so each chunk is an ordinary size-class allocation.
 const recordChunk = 256
 
 // Recorder accumulates request records. It is the exact measurement sink

@@ -458,8 +458,9 @@ func (s Spec) chaosConfig() *engine.ChaosConfig {
 	return c
 }
 
-// tierOf maps a tenant to its tier name under the spec's tier list (first
+// tierOf maps a tenant to its tier name under the spec's tier list (the
 // tier listing the tenant, else the catch-all), or "" when untiered.
+// Validate refuses a tenant that two tiers list.
 func (s Spec) tierOf(tenant string) string {
 	catchAll := ""
 	for _, t := range s.Tiers {

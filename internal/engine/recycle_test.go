@@ -90,8 +90,7 @@ func checkSameRun(t *testing.T, name string, recycled, poisoned *Result) {
 // to evict passes a prefillDone or afterDecode that resets fresh first.
 // TestFreshOmitsFinishers pins that fix directly.
 func TestRecycledRequestsMatchPoisoned(t *testing.T) {
-	times := func() []float64 { return workload.PoissonTimes(8, 60, rand.New(rand.NewSource(3))) }
-	reqs := workload.Synthesize(times, 0, []workload.MixEntry{
+	reqs := workload.Synthesize(workload.PoissonArrivals(8, 60, rand.New(rand.NewSource(3))), 0, []workload.MixEntry{
 		{Tenant: "chat", Dataset: workload.ShareGPT, Weight: 3},
 		{Tenant: "code", Dataset: workload.HumanEval, Weight: 2},
 		{Tenant: "batch", Dataset: workload.LongBench, Weight: 1},

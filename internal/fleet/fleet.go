@@ -15,6 +15,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"hetis/internal/workload"
@@ -38,19 +39,21 @@ const (
 	PolicyAffinity = "affinity"
 )
 
+// policies lists the routing policies in documentation order; a Router's
+// policy is its index here.
+var policies = [...]string{PolicyWeighted, PolicyLeastLoaded, PolicyAffinity}
+
+const (
+	weighted = iota
+	leastLoaded
+	affinity
+)
+
 // Policies lists the routing policies in documentation order.
-func Policies() []string {
-	return []string{PolicyWeighted, PolicyLeastLoaded, PolicyAffinity}
-}
+func Policies() []string { return slices.Clone(policies[:]) }
 
 // KnownPolicy reports whether name is a routing policy.
-func KnownPolicy(name string) bool {
-	switch name {
-	case PolicyWeighted, PolicyLeastLoaded, PolicyAffinity:
-		return true
-	}
-	return false
-}
+func KnownPolicy(name string) bool { return slices.Contains(policies[:], name) }
 
 // Router assigns requests to shards under one of the routing policies. A
 // Router is stateful (round-robin counters, cumulative load) and
@@ -58,7 +61,7 @@ func KnownPolicy(name string) bool {
 // any shard executes. It is NOT safe for concurrent use — by construction
 // it never needs to be, since routing completes before execution begins.
 type Router struct {
-	policy  string
+	policy  int // index into policies
 	weights []float64
 	total   float64 // sum of weights
 
@@ -74,7 +77,8 @@ func NewRouter(policy string, shards int, weights []float64) (*Router, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("fleet: need at least 1 shard, got %d", shards)
 	}
-	if !KnownPolicy(policy) {
+	p := slices.Index(policies[:], policy)
+	if p < 0 {
 		return nil, fmt.Errorf("fleet: unknown routing policy %q (known: %s)", policy, strings.Join(Policies(), ", "))
 	}
 	if weights == nil {
@@ -99,8 +103,8 @@ func NewRouter(policy string, shards int, weights []float64) (*Router, error) {
 		return nil, fmt.Errorf("fleet: weights sum to %g; scale them down", total)
 	}
 	return &Router{
-		policy:  policy,
-		weights: append([]float64(nil), weights...),
+		policy:  p,
+		weights: slices.Clone(weights),
 		total:   total,
 		current: make([]float64, shards),
 		load:    make([]float64, shards),
@@ -112,23 +116,26 @@ func NewRouter(policy string, shards int, weights []float64) (*Router, error) {
 func (r *Router) Shards() int { return len(r.weights) }
 
 // Policy reports the routing policy.
-func (r *Router) Policy() string { return r.policy }
+func (r *Router) Policy() string { return policies[r.policy] }
 
-// route assigns one request to a shard. Decisions depend only on the
-// request sequence routed so far — admission-time state, never execution
-// feedback — so the assignment is reproducible from the trace alone.
-func (r *Router) route(req *workload.Request) int {
+// Weights returns a copy of the shard weights (all 1 when NewRouter got
+// nil).
+func (r *Router) Weights() []float64 { return slices.Clone(r.weights) }
+
+// Assign routes one request: it returns the index of the shard that
+// serves it. Decisions depend only on the request sequence assigned so
+// far — admission-time state, never execution feedback — so the
+// assignment is reproducible from the trace alone.
+func (r *Router) Assign(req *workload.Request) int {
 	switch r.policy {
-	case PolicyLeastLoaded:
+	case leastLoaded:
 		return r.routeLeastLoaded(req.TotalLen())
-	case PolicyAffinity:
+	case affinity:
 		if req.Tenant != "" {
 			return int(fnv1a(req.Tenant) % uint64(len(r.weights)))
 		}
-		return r.routeSWRR()
-	default: // PolicyWeighted
-		return r.routeSWRR()
 	}
+	return r.routeSWRR()
 }
 
 // routeSWRR is one smooth-weighted-round-robin step: every shard gains its
@@ -164,117 +171,17 @@ func (r *Router) routeLeastLoaded(tokens int) int {
 }
 
 // Partition routes a whole trace and splits it into one sub-trace per
-// shard, preserving arrival order within each shard. Every request lands
-// in exactly one shard; the sub-trace lengths sum to len(reqs), and a
-// shard that receives nothing gets nil.
-//
-// Partition reorders the caller's slice: the sub-traces are
-// capacity-clipped windows of reqs itself, laid out in shard order, so
-// appending to one reallocates it rather than overwriting its neighbour.
-// It is one stable forward pass (partitionInPlace) whose extra memory is
-// the requests waiting for their slot, not a second copy of the trace.
+// shard, preserving arrival order within each shard: each request is
+// assigned and appended to its shard's own slice. Every request lands in
+// exactly one shard; the sub-trace lengths sum to len(reqs), and a shard
+// that receives nothing gets nil. The caller's slice is left as it was.
 func (r *Router) Partition(reqs []workload.Request) [][]workload.Request {
 	out := make([][]workload.Request, r.Shards())
-	shard := make([]int32, len(reqs))
-	counts := make([]int, len(out))
 	for i := range reqs {
-		s := r.route(&reqs[i])
-		shard[i] = int32(s)
-		counts[s]++
-	}
-	partitionInPlace(reqs, shard, counts)
-	lo := 0
-	for s, n := range counts {
-		if n > 0 {
-			out[s] = reqs[lo : lo+n : lo+n]
-		}
-		lo += n
+		s := r.Assign(&reqs[i])
+		out[s] = append(out[s], reqs[i])
 	}
 	return out
-}
-
-// chunkLen is the request count of one FIFO chunk: large enough that chunk
-// bookkeeping is noise, small enough that the few partial chunks cost
-// little next to the waiting requests.
-const chunkLen = 1024
-
-// partitionInPlace stably moves every request to its shard's region of
-// reqs (shard s owns counts[s] slots after the regions of shards < s) in
-// one forward pass. Reading slot i vacates it, and a slot is written only
-// after it has been read. A request whose slot is behind the read cursor
-// is written at once; one whose slot is ahead waits in its shard's FIFO
-// until the cursor reaches that slot. A shard's waiting requests hold the
-// last slots it has assigned, all at or past the cursor, so whenever the
-// FIFO of the region containing slot i is non-empty, its head owns slot
-// i: any earlier slot of the region went to a request read before the
-// head and written at once, so it lies behind the cursor. The FIFOs draw
-// fixed-size chunks from one shared free list, so the extra memory is the
-// most requests ever waiting at once (about n/4 for balanced 8-way
-// routing) plus a few partial chunks.
-func partitionInPlace(reqs []workload.Request, shard []int32, counts []int) {
-	next := make([]int, len(counts)) // each shard's next unassigned slot
-	lo := 0
-	for s, n := range counts {
-		next[s] = lo
-		lo += n
-	}
-	q := make([]fifo, len(counts))
-	var free [][]workload.Request
-	r, end := 0, counts[0]
-	for i := range reqs {
-		x := reqs[i]
-		s := shard[i]
-		if d := next[s]; d <= i {
-			reqs[d] = x
-		} else {
-			q[s].push(x, &free)
-		}
-		next[s]++
-		for i >= end {
-			r++
-			end += counts[r]
-		}
-		if f := &q[r]; f.n > 0 {
-			reqs[i] = f.pop(&free)
-		}
-	}
-}
-
-// fifo is one shard's queue of waiting requests: chunks[0][head:] through
-// the last chunk's first tail entries.
-type fifo struct {
-	chunks     [][]workload.Request
-	head, tail int
-	n          int
-}
-
-func (f *fifo) push(x workload.Request, free *[][]workload.Request) {
-	if len(f.chunks) == 0 || f.tail == chunkLen {
-		var c []workload.Request
-		if k := len(*free); k > 0 {
-			c = (*free)[k-1]
-			*free = (*free)[:k-1]
-		} else {
-			c = make([]workload.Request, chunkLen)
-		}
-		f.chunks = append(f.chunks, c)
-		f.tail = 0
-	}
-	f.chunks[len(f.chunks)-1][f.tail] = x
-	f.tail++
-	f.n++
-}
-
-func (f *fifo) pop(free *[][]workload.Request) workload.Request {
-	x := f.chunks[0][f.head]
-	f.head++
-	f.n--
-	if f.head == chunkLen {
-		*free = append(*free, f.chunks[0])
-		f.chunks = f.chunks[1:]
-		f.head = 0
-	}
-	return x
 }
 
 // fnv1a is the 64-bit FNV-1a hash, inlined so routing a tenant costs no

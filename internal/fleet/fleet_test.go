@@ -1,26 +1,20 @@
 package fleet
 
 import (
+	"math"
 	"math/rand"
-	"slices"
+	"strings"
 	"testing"
 
 	"hetis/internal/workload"
 )
 
-// shardOf partitions reqs and returns the shard each request landed in,
-// by trace position.
+// shardOf returns the shard r assigns each request of reqs to, by trace
+// position.
 func shardOf(r *Router, reqs []workload.Request) []int {
-	tagged := make([]workload.Request, len(reqs))
-	for i, req := range reqs {
-		req.ID = int64(i)
-		tagged[i] = req
-	}
 	out := make([]int, len(reqs))
-	for s, part := range r.Partition(tagged) {
-		for _, req := range part {
-			out[req.ID] = s
-		}
+	for i := range reqs {
+		out[i] = r.Assign(&reqs[i])
 	}
 	return out
 }
@@ -213,8 +207,7 @@ func TestPartitionConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Partition reorders its input; each policy gets the trace fresh.
-		parts := r.Partition(slices.Clone(reqs))
+		parts := r.Partition(reqs)
 		if len(parts) != 4 {
 			t.Fatalf("%s: %d partitions, want 4", policy, len(parts))
 		}
@@ -296,4 +289,67 @@ func FuzzRouterConservation(f *testing.F) {
 			t.Fatalf("token conservation broken: routed %d, offered %d", got, offered)
 		}
 	})
+}
+
+// TestPartitionEmptyShardsNil pins the partition's shape: an empty trace
+// gives every shard nil and a starved shard stays nil.
+func TestPartitionEmptyShardsNil(t *testing.T) {
+	r, err := NewRouter(PolicyAffinity, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, part := range r.Partition(nil) {
+		if part != nil {
+			t.Fatalf("empty trace: shard %d = %v, want nil", s, part)
+		}
+	}
+	reqs := make([]workload.Request, 50)
+	for i := range reqs {
+		reqs[i] = workload.Request{ID: int64(i), Tenant: "only"}
+	}
+	parts := r.Partition(reqs)
+	pinned := int(fnv1a("only") % 4)
+	for s, part := range parts {
+		if s == pinned {
+			if len(part) != 50 {
+				t.Fatalf("pinned shard %d holds %d requests, want 50", s, len(part))
+			}
+			continue
+		}
+		if part != nil {
+			t.Fatalf("starved shard %d = %v, want nil", s, part)
+		}
+	}
+}
+
+// TestNewRouterRejectsNonFinite: a NaN or infinite weight (or weights whose
+// sum overflows) must be refused with the offending shard named, for every
+// policy (scenario's TestFleetValidation covers Spec.Validate). Before the
+// check,
+// {1, NaN, 1} starved shard 1 under least-loaded and sent everything to
+// shard 0 under weighted, and {1, +Inf, 1} flooded shard 1 under
+// least-loaded.
+func TestNewRouterRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		name    string
+		weights []float64
+		want    string
+	}{
+		{"NaN", []float64{1, math.NaN(), 1}, "shard 1"},
+		{"+Inf", []float64{1, math.Inf(1), 1}, "shard 1"},
+		{"-Inf", []float64{1, 1, math.Inf(-1)}, "shard 2"},
+		{"overflowing sum", []float64{math.MaxFloat64, math.MaxFloat64, 1}, "sum"},
+	}
+	for _, policy := range Policies() {
+		for _, c := range cases {
+			_, err := NewRouter(policy, len(c.weights), c.weights)
+			if err == nil {
+				t.Errorf("%s, %s weights: NewRouter accepted %v", policy, c.name, c.weights)
+				continue
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, %s weights: error %q does not name %q", policy, c.name, err, c.want)
+			}
+		}
+	}
 }

@@ -1,22 +1,21 @@
-package fleet
+package fleet_test
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
-	"slices"
-	"strings"
 	"testing"
-	"unsafe"
 
+	"hetis/internal/fleet"
+	"hetis/internal/scenario"
 	"hetis/internal/workload"
 )
 
-// refRouter is the frozen router that the scatter Partition replaced: the
-// same three policies, least-loaded dividing every shard's load by its
-// weight on every request, and a Partition that appends each request to
-// its shard's own growing slice. FuzzPartitionScatter holds Router to it.
+// refRouter is the frozen router that the streamed front door is held to:
+// the same three policies, least-loaded dividing every shard's load by
+// its weight on every request, affinity hashing through hash/fnv, and a
+// partition that appends each request to its shard's own growing slice.
 type refRouter struct {
 	policy  string
 	weights []float64
@@ -36,7 +35,7 @@ func newRefRouter(policy string, weights []float64) *refRouter {
 
 func (r *refRouter) route(req workload.Request) int {
 	switch r.policy {
-	case PolicyLeastLoaded:
+	case fleet.PolicyLeastLoaded:
 		best := 0
 		for i := 1; i < len(r.load); i++ {
 			if r.load[i]/r.weights[i] < r.load[best]/r.weights[best] {
@@ -45,9 +44,11 @@ func (r *refRouter) route(req workload.Request) int {
 		}
 		r.load[best] += float64(req.TotalLen())
 		return best
-	case PolicyAffinity:
+	case fleet.PolicyAffinity:
 		if req.Tenant != "" {
-			return int(fnv1a(req.Tenant) % uint64(len(r.weights)))
+			h := fnv.New64a()
+			h.Write([]byte(req.Tenant))
+			return int(h.Sum64() % uint64(len(r.weights)))
 		}
 	}
 	best := 0
@@ -70,14 +71,13 @@ func (r *refRouter) partition(reqs []workload.Request) [][]workload.Request {
 	return out
 }
 
-// FuzzPartitionScatter drives Partition and the frozen append-based one
+// FuzzPartitionScatter drives the streamed front door (Spec.Shards, which
+// routes each chunk of the trace into its shards as it is synthesized)
 // with random policies, shard counts, weights (uniform or skewed, nil
-// included) and tenant mixes. Partition reorders its input, so the oracle
-// runs on a copy taken first. The parts must be equal, empty shards nil
-// included; each non-empty part must be the next window of the input, in
-// shard order, so together they hold exactly the input's requests; and
-// appending to any part must leave every other part as it was (the parts
-// share one backing array).
+// included), tenant mixes and trace lengths from empty to about ten
+// chunks, and holds it to the frozen append-based partition of
+// Spec.Trace(): the shards must be equal, empty shards nil included.
+// Router.Partition of the same trace must agree too.
 func FuzzPartitionScatter(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(1), uint16(1000), uint8(0), false)
 	f.Add(int64(2), uint8(3), uint8(0), uint16(37), uint8(3), true)
@@ -87,7 +87,7 @@ func FuzzPartitionScatter(f *testing.F) {
 	f.Add(int64(3), uint8(5), uint8(1), uint16(2000), uint8(2), true)
 	f.Fuzz(func(t *testing.T, seed int64, nshards, policyIdx uint8, n uint16, mixIdx uint8, skew bool) {
 		shards := 1 + int(nshards)%40
-		policy := Policies()[int(policyIdx)%len(Policies())]
+		policy := fleet.Policies()[int(policyIdx)%len(fleet.Policies())]
 		rng := rand.New(rand.NewSource(seed))
 		var weights []float64
 		if skew {
@@ -98,19 +98,27 @@ func FuzzPartitionScatter(f *testing.F) {
 				weights[i] = math.Exp(rng.Float64()*12 - 6)
 			}
 		}
-		mixes := [][]string{{""}, {"code"}, {"chat", "code", "batch"}, {"", "a", "b", "c", "long-tenant-name"}}
-		tenants := mixes[int(mixIdx)%len(mixes)]
-		reqs := make([]workload.Request, int(n)%4096)
-		for i := range reqs {
-			reqs[i] = workload.Request{
-				ID:        int64(i),
-				ArrivalAt: float64(i),
-				PromptLen: 1 + rng.Intn(4000),
-				OutputLen: 1 + rng.Intn(800),
-				Tenant:    tenants[rng.Intn(len(tenants))],
-			}
+		datasets := []workload.LengthDist{workload.ShareGPT, workload.HumanEval, workload.LongBench}
+		mixes := [][]string{nil, {"code"}, {"chat", "code", "batch"}, {"", "a", "b", "c", "long-tenant-name"}}
+		var mix []workload.MixEntry
+		for i, tenant := range mixes[int(mixIdx)%len(mixes)] {
+			mix = append(mix, workload.MixEntry{Tenant: tenant, Dataset: datasets[i%len(datasets)], Weight: 0.5 + rng.Float64()})
 		}
-		r, err := NewRouter(policy, shards, weights)
+		// Up to about 41k requests over the 40 s default span: ten
+		// chunks of draws, or (n = 0) most likely none at all.
+		rate := max(float64(n%4096)/4, 0.01)
+		spec := scenario.Spec{
+			Name:    "fuzz",
+			Traffic: scenario.Traffic{Kind: scenario.KindPoisson, Rate: rate},
+			Mix:     mix,
+			Seed:    seed,
+			Fleet:   &scenario.FleetSpec{Shards: shards, Policy: policy, Weights: weights},
+		}
+		got, err := spec.Shards()
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := spec.Trace()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,139 +129,21 @@ func FuzzPartitionScatter(f *testing.F) {
 				refWeights[i] = 1
 			}
 		}
-		orig := slices.Clone(reqs)
-		want := newRefRouter(policy, refWeights).partition(orig)
-		got := r.Partition(reqs)
+		want := newRefRouter(policy, refWeights).partition(trace)
 		if !reflect.DeepEqual(got, want) {
 			for s := range want {
 				if !reflect.DeepEqual(got[s], want[s]) {
-					t.Fatalf("%s, %d shards: shard %d holds %d requests, append-based partition %d", policy, shards, s, len(got[s]), len(want[s]))
+					t.Fatalf("%s, %d shards, %d requests: shard %d holds %d requests, append-based partition %d", policy, shards, len(trace), s, len(got[s]), len(want[s]))
 				}
 			}
 			t.Fatalf("%s, %d shards: partitions differ", policy, shards)
 		}
-		lo := 0
-		for s, part := range got {
-			if part == nil {
-				continue
-			}
-			if &part[0] != &reqs[lo] || cap(part) != len(part) {
-				t.Fatalf("%s: part %d is not the clipped window reqs[%d:%d]", policy, s, lo, lo+len(part))
-			}
-			lo += len(part)
+		r, err := fleet.NewRouter(policy, shards, weights)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The windows tile reqs and equal the oracle's parts of the copy,
-		// so reqs now holds exactly the input's requests.
-		if lo != len(reqs) {
-			t.Fatalf("%s: parts cover %d of %d input slots", policy, lo, len(reqs))
-		}
-		for i := range got {
-			got[i] = append(got[i], workload.Request{ID: -1, Tenant: "appended"})
-			for j := range got {
-				if j != i && !reflect.DeepEqual(got[j], want[j]) {
-					t.Fatalf("%s: appending to part %d changed part %d", policy, i, j)
-				}
-			}
-			got[i] = got[i][:len(got[i])-1]
-			if len(got[i]) == 0 {
-				got[i] = nil
-			}
+		if parts := r.Partition(trace); !reflect.DeepEqual(parts, want) {
+			t.Fatalf("%s, %d shards: Router.Partition differs from the append-based partition", policy, shards)
 		}
 	})
-}
-
-// TestPartitionExtraBytes pins the in-place partition's memory: on a
-// balanced 8-way least-loaded split, at most about a quarter of the
-// requests wait for their slot at once, so Partition allocates under
-// 0.3·n requests, plus the 4n-byte shard array and a little bookkeeping.
-// A scatter into a second exact-size array allocates n requests.
-func TestPartitionExtraBytes(t *testing.T) {
-	const n = 200_000
-	rng := rand.New(rand.NewSource(11))
-	reqs := make([]workload.Request, n)
-	for i := range reqs {
-		reqs[i] = workload.Request{ID: int64(i), ArrivalAt: float64(i),
-			PromptLen: 1 + rng.Intn(4000), OutputLen: 1 + rng.Intn(800)}
-	}
-	r, err := NewRouter(PolicyLeastLoaded, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	parts := r.Partition(reqs)
-	runtime.ReadMemStats(&after)
-	if len(parts) != 8 {
-		t.Fatalf("%d parts, want 8", len(parts))
-	}
-	got := after.TotalAlloc - before.TotalAlloc
-	limit := uint64(0.3*n*float64(unsafe.Sizeof(workload.Request{}))) + 4*n + 64<<10
-	t.Logf("Partition of %d requests allocated %d bytes (limit %d)", n, got, limit)
-	if got > limit {
-		t.Fatalf("Partition of %d requests allocated %d bytes, over the limit of %d", n, got, limit)
-	}
-}
-
-// TestPartitionEmptyShardsNil pins the partition's shape: an empty trace
-// gives every shard nil, a starved shard stays nil, and each part's
-// capacity is its length.
-func TestPartitionEmptyShardsNil(t *testing.T) {
-	r, err := NewRouter(PolicyAffinity, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, part := range r.Partition(nil) {
-		if part != nil {
-			t.Fatalf("empty trace: shard %d = %v, want nil", s, part)
-		}
-	}
-	reqs := make([]workload.Request, 50)
-	for i := range reqs {
-		reqs[i] = workload.Request{ID: int64(i), Tenant: "only"}
-	}
-	parts := r.Partition(reqs)
-	pinned := int(fnv1a("only") % 4)
-	for s, part := range parts {
-		if s == pinned {
-			if len(part) != 50 || cap(part) != 50 {
-				t.Fatalf("pinned shard %d: len %d cap %d, want 50 and 50", s, len(part), cap(part))
-			}
-			continue
-		}
-		if part != nil {
-			t.Fatalf("starved shard %d = %v, want nil", s, part)
-		}
-	}
-}
-
-// TestNewRouterRejectsNonFinite: a NaN or infinite weight (or weights whose
-// sum overflows) must be refused with the offending shard named, for every
-// policy (scenario's TestFleetValidation covers Spec.Validate). Before the
-// check,
-// {1, NaN, 1} starved shard 1 under least-loaded and sent everything to
-// shard 0 under weighted, and {1, +Inf, 1} flooded shard 1 under
-// least-loaded.
-func TestNewRouterRejectsNonFinite(t *testing.T) {
-	cases := []struct {
-		name    string
-		weights []float64
-		want    string
-	}{
-		{"NaN", []float64{1, math.NaN(), 1}, "shard 1"},
-		{"+Inf", []float64{1, math.Inf(1), 1}, "shard 1"},
-		{"-Inf", []float64{1, 1, math.Inf(-1)}, "shard 2"},
-		{"overflowing sum", []float64{math.MaxFloat64, math.MaxFloat64, 1}, "sum"},
-	}
-	for _, policy := range Policies() {
-		for _, c := range cases {
-			_, err := NewRouter(policy, len(c.weights), c.weights)
-			if err == nil {
-				t.Errorf("%s, %s weights: NewRouter accepted %v", policy, c.name, c.weights)
-				continue
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s, %s weights: error %q does not name %q", policy, c.name, err, c.want)
-			}
-		}
-	}
 }

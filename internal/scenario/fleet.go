@@ -12,6 +12,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"hetis/internal/engine"
 	"hetis/internal/fleet"
@@ -54,22 +55,35 @@ type FleetRun struct {
 	streaming bool
 	ran       bool
 	merged    *engine.Result
+	timings   FleetTimings
+}
+
+// FleetTimings is a run's wall-clock breakdown by phase. It is
+// self-profiling for harnesses: no table or output reads it, so it never
+// changes what a run prints.
+type FleetTimings struct {
+	// FrontDoor is the seconds PrepareFleet spent synthesizing the trace,
+	// routing it into shards and counting its tenants (zero for a Job).
+	FrontDoor float64
+	// ShardBusy is the seconds each shard's engine ran, sink drain
+	// included, by shard index; a shard the router starved reads 0.
+	ShardBusy []float64
+	// Merge is the seconds spent folding the shard results into one.
+	Merge float64
 }
 
 // PrepareFleet prepares a scenario for engineName: applies defaults and
-// Quick scaling, validates, generates the trace, splits it into shards,
-// and builds each non-empty shard's engine through opts.Build. An
-// unsharded spec is one shard that holds the whole trace and carries the
-// spec's chaos config; a sharded spec's router partitions the freshly
-// generated trace in place, so the shards are windows of that one array
-// and no second copy of the trace is ever live, and every shard plans its
-// own sub-trace. A window the windowed series cannot bucket
-// (checkWindow), or any window without Stream (only the streaming sinks
-// collect the series), is refused before any of that. An unsharded
-// streaming run feeds its sinks through a metrics.Pipe (Options.piped has
-// the rule). It is the spec case of Job:
-// the same build and Run code, with the spec's trace, shards, chaos and
-// sinks.
+// Quick scaling, validates, generates the trace split into shards
+// (Spec.Shards), and builds each non-empty shard's engine through
+// opts.Build. An unsharded spec is one shard that holds the whole trace
+// and carries the spec's chaos config; a sharded spec's trace is routed
+// into its shards as it is synthesized, and every shard plans its own
+// sub-trace. A window the windowed series cannot bucket (checkWindow), or
+// any window without Stream (only the streaming sinks collect the
+// series), is refused before any of that. An unsharded streaming run
+// feeds its sinks through a metrics.Pipe (Options.piped has the rule). It
+// is the spec case of Job: the same build and Run code, with the spec's
+// trace, shards, chaos and sinks.
 func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error) {
 	spec = Prepare(spec, opts.Quick)
 	if err := spec.Validate(); err != nil {
@@ -84,11 +98,18 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	if !engine.Known(engineName) {
 		return nil, fmt.Errorf("scenario %s: unknown engine %q", spec.Name, engineName)
 	}
-	reqs, err := spec.Trace()
+	//hetis:entropy wall-clock self-profiling; FleetTimings is reporting-only and never reaches a table
+	start := time.Now()
+	parts, offeredBy, err := spec.WithDefaults().shards()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-	if len(reqs) == 0 {
+	frontDoor := time.Since(start).Seconds()
+	offered := 0
+	for _, part := range parts {
+		offered += len(part)
+	}
+	if offered == 0 {
 		return nil, fmt.Errorf("scenario %s: empty trace", spec.Name)
 	}
 	m, err := model.ByName(spec.Model)
@@ -99,24 +120,16 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	if err != nil {
 		return nil, err
 	}
-	parts := [][]workload.Request{reqs}
-	if spec.Sharded() {
-		router, err := fleet.NewRouter(spec.Fleet.policy(), spec.Fleet.Shards, spec.Fleet.Weights)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-		}
-		parts = router.Partition(reqs)
-	}
 	chaos := spec.chaosConfig()
-	offeredBy := offeredByTenant(reqs)
 	f := &FleetRun{
 		Spec:       spec,
 		EngineName: engineName,
-		offered:    len(reqs),
+		offered:    offered,
 		offeredBy:  offeredBy,
 		tenants:    multiTenant(offeredBy),
 		chaotic:    chaos.Active(),
 		streaming:  opts.Stream,
+		timings:    FleetTimings{FrontDoor: frontDoor},
 	}
 	var tierKey func(metrics.RequestRecord) string
 	if f.tiered() {
@@ -143,6 +156,57 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 		return nil, err
 	}
 	return f, nil
+}
+
+// Shards generates the scenario's trace split into the sub-traces its
+// shards serve: the whole trace (Trace) as one shard for an unsharded
+// spec, the front-door router's split for a sharded one, in which each
+// shard keeps arrival order and a shard that receives nothing is nil.
+// Deterministic in (spec, Seed).
+func (s Spec) Shards() ([][]workload.Request, error) {
+	s = s.WithDefaults()
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	parts, _, err := s.shards()
+	return parts, err
+}
+
+// shards is Shards for a defaulted, validated spec, with the trace's
+// per-tenant request counts. A sharded spec's trace never exists whole:
+// each chunk SynthesizeChunks draws is routed request by request (one
+// Router.Assign each) into its shard's own trace, pre-sized by the
+// shard's weight share of the expected count, and counted by tenant in
+// the same pass, and its buffer is recycled for a later chunk.
+func (s Spec) shards() ([][]workload.Request, map[string]int, error) {
+	offered := map[string]int{}
+	if !s.Sharded() {
+		reqs := workload.Synthesize(s.arrivals(), s.expected(), s.Mix, s.Seed+1)
+		countTenants(offered, reqs)
+		return [][]workload.Request{reqs}, offered, nil
+	}
+	router, err := fleet.NewRouter(s.Fleet.policy(), s.Fleet.Shards, s.Fleet.Weights)
+	if err != nil {
+		return nil, nil, err
+	}
+	parts := make([][]workload.Request, router.Shards())
+	for i, n := range workload.PresizeShares(s.expected(), router.Weights()) {
+		parts[i] = make([]workload.Request, 0, n)
+	}
+	workload.SynthesizeChunks(s.arrivals(), s.Mix, s.Seed+1, func(filled []workload.Request) []workload.Request {
+		for i := range filled {
+			sh := router.Assign(&filled[i])
+			parts[sh] = append(parts[sh], filled[i])
+		}
+		countTenants(offered, filled)
+		return filled
+	})
+	for i, part := range parts {
+		if len(part) == 0 {
+			parts[i] = nil
+		}
+	}
+	return parts, offered, nil
 }
 
 // Job serves a pre-built trace on one engine of a resolved deployment,
@@ -232,15 +296,19 @@ func (f *FleetRun) Run(shardWorkers int) (*engine.Result, error) {
 		return nil, fmt.Errorf("scenario %s/%s: FleetRun is single-use; PrepareFleet again for a repeat", f.Spec.Name, f.EngineName)
 	}
 	f.ran = true
+	f.timings.ShardBusy = make([]float64, len(f.shards))
 	pool.Each(len(f.shards), shardWorkers, func(i int) {
 		sh := f.shards[i]
 		if sh.eng == nil {
 			return
 		}
+		//hetis:entropy wall-clock self-profiling; FleetTimings is reporting-only and never reaches a table
+		start := time.Now()
 		sh.res, sh.err = sh.eng.Run(sh.reqs, f.horizon)
 		// A pipelined shard's last records reach its sinks, and the Pipe's
 		// goroutine exits, before anything merges or reads them.
 		sh.pipeline.drain()
+		f.timings.ShardBusy[i] = time.Since(start).Seconds()
 	})
 	var errs []error
 	for i, sh := range f.shards {
@@ -253,10 +321,13 @@ func (f *FleetRun) Run(shardWorkers int) (*engine.Result, error) {
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
+	//hetis:entropy wall-clock self-profiling; FleetTimings is reporting-only and never reaches a table
+	start := time.Now()
 	merged, err := f.mergeResults()
 	if err != nil {
 		return nil, err
 	}
+	f.timings.Merge = time.Since(start).Seconds()
 	f.merged = merged
 	// Once merged, the shards are dead weight (a FleetRun is single-use);
 	// drop them so a retained FleetRun costs the merged result, not S
@@ -331,6 +402,10 @@ func (f *FleetRun) mergeResults() (*engine.Result, error) {
 	out.Trace = trace.MergeByTime(logs...)
 	return out, nil
 }
+
+// Timings returns the run's wall-clock breakdown: the front door once
+// prepared, the shards and the merge once Run has succeeded.
+func (f *FleetRun) Timings() FleetTimings { return f.timings }
 
 // Result returns the merged fleet-wide result (nil before Run succeeds).
 func (f *FleetRun) Result() *engine.Result { return f.merged }

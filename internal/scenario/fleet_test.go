@@ -208,6 +208,47 @@ func TestFleetToleratesEmptyShards(t *testing.T) {
 	}
 }
 
+// TestFleetTimingsFilled: a run records its front door, every fed shard's
+// busy seconds and its merge, and those wall-clock readings reach no
+// table: the rows of runs at one and four shard workers, whose timings
+// differ, are byte-identical, on the exact and the streaming path.
+func TestFleetTimingsFilled(t *testing.T) {
+	spec := fleetTestSpec("least-loaded")
+	for _, opts := range []Options{{}, {Stream: true}} {
+		var first string
+		for _, workers := range []int{1, 4} {
+			fr, err := PrepareFleet(spec, spec.Engines[0], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tm := fr.Timings(); !(tm.FrontDoor > 0) || tm.ShardBusy != nil || tm.Merge != 0 {
+				t.Fatalf("stream %v: prepared run's timings %+v, want only the front door", opts.Stream, tm)
+			}
+			if _, err := fr.Run(workers); err != nil {
+				t.Fatal(err)
+			}
+			tm := fr.Timings()
+			if len(tm.ShardBusy) != spec.Fleet.Shards || !(tm.Merge > 0) {
+				t.Fatalf("stream %v: timings %+v, want %d shards and a merge", opts.Stream, tm, spec.Fleet.Shards)
+			}
+			for i, busy := range tm.ShardBusy {
+				if !(busy > 0) {
+					t.Fatalf("stream %v: shard %d busy %g s", opts.Stream, i, busy)
+				}
+			}
+			rows, _, err := fr.Tables()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == "" {
+				first = rows.CSV()
+			} else if rows.CSV() != first {
+				t.Fatalf("stream %v: rows differ across shard workers:\n%s", opts.Stream, diffLines([]byte(first), []byte(rows.CSV())))
+			}
+		}
+	}
+}
+
 // Streaming and exact fleet paths must agree on the count-valued columns
 // (scenario, engine, tenant, offered, completed) — only latency summaries
 // may differ, within the sketch's relative-error bound.

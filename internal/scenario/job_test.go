@@ -43,7 +43,8 @@ func TestJobMatchesPrepareFleet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			offeredBy := offeredByTenant(reqs)
+			offeredBy := map[string]int{}
+			countTenants(offeredBy, reqs)
 			for _, eng := range spec.Engines {
 				for _, stream := range []bool{false, true} {
 					fr, err := PrepareFleet(spec, eng, Options{Stream: stream})

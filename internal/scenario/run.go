@@ -329,10 +329,9 @@ func statsByName(groups []metrics.TenantStats) map[string]metrics.TenantStats {
 	return m
 }
 
-// offeredByTenant counts the trace's requests per tenant. A run of one
-// tenant costs one map write, so a single-tenant trace costs one.
-func offeredByTenant(reqs []workload.Request) map[string]int {
-	offered := map[string]int{}
+// countTenants adds reqs's requests to offered, per tenant. A run of one
+// tenant costs one map write, so a single-tenant trace costs one per call.
+func countTenants(offered map[string]int, reqs []workload.Request) {
 	for i := 0; i < len(reqs); {
 		j := i + 1
 		for j < len(reqs) && reqs[j].Tenant == reqs[i].Tenant {
@@ -341,7 +340,6 @@ func offeredByTenant(reqs []workload.Request) map[string]int {
 		offered[reqs[i].Tenant] += j - i
 		i = j
 	}
-	return offered
 }
 
 // multiTenant reports whether any request of the trace names a tenant,

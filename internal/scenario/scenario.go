@@ -10,6 +10,7 @@ package scenario
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"slices"
@@ -156,25 +157,25 @@ func (t Traffic) ignoredField() string {
 	return ""
 }
 
-// Times generates the arrival times over [0, duration).
-func (t Traffic) Times(duration float64, rng *rand.Rand) []float64 {
+// Arrivals yields the arrival times over [0, duration), in ascending order.
+func (t Traffic) Arrivals(duration float64, rng *rand.Rand) iter.Seq[float64] {
 	switch t.Kind {
 	case KindPoisson:
-		return workload.PoissonTimes(t.Rate, duration, rng)
+		return workload.PoissonArrivals(t.Rate, duration, rng)
 	case KindMMPP:
-		return workload.MMPPTimes(t.States, duration, rng)
+		return workload.MMPPArrivals(t.States, duration, rng)
 	case KindDiurnal:
 		cycles := t.Cycles
 		if cycles <= 0 {
 			cycles = 1
 		}
-		return workload.DiurnalTimes(t.Rate, t.Amplitude, duration/cycles, duration, rng)
+		return workload.DiurnalArrivals(t.Rate, t.Amplitude, duration/cycles, duration, rng)
 	case KindFlashCrowd:
-		return workload.FlashCrowdTimes(t.Rate, t.SpikeStart*duration, t.SpikeFrac*duration, t.SpikeFactor, duration, rng)
+		return workload.FlashCrowdArrivals(t.Rate, t.SpikeStart*duration, t.SpikeFrac*duration, t.SpikeFactor, duration, rng)
 	case KindClosedLoop:
-		return workload.ClosedLoopTimes(t.Users, t.Think, duration, rng)
+		return workload.ClosedLoopArrivals(t.Users, t.Think, duration, rng)
 	}
-	return nil
+	return func(func(float64) bool) {}
 }
 
 // MeanRate estimates the long-run offered rate in req/s, for display.
@@ -485,11 +486,16 @@ func (s Spec) Trace() ([]workload.Request, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	times := func() []float64 {
-		return s.Traffic.Times(s.Duration, rand.New(rand.NewSource(s.Seed)))
-	}
-	// The mix draws from an independent stream (Seed+1) so reshaping
-	// traffic does not reshuffle tenant assignments and lengths; being
-	// independent, the two streams are drawn concurrently.
-	return workload.Synthesize(times, s.Traffic.MeanRate()*s.Duration, s.Mix, s.Seed+1), nil
+	return workload.Synthesize(s.arrivals(), s.expected(), s.Mix, s.Seed+1), nil
 }
+
+// arrivals is the traffic process of a defaulted spec, seeded by Seed.
+// The mix draws from an independent stream (Seed+1) so reshaping traffic
+// does not reshuffle tenant assignments and lengths; being independent,
+// the two streams are drawn concurrently.
+func (s Spec) arrivals() iter.Seq[float64] {
+	return s.Traffic.Arrivals(s.Duration, rand.New(rand.NewSource(s.Seed)))
+}
+
+// expected estimates a defaulted spec's request count, to pre-size traces.
+func (s Spec) expected() float64 { return s.Traffic.MeanRate() * s.Duration }

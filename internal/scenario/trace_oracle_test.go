@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"hetis/internal/fleet"
 	"hetis/internal/scenario"
 	"hetis/internal/workload"
 )
@@ -19,7 +21,7 @@ func sequentialTrace(s scenario.Spec) ([]workload.Request, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	times := s.Traffic.Times(s.Duration, rand.New(rand.NewSource(s.Seed)))
+	times := slices.Collect(s.Traffic.Arrivals(s.Duration, rand.New(rand.NewSource(s.Seed))))
 	return sequentialAssemble(times, s.Mix, rand.New(rand.NewSource(s.Seed+1))), nil
 }
 
@@ -128,4 +130,67 @@ func TestTraceMatchesSequential(t *testing.T) {
 		spec.Seed = 1
 		checkTraceMatchesSequential(t, scenario.Prepare(spec, false))
 	})
+}
+
+// TestStreamedShardsMatchPartition is the front door's differential at
+// scale: every sharded registered scenario at golden and quick size, and
+// the benchmark's fleet-giga trace (1.25M requests) outside -short, routed
+// chunk by chunk as it is synthesized (Spec.Shards) must equal
+// Router.Partition of the materialised Spec.Trace(), shard for shard.
+// The heavy scenarios' quick traces run outside -short and the race
+// detector only.
+func TestStreamedShardsMatchPartition(t *testing.T) {
+	var specs []scenario.Spec
+	for _, name := range scenario.Names() {
+		spec, err := scenario.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !spec.Sharded() {
+			continue
+		}
+		specs = append(specs, spec.ForGolden())
+		if !spec.Heavy || !(testing.Short() || raceEnabled) {
+			specs = append(specs, scenario.Prepare(spec, true))
+		}
+	}
+	if !testing.Short() && !raceEnabled {
+		// benchmark/workloads.go's fleet-giga: gigascale for 7812.5 s.
+		spec, err := scenario.ByName("gigascale")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Duration = 7812.5
+		specs = append(specs, scenario.Prepare(spec, false))
+	}
+	for _, spec := range specs {
+		t.Run(fmt.Sprintf("%s/%gs", spec.Name, spec.Duration), func(t *testing.T) {
+			got, err := spec.Shards()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs, err := spec.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := spec.WithDefaults().Fleet
+			policy := f.Policy
+			if policy == "" {
+				policy = fleet.PolicyWeighted
+			}
+			router, err := fleet.NewRouter(policy, f.Shards, f.Weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := router.Partition(reqs)
+			if len(got) != len(want) {
+				t.Fatalf("%d shards, partition %d", len(got), len(want))
+			}
+			for s := range want {
+				if !reflect.DeepEqual(got[s], want[s]) {
+					t.Fatalf("shard %d holds %d requests, partition %d (of %d)", s, len(got[s]), len(want[s]), len(reqs))
+				}
+			}
+		})
+	}
 }

@@ -1,17 +1,17 @@
 // Arrival processes beyond steady Poisson: bursty (MMPP), diurnal,
 // flash-crowd, and closed-loop traffic, plus multi-tenant workload mixing.
-// Each process generates sorted arrival times; Synthesize turns times into
-// Requests by sampling a weighted tenant mix, drawn concurrently with the
-// arrival process. Everything is seeded and deterministic: the same
+// Each process yields ascending arrival times; SynthesizeChunks turns them
+// into Requests chunk by chunk by sampling a weighted tenant mix, drawn
+// concurrently with the arrival process. Everything is seeded and deterministic: the same
 // (parameters, seed) always yield the same trace.
 
 package workload
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 )
 
@@ -43,19 +43,43 @@ func presize(mean float64) int {
 	return int(n)
 }
 
-// PoissonTimes generates homogeneous Poisson arrival times at `rate`
+// PresizeShares is the starting capacity of each of len(shares)
+// sub-traces that split a trace of about expected requests in proportion
+// to shares (positive, finite weights with a finite sum): presize of each
+// one's share of expected. expected is first capped at maxPresize, so the
+// sub-traces together reserve at most maxPresize requests plus each
+// share's slack, whatever the estimate.
+func PresizeShares(expected float64, shares []float64) []int {
+	var total float64
+	for _, w := range shares {
+		total += w
+	}
+	expected = min(expected, maxPresize)
+	caps := make([]int, len(shares))
+	for i, w := range shares {
+		caps[i] = presize(expected * w / total)
+	}
+	return caps
+}
+
+// PoissonArrivals yields homogeneous Poisson arrival times at `rate`
 // requests/second over [0, duration).
+func PoissonArrivals(rate, duration float64, rng *rand.Rand) iter.Seq[float64] {
+	return func(yield func(float64) bool) {
+		if !positive(rate) || !positive(duration) {
+			return
+		}
+		for t := rng.ExpFloat64() / rate; t < duration; t += rng.ExpFloat64() / rate {
+			if !yield(t) {
+				return
+			}
+		}
+	}
+}
+
+// PoissonTimes collects PoissonArrivals.
 func PoissonTimes(rate, duration float64, rng *rand.Rand) []float64 {
-	if !positive(rate) || !positive(duration) {
-		return nil
-	}
-	times := make([]float64, 0, presize(rate*duration))
-	t := rng.ExpFloat64() / rate
-	for t < duration {
-		times = append(times, t)
-		t += rng.ExpFloat64() / rate
-	}
-	return times
+	return collect(PoissonArrivals(rate, duration, rng), rate*duration)
 }
 
 // MMPPState is one phase of a cyclic Markov-modulated Poisson process:
@@ -66,80 +90,82 @@ type MMPPState struct {
 	MeanDwell float64 // mean sojourn time, seconds
 }
 
-// MMPPTimes generates arrival times of a cyclic MMPP over [0, duration):
-// the process cycles through the states in order, staying Exp(MeanDwell)
-// in each. With two states (high/low rate) this is the classic
-// interrupted-Poisson bursty source. A state with a NaN or infinite rate
-// or dwell gives an empty trace.
-func MMPPTimes(states []MMPPState, duration float64, rng *rand.Rand) []float64 {
-	if len(states) == 0 || !positive(duration) {
-		return nil
-	}
-	// Zero-dwell states are skipped, so at least one must be inhabitable
-	// or the cycle would never advance time.
-	var work, dwell float64
-	for _, st := range states {
-		if !finite(st.Rate) || !finite(st.MeanDwell) {
-			return nil
+// MMPPArrivals yields the arrival times of a cyclic MMPP over
+// [0, duration): the process cycles through the states in order, staying
+// Exp(MeanDwell) in each. With two states (high/low rate) this is the
+// classic interrupted-Poisson bursty source. A state with a NaN or
+// infinite rate or dwell gives no arrivals.
+func MMPPArrivals(states []MMPPState, duration float64, rng *rand.Rand) iter.Seq[float64] {
+	return func(yield func(float64) bool) {
+		if len(states) == 0 || !positive(duration) {
+			return
 		}
-		if st.MeanDwell > 0 {
-			work += st.Rate * st.MeanDwell
-			dwell += st.MeanDwell
-		}
-	}
-	if dwell == 0 {
-		return nil
-	}
-	times := make([]float64, 0, presize(work/dwell*duration))
-	now := 0.0
-	for i := 0; now < duration; i = (i + 1) % len(states) {
-		st := states[i]
-		dwell := st.MeanDwell
-		if dwell <= 0 {
-			continue
-		}
-		end := now + rng.ExpFloat64()*dwell
-		if end > duration {
-			end = duration
-		}
-		if st.Rate > 0 {
-			t := now + rng.ExpFloat64()/st.Rate
-			for t < end {
-				times = append(times, t)
-				t += rng.ExpFloat64() / st.Rate
+		// Zero-dwell states are skipped, so at least one must be
+		// inhabitable or the cycle would never advance time.
+		inhabitable := false
+		for _, st := range states {
+			if !finite(st.Rate) || !finite(st.MeanDwell) {
+				return
 			}
+			inhabitable = inhabitable || st.MeanDwell > 0
 		}
-		now = end
+		if !inhabitable {
+			return
+		}
+		now := 0.0
+		for i := 0; now < duration; i = (i + 1) % len(states) {
+			st := states[i]
+			dwell := st.MeanDwell
+			if dwell <= 0 {
+				continue
+			}
+			end := now + rng.ExpFloat64()*dwell
+			if end > duration {
+				end = duration
+			}
+			if st.Rate > 0 {
+				for t := now + rng.ExpFloat64()/st.Rate; t < end; t += rng.ExpFloat64() / st.Rate {
+					if !yield(t) {
+						return
+					}
+				}
+			}
+			now = end
+		}
 	}
-	return times
 }
 
-// DiurnalTimes generates an inhomogeneous Poisson process with sinusoidal
+// MMPPTimes collects MMPPArrivals.
+func MMPPTimes(states []MMPPState, duration float64, rng *rand.Rand) []float64 {
+	return collect(MMPPArrivals(states, duration, rng), 0)
+}
+
+// DiurnalArrivals yields an inhomogeneous Poisson process with sinusoidal
 // rate λ(t) = base·(1 + amplitude·sin(2πt/period)) via thinning.
 // amplitude is clamped to [0, 1] so the rate never goes negative; period
 // is the full day-night cycle in simulated seconds.
-func DiurnalTimes(base, amplitude, period, duration float64, rng *rand.Rand) []float64 {
+func DiurnalArrivals(base, amplitude, period, duration float64, rng *rand.Rand) iter.Seq[float64] {
 	if !positive(base) || !positive(period) || !positive(duration) {
-		return nil
+		return none
 	}
-	if amplitude < 0 {
-		amplitude = 0
-	}
-	if amplitude > 1 {
-		amplitude = 1
-	}
+	amplitude = min(max(amplitude, 0), 1)
 	rate := func(t float64) float64 {
 		return base * (1 + amplitude*math.Sin(2*math.Pi*t/period))
 	}
-	return thinned(rate, base*(1+amplitude), base*duration, duration, rng)
+	return thinned(rate, base*(1+amplitude), duration, rng)
 }
 
-// FlashCrowdTimes generates Poisson arrivals at base req/s with a sudden
+// DiurnalTimes collects DiurnalArrivals.
+func DiurnalTimes(base, amplitude, period, duration float64, rng *rand.Rand) []float64 {
+	return collect(DiurnalArrivals(base, amplitude, period, duration, rng), base*duration)
+}
+
+// FlashCrowdArrivals yields Poisson arrivals at base req/s with a sudden
 // spike: during [spikeAt, spikeAt+spikeDur) the rate jumps to base·factor
 // (a breaking-news or retry-storm surge), then returns to base.
-func FlashCrowdTimes(base, spikeAt, spikeDur, factor, duration float64, rng *rand.Rand) []float64 {
+func FlashCrowdArrivals(base, spikeAt, spikeDur, factor, duration float64, rng *rand.Rand) iter.Seq[float64] {
 	if !positive(base) || !positive(duration) {
-		return nil
+		return none
 	}
 	if factor < 0 {
 		factor = 0
@@ -150,48 +176,74 @@ func FlashCrowdTimes(base, spikeAt, spikeDur, factor, duration float64, rng *ran
 		}
 		return base
 	}
-	return thinned(rate, base*math.Max(1, factor), base*(duration+spikeDur*(factor-1)), duration, rng)
+	return thinned(rate, base*math.Max(1, factor), duration, rng)
 }
 
-// thinned samples an inhomogeneous Poisson process with instantaneous rate
-// rate(t) ≤ maxRate by Lewis-Shedler thinning; mean estimates the arrival
-// count. A NaN or infinite maxRate (a NaN amplitude or spike factor, an
-// infinite factor) gives an empty trace.
-func thinned(rate func(float64) float64, maxRate, mean, duration float64, rng *rand.Rand) []float64 {
+// FlashCrowdTimes collects FlashCrowdArrivals.
+func FlashCrowdTimes(base, spikeAt, spikeDur, factor, duration float64, rng *rand.Rand) []float64 {
+	return collect(FlashCrowdArrivals(base, spikeAt, spikeDur, factor, duration, rng), base*(duration+spikeDur*(factor-1)))
+}
+
+// thinned yields an inhomogeneous Poisson process with instantaneous rate
+// rate(t) ≤ maxRate by Lewis-Shedler thinning. A NaN or infinite maxRate
+// (a NaN amplitude or spike factor, an infinite factor) gives no arrivals.
+func thinned(rate func(float64) float64, maxRate, duration float64, rng *rand.Rand) iter.Seq[float64] {
 	if !positive(maxRate) {
-		return nil
+		return none
 	}
-	times := make([]float64, 0, presize(mean))
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / maxRate
-		if t >= duration {
-			return times
-		}
-		if rng.Float64()*maxRate <= rate(t) {
-			times = append(times, t)
+	return func(yield func(float64) bool) {
+		for t := rng.ExpFloat64() / maxRate; t < duration; t += rng.ExpFloat64() / maxRate {
+			if rng.Float64()*maxRate <= rate(t) && !yield(t) {
+				return
+			}
 		}
 	}
 }
 
-// ClosedLoopTimes models a closed-loop population: `users` concurrent
+// ClosedLoopArrivals models a closed-loop population: `users` concurrent
 // sessions, each issuing its next request an Exp(think)-distributed pause
 // after the previous one (the request-response-think cycle of a replayed
-// session log, with service time folded into the think time). The merged
-// stream is sorted ascending.
-func ClosedLoopTimes(users int, think, duration float64, rng *rand.Rand) []float64 {
+// session log, with service time folded into the think time). The
+// sessions are drawn one after another, so the merged stream is sorted
+// before the first arrival is yielded.
+func ClosedLoopArrivals(users int, think, duration float64, rng *rand.Rand) iter.Seq[float64] {
 	if users <= 0 || !positive(think) || !positive(duration) {
-		return nil
+		return none
 	}
-	times := make([]float64, 0, presize(float64(users)/think*duration))
-	for u := 0; u < users; u++ {
-		t := rng.ExpFloat64() * think
-		for t < duration {
-			times = append(times, t)
-			t += rng.ExpFloat64() * think
+	return func(yield func(float64) bool) {
+		times := make([]float64, 0, presize(float64(users)/think*duration))
+		for u := 0; u < users; u++ {
+			for t := rng.ExpFloat64() * think; t < duration; t += rng.ExpFloat64() * think {
+				times = append(times, t)
+			}
+		}
+		sort.Float64s(times)
+		for _, t := range times {
+			if !yield(t) {
+				return
+			}
 		}
 	}
-	sort.Float64s(times)
+}
+
+// ClosedLoopTimes collects ClosedLoopArrivals.
+func ClosedLoopTimes(users int, think, duration float64, rng *rand.Rand) []float64 {
+	return collect(ClosedLoopArrivals(users, think, duration, rng), float64(users)/think*duration)
+}
+
+// none is the process with no arrivals.
+func none(func(float64) bool) {}
+
+// collect gathers a process's arrival times into a slice pre-sized for
+// about mean of them, or returns nil when there are none.
+func collect(arrivals iter.Seq[float64], mean float64) []float64 {
+	var times []float64
+	for t := range arrivals {
+		if times == nil {
+			times = make([]float64, 0, max(presize(mean), 1))
+		}
+		times = append(times, t)
+	}
 	return times
 }
 
@@ -201,18 +253,6 @@ type MixEntry struct {
 	Tenant  string
 	Dataset LengthDist
 	Weight  float64 // relative share of arrivals; entries with Weight <= 0 are ignored
-}
-
-// ascending returns times in ascending order: times itself when it already
-// is (every generator's output), else a sorted copy. Sorting an already
-// sorted slice moves nothing, so both paths give the same order.
-func ascending(times []float64) []float64 {
-	if sort.Float64sAreSorted(times) {
-		return times
-	}
-	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
-	return sorted
 }
 
 // mixDrawer samples the per-request half of a trace from one stream: a
@@ -254,78 +294,177 @@ func (d *mixDrawer) draw(r *Request) {
 	r.Tenant = e.Tenant
 }
 
-// drawChunk is how many requests the mix goroutine of Synthesize draws
-// between looks at whether the arrival count is known yet.
-const drawChunk = 4096
+// drawChunk is the request count of one chunk of draws or arrival times,
+// and drawAhead how many chunks of each SynthesizeChunks keeps in
+// circulation: the draws and the arrivals run ahead of the caller by at
+// most drawAhead·drawChunk requests (a sixth of a MiB per chunk of
+// draws).
+const (
+	drawChunk = 4096
+	drawAhead = 4
+)
 
-// Synthesize turns the arrival times times() returns into a trace by
-// sampling the weighted tenant mix per arrival, from a stream seeded by
-// seed: tenant first, then (prompt, output) from that tenant's dataset. An
-// empty (or fully zero-weight) mix defaults to single-tenant ShareGPT.
-// Requests come out in ascending arrival order (times need not be sorted,
-// and are never reordered in place), with IDs assigned in that order.
+// SynthesizeChunks turns the arrival times arrivals yields into a trace,
+// chunk by chunk, by sampling the weighted tenant mix per arrival from a
+// stream seeded by seed: tenant first, then (prompt, output) from that
+// tenant's dataset. An empty (or fully zero-weight) mix defaults to
+// single-tenant ShareGPT. Arrivals must come in ascending order; request
+// i gets ID i and the i-th arrival time.
 //
-// The mix is drawn on a second goroutine while times runs on the
-// caller's. The two share nothing: the arrivals come from whatever stream
-// times owns, and the draws from the private stream. Request i takes that
-// stream's i-th draws however far past the arrival count the goroutine
-// ran, so the trace does not depend on scheduling or GOMAXPROCS, and
-// synthesis costs about the slower half instead of the sum of both.
+// Three goroutines share the work: arrivals runs on one of its own, the
+// mix draws on a second, and the caller's goroutine stamps the arrival
+// times into the draws and hands each finished chunk to swap. swap owns
+// the chunk buffers. SynthesizeChunks first calls swap(nil) drawAhead
+// times for empty buffers; the draws fill them in turn, and each
+// finished chunk goes back through swap, which returns the buffer for a
+// later chunk — the same one, to recycle it, or an empty one for a fresh
+// drawChunk-request buffer. The last chunk may be shorter than its
+// buffer, and the buffer swap returns for it is not used.
 //
-// expected estimates the arrival count. The draws go straight into the
-// returned slice, pre-sized by presize(expected) (at least one chunk).
-// Until times returns they run at most that far ahead and then wait, which
-// bounds the memory a bad estimate can cost and the work thrown away when
-// it is high. The spare capacity stays live as long as the trace does, so
-// the limit adds no slack of its own.
-func Synthesize(times func() []float64, expected float64, mix []MixEntry, seed int64) []Request {
-	count := make(chan int, 1)
-	drawn := make(chan []Request, 1)
-	d := newMixDrawer(mix, rand.New(rand.NewSource(seed)))
-	go func() { drawn <- d.drawAhead(max(presize(expected), drawChunk), count) }()
-	var ts []float64
-	func() {
-		// Closing count on the way out, panics included, lets the draw
-		// goroutine finish rather than wait forever.
-		defer close(count)
-		ts = ascending(times())
-		count <- len(ts)
-	}()
-	reqs := <-drawn
-	for i, t := range ts {
-		reqs[i].ArrivalAt = t
+// The arrivals and the draws come from streams of their own, and request
+// i takes the mix stream's i-th draws however far either goroutine ran,
+// so the trace does not depend on scheduling or GOMAXPROCS, and synthesis
+// costs about the slowest third instead of the sum of all three. A panic
+// in arrivals or swap reaches the caller after both goroutines have
+// exited.
+func SynthesizeChunks(arrivals iter.Seq[float64], mix []MixEntry, seed int64, swap func(filled []Request) []Request) {
+	next := func(filled []Request) []Request {
+		if c := swap(filled); len(c) > 0 {
+			return c
+		}
+		return make([]Request, drawChunk)
 	}
-	return reqs
+	free := make(chan []Request, drawAhead)
+	full := make(chan []Request, drawAhead)
+	for range drawAhead {
+		free <- next(nil)
+	}
+	d := newMixDrawer(mix, rand.New(rand.NewSource(seed)))
+	go func() {
+		defer close(full)
+		id := int64(0)
+		for c := range free {
+			for i := range c {
+				c[i] = Request{ID: id}
+				d.draw(&c[i])
+				id++
+			}
+			full <- c
+		}
+	}()
+	defer func() {
+		// Take back the buffers the draws have not reached, then wait for
+		// the goroutine to finish the one it is on and exit: no draw
+		// outlives the call or writes into a buffer swap has handed on.
+		for drained := false; !drained; {
+			select {
+			case <-free:
+			default:
+				drained = true
+			}
+		}
+		close(free)
+		for range full {
+		}
+	}()
+	stop := make(chan struct{})
+	var failed any
+	times, spare := arrivalChunks(arrivals, stop, &failed)
+	defer func() {
+		close(stop)
+		for range times {
+		}
+	}()
+	var c []Request
+	k := 0
+	for chunk := range times {
+		for ts := chunk; len(ts) > 0; {
+			if k == len(c) {
+				if c != nil {
+					free <- next(c)
+				}
+				c, k = <-full, 0
+			}
+			n := min(len(ts), len(c)-k)
+			for i, t := range ts[:n] {
+				c[k+i].ArrivalAt = t
+			}
+			k += n
+			ts = ts[n:]
+		}
+		spare <- chunk[:0]
+	}
+	if failed != nil {
+		panic(failed)
+	}
+	if k > 0 {
+		swap(c[:k])
+	}
 }
 
-// drawAhead draws requests (IDs and mix draws, no arrival times) until it
-// learns the trace length n from count, then returns exactly n. Before
-// that it draws in chunks of drawChunk up to limit, polling count between
-// chunks, and blocks only at limit.
-func (d *mixDrawer) drawAhead(limit int, count <-chan int) []Request {
-	reqs := make([]Request, 0, limit)
-	next := func(end int) {
-		for len(reqs) < end {
-			reqs = append(reqs, Request{ID: int64(len(reqs))})
-			d.draw(&reqs[len(reqs)-1])
+// arrivalChunks runs arrivals on a goroutine of its own and sends its
+// times on the returned channel in chunks of drawChunk (the last one
+// shorter), written into drawAhead buffers that the receiver hands back
+// through spare once it has read them. The goroutine closes the channel
+// and exits when arrivals ends or panics, or at its next chunk once stop
+// is closed; a panic's value is in *failed when the channel is closed.
+func arrivalChunks(arrivals iter.Seq[float64], stop <-chan struct{}, failed *any) (<-chan []float64, chan<- []float64) {
+	times := make(chan []float64, drawAhead)
+	spare := make(chan []float64, drawAhead)
+	for range drawAhead {
+		spare <- make([]float64, 0, drawChunk)
+	}
+	go func() {
+		defer close(times)
+		defer func() { *failed = recover() }()
+		buf := <-spare
+		send := func() bool {
+			select {
+			case times <- buf:
+			case <-stop:
+				return false
+			}
+			select {
+			case buf = <-spare:
+				return true
+			case <-stop:
+				return false
+			}
 		}
-	}
-	n := -1
-	for n < 0 && len(reqs) < limit {
-		select {
-		case n = <-count:
-		default:
-			next(min(len(reqs)+drawChunk, limit))
+		for t := range arrivals {
+			buf = append(buf, t)
+			if len(buf) == drawChunk && !send() {
+				return
+			}
 		}
-	}
-	if n < 0 {
-		n = <-count
-	}
-	if n > len(reqs) {
-		reqs = slices.Grow(reqs, n-len(reqs))
-		next(n)
-	}
-	return reqs[:n]
+		if len(buf) > 0 {
+			send()
+		}
+	}()
+	return times, spare
+}
+
+// Synthesize is SynthesizeChunks into one array pre-sized by
+// presize(expected), an estimate of the arrival count: the chunks are
+// consecutive windows of it, so each request is written where it stays.
+// Past the estimate, chunks are drawn into recycled buffers and appended.
+// The spare capacity stays live as long as the trace does.
+func Synthesize(arrivals iter.Seq[float64], expected float64, mix []MixEntry, seed int64) []Request {
+	reqs := make([]Request, 0, presize(expected))
+	windows := 0 // the slots of reqs handed out as chunks, all before any buffer
+	SynthesizeChunks(arrivals, mix, seed, func(filled []Request) []Request {
+		switch {
+		case len(reqs) < windows: // the next window of reqs
+			reqs = reqs[:len(reqs)+len(filled)]
+		case filled != nil: // a buffer past the estimate: every window is in
+			reqs = append(reqs, filled...)
+			return filled
+		}
+		n := min(drawChunk, cap(reqs)-windows)
+		windows += n
+		return reqs[windows-n : windows : windows] // empty past the estimate: a fresh buffer
+	})
+	return reqs
 }
 
 // ValidateMix reports whether the mix is usable: every weight finite, at

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"iter"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,21 +24,21 @@ var generators = []struct {
 		}, seed)
 	}},
 	{"mmpp", func(rate, duration float64, seed int64) []Request {
-		return synthesizeOne(ShareGPT, seed, func(rng *rand.Rand) []float64 {
-			return MMPPTimes([]MMPPState{
+		return synthesizeOne(ShareGPT, seed, func(rng *rand.Rand) iter.Seq[float64] {
+			return MMPPArrivals([]MMPPState{
 				{Rate: rate * 2, MeanDwell: duration / 8},
 				{Rate: rate / 4, MeanDwell: duration / 4},
 			}, duration, rng)
 		})
 	}},
 	{"diurnal", func(rate, duration float64, seed int64) []Request {
-		return synthesizeOne(LongBench, seed, func(rng *rand.Rand) []float64 {
-			return DiurnalTimes(rate, 0.8, duration, duration, rng)
+		return synthesizeOne(LongBench, seed, func(rng *rand.Rand) iter.Seq[float64] {
+			return DiurnalArrivals(rate, 0.8, duration, duration, rng)
 		})
 	}},
 	{"flashcrowd", func(rate, duration float64, seed int64) []Request {
-		return synthesizeOne(ShareGPT, seed, func(rng *rand.Rand) []float64 {
-			return FlashCrowdTimes(rate, duration/3, duration/6, 5, duration, rng)
+		return synthesizeOne(ShareGPT, seed, func(rng *rand.Rand) iter.Seq[float64] {
+			return FlashCrowdArrivals(rate, duration/3, duration/6, 5, duration, rng)
 		})
 	}},
 	{"closedloop", func(rate, duration float64, seed int64) []Request {
@@ -45,16 +46,16 @@ var generators = []struct {
 		if users < 1 {
 			users = 1
 		}
-		return synthesizeOne(HumanEval, seed, func(rng *rand.Rand) []float64 {
-			return ClosedLoopTimes(users, 4, duration, rng)
+		return synthesizeOne(HumanEval, seed, func(rng *rand.Rand) iter.Seq[float64] {
+			return ClosedLoopArrivals(users, 4, duration, rng)
 		})
 	}},
 }
 
-// synthesizeOne is a single-tenant trace on dist: the arrival times times
-// draws from a stream seeded by seed, the mix through Synthesize.
-func synthesizeOne(dist LengthDist, seed int64, times func(*rand.Rand) []float64) []Request {
-	return Synthesize(func() []float64 { return times(rand.New(rand.NewSource(seed))) }, 0, []MixEntry{{Dataset: dist, Weight: 1}}, seed)
+// synthesizeOne is a single-tenant trace on dist: the arrival times
+// arrivals draws from a stream seeded by seed, the mix through Synthesize.
+func synthesizeOne(dist LengthDist, seed int64, arrivals func(*rand.Rand) iter.Seq[float64]) []Request {
+	return Synthesize(arrivals(rand.New(rand.NewSource(seed))), 0, []MixEntry{{Dataset: dist, Weight: 1}}, seed)
 }
 
 // checkTraceInvariants asserts the contract every generator must keep:

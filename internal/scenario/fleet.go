@@ -100,7 +100,7 @@ func PrepareFleet(spec Spec, engineName string, opts Options) (*FleetRun, error)
 	}
 	//hetis:entropy wall-clock self-profiling; FleetTimings is reporting-only and never reaches a table
 	start := time.Now()
-	parts, offeredBy, err := spec.WithDefaults().shards()
+	parts, offeredBy, err := spec.shards()
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}

@@ -122,6 +122,37 @@ func (r *Router) Policy() string { return policies[r.policy] }
 // nil).
 func (r *Router) Weights() []float64 { return slices.Clone(r.weights) }
 
+// Shares estimates the fraction of a trace drawn from mix that each shard
+// receives, for pre-sizing the shards' sub-traces. Round-robin and
+// least-loaded routing split by weight. Affinity sends each named
+// tenant's mix share (entries with Weight <= 0 are never drawn) to the
+// shard its name hashes to, and splits the untenanted share by weight; an
+// empty or all-zero mix is untenanted. The shares are non-negative and
+// sum to 1 up to rounding, or are all NaN or zero when the weights of mix
+// overflow to an infinite sum.
+func (r *Router) Shares(mix []workload.MixEntry) []float64 {
+	shares := make([]float64, len(r.weights))
+	untenanted, total := 0.0, 0.0
+	for _, e := range mix {
+		if e.Weight <= 0 {
+			continue
+		}
+		total += e.Weight
+		if r.policy == affinity && e.Tenant != "" {
+			shares[fnv1a(e.Tenant)%uint64(len(shares))] += e.Weight
+		} else {
+			untenanted += e.Weight
+		}
+	}
+	if total == 0 {
+		untenanted, total = 1, 1
+	}
+	for i, w := range r.weights {
+		shares[i] = (shares[i] + untenanted*w/r.total) / total
+	}
+	return shares
+}
+
 // Assign routes one request: it returns the index of the shard that
 // serves it. Decisions depend only on the request sequence assigned so
 // far — admission-time state, never execution feedback — so the

@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,6 +163,57 @@ func TestAffinityPinsTenants(t *testing.T) {
 	}
 	if len(pinned) != 4 {
 		t.Fatalf("saw %d pinned tenants, want 4", len(pinned))
+	}
+}
+
+// TestSharesMatchRouting: Shares predicts the fraction of a trace drawn
+// from a mix that each shard receives, under every policy: by weight for
+// round-robin and least-loaded, and for affinity by the mix share of the
+// tenants that hash to each shard plus a weighted split of the untenanted
+// share, whose shards (here the busiest gets about half) a split by weight
+// would under-reserve.
+func TestSharesMatchRouting(t *testing.T) {
+	mix := []workload.MixEntry{
+		{Tenant: "chat", Dataset: workload.ShareGPT, Weight: 3},
+		{Tenant: "code", Dataset: workload.HumanEval, Weight: 2},
+		{Tenant: "batch", Dataset: workload.LongBench, Weight: 1},
+		{Dataset: workload.ShareGPT, Weight: 1},
+		{Tenant: "off", Dataset: workload.ShareGPT, Weight: 0},
+	}
+	reqs := workload.Synthesize(workload.PoissonArrivals(1000, 100, rand.New(rand.NewSource(5))), 1e5, mix, 6)
+	for _, policy := range Policies() {
+		for _, weights := range [][]float64{nil, {1, 2, 3, 2}} {
+			r, err := NewRouter(policy, 4, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares := r.Shares(mix)
+			var sum float64
+			for _, sh := range shares {
+				sum += sh
+			}
+			if math.Abs(sum-1) > 1e-12 {
+				t.Errorf("%s %v: shares %v sum to %g", policy, weights, shares, sum)
+			}
+			got := make([]float64, 4)
+			for _, s := range shardOf(r, reqs) {
+				got[s]++
+			}
+			for i := range got {
+				if got[i] /= float64(len(reqs)); math.Abs(got[i]-shares[i]) > 0.02 {
+					t.Errorf("%s %v: shard %d received %.3f of the trace, Shares says %.3f", policy, weights, i, got[i], shares[i])
+				}
+			}
+		}
+	}
+	r, err := NewRouter(PolicyAffinity, 4, []float64{1, 1, 1, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range [][]workload.MixEntry{nil, {{Tenant: "x", Weight: 0}}} {
+		if got, want := r.Shares(m), []float64{0.125, 0.125, 0.125, 0.625}; !slices.Equal(got, want) {
+			t.Errorf("mix %v: shares %v, want the weights' %v", m, got, want)
+		}
 	}
 }
 

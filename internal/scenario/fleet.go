@@ -175,9 +175,10 @@ func (s Spec) Shards() ([][]workload.Request, error) {
 // shards is Shards for a defaulted, validated spec, with the trace's
 // per-tenant request counts. A sharded spec's trace never exists whole:
 // each chunk SynthesizeChunks draws is routed request by request (one
-// Router.Assign each) into its shard's own trace, pre-sized by the
-// shard's weight share of the expected count, and counted by tenant in
-// the same pass, and its buffer is recycled for a later chunk.
+// Router.Assign each) into its shard's own window of one array, sized
+// by the shard's expected share of the count (Router.Shares), and counted
+// by tenant in the same pass, and its buffer is recycled for a later
+// chunk.
 func (s Spec) shards() ([][]workload.Request, map[string]int, error) {
 	offered := map[string]int{}
 	if !s.Sharded() {
@@ -189,9 +190,18 @@ func (s Spec) shards() ([][]workload.Request, map[string]int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// One array backs every shard's pre-sized window, so the heap grows
+	// once rather than once per shard; a shard that outgrows its window
+	// moves out of it by append.
+	caps := workload.PresizeShares(s.expected(), router.Shares(s.Mix))
+	total := 0
+	for _, n := range caps {
+		total += n
+	}
+	backing := make([]workload.Request, total)
 	parts := make([][]workload.Request, router.Shards())
-	for i, n := range workload.PresizeShares(s.expected(), router.Weights()) {
-		parts[i] = make([]workload.Request, 0, n)
+	for i, n := range caps {
+		parts[i], backing = backing[:0:n], backing[n:]
 	}
 	workload.SynthesizeChunks(s.arrivals(), s.Mix, s.Seed+1, func(filled []workload.Request) []workload.Request {
 		for i := range filled {

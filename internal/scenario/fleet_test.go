@@ -208,6 +208,41 @@ func TestFleetToleratesEmptyShards(t *testing.T) {
 	}
 }
 
+// TestShardPresizeFitsShares: every shard's sub-trace fits the capacity
+// the front door reserved for it, so no shard regrows by copying its
+// requests: under every policy, and under the registered fleet's tenant
+// affinity, whose chat shard receives half the trace where a split by
+// shard weight would reserve a quarter.
+func TestShardPresizeFitsShares(t *testing.T) {
+	reg, err := ByName("fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []Spec{reg}
+	reg.Duration = 2000
+	specs = append(specs, reg)
+	for _, policy := range fleet.Policies() {
+		specs = append(specs, fleetTestSpec(policy))
+	}
+	for _, spec := range specs {
+		spec = spec.WithDefaults()
+		parts, _, err := spec.shards()
+		if err != nil {
+			t.Fatal(err)
+		}
+		router, err := fleet.NewRouter(spec.Fleet.policy(), spec.Fleet.Shards, spec.Fleet.Weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := workload.PresizeShares(spec.expected(), router.Shares(spec.Mix))
+		for i, part := range parts {
+			if part != nil && cap(part) != caps[i] {
+				t.Errorf("%s %s %gs: shard %d holds %d requests in capacity %d, pre-sized %d", spec.Name, spec.Fleet.policy(), spec.Duration, i, len(part), cap(part), caps[i])
+			}
+		}
+	}
+}
+
 // TestFleetTimingsFilled: a run records its front door, every fed shard's
 // busy seconds and its merge, and those wall-clock readings reach no
 // table: the rows of runs at one and four shard workers, whose timings

@@ -1,9 +1,10 @@
 // Arrival processes beyond steady Poisson: bursty (MMPP), diurnal,
 // flash-crowd, and closed-loop traffic, plus multi-tenant workload mixing.
-// Each process yields ascending arrival times; SynthesizeChunks turns them
-// into Requests chunk by chunk by sampling a weighted tenant mix, drawn
-// concurrently with the arrival process. Everything is seeded and deterministic: the same
-// (parameters, seed) always yield the same trace.
+// Each process yields ascending arrival times; Synthesize (one array) and
+// SynthesizeChunks (chunk by chunk) turn them into Requests by sampling a
+// weighted tenant mix, drawn concurrently with the arrival process.
+// Everything is seeded and deterministic: the same (parameters, seed)
+// always yield the same trace.
 
 package workload
 
@@ -45,10 +46,11 @@ func presize(mean float64) int {
 
 // PresizeShares is the starting capacity of each of len(shares)
 // sub-traces that split a trace of about expected requests in proportion
-// to shares (positive, finite weights with a finite sum): presize of each
-// one's share of expected. expected is first capped at maxPresize, so the
-// sub-traces together reserve at most maxPresize requests plus each
-// share's slack, whatever the estimate.
+// to shares (non-negative weights): presize of each one's share of
+// expected, or 0 for all of them if the shares do not have a positive,
+// finite sum. expected is first capped at maxPresize, so the sub-traces
+// together reserve at most maxPresize requests plus each share's slack,
+// whatever the estimate.
 func PresizeShares(expected float64, shares []float64) []int {
 	var total float64
 	for _, w := range shares {
@@ -294,11 +296,11 @@ func (d *mixDrawer) draw(r *Request) {
 	r.Tenant = e.Tenant
 }
 
-// drawChunk is the request count of one chunk of draws or arrival times,
-// and drawAhead how many chunks of each SynthesizeChunks keeps in
-// circulation: the draws and the arrivals run ahead of the caller by at
-// most drawAhead·drawChunk requests (a sixth of a MiB per chunk of
-// draws).
+// drawChunk is the request count of one chunk of draws, and drawAhead
+// how many chunks SynthesizeChunks keeps in circulation: the draws run
+// ahead of the caller by at most drawAhead·drawChunk requests (a sixth of
+// a MiB per chunk). Synthesize draws drawChunk requests between looks at
+// whether the arrival count is known yet.
 const (
 	drawChunk = 4096
 	drawAhead = 4
@@ -311,9 +313,9 @@ const (
 // single-tenant ShareGPT. Arrivals must come in ascending order; request
 // i gets ID i and the i-th arrival time.
 //
-// Three goroutines share the work: arrivals runs on one of its own, the
-// mix draws on a second, and the caller's goroutine stamps the arrival
-// times into the draws and hands each finished chunk to swap. swap owns
+// Two goroutines share the work: the mix draws run on one of their own,
+// while the caller's goroutine runs arrivals, stamps each time into its
+// drawn request and hands each finished chunk to swap. swap owns
 // the chunk buffers. SynthesizeChunks first calls swap(nil) drawAhead
 // times for empty buffers; the draws fill them in turn, and each
 // finished chunk goes back through swap, which returns the buffer for a
@@ -324,8 +326,8 @@ const (
 // The arrivals and the draws come from streams of their own, and request
 // i takes the mix stream's i-th draws however far either goroutine ran,
 // so the trace does not depend on scheduling or GOMAXPROCS, and synthesis
-// costs about the slowest third instead of the sum of all three. A panic
-// in arrivals or swap reaches the caller after both goroutines have
+// costs about the slower half instead of the sum of both. A panic in
+// arrivals or swap reaches the caller after the draw goroutine has
 // exited.
 func SynthesizeChunks(arrivals iter.Seq[float64], mix []MixEntry, seed int64, swap func(filled []Request) []Request) {
 	next := func(filled []Request) []Request {
@@ -367,104 +369,77 @@ func SynthesizeChunks(arrivals iter.Seq[float64], mix []MixEntry, seed int64, sw
 		for range full {
 		}
 	}()
-	stop := make(chan struct{})
-	var failed any
-	times, spare := arrivalChunks(arrivals, stop, &failed)
-	defer func() {
-		close(stop)
-		for range times {
-		}
-	}()
 	var c []Request
 	k := 0
-	for chunk := range times {
-		for ts := chunk; len(ts) > 0; {
-			if k == len(c) {
-				if c != nil {
-					free <- next(c)
-				}
-				c, k = <-full, 0
+	for t := range arrivals {
+		if k == len(c) {
+			if c != nil {
+				free <- next(c)
 			}
-			n := min(len(ts), len(c)-k)
-			for i, t := range ts[:n] {
-				c[k+i].ArrivalAt = t
-			}
-			k += n
-			ts = ts[n:]
+			c, k = <-full, 0
 		}
-		spare <- chunk[:0]
-	}
-	if failed != nil {
-		panic(failed)
+		c[k].ArrivalAt = t
+		k++
 	}
 	if k > 0 {
 		swap(c[:k])
 	}
 }
 
-// arrivalChunks runs arrivals on a goroutine of its own and sends its
-// times on the returned channel in chunks of drawChunk (the last one
-// shorter), written into drawAhead buffers that the receiver hands back
-// through spare once it has read them. The goroutine closes the channel
-// and exits when arrivals ends or panics, or at its next chunk once stop
-// is closed; a panic's value is in *failed when the channel is closed.
-func arrivalChunks(arrivals iter.Seq[float64], stop <-chan struct{}, failed *any) (<-chan []float64, chan<- []float64) {
-	times := make(chan []float64, drawAhead)
-	spare := make(chan []float64, drawAhead)
-	for range drawAhead {
-		spare <- make([]float64, 0, drawChunk)
-	}
-	go func() {
-		defer close(times)
-		defer func() { *failed = recover() }()
-		buf := <-spare
-		send := func() bool {
-			select {
-			case times <- buf:
-			case <-stop:
-				return false
-			}
-			select {
-			case buf = <-spare:
-				return true
-			case <-stop:
-				return false
-			}
-		}
-		for t := range arrivals {
-			buf = append(buf, t)
-			if len(buf) == drawChunk && !send() {
-				return
-			}
-		}
-		if len(buf) > 0 {
-			send()
-		}
+// Synthesize turns the arrival times arrivals yields into a trace, as
+// SynthesizeChunks does, in one array pre-sized by presize(expected), an
+// estimate of the arrival count. The mix is drawn on a second goroutine
+// straight into that array while the caller collects the arrival times,
+// so the array's allocation overlaps the arrival process; the times are
+// stamped in once both are done. Until the arrival count is known the
+// draws run at most to the estimate and then wait, which bounds the
+// memory a bad estimate can cost and the work thrown away when it is
+// high. The spare capacity stays live as long as the trace does.
+func Synthesize(arrivals iter.Seq[float64], expected float64, mix []MixEntry, seed int64) []Request {
+	count := make(chan int, 1)
+	drawn := make(chan []Request, 1)
+	d := newMixDrawer(mix, rand.New(rand.NewSource(seed)))
+	go func() { drawn <- d.drawUpTo(max(presize(expected), drawChunk), count) }()
+	var times []float64
+	func() {
+		// Closing count on the way out, panics included, lets the draw
+		// goroutine finish rather than wait forever.
+		defer close(count)
+		times = collect(arrivals, expected)
+		count <- len(times)
 	}()
-	return times, spare
+	reqs := <-drawn
+	for i, t := range times {
+		reqs[i].ArrivalAt = t
+	}
+	return reqs
 }
 
-// Synthesize is SynthesizeChunks into one array pre-sized by
-// presize(expected), an estimate of the arrival count: the chunks are
-// consecutive windows of it, so each request is written where it stays.
-// Past the estimate, chunks are drawn into recycled buffers and appended.
-// The spare capacity stays live as long as the trace does.
-func Synthesize(arrivals iter.Seq[float64], expected float64, mix []MixEntry, seed int64) []Request {
-	reqs := make([]Request, 0, presize(expected))
-	windows := 0 // the slots of reqs handed out as chunks, all before any buffer
-	SynthesizeChunks(arrivals, mix, seed, func(filled []Request) []Request {
-		switch {
-		case len(reqs) < windows: // the next window of reqs
-			reqs = reqs[:len(reqs)+len(filled)]
-		case filled != nil: // a buffer past the estimate: every window is in
-			reqs = append(reqs, filled...)
-			return filled
+// drawUpTo draws requests (IDs and mix draws, no arrival times) until it
+// learns the trace length n from count, then returns exactly n. Before
+// that it draws in chunks of drawChunk up to limit, polling count between
+// chunks, and blocks only at limit.
+func (d *mixDrawer) drawUpTo(limit int, count <-chan int) []Request {
+	reqs := make([]Request, 0, limit)
+	next := func(end int) {
+		for len(reqs) < end {
+			reqs = append(reqs, Request{ID: int64(len(reqs))})
+			d.draw(&reqs[len(reqs)-1])
 		}
-		n := min(drawChunk, cap(reqs)-windows)
-		windows += n
-		return reqs[windows-n : windows : windows] // empty past the estimate: a fresh buffer
-	})
-	return reqs
+	}
+	n := -1
+	for n < 0 && len(reqs) < limit {
+		select {
+		case n = <-count:
+		default:
+			next(min(len(reqs)+drawChunk, limit))
+		}
+	}
+	if n < 0 {
+		n = <-count
+	}
+	next(n)
+	return reqs[:n]
 }
 
 // ValidateMix reports whether the mix is usable: every weight finite, at

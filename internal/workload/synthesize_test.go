@@ -30,9 +30,9 @@ func Assemble(times []float64, mix []MixEntry, seed int64) []Request {
 
 // TestSynthesizeMatchesAssemble: drawing the mix on its own goroutine
 // gives Assemble's trace whatever the arrival-count estimate — exact, far
-// too low (the chunks past it are drawn into buffers and appended), far
-// too high (the surplus draws are dropped), zero or NaN — for long, short
-// and empty arrival streams.
+// too low (the draws wait at it, then continue past it), far too high
+// (the surplus draws are dropped), zero or NaN — for long, short and empty
+// arrival streams.
 func TestSynthesizeMatchesAssemble(t *testing.T) {
 	mix := []MixEntry{
 		{Tenant: "chat", Dataset: ShareGPT, Weight: 3},
@@ -93,8 +93,9 @@ func TestSynthesizeChunksMatchesAssemble(t *testing.T) {
 
 // TestSynthesizePanicReachesCaller: an arrival process that panics before
 // its first arrival or mid-stream, through Synthesize or SynthesizeChunks,
-// panics on the caller's goroutine, where it can be recovered, and the
-// draw goroutine exits: the goroutine count returns to its baseline.
+// or a consumer that panics on its first chunk, panics on the caller's
+// goroutine, where it can be recovered, and the draw goroutine exits: the
+// goroutine count returns to its baseline.
 func TestSynthesizePanicReachesCaller(t *testing.T) {
 	panicsAfter := func(n int) iter.Seq[float64] {
 		return func(yield func(float64) bool) {
@@ -116,11 +117,19 @@ func TestSynthesizePanicReachesCaller(t *testing.T) {
 		{"SynthesizeChunks mid-stream", func() {
 			SynthesizeChunks(panicsAfter(10*drawChunk), nil, 1, func(filled []Request) []Request { return filled })
 		}},
+		{"SynthesizeChunks swap", func() {
+			SynthesizeChunks(panicsAfter(10*drawChunk), nil, 1, func(filled []Request) []Request {
+				if filled != nil {
+					panic("bad consumer")
+				}
+				return filled
+			})
+		}},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s: the arrival process's panic did not reach the caller", tc.name)
+					t.Fatalf("%s: the panic did not reach the caller", tc.name)
 				}
 			}()
 			tc.run()
@@ -215,9 +224,9 @@ func TestShardPresizeAndChunkPoolBounded(t *testing.T) {
 	if n < 40*drawChunk || len(buffers) != drawAhead {
 		t.Fatalf("%d requests through %d distinct buffers, want at least %d through %d", n, len(buffers), 40*drawChunk, drawAhead)
 	}
-	// The request buffers and the arrival-time buffers are all it
-	// allocates, plus channels and goroutines: nothing grows with the trace.
-	limit := uint64(drawAhead*drawChunk*(unsafe.Sizeof(Request{})+8)) + 64<<10
+	// The request buffers are all it allocates, plus channels and the
+	// draw goroutine: nothing grows with the trace.
+	limit := uint64(drawAhead*drawChunk*unsafe.Sizeof(Request{})) + 64<<10
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 		t.Errorf("SynthesizeChunks of %d requests allocated %d bytes, over %d", n, got, limit)
 	}
